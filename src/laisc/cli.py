@@ -25,10 +25,10 @@ import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
-from laisc import evaluation, io, metrics
+from laisc import evaluation, io, metrics, report
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
-from laisc.model import Landscape, fingerprint, rows
+from laisc.model import KNOWN_METRIC_IDS, Landscape, fingerprint, rows
 
 
 class _UsageError(Exception):
@@ -56,6 +56,7 @@ def _load_landscape(path: str) -> Landscape:
 
 
 def _load_bundle(path: str) -> EvidenceBundle:
+    """The bundle a ``metric`` subcommand appends to; a missing file is empty."""
     if Path(path).exists():
         return io.parse_evidence(_read(path))
     return EvidenceBundle(records=(), source="")
@@ -110,13 +111,13 @@ _EXIT_BY_STATUS = {
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     landscape = _load_landscape(args.landscape)
-    bundle = _load_bundle(args.evidence)
+    bundle = io.parse_evidence(_read(args.evidence))
     flt = evaluation.Filter(
         concern=args.concern, stage=args.stage, component=args.component, status=args.status
     )
-    report = evaluation.evaluate(landscape, bundle, flt=flt, now=_now())
-    _emit(io.serialize_report(report, args.format))
-    return _EXIT_BY_STATUS[report.worst_status()]
+    result = evaluation.evaluate(landscape, bundle, flt=flt, now=_now())
+    _emit(report.serialize_report(result, args.format))
+    return _EXIT_BY_STATUS[result.worst_status()]
 
 
 # --- metric subcommands ---------------------------------------------------------
@@ -359,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evaluate.add_argument("--stage")
     p_evaluate.add_argument("--component")
     p_evaluate.add_argument("--status")
-    p_evaluate.add_argument("--format", choices=io.REPORT_FORMATS, default="table")
+    p_evaluate.add_argument("--format", choices=report.REPORT_FORMATS, default="table")
     p_evaluate.set_defaults(func=cmd_evaluate)
 
     p_metric = sub.add_parser("metric", help="compute a metric and append it as evidence")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument(
         "--metric",
         default="gap",
-        choices=sorted(metrics.METRIC_REGISTRY),
+        choices=sorted(KNOWN_METRIC_IDS),
         help="metric id the two values were measured with",
     )
     _add_metric_common(p_gap)

@@ -120,11 +120,9 @@ class Filter:
 @dataclass(frozen=True, slots=True)
 class EvaluationReport:
     landscape: Landscape
-    landscape_name: str
     landscape_fingerprint: str
     generated_at: datetime
     filter: Filter
-    filter_description: str
     rows: tuple[LandscapeRow, ...]
     vr_verdicts: dict[str, Verdict]
     goal_rollups: dict[str, Rollup]
@@ -202,21 +200,32 @@ def _unfillable(
 # --- per-kind evaluation ----------------------------------------------------------
 
 
+def _is_gap_note(note: str) -> bool:
+    """True when a result carries a precomputed two-dataset gap.
+
+    The marker is the leading ``gap`` token of ``config_note``; further
+    notes (e.g. sample-size warnings) may follow after a semicolon.
+    """
+    return note == "gap" or note.startswith("gap;")
+
+
+def _single(record: EvidenceRecord, metric_id: str, dataset_id: str) -> bool:
+    """True for a single-dataset ``metric_id`` measurement on exactly ``dataset_id``."""
+    return (
+        isinstance(record.payload, MetricResult)
+        and record.payload.metric_id == metric_id
+        and not _is_gap_note(record.payload.config_note)
+        and record.payload.dataset_ids == (dataset_id,)
+    )
+
+
 def _eval_metric_threshold(vr, fresh, stale) -> Verdict:
     p: MetricThreshold = vr.payload
-
-    def matches(record: EvidenceRecord) -> bool:
-        return (
-            isinstance(record.payload, MetricResult)
-            and record.payload.metric_id == p.metric_id
-            and p.dataset_id in record.payload.dataset_ids
-        )
-
-    candidates = [r for r in fresh if matches(r)]
+    candidates = [r for r in fresh if _single(r, p.metric_id, p.dataset_id)]
     if not candidates:
         return _unfillable(
             [f"no {p.metric_id} measurement on {p.dataset_id}"],
-            [r for r in stale if matches(r)],
+            [r for r in stale if _single(r, p.metric_id, p.dataset_id)],
             fresh,
             stale,
             any_slot_filled=False,
@@ -234,15 +243,6 @@ def _eval_metric_threshold(vr, fresh, stale) -> Verdict:
     )
 
 
-def _is_gap_note(note: str) -> bool:
-    """True when a result carries a precomputed two-dataset gap.
-
-    The marker is the leading ``gap`` token of ``config_note``; further
-    notes (e.g. sample-size warnings) may follow after a semicolon.
-    """
-    return note == "gap" or note.startswith("gap;")
-
-
 def _eval_metric_gap(vr, fresh, stale) -> Verdict:
     p: MetricGap = vr.payload
     pair = {p.dataset_id_a, p.dataset_id_b}
@@ -253,14 +253,6 @@ def _eval_metric_gap(vr, fresh, stale) -> Verdict:
             and record.payload.metric_id == p.metric_id
             and _is_gap_note(record.payload.config_note)
             and pair <= set(record.payload.dataset_ids)
-        )
-
-    def single(record: EvidenceRecord, dataset_id: str) -> bool:
-        return (
-            isinstance(record.payload, MetricResult)
-            and record.payload.metric_id == p.metric_id
-            and not _is_gap_note(record.payload.config_note)
-            and record.payload.dataset_ids == (dataset_id,)
         )
 
     gap_candidates = [r for r in fresh if gap_record(r)]
@@ -278,8 +270,8 @@ def _eval_metric_gap(vr, fresh, stale) -> Verdict:
             measured=(("gap", gap), ("epsilon", p.epsilon)),
         )
 
-    side_a = [r for r in fresh if single(r, p.dataset_id_a)]
-    side_b = [r for r in fresh if single(r, p.dataset_id_b)]
+    side_a = [r for r in fresh if _single(r, p.metric_id, p.dataset_id_a)]
+    side_b = [r for r in fresh if _single(r, p.metric_id, p.dataset_id_b)]
     if side_a and side_b:
         winner_a, winner_b = _pick(side_a), _pick(side_b)
         value_a, value_b = winner_a.payload.value, winner_b.payload.value
@@ -306,31 +298,23 @@ def _eval_metric_gap(vr, fresh, stale) -> Verdict:
     stale_matching = [
         r
         for r in stale
-        if gap_record(r) or single(r, p.dataset_id_a) or single(r, p.dataset_id_b)
+        if gap_record(r) or _single(r, p.metric_id, p.dataset_id_a) or _single(r, p.metric_id, p.dataset_id_b)
     ]
     return _unfillable(missing, stale_matching, fresh, stale, any_slot_filled=bool(side_a or side_b))
 
 
 def _eval_per_condition(vr, fresh, stale) -> Verdict:
     p: PerCondition = vr.payload
-
-    def matches(record: EvidenceRecord, dataset_id: str) -> bool:
-        return (
-            isinstance(record.payload, MetricResult)
-            and record.payload.metric_id == p.metric_id
-            and dataset_id in record.payload.dataset_ids
-        )
-
     failing: list[str] = []
     missing: list[str] = []
     used: list[str] = []
     measured: list[tuple[str, float]] = []
     stale_matching: list[EvidenceRecord] = []
     for condition in p.conditions:
-        candidates = [r for r in fresh if matches(r, condition.dataset_id)]
+        candidates = [r for r in fresh if _single(r, p.metric_id, condition.dataset_id)]
         if not candidates:
             missing.append(condition.condition_id)
-            stale_matching.extend(r for r in stale if matches(r, condition.dataset_id))
+            stale_matching.extend(r for r in stale if _single(r, p.metric_id, condition.dataset_id))
             continue
         winner = _pick(candidates)
         used.append(winner.id)
@@ -423,7 +407,7 @@ def _eval_flag_resolution(vr, fresh, stale) -> Verdict:
         return Verdict(Status.PENDING, f"no flag-resolution log for {p.dataset_id}")
     winner = _pick(candidates)
     log: FlagResolutionLog = winner.payload
-    resolved = {instance_id for instance_id, _ in log.entries}
+    resolved = {entry.instance_id for entry in log.entries}
     unresolved = sorted(set(log.flagged_ids) - resolved)
     if unresolved:
         return Verdict(
@@ -671,11 +655,9 @@ def evaluate(
 
     return EvaluationReport(
         landscape=landscape,
-        landscape_name=landscape.name,
         landscape_fingerprint=current,
         generated_at=now or datetime.now(timezone.utc),
         filter=resolved,
-        filter_description=resolved.describe(),
         rows=tuple(visible_rows),
         vr_verdicts=vr_verdicts,
         goal_rollups=goal_rollups,

@@ -13,6 +13,8 @@ Formats (all UTF-8, LF line endings):
 
 Serialization is canonical (sorted keys, collections sorted by id), so
 ``serialize(parse(serialize(x)))`` equals ``serialize(x)`` byte for byte.
+The field annotations of each domain dataclass are its JSON schema: one
+generic codec (``to_node`` and ``_from_node``) reads and writes them.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import csv
 import io as _stdio
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cache, partial
+from typing import get_args, get_type_hints
 
 from laisc.errors import (
     DimensionMismatch,
@@ -31,30 +35,22 @@ from laisc.errors import (
     InvalidTimestamp,
     NotNormalized,
     SchemaError,
-    UnsupportedFormat,
     ValueOutOfRange,
 )
 from laisc.model import (
-    Comparator,
-    Condition,
+    _PAYLOAD_KINDS,
     DatasetDescriptor,
-    FlagResolution,
     Goal,
     Landscape,
     LifecycleStage,
-    MetricGap,
-    MetricThreshold,
     MitigationMeasure,
-    PerCondition,
-    QualitativeApproval,
     Resolution,
-    ReviewFraction,
     SafetyConcern,
     SystemComponent,
     VerifiableRequirement,
     VrKind,
-    VrPayload,
     build_landscape,
+    to_node,
 )
 
 # --- evidence domain types ---------------------------------------------------
@@ -99,16 +95,29 @@ class ReviewLog:
 
 
 @dataclass(frozen=True, slots=True)
+class FlagEntry:
+    """The human resolution of one flagged instance."""
+
+    instance_id: str
+    resolution: Resolution
+
+
+@dataclass(frozen=True, slots=True)
 class FlagResolutionLog:
-    """Pairs the ids flagged by a metric run with their human resolutions."""
+    """Pairs the ids flagged by a metric run with their human resolutions.
+
+    ``entries`` may be given as ``(instance_id, resolution)`` pairs.
+    """
 
     dataset_id: str
     flagged_ids: tuple[str, ...]
-    entries: tuple[tuple[str, Resolution], ...]
+    entries: tuple[FlagEntry, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "flagged_ids", tuple(self.flagged_ids))
-        object.__setattr__(self, "entries", tuple((i, r) for i, r in self.entries))
+        object.__setattr__(
+            self, "entries", tuple(e if isinstance(e, FlagEntry) else FlagEntry(*e) for e in self.entries)
+        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -337,231 +346,103 @@ def _enum(node: dict, key: str, path: str, enum_type):
         raise SchemaError(f"{path}.{key}", f"one of {{{allowed}}}", value) from None
 
 
-# --- landscape parsing -------------------------------------------------------
+def _opt_str(node: dict, key: str, path: str) -> str | None:
+    value = node[key]
+    if value is not None and not isinstance(value, str):
+        raise SchemaError(f"{path}.{key}", "string or null", value)
+    return value
 
 
-def _payload_schema(kind: VrKind, node: dict, path: str) -> VrPayload:
-    if kind is VrKind.METRIC_THRESHOLD:
-        _obj(node, path, {"metric_id", "dataset_id", "comparator", "threshold"})
-        return MetricThreshold(
-            metric_id=_str(node, "metric_id", path),
-            dataset_id=_str(node, "dataset_id", path),
-            comparator=_enum(node, "comparator", path, Comparator),
-            threshold=_num(node, "threshold", path),
-        )
-    if kind is VrKind.METRIC_GAP:
-        _obj(node, path, {"metric_id", "dataset_id_a", "dataset_id_b", "epsilon"})
-        return MetricGap(
-            metric_id=_str(node, "metric_id", path),
-            dataset_id_a=_str(node, "dataset_id_a", path),
-            dataset_id_b=_str(node, "dataset_id_b", path),
-            epsilon=_num(node, "epsilon", path),
-        )
-    if kind is VrKind.PER_CONDITION:
-        _obj(node, path, {"metric_id", "conditions"})
-        conditions = []
-        for index, raw in enumerate(_list(node, "conditions", path)):
-            cpath = f"{path}.conditions[{index}]"
-            _obj(raw, cpath, {"condition_id", "dataset_id", "threshold"})
-            conditions.append(
-                Condition(
-                    condition_id=_str(raw, "condition_id", cpath),
-                    dataset_id=_str(raw, "dataset_id", cpath),
-                    threshold=_num(raw, "threshold", cpath),
-                )
-            )
-        return PerCondition(metric_id=_str(node, "metric_id", path), conditions=tuple(conditions))
-    if kind is VrKind.REVIEW_FRACTION:
-        _obj(node, path, {"dataset_id", "min_fraction"})
-        return ReviewFraction(
-            dataset_id=_str(node, "dataset_id", path),
-            min_fraction=_num(node, "min_fraction", path),
-        )
-    if kind is VrKind.FLAG_RESOLUTION:
-        _obj(node, path, {"metric_id", "dataset_id", "flag_threshold"})
-        return FlagResolution(
-            metric_id=_str(node, "metric_id", path),
-            dataset_id=_str(node, "dataset_id", path),
-            flag_threshold=_num(node, "flag_threshold", path),
-        )
-    if kind is VrKind.QUALITATIVE_APPROVAL:
-        _obj(node, path, {"required_approvals", "required_documents"})
-        return QualitativeApproval(
-            required_approvals=_int(node, "required_approvals", path),
-            required_documents=tuple(_str_list(node, "required_documents", path)),
-        )
-    raise SchemaError(path, "known VR kind", kind)  # pragma: no cover
+def _items(node: dict, key: str, path: str, read) -> tuple:
+    """Read the list at ``key`` element by element with ``read(raw, path)``."""
+    return tuple(read(raw, f"{path}.{key}[{index}]") for index, raw in enumerate(_list(node, key, path)))
+
+
+# --- JSON codec, reader half -----------------------------------------------------
+
+
+def _reader(annotation):
+    """The schema helper that reads a field declared as ``annotation``."""
+    if annotation is str:
+        return _str
+    if annotation is float:
+        return _num
+    if annotation is int:
+        return _int
+    if annotation is bool:
+        return _bool
+    if annotation == str | None:
+        return _opt_str
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        return lambda node, key, path: _enum(node, key, path, annotation)
+    item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
+    if item is str:
+        return lambda node, key, path: tuple(_str_list(node, key, path))
+    return lambda node, key, path: _items(node, key, path, partial(_from_node, item))
+
+
+@cache
+def _field_readers(cls: type) -> tuple[frozenset[str], tuple]:
+    hints = get_type_hints(cls)
+    readers = tuple((f.name, _reader(hints[f.name])) for f in fields(cls))
+    return frozenset(name for name, _ in readers), readers
+
+
+def _from_node(cls: type, node: object, path: str):
+    """Read the domain dataclass ``cls`` from its JSON object at ``path``."""
+    keys, readers = _field_readers(cls)
+    _obj(node, path, keys)
+    return cls(**{name: read(node, name, path) for name, read in readers})
+
+
+# --- landscape parsing and serialization -------------------------------------------
+
+_VR_PAYLOADS = {kind: cls for cls, kind in _PAYLOAD_KINDS.items()}
+
+
+def _vr_from_node(node: object, path: str) -> VerifiableRequirement:
+    _obj(node, path, {"id", "goal_id", "kind", "stage_id", "mm_ids", "payload"})
+    kind = _enum(node, "kind", path, VrKind)
+    return VerifiableRequirement(
+        id=_str(node, "id", path),
+        goal_id=_str(node, "goal_id", path),
+        payload=_from_node(_VR_PAYLOADS[kind], node["payload"], f"{path}.payload"),
+        stage_id=_str(node, "stage_id", path),
+        mm_ids=tuple(_str_list(node, "mm_ids", path)),
+    )
 
 
 def parse_landscape(data: bytes | str) -> Landscape:
     """Parse a ``*.laisc.json`` document into a validated landscape."""
-    root = _obj(
-        _load_json(data),
-        "$",
-        {
-            "name",
-            "version",
-            "stages",
-            "components",
-            "concerns",
-            "goals",
-            "vrs",
-            "mitigation_measures",
-            "datasets",
-        },
-    )
+    root = _obj(_load_json(data), "$", {f.name for f in fields(Landscape)})
 
-    stages = []
-    for index, raw in enumerate(_list(root, "stages", "$")):
-        path = f"$.stages[{index}]"
-        _obj(raw, path, {"id", "name", "order"})
-        stages.append(
-            LifecycleStage(id=_str(raw, "id", path), name=_str(raw, "name", path), order=_int(raw, "order", path))
-        )
+    def items(key: str, cls: type) -> tuple:
+        return _items(root, key, "$", partial(_from_node, cls))
 
-    components = []
-    for index, raw in enumerate(_list(root, "components", "$")):
-        path = f"$.components[{index}]"
-        _obj(raw, path, {"id", "name", "description"})
-        components.append(
-            SystemComponent(
-                id=_str(raw, "id", path),
-                name=_str(raw, "name", path),
-                description=_str(raw, "description", path),
-            )
-        )
-
-    concerns = []
-    for index, raw in enumerate(_list(root, "concerns", "$")):
-        path = f"$.concerns[{index}]"
-        _obj(
-            raw,
-            path,
-            {"id", "name", "description", "relevant", "relevance_rationale", "component_ids", "goal_ids"},
-        )
-        concerns.append(
-            SafetyConcern(
-                id=_str(raw, "id", path),
-                name=_str(raw, "name", path),
-                description=_str(raw, "description", path),
-                relevant=_bool(raw, "relevant", path),
-                relevance_rationale=_str(raw, "relevance_rationale", path),
-                component_ids=tuple(_str_list(raw, "component_ids", path)),
-                goal_ids=tuple(_str_list(raw, "goal_ids", path)),
-            )
-        )
-
-    goals = []
-    for index, raw in enumerate(_list(root, "goals", "$")):
-        path = f"$.goals[{index}]"
-        _obj(raw, path, {"id", "concern_id", "statement", "vr_ids"})
-        goals.append(
-            Goal(
-                id=_str(raw, "id", path),
-                concern_id=_str(raw, "concern_id", path),
-                statement=_str(raw, "statement", path),
-                vr_ids=tuple(_str_list(raw, "vr_ids", path)),
-            )
-        )
-
-    vrs = []
-    for index, raw in enumerate(_list(root, "vrs", "$")):
-        path = f"$.vrs[{index}]"
-        _obj(raw, path, {"id", "goal_id", "kind", "stage_id", "mm_ids", "payload"})
-        kind = _enum(raw, "kind", path, VrKind)
-        payload_node = raw["payload"]
-        vrs.append(
-            VerifiableRequirement(
-                id=_str(raw, "id", path),
-                goal_id=_str(raw, "goal_id", path),
-                payload=_payload_schema(kind, payload_node, f"{path}.payload"),
-                stage_id=_str(raw, "stage_id", path),
-                mm_ids=tuple(_str_list(raw, "mm_ids", path)),
-            )
-        )
-
-    measures = []
-    for index, raw in enumerate(_list(root, "mitigation_measures", "$")):
-        path = f"$.mitigation_measures[{index}]"
-        _obj(raw, path, {"id", "name", "description", "stage_id"})
-        stage_id = raw["stage_id"]
-        if stage_id is not None and not isinstance(stage_id, str):
-            raise SchemaError(f"{path}.stage_id", "string or null", stage_id)
-        measures.append(
-            MitigationMeasure(
-                id=_str(raw, "id", path),
-                name=_str(raw, "name", path),
-                description=_str(raw, "description", path),
-                stage_id=stage_id,
-            )
-        )
-
+    stages = items("stages", LifecycleStage)
+    components = items("components", SystemComponent)
+    concerns = items("concerns", SafetyConcern)
+    goals = items("goals", Goal)
+    vrs = _items(root, "vrs", "$", _vr_from_node)
+    measures = items("mitigation_measures", MitigationMeasure)
     datasets_node = root["datasets"]
     if not isinstance(datasets_node, dict):
         raise SchemaError("$.datasets", "object", type(datasets_node).__name__)
-    datasets = {}
-    for dataset_id, raw in datasets_node.items():
-        path = f"$.datasets.{dataset_id}"
-        _obj(raw, path, {"path", "format", "role"})
-        datasets[dataset_id] = DatasetDescriptor(
-            path=_str(raw, "path", path),
-            format=_str(raw, "format", path),
-            role=_str(raw, "role", path),
-        )
-
+    datasets = {
+        dataset_id: _from_node(DatasetDescriptor, raw, f"$.datasets.{dataset_id}")
+        for dataset_id, raw in datasets_node.items()
+    }
     return build_landscape(
         name=_str(root, "name", "$"),
         version=_str(root, "version", "$"),
-        stages=tuple(stages),
-        components=tuple(components),
-        concerns=tuple(concerns),
-        goals=tuple(goals),
-        vrs=tuple(vrs),
-        mitigation_measures=tuple(measures),
+        stages=stages,
+        components=components,
+        concerns=concerns,
+        goals=goals,
+        vrs=vrs,
+        mitigation_measures=measures,
         datasets=datasets,
     )
-
-
-# --- landscape serialization -------------------------------------------------
-
-
-def _payload_node(payload: VrPayload) -> dict:
-    if isinstance(payload, MetricThreshold):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_id": payload.dataset_id,
-            "comparator": payload.comparator.value,
-            "threshold": payload.threshold,
-        }
-    if isinstance(payload, MetricGap):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_id_a": payload.dataset_id_a,
-            "dataset_id_b": payload.dataset_id_b,
-            "epsilon": payload.epsilon,
-        }
-    if isinstance(payload, PerCondition):
-        return {
-            "metric_id": payload.metric_id,
-            "conditions": [
-                {"condition_id": c.condition_id, "dataset_id": c.dataset_id, "threshold": c.threshold}
-                for c in payload.conditions
-            ],
-        }
-    if isinstance(payload, ReviewFraction):
-        return {"dataset_id": payload.dataset_id, "min_fraction": payload.min_fraction}
-    if isinstance(payload, FlagResolution):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_id": payload.dataset_id,
-            "flag_threshold": payload.flag_threshold,
-        }
-    if isinstance(payload, QualitativeApproval):
-        return {
-            "required_approvals": payload.required_approvals,
-            "required_documents": list(payload.required_documents),
-        }
-    raise TypeError(type(payload).__name__)  # pragma: no cover
 
 
 def _dump_canonical(node: object) -> bytes:
@@ -569,107 +450,51 @@ def _dump_canonical(node: object) -> bytes:
 
 
 def serialize_landscape(landscape: Landscape) -> bytes:
+    def by_id(items) -> list[dict]:
+        return [to_node(item) for item in sorted(items, key=lambda item: item.id)]
+
     node = {
         "name": landscape.name,
         "version": landscape.version,
-        "stages": [
-            {"id": s.id, "name": s.name, "order": s.order}
-            for s in sorted(landscape.stages, key=lambda s: s.order)
-        ],
-        "components": [
-            {"id": c.id, "name": c.name, "description": c.description}
-            for c in sorted(landscape.components, key=lambda c: c.id)
-        ],
-        "concerns": [
-            {
-                "id": c.id,
-                "name": c.name,
-                "description": c.description,
-                "relevant": c.relevant,
-                "relevance_rationale": c.relevance_rationale,
-                "component_ids": sorted(c.component_ids),
-                "goal_ids": sorted(c.goal_ids),
-            }
-            for c in sorted(landscape.concerns, key=lambda c: c.id)
-        ],
-        "goals": [
-            {"id": g.id, "concern_id": g.concern_id, "statement": g.statement, "vr_ids": sorted(g.vr_ids)}
-            for g in sorted(landscape.goals, key=lambda g: g.id)
-        ],
+        "stages": [to_node(s) for s in sorted(landscape.stages, key=lambda s: s.order)],
+        "components": by_id(landscape.components),
+        "concerns": by_id(landscape.concerns),
+        "goals": by_id(landscape.goals),
         "vrs": [
             {
                 "id": v.id,
                 "goal_id": v.goal_id,
                 "kind": v.kind.value,
                 "stage_id": v.stage_id,
-                "mm_ids": sorted(v.mm_ids),
-                "payload": _payload_node(v.payload),
+                "mm_ids": list(v.mm_ids),
+                "payload": to_node(v.payload),
             }
             for v in sorted(landscape.vrs, key=lambda v: v.id)
         ],
-        "mitigation_measures": [
-            {"id": m.id, "name": m.name, "description": m.description, "stage_id": m.stage_id}
-            for m in sorted(landscape.mitigation_measures, key=lambda m: m.id)
-        ],
-        "datasets": {
-            dataset_id: {"path": d.path, "format": d.format, "role": d.role}
-            for dataset_id, d in landscape.datasets
-        },
+        "mitigation_measures": by_id(landscape.mitigation_measures),
+        "datasets": {dataset_id: to_node(d) for dataset_id, d in landscape.datasets},
     }
     return _dump_canonical(node)
 
 
 # --- evidence parsing and serialization ---------------------------------------
 
+_EVIDENCE_PAYLOADS = {kind: cls for cls, kind in _EVIDENCE_KINDS.items()}
 
-def _evidence_payload_schema(kind: str, node: dict, path: str) -> EvidencePayload:
-    if kind == "MetricResult":
-        _obj(node, path, {"metric_id", "dataset_ids", "value", "config_note"})
-        value = _num(node, "value", path)
-        if not math.isfinite(value):
-            raise SchemaError(f"{path}.value", "finite number", value)
-        return MetricResult(
-            metric_id=_str(node, "metric_id", path),
-            dataset_ids=tuple(_str_list(node, "dataset_ids", path)),
-            value=value,
-            config_note=_str(node, "config_note", path),
-        )
-    if kind == "ApprovalRecord":
-        _obj(node, path, {"approver_id", "approver_role", "verdict", "document_ref"})
-        return ApprovalRecord(
-            approver_id=_str(node, "approver_id", path),
-            approver_role=_str(node, "approver_role", path),
-            verdict=_enum(node, "verdict", path, ApprovalVerdict),
-            document_ref=_str(node, "document_ref", path),
-        )
-    if kind == "ReviewLog":
-        _obj(node, path, {"dataset_id", "total_items", "reviewed_items"})
-        total = _int(node, "total_items", path)
-        reviewed = _int(node, "reviewed_items", path)
+
+def _evidence_payload(kind: str, node: object, path: str) -> EvidencePayload:
+    if kind not in _EVIDENCE_PAYLOADS:
+        raise SchemaError(path, f"one of {{{', '.join(_EVIDENCE_PAYLOADS)}}}", kind)
+    payload = _from_node(_EVIDENCE_PAYLOADS[kind], node, path)
+    if isinstance(payload, MetricResult) and not math.isfinite(payload.value):
+        raise SchemaError(f"{path}.value", "finite number", payload.value)
+    if isinstance(payload, ReviewLog):
+        total, reviewed = payload.total_items, payload.reviewed_items
         if total < 0 or reviewed < 0:
             raise SchemaError(f"{path}.total_items", "non-negative counts", (total, reviewed))
         if reviewed > total:
             raise SchemaError(f"{path}.reviewed_items", f"at most total_items={total}", reviewed)
-        return ReviewLog(dataset_id=_str(node, "dataset_id", path), total_items=total, reviewed_items=reviewed)
-    if kind == "FlagResolutionLog":
-        _obj(node, path, {"dataset_id", "flagged_ids", "entries"})
-        entries = []
-        for index, raw in enumerate(_list(node, "entries", path)):
-            epath = f"{path}.entries[{index}]"
-            _obj(raw, epath, {"instance_id", "resolution"})
-            entries.append((_str(raw, "instance_id", epath), _enum(raw, "resolution", epath, Resolution)))
-        return FlagResolutionLog(
-            dataset_id=_str(node, "dataset_id", path),
-            flagged_ids=tuple(_str_list(node, "flagged_ids", path)),
-            entries=tuple(entries),
-        )
-    if kind == "DocumentRecord":
-        _obj(node, path, {"document_kind", "document_ref"})
-        return DocumentRecord(
-            document_kind=_str(node, "document_kind", path),
-            document_ref=_str(node, "document_ref", path),
-        )
-    raise SchemaError(f"{path}", "one of {MetricResult, ApprovalRecord, ReviewLog, FlagResolutionLog, DocumentRecord}", kind)
+    return payload
 
 
 def parse_evidence(data: bytes | str) -> EvidenceBundle:
@@ -698,45 +523,10 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
                 vr_id=vr_id,
                 landscape_fingerprint=_str(raw, "landscape_fingerprint", path),
                 timestamp=parse_timestamp(_str(raw, "timestamp", path)),
-                payload=_evidence_payload_schema(kind, raw["payload"], f"{path}.payload"),
+                payload=_evidence_payload(kind, raw["payload"], f"{path}.payload"),
             )
         )
     return EvidenceBundle(records=tuple(records), source=_str(root, "source", "$"))
-
-
-def _evidence_payload_node(payload: EvidencePayload) -> dict:
-    if isinstance(payload, MetricResult):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_ids": list(payload.dataset_ids),
-            "value": payload.value,
-            "config_note": payload.config_note,
-        }
-    if isinstance(payload, ApprovalRecord):
-        return {
-            "approver_id": payload.approver_id,
-            "approver_role": payload.approver_role,
-            "verdict": payload.verdict.value,
-            "document_ref": payload.document_ref,
-        }
-    if isinstance(payload, ReviewLog):
-        return {
-            "dataset_id": payload.dataset_id,
-            "total_items": payload.total_items,
-            "reviewed_items": payload.reviewed_items,
-        }
-    if isinstance(payload, FlagResolutionLog):
-        return {
-            "dataset_id": payload.dataset_id,
-            "flagged_ids": list(payload.flagged_ids),
-            "entries": [
-                {"instance_id": instance_id, "resolution": resolution.value}
-                for instance_id, resolution in payload.entries
-            ],
-        }
-    if isinstance(payload, DocumentRecord):
-        return {"document_kind": payload.document_kind, "document_ref": payload.document_ref}
-    raise TypeError(type(payload).__name__)  # pragma: no cover
 
 
 def serialize_evidence(bundle: EvidenceBundle) -> bytes:
@@ -749,7 +539,7 @@ def serialize_evidence(bundle: EvidenceBundle) -> bytes:
                 "kind": r.kind,
                 "landscape_fingerprint": r.landscape_fingerprint,
                 "timestamp": format_timestamp(r.timestamp),
-                "payload": _evidence_payload_node(r.payload),
+                "payload": to_node(r.payload),
             }
             for r in bundle.records
         ],
@@ -868,21 +658,3 @@ def write_activations(table: ActivationTable) -> bytes:
     for sample_id, acts in table.rows:
         writer.writerow([sample_id] + [repr(a) for a in acts])
     return out.getvalue().encode("utf-8")
-
-
-# --- report serialization -------------------------------------------------------
-
-REPORT_FORMATS = ("table", "json", "dot")
-
-
-def serialize_report(report, fmt: str) -> bytes:
-    """Render an evaluation report in one of ``table``, ``json``, ``dot``."""
-    from laisc import report as report_module  # deferred: report depends on evaluation
-
-    if fmt == "table":
-        return report_module.render_table(report)
-    if fmt == "json":
-        return report_module.render_json(report)
-    if fmt == "dot":
-        return report_module.render_argument_tree(report)
-    raise UnsupportedFormat(fmt, REPORT_FORMATS)

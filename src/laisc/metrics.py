@@ -37,7 +37,6 @@ from laisc.errors import (
     ValueOutOfRange,
 )
 from laisc.io import ActivationTable, LabeledGrid, ProbabilityTable
-from laisc.model import KNOWN_METRIC_IDS
 
 #: Datasets smaller than this trigger a statistical-significance warning.
 DEFAULT_MIN_SAMPLES = 30
@@ -58,62 +57,6 @@ def _warn_small_sample(what: str, size: int, min_samples: int) -> None:
             ),
             stacklevel=3,
         )
-
-
-# --- metric registry ---------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class MetricDescriptor:
-    metric_id: str
-    arity: int
-    input_formats: tuple[str, ...]
-    unit: str
-    description: str
-
-
-METRIC_REGISTRY: dict[str, MetricDescriptor] = {
-    d.metric_id: d
-    for d in (
-        MetricDescriptor(
-            "miou",
-            arity=2,
-            input_formats=("grid",),
-            unit="dimensionless [0, 1]",
-            description="mean intersection-over-union of paired binary masks",
-        ),
-        MetricDescriptor(
-            "gap",
-            arity=2,
-            input_formats=("scalar",),
-            unit="dimensionless [0, 1] for [0, 1]-valued indicators",
-            description="absolute difference of two performance indicators",
-        ),
-        MetricDescriptor(
-            "nap_distance",
-            arity=2,
-            input_formats=("acts-csv",),
-            unit="dimensionless [0, 1]",
-            description="mean per-neuron Hellinger distance between activation histograms",
-        ),
-        MetricDescriptor(
-            "clm_flags",
-            arity=1,
-            input_formats=("probs-csv",),
-            unit="dimensionless [0, 1] per-instance scores",
-            description="label-accuracy scores with below-threshold instances flagged",
-        ),
-        MetricDescriptor(
-            "review_fraction_passthrough",
-            arity=1,
-            input_formats=("review-log",),
-            unit="dimensionless [0, 1]",
-            description="reviewed/total ratio taken directly from a review log",
-        ),
-    )
-}
-
-assert set(METRIC_REGISTRY) == set(KNOWN_METRIC_IDS)
 
 
 # --- segmentation overlap ------------------------------------------------------

@@ -28,16 +28,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
+from functools import cache
+from operator import attrgetter
+from typing import get_args, get_origin, get_type_hints
 
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
-#: module provides the matching implementations and descriptors.
-KNOWN_METRIC_IDS = frozenset(
-    {"miou", "gap", "nap_distance", "clm_flags", "review_fraction_passthrough"}
-)
+#: module provides the matching implementations.
+KNOWN_METRIC_IDS = frozenset({"miou", "gap", "nap_distance", "clm_flags"})
 
 
 class Comparator(str, Enum):
@@ -505,47 +507,43 @@ def rows(landscape: Landscape) -> list[LandscapeRow]:
     return out
 
 
-def _payload_content(payload: VrPayload) -> dict:
-    if isinstance(payload, MetricThreshold):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_id": payload.dataset_id,
-            "comparator": payload.comparator.value,
-            "threshold": payload.threshold,
-        }
-    if isinstance(payload, MetricGap):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_id_a": payload.dataset_id_a,
-            "dataset_id_b": payload.dataset_id_b,
-            "epsilon": payload.epsilon,
-        }
-    if isinstance(payload, PerCondition):
-        return {
-            "metric_id": payload.metric_id,
-            "conditions": [
-                {
-                    "condition_id": c.condition_id,
-                    "dataset_id": c.dataset_id,
-                    "threshold": c.threshold,
-                }
-                for c in payload.conditions
-            ],
-        }
-    if isinstance(payload, ReviewFraction):
-        return {"dataset_id": payload.dataset_id, "min_fraction": payload.min_fraction}
-    if isinstance(payload, FlagResolution):
-        return {
-            "metric_id": payload.metric_id,
-            "dataset_id": payload.dataset_id,
-            "flag_threshold": payload.flag_threshold,
-        }
-    if isinstance(payload, QualitativeApproval):
-        return {
-            "required_approvals": payload.required_approvals,
-            "required_documents": list(payload.required_documents),
-        }
-    raise TypeError(f"unknown payload type {type(payload).__name__}")  # pragma: no cover
+# --- JSON codec, writer half ---------------------------------------------------
+#
+# A domain dataclass's field annotations are its JSON schema; ``laisc.io``
+# holds the matching reader.
+
+
+def _writer(annotation) -> Callable | None:
+    """Converter from a field value to its JSON value; ``None`` keeps it as is."""
+    if annotation is float:
+        return float
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        return attrgetter("value")
+    if get_origin(annotation) is tuple:
+        item = _writer(get_args(annotation)[0])
+        return list if item is None else lambda values: [item(value) for value in values]
+    if is_dataclass(annotation):
+        return to_node
+    return None
+
+
+@cache
+def _field_writers(cls: type) -> tuple[tuple[str, Callable | None], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, _writer(hints[f.name])) for f in fields(cls))
+
+
+def to_node(obj) -> dict:
+    """The JSON object of a domain dataclass: one key per field.
+
+    Enums are written as their value, tuples as lists, nested dataclasses
+    as objects, and fields declared ``float`` through ``float()``, so a
+    threshold of ``1`` and one of ``1.0`` give the same bytes.
+    """
+    return {
+        name: getattr(obj, name) if write is None else write(getattr(obj, name))
+        for name, write in _field_writers(type(obj))
+    }
 
 
 def fingerprint(landscape: Landscape) -> str:
@@ -557,7 +555,7 @@ def fingerprint(landscape: Landscape) -> str:
     previously collected evidence as stale.
     """
     content = [
-        {"id": vr.id, "kind": vr.kind.value, "payload": _payload_content(vr.payload)}
+        {"id": vr.id, "kind": vr.kind.value, "payload": to_node(vr.payload)}
         for vr in sorted(landscape.vrs, key=lambda v: v.id)
     ]
     digest = hashlib.sha256(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 
+from laisc.errors import UnsupportedFormat
 from laisc.evaluation import EvaluationReport, Status
 from laisc.io import format_timestamp
 
@@ -50,7 +51,7 @@ def render_table(report: EvaluationReport) -> bytes:
     if report.orphaned_evidence_ids:
         footer += f" | orphaned evidence records: {len(report.orphaned_evidence_ids)}"
     lines.append("")
-    lines.append(f"landscape: {report.landscape_name}  filter: {report.filter_description}")
+    lines.append(f"landscape: {report.landscape.name}  filter: {report.filter.describe()}")
     lines.append(footer)
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -114,10 +115,10 @@ def render_json(report: EvaluationReport) -> bytes:
     )
     counts = report.status_counts()
     node = {
-        "landscape": report.landscape_name,
+        "landscape": report.landscape.name,
         "fingerprint": report.landscape_fingerprint,
         "generated_at": format_timestamp(report.generated_at),
-        "filter": report.filter_description,
+        "filter": report.filter.describe(),
         "verdicts": {
             vr_id: {
                 "status": report.vr_verdicts[vr_id].status.value,
@@ -156,3 +157,15 @@ def render_json(report: EvaluationReport) -> bytes:
         },
     }
     return (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+_RENDERERS = {"table": render_table, "json": render_json, "dot": render_argument_tree}
+
+REPORT_FORMATS = tuple(_RENDERERS)
+
+
+def serialize_report(report: EvaluationReport, fmt: str) -> bytes:
+    """Render an evaluation report in one of ``table``, ``json``, ``dot``."""
+    if fmt not in _RENDERERS:
+        raise UnsupportedFormat(fmt, REPORT_FORMATS)
+    return _RENDERERS[fmt](report)

@@ -8,12 +8,25 @@ coverage) so tests compare two independent computations.
 
 from __future__ import annotations
 
+import json
 import math
 import random
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 from laisc.evaluation import CoverageGap, GapKind
-from laisc.io import ActivationTable, EvidenceRecord, LabeledGrid, ProbabilityTable
+from laisc.io import (
+    ActivationTable,
+    ApprovalRecord,
+    ApprovalVerdict,
+    DocumentRecord,
+    EvidenceBundle,
+    EvidenceRecord,
+    FlagResolutionLog,
+    LabeledGrid,
+    MetricResult,
+    ProbabilityTable,
+    ReviewLog,
+)
 from laisc.model import (
     Comparator,
     Condition,
@@ -27,6 +40,7 @@ from laisc.model import (
     MitigationMeasure,
     PerCondition,
     QualitativeApproval,
+    Resolution,
     ReviewFraction,
     SafetyConcern,
     SystemComponent,
@@ -290,3 +304,102 @@ def random_landscape(rng: random.Random, *, delete_links: bool = False) -> Lands
         mitigation_measures=measures,
         datasets=datasets,
     )
+
+
+def _random_evidence_payload(rng: random.Random, kind: str):
+    if kind == "MetricResult":
+        dataset_ids = tuple(rng.sample(["ds0", "ds1", "ds2"], rng.randint(1, 2)))
+        return MetricResult(rng.choice(("miou", "nap_distance")), dataset_ids, rng.uniform(-1, 1),
+                            rng.choice(("", "gap", "run=ü")))
+    if kind == "ApprovalRecord":
+        return ApprovalRecord(f"rev-{rng.randint(0, 3)}", "Prüfer", rng.choice(list(ApprovalVerdict)),
+                              rng.choice(("", "doc/review")))
+    if kind == "ReviewLog":
+        total = rng.randint(0, 500)
+        return ReviewLog(f"ds{rng.randint(0, 2)}", total, rng.randint(0, total))
+    if kind == "FlagResolutionLog":
+        flagged = tuple(f"img-{i}" for i in rng.sample(range(100), rng.randint(0, 4)))
+        entries = tuple((instance_id, rng.choice(list(Resolution))) for instance_id in flagged if rng.random() < 0.7)
+        return FlagResolutionLog(f"ds{rng.randint(0, 2)}", flagged, entries)
+    return DocumentRecord(rng.choice(("safety-case", "test-report")), rng.choice(("", "doc/x")))
+
+
+_EVIDENCE_KINDS = ("MetricResult", "ApprovalRecord", "ReviewLog", "FlagResolutionLog", "DocumentRecord")
+
+
+def random_bundle(rng: random.Random) -> EvidenceBundle:
+    """A bundle with a record of every evidence kind plus random extras."""
+    kinds = list(_EVIDENCE_KINDS) + [rng.choice(_EVIDENCE_KINDS) for _ in range(rng.randint(0, 8))]
+    rng.shuffle(kinds)
+    start = datetime(2026, 1, 1, tzinfo=UTC)
+    return EvidenceBundle(
+        tuple(
+            EvidenceRecord(
+                id=f"rec-{index:04d}",
+                vr_id=f"v{rng.randint(0, 3)}",
+                landscape_fingerprint=rng.choice(("sha256:aa", "sha256:bb")),
+                timestamp=start + timedelta(seconds=rng.randint(0, 10**7)),
+                payload=_random_evidence_payload(rng, kind),
+            )
+            for index, kind in enumerate(kinds)
+        ),
+        source=rng.choice(("", "generated")),
+    )
+
+
+# --- schema mutations ------------------------------------------------------------
+
+#: One value of each JSON type; ``[7]`` stands for a list of the wrong items.
+_WRONG_VALUES = (None, True, 7, 2.5, "s", [7], {})
+
+
+def _json_type(value) -> str:
+    if isinstance(value, list):
+        return "list of integers" if value and isinstance(value[0], int) else "list"
+    return {bool: "boolean", int: "integer", float: "number", str: "string", dict: "object"}.get(
+        type(value), "null"
+    )
+
+
+def schema_mutations(root, free_paths=("$.datasets",)):
+    """Yield ``(text, field_path, parent_path)`` for every single-key
+    mutation of the JSON document ``root``: each field replaced by a value
+    of a type it cannot take, each key of a fixed-schema object removed,
+    and an unknown key added to each of those objects.
+
+    Objects at ``free_paths`` are maps rather than fixed schemas, so their
+    entries are only given wrong types.  ``root`` is mutated in place and
+    restored after each mutation.
+    """
+
+    def walk(node, path):
+        if isinstance(node, list):
+            for index, item in enumerate(node):
+                yield from walk(item, f"{path}[{index}]")
+            return
+        if not isinstance(node, dict):
+            return
+        fixed = path not in free_paths
+        for key, value in list(node.items()):
+            field = f"{path}.{key}"
+            accepted = {_json_type(value)}
+            if isinstance(value, float):
+                accepted.add("integer")
+            if key == "stage_id" and path.startswith("$.mitigation_measures["):
+                accepted |= {"string", "null"}
+            for wrong in _WRONG_VALUES:
+                if _json_type(wrong) not in accepted:
+                    node[key] = wrong
+                    yield json.dumps(root), field, path
+            node[key] = value
+            if fixed:
+                del node[key]
+                yield json.dumps(root), field, path
+                node[key] = value
+            yield from walk(value, field)
+        if fixed:
+            node["zz_unknown"] = 1
+            yield json.dumps(root), f"{path}.zz_unknown", path
+            del node["zz_unknown"]
+
+    yield from walk(root, "$")

@@ -26,7 +26,7 @@ from helpers import (
     record,
     single_vr_landscape,
 )
-from laisc import fixtures, io
+from laisc import fixtures, io, report
 from laisc.cli import main
 from laisc.evaluation import Filter, Status, apply_filter, coverage, evaluate, evaluate_vr
 from laisc.io import (
@@ -92,13 +92,13 @@ EXPECTED_TABLE = [
 
 def test_c1_table_reproduction(fixture_landscape, demo_bundle):
     started = time.perf_counter()
-    report = evaluate(fixture_landscape, demo_bundle, now=NOW)
-    rendered = io.serialize_report(report, "table").decode()
+    result = evaluate(fixture_landscape, demo_bundle, now=NOW)
+    rendered = report.serialize_report(result, "table").decode()
     elapsed = time.perf_counter() - started
 
     cells = [
         (row.concern_name, row.stage_name, row.decomposition, row.vr_id, row.mm_name)
-        for row in report.rows
+        for row in result.rows
     ]
     assert cells == EXPECTED_TABLE
     body = [line for line in rendered.splitlines() if line.count("|") == 5][1:]
@@ -136,6 +136,9 @@ VR_CASES = [
      [(MetricResult("miou", ("ds-a",), 0.9), True, 0)], Status.ERROR, "stale"),
     ("threshold-kind-mismatch", MetricThreshold("miou", "ds-a", Comparator.GE, 0.8),
      [(ApprovalRecord("a", "role", OK, "doc"), False, 0)], Status.ERROR, "unusable"),
+    ("threshold-ignores-gap-record", MetricThreshold("miou", "ds-a", Comparator.GE, 0.8),
+     [(MetricResult("miou", ("ds-a",), 0.9), False, 0),
+      (MetricResult("miou", ("ds-a", "ds-b"), 0.02, "gap"), False, 1)], Status.SATISFIED, "holds"),
     # MetricGap (includes the worked VR2.1 example)
     ("gap-satisfied", MetricGap("miou", "ds-a", "ds-b", 0.05),
      [(MetricResult("miou", ("ds-a",), 0.86), False, 0),
@@ -175,6 +178,10 @@ VR_CASES = [
      [(MetricResult("miou", ("ds-a",), 0.85), True, 0)], Status.ERROR, "stale"),
     ("conditions-pending",
      PerCondition("miou", (Condition("fog", "ds-a", 0.8),)), [], Status.PENDING, "no evidence"),
+    ("conditions-ignore-gap-record",
+     PerCondition("miou", (Condition("fog", "ds-a", 0.8),)),
+     [(MetricResult("miou", ("ds-a",), 0.9), False, 0),
+      (MetricResult("miou", ("ds-a", "ds-b"), 0.02, "gap"), False, 1)], Status.SATISFIED, "all 1 conditions"),
     # ReviewFraction (includes the worked VR1.2.1 example)
     ("review-satisfied", ReviewFraction("ds-a", 0.9),
      [(ReviewLog("ds-a", 100, 95), False, 0)], Status.SATISFIED, "95/100"),

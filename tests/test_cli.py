@@ -56,8 +56,15 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_missing_file_is_input_error(tmp_path, capsys):
-    assert main(["validate", "--landscape", str(tmp_path / "nope.json")]) == 3
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_missing_file_is_input_error(command, fixture_paths, tmp_path, capsys):
+    landscape_path, _ = fixture_paths
+    argv = {
+        "validate": ["validate", "--landscape", str(tmp_path / "nope.json")],
+        "evaluate": ["evaluate", "--landscape", str(landscape_path), "--evidence", str(tmp_path / "nope.json")],
+    }[command]
+    assert main(argv) == 3
+    assert "nope.json" in capsys.readouterr().err
 
 
 def test_coverage_fixture(fixture_paths, capsys):

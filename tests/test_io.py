@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_landscape
+from helpers import random_bundle, random_landscape, schema_mutations, single_vr_landscape
 from laisc import fixtures
 from laisc.errors import (
     DimensionMismatch,
@@ -29,11 +30,12 @@ from laisc.io import (
     read_prob_table,
     serialize_evidence,
     serialize_landscape,
-    serialize_report,
     write_activations,
     write_grid,
     write_prob_table,
 )
+from laisc.model import Comparator, MetricGap, MetricThreshold, ReviewFraction, fingerprint
+from laisc.report import serialize_report
 
 FIXTURE_TEXT = fixtures.fixture_path().read_bytes()
 EVIDENCE_TEXT = fixtures.fixture_path(fixtures.EVIDENCE_FILENAME).read_bytes()
@@ -89,6 +91,52 @@ def test_generated_landscape_round_trips():
         data = serialize_landscape(landscape)
         assert parse_landscape(data) == landscape
         assert serialize_landscape(parse_landscape(data)) == data
+
+
+def test_generated_bundle_round_trips():
+    rng = random.Random(2027)
+    resolved = 0
+    for _ in range(25):
+        bundle = random_bundle(rng)
+        data = serialize_evidence(bundle)
+        assert parse_evidence(data) == bundle
+        assert serialize_evidence(parse_evidence(data)) == data
+        resolved += sum(len(getattr(r.payload, "entries", ())) for r in bundle.records)
+    assert resolved > 0
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        lambda x: MetricThreshold("miou", "ds-a", Comparator.GE, x),
+        lambda x: MetricGap("miou", "ds-a", "ds-b", x),
+        lambda x: ReviewFraction("ds-a", x),
+    ],
+    ids=["threshold", "epsilon", "min_fraction"],
+)
+def test_integral_number_fields_fingerprint_and_serialize_alike(payload):
+    as_int, as_float = single_vr_landscape(payload(1)), single_vr_landscape(payload(1.0))
+    assert as_int == as_float
+    assert fingerprint(as_int) == fingerprint(as_float)
+    assert serialize_landscape(as_int) == serialize_landscape(as_float)
+
+
+@pytest.mark.parametrize("parse", [parse_landscape, parse_evidence], ids=["landscape", "evidence"])
+def test_schema_mutations_raise_schema_error_at_their_path(parse):
+    """Every wrong-type, missing-key and unknown-key mutation of the shipped
+    fixture is a SchemaError naming the mutated field or its object."""
+    text = FIXTURE_TEXT if parse is parse_landscape else EVIDENCE_TEXT
+    count = 0
+    for mutated, field, parent in schema_mutations(json.loads(text)):
+        with pytest.raises(SchemaError) as excinfo:
+            parse(mutated)
+        message = str(excinfo.value)
+        assert re.match(rf"{re.escape(field)}(\[\d+\])?: ", message) or message.startswith(f"{parent}: "), (
+            field,
+            message,
+        )
+        count += 1
+    assert count > 1000
 
 
 @settings(max_examples=150, deadline=None)

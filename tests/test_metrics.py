@@ -26,7 +26,6 @@ from laisc.errors import (
 )
 from laisc.io import ActivationTable, LabeledGrid, ProbabilityTable
 from laisc.metrics import (
-    METRIC_REGISTRY,
     BrightnessShift,
     ContrastScale,
     GaussianNoise,
@@ -48,7 +47,6 @@ from laisc.metrics import (
     performance_gap,
     perturb,
 )
-from laisc.model import KNOWN_METRIC_IDS
 
 
 def grid(*rows):
@@ -66,10 +64,6 @@ CL_SIX = ProbabilityTable(
         ("f", 1, (0.4, 0.6)),
     ),
 )
-
-
-def test_registry_matches_known_metric_ids():
-    assert set(METRIC_REGISTRY) == set(KNOWN_METRIC_IDS)
 
 
 # --- iou / miou -----------------------------------------------------------------
