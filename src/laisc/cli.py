@@ -22,6 +22,7 @@ import json
 import os
 import sys
 import warnings
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,23 +48,8 @@ def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _load_landscape(path: str) -> Landscape:
-    return io.parse_landscape(_read(path))
-
-
-def _load_bundle(path: str) -> EvidenceBundle:
-    """The bundle a ``metric`` subcommand appends to; a missing file is empty."""
-    if Path(path).exists():
-        return io.parse_evidence(_read(path))
-    return EvidenceBundle(records=(), source="")
-
-
-def _emit(data: bytes) -> None:
-    sys.stdout.write(data.decode("utf-8"))
+    return io.parse_landscape(Path(path).read_bytes())
 
 
 # --- validate / coverage ------------------------------------------------------
@@ -111,38 +97,52 @@ _EXIT_BY_STATUS = {
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     landscape = _load_landscape(args.landscape)
-    bundle = io.parse_evidence(_read(args.evidence))
+    bundle = io.parse_evidence(Path(args.evidence).read_bytes())
     flt = evaluation.Filter(
         concern=args.concern, stage=args.stage, component=args.component, status=args.status
     )
     result = evaluation.evaluate(landscape, bundle, flt=flt, now=_now())
-    _emit(report.serialize_report(result, args.format))
+    sys.stdout.write(report.serialize_report(result, args.format).decode("utf-8"))
     return _EXIT_BY_STATUS[result.worst_status()]
 
 
 # --- metric subcommands ---------------------------------------------------------
 
 
-def _next_record_id(bundle: EvidenceBundle) -> str:
-    existing = {record.id for record in bundle.records}
-    index = len(bundle.records)
-    while f"rec-{index:04d}" in existing:
-        index += 1
-    return f"rec-{index:04d}"
+def _append(args: argparse.Namespace, payloads) -> list[str]:
+    """Append one ``--vr`` record per payload to the bundle at ``--out``
+    (a missing file is an empty bundle) and return the new record ids."""
+    current = fingerprint(_load_landscape(args.landscape))
+    path = Path(args.out)
+    bundle = EvidenceBundle(records=(), source="")
+    if path.exists():
+        bundle = io.parse_evidence(path.read_bytes())
+    stamp = _now()
+    records = list(bundle.records)
+    taken = {record.id for record in records}
+    for payload in payloads:
+        index = len(records)
+        while f"rec-{index:04d}" in taken:
+            index += 1
+        record_id = f"rec-{index:04d}"
+        taken.add(record_id)
+        records.append(EvidenceRecord(record_id, args.vr, current, stamp, payload))
+    path.write_bytes(io.serialize_evidence(EvidenceBundle(tuple(records), source=bundle.source)))
+    return [record.id for record in records[len(bundle.records):]]
 
 
-def _append_records(path: str, bundle: EvidenceBundle, new_records) -> None:
-    updated = EvidenceBundle(records=bundle.records + tuple(new_records), source=bundle.source)
-    Path(path).write_bytes(io.serialize_evidence(updated))
-
-
-def _collect_warnings(caught) -> str:
+def _capture_small_samples(compute):
+    """The value of ``compute()`` and a ``; warning: ...`` note suffix
+    listing its small-sample warnings, empty when there were none."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = compute()
     notes = [
         str(entry.message)
         for entry in caught
         if issubclass(entry.category, metrics.SmallSampleWarning)
     ]
-    return "; ".join(notes)
+    return value, f"; warning: {'; '.join(notes)}" if notes else ""
 
 
 def _metric_record(
@@ -152,18 +152,9 @@ def _metric_record(
     value: float,
     config_note: str,
 ) -> int:
-    landscape = _load_landscape(args.landscape)
-    bundle = _load_bundle(args.out)
-    record = EvidenceRecord(
-        id=_next_record_id(bundle),
-        vr_id=args.vr,
-        landscape_fingerprint=fingerprint(landscape),
-        timestamp=_now(),
-        payload=MetricResult(metric_id, dataset_ids, value, config_note),
-    )
-    _append_records(args.out, bundle, [record])
+    (record_id,) = _append(args, [MetricResult(metric_id, dataset_ids, value, config_note)])
     print(f"{metric_id} = {value!r}")
-    print(f"appended {record.id} to {args.out}")
+    print(f"appended {record_id} to {args.out}")
     return 0
 
 
@@ -186,14 +177,10 @@ def cmd_metric_miou(args: argparse.Namespace) -> int:
         )
     preds = [io.read_grid(p.read_bytes()) for p in pred_paths]
     truths = [io.read_grid(p.read_bytes()) for p in truth_paths]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = metrics.miou(preds, truths, min_samples=args.min_samples)
-    note = f"pairs={len(preds)}"
-    warned = _collect_warnings(caught)
-    if warned:
-        note += f"; warning: {warned}"
-    return _metric_record(args, "miou", (args.dataset,), value, note)
+    value, warned = _capture_small_samples(
+        lambda: metrics.miou(preds, truths, min_samples=args.min_samples)
+    )
+    return _metric_record(args, "miou", (args.dataset,), value, f"pairs={len(preds)}{warned}")
 
 
 def cmd_metric_gap(args: argparse.Namespace) -> int:
@@ -204,93 +191,73 @@ def cmd_metric_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_metric_nap(args: argparse.Namespace) -> int:
-    table_a = io.read_activations(_read(args.a))
-    table_b = io.read_activations(_read(args.b))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = metrics.nap_distance(table_a, table_b, min_samples=args.min_samples)
-    note = "gap"
-    warned = _collect_warnings(caught)
-    if warned:
-        note += f"; warning: {warned}"
-    return _metric_record(args, "nap_distance", (args.dataset_a, args.dataset_b), value, note)
+    table_a = io.read_activations(Path(args.a).read_bytes())
+    table_b = io.read_activations(Path(args.b).read_bytes())
+    value, warned = _capture_small_samples(
+        lambda: metrics.nap_distance(table_a, table_b, min_samples=args.min_samples)
+    )
+    dataset_ids = (args.dataset_a, args.dataset_b)
+    return _metric_record(args, "nap_distance", dataset_ids, value, f"gap{warned}")
 
 
 def cmd_metric_clm(args: argparse.Namespace) -> int:
-    table = io.read_prob_table(_read(args.probs))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = metrics.clm_flags(table, args.threshold, min_samples=args.min_samples)
-    landscape = _load_landscape(args.landscape)
-    bundle = _load_bundle(args.out)
+    table = io.read_prob_table(Path(args.probs).read_bytes())
+    result, warned = _capture_small_samples(
+        lambda: metrics.clm_flags(table, args.threshold, min_samples=args.min_samples)
+    )
     flagged_fraction = len(result.flagged_ids) / len(table.rows) if table.rows else 0.0
-    note = f"threshold={args.threshold:g}; flagged={len(result.flagged_ids)}/{len(table.rows)}"
-    warned = _collect_warnings(caught)
-    if warned:
-        note += f"; warning: {warned}"
-    current = fingerprint(landscape)
-    stamp = _now()
-    metric_record = EvidenceRecord(
-        id=_next_record_id(bundle),
-        vr_id=args.vr,
-        landscape_fingerprint=current,
-        timestamp=stamp,
-        payload=MetricResult("clm_flags", (args.dataset,), flagged_fraction, note),
+    note = f"threshold={args.threshold:g}; flagged={len(result.flagged_ids)}/{len(table.rows)}{warned}"
+    metric_id, flag_id = _append(
+        args,
+        [
+            MetricResult("clm_flags", (args.dataset,), flagged_fraction, note),
+            FlagResolutionLog(args.dataset, flagged_ids=result.flagged_ids, entries=()),
+        ],
     )
-    with_metric = EvidenceBundle(bundle.records + (metric_record,), source=bundle.source)
-    flag_record = EvidenceRecord(
-        id=_next_record_id(with_metric),
-        vr_id=args.vr,
-        landscape_fingerprint=current,
-        timestamp=stamp,
-        payload=FlagResolutionLog(args.dataset, flagged_ids=result.flagged_ids, entries=()),
-    )
-    _append_records(args.out, bundle, [metric_record, flag_record])
     print(f"clm_flags = {flagged_fraction!r} ({len(result.flagged_ids)} flagged)")
     for instance_id in result.flagged_ids:
         print(f"  flagged: {instance_id}")
-    print(f"appended {metric_record.id}, {flag_record.id} to {args.out}")
+    print(f"appended {metric_id}, {flag_id} to {args.out}")
     return 0
 
 
 # --- perturb / augment-labels ------------------------------------------------------
 
 
-def _perturbation_from_args(args: argparse.Namespace) -> metrics.PerturbationSpec:
-    kind = args.kind
-    if kind == "brightness":
-        return metrics.BrightnessShift(delta=args.delta)
-    if kind == "contrast":
-        return metrics.ContrastScale(factor=args.factor)
-    if kind == "noise":
-        return metrics.GaussianNoise(sigma=args.sigma, seed=args.seed)
-    if kind == "occlusion":
-        return metrics.OcclusionPatch(x=args.x, y=args.y, w=args.w, h=args.h)
-    if kind == "hflip":
-        return metrics.HorizontalFlip()
-    if kind == "rot90":
-        return metrics.Rotate90(k=args.k)
-    raise _UsageError(f"unknown perturbation kind {kind!r}")  # pragma: no cover
+#: ``--kind`` -> spec class; each spec field is read from the flag of its name.
+_PERTURBATIONS = {
+    "brightness": metrics.BrightnessShift,
+    "contrast": metrics.ContrastScale,
+    "noise": metrics.GaussianNoise,
+    "occlusion": metrics.OcclusionPatch,
+    "hflip": metrics.HorizontalFlip,
+    "rot90": metrics.Rotate90,
+}
+_AUGMENTATIONS = {
+    "flip": metrics.RandomPixelFlip,
+    "dilate": metrics.MaskDilate,
+    "erode": metrics.MaskErode,
+    "translate": metrics.MaskTranslate,
+}
 
 
-def _spec_manifest(spec) -> dict:
-    node = {"kind": type(spec).__name__}
-    for name in getattr(spec, "__dataclass_fields__", {}):
-        node[name] = getattr(spec, name)
-    return node
+def _spec_from_args(kinds: dict[str, type], args: argparse.Namespace):
+    cls = kinds[args.kind]
+    return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
 def _write_manifest(out_dir: Path, operation: str, spec, inputs: dict[str, str]) -> None:
-    manifest = {"operation": operation, "spec": _spec_manifest(spec), "inputs": inputs}
+    spec_node = {"kind": type(spec).__name__, **asdict(spec)}
+    manifest = {"operation": operation, "spec": spec_node, "inputs": inputs}
     (out_dir / "manifest.json").write_bytes(
         (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
     )
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
-    image = io.read_grid(_read(args.image))
-    mask = io.read_grid(_read(args.mask))
-    spec = _perturbation_from_args(args)
+    image = io.read_grid(Path(args.image).read_bytes())
+    mask = io.read_grid(Path(args.mask).read_bytes())
+    spec = _spec_from_args(_PERTURBATIONS, args)
     new_image, new_mask = metrics.perturb(image, mask, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -301,22 +268,9 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     return 0
 
 
-def _augmentation_from_args(args: argparse.Namespace) -> metrics.LabelAugmentationSpec:
-    kind = args.kind
-    if kind == "flip":
-        return metrics.RandomPixelFlip(rate=args.rate, seed=args.seed)
-    if kind == "dilate":
-        return metrics.MaskDilate(radius=args.radius)
-    if kind == "erode":
-        return metrics.MaskErode(radius=args.radius)
-    if kind == "translate":
-        return metrics.MaskTranslate(dx=args.dx, dy=args.dy)
-    raise _UsageError(f"unknown augmentation kind {kind!r}")  # pragma: no cover
-
-
 def cmd_augment_labels(args: argparse.Namespace) -> int:
-    mask = io.read_grid(_read(args.mask))
-    spec = _augmentation_from_args(args)
+    mask = io.read_grid(Path(args.mask).read_bytes())
+    spec = _spec_from_args(_AUGMENTATIONS, args)
     new_mask = metrics.augment_labels(mask, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -405,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_perturb = sub.add_parser("perturb", help="write a perturbed copy of an image/mask pair")
     p_perturb.add_argument("--image", required=True)
     p_perturb.add_argument("--mask", required=True)
-    p_perturb.add_argument(
-        "--kind", required=True, choices=("brightness", "contrast", "noise", "occlusion", "hflip", "rot90")
-    )
+    p_perturb.add_argument("--kind", required=True, choices=_PERTURBATIONS)
     p_perturb.add_argument("--delta", type=int, default=0)
     p_perturb.add_argument("--factor", type=float, default=1.0)
     p_perturb.add_argument("--sigma", type=float, default=0.0)
@@ -422,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_augment = sub.add_parser("augment-labels", help="write a controlled label defect into a mask")
     p_augment.add_argument("--mask", required=True)
-    p_augment.add_argument("--kind", required=True, choices=("flip", "dilate", "erode", "translate"))
+    p_augment.add_argument("--kind", required=True, choices=_AUGMENTATIONS)
     p_augment.add_argument("--rate", type=float, default=0.0)
     p_augment.add_argument("--seed", type=int, default=0)
     p_augment.add_argument("--radius", type=int, default=1)
@@ -438,13 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except LaiscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (_UsageError, LaiscError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

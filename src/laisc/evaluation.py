@@ -119,45 +119,36 @@ class Filter:
 
 @dataclass(frozen=True, slots=True)
 class EvaluationReport:
+    """Everything a renderer emits, decided once by :func:`evaluate`.
+
+    ``effective_statuses`` holds every VR's reported status: its verdict
+    status, or ``NotApplicable`` when its concern is not relevant.
+    """
+
     landscape: Landscape
     landscape_fingerprint: str
     generated_at: datetime
     filter: Filter
     rows: tuple[LandscapeRow, ...]
     vr_verdicts: dict[str, Verdict]
+    effective_statuses: dict[str, Status]
     goal_rollups: dict[str, Rollup]
     concern_rollups: dict[str, Rollup]
     coverage_gaps: tuple[CoverageGap, ...]
     orphaned_evidence_ids: tuple[str, ...]
 
-    def effective_status(self, vr_id: str) -> Status:
-        """Verdict status, overridden to NotApplicable for VRs whose
-        concern was filtered out as not relevant."""
-        vr = self.landscape.vr(vr_id)
-        concern = self.landscape.concern(self.landscape.goal(vr.goal_id).concern_id)
-        if not concern.relevant:
-            return Status.NOT_APPLICABLE
-        return self.vr_verdicts[vr_id].status
-
     def visible_vr_ids(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for row in self.rows:
-            if row.vr_id not in seen:
-                seen.append(row.vr_id)
-        return tuple(seen)
+        return tuple(dict.fromkeys(row.vr_id for row in self.rows))
 
     def status_counts(self) -> dict[Status, int]:
         counts = {status: 0 for status in Status}
         for vr_id in self.visible_vr_ids():
-            counts[self.effective_status(vr_id)] += 1
+            counts[self.effective_statuses[vr_id]] += 1
         return counts
 
     def worst_status(self) -> Status:
-        statuses = {self.effective_status(vr_id) for vr_id in self.visible_vr_ids()}
-        for status in _PRECEDENCE:
-            if status in statuses:
-                return status
-        return Status.SATISFIED
+        statuses = {self.effective_statuses[vr_id] for vr_id in self.visible_vr_ids()}
+        return next((s for s in _PRECEDENCE if s in statuses), Status.SATISFIED)
 
 
 # --- record selection helpers ---------------------------------------------------
@@ -483,6 +474,13 @@ def evaluate_vr(
     """Evaluate one VR to a verdict; never raises, all failure modes are
     encoded in the verdict status."""
     records = [r for r in bundle.records if r.vr_id == vr.id]
+    return _evaluate_records(vr, records, landscape_fingerprint)
+
+
+def _evaluate_records(
+    vr: VerifiableRequirement, records: list[EvidenceRecord], landscape_fingerprint: str
+) -> Verdict:
+    """:func:`evaluate_vr` on the records already addressed to ``vr``."""
     if not records:
         return Verdict(Status.PENDING, "no evidence recorded for this VR")
     fresh = [r for r in records if r.landscape_fingerprint == landscape_fingerprint]
@@ -566,7 +564,7 @@ def coverage(landscape: Landscape) -> list[CoverageGap]:
 # --- filters -------------------------------------------------------------------------
 
 
-def _resolve_key(landscape: Landscape, key: str, value: str, items) -> str:
+def _resolve_key(key: str, value: str, items) -> str:
     by_id = {item.id for item in items}
     if value in by_id:
         return value
@@ -580,11 +578,11 @@ def resolve_filter(landscape: Landscape, flt: Filter) -> Filter:
     """Normalize filter values to element ids; raises on unknown keys."""
     concern = stage = component = status = None
     if flt.concern is not None:
-        concern = _resolve_key(landscape, "concern", flt.concern, landscape.concerns)
+        concern = _resolve_key("concern", flt.concern, landscape.concerns)
     if flt.stage is not None:
-        stage = _resolve_key(landscape, "stage", flt.stage, landscape.stages)
+        stage = _resolve_key("stage", flt.stage, landscape.stages)
     if flt.component is not None:
-        component = _resolve_key(landscape, "component", flt.component, landscape.components)
+        component = _resolve_key("component", flt.component, landscape.components)
     if flt.status is not None:
         match = next((s for s in Status if s.value.lower() == flt.status.lower()), None)
         if match is None:
@@ -638,7 +636,12 @@ def evaluate(
     """
     flt = flt or Filter()
     current = fingerprint(landscape)
-    vr_verdicts = {vr.id: evaluate_vr(vr, bundle, current) for vr in landscape.vrs}
+    addressed: dict[str, list[EvidenceRecord]] = {vr.id: [] for vr in landscape.vrs}
+    orphans: list[EvidenceRecord] = []
+    for record in bundle.records:
+        # A record addressed to no VR of this landscape is an orphan.
+        addressed.get(record.vr_id, orphans).append(record)
+    vr_verdicts = {vr.id: _evaluate_records(vr, addressed[vr.id], current) for vr in landscape.vrs}
     goal_rollups, concern_rollups = rollup(landscape, vr_verdicts)
 
     effective: dict[str, Status] = {}
@@ -650,8 +653,6 @@ def evaluate(
 
     resolved = resolve_filter(landscape, flt)
     visible_rows = apply_filter(landscape, resolved, effective)
-    known_vrs = {vr.id for vr in landscape.vrs}
-    orphaned = tuple(sorted(r.id for r in bundle.records if r.vr_id not in known_vrs))
 
     return EvaluationReport(
         landscape=landscape,
@@ -660,8 +661,9 @@ def evaluate(
         filter=resolved,
         rows=tuple(visible_rows),
         vr_verdicts=vr_verdicts,
+        effective_statuses=effective,
         goal_rollups=goal_rollups,
         concern_rollups=concern_rollups,
         coverage_gaps=tuple(coverage(landscape)),
-        orphaned_evidence_ids=orphaned,
+        orphaned_evidence_ids=tuple(sorted(r.id for r in orphans)),
     )

@@ -31,7 +31,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from operator import attrgetter
 from typing import get_args, get_origin, get_type_hints
 
@@ -241,7 +241,11 @@ class DatasetDescriptor:
     role: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+#: The collections of a :class:`Landscape` whose elements are keyed by id.
+_COLLECTIONS = ("stages", "components", "concerns", "goals", "vrs", "mitigation_measures")
+
+
+@dataclass(frozen=True)
 class Landscape:
     name: str
     version: str
@@ -253,20 +257,28 @@ class Landscape:
     mitigation_measures: tuple[MitigationMeasure, ...]
     datasets: tuple[tuple[str, DatasetDescriptor], ...] = ()
 
+    @cached_property
+    def _by_id(self) -> dict[str, dict]:
+        """One id -> element map per collection, built on first read;
+        :func:`build_landscape` checks that ids are unique before that."""
+        return {
+            collection: {item.id: item for item in getattr(self, collection)} for collection in _COLLECTIONS
+        }
+
     def stage(self, stage_id: str) -> LifecycleStage:
-        return _index(self.stages)[stage_id]
+        return self._by_id["stages"][stage_id]
 
     def concern(self, concern_id: str) -> SafetyConcern:
-        return _index(self.concerns)[concern_id]
+        return self._by_id["concerns"][concern_id]
 
     def goal(self, goal_id: str) -> Goal:
-        return _index(self.goals)[goal_id]
+        return self._by_id["goals"][goal_id]
 
     def vr(self, vr_id: str) -> VerifiableRequirement:
-        return _index(self.vrs)[vr_id]
+        return self._by_id["vrs"][vr_id]
 
     def mitigation_measure(self, mm_id: str) -> MitigationMeasure:
-        return _index(self.mitigation_measures)[mm_id]
+        return self._by_id["mitigation_measures"][mm_id]
 
     def dataset_ids(self) -> frozenset[str]:
         return frozenset(dataset_id for dataset_id, _ in self.datasets)
@@ -289,10 +301,6 @@ class LandscapeRow:
     vr_id: str
     mm_id: str
     mm_name: str
-
-
-def _index(items) -> dict:
-    return {item.id: item for item in items}
 
 
 # --- construction -----------------------------------------------------------
@@ -397,26 +405,16 @@ def build_landscape(
         datasets=tuple(sorted((datasets or {}).items())),
     )
 
-    for collection, items in (
-        ("stages", landscape.stages),
-        ("components", landscape.components),
-        ("concerns", landscape.concerns),
-        ("goals", landscape.goals),
-        ("vrs", landscape.vrs),
-        ("mitigation_measures", landscape.mitigation_measures),
-    ):
-        _check_unique(items, collection)
+    for collection in _COLLECTIONS:
+        _check_unique(getattr(landscape, collection), collection)
 
     orders = sorted(stage.order for stage in landscape.stages)
     if orders != list(range(len(orders))):
         raise InvalidPayload("stages", f"order values must be 0..{len(orders) - 1} without gaps, got {orders}")
 
-    stage_ids = {s.id for s in landscape.stages}
-    component_ids = {c.id for c in landscape.components}
-    concern_index = _index(landscape.concerns)
-    goal_index = _index(landscape.goals)
-    vr_index = _index(landscape.vrs)
-    mm_ids = {m.id for m in landscape.mitigation_measures}
+    by_id = landscape._by_id
+    stage_ids, component_ids, mm_ids = by_id["stages"], by_id["components"], by_id["mitigation_measures"]
+    concern_index, goal_index, vr_index = by_id["concerns"], by_id["goals"], by_id["vrs"]
     dataset_ids = landscape.dataset_ids()
 
     for concern in landscape.concerns:
@@ -478,18 +476,13 @@ def rows(landscape: Landscape) -> list[LandscapeRow]:
     The decomposition cell carries the goal statement with the goal id
     appended so rows stay traceable without an extra column.
     """
-    stage_index = _index(landscape.stages)
-    concern_index = _index(landscape.concerns)
-    goal_index = _index(landscape.goals)
-    mm_index = _index(landscape.mitigation_measures)
-
     out: list[LandscapeRow] = []
     for vr in landscape.vrs:
-        goal = goal_index[vr.goal_id]
-        concern = concern_index[goal.concern_id]
-        stage = stage_index[vr.stage_id]
+        goal = landscape.goal(vr.goal_id)
+        concern = landscape.concern(goal.concern_id)
+        stage = landscape.stage(vr.stage_id)
         for mm_id in sorted(vr.mm_ids) or [""]:
-            mm_name = mm_index[mm_id].name if mm_id else ""
+            mm_name = landscape.mitigation_measure(mm_id).name if mm_id else ""
             out.append(
                 LandscapeRow(
                     concern_id=concern.id,
@@ -503,7 +496,7 @@ def rows(landscape: Landscape) -> list[LandscapeRow]:
                     mm_name=mm_name,
                 )
             )
-    out.sort(key=lambda r: (r.concern_id, stage_index[r.stage_id].order, r.goal_id, r.vr_id, r.mm_id))
+    out.sort(key=lambda r: (r.concern_id, landscape.stage(r.stage_id).order, r.goal_id, r.vr_id, r.mm_id))
     return out
 
 

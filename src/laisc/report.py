@@ -1,8 +1,9 @@
 """Renderers for evaluation reports: fixed-width table, DOT tree, JSON.
 
-Renderers never recompute anything; every status string they emit comes
-straight from the evaluation report, and equal reports render to equal
-bytes.
+Renderers never recompute anything; every status they emit is read from
+the evaluation report (``vr_verdicts``, ``effective_statuses`` and the
+roll-ups), never derived from the landscape, and equal reports render to
+equal bytes.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def render_table(report: EvaluationReport) -> bytes:
             row.decomposition,
             row.vr_id,
             row.mm_name,
-            report.effective_status(row.vr_id).value,
+            report.effective_statuses[row.vr_id].value,
         )
         for row in report.rows
     ]
@@ -96,7 +97,7 @@ def render_argument_tree(report: EvaluationReport) -> bytes:
         for vr_id in sorted(goal.vr_ids):
             edges.append(f'  "{_dot_escape(goal.id)}" -> "{_dot_escape(vr_id)}";')
     for vr in sorted(landscape.vrs, key=lambda v: v.id):
-        status = report.effective_status(vr.id)
+        status = report.effective_statuses[vr.id]
         lines.append(
             f'  "{_dot_escape(vr.id)}" [label="{_dot_escape(vr.id)}'
             f'\\n[{status.value}]", fillcolor={_STATUS_COLORS[status]}];'
@@ -109,10 +110,8 @@ def render_argument_tree(report: EvaluationReport) -> bytes:
 def render_json(report: EvaluationReport) -> bytes:
     """Canonical machine-readable dump of the (possibly filtered) report."""
     visible = report.visible_vr_ids()
-    visible_goals = sorted({report.landscape.vr(vr_id).goal_id for vr_id in visible})
-    visible_concerns = sorted(
-        {report.landscape.goal(goal_id).concern_id for goal_id in visible_goals}
-    )
+    visible_goals = sorted({row.goal_id for row in report.rows})
+    visible_concerns = sorted({row.concern_id for row in report.rows})
     counts = report.status_counts()
     node = {
         "landscape": report.landscape.name,
@@ -122,7 +121,7 @@ def render_json(report: EvaluationReport) -> bytes:
         "verdicts": {
             vr_id: {
                 "status": report.vr_verdicts[vr_id].status.value,
-                "effective_status": report.effective_status(vr_id).value,
+                "effective_status": report.effective_statuses[vr_id].value,
                 "explanation": report.vr_verdicts[vr_id].explanation,
                 "evidence_ids": list(report.vr_verdicts[vr_id].evidence_ids),
                 "measured": {key: value for key, value in report.vr_verdicts[vr_id].measured},

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from laisc import io
+from laisc import io, metrics
 from laisc.cli import main
 from laisc.io import write_grid, LabeledGrid
 
@@ -404,6 +404,47 @@ def test_augment_labels_flip_rate_one(tmp_path):
         == 0
     )
     assert io.read_grid((out_dir / "mask.grid").read_bytes()).values == ((0, 1), (1, 1))
+
+
+_SPEC_CASES = [
+    ("perturb", "brightness", ["--delta", "40"], {"kind": "BrightnessShift", "delta": 40}),
+    ("perturb", "contrast", ["--factor", "1.5"], {"kind": "ContrastScale", "factor": 1.5}),
+    ("perturb", "noise", ["--sigma", "12.5", "--seed", "9"], {"kind": "GaussianNoise", "sigma": 12.5, "seed": 9}),
+    (
+        "perturb",
+        "occlusion",
+        ["--x", "1", "--y", "2", "--w", "3", "--h", "2"],
+        {"kind": "OcclusionPatch", "x": 1, "y": 2, "w": 3, "h": 2},
+    ),
+    ("perturb", "hflip", [], {"kind": "HorizontalFlip"}),
+    ("perturb", "rot90", ["--k", "3"], {"kind": "Rotate90", "k": 3}),
+    ("augment-labels", "flip", ["--rate", "0.25", "--seed", "4"], {"kind": "RandomPixelFlip", "rate": 0.25, "seed": 4}),
+    ("augment-labels", "dilate", ["--radius", "2"], {"kind": "MaskDilate", "radius": 2}),
+    ("augment-labels", "erode", ["--radius", "1"], {"kind": "MaskErode", "radius": 1}),
+    ("augment-labels", "translate", ["--dx", "-2", "--dy", "1"], {"kind": "MaskTranslate", "dx": -2, "dy": 1}),
+]
+
+
+@pytest.mark.parametrize("command,kind,flags,spec_node", _SPEC_CASES, ids=[case[1] for case in _SPEC_CASES])
+def test_every_kind_writes_the_in_process_result_and_its_spec(command, kind, flags, spec_node, tmp_path):
+    image = _grid_file(tmp_path, "image.grid", [[(37 * r + 11 * c) % 256 for c in range(5)] for r in range(5)])
+    mask = _grid_file(tmp_path, "mask.grid", [[int((r * c) % 3 == 0) for c in range(5)] for r in range(5)])
+    image_grid, mask_grid = io.read_grid(image.read_bytes()), io.read_grid(mask.read_bytes())
+    spec = getattr(metrics, spec_node["kind"])(**{k: v for k, v in spec_node.items() if k != "kind"})
+    if command == "perturb":
+        inputs = {"image": str(image), "mask": str(mask)}
+        expected = dict(zip(("image.grid", "mask.grid"), metrics.perturb(image_grid, mask_grid, spec)))
+    else:
+        inputs = {"mask": str(mask)}
+        expected = {"mask.grid": metrics.augment_labels(mask_grid, spec)}
+    input_flags = [arg for name, path in inputs.items() for arg in (f"--{name}", path)]
+    out_dir = tmp_path / "out"
+
+    assert main([command, *input_flags, "--kind", kind, *flags, "--out", str(out_dir)]) == 0
+    for name, grid in expected.items():
+        assert (out_dir / name).read_bytes() == write_grid(grid)
+    manifest = json.loads((out_dir / "manifest.json").read_bytes())
+    assert manifest == {"operation": command, "spec": spec_node, "inputs": inputs}
 
 
 def test_usage_error_exits_three(capsys):

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import json
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coverage_oracle, gaps_as_pairs, random_landscape, record, single_vr_landscape
+from helpers import coverage_oracle, gaps_as_pairs, random_bundle, random_landscape, record, single_vr_landscape
 from laisc.errors import UnknownFilterKey
 from laisc.evaluation import (
     Filter,
@@ -42,6 +44,7 @@ from laisc.model import (
     build_landscape,
     fingerprint,
 )
+from laisc.report import render_json
 
 APPROVED = ApprovalVerdict.APPROVED
 REJECTED = ApprovalVerdict.REJECTED
@@ -460,6 +463,35 @@ def test_added_record_never_moves_satisfied_to_pending():
         after = evaluate_vr(vr, EvidenceBundle(tuple(base_records + [extra])), fp)
         if before.status is Status.SATISFIED:
             assert after.status is not Status.PENDING, (before, extra, after)
+
+
+def test_evaluate_agrees_with_evaluate_vr_on_random_landscapes():
+    """One pass over a whole bundle gives each VR the verdict ``evaluate_vr``
+    gives it alone, orphans exactly the records addressed to no VR, and
+    reports NotApplicable exactly for VRs of concerns not relevant."""
+    rng = random.Random(61)
+    for _ in range(80):
+        landscape = random_landscape(rng)
+        fp = fingerprint(landscape)
+        targets = [vr.id for vr in landscape.vrs] + ["ghost-1", "ghost-2"]
+        generated = random_bundle(rng)
+        bundle = EvidenceBundle(
+            tuple(
+                replace(r, vr_id=rng.choice(targets), landscape_fingerprint=rng.choice((fp, fp, "sha256:old")))
+                for r in generated.records
+            )
+        )
+        report = evaluate(landscape, bundle)
+        for vr in landscape.vrs:
+            assert report.vr_verdicts[vr.id] == evaluate_vr(vr, bundle, fp)
+        assert report.orphaned_evidence_ids == tuple(
+            sorted(r.id for r in bundle.records if r.vr_id.startswith("ghost-"))
+        )
+        verdicts = json.loads(render_json(report))["verdicts"]
+        for vr in landscape.vrs:
+            relevant = landscape.concern(landscape.goal(vr.goal_id).concern_id).relevant
+            expected = report.vr_verdicts[vr.id].status if relevant else Status.NOT_APPLICABLE
+            assert verdicts[vr.id]["effective_status"] == expected.value
 
 
 def test_every_vr_gets_exactly_one_verdict(fixture_landscape, demo_bundle):

@@ -99,7 +99,7 @@ def test_render_faithfulness(fixture_landscape, demo_bundle):
         assert entry["status"] == report.vr_verdicts[vr_id].status.value
     table_lines = render_table(report).decode().splitlines()
     for row in report.rows:
-        status = report.effective_status(row.vr_id)
+        status = report.effective_statuses[row.vr_id]
         line = next(
             line
             for line in table_lines
