@@ -9,19 +9,26 @@ Each VR gets exactly one :class:`Verdict`:
   stale fingerprint, mismatched kind or binding, or a degenerate input
   such as an empty review population
 
-Whenever several records could fill the same slot, the most recent
-non-stale one wins (ties broken by record id), so re-measuring after a
-mitigation supersedes the old result.  Verdicts roll up with the
-precedence Violated > Error > Pending > Satisfied: a proven failure is
-never masked by missing data.  Concerns marked not relevant report
+A record is fresh when its landscape fingerprint matches the current
+one, stale otherwise.  Every evaluator but QualitativeApproval (which
+counts all fresh approvals and documents) names its evidence slots, and
+:func:`_fill` alone decides them: the most recent fresh record matching a
+slot wins it (ties broken by record id), so re-measuring after a
+mitigation supersedes the old result.  A stale record never outranks a
+fresh one in its slot; it makes the verdict ``Error`` only when its slot
+has no fresh record.  Verdicts roll up with the precedence
+Violated > Error > Pending > Satisfied: a proven failure is never masked
+by missing data.  Concerns marked not relevant report
 ``NotApplicable`` and stay out of the failure counts.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 
 from laisc.errors import UnknownFilterKey
 from laisc.io import (
@@ -151,41 +158,71 @@ class EvaluationReport:
         return next((s for s in _PRECEDENCE if s in statuses), Status.SATISFIED)
 
 
-# --- record selection helpers ---------------------------------------------------
+# --- evidence slots ----------------------------------------------------------------
 
 
-def _pick(records: list[EvidenceRecord]) -> EvidenceRecord:
-    """Most recent record; equal timestamps fall back to the greatest id."""
-    return max(records, key=lambda r: (r.timestamp, r.id))
+_recency = attrgetter("timestamp", "id")
 
 
-def _fmt_ids(records: list[EvidenceRecord]) -> str:
-    return ", ".join(sorted(r.id for r in records))
+def _fill(
+    slots: dict[str, Callable[[EvidenceRecord], bool]],
+    fresh: list[EvidenceRecord],
+    stale: list[EvidenceRecord],
+) -> tuple[dict[str, EvidenceRecord], list[EvidenceRecord]]:
+    """Decide every evidence slot of one VR; return ``(won, stale_matching)``.
+
+    ``slots`` maps a label to the test a record must pass to fill it.
+    ``won`` maps each filled label to its most recent fresh match (ties
+    go to the greatest record id).  ``stale_matching`` holds the stale
+    records matching a slot that no fresh record fills: a filled slot
+    supersedes its stale matches.
+    """
+    won: dict[str, EvidenceRecord] = {}
+    for label, test in slots.items():
+        matches = [r for r in fresh if test(r)]
+        if matches:
+            won[label] = max(matches, key=_recency)
+    open_tests = [test for label, test in slots.items() if label not in won]
+    if not open_tests:
+        return won, []
+    return won, [r for r in stale if any(test(r) for test in open_tests)]
+
+
+def _ids(records: Iterable[EvidenceRecord]) -> tuple[str, ...]:
+    """Sorted ids, each once: one record may fill several slots."""
+    return tuple(sorted({r.id for r in records}))
 
 
 def _unfillable(
     missing: list[str],
     stale_matching: list[EvidenceRecord],
-    fresh_any: list[EvidenceRecord],
-    stale_any: list[EvidenceRecord],
+    records: list[EvidenceRecord],
     any_slot_filled: bool,
 ) -> Verdict:
-    """Shared resolution when one or more evidence slots cannot be filled."""
+    """Shared resolution when one or more evidence slots cannot be filled.
+
+    ``records`` is every record addressed to the VR, never empty."""
     if stale_matching:
+        ids = _ids(stale_matching)
         return Verdict(
             Status.ERROR,
-            "stale evidence: record(s) predate the current VR definitions "
-            f"({_fmt_ids(stale_matching)})",
-            evidence_ids=tuple(sorted(r.id for r in stale_matching)),
+            f"stale evidence: record(s) predate the current VR definitions ({', '.join(ids)})",
+            evidence_ids=ids,
         )
-    if not any_slot_filled and (fresh_any or stale_any):
+    if not any_slot_filled:
+        ids = _ids(records)
         return Verdict(
             Status.ERROR,
             "unusable evidence: records exist for this VR but none matches its "
-            f"kind and dataset binding ({_fmt_ids(fresh_any + stale_any)})",
-            evidence_ids=tuple(sorted(r.id for r in fresh_any + stale_any)),
+            f"kind and dataset binding ({', '.join(ids)})",
+            evidence_ids=ids,
         )
     return Verdict(Status.PENDING, "missing evidence: " + "; ".join(missing))
+
+
+def _judge(ok: bool, explanation: str, evidence_ids, measured=()) -> Verdict:
+    """The verdict of a rule that ran: Satisfied when it held, else Violated."""
+    return Verdict(Status.SATISFIED if ok else Status.VIOLATED, explanation, evidence_ids, measured)
 
 
 # --- per-kind evaluation ----------------------------------------------------------
@@ -200,42 +237,42 @@ def _is_gap_note(note: str) -> bool:
     return note == "gap" or note.startswith("gap;")
 
 
-def _single(record: EvidenceRecord, metric_id: str, dataset_id: str) -> bool:
-    """True for a single-dataset ``metric_id`` measurement on exactly ``dataset_id``."""
-    return (
-        isinstance(record.payload, MetricResult)
-        and record.payload.metric_id == metric_id
-        and not _is_gap_note(record.payload.config_note)
-        and record.payload.dataset_ids == (dataset_id,)
-    )
+def _single(metric_id: str, dataset_id: str) -> Callable[[EvidenceRecord], bool]:
+    """Test for a single-dataset ``metric_id`` measurement on exactly ``dataset_id``."""
+    dataset_ids = (dataset_id,)
 
-
-def _eval_metric_threshold(vr, fresh, stale) -> Verdict:
-    p: MetricThreshold = vr.payload
-    candidates = [r for r in fresh if _single(r, p.metric_id, p.dataset_id)]
-    if not candidates:
-        return _unfillable(
-            [f"no {p.metric_id} measurement on {p.dataset_id}"],
-            [r for r in stale if _single(r, p.metric_id, p.dataset_id)],
-            fresh,
-            stale,
-            any_slot_filled=False,
+    def test(record: EvidenceRecord) -> bool:
+        result = record.payload
+        return (
+            isinstance(result, MetricResult)
+            and result.metric_id == metric_id
+            and not _is_gap_note(result.config_note)
+            and result.dataset_ids == dataset_ids
         )
-    winner = _pick(candidates)
+
+    return test
+
+
+def _eval_metric_threshold(p: MetricThreshold, fresh, stale) -> Verdict:
+    won, stale_matching = _fill({"value": _single(p.metric_id, p.dataset_id)}, fresh, stale)
+    if not won:
+        return _unfillable(
+            [f"no {p.metric_id} measurement on {p.dataset_id}"], stale_matching, fresh + stale, False
+        )
+    winner = won["value"]
     value = winner.payload.value
     ok = value >= p.threshold if p.comparator.value == "GE" else value <= p.threshold
     relation = ">=" if p.comparator.value == "GE" else "<="
-    return Verdict(
-        Status.SATISFIED if ok else Status.VIOLATED,
+    return _judge(
+        ok,
         f"{p.metric_id}({p.dataset_id}) = {value:g} {relation} {p.threshold:g} "
         f"{'holds' if ok else 'fails'}",
-        evidence_ids=(winner.id,),
-        measured=(("value", value), ("threshold", p.threshold)),
+        (winner.id,),
+        (("value", value), ("threshold", p.threshold)),
     )
 
 
-def _eval_metric_gap(vr, fresh, stale) -> Verdict:
-    p: MetricGap = vr.payload
+def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
     pair = {p.dataset_id_a, p.dataset_id_b}
 
     def gap_record(record: EvidenceRecord) -> bool:
@@ -246,72 +283,62 @@ def _eval_metric_gap(vr, fresh, stale) -> Verdict:
             and pair <= set(record.payload.dataset_ids)
         )
 
-    gap_candidates = [r for r in fresh if gap_record(r)]
-    if gap_candidates:
-        # A precomputed two-dataset distance is the direct measurement and
-        # takes precedence over recombining single-dataset values.
-        winner = _pick(gap_candidates)
+    # A precomputed two-dataset distance is the direct measurement and
+    # takes precedence over recombining single-dataset values.
+    won, stale_gap = _fill({"gap": gap_record}, fresh, stale)
+    if won:
+        winner = won["gap"]
         gap = abs(winner.payload.value)
         ok = gap <= p.epsilon
-        return Verdict(
-            Status.SATISFIED if ok else Status.VIOLATED,
+        return _judge(
+            ok,
             f"{p.metric_id} gap between {p.dataset_id_a} and {p.dataset_id_b} "
             f"= {gap:g} {'<=' if ok else '>'} epsilon {p.epsilon:g}",
-            evidence_ids=(winner.id,),
-            measured=(("gap", gap), ("epsilon", p.epsilon)),
+            (winner.id,),
+            (("gap", gap), ("epsilon", p.epsilon)),
         )
 
-    side_a = [r for r in fresh if _single(r, p.metric_id, p.dataset_id_a)]
-    side_b = [r for r in fresh if _single(r, p.metric_id, p.dataset_id_b)]
-    if side_a and side_b:
-        winner_a, winner_b = _pick(side_a), _pick(side_b)
-        value_a, value_b = winner_a.payload.value, winner_b.payload.value
+    # Labels, not dataset ids: a VR may bind the same dataset twice.
+    sides = {"a": p.dataset_id_a, "b": p.dataset_id_b}
+    won, stale_sides = _fill(
+        {label: _single(p.metric_id, dataset_id) for label, dataset_id in sides.items()}, fresh, stale
+    )
+    if len(won) == 2:
+        value_a, value_b = won["a"].payload.value, won["b"].payload.value
         gap = abs(value_a - value_b)
         ok = gap <= p.epsilon
-        return Verdict(
-            Status.SATISFIED if ok else Status.VIOLATED,
+        return _judge(
+            ok,
             f"|{p.metric_id}({p.dataset_id_a}) - {p.metric_id}({p.dataset_id_b})| "
             f"= |{value_a:g} - {value_b:g}| = {gap:g} {'<=' if ok else '>'} epsilon {p.epsilon:g}",
-            evidence_ids=tuple(sorted((winner_a.id, winner_b.id))),
-            measured=(
-                ("epsilon", p.epsilon),
-                ("gap", gap),
-                ("value_a", value_a),
-                ("value_b", value_b),
-            ),
+            _ids(won.values()),
+            (("epsilon", p.epsilon), ("gap", gap), ("value_a", value_a), ("value_b", value_b)),
         )
 
     missing = [
         f"no {p.metric_id} measurement on {dataset_id}"
-        for dataset_id, found in ((p.dataset_id_a, side_a), (p.dataset_id_b, side_b))
-        if not found
+        for label, dataset_id in sides.items()
+        if label not in won
     ]
-    stale_matching = [
-        r
-        for r in stale
-        if gap_record(r) or _single(r, p.metric_id, p.dataset_id_a) or _single(r, p.metric_id, p.dataset_id_b)
-    ]
-    return _unfillable(missing, stale_matching, fresh, stale, any_slot_filled=bool(side_a or side_b))
+    return _unfillable(missing, stale_gap + stale_sides, fresh + stale, bool(won))
 
 
-def _eval_per_condition(vr, fresh, stale) -> Verdict:
-    p: PerCondition = vr.payload
+def _eval_per_condition(p: PerCondition, fresh, stale) -> Verdict:
+    won, stale_matching = _fill(
+        {c.condition_id: _single(p.metric_id, c.dataset_id) for c in p.conditions}, fresh, stale
+    )
     failing: list[str] = []
     missing: list[str] = []
-    used: list[str] = []
     measured: list[tuple[str, float]] = []
-    stale_matching: list[EvidenceRecord] = []
     for condition in p.conditions:
-        candidates = [r for r in fresh if _single(r, p.metric_id, condition.dataset_id)]
-        if not candidates:
+        winner = won.get(condition.condition_id)
+        if winner is None:
             missing.append(condition.condition_id)
-            stale_matching.extend(r for r in stale if _single(r, p.metric_id, condition.dataset_id))
             continue
-        winner = _pick(candidates)
-        used.append(winner.id)
         measured.append((condition.condition_id, winner.payload.value))
         if winner.payload.value < condition.threshold:
             failing.append(condition.condition_id)
+    used = _ids(won.values())
 
     if failing:
         # A measured failure outranks incomplete coverage.
@@ -319,48 +346,36 @@ def _eval_per_condition(vr, fresh, stale) -> Verdict:
             Status.VIOLATED,
             f"conditions below threshold: {', '.join(failing)}"
             + (f"; not yet measured: {', '.join(missing)}" if missing else ""),
-            evidence_ids=tuple(sorted(used)),
-            measured=tuple(measured),
+            evidence_ids=used,
+            measured=measured,
         )
     if missing:
-        if stale_matching or not used:
+        if stale_matching or not won:
             return _unfillable(
-                [f"conditions not measured: {', '.join(missing)}"],
-                stale_matching,
-                fresh,
-                stale,
-                any_slot_filled=bool(used),
+                [f"conditions not measured: {', '.join(missing)}"], stale_matching, fresh + stale, bool(won)
             )
         return Verdict(
             Status.PENDING,
             f"conditions not yet measured: {', '.join(missing)}",
-            evidence_ids=tuple(sorted(used)),
-            measured=tuple(measured),
+            evidence_ids=used,
+            measured=measured,
         )
     return Verdict(
         Status.SATISFIED,
         f"all {len(p.conditions)} conditions meet their thresholds",
-        evidence_ids=tuple(sorted(used)),
-        measured=tuple(measured),
+        evidence_ids=used,
+        measured=measured,
     )
 
 
-def _eval_review_fraction(vr, fresh, stale) -> Verdict:
-    p: ReviewFraction = vr.payload
-
+def _eval_review_fraction(p: ReviewFraction, fresh, stale) -> Verdict:
     def matches(record: EvidenceRecord) -> bool:
         return isinstance(record.payload, ReviewLog) and record.payload.dataset_id == p.dataset_id
 
-    candidates = [r for r in fresh if matches(r)]
-    if not candidates:
-        return _unfillable(
-            [f"no review log for {p.dataset_id}"],
-            [r for r in stale if matches(r)],
-            fresh,
-            stale,
-            any_slot_filled=False,
-        )
-    winner = _pick(candidates)
+    won, stale_matching = _fill({"log": matches}, fresh, stale)
+    if not won:
+        return _unfillable([f"no review log for {p.dataset_id}"], stale_matching, fresh + stale, False)
+    winner = won["log"]
     log: ReviewLog = winner.payload
     if log.total_items == 0:
         return Verdict(
@@ -370,72 +385,56 @@ def _eval_review_fraction(vr, fresh, stale) -> Verdict:
         )
     ratio = log.reviewed_items / log.total_items
     ok = ratio >= p.min_fraction
-    return Verdict(
-        Status.SATISFIED if ok else Status.VIOLATED,
+    return _judge(
+        ok,
         f"{log.reviewed_items}/{log.total_items} items reviewed "
         f"({ratio:.4g} {'>=' if ok else '<'} required {p.min_fraction:g})",
-        evidence_ids=(winner.id,),
-        measured=(("min_fraction", p.min_fraction), ("reviewed_fraction", ratio)),
+        (winner.id,),
+        (("min_fraction", p.min_fraction), ("reviewed_fraction", ratio)),
     )
 
 
-def _eval_flag_resolution(vr, fresh, stale) -> Verdict:
-    p: FlagResolution = vr.payload
-
+def _eval_flag_resolution(p: FlagResolution, fresh, stale) -> Verdict:
     def matches(record: EvidenceRecord) -> bool:
-        return (
-            isinstance(record.payload, FlagResolutionLog)
-            and record.payload.dataset_id == p.dataset_id
-        )
+        return isinstance(record.payload, FlagResolutionLog) and record.payload.dataset_id == p.dataset_id
 
-    candidates = [r for r in fresh if matches(r)]
-    if not candidates:
-        stale_matching = [r for r in stale if matches(r)]
+    won, stale_matching = _fill({"log": matches}, fresh, stale)
+    if not won:
         if stale_matching:
-            return _unfillable([], stale_matching, fresh, stale, any_slot_filled=False)
+            return _unfillable([], stale_matching, fresh + stale, False)
         # Companion records (e.g. the flagging metric's own result) are
         # expected alongside this VR, so their presence is not an error.
         return Verdict(Status.PENDING, f"no flag-resolution log for {p.dataset_id}")
-    winner = _pick(candidates)
+    winner = won["log"]
     log: FlagResolutionLog = winner.payload
     resolved = {entry.instance_id for entry in log.entries}
     unresolved = sorted(set(log.flagged_ids) - resolved)
-    if unresolved:
-        return Verdict(
-            Status.VIOLATED,
-            f"flagged instances without resolution: {', '.join(unresolved)}",
-            evidence_ids=(winner.id,),
-            measured=(("flagged", float(len(log.flagged_ids))), ("unresolved", float(len(unresolved)))),
-        )
-    return Verdict(
-        Status.SATISFIED,
-        f"all {len(log.flagged_ids)} flagged instances excluded or revised",
-        evidence_ids=(winner.id,),
-        measured=(("flagged", float(len(log.flagged_ids))), ("unresolved", 0.0)),
+    return _judge(
+        not unresolved,
+        f"flagged instances without resolution: {', '.join(unresolved)}"
+        if unresolved
+        else f"all {len(log.flagged_ids)} flagged instances excluded or revised",
+        (winner.id,),
+        (("flagged", float(len(log.flagged_ids))), ("unresolved", float(len(unresolved)))),
     )
 
 
-def _eval_qualitative_approval(vr, fresh, stale) -> Verdict:
-    p: QualitativeApproval = vr.payload
+def _eval_qualitative_approval(p: QualitativeApproval, fresh, stale) -> Verdict:
+    # Every fresh approval and document counts, so there is no slot to fill.
     approvals = [r for r in fresh if isinstance(r.payload, ApprovalRecord)]
     documents = [r for r in fresh if isinstance(r.payload, DocumentRecord)]
     if not approvals and not documents:
         return _unfillable(
             [f"no approval records (need {p.required_approvals})"],
             [r for r in stale if isinstance(r.payload, (ApprovalRecord, DocumentRecord))],
-            fresh,
-            stale,
-            any_slot_filled=False,
+            fresh + stale,
+            False,
         )
 
     rejections = [r for r in approvals if r.payload.verdict is ApprovalVerdict.REJECTED]
     if rejections:
         rejectors = sorted({r.payload.approver_id for r in rejections})
-        return Verdict(
-            Status.VIOLATED,
-            f"rejected by {', '.join(rejectors)}",
-            evidence_ids=tuple(sorted(r.id for r in rejections)),
-        )
+        return Verdict(Status.VIOLATED, f"rejected by {', '.join(rejectors)}", evidence_ids=_ids(rejections))
 
     # Independence is operationalized as distinct approver ids; anything
     # beyond that (organizational independence) is not checkable from data.
@@ -447,7 +446,7 @@ def _eval_qualitative_approval(vr, fresh, stale) -> Verdict:
         shortfalls.append(f"{len(approvers)} distinct approver(s) of {p.required_approvals} required")
     if missing_docs:
         shortfalls.append(f"missing document kind(s): {', '.join(missing_docs)}")
-    contributing = tuple(sorted(r.id for r in approvals + documents))
+    contributing = _ids(approvals + documents)
     if shortfalls:
         return Verdict(Status.PENDING, "; ".join(shortfalls), evidence_ids=contributing)
     return Verdict(
@@ -485,7 +484,7 @@ def _evaluate_records(
         return Verdict(Status.PENDING, "no evidence recorded for this VR")
     fresh = [r for r in records if r.landscape_fingerprint == landscape_fingerprint]
     stale = [r for r in records if r.landscape_fingerprint != landscape_fingerprint]
-    return _EVALUATORS[type(vr.payload)](vr, fresh, stale)
+    return _EVALUATORS[type(vr.payload)](vr.payload, fresh, stale)
 
 
 # --- roll-ups ----------------------------------------------------------------------

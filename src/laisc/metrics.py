@@ -340,14 +340,6 @@ class Rotate90:
 
 PerturbationSpec = BrightnessShift | ContrastScale | GaussianNoise | OcclusionPatch | HorizontalFlip | Rotate90
 
-#: Geometric kinds move pixels, so image and mask transform identically;
-#: photometric kinds touch only the image.
-GEOMETRIC_KINDS = (HorizontalFlip, Rotate90)
-
-
-def applies_to_mask(spec: PerturbationSpec) -> bool:
-    return isinstance(spec, GEOMETRIC_KINDS)
-
 
 def _clamp_byte(value: int) -> int:
     return 0 if value < 0 else 255 if value > 255 else value
@@ -386,8 +378,10 @@ def perturb(
 ) -> tuple[LabeledGrid, LabeledGrid]:
     """Apply one perturbation, returning the new (image, mask) pair.
 
-    Pixel arithmetic clamps to [0, 255] and rounds half away from zero.
-    The contrast transform scales pixel distance from the image mean.
+    Geometric kinds (flip, rot90) move image and mask alike; photometric
+    kinds touch only the image.  Pixel arithmetic clamps to [0, 255] and
+    rounds half away from zero.  The contrast transform scales pixel
+    distance from the image mean.
     """
     if (image.height, image.width) != (mask.height, mask.width):
         raise DimensionMismatch(

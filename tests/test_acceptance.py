@@ -158,6 +158,12 @@ VR_CASES = [
     ("gap-stale-side", MetricGap("miou", "ds-a", "ds-b", 0.05),
      [(MetricResult("miou", ("ds-a",), 0.86), False, 0),
       (MetricResult("miou", ("ds-b",), 0.88), True, 1)], Status.ERROR, "stale"),
+    ("gap-superseded-stale-side", MetricGap("miou", "ds-a", "ds-b", 0.05),
+     [(MetricResult("miou", ("ds-a",), 0.86), False, 1),
+      (MetricResult("miou", ("ds-a",), 0.84), True, 0)], Status.PENDING, "ds-b"),
+    ("gap-stale-record-with-one-side", MetricGap("miou", "ds-a", "ds-b", 0.05),
+     [(MetricResult("miou", ("ds-a", "ds-b"), 0.02, "gap"), True, 0),
+      (MetricResult("miou", ("ds-a",), 0.86), False, 1)], Status.ERROR, "stale"),
     # PerCondition (includes the worked VR3.2 example)
     ("conditions-satisfied",
      PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),
@@ -182,6 +188,10 @@ VR_CASES = [
      PerCondition("miou", (Condition("fog", "ds-a", 0.8),)),
      [(MetricResult("miou", ("ds-a",), 0.9), False, 0),
       (MetricResult("miou", ("ds-a", "ds-b"), 0.02, "gap"), False, 1)], Status.SATISFIED, "all 1 conditions"),
+    ("conditions-superseded-stale",
+     PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),
+     [(MetricResult("miou", ("ds-a",), 0.85), False, 1),
+      (MetricResult("miou", ("ds-a",), 0.84), True, 0)], Status.PENDING, "noise"),
     # ReviewFraction (includes the worked VR1.2.1 example)
     ("review-satisfied", ReviewFraction("ds-a", 0.9),
      [(ReviewLog("ds-a", 100, 95), False, 0)], Status.SATISFIED, "95/100"),

@@ -120,6 +120,22 @@ def test_wrong_kind_evidence_is_error():
     assert "unusable" in verdict.explanation
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("rain", "ds-a", 0.7))),
+        MetricGap("miou", "ds-a", "ds-a", 0.05),
+    ],
+    ids=["conditions", "gap"],
+)
+@pytest.mark.parametrize("stale", [False, True])
+def test_record_filling_two_slots_is_listed_once(payload, stale):
+    landscape = single_vr_landscape(payload)
+    verdict = _eval(landscape, (MetricResult("miou", ("ds-a",), 0.9), {"stale": stale}))
+    assert verdict.status is (Status.ERROR if stale else Status.SATISFIED)
+    assert verdict.evidence_ids == ("r0",)
+
+
 def test_no_records_is_pending():
     landscape = single_vr_landscape(MetricThreshold("miou", "ds-a", Comparator.GE, 0.8))
     verdict = evaluate_vr(landscape.vr("v1"), EvidenceBundle(()), fingerprint(landscape))
@@ -463,6 +479,31 @@ def test_added_record_never_moves_satisfied_to_pending():
         after = evaluate_vr(vr, EvidenceBundle(tuple(base_records + [extra])), fp)
         if before.status is Status.SATISFIED:
             assert after.status is not Status.PENDING, (before, extra, after)
+
+
+def test_stale_records_never_outrank_fresh_ones():
+    """A stale copy of a fresh record (new id, old fingerprint) never changes
+    the verdict status, and no stale record flips Satisfied and Violated."""
+    rng = random.Random(61)
+    decided = {Status.SATISFIED, Status.VIOLATED}
+    for _ in range(2000):
+        landscape = single_vr_landscape(rng.choice(_PAYLOAD_FACTORIES)())
+        fp = fingerprint(landscape)
+        vr = landscape.vr("v1")
+        base = [
+            record(f"r{i}", "v1", _random_record_payload(rng), fp if rng.random() < 0.8 else "sha256:old", minute=i)
+            for i in range(rng.randint(0, 4))
+        ]
+        before = evaluate_vr(vr, EvidenceBundle(tuple(base)), fp).status
+        fresh = [r for r in base if r.landscape_fingerprint == fp]
+        if fresh:
+            copy = replace(rng.choice(fresh), id="r-copy", landscape_fingerprint="sha256:old")
+            after = evaluate_vr(vr, EvidenceBundle(tuple(base + [copy])), fp).status
+            assert after is before, (base, copy, after)
+        extra = record("r-extra", "v1", _random_record_payload(rng), "sha256:old", minute=rng.randint(0, 9))
+        after = evaluate_vr(vr, EvidenceBundle(tuple(base + [extra])), fp).status
+        if before in decided and after in decided:
+            assert after is before, (base, extra, after)
 
 
 def test_evaluate_agrees_with_evaluate_vr_on_random_landscapes():

@@ -37,7 +37,6 @@ from laisc.metrics import (
     RandomPixelFlip,
     Rotate90,
     SmallSampleWarning,
-    applies_to_mask,
     augment_labels,
     clm_flags,
     clm_scores,
@@ -387,14 +386,6 @@ def test_rotate_preserves_mask_pixel_count_and_binarity():
 def test_rotate_invalid_k():
     with pytest.raises(InvalidParameter):
         perturb(grid([1]), grid([1]), Rotate90(k=4))
-
-
-def test_applies_to_mask_classification():
-    assert applies_to_mask(HorizontalFlip())
-    assert applies_to_mask(Rotate90(k=1))
-    assert not applies_to_mask(BrightnessShift(1))
-    assert not applies_to_mask(GaussianNoise(1.0, 0))
-    assert not applies_to_mask(OcclusionPatch(0, 0, 1, 1))
 
 
 def test_perturb_dimension_mismatch():
