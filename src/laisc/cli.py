@@ -111,8 +111,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _append(args: argparse.Namespace, payloads) -> list[str]:
     """Append one ``--vr`` record per payload to the bundle at ``--out``
-    (a missing file is an empty bundle) and return the new record ids."""
-    current = fingerprint(_load_landscape(args.landscape))
+    (a missing file is an empty bundle) and return the new record ids.
+
+    Nothing is written unless ``--vr`` is a VR of ``--landscape`` and every
+    dataset flag names one of its datasets.
+    """
+    landscape = _load_landscape(args.landscape)
+    if args.vr not in {vr.id for vr in landscape.vrs}:
+        raise _UsageError(f"--vr {args.vr!r} is not a VR of {args.landscape}")
+    for flag in ("dataset", "dataset_a", "dataset_b"):
+        dataset_id = getattr(args, flag, None)
+        if dataset_id is not None and dataset_id not in landscape.dataset_ids():
+            flag = flag.replace("_", "-")
+            raise _UsageError(f"--{flag} {dataset_id!r} is not a dataset of {args.landscape}")
+    current = fingerprint(landscape)
     path = Path(args.out)
     bundle = EvidenceBundle(records=(), source="")
     if path.exists():

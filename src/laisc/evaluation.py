@@ -273,14 +273,14 @@ def _eval_metric_threshold(p: MetricThreshold, fresh, stale) -> Verdict:
 
 
 def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
-    pair = {p.dataset_id_a, p.dataset_id_b}
+    pair = {(p.dataset_id_a, p.dataset_id_b), (p.dataset_id_b, p.dataset_id_a)}
 
     def gap_record(record: EvidenceRecord) -> bool:
         return (
             isinstance(record.payload, MetricResult)
             and record.payload.metric_id == p.metric_id
             and _is_gap_note(record.payload.config_note)
-            and pair <= set(record.payload.dataset_ids)
+            and record.payload.dataset_ids in pair
         )
 
     # A precomputed two-dataset distance is the direct measurement and
@@ -298,13 +298,13 @@ def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
             (("gap", gap), ("epsilon", p.epsilon)),
         )
 
-    # Labels, not dataset ids: a VR may bind the same dataset twice.
-    sides = {"a": p.dataset_id_a, "b": p.dataset_id_b}
+    # One slot per side, keyed by its dataset id (the two ids differ).
+    sides = (p.dataset_id_a, p.dataset_id_b)
     won, stale_sides = _fill(
-        {label: _single(p.metric_id, dataset_id) for label, dataset_id in sides.items()}, fresh, stale
+        {dataset_id: _single(p.metric_id, dataset_id) for dataset_id in sides}, fresh, stale
     )
     if len(won) == 2:
-        value_a, value_b = won["a"].payload.value, won["b"].payload.value
+        value_a, value_b = won[p.dataset_id_a].payload.value, won[p.dataset_id_b].payload.value
         gap = abs(value_a - value_b)
         ok = gap <= p.epsilon
         return _judge(
@@ -317,8 +317,8 @@ def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
 
     missing = [
         f"no {p.metric_id} measurement on {dataset_id}"
-        for label, dataset_id in sides.items()
-        if label not in won
+        for dataset_id in sides
+        if dataset_id not in won
     ]
     return _unfillable(missing, stale_gap + stale_sides, fresh + stale, bool(won))
 

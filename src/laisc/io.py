@@ -14,7 +14,15 @@ Formats (all UTF-8, LF line endings):
 Serialization is canonical (sorted keys, collections sorted by id), so
 ``serialize(parse(serialize(x)))`` equals ``serialize(x)`` byte for byte.
 The field annotations of each domain dataclass are its JSON schema: one
-generic codec (``to_node`` and ``_from_node``) reads and writes them.
+generic codec (``to_node`` and ``_from_node``) reads and writes whole
+documents.  Besides plain fields it knows three shapes: a field typed as
+a union of dataclasses (a VR's or an evidence record's ``payload``) comes
+with a sibling ``kind`` key naming the payload's class, a ``datetime`` is
+ISO-8601 normalized to UTC, and a tuple of ``(id, element)`` pairs
+(``Landscape.datasets``) is an object keyed by id.  The four document
+functions add only the checks that are policy: ``build_landscape`` for a
+landscape, and unique record ids, non-empty ``vr_id``, finite metric
+values and consistent review counts for a bundle.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 from laisc.errors import (
     DimensionMismatch,
@@ -38,18 +46,11 @@ from laisc.errors import (
     ValueOutOfRange,
 )
 from laisc.model import (
-    _PAYLOAD_KINDS,
-    DatasetDescriptor,
-    Goal,
     Landscape,
-    LifecycleStage,
-    MitigationMeasure,
     Resolution,
-    SafetyConcern,
-    SystemComponent,
-    VerifiableRequirement,
-    VrKind,
+    _union_classes,
     build_landscape,
+    format_timestamp,
     to_node,
 )
 
@@ -128,14 +129,6 @@ class DocumentRecord:
 
 EvidencePayload = MetricResult | ApprovalRecord | ReviewLog | FlagResolutionLog | DocumentRecord
 
-_EVIDENCE_KINDS: dict[type, str] = {
-    MetricResult: "MetricResult",
-    ApprovalRecord: "ApprovalRecord",
-    ReviewLog: "ReviewLog",
-    FlagResolutionLog: "FlagResolutionLog",
-    DocumentRecord: "DocumentRecord",
-}
-
 
 @dataclass(frozen=True, slots=True)
 class EvidenceRecord:
@@ -154,7 +147,7 @@ class EvidenceRecord:
 
     @property
     def kind(self) -> str:
-        return _EVIDENCE_KINDS[type(self.payload)]
+        return type(self.payload).__name__
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,10 +255,6 @@ def parse_timestamp(value: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def format_timestamp(value: datetime) -> str:
-    return value.astimezone(timezone.utc).isoformat()
-
-
 # --- JSON schema helpers -----------------------------------------------------
 
 
@@ -361,6 +350,26 @@ def _items(node: dict, key: str, path: str, read) -> tuple:
 # --- JSON codec, reader half -----------------------------------------------------
 
 
+def _timestamp(node: dict, key: str, path: str) -> datetime:
+    return parse_timestamp(_str(node, key, path))
+
+
+def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
+    """Read the field ``key`` as the class that the sibling ``kind`` names."""
+    kind = _str(node, "kind", path)
+    if kind not in classes:
+        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
+    return _from_node(classes[kind], node[key], f"{path}.{key}")
+
+
+def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
+    """Read the object at ``key`` as ``(id, cls)`` pairs."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
+    return tuple((item_id, _from_node(cls, raw, f"{path}.{key}.{item_id}")) for item_id, raw in value.items())
+
+
 def _reader(annotation):
     """The schema helper that reads a field declared as ``annotation``."""
     if annotation is str:
@@ -371,130 +380,61 @@ def _reader(annotation):
         return _int
     if annotation is bool:
         return _bool
+    if annotation is datetime:
+        return _timestamp
     if annotation == str | None:
         return _opt_str
     if isinstance(annotation, type) and issubclass(annotation, Enum):
         return lambda node, key, path: _enum(node, key, path, annotation)
+    classes = _union_classes(annotation)
+    if classes:
+        return partial(_kind_named, {cls.__name__: cls for cls in classes})
     item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
     if item is str:
         return lambda node, key, path: tuple(_str_list(node, key, path))
+    if get_origin(item) is tuple:  # (id, element) pairs
+        return partial(_keyed, get_args(item)[1])
     return lambda node, key, path: _items(node, key, path, partial(_from_node, item))
 
 
 @cache
 def _field_readers(cls: type) -> tuple[frozenset[str], tuple]:
+    """The JSON keys of ``cls`` and a ``(field name, reader)`` per field; a
+    field typed as a union of dataclasses adds the ``kind`` key."""
     hints = get_type_hints(cls)
     readers = tuple((f.name, _reader(hints[f.name])) for f in fields(cls))
-    return frozenset(name for name, _ in readers), readers
+    keys = {name for name, _ in readers}
+    if any(_union_classes(hints[name]) for name in keys):
+        keys.add("kind")
+    return frozenset(keys), readers
 
 
 def _from_node(cls: type, node: object, path: str):
     """Read the domain dataclass ``cls`` from its JSON object at ``path``."""
     keys, readers = _field_readers(cls)
     _obj(node, path, keys)
-    return cls(**{name: read(node, name, path) for name, read in readers})
-
-
-# --- landscape parsing and serialization -------------------------------------------
-
-_VR_PAYLOADS = {kind: cls for cls, kind in _PAYLOAD_KINDS.items()}
-
-
-def _vr_from_node(node: object, path: str) -> VerifiableRequirement:
-    _obj(node, path, {"id", "goal_id", "kind", "stage_id", "mm_ids", "payload"})
-    kind = _enum(node, "kind", path, VrKind)
-    return VerifiableRequirement(
-        id=_str(node, "id", path),
-        goal_id=_str(node, "goal_id", path),
-        payload=_from_node(_VR_PAYLOADS[kind], node["payload"], f"{path}.payload"),
-        stage_id=_str(node, "stage_id", path),
-        mm_ids=tuple(_str_list(node, "mm_ids", path)),
-    )
-
-
-def parse_landscape(data: bytes | str) -> Landscape:
-    """Parse a ``*.laisc.json`` document into a validated landscape."""
-    root = _obj(_load_json(data), "$", {f.name for f in fields(Landscape)})
-
-    def items(key: str, cls: type) -> tuple:
-        return _items(root, key, "$", partial(_from_node, cls))
-
-    stages = items("stages", LifecycleStage)
-    components = items("components", SystemComponent)
-    concerns = items("concerns", SafetyConcern)
-    goals = items("goals", Goal)
-    vrs = _items(root, "vrs", "$", _vr_from_node)
-    measures = items("mitigation_measures", MitigationMeasure)
-    datasets_node = root["datasets"]
-    if not isinstance(datasets_node, dict):
-        raise SchemaError("$.datasets", "object", type(datasets_node).__name__)
-    datasets = {
-        dataset_id: _from_node(DatasetDescriptor, raw, f"$.datasets.{dataset_id}")
-        for dataset_id, raw in datasets_node.items()
-    }
-    return build_landscape(
-        name=_str(root, "name", "$"),
-        version=_str(root, "version", "$"),
-        stages=stages,
-        components=components,
-        concerns=concerns,
-        goals=goals,
-        vrs=vrs,
-        mitigation_measures=measures,
-        datasets=datasets,
-    )
+    values = {}
+    # A loop, not a comprehension: one call fewer per object.
+    for name, read in readers:
+        values[name] = read(node, name, path)
+    return cls(**values)
 
 
 def _dump_canonical(node: object) -> bytes:
     return (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
+# --- landscape and evidence documents -------------------------------------------------
+
+
+def parse_landscape(data: bytes | str) -> Landscape:
+    """Parse a ``*.laisc.json`` document into a validated landscape."""
+    raw = _from_node(Landscape, _load_json(data), "$")
+    return build_landscape(**{f.name: getattr(raw, f.name) for f in fields(Landscape)})
+
+
 def serialize_landscape(landscape: Landscape) -> bytes:
-    def by_id(items) -> list[dict]:
-        return [to_node(item) for item in sorted(items, key=lambda item: item.id)]
-
-    node = {
-        "name": landscape.name,
-        "version": landscape.version,
-        "stages": [to_node(s) for s in sorted(landscape.stages, key=lambda s: s.order)],
-        "components": by_id(landscape.components),
-        "concerns": by_id(landscape.concerns),
-        "goals": by_id(landscape.goals),
-        "vrs": [
-            {
-                "id": v.id,
-                "goal_id": v.goal_id,
-                "kind": v.kind.value,
-                "stage_id": v.stage_id,
-                "mm_ids": list(v.mm_ids),
-                "payload": to_node(v.payload),
-            }
-            for v in sorted(landscape.vrs, key=lambda v: v.id)
-        ],
-        "mitigation_measures": by_id(landscape.mitigation_measures),
-        "datasets": {dataset_id: to_node(d) for dataset_id, d in landscape.datasets},
-    }
-    return _dump_canonical(node)
-
-
-# --- evidence parsing and serialization ---------------------------------------
-
-_EVIDENCE_PAYLOADS = {kind: cls for cls, kind in _EVIDENCE_KINDS.items()}
-
-
-def _evidence_payload(kind: str, node: object, path: str) -> EvidencePayload:
-    if kind not in _EVIDENCE_PAYLOADS:
-        raise SchemaError(path, f"one of {{{', '.join(_EVIDENCE_PAYLOADS)}}}", kind)
-    payload = _from_node(_EVIDENCE_PAYLOADS[kind], node, path)
-    if isinstance(payload, MetricResult) and not math.isfinite(payload.value):
-        raise SchemaError(f"{path}.value", "finite number", payload.value)
-    if isinstance(payload, ReviewLog):
-        total, reviewed = payload.total_items, payload.reviewed_items
-        if total < 0 or reviewed < 0:
-            raise SchemaError(f"{path}.total_items", "non-negative counts", (total, reviewed))
-        if reviewed > total:
-            raise SchemaError(f"{path}.reviewed_items", f"at most total_items={total}", reviewed)
-    return payload
+    return _dump_canonical(to_node(landscape))
 
 
 def parse_evidence(data: bytes | str) -> EvidenceBundle:
@@ -503,48 +443,29 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
     Records addressed to VR ids unknown to any particular landscape are
     accepted here; the evaluation engine reports them as orphaned.
     """
-    root = _obj(_load_json(data), "$", {"source", "records"})
-    records = []
+    bundle = _from_node(EvidenceBundle, _load_json(data), "$")
     seen: set[str] = set()
-    for index, raw in enumerate(_list(root, "records", "$")):
+    for index, record in enumerate(bundle.records):
         path = f"$.records[{index}]"
-        _obj(raw, path, {"id", "vr_id", "kind", "landscape_fingerprint", "timestamp", "payload"})
-        record_id = _str(raw, "id", path)
-        if record_id in seen:
-            raise SchemaError(f"{path}.id", "unique record id", record_id)
-        seen.add(record_id)
-        vr_id = _str(raw, "vr_id", path)
-        if not vr_id:
-            raise SchemaError(f"{path}.vr_id", "non-empty string", vr_id)
-        kind = _str(raw, "kind", path)
-        records.append(
-            EvidenceRecord(
-                id=record_id,
-                vr_id=vr_id,
-                landscape_fingerprint=_str(raw, "landscape_fingerprint", path),
-                timestamp=parse_timestamp(_str(raw, "timestamp", path)),
-                payload=_evidence_payload(kind, raw["payload"], f"{path}.payload"),
-            )
-        )
-    return EvidenceBundle(records=tuple(records), source=_str(root, "source", "$"))
+        if record.id in seen:
+            raise SchemaError(f"{path}.id", "unique record id", record.id)
+        seen.add(record.id)
+        if not record.vr_id:
+            raise SchemaError(f"{path}.vr_id", "non-empty string", record.vr_id)
+        payload = record.payload
+        if isinstance(payload, MetricResult) and not math.isfinite(payload.value):
+            raise SchemaError(f"{path}.payload.value", "finite number", payload.value)
+        if isinstance(payload, ReviewLog):
+            total, reviewed = payload.total_items, payload.reviewed_items
+            if total < 0 or reviewed < 0:
+                raise SchemaError(f"{path}.payload.total_items", "non-negative counts", (total, reviewed))
+            if reviewed > total:
+                raise SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
+    return bundle
 
 
 def serialize_evidence(bundle: EvidenceBundle) -> bytes:
-    node = {
-        "source": bundle.source,
-        "records": [
-            {
-                "id": r.id,
-                "vr_id": r.vr_id,
-                "kind": r.kind,
-                "landscape_fingerprint": r.landscape_fingerprint,
-                "timestamp": format_timestamp(r.timestamp),
-                "payload": to_node(r.payload),
-            }
-            for r in bundle.records
-        ],
-    }
-    return _dump_canonical(node)
+    return _dump_canonical(to_node(bundle))
 
 
 # --- grid and CSV readers ------------------------------------------------------

@@ -30,9 +30,11 @@ import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
+from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, cached_property
 from operator import attrgetter
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
@@ -192,16 +194,6 @@ VrPayload = (
     | QualitativeApproval
 )
 
-_PAYLOAD_KINDS: dict[type, VrKind] = {
-    MetricThreshold: VrKind.METRIC_THRESHOLD,
-    MetricGap: VrKind.METRIC_GAP,
-    PerCondition: VrKind.PER_CONDITION,
-    ReviewFraction: VrKind.REVIEW_FRACTION,
-    FlagResolution: VrKind.FLAG_RESOLUTION,
-    QualitativeApproval: VrKind.QUALITATIVE_APPROVAL,
-}
-
-
 @dataclass(frozen=True, slots=True)
 class VerifiableRequirement:
     """A requirement stated so that evidence yields a pass/fail verdict."""
@@ -217,7 +209,7 @@ class VerifiableRequirement:
 
     @property
     def kind(self) -> VrKind:
-        return _PAYLOAD_KINDS[type(self.payload)]
+        return VrKind(type(self.payload).__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -339,6 +331,8 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
         metric(p.metric_id)
         dataset(p.dataset_id_a)
         dataset(p.dataset_id_b)
+        if p.dataset_id_a == p.dataset_id_b:
+            raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
         finite(p.epsilon, "epsilon")
         if p.epsilon < 0:
             raise InvalidPayload(vr.id, f"epsilon must be >= 0, got {p.epsilon!r}")
@@ -381,7 +375,7 @@ def build_landscape(
     goals: tuple[Goal, ...] | list[Goal] = (),
     vrs: tuple[VerifiableRequirement, ...] | list[VerifiableRequirement] = (),
     mitigation_measures: tuple[MitigationMeasure, ...] | list[MitigationMeasure] = (),
-    datasets: dict[str, DatasetDescriptor] | None = None,
+    datasets: dict[str, DatasetDescriptor] | tuple[tuple[str, DatasetDescriptor], ...] | None = None,
 ) -> Landscape:
     """Assemble and validate a landscape from already-typed elements.
 
@@ -402,7 +396,7 @@ def build_landscape(
         goals=tuple(sorted(goals, key=lambda g: g.id)),
         vrs=tuple(sorted(vrs, key=lambda v: v.id)),
         mitigation_measures=tuple(sorted(mitigation_measures, key=lambda m: m.id)),
-        datasets=tuple(sorted((datasets or {}).items())),
+        datasets=tuple(sorted(dict(datasets or ()).items())),
     )
 
     for collection in _COLLECTIONS:
@@ -506,37 +500,66 @@ def rows(landscape: Landscape) -> list[LandscapeRow]:
 # holds the matching reader.
 
 
+def format_timestamp(value: datetime) -> str:
+    return value.astimezone(timezone.utc).isoformat()
+
+
+def _union_classes(annotation) -> tuple[type, ...]:
+    """The members of an annotation that is a union of dataclasses, else ``()``."""
+    members = get_args(annotation) if isinstance(annotation, UnionType) else ()
+    return members if members and all(is_dataclass(member) for member in members) else ()
+
+
+#: ``type(value).__name__``, the ``kind`` written next to a union-typed field.
+_class_name = attrgetter("__class__.__name__")
+
+
 def _writer(annotation) -> Callable | None:
     """Converter from a field value to its JSON value; ``None`` keeps it as is."""
     if annotation is float:
         return float
+    if annotation is datetime:
+        return format_timestamp
     if isinstance(annotation, type) and issubclass(annotation, Enum):
         return attrgetter("value")
     if get_origin(annotation) is tuple:
-        item = _writer(get_args(annotation)[0])
+        item = get_args(annotation)[0]
+        if get_origin(item) is tuple:  # (id, element) pairs: an object keyed by id
+            return lambda pairs: {key: to_node(element) for key, element in pairs}
+        item = _writer(item)
         return list if item is None else lambda values: [item(value) for value in values]
-    if is_dataclass(annotation):
+    if is_dataclass(annotation) or _union_classes(annotation):
         return to_node
     return None
 
 
 @cache
-def _field_writers(cls: type) -> tuple[tuple[str, Callable | None], ...]:
+def _field_writers(cls: type) -> tuple[tuple[str, str, Callable | None], ...]:
+    """``(key, field name, converter)`` for each JSON key of ``cls``."""
     hints = get_type_hints(cls)
-    return tuple((f.name, _writer(hints[f.name])) for f in fields(cls))
+    writers = []
+    for f in fields(cls):
+        if _union_classes(hints[f.name]):
+            writers.append(("kind", f.name, _class_name))
+        writers.append((f.name, f.name, _writer(hints[f.name])))
+    return tuple(writers)
 
 
 def to_node(obj) -> dict:
     """The JSON object of a domain dataclass: one key per field.
 
     Enums are written as their value, tuples as lists, nested dataclasses
-    as objects, and fields declared ``float`` through ``float()``, so a
-    threshold of ``1`` and one of ``1.0`` give the same bytes.
+    as objects, datetimes as ISO-8601 in UTC, and fields declared
+    ``float`` through ``float()``, so a threshold of ``1`` and one of
+    ``1.0`` give the same bytes.  A field typed as a union of dataclasses
+    gets a sibling ``kind`` key naming its class, and a tuple of
+    ``(id, element)`` pairs is written as an object keyed by id.
     """
-    return {
-        name: getattr(obj, name) if write is None else write(getattr(obj, name))
-        for name, write in _field_writers(type(obj))
-    }
+    node = {}
+    # A loop, not a comprehension: one call fewer per object.
+    for key, name, write in _field_writers(type(obj)):
+        node[key] = getattr(obj, name) if write is None else write(getattr(obj, name))
+    return node
 
 
 def fingerprint(landscape: Landscape) -> str:
@@ -548,7 +571,7 @@ def fingerprint(landscape: Landscape) -> str:
     previously collected evidence as stale.
     """
     content = [
-        {"id": vr.id, "kind": vr.kind.value, "payload": to_node(vr.payload)}
+        {"id": vr.id, "kind": _class_name(vr.payload), "payload": to_node(vr.payload)}
         for vr in sorted(landscape.vrs, key=lambda v: v.id)
     ]
     digest = hashlib.sha256(

@@ -247,7 +247,10 @@ def random_landscape(rng: random.Random, *, delete_links: bool = False) -> Lands
                         "miou", rng.choice(dataset_names), rng.choice(list(Comparator)), rng.uniform(0, 1)
                     )
                 elif kind == "gap":
-                    payload = MetricGap("miou", rng.choice(dataset_names), rng.choice(dataset_names), rng.uniform(0, 0.3))
+                    first, second = rng.choice(dataset_names), rng.choice(dataset_names)
+                    if second == first:  # a gap needs two different datasets
+                        second = dataset_names[(dataset_names.index(first) + 1) % len(dataset_names)]
+                    payload = MetricGap("miou", first, second, rng.uniform(0, 0.3))
                 elif kind == "per_condition":
                     payload = PerCondition(
                         "miou",

@@ -149,6 +149,9 @@ VR_CASES = [
     ("gap-precomputed", MetricGap("nap_distance", "ds-a", "ds-b", 0.1),
      [(MetricResult("nap_distance", ("ds-a", "ds-b"), 0.04, "gap"), False, 0)],
      Status.SATISFIED, "0.04"),
+    ("gap-precomputed-either-order", MetricGap("nap_distance", "ds-a", "ds-b", 0.1),
+     [(MetricResult("nap_distance", ("ds-b", "ds-a"), 0.04, "gap"), False, 0)],
+     Status.SATISFIED, "0.04"),
     ("gap-precomputed-with-notes", MetricGap("nap_distance", "ds-a", "ds-b", 0.1),
      [(MetricResult("nap_distance", ("ds-a", "ds-b"), 0.04, "gap; warning: 2 samples"), False, 0)],
      Status.SATISFIED, "0.04"),
@@ -164,6 +167,8 @@ VR_CASES = [
     ("gap-stale-record-with-one-side", MetricGap("miou", "ds-a", "ds-b", 0.05),
      [(MetricResult("miou", ("ds-a", "ds-b"), 0.02, "gap"), True, 0),
       (MetricResult("miou", ("ds-a",), 0.86), False, 1)], Status.ERROR, "stale"),
+    ("gap-record-binds-exactly-the-pair", MetricGap("miou", "ds-a", "ds-b", 0.05),
+     [(MetricResult("miou", ("ds-a", "ds-b", "ds-c"), 0.01, "gap"), False, 0)], Status.ERROR, "unusable"),
     # PerCondition (includes the worked VR3.2 example)
     ("conditions-satisfied",
      PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),

@@ -296,6 +296,52 @@ def test_metric_clm_writes_flag_log(fixture_paths, tmp_path, capsys):
     assert bundle.records[1].payload.entries == ()
 
 
+def _metric_argv(command, landscape_path, out_path, **overrides):
+    """``laisc metric <command>`` on the fixture with declared ids, except
+    for ``overrides`` (flag name with ``_`` for ``-``)."""
+    flags = {
+        "gap": {
+            "a": "0.86", "b": "0.88", "metric": "miou", "dataset_a": "d-real", "dataset_b": "d-synth", "vr": "VR2.1"
+        },
+        "clm": {"threshold": "0.5", "dataset": "d-train", "vr": "VR1.3"},
+    }[command]
+    flags.update(landscape=str(landscape_path), out=str(out_path), **overrides)
+    argv = ["metric", command]
+    for name, value in flags.items():
+        argv += [f"--{name.replace('_', '-')}", value]
+    return argv
+
+
+@pytest.mark.parametrize(
+    "command,override",
+    [
+        ("gap", {"vr": "VR-nope"}),
+        ("gap", {"dataset_a": "d-nowhere"}),
+        ("gap", {"dataset_b": "d-nowhere"}),
+        ("clm", {"vr": "VR-nope"}),
+        ("clm", {"dataset": "d-nowhere"}),
+    ],
+    ids=["gap-vr", "gap-dataset-a", "gap-dataset-b", "clm-vr", "clm-dataset"],
+)
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-bundle", "no-bundle"])
+def test_metric_with_undeclared_id_exits_three_and_appends_nothing(
+    command, override, existing, fixture_paths, tmp_path, capsys
+):
+    landscape_path, evidence_path = fixture_paths
+    probs_path = tmp_path / "train.probs.csv"
+    probs_path.write_text("instance_id,label,p_0,p_1\nimg-1,0,0.9,0.1\nimg-2,0,0.3,0.7\n")
+    out_path = evidence_path if existing else tmp_path / "new.evidence.json"
+    before = evidence_path.read_bytes()
+    inputs = {"probs": str(probs_path)} if command == "clm" else {}
+    assert main(_metric_argv(command, landscape_path, out_path, **inputs, **override)) == 3
+    captured = capsys.readouterr()
+    (bad,) = override.values()
+    assert bad in captured.err
+    assert captured.out == ""
+    assert evidence_path.read_bytes() == before
+    assert out_path.exists() is existing
+
+
 # --- perturb / augment-labels -----------------------------------------------------------
 
 

@@ -122,11 +122,8 @@ def test_wrong_kind_evidence_is_error():
 
 @pytest.mark.parametrize(
     "payload",
-    [
-        PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("rain", "ds-a", 0.7))),
-        MetricGap("miou", "ds-a", "ds-a", 0.05),
-    ],
-    ids=["conditions", "gap"],
+    [PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("rain", "ds-a", 0.7)))],
+    ids=["conditions"],
 )
 @pytest.mark.parametrize("stale", [False, True])
 def test_record_filling_two_slots_is_listed_once(payload, stale):

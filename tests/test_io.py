@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,15 @@ from laisc.io import (
     write_grid,
     write_prob_table,
 )
-from laisc.model import Comparator, MetricGap, MetricThreshold, ReviewFraction, fingerprint
+from laisc.model import (
+    Comparator,
+    Landscape,
+    MetricGap,
+    MetricThreshold,
+    ReviewFraction,
+    build_landscape,
+    fingerprint,
+)
 from laisc.report import serialize_report
 
 FIXTURE_TEXT = fixtures.fixture_path().read_bytes()
@@ -63,6 +72,33 @@ def test_unknown_comparator_rejected():
     vr["payload"]["comparator"] = "EQ"
     with pytest.raises(SchemaError, match="GE"):
         parse_landscape(json.dumps(node))
+
+
+@pytest.mark.parametrize(
+    "parse,text,collection",
+    [(parse_landscape, FIXTURE_TEXT, "vrs"), (parse_evidence, EVIDENCE_TEXT, "records")],
+    ids=["vr", "evidence"],
+)
+def test_unknown_kind_rejected_at_its_key(parse, text, collection):
+    node = json.loads(text)
+    node[collection][2]["kind"] = "Hunch"
+    with pytest.raises(SchemaError) as excinfo:
+        parse(json.dumps(node))
+    assert excinfo.value.path == f"$.{collection}[2].kind"
+    assert excinfo.value.got == "Hunch"
+    assert node[collection][0]["kind"] in excinfo.value.expected
+
+
+def test_serialized_landscape_ignores_construction_order():
+    rng = random.Random(2028)
+    for _ in range(25):
+        landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
+        parts = {f.name: getattr(landscape, f.name) for f in fields(Landscape)}
+        for name, value in parts.items():
+            if isinstance(value, tuple):
+                parts[name] = rng.sample(value, len(value))
+        parts["datasets"] = dict(parts["datasets"])
+        assert serialize_landscape(build_landscape(**parts)) == serialize_landscape(landscape)
 
 
 def test_truncated_file_reports_offset():

@@ -121,6 +121,7 @@ def test_irrelevant_concern_requires_rationale():
         MetricThreshold("not-a-metric", "ds-a", Comparator.GE, 0.5),
         PerCondition("miou", ()),
         PerCondition("miou", (Condition("c", "ds-a", 0.1), Condition("c", "ds-b", 0.2))),
+        MetricGap("miou", "ds-a", "ds-a", 0.05),
     ],
 )
 def test_invalid_payloads_rejected(payload):
