@@ -5,7 +5,9 @@ Formats (all UTF-8, LF line endings):
 * ``*.laisc.json``    -- landscape definition
 * ``*.evidence.json`` -- evidence bundle
 * ``*.grid``          -- plain-text integer grid: an ``H W`` header line,
-  then H rows of W space-separated integers
+  then H rows of W space-separated integers; it reads into a
+  ``LabeledGrid``, which stores row-major ``bytes`` (``.values`` is a
+  derived copy)
 * ``*.probs.csv``     -- per-instance class probabilities, header
   ``instance_id,label,p_0..p_{K-1}``
 * ``*.acts.csv``      -- per-sample neuron activations, header
@@ -162,32 +164,62 @@ class EvidenceBundle:
 # --- numeric carriers --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LabeledGrid:
-    """A small integer raster: a camera image (0..255) or a binary mask."""
+    """A small integer raster: a camera image (0..255) or a binary mask.
+
+    The cells are stored as one row-major ``bytes`` of length
+    ``height * width``, so every cell is in 0..255 by construction.
+    ``LabeledGrid(height, width, values)`` checks a tuple of rows cell by
+    cell; ``from_bytes`` wraps a buffer after checking its shape only.
+    ``==`` and ``hash`` compare the shape and the cells.
+    """
 
     height: int
     width: int
-    values: tuple[tuple[int, ...], ...]
+    cells: bytes
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(tuple(row) for row in self.values))
-        if self.height < 1 or self.width < 1:
-            raise DimensionMismatch(f"grid must be at least 1x1, got {self.height}x{self.width}")
-        if len(self.values) != self.height:
-            raise DimensionMismatch(f"expected {self.height} rows, got {len(self.values)}")
-        for r, row in enumerate(self.values):
-            if len(row) != self.width:
-                raise DimensionMismatch(f"row {r}: expected {self.width} values, got {len(row)}")
+    def __init__(self, height: int, width: int, values: tuple[tuple[int, ...], ...]) -> None:
+        values = tuple(tuple(row) for row in values)
+        if height < 1 or width < 1:
+            raise DimensionMismatch(f"grid must be at least 1x1, got {height}x{width}")
+        if len(values) != height:
+            raise DimensionMismatch(f"expected {height} rows, got {len(values)}")
+        for r, row in enumerate(values):
+            if len(row) != width:
+                raise DimensionMismatch(f"row {r}: expected {width} values, got {len(row)}")
             for value in row:
                 if not isinstance(value, int) or isinstance(value, bool):
                     raise ValueOutOfRange(f"row {r}: non-integer cell {value!r}")
                 if not 0 <= value <= 255:
                     raise ValueOutOfRange(f"row {r}: cell value {value} outside [0, 255]")
+        self._set(height, width, b"".join(map(bytes, values)))
+
+    def _set(self, height: int, width: int, cells: bytes) -> None:
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "cells", cells)
+
+    @classmethod
+    def from_bytes(cls, height: int, width: int, cells: bytes) -> LabeledGrid:
+        """Wrap ``height * width`` row-major cells without checking each one."""
+        if height < 1 or width < 1:
+            raise DimensionMismatch(f"grid must be at least 1x1, got {height}x{width}")
+        if len(cells) != height * width:
+            raise DimensionMismatch(f"expected {height * width} cells, got {len(cells)}")
+        grid = object.__new__(cls)
+        grid._set(height, width, bytes(cells))
+        return grid
+
+    @property
+    def values(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples of ints, a fresh copy on each access."""
+        cells, width = self.cells, self.width
+        return tuple(tuple(cells[start : start + width]) for start in range(0, len(cells), width))
 
     @property
     def is_binary(self) -> bool:
-        return all(value in (0, 1) for row in self.values for value in row)
+        return not self.cells.translate(None, b"\x00\x01")
 
 
 @dataclass(frozen=True, slots=True)
@@ -471,7 +503,19 @@ def serialize_evidence(bundle: EvidenceBundle) -> bytes:
 # --- grid and CSV readers ------------------------------------------------------
 
 
+#: The canonical spelling of each cell value, and its inverse.
+_CELL_TEXT = tuple(map(str, range(256)))
+_CELL_VALUE = dict(zip(_CELL_TEXT, range(256)))
+
+
 def read_grid(data: bytes | str) -> LabeledGrid:
+    """Read a ``*.grid`` file.
+
+    Canonical cells (``0``..``255``, as ``write_grid`` spells them) go
+    through one table lookup each.  Any other spelling that ``int()``
+    accepts (``007``, ``+1``, ``1_0``) is read as ``int()`` reads it and
+    then checked cell by cell, and so is a grid with a ragged row.
+    """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
@@ -485,20 +529,30 @@ def read_grid(data: bytes | str) -> LabeledGrid:
         raise InputSyntaxError(f"grid header must be two integers, got {lines[0]!r}") from None
     if len(lines) - 1 != height:
         raise DimensionMismatch(f"expected {height} data rows, got {len(lines) - 1}")
-    rows = []
-    for r, line in enumerate(lines[1:]):
-        cells = line.split()
+    rows = [line.split() for line in lines[1:]]
+    # Every line holds at least one token, so equal row lengths also mean
+    # height >= 1 and width >= 1.
+    if rows and all(len(row) == width for row in rows):
         try:
-            row = tuple(int(cell) for cell in cells)
+            cells = b"".join([bytes(map(_CELL_VALUE.__getitem__, row)) for row in rows])
+        except KeyError:
+            pass
+        else:
+            return LabeledGrid.from_bytes(height, width, cells)
+    values = []
+    for r, (line, row) in enumerate(zip(lines[1:], rows)):
+        try:
+            values.append(tuple(map(int, row)))
         except ValueError:
             raise ValueOutOfRange(f"row {r}: non-integer cell in {line!r}") from None
-        rows.append(row)
-    return LabeledGrid(height=height, width=width, values=tuple(rows))
+    return LabeledGrid(height, width, values)
 
 
 def write_grid(grid: LabeledGrid) -> bytes:
-    lines = [f"{grid.height} {grid.width}"]
-    lines.extend(" ".join(str(value) for value in row) for row in grid.values)
+    cells, width, spell = grid.cells, grid.width, _CELL_TEXT
+    lines = [f"{grid.height} {width}"]
+    for start in range(0, len(cells), width):
+        lines.append(" ".join([spell[value] for value in cells[start : start + width]]))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 

@@ -17,13 +17,19 @@ so the same seed reproduces the same bytes in any implementation:
   in order z0, z1.
 
 Values are consumed in row-major pixel order.
+
+The grid kernels work on ``LabeledGrid.cells``, the row-major bytes,
+never on the derived ``.values``: IoU counts the set bits of the cells
+read as one integer, dilation, erosion and translation shift that integer
+by whole cells, flip, rot90 and occlusion slice the buffer, and
+brightness and contrast translate it through a 256-entry table.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from laisc.errors import (
     DimensionMismatch,
@@ -78,17 +84,13 @@ def iou(pred: LabeledGrid, truth: LabeledGrid) -> float:
         )
     _require_mask(pred, "pred")
     _require_mask(truth, "truth")
-    intersection = 0
-    union = 0
-    for pred_row, truth_row in zip(pred.values, truth.values):
-        for a, b in zip(pred_row, truth_row):
-            if a and b:
-                intersection += 1
-            if a or b:
-                union += 1
+    # Each cell is one byte holding 0 or 1, so counting set bits counts cells.
+    a = int.from_bytes(pred.cells, "big")
+    b = int.from_bytes(truth.cells, "big")
+    union = (a | b).bit_count()
     if union == 0:
         return 1.0
-    return intersection / union
+    return (a & b).bit_count() / union
 
 
 def miou(
@@ -341,36 +343,33 @@ class Rotate90:
 PerturbationSpec = BrightnessShift | ContrastScale | GaussianNoise | OcclusionPatch | HorizontalFlip | Rotate90
 
 
-def _clamp_byte(value: int) -> int:
-    return 0 if value < 0 else 255 if value > 255 else value
+def _check_int_fields(spec) -> None:
+    """Reject a value that is not an ``int``, or is a ``bool``, in any
+    field the spec dataclass declares ``int``."""
+    for field in fields(spec):
+        value = getattr(spec, field.name)
+        # Annotations are strings in this module (``from __future__ import annotations``).
+        if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+            raise InvalidParameter(f"{type(spec).__name__}.{field.name} must be an integer, got {value!r}")
 
 
-def _round_half_away(value: float) -> int:
-    # round() is banker's rounding; evidence needs the documented rule.
-    if value >= 0:
-        return math.floor(value + 0.5)
-    return -math.floor(-value + 0.5)
-
-
-def _map_image(image: LabeledGrid, fn) -> LabeledGrid:
-    return LabeledGrid(
-        height=image.height,
-        width=image.width,
-        values=tuple(tuple(fn(value) for value in row) for row in image.values),
-    )
+def _to_byte(value: float) -> int:
+    # round() is banker's rounding; evidence needs half away from zero,
+    # which is floor(x + 0.5) once x is clamped to [0, 255].
+    return math.floor(min(255.0, max(0.0, value)) + 0.5)
 
 
 def _flip_horizontal(grid: LabeledGrid) -> LabeledGrid:
-    return LabeledGrid(grid.height, grid.width, tuple(tuple(reversed(row)) for row in grid.values))
+    cells, width = grid.cells, grid.width
+    rows = [cells[start : start + width][::-1] for start in range(0, len(cells), width)]
+    return LabeledGrid.from_bytes(grid.height, width, b"".join(rows))
 
 
 def _rotate90_once(grid: LabeledGrid) -> LabeledGrid:
-    # Counterclockwise: new[r][c] = old[c][W-1-r]
-    values = tuple(
-        tuple(grid.values[c][grid.width - 1 - r] for c in range(grid.height))
-        for r in range(grid.width)
-    )
-    return LabeledGrid(grid.width, grid.height, values)
+    # Counterclockwise: new row r is old column W-1-r, read top to bottom.
+    cells, width = grid.cells, grid.width
+    columns = [cells[c::width] for c in range(width - 1, -1, -1)]
+    return LabeledGrid.from_bytes(width, grid.height, b"".join(columns))
 
 
 def perturb(
@@ -381,38 +380,36 @@ def perturb(
     Geometric kinds (flip, rot90) move image and mask alike; photometric
     kinds touch only the image.  Pixel arithmetic clamps to [0, 255] and
     rounds half away from zero.  The contrast transform scales pixel
-    distance from the image mean.
+    distance from the image mean.  Brightness and contrast map each pixel
+    through one 256-entry table (the mean is fixed first); flip, rot90 and
+    occlusion slice the cell buffer.
     """
     if (image.height, image.width) != (mask.height, mask.width):
         raise DimensionMismatch(
             f"image {image.height}x{image.width} vs mask {mask.height}x{mask.width}"
         )
     _require_mask(mask, "mask")
+    if not isinstance(spec, PerturbationSpec):
+        raise InvalidParameter(f"unknown perturbation {type(spec).__name__}")
+    _check_int_fields(spec)
 
     if isinstance(spec, BrightnessShift):
-        if not isinstance(spec.delta, int) or isinstance(spec.delta, bool):
-            raise InvalidParameter(f"brightness delta must be an integer, got {spec.delta!r}")
-        return _map_image(image, lambda p: _clamp_byte(p + spec.delta)), mask
+        table = bytes(min(255, max(0, p + spec.delta)) for p in range(256))
+        return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask
 
     if isinstance(spec, ContrastScale):
         if not math.isfinite(spec.factor) or spec.factor <= 0:
             raise InvalidParameter(f"contrast factor must be > 0, got {spec.factor!r}")
-        pixel_count = image.height * image.width
-        mean = sum(value for row in image.values for value in row) / pixel_count
-        return (
-            _map_image(image, lambda p: _clamp_byte(_round_half_away(mean + spec.factor * (p - mean)))),
-            mask,
-        )
+        mean = sum(image.cells) / len(image.cells)
+        table = bytes(_to_byte(mean + spec.factor * (p - mean)) for p in range(256))
+        return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask
 
     if isinstance(spec, GaussianNoise):
         if not math.isfinite(spec.sigma) or spec.sigma < 0:
             raise InvalidParameter(f"noise sigma must be >= 0, got {spec.sigma!r}")
-        stream = _GaussianStream(spec.seed, spec.sigma)
-        values = tuple(
-            tuple(_clamp_byte(_round_half_away(value + stream.next())) for value in row)
-            for row in image.values
-        )
-        return LabeledGrid(image.height, image.width, values), mask
+        noise = _GaussianStream(spec.seed, spec.sigma).next
+        cells = bytes([_to_byte(value + noise()) for value in image.cells])
+        return LabeledGrid.from_bytes(image.height, image.width, cells), mask
 
     if isinstance(spec, OcclusionPatch):
         if spec.w < 1 or spec.h < 1:
@@ -422,28 +419,23 @@ def perturb(
                 f"patch x={spec.x} y={spec.y} w={spec.w} h={spec.h} "
                 f"exceeds {image.width}x{image.height} image"
             )
-        values = tuple(
-            tuple(
-                0 if spec.y <= r < spec.y + spec.h and spec.x <= c < spec.x + spec.w else value
-                for c, value in enumerate(row)
-            )
-            for r, row in enumerate(image.values)
-        )
-        return LabeledGrid(image.height, image.width, values), mask
+        cells = bytearray(image.cells)
+        for r in range(spec.y, spec.y + spec.h):
+            start = r * image.width + spec.x
+            cells[start : start + spec.w] = bytes(spec.w)
+        return LabeledGrid.from_bytes(image.height, image.width, cells), mask
 
     if isinstance(spec, HorizontalFlip):
         return _flip_horizontal(image), _flip_horizontal(mask)
 
-    if isinstance(spec, Rotate90):
-        if spec.k not in (1, 2, 3):
-            raise InvalidParameter(f"rotation count must be 1, 2, or 3, got {spec.k!r}")
-        new_image, new_mask = image, mask
-        for _ in range(spec.k):
-            new_image = _rotate90_once(new_image)
-            new_mask = _rotate90_once(new_mask)
-        return new_image, new_mask
-
-    raise InvalidParameter(f"unknown perturbation {type(spec).__name__}")
+    # Rotate90, the one kind left.
+    if spec.k not in (1, 2, 3):
+        raise InvalidParameter(f"rotation count must be 1, 2, or 3, got {spec.k!r}")
+    new_image, new_mask = image, mask
+    for _ in range(spec.k):
+        new_image = _rotate90_once(new_image)
+        new_mask = _rotate90_once(new_mask)
+    return new_image, new_mask
 
 
 # --- label augmentations --------------------------------------------------------------
@@ -474,57 +466,68 @@ class MaskTranslate:
 LabelAugmentationSpec = RandomPixelFlip | MaskDilate | MaskErode | MaskTranslate
 
 
+def _shifted(bits: int, height: int, width: int, dx: int, dy: int) -> int:
+    """The grid ``bits`` moved ``dx`` columns right and ``dy`` rows down;
+    cells moved in from outside the grid are 0.
+
+    ``bits`` holds a grid's cells as one big-endian integer, so a move by
+    one cell is a shift by 8 bits.  The mask clears the cells that a shift
+    wraps in from the neighbouring row, and what a left shift pushes past
+    the first cell.
+    """
+    kept = width - abs(dx)
+    if kept <= 0 or abs(dy) >= height:
+        return 0
+    row = b"\x00" * dx + b"\xff" * kept if dx >= 0 else b"\xff" * kept + b"\x00" * -dx
+    offset = 8 * (dy * width + dx)
+    moved = bits >> offset if offset >= 0 else bits << -offset
+    return moved & int.from_bytes(row * height, "big")
+
+
 def _morph(mask: LabeledGrid, radius: int, combine) -> LabeledGrid:
     # Square structuring element of side 2*radius+1; outside cells are 0.
-    def window(r: int, c: int):
-        for dr in range(-radius, radius + 1):
-            for dc in range(-radius, radius + 1):
-                rr, cc = r + dr, c + dc
-                if 0 <= rr < mask.height and 0 <= cc < mask.width:
-                    yield mask.values[rr][cc]
-                else:
-                    yield 0
-
-    values = tuple(
-        tuple(combine(window(r, c)) for c in range(mask.width)) for r in range(mask.height)
-    )
-    return LabeledGrid(mask.height, mask.width, values)
+    # The square is a row window then a column window; a move by a whole
+    # side already brings in only zeros, so longer moves are skipped.
+    height, width = mask.height, mask.width
+    bits = int.from_bytes(mask.cells, "big")
+    for unit_x, unit_y, side in ((1, 0, width), (0, 1, height)):
+        window = bits
+        for d in range(1, min(radius, side) + 1):
+            for step in (d, -d):
+                window = combine(window, _shifted(bits, height, width, step * unit_x, step * unit_y))
+        bits = window
+    return LabeledGrid.from_bytes(height, width, bits.to_bytes(height * width, "big"))
 
 
 def augment_labels(mask: LabeledGrid, spec: LabelAugmentationSpec) -> LabeledGrid:
-    """Introduce a controlled label defect into a binary mask."""
+    """Introduce a controlled label defect into a binary mask.
+
+    Dilation and erosion are a row pass then a column pass of shifted
+    copies of the mask, combined with OR or AND; translation is one such
+    shift.
+    """
     _require_mask(mask, "mask")
+    if not isinstance(spec, LabelAugmentationSpec):
+        raise InvalidParameter(f"unknown augmentation {type(spec).__name__}")
+    _check_int_fields(spec)
 
     if isinstance(spec, RandomPixelFlip):
         if not math.isfinite(spec.rate) or not 0.0 <= spec.rate <= 1.0:
             raise InvalidParameter(f"flip rate must be in [0, 1], got {spec.rate!r}")
-        stream = _SplitMix64(spec.seed)
-        values = tuple(
-            tuple(1 - value if stream.next_unit() <= spec.rate else value for value in row)
-            for row in mask.values
-        )
-        return LabeledGrid(mask.height, mask.width, values)
+        unit, rate = _SplitMix64(spec.seed).next_unit, spec.rate
+        cells = bytes([1 - value if unit() <= rate else value for value in mask.cells])
+        return LabeledGrid.from_bytes(mask.height, mask.width, cells)
 
     if isinstance(spec, MaskDilate):
         if spec.radius < 0:
             raise InvalidParameter(f"dilation radius must be >= 0, got {spec.radius!r}")
-        return _morph(mask, spec.radius, max)
+        return _morph(mask, spec.radius, int.__or__)
 
     if isinstance(spec, MaskErode):
         if spec.radius < 0:
             raise InvalidParameter(f"erosion radius must be >= 0, got {spec.radius!r}")
-        return _morph(mask, spec.radius, min)
+        return _morph(mask, spec.radius, int.__and__)
 
-    if isinstance(spec, MaskTranslate):
-        values = tuple(
-            tuple(
-                mask.values[r - spec.dy][c - spec.dx]
-                if 0 <= r - spec.dy < mask.height and 0 <= c - spec.dx < mask.width
-                else 0
-                for c in range(mask.width)
-            )
-            for r in range(mask.height)
-        )
-        return LabeledGrid(mask.height, mask.width, values)
-
-    raise InvalidParameter(f"unknown augmentation {type(spec).__name__}")
+    # MaskTranslate, the one kind left.
+    bits = _shifted(int.from_bytes(mask.cells, "big"), mask.height, mask.width, spec.dx, spec.dy)
+    return LabeledGrid.from_bytes(mask.height, mask.width, bits.to_bytes(mask.height * mask.width, "big"))

@@ -3,7 +3,9 @@
 The oracles here deliberately re-derive expected values through different
 code paths than the library (set arithmetic for mask overlap, literal
 re-enumeration for the confident joint, a fresh structural walk for
-coverage) so tests compare two independent computations.
+coverage, one cell at a time over ``LabeledGrid.values`` for morphology,
+geometry and pixel arithmetic) so tests compare two independent
+computations.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import math
 import random
 from datetime import datetime, timedelta, timezone
+from decimal import ROUND_HALF_UP, Decimal
 
 from laisc.evaluation import CoverageGap, GapKind
 from laisc.io import (
@@ -62,6 +65,85 @@ def brute_force_iou(pred: LabeledGrid, truth: LabeledGrid) -> float:
     if not union:
         return 1.0
     return len(ones_pred & ones_truth) / len(union)
+
+
+def morphology_oracle(mask: LabeledGrid, radius: int, *, erode: bool) -> tuple[tuple[int, ...], ...]:
+    """Square window of side 2*radius+1 around each cell, clipped to the
+    grid: dilation is 1 where any cell in it is 1; erosion is 1 where the
+    window lies wholly inside the grid and every cell in it is 1."""
+    rows = mask.values
+    out = []
+    for r in range(mask.height):
+        out_row = []
+        for c in range(mask.width):
+            window = [
+                rows[rr][cc]
+                for rr in range(max(0, r - radius), min(mask.height, r + radius + 1))
+                for cc in range(max(0, c - radius), min(mask.width, c + radius + 1))
+            ]
+            if erode:
+                inside = radius <= r < mask.height - radius and radius <= c < mask.width - radius
+                out_row.append(int(inside and all(window)))
+            else:
+                out_row.append(int(any(window)))
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _moved(rows, height: int, width: int, target) -> tuple[tuple[int, ...], ...]:
+    """Send each cell ``(r, c)`` of ``rows`` to ``target(r, c)`` in a
+    ``height x width`` grid of zeros; targets outside it are dropped."""
+    out = [[0] * width for _ in range(height)]
+    for r, row in enumerate(rows):
+        for c, value in enumerate(row):
+            rr, cc = target(r, c)
+            if 0 <= rr < height and 0 <= cc < width:
+                out[rr][cc] = value
+    return tuple(map(tuple, out))
+
+
+def rot90_oracle(grid: LabeledGrid, k: int) -> tuple[tuple[int, ...], ...]:
+    """``k`` counterclockwise quarter turns, one cell at a time."""
+    rows, height, width = grid.values, grid.height, grid.width
+    for _ in range(k):
+        rows = _moved(rows, width, height, lambda r, c, w=width: (w - 1 - c, r))
+        height, width = width, height
+    return rows
+
+
+def hflip_oracle(grid: LabeledGrid) -> tuple[tuple[int, ...], ...]:
+    return _moved(grid.values, grid.height, grid.width, lambda r, c: (r, grid.width - 1 - c))
+
+
+def translate_oracle(mask: LabeledGrid, dx: int, dy: int) -> tuple[tuple[int, ...], ...]:
+    return _moved(mask.values, mask.height, mask.width, lambda r, c: (r + dy, c + dx))
+
+
+def occlusion_oracle(image: LabeledGrid, x: int, y: int, w: int, h: int) -> tuple[tuple[int, ...], ...]:
+    patch = {(r, c) for r in range(y, y + h) for c in range(x, x + w)}
+    return tuple(
+        tuple(0 if (r, c) in patch else value for c, value in enumerate(row)) for r, row in enumerate(image.values)
+    )
+
+
+def _byte(value: int) -> int:
+    return min(255, max(0, value))
+
+
+def brightness_oracle(image: LabeledGrid, delta: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(_byte(value + delta) for value in row) for row in image.values)
+
+
+def contrast_oracle(image: LabeledGrid, factor: float) -> tuple[tuple[int, ...], ...]:
+    """Distance from the mean scaled by ``factor``, each pixel rounded half
+    away from zero (``Decimal`` ``ROUND_HALF_UP``) and clamped."""
+    cells = [value for row in image.values for value in row]
+    mean = math.fsum(cells) / len(cells)
+
+    def scaled(value: int) -> int:
+        return _byte(int(Decimal(mean + factor * (value - mean)).quantize(Decimal(1), rounding=ROUND_HALF_UP)))
+
+    return tuple(tuple(scaled(value) for value in row) for row in image.values)
 
 
 def brute_force_confident_joint(table: ProbabilityTable) -> list[list[int]]:

@@ -295,6 +295,34 @@ def test_grid_write_read_round_trip():
         values = tuple(tuple(rng.randint(0, 255) for _ in range(width)) for _ in range(height))
         grid = LabeledGrid(height, width, values)
         assert read_grid(write_grid(grid)) == grid
+        canonical = "\n".join([f"{height} {width}", *(" ".join(map(str, row)) for row in values)]) + "\n"
+        assert write_grid(grid) == canonical.encode("ascii")
+
+
+#: The exact message of each malformed grid; a case's exception type and
+#: message are part of the format's contract.
+GRID_ERRORS = {
+    "": "empty grid file",
+    "2\n1 0\n": "grid header must be 'H W', got '2'",
+    "x y\n": "grid header must be two integers, got 'x y'",
+    "2 2\n1 0\n": "expected 2 data rows, got 1",
+    "1 2\n1 zebra\n": "row 0: non-integer cell in '1 zebra'",
+    "1 2\n1 0 1\n": "row 0: expected 2 values, got 3",
+    "1 1\n300\n": "row 0: cell value 300 outside [0, 255]",
+    "1 1\n-3\n": "row 0: cell value -3 outside [0, 255]",
+    "0 0\n": "grid must be at least 1x1, got 0x0",
+    "2 0\n1\n1\n": "grid must be at least 1x1, got 2x0",
+    "-1 2\n": "expected -1 data rows, got 0",
+    "1 1\n256\n": "row 0: cell value 256 outside [0, 255]",
+    "1 1\n1.0\n": "row 0: non-integer cell in '1.0'",
+    # A non-integer anywhere is reported before a ragged or out-of-range row.
+    "2 2\n1 0 1\n0 x\n": "row 1: non-integer cell in '0 x'",
+    # Otherwise rows are checked in order, each for its length, then its cells.
+    "2 2\n1 0 1\n0 300\n": "row 0: expected 2 values, got 3",
+    "2 2\n1 300\n0 1 1\n": "row 0: cell value 300 outside [0, 255]",
+    # A form feed breaks the line, as in ``str.splitlines``.
+    "1 2\n1\x0c0\n": "expected 1 data rows, got 2",
+}
 
 
 @pytest.mark.parametrize(
@@ -308,11 +336,63 @@ def test_grid_write_read_round_trip():
         ("1 2\n1 0 1\n", DimensionMismatch),
         ("1 1\n300\n", ValueOutOfRange),
         ("1 1\n-3\n", ValueOutOfRange),
+        ("0 0\n", DimensionMismatch),
+        ("2 0\n1\n1\n", DimensionMismatch),
+        ("-1 2\n", DimensionMismatch),
+        ("1 1\n256\n", ValueOutOfRange),
+        ("1 1\n1.0\n", ValueOutOfRange),
+        ("2 2\n1 0 1\n0 x\n", ValueOutOfRange),
+        ("2 2\n1 0 1\n0 300\n", DimensionMismatch),
+        ("2 2\n1 300\n0 1 1\n", ValueOutOfRange),
+        ("1 2\n1\x0c0\n", DimensionMismatch),
     ],
 )
 def test_grid_rejects_malformed_input(text, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as caught:
         read_grid(text)
+    assert type(caught.value) is error
+    assert str(caught.value) == GRID_ERRORS[text]
+
+
+@pytest.mark.parametrize(
+    "text, rows",
+    [
+        ("1 3\n007 +1 1_0\n", ((7, 1, 10),)),
+        ("1 3\n-0 +0 0_0\n", ((0, 0, 0),)),
+        ("1 2\n\u0663 255\n", ((3, 255),)),  # int() reads any Unicode decimal digit
+        ("2 2\r\n1\t0 \r\n\r\n  0 1\t\r\n", ((1, 0), (0, 1))),
+        ("\n \n 2  1 \n\n3\n\t\n4   \n\n\n", ((3,), (4,))),
+        ("1 1\n5", ((5,),)),
+        ("+1 02\n9 9\n", ((9, 9),)),
+    ],
+)
+def test_grid_reads_lenient_spellings_and_whitespace(text, rows):
+    grid = read_grid(text)
+    assert (grid.height, grid.width) == (len(rows), len(rows[0]))
+    assert grid.values == rows
+    assert read_grid(text.encode("utf-8")) == grid
+
+
+@pytest.mark.parametrize(
+    "height, width, rows, error, message",
+    [
+        (1, 2, ((1, True),), ValueOutOfRange, "row 0: non-integer cell True"),
+        (1, 1, ((1.0,),), ValueOutOfRange, "row 0: non-integer cell 1.0"),
+        (1, 2, ((1, 300),), ValueOutOfRange, "row 0: cell value 300 outside [0, 255]"),
+        (1, 1, ((-1,),), ValueOutOfRange, "row 0: cell value -1 outside [0, 255]"),
+        (1, 2, ((1, 2, 3),), DimensionMismatch, "row 0: expected 2 values, got 3"),
+        (2, 1, ((1,),), DimensionMismatch, "expected 2 rows, got 1"),
+        (0, 1, (), DimensionMismatch, "grid must be at least 1x1, got 0x1"),
+        (2, 2, ((1, 300), (1,)), ValueOutOfRange, "row 0: cell value 300 outside [0, 255]"),
+        (2, 2, ((1,), (True, 0)), DimensionMismatch, "row 0: expected 2 values, got 1"),
+    ],
+    ids=["bool", "float", "above-255", "negative", "ragged", "row-count", "empty", "range-first", "length-first"],
+)
+def test_grid_constructor_rejects_bad_cells(height, width, rows, error, message):
+    with pytest.raises(error) as caught:
+        LabeledGrid(height, width, rows)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 # --- probability tables ----------------------------------------------------------------

@@ -6,12 +6,19 @@ import random
 import pytest
 
 from helpers import (
+    brightness_oracle,
     brute_force_confident_joint,
     brute_force_iou,
+    contrast_oracle,
+    hflip_oracle,
+    morphology_oracle,
+    occlusion_oracle,
     random_activation_table,
     random_image,
     random_mask,
     random_prob_table,
+    rot90_oracle,
+    translate_oracle,
 )
 from laisc.errors import (
     DimensionMismatch,
@@ -319,6 +326,12 @@ def test_contrast_identity_factor():
     assert out == image
 
 
+def test_contrast_factor_past_float_range_clamps():
+    # factor * (p - mean) overflows to +-inf; the pixel still clamps to [0, 255]
+    out, _ = perturb(grid([0, 255]), grid([0, 1]), ContrastScale(1e308))
+    assert out.values == ((0, 255),)
+
+
 def test_contrast_invalid_factor():
     with pytest.raises(InvalidParameter):
         perturb(grid([1]), grid([1]), ContrastScale(0.0))
@@ -386,6 +399,26 @@ def test_rotate_preserves_mask_pixel_count_and_binarity():
 def test_rotate_invalid_k():
     with pytest.raises(InvalidParameter):
         perturb(grid([1]), grid([1]), Rotate90(k=4))
+
+
+_NON_INTEGER_PERTURBATIONS = [
+    (Rotate90(k=1.0), "Rotate90.k must be an integer, got 1.0"),
+    (Rotate90(k=True), "Rotate90.k must be an integer, got True"),
+    (OcclusionPatch(x=0.5, y=0, w=2, h=1), "OcclusionPatch.x must be an integer, got 0.5"),
+    (OcclusionPatch(x=0, y=0, w=1, h=True), "OcclusionPatch.h must be an integer, got True"),
+    (BrightnessShift(delta=1.0), "BrightnessShift.delta must be an integer, got 1.0"),
+    (BrightnessShift(delta=False), "BrightnessShift.delta must be an integer, got False"),
+    (GaussianNoise(sigma=1.0, seed=1.5), "GaussianNoise.seed must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, message", _NON_INTEGER_PERTURBATIONS, ids=[repr(spec) for spec, _ in _NON_INTEGER_PERTURBATIONS]
+)
+def test_perturb_rejects_non_integer_int_fields(spec, message):
+    with pytest.raises(InvalidParameter) as caught:
+        perturb(grid([1, 2, 3], [4, 5, 6]), grid([1, 0, 0], [0, 1, 1]), spec)
+    assert str(caught.value) == message
 
 
 def test_perturb_dimension_mismatch():
@@ -478,8 +511,77 @@ def test_augment_shape_preserved():
             assert out.is_binary
 
 
+_NON_INTEGER_AUGMENTATIONS = [
+    (MaskDilate(radius=1.5), "MaskDilate.radius must be an integer, got 1.5"),
+    (MaskErode(radius=True), "MaskErode.radius must be an integer, got True"),
+    (MaskTranslate(dx=0.5, dy=0), "MaskTranslate.dx must be an integer, got 0.5"),
+    (MaskTranslate(dx=0, dy=False), "MaskTranslate.dy must be an integer, got False"),
+    (RandomPixelFlip(rate=0.1, seed=1.5), "RandomPixelFlip.seed must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, message", _NON_INTEGER_AUGMENTATIONS, ids=[repr(spec) for spec, _ in _NON_INTEGER_AUGMENTATIONS]
+)
+def test_augment_rejects_non_integer_int_fields(spec, message):
+    with pytest.raises(InvalidParameter) as caught:
+        augment_labels(MASK, spec)
+    assert str(caught.value) == message
+
+
 def test_augment_invalid_parameters():
     with pytest.raises(InvalidParameter):
         augment_labels(MASK, RandomPixelFlip(rate=1.5, seed=0))
     with pytest.raises(InvalidParameter):
         augment_labels(MASK, MaskDilate(radius=-1))
+
+
+# --- differential checks against per-pixel oracles ----------------------------------------------------
+
+#: Row and column vectors, squares and non-square grids.
+_SHAPES = ((1, 1), (1, 9), (9, 1), (2, 7), (6, 3), (5, 5), (8, 13))
+
+
+def _random_pair(rng, height, width):
+    mask = LabeledGrid(height, width, tuple(tuple(rng.randint(0, 1) for _ in range(width)) for _ in range(height)))
+    return random_image(rng, height, width), mask
+
+
+def test_label_augmentations_match_per_pixel_oracles():
+    rng = random.Random(53)
+    for height, width in _SHAPES * 3:
+        _, mask = _random_pair(rng, height, width)
+        side = max(height, width)
+        for radius in (0, 1, 2, 3, min(height, width), side, side + 4):
+            assert augment_labels(mask, MaskDilate(radius)).values == morphology_oracle(mask, radius, erode=False)
+            assert augment_labels(mask, MaskErode(radius)).values == morphology_oracle(mask, radius, erode=True)
+        shifts = [(0, 0), (1, 0), (0, -1), (-1, 2), (width, 0), (0, -height), (width + 3, height + 2), (-width - 1, 1)]
+        shifts += [(rng.randint(-width - 2, width + 2), rng.randint(-height - 2, height + 2)) for _ in range(6)]
+        for dx, dy in shifts:
+            assert augment_labels(mask, MaskTranslate(dx, dy)).values == translate_oracle(mask, dx, dy)
+
+
+def test_perturbations_match_per_pixel_oracles():
+    rng = random.Random(59)
+    for height, width in _SHAPES * 3:
+        image, mask = _random_pair(rng, height, width)
+        for k in (1, 2, 3):
+            new_image, new_mask = perturb(image, mask, Rotate90(k))
+            assert (new_image.height, new_image.width) == ((width, height) if k % 2 else (height, width))
+            assert (new_image.values, new_mask.values) == (rot90_oracle(image, k), rot90_oracle(mask, k))
+        new_image, new_mask = perturb(image, mask, HorizontalFlip())
+        assert (new_image.values, new_mask.values) == (hflip_oracle(image), hflip_oracle(mask))
+        for _ in range(4):
+            x, y = rng.randrange(width), rng.randrange(height)
+            w, h = rng.randint(1, width - x), rng.randint(1, height - y)
+            new_image, new_mask = perturb(image, mask, OcclusionPatch(x, y, w, h))
+            assert new_image.values == occlusion_oracle(image, x, y, w, h)
+            assert new_mask == mask
+        for delta in (-300, -255, -40, 0, 1, 40, 255, 300, rng.randint(-100, 100)):
+            new_image, new_mask = perturb(image, mask, BrightnessShift(delta))
+            assert new_image.values == brightness_oracle(image, delta)
+            assert new_mask == mask
+        for factor in (0.25, 0.5, 1.0, 1.5, 3.7, rng.uniform(0.01, 5.0)):
+            new_image, new_mask = perturb(image, mask, ContrastScale(factor))
+            assert new_image.values == contrast_oracle(image, factor)
+            assert new_mask == mask
