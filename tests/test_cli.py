@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import laisc
 from laisc import io, metrics
 from laisc.cli import main
 from laisc.io import write_grid, LabeledGrid
@@ -320,8 +325,14 @@ def _metric_argv(command, landscape_path, out_path, **overrides):
         ("gap", {"dataset_b": "d-nowhere"}),
         ("clm", {"vr": "VR-nope"}),
         ("clm", {"dataset": "d-nowhere"}),
+        ("gap", {"vr": "VR1.1.1"}),
+        ("gap", {"vr": "VR2.2"}),
+        ("clm", {"vr": "VR1.2.1"}),
     ],
-    ids=["gap-vr", "gap-dataset-a", "gap-dataset-b", "clm-vr", "clm-dataset"],
+    ids=[
+        "gap-vr", "gap-dataset-a", "gap-dataset-b", "clm-vr", "clm-dataset",
+        "gap-unbound-vr", "gap-other-metric-vr", "clm-metricless-vr",
+    ],
 )
 @pytest.mark.parametrize("existing", [True, False], ids=["existing-bundle", "no-bundle"])
 def test_metric_with_undeclared_id_exits_three_and_appends_nothing(
@@ -340,6 +351,53 @@ def test_metric_with_undeclared_id_exits_three_and_appends_nothing(
     assert captured.out == ""
     assert evidence_path.read_bytes() == before
     assert out_path.exists() is existing
+
+
+def test_metric_append_that_fails_to_replace_leaves_bundle_untouched(fixture_paths, monkeypatch, capsys):
+    landscape_path, evidence_path = fixture_paths
+    before = evidence_path.read_bytes()
+    listing = sorted(evidence_path.parent.iterdir())
+
+    def crash(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", crash)
+    assert main(_metric_argv("gap", landscape_path, evidence_path)) == 3
+    assert "disk gone" in capsys.readouterr().err
+    assert evidence_path.read_bytes() == before
+    assert sorted(evidence_path.parent.iterdir()) == listing
+
+
+_APPEND_MANY = """
+import sys
+from laisc.cli import main
+print("ready", flush=True)
+sys.stdin.readline()
+argv = sys.argv[1:]
+sys.exit(max(main(argv) for _ in range(20)))
+"""
+
+
+def test_concurrent_metric_appends_lose_no_record(fixture_paths, tmp_path):
+    landscape_path, _ = fixture_paths
+    out_path = tmp_path / "shared.evidence.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(laisc.__file__).parents[1])}
+    argv = [sys.executable, "-c", _APPEND_MANY, *_metric_argv("gap", landscape_path, out_path)]
+    workers = [
+        subprocess.Popen(argv, env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for _ in range(2)
+    ]
+    # Both workers have imported laisc before either appends.
+    assert [worker.stdout.readline() for worker in workers] == ["ready\n"] * 2
+    for worker in workers:
+        worker.stdin.write("go\n")
+        worker.stdin.flush()
+    for worker in workers:
+        worker.communicate(timeout=60)
+        assert worker.returncode == 0
+    ids = [record.id for record in io.parse_evidence(out_path.read_bytes()).records]
+    assert len(ids) == len(set(ids)) == 40
+    assert sorted(tmp_path.iterdir()) == sorted([*fixture_paths, out_path])
 
 
 # --- perturb / augment-labels -----------------------------------------------------------
