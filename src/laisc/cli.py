@@ -12,14 +12,17 @@ Exit codes:
 Set ``LAISC_NOW`` (ISO-8601, UTC) to pin the clock; evidence written by
 ``metric`` subcommands and report timestamps then become reproducible
 byte for byte.  Evidence files are append-only: ``metric`` subcommands
-add records, they never rewrite existing ones.
+add records, they never rewrite existing ones, and each append replaces
+the file atomically under a lock on its directory.
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
+import stat
 import sys
 import warnings
 from dataclasses import asdict, fields
@@ -29,7 +32,7 @@ from pathlib import Path
 from laisc import evaluation, io, metrics, report
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
-from laisc.model import KNOWN_METRIC_IDS, Landscape, fingerprint, rows
+from laisc.model import KNOWN_METRIC_IDS, Landscape, bound_datasets, fingerprint, rows
 
 
 class _UsageError(Exception):
@@ -109,37 +112,71 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- metric subcommands ---------------------------------------------------------
 
 
+def _replace(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` through a synced temp file in its
+    directory, so a crash leaves the old bytes or the new ones, never a
+    truncated file.  The caller holds the directory lock, so the temp
+    name only has to differ between processes.  An existing file keeps
+    its permission bits; a new one gets 0o666 less the umask, as from
+    ``open``."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "wb") as handle:
+            if path.exists():
+                os.fchmod(handle.fileno(), stat.S_IMODE(path.stat().st_mode))
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _append(args: argparse.Namespace, payloads) -> list[str]:
     """Append one ``--vr`` record per payload to the bundle at ``--out``
     (a missing file is an empty bundle) and return the new record ids.
 
-    Nothing is written unless ``--vr`` is a VR of ``--landscape`` and every
-    dataset flag names one of its datasets.
+    Nothing is written unless ``--vr`` is a VR of ``--landscape`` that
+    can read the records: it measures their metric and binds every
+    dataset flag.  An exclusive ``flock`` on the bundle's directory,
+    held from the read to the replace, keeps concurrent appends from
+    losing records.
     """
     landscape = _load_landscape(args.landscape)
-    if args.vr not in {vr.id for vr in landscape.vrs}:
-        raise _UsageError(f"--vr {args.vr!r} is not a VR of {args.landscape}")
+    try:
+        vr = landscape.vr(args.vr)
+    except KeyError:
+        raise _UsageError(f"--vr {args.vr!r} is not a VR of {args.landscape}") from None
+    for payload in payloads:
+        if isinstance(payload, MetricResult) and getattr(vr.payload, "metric_id", None) != payload.metric_id:
+            raise _UsageError(f"--vr {args.vr!r} is a {vr.kind.value} that reads no {payload.metric_id} record")
     for flag in ("dataset", "dataset_a", "dataset_b"):
         dataset_id = getattr(args, flag, None)
-        if dataset_id is not None and dataset_id not in landscape.dataset_ids():
+        if dataset_id is not None and dataset_id not in bound_datasets(vr.payload):
             flag = flag.replace("_", "-")
-            raise _UsageError(f"--{flag} {dataset_id!r} is not a dataset of {args.landscape}")
+            raise _UsageError(f"--{flag} {dataset_id!r} is not a dataset that --vr {args.vr!r} binds")
     current = fingerprint(landscape)
     path = Path(args.out)
-    bundle = EvidenceBundle(records=(), source="")
-    if path.exists():
-        bundle = io.parse_evidence(path.read_bytes())
-    stamp = _now()
-    records = list(bundle.records)
-    taken = {record.id for record in records}
-    for payload in payloads:
-        index = len(records)
-        while f"rec-{index:04d}" in taken:
-            index += 1
-        record_id = f"rec-{index:04d}"
-        taken.add(record_id)
-        records.append(EvidenceRecord(record_id, args.vr, current, stamp, payload))
-    path.write_bytes(io.serialize_evidence(EvidenceBundle(tuple(records), source=bundle.source)))
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        fcntl.flock(directory, fcntl.LOCK_EX)
+        bundle = EvidenceBundle(records=(), source="")
+        if path.exists():
+            bundle = io.parse_evidence(path.read_bytes())
+        stamp = _now()
+        records = list(bundle.records)
+        taken = {record.id for record in records}
+        for payload in payloads:
+            index = len(records)
+            while f"rec-{index:04d}" in taken:
+                index += 1
+            record_id = f"rec-{index:04d}"
+            taken.add(record_id)
+            records.append(EvidenceRecord(record_id, args.vr, current, stamp, payload))
+        _replace(path, io.serialize_evidence(EvidenceBundle(tuple(records), source=bundle.source)))
+    finally:
+        os.close(directory)  # releases the lock
     return [record.id for record in records[len(bundle.records):]]
 
 

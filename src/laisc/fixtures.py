@@ -3,52 +3,19 @@
 The landscape instantiates three concerns for a binary-segmentation track
 detector -- inaccurate data labels, problems with synthetic data, and lack
 of robustness -- decomposed into eight goals and ten verifiable
-requirements, one mitigation measure each.  ``demo_evidence`` builds a
-bundle that satisfies every requirement, handy for trying the CLI and for
-golden tests.
+requirements, one mitigation measure each.  The evidence bundle beside it
+satisfies every requirement, handy for trying the CLI and for golden tests.
 
-The same landscape ships as ``fixtures/train_track_detector.laisc.json``
-(with ``fixtures/train_track_detector.evidence.json`` beside it) so the
-CLI can be exercised without writing any files first.
+The two JSON files under ``fixtures/`` are the single source of the case
+study; the loaders below only parse them.
 """
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
 from importlib import resources
 
-from laisc.io import (
-    ApprovalRecord,
-    ApprovalVerdict,
-    DocumentRecord,
-    EvidenceBundle,
-    EvidencePayload,
-    EvidenceRecord,
-    FlagResolutionLog,
-    MetricResult,
-    ReviewLog,
-)
-from laisc.model import (
-    Comparator,
-    Condition,
-    DatasetDescriptor,
-    FlagResolution,
-    Goal,
-    Landscape,
-    LifecycleStage,
-    MetricGap,
-    MetricThreshold,
-    MitigationMeasure,
-    PerCondition,
-    QualitativeApproval,
-    Resolution,
-    ReviewFraction,
-    SafetyConcern,
-    SystemComponent,
-    VerifiableRequirement,
-    build_landscape,
-    fingerprint,
-)
+from laisc.io import EvidenceBundle, parse_evidence, parse_landscape
+from laisc.model import Landscape
 
 LANDSCAPE_FILENAME = "train_track_detector.laisc.json"
 EVIDENCE_FILENAME = "train_track_detector.evidence.json"
@@ -60,339 +27,10 @@ def fixture_path(name: str = LANDSCAPE_FILENAME):
 
 
 def track_detector_landscape() -> Landscape:
-    """The shipped landscape, built programmatically."""
-    datasets = {
-        "d-train": DatasetDescriptor("data/d-train", "grid-dir", "labeled training images"),
-        "d-train-probs": DatasetDescriptor(
-            "data/d-train.probs.csv", "probs-csv", "cross-validated class probabilities on d-train"
-        ),
-        "d-test-pred-acc": DatasetDescriptor(
-            "data/d-test-pred-acc", "grid-dir", "test-set masks predicted by the accurately-labeled training run"
-        ),
-        "d-test-pred-inacc": DatasetDescriptor(
-            "data/d-test-pred-inacc", "grid-dir", "test-set masks predicted by the degraded-label training run"
-        ),
-        "d-real": DatasetDescriptor("data/d-real", "grid-dir", "real-world evaluation images"),
-        "d-synth": DatasetDescriptor("data/d-synth", "grid-dir", "synthetic evaluation images"),
-        "nap-real": DatasetDescriptor(
-            "data/nap-real.acts.csv", "acts-csv", "neuron activations recorded on real images"
-        ),
-        "nap-synth": DatasetDescriptor(
-            "data/nap-synth.acts.csv", "acts-csv", "neuron activations recorded on synthetic images"
-        ),
-        "d-sensor-noise": DatasetDescriptor("data/d-sensor-noise", "grid-dir", "sensor-noise condition set"),
-        "d-adverse-lighting": DatasetDescriptor(
-            "data/d-adverse-lighting", "grid-dir", "adverse-lighting condition set"
-        ),
-        "d-sensor-factors": DatasetDescriptor(
-            "data/d-sensor-factors", "grid-dir", "dust/droplets/lens-defect condition set"
-        ),
-        "d-adverse-weather": DatasetDescriptor(
-            "data/d-adverse-weather", "grid-dir", "adverse-weather condition set"
-        ),
-        "d-partial-occlusion": DatasetDescriptor(
-            "data/d-partial-occlusion", "grid-dir", "partial-occlusion condition set"
-        ),
-        "d-geometric": DatasetDescriptor(
-            "data/d-geometric", "grid-dir", "geometric-transformation condition set"
-        ),
-        "d-counterfactual": DatasetDescriptor(
-            "data/d-counterfactual", "grid-dir", "counterfactual search results"
-        ),
-    }
-
-    stages = (
-        LifecycleStage("stage-data-prep", "Data collection & preparation", 0),
-        LifecycleStage("stage-modeling", "Modeling", 1),
-    )
-    components = (
-        SystemComponent(
-            "comp-track-detector",
-            "Track detector",
-            "Semantic segmentation model marking track pixels in camera images.",
-        ),
-    )
-
-    concerns = (
-        SafetyConcern(
-            id="sc1-inaccurate-labels",
-            name="Inaccurate data labels",
-            description=(
-                "Wrong or inconsistent segmentation masks in the training and "
-                "test data can teach the detector the wrong function."
-            ),
-            relevant=True,
-            relevance_rationale="The detector is trained on manually labeled masks.",
-            component_ids=("comp-track-detector",),
-            goal_ids=("G1.1", "G1.2", "G1.3"),
-        ),
-        SafetyConcern(
-            id="sc2-synthetic-data",
-            name="Problems with synthetic data",
-            description=(
-                "Simulated images used for training and testing may differ from "
-                "operational camera data, so measured performance may not transfer."
-            ),
-            relevant=True,
-            relevance_rationale="Rare operational scenes are covered with simulated images.",
-            component_ids=("comp-track-detector",),
-            goal_ids=("G2.1", "G2.2"),
-        ),
-        SafetyConcern(
-            id="sc3-robustness",
-            name="Lack of robustness",
-            description=(
-                "Detector performance may degrade under operating conditions such "
-                "as sensor noise, bad lighting, weather, or occlusions."
-            ),
-            relevant=True,
-            relevance_rationale="The train operates outdoors in an open environment.",
-            component_ids=("comp-track-detector",),
-            goal_ids=("G3.1", "G3.2", "G3.3"),
-        ),
-    )
-
-    goals = (
-        Goal("G1.1", "sc1-inaccurate-labels", "Quality assured labeling process", ("VR1.1.1", "VR1.1.2")),
-        Goal(
-            "G1.2",
-            "sc1-inaccurate-labels",
-            "Empirical label validation and effect analysis",
-            ("VR1.2.1", "VR1.2.2"),
-        ),
-        Goal("G1.3", "sc1-inaccurate-labels", "Automatic detection of inaccurate labels", ("VR1.3",)),
-        Goal("G2.1", "sc2-synthetic-data", "Reality gap in the model's performance", ("VR2.1",)),
-        Goal("G2.2", "sc2-synthetic-data", "Reality gap in the model's perception", ("VR2.2",)),
-        Goal("G3.1", "sc3-robustness", "Lack of adversarial robustness", ("VR3.1",)),
-        Goal(
-            "G3.2",
-            "sc3-robustness",
-            "Lack of robustness against natural variation in the input domain",
-            ("VR3.2",),
-        ),
-        Goal("G3.3", "sc3-robustness", "Lack of robustness against counterfactuals", ("VR3.3",)),
-    )
-
-    vrs = (
-        VerifiableRequirement(
-            id="VR1.1.1",
-            goal_id="G1.1",
-            payload=QualitativeApproval(required_approvals=2, required_documents=("labeling-guidelines",)),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-labeling-guidelines",),
-        ),
-        VerifiableRequirement(
-            id="VR1.1.2",
-            goal_id="G1.1",
-            payload=QualitativeApproval(
-                required_approvals=1, required_documents=("annotator-knowledge-test-report",)
-            ),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-annotator-knowledge-test",),
-        ),
-        VerifiableRequirement(
-            id="VR1.2.1",
-            goal_id="G1.2",
-            payload=ReviewFraction(dataset_id="d-train", min_fraction=0.9),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-manual-label-inspection",),
-        ),
-        VerifiableRequirement(
-            id="VR1.2.2",
-            goal_id="G1.2",
-            payload=MetricGap(
-                metric_id="miou",
-                dataset_id_a="d-test-pred-acc",
-                dataset_id_b="d-test-pred-inacc",
-                epsilon=0.05,
-            ),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-label-sensitivity-analysis",),
-        ),
-        VerifiableRequirement(
-            id="VR1.3",
-            goal_id="G1.3",
-            payload=FlagResolution(metric_id="clm_flags", dataset_id="d-train", flag_threshold=0.5),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-confident-learning-metric",),
-        ),
-        VerifiableRequirement(
-            id="VR2.1",
-            goal_id="G2.1",
-            payload=MetricGap(metric_id="miou", dataset_id_a="d-real", dataset_id_b="d-synth", epsilon=0.05),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-reality-gap-performance-test",),
-        ),
-        VerifiableRequirement(
-            id="VR2.2",
-            goal_id="G2.2",
-            payload=MetricGap(
-                metric_id="nap_distance", dataset_id_a="nap-real", dataset_id_b="nap-synth", epsilon=0.1
-            ),
-            stage_id="stage-data-prep",
-            mm_ids=("mm-neural-activation-metric",),
-        ),
-        VerifiableRequirement(
-            id="VR3.1",
-            goal_id="G3.1",
-            payload=QualitativeApproval(
-                required_approvals=3, required_documents=("adversarial-robustness-argumentation",)
-            ),
-            stage_id="stage-modeling",
-            mm_ids=("mm-argumentation",),
-        ),
-        VerifiableRequirement(
-            id="VR3.2",
-            goal_id="G3.2",
-            payload=PerCondition(
-                metric_id="miou",
-                conditions=(
-                    Condition("sensor-noise", "d-sensor-noise", 0.8),
-                    Condition("adverse-lighting", "d-adverse-lighting", 0.8),
-                    Condition("sensor-factors", "d-sensor-factors", 0.8),
-                    Condition("adverse-weather", "d-adverse-weather", 0.8),
-                    Condition("partial-occlusions", "d-partial-occlusion", 0.8),
-                    Condition("geometric-transformations", "d-geometric", 0.8),
-                ),
-            ),
-            stage_id="stage-modeling",
-            mm_ids=("mm-perturbation-robustness",),
-        ),
-        VerifiableRequirement(
-            id="VR3.3",
-            goal_id="G3.3",
-            payload=MetricThreshold(
-                metric_id="miou", dataset_id="d-counterfactual", comparator=Comparator.GE, threshold=0.75
-            ),
-            stage_id="stage-modeling",
-            mm_ids=("mm-counterfactual-analysis",),
-        ),
-    )
-
-    measures = (
-        MitigationMeasure(
-            "mm-labeling-guidelines",
-            "Labeling guidelines",
-            "Written labeling rules fixing what counts as track, reviewed before labeling starts.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-annotator-knowledge-test",
-            "Annotator knowledge test",
-            "Competency test every annotator passes on the labeling rules.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-manual-label-inspection",
-            "Sampling-based manual label inspection",
-            "Independent human review of a sampled share of all labels.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-label-sensitivity-analysis",
-            "Label sensitivity analysis",
-            "Retrain with controlled label defects and compare test performance.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-confident-learning-metric",
-            "Confident Learning metric",
-            "Score each labeled instance and flag likely label errors for resolution.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-reality-gap-performance-test",
-            "Reality gap performance test",
-            "Compare detector performance on real versus synthetic evaluation sets.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-neural-activation-metric",
-            "Neural activation metric",
-            "Compare the detector's internal activation distributions on real versus synthetic inputs.",
-            "stage-data-prep",
-        ),
-        MitigationMeasure(
-            "mm-argumentation",
-            "Argumentation",
-            "Documented justification, approved by a cross-discipline team.",
-            "stage-modeling",
-        ),
-        MitigationMeasure(
-            "mm-perturbation-robustness",
-            "Perturbation-based robustness quantification",
-            "Measure performance on datasets perturbed per the operating conditions.",
-            "stage-modeling",
-        ),
-        MitigationMeasure(
-            "mm-counterfactual-analysis",
-            "Counterfactual analysis",
-            "Search for unknown weaknesses and measure performance on the findings.",
-            "stage-modeling",
-        ),
-    )
-
-    return build_landscape(
-        name="train-track-detector",
-        version="1.0",
-        stages=stages,
-        components=components,
-        concerns=concerns,
-        goals=goals,
-        vrs=vrs,
-        mitigation_measures=measures,
-        datasets=datasets,
-    )
+    """The shipped landscape."""
+    return parse_landscape(fixture_path().read_bytes())
 
 
-def demo_evidence(landscape: Landscape | None = None) -> EvidenceBundle:
-    """An evidence bundle that satisfies every VR of the shipped landscape."""
-    landscape = landscape or track_detector_landscape()
-    current = fingerprint(landscape)
-    base = datetime(2026, 1, 5, 8, 0, 0, tzinfo=timezone.utc)
-
-    def record(seq: int, vr_id: str, payload: EvidencePayload) -> EvidenceRecord:
-        return EvidenceRecord(
-            id=f"rec-{seq:04d}",
-            vr_id=vr_id,
-            landscape_fingerprint=current,
-            timestamp=base.replace(minute=seq % 60, hour=8 + seq // 60),
-            payload=payload,
-        )
-
-    approved = ApprovalVerdict.APPROVED
-    entries: list[tuple[str, EvidencePayload]] = [
-        ("VR1.1.1", ApprovalRecord("rev-aylin", "safety engineer", approved, "doc/labeling-review-a")),
-        ("VR1.1.1", ApprovalRecord("rev-bogdan", "data engineer", approved, "doc/labeling-review-b")),
-        ("VR1.1.1", DocumentRecord("labeling-guidelines", "doc/labeling-guidelines-v3")),
-        ("VR1.1.2", ApprovalRecord("rev-carmen", "training lead", approved, "doc/knowledge-test-signoff")),
-        ("VR1.1.2", DocumentRecord("annotator-knowledge-test-report", "doc/knowledge-test-2026-01")),
-        ("VR1.2.1", ReviewLog("d-train", total_items=1000, reviewed_items=950)),
-        ("VR1.2.2", MetricResult("miou", ("d-test-pred-acc",), 0.86, "run=sensitivity-acc")),
-        ("VR1.2.2", MetricResult("miou", ("d-test-pred-inacc",), 0.84, "run=sensitivity-inacc")),
-        ("VR1.3", MetricResult("clm_flags", ("d-train-probs",), 0.002, "threshold=0.5; flagged=2")),
-        (
-            "VR1.3",
-            FlagResolutionLog(
-                "d-train",
-                flagged_ids=("img-0007", "img-0009"),
-                entries=(("img-0007", Resolution.EXCLUDED), ("img-0009", Resolution.REVISED)),
-            ),
-        ),
-        ("VR2.1", MetricResult("miou", ("d-real",), 0.86, "run=reality-gap")),
-        ("VR2.1", MetricResult("miou", ("d-synth",), 0.88, "run=reality-gap")),
-        ("VR2.2", MetricResult("nap_distance", ("nap-real", "nap-synth"), 0.04, "gap")),
-        ("VR3.1", ApprovalRecord("rev-dilara", "safety engineer", approved, "doc/adv-argument")),
-        ("VR3.1", ApprovalRecord("rev-emeka", "AI engineer", approved, "doc/adv-argument")),
-        ("VR3.1", ApprovalRecord("rev-franka", "rail operations", approved, "doc/adv-argument")),
-        ("VR3.1", DocumentRecord("adversarial-robustness-argumentation", "doc/adv-argument-v2")),
-        ("VR3.2", MetricResult("miou", ("d-sensor-noise",), 0.85, "condition=sensor-noise")),
-        ("VR3.2", MetricResult("miou", ("d-adverse-lighting",), 0.83, "condition=adverse-lighting")),
-        ("VR3.2", MetricResult("miou", ("d-sensor-factors",), 0.88, "condition=sensor-factors")),
-        ("VR3.2", MetricResult("miou", ("d-adverse-weather",), 0.82, "condition=adverse-weather")),
-        ("VR3.2", MetricResult("miou", ("d-partial-occlusion",), 0.81, "condition=partial-occlusions")),
-        ("VR3.2", MetricResult("miou", ("d-geometric",), 0.9, "condition=geometric-transformations")),
-        ("VR3.3", MetricResult("miou", ("d-counterfactual",), 0.9, "run=counterfactual")),
-    ]
-    records = tuple(record(seq, vr_id, payload) for seq, (vr_id, payload) in enumerate(entries))
-    return EvidenceBundle(records=records, source="demo evidence matching the shipped landscape")
+def demo_evidence() -> EvidenceBundle:
+    """The shipped evidence bundle; it satisfies every VR of the shipped landscape."""
+    return parse_evidence(fixture_path(EVIDENCE_FILENAME).read_bytes())

@@ -308,16 +308,31 @@ def _check_unique(items, collection: str) -> None:
         seen.add(item.id)
 
 
+def bound_datasets(payload) -> tuple[str, ...]:
+    """The dataset ids a VR payload binds, in field order: the value of
+    every ``dataset_id*`` field, also of the nested :class:`Condition` rows."""
+    bound: list[str] = []
+    for f in fields(payload):
+        value = getattr(payload, f.name)
+        if f.name.startswith("dataset_id"):
+            bound.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                if is_dataclass(item):
+                    bound.extend(bound_datasets(item))
+    return tuple(bound)
+
+
 def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> None:
     p = vr.payload
+
+    for dataset_id in bound_datasets(p):
+        if dataset_id not in dataset_ids:
+            raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
 
     def metric(metric_id: str) -> None:
         if metric_id not in KNOWN_METRIC_IDS:
             raise InvalidPayload(vr.id, f"unknown metric id {metric_id!r}")
-
-    def dataset(dataset_id: str) -> None:
-        if dataset_id not in dataset_ids:
-            raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
 
     def finite(value: float, label: str) -> None:
         if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
@@ -325,12 +340,9 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
 
     if isinstance(p, MetricThreshold):
         metric(p.metric_id)
-        dataset(p.dataset_id)
         finite(p.threshold, "threshold")
     elif isinstance(p, MetricGap):
         metric(p.metric_id)
-        dataset(p.dataset_id_a)
-        dataset(p.dataset_id_b)
         if p.dataset_id_a == p.dataset_id_b:
             raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
         finite(p.epsilon, "epsilon")
@@ -345,16 +357,13 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
             if cond.condition_id in seen:
                 raise InvalidPayload(vr.id, f"duplicate condition {cond.condition_id!r}")
             seen.add(cond.condition_id)
-            dataset(cond.dataset_id)
             finite(cond.threshold, f"threshold for {cond.condition_id}")
     elif isinstance(p, ReviewFraction):
-        dataset(p.dataset_id)
         finite(p.min_fraction, "min_fraction")
         if not 0.0 <= p.min_fraction <= 1.0:
             raise InvalidPayload(vr.id, f"min_fraction must be in [0, 1], got {p.min_fraction!r}")
     elif isinstance(p, FlagResolution):
         metric(p.metric_id)
-        dataset(p.dataset_id)
         finite(p.flag_threshold, "flag_threshold")
     elif isinstance(p, QualitativeApproval):
         if not isinstance(p.required_approvals, int) or isinstance(p.required_approvals, bool):

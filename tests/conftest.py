@@ -7,18 +7,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from laisc import fixtures, io
+from laisc import fixtures
 from laisc.model import Landscape
 
 
 @pytest.fixture(scope="session")
 def fixture_landscape() -> Landscape:
-    return io.parse_landscape(fixtures.fixture_path().read_bytes())
+    return fixtures.track_detector_landscape()
 
 
 @pytest.fixture(scope="session")
-def demo_bundle(fixture_landscape):
-    return fixtures.demo_evidence(fixture_landscape)
+def demo_bundle():
+    return fixtures.demo_evidence()
 
 
 @pytest.fixture()

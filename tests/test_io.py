@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import re
@@ -53,8 +54,18 @@ EVIDENCE_TEXT = fixtures.fixture_path(fixtures.EVIDENCE_FILENAME).read_bytes()
 # --- landscape ----------------------------------------------------------------
 
 
-def test_shipped_fixture_parses_to_expected_landscape():
-    assert parse_landscape(FIXTURE_TEXT) == fixtures.track_detector_landscape()
+def test_shipped_fixture_content_is_pinned():
+    """The fixture files are the only copy of the case study: an edit to
+    either one must show up here."""
+    assert fingerprint(fixtures.track_detector_landscape()) == (
+        "sha256:af41ba926ad5f93d33927a53cde8238ffcd1546bced54ed6e0e3122fa18785f2"
+    )
+    assert hashlib.sha256(FIXTURE_TEXT).hexdigest() == (
+        "1007b063dfc10301bd89176cbcc458b6e98b8759505f8776be22a4f91c9e9235"
+    )
+    assert hashlib.sha256(EVIDENCE_TEXT).hexdigest() == (
+        "b075ab2d96604c4d862b62c8f10877edb41400fc574d48779ea3c30e7f4106f7"
+    )
 
 
 def test_shipped_fixture_file_is_canonical():
