@@ -32,7 +32,7 @@ from pathlib import Path
 from laisc import evaluation, io, metrics, report
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
-from laisc.model import KNOWN_METRIC_IDS, Landscape, bound_datasets, fingerprint, rows
+from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, bound_datasets, fingerprint, rows
 
 
 class _UsageError(Exception):
@@ -133,21 +133,25 @@ def _replace(path: Path, data: bytes) -> None:
         raise
 
 
-def _append(args: argparse.Namespace, payloads) -> list[str]:
+def _target(args: argparse.Namespace) -> tuple[Landscape, VerifiableRequirement]:
+    """The landscape at ``--landscape`` and its VR ``--vr``."""
+    landscape = _load_landscape(args.landscape)
+    try:
+        return landscape, landscape.vr(args.vr)
+    except KeyError:
+        raise _UsageError(f"--vr {args.vr!r} is not a VR of {args.landscape}") from None
+
+
+def _append(args: argparse.Namespace, target: tuple[Landscape, VerifiableRequirement], payloads) -> list[str]:
     """Append one ``--vr`` record per payload to the bundle at ``--out``
     (a missing file is an empty bundle) and return the new record ids.
 
-    Nothing is written unless ``--vr`` is a VR of ``--landscape`` that
-    can read the records: it measures their metric and binds every
-    dataset flag.  An exclusive ``flock`` on the bundle's directory,
-    held from the read to the replace, keeps concurrent appends from
-    losing records.
+    Nothing is written unless the ``target`` VR can read the records: it
+    measures their metric and binds every dataset flag.  An exclusive
+    ``flock`` on the bundle's directory, held from the read to the
+    replace, keeps concurrent appends from losing records.
     """
-    landscape = _load_landscape(args.landscape)
-    try:
-        vr = landscape.vr(args.vr)
-    except KeyError:
-        raise _UsageError(f"--vr {args.vr!r} is not a VR of {args.landscape}") from None
+    landscape, vr = target
     for payload in payloads:
         if isinstance(payload, MetricResult) and getattr(vr.payload, "metric_id", None) != payload.metric_id:
             raise _UsageError(f"--vr {args.vr!r} is a {vr.kind.value} that reads no {payload.metric_id} record")
@@ -196,12 +200,13 @@ def _capture_small_samples(compute):
 
 def _metric_record(
     args: argparse.Namespace,
+    target: tuple[Landscape, VerifiableRequirement],
     metric_id: str,
     dataset_ids: tuple[str, ...],
     value: float,
     config_note: str,
 ) -> int:
-    (record_id,) = _append(args, [MetricResult(metric_id, dataset_ids, value, config_note)])
+    (record_id,) = _append(args, target, [MetricResult(metric_id, dataset_ids, value, config_note)])
     print(f"{metric_id} = {value!r}")
     print(f"appended {record_id} to {args.out}")
     return 0
@@ -229,14 +234,18 @@ def cmd_metric_miou(args: argparse.Namespace) -> int:
     value, warned = _capture_small_samples(
         lambda: metrics.miou(preds, truths, min_samples=args.min_samples)
     )
-    return _metric_record(args, "miou", (args.dataset,), value, f"pairs={len(preds)}{warned}")
+    return _metric_record(args, _target(args), "miou", (args.dataset,), value, f"pairs={len(preds)}{warned}")
 
 
 def cmd_metric_gap(args: argparse.Namespace) -> int:
     value = metrics.performance_gap(args.a, args.b)
+    landscape, vr = _target(args)
     # The record binds to the indicator the two values came from, so it can
-    # satisfy a gap requirement declared over that metric.
-    return _metric_record(args, args.metric, (args.dataset_a, args.dataset_b), value, "gap")
+    # satisfy a gap requirement declared over that metric; by default that
+    # is the metric of the --vr.  A VR that measures no metric reads no
+    # gap record, and _append refuses it.
+    metric_id = args.metric or getattr(vr.payload, "metric_id", "gap")
+    return _metric_record(args, (landscape, vr), metric_id, (args.dataset_a, args.dataset_b), value, "gap")
 
 
 def cmd_metric_nap(args: argparse.Namespace) -> int:
@@ -246,7 +255,7 @@ def cmd_metric_nap(args: argparse.Namespace) -> int:
         lambda: metrics.nap_distance(table_a, table_b, min_samples=args.min_samples)
     )
     dataset_ids = (args.dataset_a, args.dataset_b)
-    return _metric_record(args, "nap_distance", dataset_ids, value, f"gap{warned}")
+    return _metric_record(args, _target(args), "nap_distance", dataset_ids, value, f"gap{warned}")
 
 
 def cmd_metric_clm(args: argparse.Namespace) -> int:
@@ -258,6 +267,7 @@ def cmd_metric_clm(args: argparse.Namespace) -> int:
     note = f"threshold={args.threshold:g}; flagged={len(result.flagged_ids)}/{len(table.rows)}{warned}"
     metric_id, flag_id = _append(
         args,
+        _target(args),
         [
             MetricResult("clm_flags", (args.dataset,), flagged_fraction, note),
             FlagResolutionLog(args.dataset, flagged_ids=result.flagged_ids, entries=()),
@@ -383,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.add_argument("--dataset-b", required=True)
     p_gap.add_argument(
         "--metric",
-        default="gap",
         choices=sorted(KNOWN_METRIC_IDS),
-        help="metric id the two values were measured with",
+        help="metric id the two values were measured with (default: the metric of --vr)",
     )
     _add_metric_common(p_gap)
     p_gap.set_defaults(func=cmd_metric_gap)

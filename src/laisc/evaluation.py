@@ -452,7 +452,7 @@ def _eval_qualitative_approval(p: QualitativeApproval, fresh, stale) -> Verdict:
     return Verdict(
         Status.SATISFIED,
         f"approved by {len(approvers)} independent expert(s): {', '.join(approvers)}"
-        + (f"; documents present: {', '.join(sorted(p.required_documents))}" if p.required_documents else ""),
+        + (f"; documents present: {', '.join(p.required_documents)}" if p.required_documents else ""),
         evidence_ids=contributing,
     )
 
@@ -536,23 +536,23 @@ def coverage(landscape: Landscape) -> list[CoverageGap]:
     """
     gaps: list[CoverageGap] = []
     stageless_measures: list[str] = []
-    for concern in sorted(landscape.concerns, key=lambda c: c.id):
+    for concern in landscape.concerns:
         if not concern.relevant:
             continue
         if not concern.goal_ids:
             gaps.append(CoverageGap(GapKind.CONCERN_WITHOUT_GOAL, concern.id))
             continue
-        for goal_id in sorted(concern.goal_ids):
+        for goal_id in concern.goal_ids:
             goal = landscape.goal(goal_id)
             if not goal.vr_ids:
                 gaps.append(CoverageGap(GapKind.GOAL_WITHOUT_VR, goal.id))
                 continue
-            for vr_id in sorted(goal.vr_ids):
+            for vr_id in goal.vr_ids:
                 vr = landscape.vr(vr_id)
                 if not vr.mm_ids:
                     gaps.append(CoverageGap(GapKind.VR_WITHOUT_MM, vr.id))
                     continue
-                for mm_id in sorted(vr.mm_ids):
+                for mm_id in vr.mm_ids:
                     if landscape.mitigation_measure(mm_id).stage_id is None:
                         if mm_id not in stageless_measures:
                             stageless_measures.append(mm_id)

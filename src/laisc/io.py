@@ -13,48 +13,43 @@ Formats (all UTF-8, LF line endings):
 * ``*.acts.csv``      -- per-sample neuron activations, header
   ``sample_id,a_0..a_{N-1}``
 
-Serialization is canonical (sorted keys, collections sorted by id), so
-``serialize(parse(serialize(x)))`` equals ``serialize(x)`` byte for byte.
-The field annotations of each domain dataclass are its JSON schema: one
-generic codec (``to_node`` and ``_from_node``) reads and writes whole
-documents.  Besides plain fields it knows three shapes: a field typed as
-a union of dataclasses (a VR's or an evidence record's ``payload``) comes
-with a sibling ``kind`` key naming the payload's class, a ``datetime`` is
-ISO-8601 normalized to UTC, and a tuple of ``(id, element)`` pairs
-(``Landscape.datasets``) is an object keyed by id.  The four document
-functions add only the checks that are policy: ``build_landscape`` for a
-landscape, and unique record ids, non-empty ``vr_id``, finite metric
+``laisc.codec`` reads and writes the two JSON documents from the field
+annotations of their dataclasses.  The four document functions here add
+only the checks that are policy: :func:`~laisc.model.check_landscape` for
+a landscape, and unique record ids, non-empty ``vr_id``, finite metric
 values and consistent review counts for a bundle.
+
+The two CSV tables share one reader, which checks the header and the
+width of every row, and one writer.  A value is read with ``float()``
+and checked once, by ``ProbabilityTable`` or ``ActivationTable``.
 """
 
 from __future__ import annotations
 
 import csv
 import io as _stdio
-import json
 import math
-from dataclasses import dataclass, fields
-from datetime import datetime, timezone
+from dataclasses import dataclass
+from datetime import datetime
 from enum import Enum
-from functools import cache, partial
-from typing import get_args, get_origin, get_type_hints
 
+# format_timestamp and parse_timestamp are part of this module's interface.
+from laisc.codec import (
+    dump_canonical,
+    format_timestamp,  # noqa: F401
+    from_node,
+    load_json,
+    parse_timestamp,  # noqa: F401
+    to_node,
+)
 from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
-    InvalidTimestamp,
     NotNormalized,
     SchemaError,
     ValueOutOfRange,
 )
-from laisc.model import (
-    Landscape,
-    Resolution,
-    _union_classes,
-    build_landscape,
-    format_timestamp,
-    to_node,
-)
+from laisc.model import Landscape, Resolution, check_landscape
 
 # --- evidence domain types ---------------------------------------------------
 
@@ -271,202 +266,16 @@ class ActivationTable:
                     raise ValueOutOfRange(f"row {index} ({sample_id}): non-finite activation {a!r}")
 
 
-# --- timestamp helpers -------------------------------------------------------
-
-
-def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; must be timezone-aware, normalized to UTC."""
-    if not isinstance(value, str):
-        raise InvalidTimestamp(repr(value), "not a string")
-    try:
-        parsed = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise InvalidTimestamp(value, str(exc)) from None
-    if parsed.tzinfo is None:
-        raise InvalidTimestamp(value, "missing UTC offset")
-    return parsed.astimezone(timezone.utc)
-
-
-# --- JSON schema helpers -----------------------------------------------------
-
-
-def _load_json(data: bytes | str) -> object:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-
-    def _reject_constant(token: str) -> float:
-        raise ValueError(f"non-finite constant {token}")
-
-    try:
-        return json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise InputSyntaxError(exc.msg, offset=exc.pos) from None
-    except ValueError as exc:
-        raise InputSyntaxError(str(exc)) from None
-
-
-def _obj(node: object, path: str, keys: set[str]) -> dict:
-    if not isinstance(node, dict):
-        raise SchemaError(path, "object", type(node).__name__)
-    unknown = set(node) - keys
-    if unknown:
-        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
-    missing = keys - set(node)
-    if missing:
-        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
-    return node
-
-
-def _str(node: dict, key: str, path: str) -> str:
-    value = node[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}", "string", value)
-    return value
-
-
-def _bool(node: dict, key: str, path: str) -> bool:
-    value = node[key]
-    if not isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "boolean", value)
-    return value
-
-
-def _int(node: dict, key: str, path: str) -> int:
-    value = node[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "integer", value)
-    return value
-
-
-def _num(node: dict, key: str, path: str) -> float:
-    value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", "number", value)
-    return float(value)
-
-
-def _str_list(node: dict, key: str, path: str) -> list[str]:
-    value = node[key]
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise SchemaError(f"{path}.{key}", "list of strings", value)
-    return value
-
-
-def _list(node: dict, key: str, path: str) -> list:
-    value = node[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}.{key}", "list", value)
-    return value
-
-
-def _enum(node: dict, key: str, path: str, enum_type):
-    value = _str(node, key, path)
-    try:
-        return enum_type(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_type)
-        raise SchemaError(f"{path}.{key}", f"one of {{{allowed}}}", value) from None
-
-
-def _opt_str(node: dict, key: str, path: str) -> str | None:
-    value = node[key]
-    if value is not None and not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}", "string or null", value)
-    return value
-
-
-def _items(node: dict, key: str, path: str, read) -> tuple:
-    """Read the list at ``key`` element by element with ``read(raw, path)``."""
-    return tuple(read(raw, f"{path}.{key}[{index}]") for index, raw in enumerate(_list(node, key, path)))
-
-
-# --- JSON codec, reader half -----------------------------------------------------
-
-
-def _timestamp(node: dict, key: str, path: str) -> datetime:
-    return parse_timestamp(_str(node, key, path))
-
-
-def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
-    """Read the field ``key`` as the class that the sibling ``kind`` names."""
-    kind = _str(node, "kind", path)
-    if kind not in classes:
-        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
-    return _from_node(classes[kind], node[key], f"{path}.{key}")
-
-
-def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the object at ``key`` as ``(id, cls)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple((item_id, _from_node(cls, raw, f"{path}.{key}.{item_id}")) for item_id, raw in value.items())
-
-
-def _reader(annotation):
-    """The schema helper that reads a field declared as ``annotation``."""
-    if annotation is str:
-        return _str
-    if annotation is float:
-        return _num
-    if annotation is int:
-        return _int
-    if annotation is bool:
-        return _bool
-    if annotation is datetime:
-        return _timestamp
-    if annotation == str | None:
-        return _opt_str
-    if isinstance(annotation, type) and issubclass(annotation, Enum):
-        return lambda node, key, path: _enum(node, key, path, annotation)
-    classes = _union_classes(annotation)
-    if classes:
-        return partial(_kind_named, {cls.__name__: cls for cls in classes})
-    item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
-    if item is str:
-        return lambda node, key, path: tuple(_str_list(node, key, path))
-    if get_origin(item) is tuple:  # (id, element) pairs
-        return partial(_keyed, get_args(item)[1])
-    return lambda node, key, path: _items(node, key, path, partial(_from_node, item))
-
-
-@cache
-def _field_readers(cls: type) -> tuple[frozenset[str], tuple]:
-    """The JSON keys of ``cls`` and a ``(field name, reader)`` per field; a
-    field typed as a union of dataclasses adds the ``kind`` key."""
-    hints = get_type_hints(cls)
-    readers = tuple((f.name, _reader(hints[f.name])) for f in fields(cls))
-    keys = {name for name, _ in readers}
-    if any(_union_classes(hints[name]) for name in keys):
-        keys.add("kind")
-    return frozenset(keys), readers
-
-
-def _from_node(cls: type, node: object, path: str):
-    """Read the domain dataclass ``cls`` from its JSON object at ``path``."""
-    keys, readers = _field_readers(cls)
-    _obj(node, path, keys)
-    values = {}
-    # A loop, not a comprehension: one call fewer per object.
-    for name, read in readers:
-        values[name] = read(node, name, path)
-    return cls(**values)
-
-
-def _dump_canonical(node: object) -> bytes:
-    return (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
-
-
 # --- landscape and evidence documents -------------------------------------------------
 
 
 def parse_landscape(data: bytes | str) -> Landscape:
     """Parse a ``*.laisc.json`` document into a validated landscape."""
-    raw = _from_node(Landscape, _load_json(data), "$")
-    return build_landscape(**{f.name: getattr(raw, f.name) for f in fields(Landscape)})
+    return check_landscape(from_node(Landscape, load_json(data), "$"))
 
 
 def serialize_landscape(landscape: Landscape) -> bytes:
-    return _dump_canonical(to_node(landscape))
+    return dump_canonical(to_node(landscape))
 
 
 def parse_evidence(data: bytes | str) -> EvidenceBundle:
@@ -475,7 +284,7 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
     Records addressed to VR ids unknown to any particular landscape are
     accepted here; the evaluation engine reports them as orphaned.
     """
-    bundle = _from_node(EvidenceBundle, _load_json(data), "$")
+    bundle = from_node(EvidenceBundle, load_json(data), "$")
     seen: set[str] = set()
     for index, record in enumerate(bundle.records):
         path = f"$.records[{index}]"
@@ -497,7 +306,7 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
 
 
 def serialize_evidence(bundle: EvidenceBundle) -> bytes:
-    return _dump_canonical(to_node(bundle))
+    return dump_canonical(to_node(bundle))
 
 
 # --- grid and CSV readers ------------------------------------------------------
@@ -556,80 +365,70 @@ def write_grid(grid: LabeledGrid) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-def _csv_rows(data: bytes | str) -> list[list[str]]:
+
+
+def _header(lead: tuple[str, ...], prefix: str, count: int) -> list[str]:
+    return [*lead, *(f"{prefix}_{k}" for k in range(count))]
+
+
+def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: int, convert) -> tuple[int, tuple]:
+    """Read a CSV table whose header is the ``lead`` columns, then
+    ``{prefix}_0..{prefix}_{N-1}`` with ``N >= minimum``.
+
+    Returns ``N`` and ``convert(row)`` of each data row.  A row of the
+    wrong width is a :class:`DimensionMismatch`, and a token that
+    ``convert`` rejects with ``ValueError`` a :class:`ValueOutOfRange`.
+    """
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return list(csv.reader(_stdio.StringIO(text)))
+    reader = csv.reader(_stdio.StringIO(text))
+    expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
+    header = next(reader, None)
+    if header is None:
+        raise InputSyntaxError(f"empty table, expected the header {expected}")
+    count = len(header) - len(lead)
+    if count < minimum or header != _header(lead, prefix, count):
+        raise SchemaError("header", expected, ",".join(header))
+    rows = []
+    for index, row in enumerate(reader):
+        if len(row) != len(header):
+            raise DimensionMismatch(f"data row {index}: expected {len(header)} fields, got {len(row)}")
+        try:
+            rows.append(convert(row))
+        except ValueError as exc:
+            raise ValueOutOfRange(f"data row {index}: {exc}") from None
+    return count, tuple(rows)
 
 
-def _parse_float(token: str, where: str) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise ValueOutOfRange(f"{where}: not a number: {token!r}") from None
-    if not math.isfinite(value):
-        raise ValueOutOfRange(f"{where}: non-finite value {token!r}")
-    return value
+def _write_table(lead: tuple[str, ...], prefix: str, count: int, rows) -> bytes:
+    out = _stdio.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_header(lead, prefix, count))
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+#: The leading columns of each table and the prefix of its numbered ones.
+_PROB_COLUMNS = (("instance_id", "label"), "p")
+_ACTIVATION_COLUMNS = (("sample_id",), "a")
 
 
 def read_prob_table(data: bytes | str) -> ProbabilityTable:
-    rows = _csv_rows(data)
-    if not rows:
-        raise InputSyntaxError("empty probability table")
-    header = rows[0]
-    if len(header) < 4 or header[:2] != ["instance_id", "label"]:
-        raise SchemaError("header", "instance_id,label,p_0..p_{K-1} with K >= 2", ",".join(header))
-    num_classes = len(header) - 2
-    expected = [f"p_{k}" for k in range(num_classes)]
-    if header[2:] != expected:
-        raise SchemaError("header", ",".join(["instance_id", "label"] + expected), ",".join(header))
-    parsed = []
-    for index, row in enumerate(rows[1:]):
-        where = f"data row {index}"
-        if len(row) != len(header):
-            raise DimensionMismatch(f"{where}: expected {len(header)} fields, got {len(row)}")
-        try:
-            label = int(row[1])
-        except ValueError:
-            raise ValueOutOfRange(f"{where}: label must be an integer, got {row[1]!r}") from None
-        probs = tuple(_parse_float(token, where) for token in row[2:])
-        parsed.append((row[0], label, probs))
-    return ProbabilityTable(num_classes=num_classes, rows=tuple(parsed))
+    num_classes, rows = _read_table(
+        data, *_PROB_COLUMNS, 2, lambda row: (row[0], int(row[1]), tuple(map(float, row[2:])))
+    )
+    return ProbabilityTable(num_classes, rows)
 
 
 def write_prob_table(table: ProbabilityTable) -> bytes:
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["instance_id", "label"] + [f"p_{k}" for k in range(table.num_classes)])
-    for instance_id, label, probs in table.rows:
-        writer.writerow([instance_id, label] + [repr(p) for p in probs])
-    return out.getvalue().encode("utf-8")
+    rows = ([instance_id, label, *map(repr, probs)] for instance_id, label, probs in table.rows)
+    return _write_table(*_PROB_COLUMNS, table.num_classes, rows)
 
 
 def read_activations(data: bytes | str) -> ActivationTable:
-    rows = _csv_rows(data)
-    if not rows:
-        raise InputSyntaxError("empty activation table")
-    header = rows[0]
-    if len(header) < 2 or header[0] != "sample_id":
-        raise SchemaError("header", "sample_id,a_0..a_{N-1} with N >= 1", ",".join(header))
-    num_neurons = len(header) - 1
-    expected = [f"a_{n}" for n in range(num_neurons)]
-    if header[1:] != expected:
-        raise SchemaError("header", ",".join(["sample_id"] + expected), ",".join(header))
-    parsed = []
-    for index, row in enumerate(rows[1:]):
-        where = f"data row {index}"
-        if len(row) != len(header):
-            raise DimensionMismatch(f"{where}: expected {len(header)} fields, got {len(row)}")
-        acts = tuple(_parse_float(token, where) for token in row[1:])
-        parsed.append((row[0], acts))
-    return ActivationTable(num_neurons=num_neurons, rows=tuple(parsed))
+    num_neurons, rows = _read_table(data, *_ACTIVATION_COLUMNS, 1, lambda row: (row[0], tuple(map(float, row[1:]))))
+    return ActivationTable(num_neurons, rows)
 
 
 def write_activations(table: ActivationTable) -> bytes:
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["sample_id"] + [f"a_{n}" for n in range(table.num_neurons)])
-    for sample_id, acts in table.rows:
-        writer.writerow([sample_id] + [repr(a) for a in acts])
-    return out.getvalue().encode("utf-8")
+    rows = ([sample_id, *map(repr, acts)] for sample_id, acts in table.rows)
+    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, rows)

@@ -4,9 +4,10 @@ A landscape ties together four kinds of elements: safety concerns, the
 decomposition goals that make each concern arguable, the verifiable
 requirements (VRs) that make each goal checkable against evidence, and the
 metrics / mitigation measures that produce that evidence at a given life
-cycle stage.  Everything here is immutable after construction; the single
-entry point that enforces the structural invariants is
-:func:`build_landscape`.
+cycle stage.  Everything here is immutable after construction; a
+:class:`Landscape` stores its collections in canonical order, and
+:func:`check_landscape` is the single place that enforces the structural
+invariants (:func:`build_landscape` calls it).
 
 VRs come in six closed kinds, one per evaluation pattern:
 
@@ -28,15 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, fields, is_dataclass
-from datetime import datetime, timezone
 from enum import Enum
-from functools import cache, cached_property
-from operator import attrgetter
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from functools import cached_property
 
+from laisc.codec import to_node
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
@@ -249,10 +246,22 @@ class Landscape:
     mitigation_measures: tuple[MitigationMeasure, ...]
     datasets: tuple[tuple[str, DatasetDescriptor], ...] = ()
 
+    def __post_init__(self) -> None:
+        # Collections are stored in canonical order (stages by rank, the rest
+        # by id) so construction order never leaks into equality or output.
+        # ``datasets`` may also be given as a dict.
+        object.__setattr__(self, "stages", tuple(sorted(self.stages, key=lambda s: (s.order, s.id))))
+        object.__setattr__(self, "components", tuple(sorted(self.components, key=lambda c: c.id)))
+        object.__setattr__(self, "concerns", tuple(sorted(self.concerns, key=lambda c: c.id)))
+        object.__setattr__(self, "goals", tuple(sorted(self.goals, key=lambda g: g.id)))
+        object.__setattr__(self, "vrs", tuple(sorted(self.vrs, key=lambda v: v.id)))
+        object.__setattr__(self, "mitigation_measures", tuple(sorted(self.mitigation_measures, key=lambda m: m.id)))
+        object.__setattr__(self, "datasets", tuple(sorted(dict(self.datasets).items())))
+
     @cached_property
     def _by_id(self) -> dict[str, dict]:
         """One id -> element map per collection, built on first read;
-        :func:`build_landscape` checks that ids are unique before that."""
+        :func:`check_landscape` checks that ids are unique before that."""
         return {
             collection: {item.id: item for item in getattr(self, collection)} for collection in _COLLECTIONS
         }
@@ -386,7 +395,15 @@ def build_landscape(
     mitigation_measures: tuple[MitigationMeasure, ...] | list[MitigationMeasure] = (),
     datasets: dict[str, DatasetDescriptor] | tuple[tuple[str, DatasetDescriptor], ...] | None = None,
 ) -> Landscape:
-    """Assemble and validate a landscape from already-typed elements.
+    """Assemble a landscape from already-typed elements and check it with
+    :func:`check_landscape`."""
+    return check_landscape(
+        Landscape(name, version, stages, components, concerns, goals, vrs, mitigation_measures, datasets or ())
+    )
+
+
+def check_landscape(landscape: Landscape) -> Landscape:
+    """Return ``landscape`` after checking its structure.
 
     Raises :class:`DuplicateId`, :class:`DanglingReference`, or
     :class:`InvalidPayload` on the first structural violation found.
@@ -394,24 +411,10 @@ def build_landscape(
     measures, a measure without a stage) are allowed here; they surface
     through the coverage check instead.
     """
-    # Collections are stored in canonical order (stages by rank, the rest
-    # by id) so construction order never leaks into equality or output.
-    landscape = Landscape(
-        name=name,
-        version=version,
-        stages=tuple(sorted(stages, key=lambda s: (s.order, s.id))),
-        components=tuple(sorted(components, key=lambda c: c.id)),
-        concerns=tuple(sorted(concerns, key=lambda c: c.id)),
-        goals=tuple(sorted(goals, key=lambda g: g.id)),
-        vrs=tuple(sorted(vrs, key=lambda v: v.id)),
-        mitigation_measures=tuple(sorted(mitigation_measures, key=lambda m: m.id)),
-        datasets=tuple(sorted(dict(datasets or ()).items())),
-    )
-
     for collection in _COLLECTIONS:
         _check_unique(getattr(landscape, collection), collection)
 
-    orders = sorted(stage.order for stage in landscape.stages)
+    orders = [stage.order for stage in landscape.stages]
     if orders != list(range(len(orders))):
         raise InvalidPayload("stages", f"order values must be 0..{len(orders) - 1} without gaps, got {orders}")
 
@@ -484,7 +487,7 @@ def rows(landscape: Landscape) -> list[LandscapeRow]:
         goal = landscape.goal(vr.goal_id)
         concern = landscape.concern(goal.concern_id)
         stage = landscape.stage(vr.stage_id)
-        for mm_id in sorted(vr.mm_ids) or [""]:
+        for mm_id in vr.mm_ids or ("",):
             mm_name = landscape.mitigation_measure(mm_id).name if mm_id else ""
             out.append(
                 LandscapeRow(
@@ -503,74 +506,6 @@ def rows(landscape: Landscape) -> list[LandscapeRow]:
     return out
 
 
-# --- JSON codec, writer half ---------------------------------------------------
-#
-# A domain dataclass's field annotations are its JSON schema; ``laisc.io``
-# holds the matching reader.
-
-
-def format_timestamp(value: datetime) -> str:
-    return value.astimezone(timezone.utc).isoformat()
-
-
-def _union_classes(annotation) -> tuple[type, ...]:
-    """The members of an annotation that is a union of dataclasses, else ``()``."""
-    members = get_args(annotation) if isinstance(annotation, UnionType) else ()
-    return members if members and all(is_dataclass(member) for member in members) else ()
-
-
-#: ``type(value).__name__``, the ``kind`` written next to a union-typed field.
-_class_name = attrgetter("__class__.__name__")
-
-
-def _writer(annotation) -> Callable | None:
-    """Converter from a field value to its JSON value; ``None`` keeps it as is."""
-    if annotation is float:
-        return float
-    if annotation is datetime:
-        return format_timestamp
-    if isinstance(annotation, type) and issubclass(annotation, Enum):
-        return attrgetter("value")
-    if get_origin(annotation) is tuple:
-        item = get_args(annotation)[0]
-        if get_origin(item) is tuple:  # (id, element) pairs: an object keyed by id
-            return lambda pairs: {key: to_node(element) for key, element in pairs}
-        item = _writer(item)
-        return list if item is None else lambda values: [item(value) for value in values]
-    if is_dataclass(annotation) or _union_classes(annotation):
-        return to_node
-    return None
-
-
-@cache
-def _field_writers(cls: type) -> tuple[tuple[str, str, Callable | None], ...]:
-    """``(key, field name, converter)`` for each JSON key of ``cls``."""
-    hints = get_type_hints(cls)
-    writers = []
-    for f in fields(cls):
-        if _union_classes(hints[f.name]):
-            writers.append(("kind", f.name, _class_name))
-        writers.append((f.name, f.name, _writer(hints[f.name])))
-    return tuple(writers)
-
-
-def to_node(obj) -> dict:
-    """The JSON object of a domain dataclass: one key per field.
-
-    Enums are written as their value, tuples as lists, nested dataclasses
-    as objects, datetimes as ISO-8601 in UTC, and fields declared
-    ``float`` through ``float()``, so a threshold of ``1`` and one of
-    ``1.0`` give the same bytes.  A field typed as a union of dataclasses
-    gets a sibling ``kind`` key naming its class, and a tuple of
-    ``(id, element)`` pairs is written as an object keyed by id.
-    """
-    node = {}
-    # A loop, not a comprehension: one call fewer per object.
-    for key, name, write in _field_writers(type(obj)):
-        node[key] = getattr(obj, name) if write is None else write(getattr(obj, name))
-    return node
-
-
 def fingerprint(landscape: Landscape) -> str:
     """Content hash over everything that affects how evidence is judged.
 
@@ -580,8 +515,8 @@ def fingerprint(landscape: Landscape) -> str:
     previously collected evidence as stale.
     """
     content = [
-        {"id": vr.id, "kind": _class_name(vr.payload), "payload": to_node(vr.payload)}
-        for vr in sorted(landscape.vrs, key=lambda v: v.id)
+        {"id": vr.id, "kind": type(vr.payload).__name__, "payload": to_node(vr.payload)}
+        for vr in landscape.vrs
     ]
     digest = hashlib.sha256(
         json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")

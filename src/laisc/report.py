@@ -8,11 +8,9 @@ equal bytes.
 
 from __future__ import annotations
 
-import json
-
+from laisc.codec import dump_canonical, format_timestamp
 from laisc.errors import UnsupportedFormat
 from laisc.evaluation import EvaluationReport, Status
-from laisc.io import format_timestamp
 
 _TABLE_COLUMNS = ("AI-SC", "Stage in AI Life Cycle", "Decomposition", "VR", "M&M", "Status")
 
@@ -80,23 +78,23 @@ def render_argument_tree(report: EvaluationReport) -> bytes:
         '  node [shape=box, style=filled, fontname="Helvetica"];',
     ]
     edges: list[str] = []
-    for concern in sorted(landscape.concerns, key=lambda c: c.id):
+    for concern in landscape.concerns:
         rollup = report.concern_rollups[concern.id]
         lines.append(
             f'  "{_dot_escape(concern.id)}" [label="{_dot_escape(concern.name)}'
             f'\\n[{rollup.status.value}]", fillcolor={_STATUS_COLORS[rollup.status]}];'
         )
-        for goal_id in sorted(concern.goal_ids):
+        for goal_id in concern.goal_ids:
             edges.append(f'  "{_dot_escape(concern.id)}" -> "{_dot_escape(goal_id)}";')
-    for goal in sorted(landscape.goals, key=lambda g: g.id):
+    for goal in landscape.goals:
         rollup = report.goal_rollups[goal.id]
         lines.append(
             f'  "{_dot_escape(goal.id)}" [label="{_dot_escape(goal.statement)}'
             f'\\n({goal.id}) [{rollup.status.value}]", fillcolor={_STATUS_COLORS[rollup.status]}];'
         )
-        for vr_id in sorted(goal.vr_ids):
+        for vr_id in goal.vr_ids:
             edges.append(f'  "{_dot_escape(goal.id)}" -> "{_dot_escape(vr_id)}";')
-    for vr in sorted(landscape.vrs, key=lambda v: v.id):
+    for vr in landscape.vrs:
         status = report.effective_statuses[vr.id]
         lines.append(
             f'  "{_dot_escape(vr.id)}" [label="{_dot_escape(vr.id)}'
@@ -155,7 +153,7 @@ def render_json(report: EvaluationReport) -> bytes:
             "coverage_gaps": len(report.coverage_gaps),
         },
     }
-    return (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return dump_canonical(node)
 
 
 _RENDERERS = {"table": render_table, "json": render_json, "dot": render_argument_tree}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import laisc
-from laisc import io, metrics
+from laisc import fixtures, io, metrics
 from laisc.cli import main
 from laisc.io import write_grid, LabeledGrid
 
@@ -153,6 +154,22 @@ def test_evaluate_outputs_byte_identical_across_runs(fixture_paths, capsys):
     assert outputs["json"] != outputs["table"] != outputs["dot"]
 
 
+#: sha256 of ``evaluate --format <fmt>`` on the shipped fixture at PINNED_NOW.
+_FIXTURE_REPORT_SHA256 = {
+    "table": "8998e2e99c44b6332a0fe7cebc89baa8e040ea3d5b77cdd70cd8373e0d855f90",
+    "json": "d06342204d35112d471965538e1a8fdec06efb08661805efb7ea0c47ce93cd9c",
+    "dot": "65e4319f9055d8ddfc97ddf4a5d423d264e3a5d6c1a4241072812b1fa5326532",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FIXTURE_REPORT_SHA256))
+def test_fixture_report_bytes_are_pinned(fmt, capsys):
+    landscape_path, evidence_path = fixtures.fixture_path(), fixtures.fixture_path(fixtures.EVIDENCE_FILENAME)
+    argv = ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path), "--format", fmt]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _FIXTURE_REPORT_SHA256[fmt]
+
+
 # --- metric subcommands --------------------------------------------------------------
 
 
@@ -233,6 +250,25 @@ def test_metric_gap_and_evidence_append(fixture_paths, tmp_path, capsys):
     assert bundle.records[0].payload == bundle.records[1].payload
     assert bundle.records[0].payload.config_note == "gap"
     assert bundle.records[0].payload.value == pytest.approx(0.02, abs=1e-12)
+
+
+def test_metric_gap_records_the_metric_of_its_vr(fixture_paths, tmp_path, capsys):
+    """Without --metric, ``metric gap`` records the metric its --vr
+    measures; a VR that measures none still gets nothing."""
+    landscape_path, _ = fixture_paths
+    out_path = tmp_path / "run.evidence.json"
+    argv = [
+        "metric", "gap", "--a", "0.1", "--b", "0.2", "--dataset-a", "d-real", "--dataset-b", "d-synth",
+        "--landscape", str(landscape_path), "--out", str(out_path),
+    ]
+    assert main([*argv, "--vr", "VR2.1"]) == 0
+    assert "miou = " in capsys.readouterr().out
+    (rec,) = io.parse_evidence(out_path.read_bytes()).records
+    assert (rec.vr_id, rec.payload.metric_id, rec.payload.config_note) == ("VR2.1", "miou", "gap")
+    before = out_path.read_bytes()
+    assert main([*argv, "--vr", "VR1.1.1"]) == 3
+    assert "VR1.1.1" in capsys.readouterr().err
+    assert out_path.read_bytes() == before
 
 
 def test_metric_nap_identical_files_zero(fixture_paths, tmp_path, capsys):

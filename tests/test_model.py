@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_landscape, single_vr_landscape
 from laisc import fixtures
@@ -12,6 +15,7 @@ from laisc.model import (
     Condition,
     DatasetDescriptor,
     Goal,
+    Landscape,
     LifecycleStage,
     MetricGap,
     MetricThreshold,
@@ -40,6 +44,19 @@ def test_fixture_landscape_shape():
 def test_empty_definition_is_valid():
     landscape = build_landscape(name="empty")
     assert rows(landscape) == []
+
+
+def test_landscape_built_directly_is_canonical():
+    """Canonical order is decided by the Landscape itself, so a parser or a
+    caller that builds one directly gets the same object as build_landscape."""
+    rng = random.Random(2031)
+    for _ in range(25):
+        landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
+        parts = {f.name: getattr(landscape, f.name) for f in fields(Landscape)}
+        for name, value in parts.items():
+            if isinstance(value, tuple):
+                parts[name] = tuple(rng.sample(value, len(value)))
+        assert Landscape(**parts) == build_landscape(**parts) == landscape
 
 
 def test_dangling_goal_concern_reference():
@@ -256,6 +273,29 @@ def test_fingerprint_ignores_dataset_path_edits():
         for dataset_id, d in landscape.datasets
     }
     assert fingerprint(_rebuild(landscape, datasets=moved)) == fingerprint(landscape)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_fingerprint_equal_exactly_when_vr_content_is_equal(rng, data):
+    """Edit a random landscape's VRs (new id, another VR's payload, other
+    links, or nothing); the fingerprints agree exactly when every VR's id
+    and payload still do."""
+    landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
+    payloads = [vr.payload for vr in landscape.vrs]
+    edited = []
+    for vr in landscape.vrs:
+        edit = data.draw(st.sampled_from(("none", "links", "id", "payload")))
+        if edit == "links":
+            vr = replace(vr, goal_id="elsewhere", stage_id="elsewhere", mm_ids=())
+        elif edit == "id":
+            vr = replace(vr, id=vr.id + "-renamed")
+        elif edit == "payload":
+            vr = replace(vr, payload=data.draw(st.sampled_from(payloads)))
+        edited.append(vr)
+    other = replace(landscape, vrs=tuple(edited))
+    same_content = [(vr.id, vr.payload) for vr in landscape.vrs] == [(vr.id, vr.payload) for vr in other.vrs]
+    assert (fingerprint(other) == fingerprint(landscape)) is same_content
 
 
 def test_tree_shape_on_generated_landscapes():
