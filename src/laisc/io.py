@@ -365,8 +365,6 @@ def write_grid(grid: LabeledGrid) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
-
-
 def _header(lead: tuple[str, ...], prefix: str, count: int) -> list[str]:
     return [*lead, *(f"{prefix}_{k}" for k in range(count))]
 

@@ -150,12 +150,24 @@ def test_generated_landscape_round_trips(rng):
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_generated_bundle_round_trips(rng):
-    """Nested flag entries are pinned by the shipped evidence, whose
-    resolution log has two; a drawn log may have none."""
     bundle = random_bundle(rng)
     data = serialize_evidence(bundle)
     assert parse_evidence(data) == bundle
     assert serialize_evidence(parse_evidence(data)) == data
+
+
+def test_seeded_bundles_round_trip_nested_flag_entries():
+    """A single drawn bundle may resolve no flags; 25 seeded ones must
+    round-trip some nested ``FlagEntry`` values."""
+    rng = random.Random(2027)
+    resolved = 0
+    for _ in range(25):
+        bundle = random_bundle(rng)
+        data = serialize_evidence(bundle)
+        assert parse_evidence(data) == bundle
+        assert serialize_evidence(parse_evidence(data)) == data
+        resolved += sum(len(getattr(r.payload, "entries", ())) for r in bundle.records)
+    assert resolved > 0
 
 
 @pytest.mark.parametrize(
