@@ -377,8 +377,11 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
     wrong width is a :class:`DimensionMismatch`, and a token that
     ``convert`` rejects with ``ValueError`` a :class:`ValueOutOfRange`.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    reader = csv.reader(_stdio.StringIO(text))
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    # Decode line by line: a StringIO of the whole text would hold four
+    # bytes per character for as long as the table is being read.
+    reader = csv.reader(_stdio.TextIOWrapper(_stdio.BytesIO(data), encoding="utf-8", newline="\n"))
     expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
     header = next(reader, None)
     if header is None:

@@ -506,6 +506,15 @@ def test_activation_non_finite_rejected(token, error):
     assert type(caught.value) is error
 
 
+def test_tables_read_alike_from_text_bytes_and_crlf_bytes():
+    acts = "sample_id,a_0,a_1\nß1,0.5,-1.25\ns2,1e-3,2.5\n"
+    probs = "instance_id,label,p_0,p_1\nx1,1,0.3,0.7\nñ2,0,0.9,0.1\n"
+    for read, text in ((read_activations, acts), (read_prob_table, probs)):
+        table = read(text)
+        assert read(text.encode("utf-8")) == table
+        assert read(text.replace("\n", "\r\n").encode("utf-8")) == table
+
+
 def test_activation_width_mismatch():
     with pytest.raises(DimensionMismatch):
         read_activations("sample_id,a_0,a_1\ns1,0.5\n")
