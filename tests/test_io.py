@@ -31,6 +31,7 @@ from laisc.errors import (
 )
 from laisc.io import (
     LabeledGrid,
+    ProbabilityTable,
     parse_evidence,
     parse_landscape,
     parse_timestamp,
@@ -440,6 +441,14 @@ def test_prob_table_round_trip():
     for _ in range(20):
         table = random_prob_table(rng, rng.randint(2, 5), rng.randint(0, 12))
         assert read_prob_table(write_prob_table(table)) == table
+
+
+@pytest.mark.parametrize("label", [1.0, True, "1", None], ids=["float", "bool", "str", "none"])
+def test_prob_table_rejects_a_label_that_is_not_an_int(label):
+    with pytest.raises(ValueOutOfRange) as caught:
+        ProbabilityTable(2, (("x0", 0, (0.5, 0.5)), ("x1", label, (0.25, 0.75))))
+    assert type(caught.value) is ValueOutOfRange
+    assert str(caught.value) == f"row 1 (x1): label {label!r} is not an integer"
 
 
 def test_prob_row_not_normalized():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -187,6 +188,20 @@ def test_nap_closed_form_half_split():
     expected = math.sqrt(1 - math.sqrt(0.5))
     assert nap_distance(a, b, min_samples=1) == pytest.approx(expected, abs=1e-6)
     assert nap_distance(a, b, min_samples=1) == pytest.approx(0.541196, abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "low, high",
+    [(-1e308, 1e308), (0.0, 1e308), (-sys.float_info.max, sys.float_info.max), (-2e306, 2e306)],
+    ids=["span-overflows", "32-span-overflows", "float-max", "fits"],
+)
+def test_nap_range_past_float_max_gives_the_half_split_distance(low, high):
+    # The same bins as the half split above: a is (0.5, 0, ..., 0, 0.5), b is (0, ..., 0, 1).
+    a = acts((low,), (high,))
+    b = acts((high,), (high,))
+    expected = math.sqrt(0.5 * (0.5 + (math.sqrt(0.5) - 1.0) ** 2))
+    assert nap_distance(a, b, min_samples=1) == expected
+    assert nap_distance(b, a, min_samples=1) == expected
 
 
 def test_nap_constant_neuron_contributes_zero():
