@@ -16,6 +16,7 @@ import random
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
 
+from laisc.errors import DimensionMismatch, NotNormalized, ValueOutOfRange
 from laisc.evaluation import CoverageGap, GapKind
 from laisc.io import (
     ActivationTable,
@@ -144,6 +145,117 @@ def contrast_oracle(image: LabeledGrid, factor: float) -> tuple[tuple[int, ...],
         return _byte(int(Decimal(mean + factor * (value - mean)).quantize(Decimal(1), rounding=ROUND_HALF_UP)))
 
     return tuple(tuple(scaled(value) for value in row) for row in image.values)
+
+
+def _splitmix64_units(seed: int):
+    """The uniforms of the ``laisc.metrics`` stream spec, written from the
+    spec: splitmix64 outputs ``z``, each mapped to ``((z >> 11) + 1) / 2**53``."""
+    state = seed % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        z ^= z >> 31
+        yield ((z >> 11) + 1) / 2**53
+
+
+def noise_oracle(image: LabeledGrid, sigma: float, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Each pixel plus ``sigma`` times one Box-Muller normal, in row-major
+    order: a pair of uniforms ``(u1, u2)`` gives ``r cos(2 pi u2)`` for one
+    pixel and ``r sin(2 pi u2)`` for the next, ``r = sqrt(-2 ln u1)``.  The
+    sum is clamped to [0, 255] and rounded half away from zero."""
+    units = _splitmix64_units(seed)
+    normals = []
+    while len(normals) < image.height * image.width:
+        u1, u2 = next(units), next(units)
+        radius, angle = math.sqrt(-2.0 * math.log(u1)), 2.0 * math.pi * u2
+        normals += [radius * math.cos(angle), radius * math.sin(angle)]
+    normals.reverse()
+
+    def noisy(value: int) -> int:
+        clamped = min(255.0, max(0.0, value + normals.pop() * sigma))
+        return int(Decimal(clamped).quantize(Decimal(1), rounding=ROUND_HALF_UP))
+
+    return tuple(tuple(noisy(value) for value in row) for row in image.values)
+
+
+def pixel_flip_oracle(mask: LabeledGrid, rate: float, seed: int) -> tuple[tuple[int, ...], ...]:
+    """Each cell, in row-major order, flipped where its uniform is at most ``rate``."""
+    units = _splitmix64_units(seed)
+    return tuple(tuple(1 - value if next(units) <= rate else value for value in row) for row in mask.values)
+
+
+#: Bins of the NAP histograms; a range whose ``32 * (hi - lo)`` overflows is
+#: binned with every value, ``lo`` and ``hi`` scaled by ``2**-6``.
+_NAP_BINS = 32
+
+
+def nap_oracle(a: ActivationTable, b: ActivationTable) -> float:
+    """Mean per-neuron Hellinger distance, each value binned on its own with
+    the literal formula ``min(31, int(32 * (v - lo) / (hi - lo)))``."""
+    total = 0.0
+    for neuron in range(a.num_neurons):
+        columns = [[acts[neuron] for _, acts in table.rows] for table in (a, b)]
+        lo = min(min(columns[0]), min(columns[1]))
+        hi = max(max(columns[0]), max(columns[1]))
+        if hi == lo:
+            continue  # one bin holds everything on both sides: distance 0
+        if _NAP_BINS * (hi - lo) == math.inf:
+            columns = [[value * 2.0**-6 for value in column] for column in columns]
+            lo, hi = lo * 2.0**-6, hi * 2.0**-6
+        histograms = []
+        for column in columns:
+            counts = [0] * _NAP_BINS
+            for value in column:
+                counts[min(_NAP_BINS - 1, int(_NAP_BINS * (value - lo) / (hi - lo)))] += 1
+            histograms.append([count / len(column) for count in counts])
+        spread = 0.0
+        for p, q in zip(*histograms):
+            diff = math.sqrt(p) - math.sqrt(q)
+            spread += diff * diff
+        total += min(1.0, math.sqrt(0.5 * spread))
+    return total / a.num_neurons
+
+
+def table_rule_error(table_type: type, size: int, rows) -> Exception | None:
+    """The first error the per-row rules of ``table_type`` find, or None.
+
+    Rows are checked in order; within a row, its width, then (for a
+    ``ProbabilityTable``) its label, then each value, then its sum.
+    """
+    try:
+        if table_type is ProbabilityTable:
+            if size < 2:
+                raise ValueOutOfRange(f"need at least 2 classes, got {size}")
+            for index, (instance_id, label, probs) in enumerate(rows):
+                where = f"row {index} ({instance_id})"
+                if len(probs) != size:
+                    raise DimensionMismatch(f"{where}: expected {size} probabilities, got {len(probs)}")
+                if type(label) is not int:
+                    raise ValueOutOfRange(f"{where}: label {label!r} is not an integer")
+                if label < 0 or label >= size:
+                    raise ValueOutOfRange(f"{where}: label {label} outside [0, {size})")
+                for p in probs:
+                    if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+                        raise ValueOutOfRange(f"{where}: probability {p!r} outside [0, 1]")
+                total = math.fsum(probs)
+                if abs(total - 1.0) > 1e-6:
+                    raise NotNormalized(index, total)
+        else:
+            if size < 1:
+                raise ValueOutOfRange(f"need at least 1 neuron, got {size}")
+            for index, (sample_id, acts) in enumerate(rows):
+                where = f"row {index} ({sample_id})"
+                if len(acts) != size:
+                    raise DimensionMismatch(f"{where}: expected {size} activations, got {len(acts)}")
+                for value in acts:
+                    # math.isfinite raises OverflowError for an int past the float range.
+                    if type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value):
+                        raise ValueOutOfRange(f"{where}: non-finite activation {value!r}")
+    except Exception as exc:  # noqa: BLE001 - the error is the result
+        return exc
+    return None
 
 
 def brute_force_confident_joint(table: ProbabilityTable) -> list[list[int]]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 import re
 from dataclasses import fields
@@ -17,6 +18,7 @@ from helpers import (
     random_prob_table,
     schema_mutations,
     single_vr_landscape,
+    table_rule_error,
 )
 from laisc import fixtures
 from laisc.errors import (
@@ -30,6 +32,7 @@ from laisc.errors import (
     ValueOutOfRange,
 )
 from laisc.io import (
+    ActivationTable,
     LabeledGrid,
     ProbabilityTable,
     parse_evidence,
@@ -527,6 +530,74 @@ def test_tables_read_alike_from_text_bytes_and_crlf_bytes():
 def test_activation_width_mismatch():
     with pytest.raises(DimensionMismatch):
         read_activations("sample_id,a_0,a_1\ns1,0.5\n")
+
+
+# --- table checks against the per-row rules -------------------------------------------------
+
+
+class _Half(float):
+    """A float subclass: the per-row rules accept it like a float."""
+
+
+#: Each defect replaces one value, or changes the row's width, label or sum.
+_VALUE_DEFECTS = {
+    "nan": lambda value: math.nan,
+    "inf": lambda value: math.inf,
+    "-inf": lambda value: -math.inf,
+    "huge-int": lambda value: 10**400,
+    "bool": lambda value: True,
+    "float-subclass": _Half,
+    "int": lambda value: 1,
+}
+_ROW_DEFECTS = ("wider", "narrower", "label-high", "label-negative", "sum")
+
+
+@st.composite
+def _defective_table(draw):
+    table_type = draw(st.sampled_from((ProbabilityTable, ActivationTable)))
+    size = draw(st.integers(1, 4) if table_type is ActivationTable else st.integers(2, 4))
+    rows = []
+    for index in range(draw(st.integers(0, 6))):
+        if table_type is ProbabilityTable:
+            weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+            total = math.fsum(weights)
+            rows.append([f"x{index}", draw(st.integers(0, size - 1)), [w / total for w in weights]])
+        else:
+            values = draw(st.lists(st.floats(-1e3, 1e3) | st.integers(-9, 9), min_size=size, max_size=size))
+            rows.append([f"s{index}", values])
+    defects = st.sampled_from(sorted(_VALUE_DEFECTS) + list(_ROW_DEFECTS))
+    for defect in draw(st.lists(defects, max_size=3)) if rows else ():
+        row = draw(st.sampled_from(rows))
+        values = row[-1]
+        column = draw(st.integers(0, size - 1))
+        if defect in _VALUE_DEFECTS:
+            values[column] = _VALUE_DEFECTS[defect](values[column])
+        elif defect == "wider":
+            values.append(0.0)
+        elif defect == "narrower":
+            values.pop()
+        elif table_type is ActivationTable:
+            continue  # activation rows have no label or sum
+        elif defect == "sum":
+            values[column] /= 2
+        else:
+            row[1] = size if defect == "label-high" else -1
+    return table_type, size, tuple(tuple(row[:-1]) + (tuple(row[-1]),) for row in rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_defective_table())
+def test_table_checks_raise_the_first_per_row_error(drawn):
+    table_type, size, rows = drawn
+    expected = table_rule_error(table_type, size, rows)
+    try:
+        table = table_type(size, rows)
+    except Exception as exc:  # noqa: BLE001 - compared with the rules' error below
+        assert expected is not None, f"rejected a table the rules accept: {exc!r}"
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+    else:
+        assert expected is None, f"accepted a table the rules reject with {expected!r}"
+        assert table.rows == rows
 
 
 # --- report serialization ---------------------------------------------------------------------

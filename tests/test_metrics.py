@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     brightness_oracle,
@@ -13,7 +16,10 @@ from helpers import (
     contrast_oracle,
     hflip_oracle,
     morphology_oracle,
+    nap_oracle,
+    noise_oracle,
     occlusion_oracle,
+    pixel_flip_oracle,
     random_activation_table,
     random_image,
     random_mask,
@@ -242,6 +248,52 @@ def test_nap_errors():
 def test_nap_small_sample_warning():
     with pytest.warns(SmallSampleWarning):
         nap_distance(acts((1.0,), (2.0,)), acts((1.5,), (2.5,)))
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+@st.composite
+def _neuron_pool(draw) -> list:
+    """The values one neuron draws from: bin edges, a tiny span, small ints,
+    any finite floats, values near the float range, or one constant."""
+    kind = draw(st.sampled_from(("edges", "tiny", "ints", "floats", "extremes", "constant")))
+    if kind == "edges":
+        lo, width = draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-6, 1e6))
+        return [lo + width * j / 32 for j in range(33)]
+    if kind == "tiny":
+        pool = [draw(st.floats(-1e6, 1e6))]
+        for _ in range(draw(st.integers(1, 4))):
+            pool.append(math.nextafter(pool[-1], math.inf))
+        return pool
+    if kind == "ints":
+        return draw(st.lists(st.integers(-40, 40), min_size=1, max_size=6))
+    if kind == "floats":
+        return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+    if kind == "extremes":
+        return [-_FLOAT_MAX, -1e308, -2e306, 0.0, 2e306, 1e308, _FLOAT_MAX]
+    return [draw(st.one_of(st.integers(-5, 5), st.floats(-5, 5)))]
+
+
+@st.composite
+def _activation_pair(draw) -> tuple[ActivationTable, ActivationTable]:
+    neurons = draw(st.integers(1, 3))
+    # One or two pools per neuron, so ints, floats and extremes can mix.
+    pools = [sum(draw(st.lists(_neuron_pool(), min_size=1, max_size=2)), []) for _ in range(neurons)]
+    tables = []
+    for _ in range(2):
+        rows = draw(st.lists(st.tuples(*map(st.sampled_from, pools)), min_size=1, max_size=12))
+        tables.append(ActivationTable(neurons, tuple((f"s{i}", row) for i, row in enumerate(rows))))
+    return tables[0], tables[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_activation_pair())
+def test_nap_equals_the_per_value_oracle(pair):
+    a, b = pair
+    distance = nap_distance(a, b, min_samples=1)
+    assert distance == nap_oracle(a, b)
+    assert 0.0 <= distance <= 1.0
 
 
 # --- confident learning ---------------------------------------------------------------------
@@ -600,3 +652,37 @@ def test_perturbations_match_per_pixel_oracles():
             new_image, new_mask = perturb(image, mask, ContrastScale(factor))
             assert new_image.values == contrast_oracle(image, factor)
             assert new_mask == mask
+
+
+# --- seeded streams ------------------------------------------------------------------------
+
+
+def _cells(rows) -> bytes:
+    return bytes(value for row in rows for value in row)
+
+
+_SEEDS = (0, 1, 42, -1, 2**63, 2**64 - 1)
+
+
+def test_noise_and_pixel_flip_match_the_stream_spec():
+    rng = random.Random(61)
+    for height, width in _SHAPES * 2:
+        image, mask = _random_pair(rng, height, width)
+        for seed in (*_SEEDS, rng.randrange(2**64)):
+            for sigma in (0.0, 1e-9, 0.7, 12.5, 300.0, 1e12, _FLOAT_MAX, rng.uniform(0.0, 60.0)):
+                new_image, new_mask = perturb(image, mask, GaussianNoise(sigma, seed))
+                assert new_image.cells == _cells(noise_oracle(image, sigma, seed))
+                assert new_mask == mask
+            for rate in (0.0, 2**-53, 0.5, 1.0, rng.random()):
+                assert augment_labels(mask, RandomPixelFlip(rate, seed)).cells == _cells(
+                    pixel_flip_oracle(mask, rate, seed)
+                )
+
+
+def test_noise_and_pixel_flip_bytes_are_pinned():
+    # An odd pixel count, so the last normal pair has an unused sine half.
+    image, mask = _random_pair(random.Random(67), 31, 17)
+    noisy, _ = perturb(image, mask, GaussianNoise(sigma=23.5, seed=2**64 - 1))
+    flipped = augment_labels(mask, RandomPixelFlip(rate=0.3, seed=0))
+    assert hashlib.sha256(noisy.cells).hexdigest() == "09606da6bcb0452bd5f6a27831cc14c3f0d55433f69c3d5576ec7907b8f5e80d"
+    assert hashlib.sha256(flipped.cells).hexdigest() == "54a03cea20c54bca123314c6d09c48cf1e82ece543ee8f89bd16f4742b1c401f"
