@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import fcntl
-import json
 import os
 import stat
 import sys
@@ -30,6 +29,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from laisc import evaluation, io, metrics, report
+from laisc.codec import dump_canonical
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
 from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, bound_datasets, fingerprint, rows
@@ -308,9 +308,7 @@ def _spec_from_args(kinds: dict[str, type], args: argparse.Namespace):
 def _write_manifest(out_dir: Path, operation: str, spec, inputs: dict[str, str]) -> None:
     spec_node = {"kind": type(spec).__name__, **asdict(spec)}
     manifest = {"operation": operation, "spec": spec_node, "inputs": inputs}
-    (out_dir / "manifest.json").write_bytes(
-        (json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode("utf-8")
-    )
+    (out_dir / "manifest.json").write_bytes(dump_canonical(manifest))
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:

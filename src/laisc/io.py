@@ -32,6 +32,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
+from itertools import chain
+from operator import itemgetter
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
@@ -217,9 +219,19 @@ class LabeledGrid:
         return not self.cells.translate(None, b"\x00\x01")
 
 
+def _only(values, types: set[type]) -> bool:
+    """Whether every value's exact type is in ``types`` (subclasses are not)."""
+    return set(map(type, values)) <= types
+
+
 @dataclass(frozen=True, slots=True)
 class ProbabilityTable:
-    """Per-instance predicted class probabilities with the observed label."""
+    """Per-instance predicted class probabilities with the observed label.
+
+    The whole table is checked first, one C-level pass per rule; only a
+    table that fails one of them goes through the row-by-row check, which
+    words the first error (or accepts, say, a ``float`` subclass).
+    """
 
     num_classes: int
     rows: tuple[tuple[str, int, tuple[float, ...]], ...]
@@ -230,11 +242,32 @@ class ProbabilityTable:
         )
         if self.num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {self.num_classes}")
+        if not self._passes_whole_table_checks():
+            self._check_rows()
+
+    def _passes_whole_table_checks(self) -> bool:
+        if not self.rows:
+            return True
+        labels, probs = list(map(itemgetter(1), self.rows)), list(map(itemgetter(2), self.rows))
+        values = list(chain.from_iterable(probs))
+        if set(map(len, probs)) != {self.num_classes} or not _only(labels, {int}) or not _only(values, {float, int}):
+            return False
+        if not (0 <= min(labels) and max(labels) < self.num_classes and 0.0 <= min(values) and max(values) <= 1.0):
+            return False
+        # min and max may skip a NaN (one that is not first), but then its row
+        # sums to NaN.  total - 1.0 never decreases as total grows, so the
+        # smallest and largest sums decide the last rule.
+        sums = list(map(math.fsum, probs))
+        return all(map(math.isfinite, sums)) and abs(min(sums) - 1.0) <= 1e-6 and abs(max(sums) - 1.0) <= 1e-6
+
+    def _check_rows(self) -> None:
         for index, (instance_id, label, probs) in enumerate(self.rows):
             if len(probs) != self.num_classes:
                 raise DimensionMismatch(
                     f"row {index} ({instance_id}): expected {self.num_classes} probabilities, got {len(probs)}"
                 )
+            if type(label) is not int:
+                raise ValueOutOfRange(f"row {index} ({instance_id}): label {label!r} is not an integer")
             if not 0 <= label < self.num_classes:
                 raise ValueOutOfRange(f"row {index} ({instance_id}): label {label} outside [0, {self.num_classes})")
             for p in probs:
@@ -247,7 +280,11 @@ class ProbabilityTable:
 
 @dataclass(frozen=True, slots=True)
 class ActivationTable:
-    """Per-sample activation values for a fixed set of neurons."""
+    """Per-sample activation values for a fixed set of neurons.
+
+    Checked like ``ProbabilityTable``: whole-table passes first, the
+    row-by-row check only when one of them fails.
+    """
 
     num_neurons: int
     rows: tuple[tuple[str, tuple[float, ...]], ...]
@@ -256,6 +293,22 @@ class ActivationTable:
         object.__setattr__(self, "rows", tuple((s, tuple(a)) for s, a in self.rows))
         if self.num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {self.num_neurons}")
+        if not self._passes_whole_table_checks():
+            self._check_rows()
+
+    def _passes_whole_table_checks(self) -> bool:
+        acts = list(map(itemgetter(1), self.rows))
+        values = list(chain.from_iterable(acts))
+        try:
+            return (
+                set(map(len, acts)) <= {self.num_neurons}
+                and _only(values, {float, int})
+                and all(map(math.isfinite, values))
+            )
+        except OverflowError:  # an int past the float range: the row check words it
+            return False
+
+    def _check_rows(self) -> None:
         for index, (sample_id, acts) in enumerate(self.rows):
             if len(acts) != self.num_neurons:
                 raise DimensionMismatch(

@@ -16,7 +16,17 @@ so the same seed reproduces the same bytes in any implementation:
   ``z0 = r cos(2 pi u2)``, ``z1 = r sin(2 pi u2)``; the pair is consumed
   in order z0, z1.
 
-Values are consumed in row-major pixel order.
+Values are consumed in row-major pixel order: noise adds ``z * sigma``
+(evaluated as ``(r * cos(a)) * sigma`` with ``a = (2 pi) * u2``) to each
+pixel, so an odd pixel count leaves the last ``z1`` unused; pixel flip
+flips a cell whose ``u <= rate``.  Both draw from ``_uniforms``, one
+splitmix64 loop held in local variables.
+
+NAP distance bins each neuron's values with
+``int(32 * (v - lo) / (hi - lo))``.  That index never decreases as ``v``
+grows, so each column is sorted once and each bin's start is found by
+bisection rather than by binning every value; see :func:`nap_distance`
+for the overflow and mixed int/float cases.
 
 The grid kernels work on ``LabeledGrid.cells``, the row-major bytes,
 never on the derived ``.values``: IoU counts the set bits of the cells
@@ -29,7 +39,9 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import islice
 
 from laisc.errors import (
     DimensionMismatch,
@@ -125,18 +137,53 @@ def performance_gap(pi_a: float, pi_b: float) -> float:
 # --- activation distribution distance -------------------------------------------
 
 
-def _bin_counts(values: list[float], lo: float, hi: float) -> list[int]:
-    # Shared equal-width bins over [lo, hi]; the top edge closes the last bin.
-    if hi == lo:
-        return [len(values)]
-    counts = [0] * _HISTOGRAM_BINS
-    span = hi - lo
-    for value in values:
-        index = int(_HISTOGRAM_BINS * (value - lo) / span)
-        if index >= _HISTOGRAM_BINS:
-            index = _HISTOGRAM_BINS - 1
-        counts[index] += 1
-    return counts
+#: Scales a range whose ``32 * (v - lo)`` overflows a float back into range.
+_SHRINK = 2.0**-6
+
+#: Within this magnitude every int is a float, so ints and floats bin alike.
+_EXACT_INT = 2**52
+
+
+def _bin_of(lo: float, hi: float, scaled: bool):
+    """The bin index of a value in ``[lo, hi]``, before the top edge is
+    folded into the last bin: ``int(32 * (v - lo) / (hi - lo))``, with
+    ``v``, ``lo`` and ``hi`` each multiplied by ``2**-6`` first if
+    ``scaled``."""
+    if not scaled:
+        span = hi - lo
+        return lambda value: int(_HISTOGRAM_BINS * (value - lo) / span)
+    lo, span = lo * _SHRINK, hi * _SHRINK - lo * _SHRINK
+    return lambda value: int(_HISTOGRAM_BINS * (value * _SHRINK - lo) / span)
+
+
+def _sorted_by_bin(columns, lo: float, hi: float):
+    """The columns sorted by bin index, and the bin function, for a neuron
+    that mixes ints and floats past ``2**52``: there int arithmetic is
+    exact and float arithmetic rounds, so sorting by value may leave a
+    larger bin before a smaller one."""
+    try:
+        bin_of = _bin_of(lo, hi, scaled=False)
+        return [sorted(column, key=bin_of) for column in columns], bin_of
+    except (OverflowError, ValueError):  # 32 * (v - lo) left the float range
+        bin_of = _bin_of(lo, hi, scaled=True)
+        return [sorted(column, key=bin_of) for column in columns], bin_of
+
+
+def _bin_counts(column: list, bin_of) -> list[int]:
+    # ``column`` is sorted so that the bin index never decreases: each bin
+    # starts at the first value whose index is that bin's or more, and the
+    # top edge (index 32) closes the last bin.
+    starts = [0]
+    for k in range(1, _HISTOGRAM_BINS):
+        starts.append(bisect_left(column, k, starts[-1], key=bin_of))
+    starts.append(len(column))
+    return [end - start for start, end in zip(starts, starts[1:])]
+
+
+def _first_max(column: list):
+    """``max`` of the values that ``column`` holds sorted: the first of the
+    largest ones in their original order, as a stable sort keeps it."""
+    return column[bisect_left(column, column[-1])]
 
 
 def nap_distance(
@@ -154,6 +201,16 @@ def nap_distance(
     identical distributions, 1 for disjoint ones.  It is evaluated in the
     equivalent form ``sqrt(0.5 * sum_k (sqrt(P_k) - sqrt(Q_k))^2)`` so
     that identical histograms yield exactly 0 in floating point.
+
+    A value ``v`` falls in bin ``min(31, int(32 * (v - lo) / (hi - lo)))``
+    of the neuron's range ``[lo, hi]``; where that overflows the float
+    range for any value of the neuron, ``v``, ``lo`` and ``hi`` are each
+    scaled by ``2**-6`` first.  A neuron whose ``hi - lo`` is 0 contributes
+    0: it is constant, or its ends are an int and a float closer than the
+    float spacing.  The bin index never decreases as ``v`` grows, so each
+    column is sorted once and each bin's start found by bisection.  The one
+    exception is a neuron that mixes ints and floats beyond ``2**52`` in
+    magnitude; its columns are sorted by bin index instead.
     """
     if a.num_neurons != b.num_neurons:
         raise NeuronCountMismatch(f"{a.num_neurons} neurons vs {b.num_neurons}")
@@ -162,16 +219,21 @@ def nap_distance(
     _warn_small_sample("NAP distance", min(len(a.rows), len(b.rows)), min_samples)
 
     total = 0.0
-    for neuron in range(a.num_neurons):
-        values_a = [acts[neuron] for _, acts in a.rows]
-        values_b = [acts[neuron] for _, acts in b.rows]
-        lo = min(min(values_a), min(values_b))
-        hi = max(max(values_a), max(values_b))
-        counts_a = _bin_counts(values_a, lo, hi)
-        counts_b = _bin_counts(values_b, lo, hi)
+    columns_b = zip(*(acts for _, acts in b.rows))
+    for column_a, column_b in zip(zip(*(acts for _, acts in a.rows)), columns_b):
+        column_a, column_b = sorted(column_a), sorted(column_b)
+        lo = min(column_a[0], column_b[0])
+        hi = max(_first_max(column_a), _first_max(column_b))
+        if hi - lo == 0:
+            continue  # one bin holds both columns: adds 0
+        if -_EXACT_INT <= lo and hi <= _EXACT_INT or len({*map(type, column_a + column_b)}) == 1:
+            # Here 32 * (v - lo) overflows for some value exactly when it does for hi.
+            bin_of = _bin_of(lo, hi, scaled=not _HISTOGRAM_BINS * (hi - lo) < math.inf)
+        else:
+            (column_a, column_b), bin_of = _sorted_by_bin((column_a, column_b), lo, hi)
         spread = 0.0
-        for count_a, count_b in zip(counts_a, counts_b):
-            diff = math.sqrt(count_a / len(values_a)) - math.sqrt(count_b / len(values_b))
+        for count_a, count_b in zip(_bin_counts(column_a, bin_of), _bin_counts(column_b, bin_of)):
+            diff = math.sqrt(count_a / len(column_a)) - math.sqrt(count_b / len(column_b))
             spread += diff * diff
         total += min(1.0, math.sqrt(0.5 * spread))
     return total / a.num_neurons
@@ -263,44 +325,16 @@ def clm_flags(
 
 # --- seeded random streams --------------------------------------------------------
 
-_MASK64 = (1 << 64) - 1
 
-
-class _SplitMix64:
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def next_unit(self) -> float:
-        """Uniform on (0, 1], safe as a log argument."""
-        return ((self.next_u64() >> 11) + 1) * 2.0**-53
-
-
-class _GaussianStream:
-    """Box-Muller normals over a splitmix64 uniform stream."""
-
-    def __init__(self, seed: int, sigma: float) -> None:
-        self._uniforms = _SplitMix64(seed)
-        self._sigma = sigma
-        self._spare: float | None = None
-
-    def next(self) -> float:
-        if self._spare is not None:
-            value = self._spare
-            self._spare = None
-            return value
-        u1 = self._uniforms.next_unit()
-        u2 = self._uniforms.next_unit()
-        radius = math.sqrt(-2.0 * math.log(u1))
-        angle = 2.0 * math.pi * u2
-        self._spare = radius * math.sin(angle) * self._sigma
-        return radius * math.cos(angle) * self._sigma
+def _uniforms(seed: int):
+    """The splitmix64 uniforms on (0, 1] for ``seed``, without end."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        yield (((z ^ (z >> 31)) >> 11) + 1) * 2.0**-53
 
 
 # --- image perturbations ------------------------------------------------------------
@@ -407,8 +441,14 @@ def perturb(
     if isinstance(spec, GaussianNoise):
         if not math.isfinite(spec.sigma) or spec.sigma < 0:
             raise InvalidParameter(f"noise sigma must be >= 0, got {spec.sigma!r}")
-        noise = _GaussianStream(spec.seed, spec.sigma).next
-        cells = bytes([_to_byte(value + noise()) for value in image.cells])
+        units, sigma = _uniforms(spec.seed), spec.sigma
+        sqrt, log, cos, sin, turn = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
+        noise = []
+        # One pair of uniforms per two pixels: the cosine normal, then the sine one.
+        for u1, u2 in islice(zip(units, units), (len(image.cells) + 1) // 2):
+            radius, angle = sqrt(-2.0 * log(u1)), turn * u2
+            noise += (radius * cos(angle) * sigma, radius * sin(angle) * sigma)
+        cells = bytes([_to_byte(value + z) for value, z in zip(image.cells, noise)])
         return LabeledGrid.from_bytes(image.height, image.width, cells), mask
 
     if isinstance(spec, OcclusionPatch):
@@ -514,8 +554,8 @@ def augment_labels(mask: LabeledGrid, spec: LabelAugmentationSpec) -> LabeledGri
     if isinstance(spec, RandomPixelFlip):
         if not math.isfinite(spec.rate) or not 0.0 <= spec.rate <= 1.0:
             raise InvalidParameter(f"flip rate must be in [0, 1], got {spec.rate!r}")
-        unit, rate = _SplitMix64(spec.seed).next_unit, spec.rate
-        cells = bytes([1 - value if unit() <= rate else value for value in mask.cells])
+        rate = spec.rate
+        cells = bytes([1 - value if unit <= rate else value for value, unit in zip(mask.cells, _uniforms(spec.seed))])
         return LabeledGrid.from_bytes(mask.height, mask.width, cells)
 
     if isinstance(spec, MaskDilate):

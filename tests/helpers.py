@@ -186,32 +186,27 @@ def pixel_flip_oracle(mask: LabeledGrid, rate: float, seed: int) -> tuple[tuple[
     return tuple(tuple(1 - value if next(units) <= rate else value for value in row) for row in mask.values)
 
 
-#: Bins of the NAP histograms; a range whose ``32 * (hi - lo)`` overflows is
-#: binned with every value, ``lo`` and ``hi`` scaled by ``2**-6``.
-_NAP_BINS = 32
-
-
 def nap_oracle(a: ActivationTable, b: ActivationTable) -> float:
     """Mean per-neuron Hellinger distance, each value binned on its own with
-    the literal formula ``min(31, int(32 * (v - lo) / (hi - lo)))``."""
+    the literal formula ``min(31, int(32 * (v - lo) / (hi - lo)))``; if that
+    overflows for any value of the neuron, every value, ``lo`` and ``hi``
+    are first multiplied by ``2**-6``."""
     total = 0.0
     for neuron in range(a.num_neurons):
         columns = [[acts[neuron] for _, acts in table.rows] for table in (a, b)]
         lo = min(min(columns[0]), min(columns[1]))
         hi = max(max(columns[0]), max(columns[1]))
-        if hi == lo:
-            continue  # one bin holds everything on both sides: distance 0
-        if _NAP_BINS * (hi - lo) == math.inf:
-            columns = [[value * 2.0**-6 for value in column] for column in columns]
+        if hi - lo == 0:
+            continue  # constant, or an int and a float closer than the float spacing: distance 0
+        try:
+            bins = [[min(31, int(32 * (v - lo) / (hi - lo))) for v in column] for column in columns]
+        except (OverflowError, ValueError):
+            small = [[v * 2.0**-6 for v in column] for column in columns]
             lo, hi = lo * 2.0**-6, hi * 2.0**-6
-        histograms = []
-        for column in columns:
-            counts = [0] * _NAP_BINS
-            for value in column:
-                counts[min(_NAP_BINS - 1, int(_NAP_BINS * (value - lo) / (hi - lo)))] += 1
-            histograms.append([count / len(column) for count in counts])
+            bins = [[min(31, int(32 * (v - lo) / (hi - lo))) for v in column] for column in small]
         spread = 0.0
-        for p, q in zip(*histograms):
+        for k in range(32):
+            p, q = (column.count(k) / len(column) for column in bins)
             diff = math.sqrt(p) - math.sqrt(q)
             spread += diff * diff
         total += min(1.0, math.sqrt(0.5 * spread))

@@ -587,6 +587,18 @@ def test_every_kind_writes_the_in_process_result_and_its_spec(command, kind, fla
     assert manifest == {"operation": command, "spec": spec_node, "inputs": inputs}
 
 
+@pytest.mark.parametrize("name", ["mask.grid", "mäsk.grid"], ids=["ascii", "non-ascii"])
+def test_manifest_is_canonical_utf8_json(name, tmp_path):
+    mask = _grid_file(tmp_path, name, [[1, 0], [0, 1]])
+    out_dir = tmp_path / "out"
+    assert main(["augment-labels", "--mask", str(mask), "--kind", "dilate", "--radius", "1", "--out", str(out_dir)]) == 0
+    node = {"operation": "augment-labels", "spec": {"kind": "MaskDilate", "radius": 1}, "inputs": {"mask": str(mask)}}
+    data = (out_dir / "manifest.json").read_bytes()
+    # For an ASCII path these are also the bytes of json.dumps with ASCII escaping on.
+    assert data == (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    assert name.encode("utf-8") in data
+
+
 def test_usage_error_exits_three(capsys):
     assert main(["evaluate", "--landscape"]) == 3
     assert main(["metric", "unknown-metric"]) == 3

@@ -569,17 +569,19 @@ def _defective_table(draw):
     for defect in draw(st.lists(defects, max_size=3)) if rows else ():
         row = draw(st.sampled_from(rows))
         values = row[-1]
-        column = draw(st.integers(0, size - 1))
-        if defect in _VALUE_DEFECTS:
-            values[column] = _VALUE_DEFECTS[defect](values[column])
-        elif defect == "wider":
+        if defect == "wider":
             values.append(0.0)
+        elif not values:
+            continue  # a row narrowed to nothing has no value left to change
         elif defect == "narrower":
             values.pop()
+        elif defect in _VALUE_DEFECTS:
+            column = draw(st.integers(0, len(values) - 1))
+            values[column] = _VALUE_DEFECTS[defect](values[column])
         elif table_type is ActivationTable:
             continue  # activation rows have no label or sum
         elif defect == "sum":
-            values[column] /= 2
+            values[draw(st.integers(0, len(values) - 1))] /= 2
         else:
             row[1] = size if defect == "label-high" else -1
     return table_type, size, tuple(tuple(row[:-1]) + (tuple(row[-1]),) for row in rows)

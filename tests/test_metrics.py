@@ -210,6 +210,22 @@ def test_nap_range_past_float_max_gives_the_half_split_distance(low, high):
     assert nap_distance(b, a, min_samples=1) == expected
 
 
+def test_nap_int_and_float_closer_than_float_spacing_contribute_zero():
+    # 2**60 + 1 - 2.0**60 rounds to 0.0 although the two values differ.
+    a = acts((2.0**60, 1.0), (2.0**60, 2.0))
+    b = acts((2**60 + 1, 1.0), (2**60 + 1, 2.0))
+    assert nap_distance(a, b, min_samples=1) == 0.0
+
+
+def test_nap_range_ends_where_max_puts_them():
+    # hi is the int, the first of two equal maxima as max() picks it; with the
+    # float as hi, 1339375441193978874 would take another bin.
+    hi = 1883917254191783936
+    a = acts((hi,), (1339375441193978874,), (float(hi),), (1261583753622863872,))
+    b = acts((1.339375441193979e18,))
+    assert nap_distance(a, b, min_samples=1) == nap_oracle(a, b) == 1.0
+
+
 def test_nap_constant_neuron_contributes_zero():
     a = acts((5.0, 0.0), (5.0, 1.0))
     b = acts((5.0, 100.0), (5.0, 101.0))
@@ -256,8 +272,9 @@ _FLOAT_MAX = sys.float_info.max
 @st.composite
 def _neuron_pool(draw) -> list:
     """The values one neuron draws from: bin edges, a tiny span, small ints,
-    any finite floats, values near the float range, or one constant."""
-    kind = draw(st.sampled_from(("edges", "tiny", "ints", "floats", "extremes", "constant")))
+    ints and floats of nearly equal value past 2**52, any finite floats,
+    values near the float range, or one constant."""
+    kind = draw(st.sampled_from(("edges", "tiny", "ints", "big", "floats", "extremes", "constant")))
     if kind == "edges":
         lo, width = draw(st.floats(-1e6, 1e6)), draw(st.floats(1e-6, 1e6))
         return [lo + width * j / 32 for j in range(33)]
@@ -268,10 +285,18 @@ def _neuron_pool(draw) -> list:
         return pool
     if kind == "ints":
         return draw(st.lists(st.integers(-40, 40), min_size=1, max_size=6))
+    if kind == "big":
+        # Ints and floats around one bin edge of a range past 2**53; each end
+        # of the range as an int, a float or both (equal values, in either order).
+        lo, span = draw(st.integers(-(2**50), 2**50)) * 2**12, draw(st.integers(2**41, 2**48)) * 2**12
+        edge = lo + span * draw(st.integers(1, 31)) // 32
+        casts = st.sampled_from(((int,), (float,), (int, float), (float, int)))
+        ends = [cast(end) for end in (lo, lo + span) for cast in draw(casts)]
+        return ends + [value for d in range(-6, 7) for value in (edge + d, float(edge + d))]
     if kind == "floats":
         return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
     if kind == "extremes":
-        return [-_FLOAT_MAX, -1e308, -2e306, 0.0, 2e306, 1e308, _FLOAT_MAX]
+        return [-_FLOAT_MAX, -1e308, -(10**308), -2e306, 0.0, 0, 2e306, 10**308, 1e308, _FLOAT_MAX]
     return [draw(st.one_of(st.integers(-5, 5), st.floats(-5, 5)))]
 
 
