@@ -16,7 +16,7 @@ import random
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
 
-from laisc.errors import DimensionMismatch, NotNormalized, ValueOutOfRange
+from laisc.errors import DimensionMismatch, LaiscError, NotNormalized, ValueOutOfRange
 from laisc.evaluation import CoverageGap, GapKind
 from laisc.io import (
     ActivationTable,
@@ -213,7 +213,7 @@ def nap_oracle(a: ActivationTable, b: ActivationTable) -> float:
     return total / a.num_neurons
 
 
-def table_rule_error(table_type: type, size: int, rows) -> Exception | None:
+def table_rule_error(table_type: type, size: int, rows) -> LaiscError | OverflowError | None:
     """The first error the per-row rules of ``table_type`` find, or None.
 
     Rows are checked in order; within a row, its width, then (for a
@@ -245,10 +245,9 @@ def table_rule_error(table_type: type, size: int, rows) -> Exception | None:
                 if len(acts) != size:
                     raise DimensionMismatch(f"{where}: expected {size} activations, got {len(acts)}")
                 for value in acts:
-                    # math.isfinite raises OverflowError for an int past the float range.
                     if type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value):
                         raise ValueOutOfRange(f"{where}: non-finite activation {value!r}")
-    except Exception as exc:  # noqa: BLE001 - the error is the result
+    except (LaiscError, OverflowError) as exc:  # math.isfinite raises OverflowError
         return exc
     return None
 

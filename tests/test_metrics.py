@@ -202,10 +202,11 @@ def test_nap_closed_form_half_split():
     ids=["span-overflows", "32-span-overflows", "float-max", "fits"],
 )
 def test_nap_range_past_float_max_gives_the_half_split_distance(low, high):
-    # The same bins as the half split above: a is (0.5, 0, ..., 0, 0.5), b is (0, ..., 0, 1).
+    # a fills the first and the last bin, b the last: the bins of (0, 1) vs (1, 1).
+    expected = nap_distance(acts((0.0,), (1.0,)), acts((1.0,), (1.0,)), min_samples=1)
+    assert expected == pytest.approx(0.541196, abs=1e-6)
     a = acts((low,), (high,))
     b = acts((high,), (high,))
-    expected = math.sqrt(0.5 * (0.5 + (math.sqrt(0.5) - 1.0) ** 2))
     assert nap_distance(a, b, min_samples=1) == expected
     assert nap_distance(b, a, min_samples=1) == expected
 
