@@ -219,19 +219,9 @@ class LabeledGrid:
         return not self.cells.translate(None, b"\x00\x01")
 
 
-def _only(values, types: set[type]) -> bool:
-    """Whether every value's exact type is in ``types`` (subclasses are not)."""
-    return set(map(type, values)) <= types
-
-
 @dataclass(frozen=True, slots=True)
 class ProbabilityTable:
-    """Per-instance predicted class probabilities with the observed label.
-
-    The whole table is checked first, one C-level pass per rule; only a
-    table that fails one of them goes through the row-by-row check, which
-    words the first error (or accepts, say, a ``float`` subclass).
-    """
+    """Per-instance predicted class probabilities with the observed label."""
 
     num_classes: int
     rows: tuple[tuple[str, int, tuple[float, ...]], ...]
@@ -242,25 +232,6 @@ class ProbabilityTable:
         )
         if self.num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {self.num_classes}")
-        if not self._passes_whole_table_checks():
-            self._check_rows()
-
-    def _passes_whole_table_checks(self) -> bool:
-        if not self.rows:
-            return True
-        labels, probs = list(map(itemgetter(1), self.rows)), list(map(itemgetter(2), self.rows))
-        values = list(chain.from_iterable(probs))
-        if set(map(len, probs)) != {self.num_classes} or not _only(labels, {int}) or not _only(values, {float, int}):
-            return False
-        if not (0 <= min(labels) and max(labels) < self.num_classes and 0.0 <= min(values) and max(values) <= 1.0):
-            return False
-        # min and max may skip a NaN (one that is not first), but then its row
-        # sums to NaN.  total - 1.0 never decreases as total grows, so the
-        # smallest and largest sums decide the last rule.
-        sums = list(map(math.fsum, probs))
-        return all(map(math.isfinite, sums)) and abs(min(sums) - 1.0) <= 1e-6 and abs(max(sums) - 1.0) <= 1e-6
-
-    def _check_rows(self) -> None:
         for index, (instance_id, label, probs) in enumerate(self.rows):
             if len(probs) != self.num_classes:
                 raise DimensionMismatch(
@@ -282,8 +253,9 @@ class ProbabilityTable:
 class ActivationTable:
     """Per-sample activation values for a fixed set of neurons.
 
-    Checked like ``ProbabilityTable``: whole-table passes first, the
-    row-by-row check only when one of them fails.
+    The whole table is checked first, one C-level pass per rule; only a
+    table that fails one of them goes through the row-by-row check, which
+    words the first error (or accepts, say, a ``float`` subclass).
     """
 
     num_neurons: int
@@ -302,7 +274,7 @@ class ActivationTable:
         try:
             return (
                 set(map(len, acts)) <= {self.num_neurons}
-                and _only(values, {float, int})
+                and set(map(type, values)) <= {float, int}
                 and all(map(math.isfinite, values))
             )
         except OverflowError:  # an int past the float range: the row check words it
