@@ -364,10 +364,14 @@ def _metric_argv(command, landscape_path, out_path, **overrides):
         ("gap", {"vr": "VR1.1.1"}),
         ("gap", {"vr": "VR2.2"}),
         ("clm", {"vr": "VR1.2.1"}),
+        ("gap", {"vr": "VR3.2", "dataset_a": "d-adverse-lighting", "dataset_b": "d-adverse-weather"}),
+        ("gap", {"vr": "VR3.3", "dataset_a": "d-counterfactual", "dataset_b": "d-counterfactual"}),
+        ("gap", {"vr": "VR1.2.2", "dataset_a": "d-test-pred-acc", "dataset_b": "d-test-pred-acc"}),
     ],
     ids=[
         "gap-vr", "gap-dataset-a", "gap-dataset-b", "clm-vr", "clm-dataset",
         "gap-unbound-vr", "gap-other-metric-vr", "clm-metricless-vr",
+        "gap-per-condition-vr", "gap-threshold-vr", "gap-one-side-of-gap-vr",
     ],
 )
 @pytest.mark.parametrize("existing", [True, False], ids=["existing-bundle", "no-bundle"])
@@ -382,11 +386,37 @@ def test_metric_with_undeclared_id_exits_three_and_appends_nothing(
     inputs = {"probs": str(probs_path)} if command == "clm" else {}
     assert main(_metric_argv(command, landscape_path, out_path, **inputs, **override)) == 3
     captured = capsys.readouterr()
-    (bad,) = override.values()
-    assert bad in captured.err
+    assert all(bad in captured.err for bad in override.values())
     assert captured.out == ""
     assert evidence_path.read_bytes() == before
     assert out_path.exists() is existing
+
+
+def test_metric_nap_for_a_vr_without_that_pair_exits_three(fixture_paths, tmp_path, capsys):
+    landscape_path, evidence_path = fixture_paths
+    before = evidence_path.read_bytes()
+    acts = tmp_path / "real.acts.csv"
+    acts.write_text("sample_id,a_0\ns1,0.5\ns2,1.0\n")
+    argv = ["metric", "nap", "--a", str(acts), "--b", str(acts), "--dataset-a", "nap-real", "--dataset-b", "nap-real",
+            "--landscape", str(landscape_path), "--vr", "VR2.2", "--out", str(evidence_path)]
+    assert main(argv) == 3
+    assert "VR2.2" in capsys.readouterr().err
+    assert evidence_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate"])
+def test_duplicate_key_in_landscape_exits_three(command, fixture_paths, capsys):
+    landscape_path, evidence_path = fixture_paths
+    text = landscape_path.read_text()
+    landscape_path.write_text(text.replace('"threshold": 0.75', '"threshold": 0.5,\n        "threshold": 0.75', 1))
+    argv = {
+        "validate": ["validate", "--landscape", str(landscape_path)],
+        "evaluate": ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path)],
+    }[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "duplicate key 'threshold'" in captured.err
+    assert captured.out == ""
 
 
 def test_metric_append_that_fails_to_replace_leaves_bundle_untouched(fixture_paths, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import sys
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +52,7 @@ from laisc.metrics import (
     RandomPixelFlip,
     Rotate90,
     SmallSampleWarning,
+    _to_byte,
     augment_labels,
     clm_flags,
     clm_scores,
@@ -413,6 +415,25 @@ def test_contrast_rounds_half_away_from_zero():
     assert out.values == ((1, 2),)
 
 
+def test_to_byte_rounds_the_largest_double_below_one_half_down():
+    # 0.49999999999999994 + 0.5 rounds to 1.0 in floating point.
+    assert _to_byte(0.49999999999999994) == 0
+    assert _to_byte(0.5) == 1
+
+
+def _near_half(whole: int, step: int) -> float:
+    """``whole + 0.5``, or the double just below or above it."""
+    value = whole + 0.5
+    return value if step == 0 else math.nextafter(value, math.copysign(math.inf, step))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(allow_nan=False) | st.builds(_near_half, st.integers(-2, 257), st.sampled_from((-1, 0, 1))))
+def test_to_byte_is_clamped_round_half_up(value):
+    expected = int(Decimal(min(255.0, max(0.0, value))).quantize(Decimal(1), rounding=ROUND_HALF_UP))
+    assert _to_byte(value) == expected
+
+
 def test_contrast_identity_factor():
     image = grid([3, 200], [77, 12])
     out, _ = perturb(image, MASK, ContrastScale(1.0))
@@ -502,6 +523,10 @@ _NON_INTEGER_PERTURBATIONS = [
     (BrightnessShift(delta=1.0), "BrightnessShift.delta must be an integer, got 1.0"),
     (BrightnessShift(delta=False), "BrightnessShift.delta must be an integer, got False"),
     (GaussianNoise(sigma=1.0, seed=1.5), "GaussianNoise.seed must be an integer, got 1.5"),
+    (ContrastScale(factor="2"), "ContrastScale.factor must be a finite number, got '2'"),
+    (ContrastScale(factor=math.inf), "ContrastScale.factor must be a finite number, got inf"),
+    (GaussianNoise(sigma=None, seed=1), "GaussianNoise.sigma must be a finite number, got None"),
+    (GaussianNoise(sigma=math.nan, seed=1), "GaussianNoise.sigma must be a finite number, got nan"),
 ]
 
 
@@ -610,6 +635,8 @@ _NON_INTEGER_AUGMENTATIONS = [
     (MaskTranslate(dx=0.5, dy=0), "MaskTranslate.dx must be an integer, got 0.5"),
     (MaskTranslate(dx=0, dy=False), "MaskTranslate.dy must be an integer, got False"),
     (RandomPixelFlip(rate=0.1, seed=1.5), "RandomPixelFlip.seed must be an integer, got 1.5"),
+    (RandomPixelFlip(rate="0.5", seed=1), "RandomPixelFlip.rate must be a finite number, got '0.5'"),
+    (RandomPixelFlip(rate=True, seed=1), "RandomPixelFlip.rate must be a finite number, got True"),
 ]
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 from dataclasses import fields, replace
 
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 from helpers import random_landscape, single_vr_landscape
 from laisc import fixtures
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
+from laisc.io import serialize_landscape
 from laisc.model import (
     Comparator,
     Condition,
     DatasetDescriptor,
+    FlagResolution,
     Goal,
     Landscape,
     LifecycleStage,
@@ -144,6 +148,39 @@ def test_irrelevant_concern_requires_rationale():
 def test_invalid_payloads_rejected(payload):
     with pytest.raises(InvalidPayload):
         single_vr_landscape(payload)
+
+
+_NUMBER_FAULTS = [
+    (MetricThreshold("miou", "ds-a", Comparator.GE, math.inf), "threshold must be a finite number, got inf"),
+    (MetricThreshold("miou", "ds-a", Comparator.GE, True), "threshold must be a finite number, got True"),
+    (MetricGap("miou", "ds-a", "ds-b", "0.1"), "epsilon must be a finite number, got '0.1'"),
+    (ReviewFraction("ds-a", None), "min_fraction must be a finite number, got None"),
+    (FlagResolution("clm_flags", "ds-a", math.nan), "flag_threshold must be a finite number, got nan"),
+    (PerCondition("miou", (Condition("c", "ds-a", "high"),)), "condition 'c': threshold must be a finite number, got 'high'"),
+    (QualitativeApproval(1.5), "required_approvals must be an integer, got 1.5"),
+    (QualitativeApproval(True), "required_approvals must be an integer, got True"),
+]
+
+
+@pytest.mark.parametrize("payload, message", _NUMBER_FAULTS, ids=[repr(payload) for payload, _ in _NUMBER_FAULTS])
+def test_payload_number_fields_follow_their_annotation(payload, message):
+    with pytest.raises(InvalidPayload) as caught:
+        single_vr_landscape(payload)
+    assert str(caught.value) == f"invalid payload for v1: {message}"
+
+
+def test_payload_number_fields_accept_ints_for_floats():
+    landscape = single_vr_landscape(MetricGap("miou", "ds-a", "ds-b", 0))
+    assert landscape.vrs[0].payload.epsilon == 0
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_vr_kind_is_the_serialized_kind_key(rng):
+    for landscape in (fixtures.track_detector_landscape(), random_landscape(rng, delete_links=rng.random() < 0.4)):
+        node = json.loads(serialize_landscape(landscape))
+        assert [vr.kind for vr in landscape.vrs] == [vr_node["kind"] for vr_node in node["vrs"]]
+        assert all(type(vr.kind) is str for vr in landscape.vrs)
 
 
 def test_undeclared_dataset_rejected():
