@@ -24,12 +24,12 @@ import os
 import stat
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
 from laisc import evaluation, io, metrics, report
-from laisc.codec import dump_canonical
+from laisc.codec import dump_canonical, to_node
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
 from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, bound_datasets, fingerprint, rows
@@ -147,19 +147,25 @@ def _append(args: argparse.Namespace, target: tuple[Landscape, VerifiableRequire
     (a missing file is an empty bundle) and return the new record ids.
 
     Nothing is written unless the ``target`` VR can read the records: it
-    measures their metric and binds every dataset flag.  An exclusive
-    ``flock`` on the bundle's directory, held from the read to the
-    replace, keeps concurrent appends from losing records.
+    measures their metric, binds every dataset flag, and is a gap over
+    exactly the two datasets of a gap record.  An exclusive ``flock`` on
+    the bundle's directory, held from the read to the replace, keeps
+    concurrent appends from losing records.
     """
     landscape, vr = target
     for payload in payloads:
         if isinstance(payload, MetricResult) and getattr(vr.payload, "metric_id", None) != payload.metric_id:
-            raise _UsageError(f"--vr {args.vr!r} is a {vr.kind.value} that reads no {payload.metric_id} record")
+            raise _UsageError(f"--vr {args.vr!r} is a {vr.kind} that reads no {payload.metric_id} record")
     for flag in ("dataset", "dataset_a", "dataset_b"):
         dataset_id = getattr(args, flag, None)
         if dataset_id is not None and dataset_id not in bound_datasets(vr.payload):
             flag = flag.replace("_", "-")
             raise _UsageError(f"--{flag} {dataset_id!r} is not a dataset that --vr {args.vr!r} binds")
+    pair = {getattr(vr.payload, "dataset_id_a", None), getattr(vr.payload, "dataset_id_b", None)}
+    for payload in payloads:
+        if isinstance(payload, MetricResult) and len(payload.dataset_ids) == 2 and set(payload.dataset_ids) != pair:
+            over = " and ".join(map(repr, payload.dataset_ids))
+            raise _UsageError(f"--vr {args.vr!r} is a {vr.kind} that reads no gap record over {over}")
     current = fingerprint(landscape)
     path = Path(args.out)
     directory = os.open(path.parent, os.O_RDONLY)
@@ -306,7 +312,7 @@ def _spec_from_args(kinds: dict[str, type], args: argparse.Namespace):
 
 
 def _write_manifest(out_dir: Path, operation: str, spec, inputs: dict[str, str]) -> None:
-    spec_node = {"kind": type(spec).__name__, **asdict(spec)}
+    spec_node = {"kind": type(spec).__name__, **to_node(spec)}
     manifest = {"operation": operation, "spec": spec_node, "inputs": inputs}
     (out_dir / "manifest.json").write_bytes(dump_canonical(manifest))
 

@@ -17,7 +17,10 @@ functions that read and write it:
 
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
-``serialize(x)`` byte for byte.
+``serialize(x)`` byte for byte; ``load_json`` rejects a repeated key.
+``number_fault`` is the one number rule for a dataclass built in code:
+an ``int`` field holds an ``int``, a ``float`` field a finite ``int`` or
+``float``, and a ``bool`` is neither.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
+from sys import float_info
 from operator import attrgetter
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -56,15 +60,24 @@ def parse_timestamp(value: str) -> datetime:
 # --- documents ---------------------------------------------------------------
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    node = dict(pairs)
+    if len(node) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise InputSyntaxError(f"duplicate key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return node
+
+
 def load_json(data: bytes | str) -> object:
-    """Parse JSON text; ``NaN`` and ``Infinity`` are syntax errors."""
+    """Parse JSON text; ``NaN``, ``Infinity`` and a key repeated in one
+    object are syntax errors."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
 
     def _reject_constant(token: str) -> float:
         raise ValueError(f"non-finite constant {token}")
 
     try:
-        return json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputSyntaxError(exc.msg, offset=exc.pos) from None
     except ValueError as exc:
@@ -239,6 +252,23 @@ def to_node(obj) -> dict:
     for key, name, write in _plan(type(obj))[2]:
         node[key] = getattr(obj, name) if write is None else write(getattr(obj, name))
     return node
+
+
+_FLOAT_MAX = float_info.max
+
+
+def number_fault(obj) -> str | None:
+    """How the first number field of the dataclass ``obj`` breaks the
+    number rule, or ``None``.  The field types come from the cached plan;
+    NaN and an int past the float range fail ``abs(value) <= max``."""
+    for name, read in _plan(type(obj))[1]:
+        value = getattr(obj, name)
+        if read is _int and (type(value) is bool or not isinstance(value, int)):
+            return f"{name} must be an integer, got {value!r}"
+        finite = type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+        if read is _num and not finite:
+            return f"{name} must be a finite number, got {value!r}"
+    return None
 
 
 def from_node(cls: type, node: object, path: str):

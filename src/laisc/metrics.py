@@ -40,9 +40,10 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import islice
 
+from laisc.codec import number_fault
 from laisc.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -377,20 +378,21 @@ class Rotate90:
 PerturbationSpec = BrightnessShift | ContrastScale | GaussianNoise | OcclusionPatch | HorizontalFlip | Rotate90
 
 
-def _check_int_fields(spec) -> None:
-    """Reject a value that is not an ``int``, or is a ``bool``, in any
-    field the spec dataclass declares ``int``."""
-    for field in fields(spec):
-        value = getattr(spec, field.name)
-        # Annotations are strings in this module (``from __future__ import annotations``).
-        if field.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
-            raise InvalidParameter(f"{type(spec).__name__}.{field.name} must be an integer, got {value!r}")
+def _check_spec(spec, kinds, what: str) -> None:
+    """Reject a spec that is none of ``kinds`` or breaks the codec's number rule."""
+    if not isinstance(spec, kinds):
+        raise InvalidParameter(f"unknown {what} {type(spec).__name__}")
+    fault = number_fault(spec)
+    if fault:
+        raise InvalidParameter(f"{type(spec).__name__}.{fault}")
 
 
 def _to_byte(value: float) -> int:
-    # round() is banker's rounding; evidence needs half away from zero,
-    # which is floor(x + 0.5) once x is clamped to [0, 255].
-    return math.floor(min(255.0, max(0.0, value)) + 0.5)
+    # Half away from zero, not round()'s half to even.  floor(x + 0.5) is not
+    # exact (0.49999999999999994 + 0.5 rounds to 1.0); x - floor(x) is, here.
+    clamped = min(255.0, max(0.0, value))
+    whole = math.floor(clamped)
+    return whole + (clamped - whole >= 0.5)
 
 
 def _flip_horizontal(grid: LabeledGrid) -> LabeledGrid:
@@ -423,23 +425,21 @@ def perturb(
             f"image {image.height}x{image.width} vs mask {mask.height}x{mask.width}"
         )
     _require_mask(mask, "mask")
-    if not isinstance(spec, PerturbationSpec):
-        raise InvalidParameter(f"unknown perturbation {type(spec).__name__}")
-    _check_int_fields(spec)
+    _check_spec(spec, PerturbationSpec, "perturbation")
 
     if isinstance(spec, BrightnessShift):
         table = bytes(min(255, max(0, p + spec.delta)) for p in range(256))
         return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask
 
     if isinstance(spec, ContrastScale):
-        if not math.isfinite(spec.factor) or spec.factor <= 0:
+        if spec.factor <= 0:
             raise InvalidParameter(f"contrast factor must be > 0, got {spec.factor!r}")
         mean = sum(image.cells) / len(image.cells)
         table = bytes(_to_byte(mean + spec.factor * (p - mean)) for p in range(256))
         return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask
 
     if isinstance(spec, GaussianNoise):
-        if not math.isfinite(spec.sigma) or spec.sigma < 0:
+        if spec.sigma < 0:
             raise InvalidParameter(f"noise sigma must be >= 0, got {spec.sigma!r}")
         units, sigma = _uniforms(spec.seed), spec.sigma
         sqrt, log, cos, sin, turn = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
@@ -547,12 +547,10 @@ def augment_labels(mask: LabeledGrid, spec: LabelAugmentationSpec) -> LabeledGri
     shift.
     """
     _require_mask(mask, "mask")
-    if not isinstance(spec, LabelAugmentationSpec):
-        raise InvalidParameter(f"unknown augmentation {type(spec).__name__}")
-    _check_int_fields(spec)
+    _check_spec(spec, LabelAugmentationSpec, "augmentation")
 
     if isinstance(spec, RandomPixelFlip):
-        if not math.isfinite(spec.rate) or not 0.0 <= spec.rate <= 1.0:
+        if not 0.0 <= spec.rate <= 1.0:
             raise InvalidParameter(f"flip rate must be in [0, 1], got {spec.rate!r}")
         rate = spec.rate
         cells = bytes([1 - value if unit <= rate else value for value, unit in zip(mask.cells, _uniforms(spec.seed))])

@@ -20,6 +20,11 @@ VRs come in six closed kinds, one per evaluation pattern:
 * ``QualitativeApproval`` -- counted independent expert approvals plus
   required documents
 
+A VR's kind is its payload's class name, the codec's ``kind`` key.  The
+payload's fields are checked by field: ``dataset_id*`` must be declared,
+``metric_id`` known, numbers as :func:`laisc.codec.number_fault` says;
+only the rules no annotation states are checked per kind.
+
 New measurable requirements are expressed by registering metric ids inside
 the metric-bearing kinds, not by adding kinds.
 """
@@ -28,12 +33,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 
-from laisc.codec import to_node
+from laisc.codec import number_fault, to_node
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
@@ -44,15 +48,6 @@ KNOWN_METRIC_IDS = frozenset({"miou", "gap", "nap_distance", "clm_flags"})
 class Comparator(str, Enum):
     GE = "GE"
     LE = "LE"
-
-
-class VrKind(str, Enum):
-    METRIC_THRESHOLD = "MetricThreshold"
-    METRIC_GAP = "MetricGap"
-    PER_CONDITION = "PerCondition"
-    REVIEW_FRACTION = "ReviewFraction"
-    FLAG_RESOLUTION = "FlagResolution"
-    QUALITATIVE_APPROVAL = "QualitativeApproval"
 
 
 class Resolution(str, Enum):
@@ -205,8 +200,8 @@ class VerifiableRequirement:
         object.__setattr__(self, "mm_ids", tuple(sorted(self.mm_ids)))
 
     @property
-    def kind(self) -> VrKind:
-        return VrKind(type(self.payload).__name__)
+    def kind(self) -> str:
+        return type(self.payload).__name__
 
 
 @dataclass(frozen=True, slots=True)
@@ -338,27 +333,18 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
     for dataset_id in bound_datasets(p):
         if dataset_id not in dataset_ids:
             raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
+    if hasattr(p, "metric_id") and p.metric_id not in KNOWN_METRIC_IDS:
+        raise InvalidPayload(vr.id, f"unknown metric id {p.metric_id!r}")
+    fault = number_fault(p)
+    if fault:
+        raise InvalidPayload(vr.id, fault)
 
-    def metric(metric_id: str) -> None:
-        if metric_id not in KNOWN_METRIC_IDS:
-            raise InvalidPayload(vr.id, f"unknown metric id {metric_id!r}")
-
-    def finite(value: float, label: str) -> None:
-        if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-            raise InvalidPayload(vr.id, f"{label} must be finite, got {value!r}")
-
-    if isinstance(p, MetricThreshold):
-        metric(p.metric_id)
-        finite(p.threshold, "threshold")
-    elif isinstance(p, MetricGap):
-        metric(p.metric_id)
+    if isinstance(p, MetricGap):
         if p.dataset_id_a == p.dataset_id_b:
             raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
-        finite(p.epsilon, "epsilon")
         if p.epsilon < 0:
             raise InvalidPayload(vr.id, f"epsilon must be >= 0, got {p.epsilon!r}")
     elif isinstance(p, PerCondition):
-        metric(p.metric_id)
         if not p.conditions:
             raise InvalidPayload(vr.id, "PerCondition needs at least one condition")
         seen: set[str] = set()
@@ -366,21 +352,15 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
             if cond.condition_id in seen:
                 raise InvalidPayload(vr.id, f"duplicate condition {cond.condition_id!r}")
             seen.add(cond.condition_id)
-            finite(cond.threshold, f"threshold for {cond.condition_id}")
+            fault = number_fault(cond)
+            if fault:
+                raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
     elif isinstance(p, ReviewFraction):
-        finite(p.min_fraction, "min_fraction")
         if not 0.0 <= p.min_fraction <= 1.0:
             raise InvalidPayload(vr.id, f"min_fraction must be in [0, 1], got {p.min_fraction!r}")
-    elif isinstance(p, FlagResolution):
-        metric(p.metric_id)
-        finite(p.flag_threshold, "flag_threshold")
     elif isinstance(p, QualitativeApproval):
-        if not isinstance(p.required_approvals, int) or isinstance(p.required_approvals, bool):
-            raise InvalidPayload(vr.id, "required_approvals must be an integer")
         if p.required_approvals < 1:
             raise InvalidPayload(vr.id, f"required_approvals must be >= 1, got {p.required_approvals}")
-    else:  # pragma: no cover - unreachable with the closed union
-        raise InvalidPayload(vr.id, f"unknown payload type {type(p).__name__}")
 
 
 def build_landscape(
@@ -514,10 +494,7 @@ def fingerprint(landscape: Landscape) -> str:
     prose are deliberately excluded so that cosmetic edits never mark
     previously collected evidence as stale.
     """
-    content = [
-        {"id": vr.id, "kind": type(vr.payload).__name__, "payload": to_node(vr.payload)}
-        for vr in landscape.vrs
-    ]
+    content = [{"id": vr.id, "kind": vr.kind, "payload": to_node(vr.payload)} for vr in landscape.vrs]
     digest = hashlib.sha256(
         json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
     ).hexdigest()

@@ -8,7 +8,7 @@ equal bytes.
 
 from __future__ import annotations
 
-from laisc.codec import dump_canonical, format_timestamp
+from laisc.codec import dump_canonical, format_timestamp, to_node
 from laisc.errors import UnsupportedFormat
 from laisc.evaluation import EvaluationReport, Status
 
@@ -126,23 +126,9 @@ def render_json(report: EvaluationReport) -> bytes:
             }
             for vr_id in visible
         },
-        "goals": {
-            goal_id: {
-                "status": report.goal_rollups[goal_id].status.value,
-                "note": report.goal_rollups[goal_id].note,
-            }
-            for goal_id in visible_goals
-        },
-        "concerns": {
-            concern_id: {
-                "status": report.concern_rollups[concern_id].status.value,
-                "note": report.concern_rollups[concern_id].note,
-            }
-            for concern_id in visible_concerns
-        },
-        "coverage_gaps": [
-            {"kind": gap.kind.value, "subject_id": gap.subject_id} for gap in report.coverage_gaps
-        ],
+        "goals": {goal_id: to_node(report.goal_rollups[goal_id]) for goal_id in visible_goals},
+        "concerns": {concern_id: to_node(report.concern_rollups[concern_id]) for concern_id in visible_concerns},
+        "coverage_gaps": [to_node(gap) for gap in report.coverage_gaps],
         "orphaned_evidence_ids": list(report.orphaned_evidence_ids),
         "summary": {
             "satisfied": counts[Status.SATISFIED],
