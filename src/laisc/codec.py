@@ -30,8 +30,8 @@ from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
-from sys import float_info
 from operator import attrgetter
+from sys import float_info
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 

@@ -388,8 +388,8 @@ def _check_spec(spec, kinds, what: str) -> None:
 
 
 def _to_byte(value: float) -> int:
-    # Half away from zero, not round()'s half to even.  floor(x + 0.5) is not
-    # exact (0.49999999999999994 + 0.5 rounds to 1.0); x - floor(x) is, here.
+    # Half away from zero, not round()'s half to even.  floor(x + 0.5) is off
+    # for 0.49999999999999994 (the sum rounds to 1.0); x - floor(x) is exact.
     clamped = min(255.0, max(0.0, value))
     whole = math.floor(clamped)
     return whole + (clamped - whole >= 0.5)
