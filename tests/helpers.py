@@ -555,8 +555,9 @@ def _json_type(value) -> str:
 def schema_mutations(root, free_paths=("$.datasets",)):
     """Yield ``(text, field_path, parent_path)`` for every single-key
     mutation of the JSON document ``root``: each field replaced by a value
-    of a type it cannot take, each key of a fixed-schema object removed,
-    and an unknown key added to each of those objects.
+    of a type it cannot take, each float field by an integer past the
+    float range, each key of a fixed-schema object removed, and an unknown
+    key added to each of those objects.
 
     Objects at ``free_paths`` are maps rather than fixed schemas, so their
     entries are only given wrong types.  ``root`` is mutated in place and
@@ -582,6 +583,9 @@ def schema_mutations(root, free_paths=("$.datasets",)):
                 if _json_type(wrong) not in accepted:
                     node[key] = wrong
                     yield json.dumps(root), field, path
+            if isinstance(value, float):
+                node[key] = 10**400
+                yield json.dumps(root), field, path
             node[key] = value
             if fixed:
                 del node[key]

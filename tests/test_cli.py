@@ -404,18 +404,28 @@ def test_metric_nap_for_a_vr_without_that_pair_exits_three(fixture_paths, tmp_pa
     assert evidence_path.read_bytes() == before
 
 
+#: ``(edit of the fixture text, what stderr must name)``: a landscape that
+#: is well-formed JSON but must not be read.
+_UNREADABLE_LANDSCAPES = {
+    "duplicate-key": ('"threshold": 0.5,\n        "threshold": 0.75', "duplicate key 'threshold'"),
+    "int-past-float-range": ('"threshold": 1' + "0" * 400, "$.vrs[9].payload.threshold"),
+    "1e400": ('"threshold": 1e400', "$.vrs[9].payload.threshold"),
+}
+
+
+@pytest.mark.parametrize("edit, fragment", _UNREADABLE_LANDSCAPES.values(), ids=_UNREADABLE_LANDSCAPES)
 @pytest.mark.parametrize("command", ["validate", "evaluate"])
-def test_duplicate_key_in_landscape_exits_three(command, fixture_paths, capsys):
+def test_unreadable_landscape_exits_three(command, edit, fragment, fixture_paths, capsys):
     landscape_path, evidence_path = fixture_paths
     text = landscape_path.read_text()
-    landscape_path.write_text(text.replace('"threshold": 0.75', '"threshold": 0.5,\n        "threshold": 0.75', 1))
+    landscape_path.write_text(text.replace('"threshold": 0.75', edit, 1))
     argv = {
         "validate": ["validate", "--landscape", str(landscape_path)],
         "evaluate": ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path)],
     }[command]
     assert main(argv) == 3
     captured = capsys.readouterr()
-    assert "duplicate key 'threshold'" in captured.err
+    assert fragment in captured.err
     assert captured.out == ""
 
 

@@ -5,7 +5,8 @@ import json
 import math
 import random
 import re
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from helpers import (
     table_rule_error,
 )
 from laisc import fixtures
+from laisc.codec import from_node, number_fault
 from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
@@ -50,6 +52,7 @@ from laisc.io import (
 from laisc.model import (
     Comparator,
     Landscape,
+    LifecycleStage,
     MetricGap,
     MetricThreshold,
     ReviewFraction,
@@ -225,6 +228,36 @@ def test_schema_mutations_raise_schema_error_at_their_path(parse):
     assert count > 1000
 
 
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
+#: JSON numbers and the values around the edges of the number rule.
+_NUMBERS = (
+    st.booleans()
+    | st.integers()
+    | st.builds(lambda sign, offset: sign * (_FLOAT_MAX_INT + offset), st.sampled_from((1, -1)), st.integers(-(2**971), 2**971))
+    | st.sampled_from((10**400, -(10**400)))
+    | st.floats()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_NUMBERS)
+def test_number_read_from_a_file_follows_the_rule_for_code(value):
+    """``from_node`` accepts a number exactly when ``number_fault`` accepts
+    the same value in an object built in code, for a float and an int field."""
+    for cls, node, name in (
+        (MetricThreshold, {"metric_id": "miou", "dataset_id": "ds-a", "comparator": "GE", "threshold": 0}, "threshold"),
+        (LifecycleStage, {"id": "s", "name": "S", "order": 0}, "order"),
+    ):
+        try:
+            from_node(cls, {**node, name: value}, "$")
+            read = True
+        except SchemaError as exc:
+            assert str(exc).startswith(f"$.{name}: "), exc
+            read = False
+        assert read == (number_fault(replace(from_node(cls, node, "$"), **{name: value})) is None), (cls, value)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_fuzzed_fixture_never_yields_invalid_object(data):
@@ -271,22 +304,28 @@ def test_single_metric_result_bundle():
     assert bundle.records[0].payload.value == 0.03
 
 
-def test_review_log_reviewed_exceeding_total_rejected():
-    data = {
-        "source": "",
-        "records": [
-            {
-                "id": "r1",
-                "vr_id": "VR1.2.1",
-                "kind": "ReviewLog",
-                "landscape_fingerprint": "sha256:abc",
-                "timestamp": "2026-01-01T00:00:00Z",
-                "payload": {"dataset_id": "d", "total_items": 100, "reviewed_items": 120},
-            }
-        ],
+def _review_log_bundle(total_items: int, reviewed_items: int) -> str:
+    record = {
+        "id": "r1",
+        "vr_id": "VR1.2.1",
+        "kind": "ReviewLog",
+        "landscape_fingerprint": "sha256:abc",
+        "timestamp": "2026-01-01T00:00:00Z",
+        "payload": {"dataset_id": "d", "total_items": total_items, "reviewed_items": reviewed_items},
     }
+    return json.dumps({"source": "", "records": [record]})
+
+
+def test_review_log_reviewed_exceeding_total_rejected():
     with pytest.raises(SchemaError, match="reviewed"):
-        parse_evidence(json.dumps(data))
+        parse_evidence(_review_log_bundle(100, 120))
+
+
+@pytest.mark.parametrize("counts, field", [((-1, 0), "total_items"), ((5, -1), "reviewed_items")], ids=["total", "reviewed"])
+def test_review_log_negative_count_is_named_at_its_path(counts, field):
+    with pytest.raises(SchemaError) as caught:
+        parse_evidence(_review_log_bundle(*counts))
+    assert str(caught.value).startswith(f"$.records[0].payload.{field}: ")
 
 
 def test_empty_record_list_is_valid():

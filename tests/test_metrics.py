@@ -515,7 +515,7 @@ def test_rotate_invalid_k():
         perturb(grid([1]), grid([1]), Rotate90(k=4))
 
 
-_NON_INTEGER_PERTURBATIONS = [
+_PERTURBATION_FAULTS = [
     (Rotate90(k=1.0), "Rotate90.k must be an integer, got 1.0"),
     (Rotate90(k=True), "Rotate90.k must be an integer, got True"),
     (OcclusionPatch(x=0.5, y=0, w=2, h=1), "OcclusionPatch.x must be an integer, got 0.5"),
@@ -527,11 +527,17 @@ _NON_INTEGER_PERTURBATIONS = [
     (ContrastScale(factor=math.inf), "ContrastScale.factor must be a finite number, got inf"),
     (GaussianNoise(sigma=None, seed=1), "GaussianNoise.sigma must be a finite number, got None"),
     (GaussianNoise(sigma=math.nan, seed=1), "GaussianNoise.sigma must be a finite number, got nan"),
+    (GaussianNoise(sigma=-1.0, seed=1), "GaussianNoise.sigma must be >= 0, got -1.0"),
+    (OcclusionPatch(x=0, y=0, w=0, h=1), "OcclusionPatch.w must be >= 1, got 0"),
+    (OcclusionPatch(x=0, y=0, w=1, h=-2), "OcclusionPatch.h must be >= 1, got -2"),
+    (Rotate90(k=0), "Rotate90.k must be in [1, 3], got 0"),
+    (Rotate90(k=4), "Rotate90.k must be in [1, 3], got 4"),
+    (ContrastScale(factor=0.0), "contrast factor must be > 0, got 0.0"),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, message", _NON_INTEGER_PERTURBATIONS, ids=[repr(spec) for spec, _ in _NON_INTEGER_PERTURBATIONS]
+    "spec, message", _PERTURBATION_FAULTS, ids=[repr(spec) for spec, _ in _PERTURBATION_FAULTS]
 )
 def test_perturb_rejects_non_integer_int_fields(spec, message):
     with pytest.raises(InvalidParameter) as caught:
@@ -629,7 +635,7 @@ def test_augment_shape_preserved():
             assert out.is_binary
 
 
-_NON_INTEGER_AUGMENTATIONS = [
+_AUGMENTATION_FAULTS = [
     (MaskDilate(radius=1.5), "MaskDilate.radius must be an integer, got 1.5"),
     (MaskErode(radius=True), "MaskErode.radius must be an integer, got True"),
     (MaskTranslate(dx=0.5, dy=0), "MaskTranslate.dx must be an integer, got 0.5"),
@@ -637,11 +643,15 @@ _NON_INTEGER_AUGMENTATIONS = [
     (RandomPixelFlip(rate=0.1, seed=1.5), "RandomPixelFlip.seed must be an integer, got 1.5"),
     (RandomPixelFlip(rate="0.5", seed=1), "RandomPixelFlip.rate must be a finite number, got '0.5'"),
     (RandomPixelFlip(rate=True, seed=1), "RandomPixelFlip.rate must be a finite number, got True"),
+    (RandomPixelFlip(rate=1.5, seed=1), "RandomPixelFlip.rate must be in [0, 1], got 1.5"),
+    (RandomPixelFlip(rate=-0.1, seed=1), "RandomPixelFlip.rate must be in [0, 1], got -0.1"),
+    (MaskDilate(radius=-1), "MaskDilate.radius must be >= 0, got -1"),
+    (MaskErode(radius=-1), "MaskErode.radius must be >= 0, got -1"),
 ]
 
 
 @pytest.mark.parametrize(
-    "spec, message", _NON_INTEGER_AUGMENTATIONS, ids=[repr(spec) for spec, _ in _NON_INTEGER_AUGMENTATIONS]
+    "spec, message", _AUGMENTATION_FAULTS, ids=[repr(spec) for spec, _ in _AUGMENTATION_FAULTS]
 )
 def test_augment_rejects_non_integer_int_fields(spec, message):
     with pytest.raises(InvalidParameter) as caught:

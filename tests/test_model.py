@@ -159,6 +159,10 @@ _NUMBER_FAULTS = [
     (PerCondition("miou", (Condition("c", "ds-a", "high"),)), "condition 'c': threshold must be a finite number, got 'high'"),
     (QualitativeApproval(1.5), "required_approvals must be an integer, got 1.5"),
     (QualitativeApproval(True), "required_approvals must be an integer, got True"),
+    (MetricGap("miou", "ds-a", "ds-b", -0.01), "epsilon must be >= 0, got -0.01"),
+    (ReviewFraction("ds-a", 1.5), "min_fraction must be in [0, 1], got 1.5"),
+    (ReviewFraction("ds-a", -0.5), "min_fraction must be in [0, 1], got -0.5"),
+    (QualitativeApproval(0), "required_approvals must be >= 1, got 0"),
 ]
 
 
