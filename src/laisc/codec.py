@@ -11,16 +11,21 @@ functions that read and write it:
 * an ``Enum`` is its value, a ``datetime`` ISO-8601 normalized to UTC;
 * a tuple of strings or of dataclasses is a list;
 * a tuple of ``(id, element)`` pairs (``Landscape.datasets``) is an object
-  keyed by id;
+  keyed by id, and so is a tuple of ``(name, float)`` pairs
+  (``Verdict.measured``);
 * a field typed as a union of dataclasses (a VR's or an evidence record's
   ``payload``) is an object with a sibling ``kind`` key naming its class.
 
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
 ``serialize(x)`` byte for byte; ``load_json`` rejects a repeated key.
-``number_fault`` is the one number rule for a dataclass built in code:
-an ``int`` field holds an ``int``, a ``float`` field a finite ``int`` or
-``float``, and a ``bool`` is neither.
+
+One number rule holds for files read and for dataclasses built in code:
+an ``int`` field holds an ``int``, a ``float`` field an ``int`` or
+``float`` in the float range, and a ``bool`` is neither.  ``from_node``
+names the JSON path of a number that breaks it; ``number_fault`` also
+checks the inclusive ``min`` and ``max`` bounds a field declares in its
+``field(metadata=...)``.
 """
 
 from __future__ import annotations
@@ -125,10 +130,16 @@ def _int(node: dict, key: str, path: str) -> int:
     return value
 
 
+def _finite(value: object) -> bool:
+    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
+    an int past the float range fail ``abs(value) <= max``."""
+    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
+
+
 def _num(node: dict, key: str, path: str) -> float:
     value = node[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}", "number", value)
+    if not _finite(value):
+        raise SchemaError(f"{path}.{key}", "finite number", value)
     return float(value)
 
 
@@ -179,6 +190,14 @@ def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
     return tuple((item_id, from_node(cls, raw, f"{path}.{key}.{item_id}")) for item_id, raw in value.items())
 
 
+def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
+    """Read the object at ``key`` as ``(name, number)`` pairs."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
+    return tuple((name, _num(value, name, f"{path}.{key}")) for name in value)
+
+
 def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
     """Read the field ``key`` as the class that the sibling ``kind`` names."""
     kind = _str(node, "kind", path)
@@ -223,26 +242,32 @@ def _shape(annotation):
     item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
     if item is str:
         return _strs, list
+    if item == tuple[str, float]:  # (name, number) pairs, written as an object
+        return _numbers, dict
     if get_origin(item) is tuple:  # (id, element) pairs
         return partial(_keyed, get_args(item)[1]), lambda pairs: {key: to_node(element) for key, element in pairs}
     return partial(_items, item), lambda values: [to_node(value) for value in values]
 
 
 @cache
-def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple]:
-    """The JSON keys of ``cls``, a ``(field name, read)`` pair per field and
-    a ``(key, field name, write)`` triple per key.  A field typed as a union
-    of dataclasses adds the ``kind`` key: written from the field value's
-    class, and checked by the field's own reader."""
+def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
+    """The JSON keys of ``cls``, a ``(field name, read)`` pair per field, a
+    ``(key, field name, write)`` triple per key and a ``(field name, read,
+    min, max)`` row per number field (``None`` for an absent bound; a
+    ``max`` comes with a ``min``).  A field typed as a union of dataclasses
+    adds the ``kind`` key: written from the field value's class, and
+    checked by the field's own reader."""
     hints = get_type_hints(cls)
-    reads, writes = [], []
+    reads, writes, numbers = [], [], []
     for f in fields(cls):
         read, write = _shape(hints[f.name])
         if _union_classes(hints[f.name]):
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
+        if read is _int or read is _num:
+            numbers.append((f.name, read, f.metadata.get("min"), f.metadata.get("max")))
         reads.append((f.name, read))
         writes.append((f.name, f.name, write))
-    return frozenset(key for key, _, _ in writes), tuple(reads), tuple(writes)
+    return frozenset(key for key, _, _ in writes), tuple(reads), tuple(writes), tuple(numbers)
 
 
 def to_node(obj) -> dict:
@@ -254,26 +279,24 @@ def to_node(obj) -> dict:
     return node
 
 
-_FLOAT_MAX = float_info.max
-
-
 def number_fault(obj) -> str | None:
     """How the first number field of the dataclass ``obj`` breaks the
-    number rule, or ``None``.  The field types come from the cached plan;
-    NaN and an int past the float range fail ``abs(value) <= max``."""
-    for name, read in _plan(type(obj))[1]:
+    number rule or its declared bounds, or ``None``."""
+    for name, read, low, high in _plan(type(obj))[3]:
         value = getattr(obj, name)
         if read is _int and (type(value) is bool or not isinstance(value, int)):
             return f"{name} must be an integer, got {value!r}"
-        finite = type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
-        if read is _num and not finite:
+        if read is _num and not _finite(value):
             return f"{name} must be a finite number, got {value!r}"
+        if (low is not None and value < low) or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            return f"{name} must be {bounds}, got {value!r}"
     return None
 
 
 def from_node(cls: type, node: object, path: str):
     """Read the domain dataclass ``cls`` from its JSON object at ``path``."""
-    keys, reads, _ = _plan(cls)
+    keys, reads, _, _ = _plan(cls)
     _obj(node, path, keys)
     values = {}
     # A loop, not a comprehension: one call fewer per object.

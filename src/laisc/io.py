@@ -14,10 +14,11 @@ Formats (all UTF-8, LF line endings):
   ``sample_id,a_0..a_{N-1}``
 
 ``laisc.codec`` reads and writes the two JSON documents from the field
-annotations of their dataclasses.  The four document functions here add
-only the checks that are policy: :func:`~laisc.model.check_landscape` for
-a landscape, and unique record ids, non-empty ``vr_id``, finite metric
-values and consistent review counts for a bundle.
+annotations of their dataclasses, and refuses a number that breaks its
+number rule (a non-finite metric value, say) at the number's JSON path.
+The four document functions here add only the checks that are policy:
+:func:`~laisc.model.check_landscape` for a landscape, and unique record
+ids, non-empty ``vr_id`` and consistent review counts for a bundle.
 
 The two CSV tables share one reader, which checks the header and the
 width of every row, and one writer.  A value is read with ``float()``
@@ -319,12 +320,11 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
         if not record.vr_id:
             raise SchemaError(f"{path}.vr_id", "non-empty string", record.vr_id)
         payload = record.payload
-        if isinstance(payload, MetricResult) and not math.isfinite(payload.value):
-            raise SchemaError(f"{path}.payload.value", "finite number", payload.value)
         if isinstance(payload, ReviewLog):
             total, reviewed = payload.total_items, payload.reviewed_items
-            if total < 0 or reviewed < 0:
-                raise SchemaError(f"{path}.payload.total_items", "non-negative counts", (total, reviewed))
+            for name, count in (("total_items", total), ("reviewed_items", reviewed)):
+                if count < 0:
+                    raise SchemaError(f"{path}.payload.{name}", "non-negative count", count)
             if reviewed > total:
                 raise SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
     return bundle

@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from laisc.codec import number_fault
@@ -353,7 +353,7 @@ class ContrastScale:
 
 @dataclass(frozen=True, slots=True)
 class GaussianNoise:
-    sigma: float
+    sigma: float = field(metadata={"min": 0})
     seed: int
 
 
@@ -361,8 +361,8 @@ class GaussianNoise:
 class OcclusionPatch:
     x: int
     y: int
-    w: int
-    h: int
+    w: int = field(metadata={"min": 1})
+    h: int = field(metadata={"min": 1})
 
 
 @dataclass(frozen=True, slots=True)
@@ -372,14 +372,14 @@ class HorizontalFlip:
 
 @dataclass(frozen=True, slots=True)
 class Rotate90:
-    k: int
+    k: int = field(metadata={"min": 1, "max": 3})
 
 
 PerturbationSpec = BrightnessShift | ContrastScale | GaussianNoise | OcclusionPatch | HorizontalFlip | Rotate90
 
 
 def _check_spec(spec, kinds, what: str) -> None:
-    """Reject a spec that is none of ``kinds`` or breaks the codec's number rule."""
+    """Reject a spec that is none of ``kinds`` or that ``number_fault`` refuses."""
     if not isinstance(spec, kinds):
         raise InvalidParameter(f"unknown {what} {type(spec).__name__}")
     fault = number_fault(spec)
@@ -439,8 +439,6 @@ def perturb(
         return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask
 
     if isinstance(spec, GaussianNoise):
-        if spec.sigma < 0:
-            raise InvalidParameter(f"noise sigma must be >= 0, got {spec.sigma!r}")
         units, sigma = _uniforms(spec.seed), spec.sigma
         sqrt, log, cos, sin, turn = math.sqrt, math.log, math.cos, math.sin, 2.0 * math.pi
         noise = []
@@ -452,8 +450,6 @@ def perturb(
         return LabeledGrid.from_bytes(image.height, image.width, cells), mask
 
     if isinstance(spec, OcclusionPatch):
-        if spec.w < 1 or spec.h < 1:
-            raise InvalidParameter(f"occlusion patch must be at least 1x1, got {spec.w}x{spec.h}")
         if spec.x < 0 or spec.y < 0 or spec.x + spec.w > image.width or spec.y + spec.h > image.height:
             raise PatchOutOfBounds(
                 f"patch x={spec.x} y={spec.y} w={spec.w} h={spec.h} "
@@ -469,8 +465,6 @@ def perturb(
         return _flip_horizontal(image), _flip_horizontal(mask)
 
     # Rotate90, the one kind left.
-    if spec.k not in (1, 2, 3):
-        raise InvalidParameter(f"rotation count must be 1, 2, or 3, got {spec.k!r}")
     new_image, new_mask = image, mask
     for _ in range(spec.k):
         new_image = _rotate90_once(new_image)
@@ -483,18 +477,18 @@ def perturb(
 
 @dataclass(frozen=True, slots=True)
 class RandomPixelFlip:
-    rate: float
+    rate: float = field(metadata={"min": 0, "max": 1})
     seed: int
 
 
 @dataclass(frozen=True, slots=True)
 class MaskDilate:
-    radius: int
+    radius: int = field(metadata={"min": 0})
 
 
 @dataclass(frozen=True, slots=True)
 class MaskErode:
-    radius: int
+    radius: int = field(metadata={"min": 0})
 
 
 @dataclass(frozen=True, slots=True)
@@ -550,20 +544,14 @@ def augment_labels(mask: LabeledGrid, spec: LabelAugmentationSpec) -> LabeledGri
     _check_spec(spec, LabelAugmentationSpec, "augmentation")
 
     if isinstance(spec, RandomPixelFlip):
-        if not 0.0 <= spec.rate <= 1.0:
-            raise InvalidParameter(f"flip rate must be in [0, 1], got {spec.rate!r}")
         rate = spec.rate
         cells = bytes([1 - value if unit <= rate else value for value, unit in zip(mask.cells, _uniforms(spec.seed))])
         return LabeledGrid.from_bytes(mask.height, mask.width, cells)
 
     if isinstance(spec, MaskDilate):
-        if spec.radius < 0:
-            raise InvalidParameter(f"dilation radius must be >= 0, got {spec.radius!r}")
         return _morph(mask, spec.radius, int.__or__)
 
     if isinstance(spec, MaskErode):
-        if spec.radius < 0:
-            raise InvalidParameter(f"erosion radius must be >= 0, got {spec.radius!r}")
         return _morph(mask, spec.radius, int.__and__)
 
     # MaskTranslate, the one kind left.

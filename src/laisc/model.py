@@ -22,8 +22,9 @@ VRs come in six closed kinds, one per evaluation pattern:
 
 A VR's kind is its payload's class name, the codec's ``kind`` key.  The
 payload's fields are checked by field: ``dataset_id*`` must be declared,
-``metric_id`` known, numbers as :func:`laisc.codec.number_fault` says;
-only the rules no annotation states are checked per kind.
+``metric_id`` known, numbers and their bounds (``epsilon >= 0``, say)
+as :func:`laisc.codec.number_fault` reads them from the fields; only the
+rules no field states are checked per kind.
 
 New measurable requirements are expressed by registering metric ids inside
 the metric-bearing kinds, not by adding kinds.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -130,7 +131,7 @@ class MetricGap:
     metric_id: str
     dataset_id_a: str
     dataset_id_b: str
-    epsilon: float
+    epsilon: float = field(metadata={"min": 0})
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +157,7 @@ class PerCondition:
 @dataclass(frozen=True, slots=True)
 class ReviewFraction:
     dataset_id: str
-    min_fraction: float
+    min_fraction: float = field(metadata={"min": 0, "max": 1})
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +171,7 @@ class FlagResolution:
 
 @dataclass(frozen=True, slots=True)
 class QualitativeApproval:
-    required_approvals: int
+    required_approvals: int = field(metadata={"min": 1})
     required_documents: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
@@ -339,12 +340,9 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
     if fault:
         raise InvalidPayload(vr.id, fault)
 
-    if isinstance(p, MetricGap):
-        if p.dataset_id_a == p.dataset_id_b:
-            raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
-        if p.epsilon < 0:
-            raise InvalidPayload(vr.id, f"epsilon must be >= 0, got {p.epsilon!r}")
-    elif isinstance(p, PerCondition):
+    if isinstance(p, MetricGap) and p.dataset_id_a == p.dataset_id_b:
+        raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
+    if isinstance(p, PerCondition):
         if not p.conditions:
             raise InvalidPayload(vr.id, "PerCondition needs at least one condition")
         seen: set[str] = set()
@@ -355,12 +353,6 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
             fault = number_fault(cond)
             if fault:
                 raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
-    elif isinstance(p, ReviewFraction):
-        if not 0.0 <= p.min_fraction <= 1.0:
-            raise InvalidPayload(vr.id, f"min_fraction must be in [0, 1], got {p.min_fraction!r}")
-    elif isinstance(p, QualitativeApproval):
-        if p.required_approvals < 1:
-            raise InvalidPayload(vr.id, f"required_approvals must be >= 1, got {p.required_approvals}")
 
 
 def build_landscape(

@@ -117,13 +117,7 @@ def render_json(report: EvaluationReport) -> bytes:
         "generated_at": format_timestamp(report.generated_at),
         "filter": report.filter.describe(),
         "verdicts": {
-            vr_id: {
-                "status": report.vr_verdicts[vr_id].status.value,
-                "effective_status": report.effective_statuses[vr_id].value,
-                "explanation": report.vr_verdicts[vr_id].explanation,
-                "evidence_ids": list(report.vr_verdicts[vr_id].evidence_ids),
-                "measured": {key: value for key, value in report.vr_verdicts[vr_id].measured},
-            }
+            vr_id: {**to_node(report.vr_verdicts[vr_id]), "effective_status": report.effective_statuses[vr_id].value}
             for vr_id in visible
         },
         "goals": {goal_id: to_node(report.goal_rollups[goal_id]) for goal_id in visible_goals},

@@ -22,7 +22,7 @@ from helpers import (
     table_rule_error,
 )
 from laisc import fixtures
-from laisc.codec import from_node, number_fault
+from laisc.codec import from_node, number_fault, to_node
 from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
@@ -33,6 +33,7 @@ from laisc.errors import (
     UnsupportedFormat,
     ValueOutOfRange,
 )
+from laisc.evaluation import Status, Verdict
 from laisc.io import (
     ActivationTable,
     LabeledGrid,
@@ -192,6 +193,15 @@ def test_seeded_bundles_round_trip_nested_flag_entries():
         assert serialize_evidence(parse_evidence(data)) == data
         resolved += sum(len(getattr(r.payload, "entries", ())) for r in bundle.records)
     assert resolved > 0
+
+
+def test_verdict_measured_is_an_object_of_numbers():
+    verdict = Verdict(Status.VIOLATED, "gap too wide", ("r1",), (("gap", 0.25), ("miou", 1.0)))
+    node = to_node(verdict)
+    assert node["measured"] == {"gap": 0.25, "miou": 1.0}
+    assert from_node(Verdict, node, "$") == verdict
+    with pytest.raises(SchemaError, match=re.escape("$.measured.miou: expected finite number")):
+        from_node(Verdict, {**node, "measured": {"miou": True}}, "$")
 
 
 @pytest.mark.parametrize(
