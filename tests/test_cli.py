@@ -429,6 +429,77 @@ def test_unreadable_landscape_exits_three(command, edit, fragment, fixture_paths
     assert captured.out == ""
 
 
+_ACTS = b"sample_id,a_0\ns1,0.5\ns2,1.0\n"
+_PROBS = b"instance_id,label,p_0,p_1\ni1,0,0.9,0.1\ni2,1,0.2,0.8\n"
+_OVERSIZED = b"x" * (131072 + 1)  # one past the csv module's default field limit
+
+
+def _not_utf8(data: bytes, after: bytes) -> bytes:
+    """``data`` with one ``0xff`` byte inserted after the first ``after``."""
+    return data.replace(after, after + b"\xff", 1)
+
+
+#: ``(argv, file the command reads first, its new bytes from the old, what
+#: stderr must name)``; ``None`` names the offset of the ``0xff`` byte.
+_UNDECODABLE_INPUTS = {
+    "landscape": (
+        "validate --landscape {landscape}", "landscape", lambda data: _not_utf8(data, b'"name": "'), None
+    ),
+    "evidence": (
+        "evaluate --landscape {landscape} --evidence {evidence}",
+        "evidence",
+        lambda data: _not_utf8(data, b'"source": "'),
+        None,
+    ),
+    "grid": (
+        "metric miou --pred {bad} --truth {bad} --dataset d-real --vr VR2.1 --landscape {landscape} --out {evidence}",
+        "bad",
+        lambda _: _not_utf8(b"2 2\n0 1\n1 0\n", b"1 "),
+        None,
+    ),
+    "activations": (
+        "metric nap --a {bad} --b {bad} --dataset-a d-real --dataset-b d-synth --vr VR2.2"
+        " --landscape {landscape} --out {evidence}",
+        "bad",
+        lambda _: _not_utf8(_ACTS, b"s2"),
+        None,
+    ),
+    "probabilities": (
+        "metric clm --probs {bad} --threshold 0.5 --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
+        "bad",
+        lambda _: _not_utf8(_PROBS, b"i2"),
+        None,
+    ),
+    "activations-oversized-field": (
+        "metric nap --a {bad} --b {bad} --dataset-a d-real --dataset-b d-synth --vr VR2.2"
+        " --landscape {landscape} --out {evidence}",
+        "bad",
+        lambda _: _ACTS + _OVERSIZED + b",1.0\n",
+        "data row 2: field larger than field limit",
+    ),
+    "probabilities-oversized-field": (
+        "metric clm --probs {bad} --threshold 0.5 --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
+        "bad",
+        lambda _: _PROBS.replace(b"i2", _OVERSIZED),
+        "data row 1: field larger than field limit",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, target, make, fragment", _UNDECODABLE_INPUTS.values(), ids=_UNDECODABLE_INPUTS)
+def test_undecodable_input_exits_three(argv, target, make, fragment, fixture_paths, tmp_path, capsys):
+    landscape_path, evidence_path = fixture_paths
+    paths = {"landscape": landscape_path, "evidence": evidence_path, "bad": tmp_path / "bad.input"}
+    data = make(paths[target].read_bytes() if target != "bad" else b"")
+    paths[target].write_bytes(data)
+    before = evidence_path.read_bytes()
+    assert main([arg.format(**paths) for arg in argv.split()]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (fragment or f"not UTF-8 text: invalid start byte (byte offset {data.index(0xFF)})") in captured.err
+    assert evidence_path.read_bytes() == before
+
+
 def test_metric_append_that_fails_to_replace_leaves_bundle_untouched(fixture_paths, monkeypatch, capsys):
     landscape_path, evidence_path = fixture_paths
     before = evidence_path.read_bytes()
@@ -642,3 +713,19 @@ def test_manifest_is_canonical_utf8_json(name, tmp_path):
 def test_usage_error_exits_three(capsys):
     assert main(["evaluate", "--landscape"]) == 3
     assert main(["metric", "unknown-metric"]) == 3
+
+
+def test_importing_the_cli_leaves_the_metric_kernels_unloaded():
+    # Only the metric, perturb and augment-labels commands need laisc.metrics.
+    code = "import sys, laisc.cli; print('laisc.metrics' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(laisc.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+
+
+def test_min_samples_defaults_to_the_metrics_constant():
+    from laisc.cli import build_parser
+
+    # Every metric command adds --min-samples through one helper.
+    args = build_parser().parse_args(_metric_argv("gap", "l.laisc.json", "o.evidence.json"))
+    assert args.min_samples == metrics.DEFAULT_MIN_SAMPLES
