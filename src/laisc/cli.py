@@ -28,7 +28,9 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from laisc import evaluation, io, metrics, report
+# laisc.metrics is imported by the commands that compute a metric or
+# write a perturbed copy: no other command needs the kernels.
+from laisc import evaluation, io, report
 from laisc.codec import dump_canonical, to_node
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
@@ -193,6 +195,8 @@ def _append(args: argparse.Namespace, target: tuple[Landscape, VerifiableRequire
 def _capture_small_samples(compute):
     """The value of ``compute()`` and a ``; warning: ...`` note suffix
     listing its small-sample warnings, empty when there were none."""
+    from laisc import metrics
+
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         value = compute()
@@ -229,6 +233,8 @@ def _grid_paths(path: str) -> list[Path]:
 
 
 def cmd_metric_miou(args: argparse.Namespace) -> int:
+    from laisc import metrics
+
     pred_paths = _grid_paths(args.pred)
     truth_paths = _grid_paths(args.truth)
     if len(pred_paths) != len(truth_paths):
@@ -244,6 +250,8 @@ def cmd_metric_miou(args: argparse.Namespace) -> int:
 
 
 def cmd_metric_gap(args: argparse.Namespace) -> int:
+    from laisc import metrics
+
     value = metrics.performance_gap(args.a, args.b)
     landscape, vr = _target(args)
     # The record binds to the indicator the two values came from, so it can
@@ -255,6 +263,8 @@ def cmd_metric_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_metric_nap(args: argparse.Namespace) -> int:
+    from laisc import metrics
+
     table_a = io.read_activations(Path(args.a).read_bytes())
     table_b = io.read_activations(Path(args.b).read_bytes())
     value, warned = _capture_small_samples(
@@ -265,6 +275,8 @@ def cmd_metric_nap(args: argparse.Namespace) -> int:
 
 
 def cmd_metric_clm(args: argparse.Namespace) -> int:
+    from laisc import metrics
+
     table = io.read_prob_table(Path(args.probs).read_bytes())
     result, warned = _capture_small_samples(
         lambda: metrics.clm_flags(table, args.threshold, min_samples=args.min_samples)
@@ -289,25 +301,25 @@ def cmd_metric_clm(args: argparse.Namespace) -> int:
 # --- perturb / augment-labels ------------------------------------------------------
 
 
-#: ``--kind`` -> spec class; each spec field is read from the flag of its name.
+#: ``--kind`` -> name of the spec class in ``laisc.metrics``; each spec
+#: field is read from the flag of its name.
 _PERTURBATIONS = {
-    "brightness": metrics.BrightnessShift,
-    "contrast": metrics.ContrastScale,
-    "noise": metrics.GaussianNoise,
-    "occlusion": metrics.OcclusionPatch,
-    "hflip": metrics.HorizontalFlip,
-    "rot90": metrics.Rotate90,
+    "brightness": "BrightnessShift",
+    "contrast": "ContrastScale",
+    "noise": "GaussianNoise",
+    "occlusion": "OcclusionPatch",
+    "hflip": "HorizontalFlip",
+    "rot90": "Rotate90",
 }
 _AUGMENTATIONS = {
-    "flip": metrics.RandomPixelFlip,
-    "dilate": metrics.MaskDilate,
-    "erode": metrics.MaskErode,
-    "translate": metrics.MaskTranslate,
+    "flip": "RandomPixelFlip",
+    "dilate": "MaskDilate",
+    "erode": "MaskErode",
+    "translate": "MaskTranslate",
 }
 
 
-def _spec_from_args(kinds: dict[str, type], args: argparse.Namespace):
-    cls = kinds[args.kind]
+def _spec_from_args(cls: type, args: argparse.Namespace):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
@@ -318,9 +330,11 @@ def _write_manifest(out_dir: Path, operation: str, spec, inputs: dict[str, str])
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
+    from laisc import metrics
+
     image = io.read_grid(Path(args.image).read_bytes())
     mask = io.read_grid(Path(args.mask).read_bytes())
-    spec = _spec_from_args(_PERTURBATIONS, args)
+    spec = _spec_from_args(getattr(metrics, _PERTURBATIONS[args.kind]), args)
     new_image, new_mask = metrics.perturb(image, mask, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -332,8 +346,10 @@ def cmd_perturb(args: argparse.Namespace) -> int:
 
 
 def cmd_augment_labels(args: argparse.Namespace) -> int:
+    from laisc import metrics
+
     mask = io.read_grid(Path(args.mask).read_bytes())
-    spec = _spec_from_args(_AUGMENTATIONS, args)
+    spec = _spec_from_args(getattr(metrics, _AUGMENTATIONS[args.kind]), args)
     new_mask = metrics.augment_labels(mask, spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,6 +362,11 @@ def cmd_augment_labels(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
+#: ``laisc.metrics.DEFAULT_MIN_SAMPLES``, which a test pins; reading it
+#: from there would import the kernels for every command.
+_DEFAULT_MIN_SAMPLES = 30
+
+
 def _add_metric_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landscape", required=True, help="landscape definition (*.laisc.json)")
     parser.add_argument("--vr", required=True, help="VR id the evidence is addressed to")
@@ -353,7 +374,7 @@ def _add_metric_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--min-samples",
         type=int,
-        default=metrics.DEFAULT_MIN_SAMPLES,
+        default=_DEFAULT_MIN_SAMPLES,
         help="sample count below which a significance warning is recorded",
     )
 

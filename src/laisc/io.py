@@ -38,6 +38,7 @@ from operator import itemgetter
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
+    decode_utf8,
     dump_canonical,
     format_timestamp,  # noqa: F401
     from_node,
@@ -220,6 +221,18 @@ class LabeledGrid:
         return not self.cells.translate(None, b"\x00\x01")
 
 
+def _stored(rows, width: int) -> bool:
+    """Whether ``rows`` already is what a table stores: a tuple of
+    ``width``-tuples whose last item is a tuple.  One C-level pass per
+    property, so rows read from a file are not copied."""
+    return (
+        type(rows) is tuple
+        and set(map(type, rows)) <= {tuple}
+        and set(map(len, rows)) <= {width}
+        and set(map(type, map(itemgetter(width - 1), rows))) <= {tuple}
+    )
+
+
 @dataclass(frozen=True, slots=True)
 class ProbabilityTable:
     """Per-instance predicted class probabilities with the observed label."""
@@ -228,9 +241,8 @@ class ProbabilityTable:
     rows: tuple[tuple[str, int, tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "rows", tuple((i, lbl, tuple(ps)) for i, lbl, ps in self.rows)
-        )
+        if not _stored(self.rows, 3):
+            object.__setattr__(self, "rows", tuple((i, lbl, tuple(ps)) for i, lbl, ps in self.rows))
         if self.num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {self.num_classes}")
         for index, (instance_id, label, probs) in enumerate(self.rows):
@@ -263,7 +275,8 @@ class ActivationTable:
     rows: tuple[tuple[str, tuple[float, ...]], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", tuple((s, tuple(a)) for s, a in self.rows))
+        if not _stored(self.rows, 2):
+            object.__setattr__(self, "rows", tuple((s, tuple(a)) for s, a in self.rows))
         if self.num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {self.num_neurons}")
         if not self._passes_whole_table_checks():
@@ -350,8 +363,7 @@ def read_grid(data: bytes | str) -> LabeledGrid:
     accepts (``007``, ``+1``, ``1_0``) is read as ``int()`` reads it and
     then checked cell by cell, and so is a grid with a ragged row.
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [line for line in decode_utf8(data).splitlines() if line.strip()]
     if not lines:
         raise InputSyntaxError("empty grid file")
     header = lines[0].split()
@@ -401,6 +413,8 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
     Returns ``N`` and ``convert(row)`` of each data row.  A row of the
     wrong width is a :class:`DimensionMismatch`, and a token that
     ``convert`` rejects with ``ValueError`` a :class:`ValueOutOfRange`.
+    Bytes that are not UTF-8, and a field past the ``csv`` module's field
+    size limit, are an :class:`InputSyntaxError`.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -408,20 +422,28 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
     # bytes per character for as long as the table is being read.
     reader = csv.reader(_stdio.TextIOWrapper(_stdio.BytesIO(data), encoding="utf-8", newline="\n"))
     expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
-    header = next(reader, None)
-    if header is None:
-        raise InputSyntaxError(f"empty table, expected the header {expected}")
-    count = len(header) - len(lead)
-    if count < minimum or header != _header(lead, prefix, count):
-        raise SchemaError("header", expected, ",".join(header))
-    rows = []
-    for index, row in enumerate(reader):
-        if len(row) != len(header):
-            raise DimensionMismatch(f"data row {index}: expected {len(header)} fields, got {len(row)}")
-        try:
-            rows.append(convert(row))
-        except ValueError as exc:
-            raise ValueOutOfRange(f"data row {index}: {exc}") from None
+    rows = None  # until the header is read
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise InputSyntaxError(f"empty table, expected the header {expected}")
+        count = len(header) - len(lead)
+        if count < minimum or header != _header(lead, prefix, count):
+            raise SchemaError("header", expected, ",".join(header))
+        rows = []
+        for row in reader:
+            if len(row) != len(header):
+                raise DimensionMismatch(f"data row {len(rows)}: expected {len(header)} fields, got {len(row)}")
+            try:
+                rows.append(convert(row))
+            except ValueError as exc:
+                raise ValueOutOfRange(f"data row {len(rows)}: {exc}") from None
+    except csv.Error as exc:
+        where = "header" if rows is None else f"data row {len(rows)}"
+        raise InputSyntaxError(f"{where}: {exc}") from None
+    except UnicodeDecodeError:
+        decode_utf8(data)  # raises with the offset in the whole of ``data``
+        raise
     return count, tuple(rows)
 
 

@@ -262,6 +262,41 @@ class Landscape:
             collection: {item.id: item for item in getattr(self, collection)} for collection in _COLLECTIONS
         }
 
+    @cached_property
+    def _fingerprint(self) -> str:
+        """:func:`fingerprint`, computed once."""
+        content = [{"id": vr.id, "kind": vr.kind, "payload": to_node(vr.payload)} for vr in self.vrs]
+        digest = hashlib.sha256(json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        return f"sha256:{digest.hexdigest()}"
+
+    @cached_property
+    def _rows(self) -> tuple[LandscapeRow, ...]:
+        """:func:`rows`, built once; the sort reads each stage's rank from
+        one dict."""
+        rank = {stage.id: stage.order for stage in self.stages}
+        out: list[LandscapeRow] = []
+        for vr in self.vrs:
+            goal = self.goal(vr.goal_id)
+            concern = self.concern(goal.concern_id)
+            stage = self.stage(vr.stage_id)
+            for mm_id in vr.mm_ids or ("",):
+                mm_name = self.mitigation_measure(mm_id).name if mm_id else ""
+                out.append(
+                    LandscapeRow(
+                        concern_id=concern.id,
+                        concern_name=concern.name,
+                        stage_id=stage.id,
+                        stage_name=stage.name,
+                        goal_id=goal.id,
+                        decomposition=f"{goal.statement} ({goal.id})",
+                        vr_id=vr.id,
+                        mm_id=mm_id,
+                        mm_name=mm_name,
+                    )
+                )
+        out.sort(key=lambda r: (r.concern_id, rank[r.stage_id], r.goal_id, r.vr_id, r.mm_id))
+        return tuple(out)
+
     def stage(self, stage_id: str) -> LifecycleStage:
         return self._by_id["stages"][stage_id]
 
@@ -448,46 +483,25 @@ def check_landscape(landscape: Landscape) -> Landscape:
 
 
 def rows(landscape: Landscape) -> list[LandscapeRow]:
-    """Flatten the landscape into its canonical row set.
+    """Flatten the landscape into its canonical row set, as a new list.
 
     Order is fixed: concern id, stage order, goal id, VR id, measure id.
     The decomposition cell carries the goal statement with the goal id
-    appended so rows stay traceable without an extra column.
+    appended so rows stay traceable without an extra column.  The rows
+    are built on the first call and kept on the immutable landscape.
     """
-    out: list[LandscapeRow] = []
-    for vr in landscape.vrs:
-        goal = landscape.goal(vr.goal_id)
-        concern = landscape.concern(goal.concern_id)
-        stage = landscape.stage(vr.stage_id)
-        for mm_id in vr.mm_ids or ("",):
-            mm_name = landscape.mitigation_measure(mm_id).name if mm_id else ""
-            out.append(
-                LandscapeRow(
-                    concern_id=concern.id,
-                    concern_name=concern.name,
-                    stage_id=stage.id,
-                    stage_name=stage.name,
-                    goal_id=goal.id,
-                    decomposition=f"{goal.statement} ({goal.id})",
-                    vr_id=vr.id,
-                    mm_id=mm_id,
-                    mm_name=mm_name,
-                )
-            )
-    out.sort(key=lambda r: (r.concern_id, landscape.stage(r.stage_id).order, r.goal_id, r.vr_id, r.mm_id))
-    return out
+    return list(landscape._rows)
 
 
 def fingerprint(landscape: Landscape) -> str:
     """Content hash over everything that affects how evidence is judged.
 
     Covers VR ids, kinds, and payloads (thresholds, tolerances, dataset
-    bindings, approval counts).  Display names, descriptions, and other
-    prose are deliberately excluded so that cosmetic edits never mark
-    previously collected evidence as stale.
+    bindings, approval counts): the sha256 of the compact, key-sorted JSON
+    list of ``{"id", "kind", "payload"}`` per VR in id order.  Display
+    names, descriptions, and other prose are deliberately excluded so that
+    cosmetic edits never mark previously collected evidence as stale.  The
+    digest is computed on the first call and kept on the immutable
+    landscape.
     """
-    content = [{"id": vr.id, "kind": vr.kind, "payload": to_node(vr.payload)} for vr in landscape.vrs]
-    digest = hashlib.sha256(
-        json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    ).hexdigest()
-    return f"sha256:{digest}"
+    return landscape._fingerprint

@@ -3,18 +3,22 @@
 The oracles here deliberately re-derive expected values through different
 code paths than the library (set arithmetic for mask overlap, literal
 re-enumeration for the confident joint, a fresh structural walk for
-coverage, one cell at a time over ``LabeledGrid.values`` for morphology,
+coverage, a field-by-field walk of each VR payload for the fingerprint,
+one cell at a time over ``LabeledGrid.values`` for morphology,
 geometry and pixel arithmetic) so tests compare two independent
 computations.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
+from enum import Enum
 
 from laisc.errors import DimensionMismatch, LaiscError, NotNormalized, ValueOutOfRange
 from laisc.evaluation import CoverageGap, GapKind
@@ -305,6 +309,30 @@ def coverage_oracle(landscape: Landscape) -> set[tuple[str, str]]:
 
 def gaps_as_pairs(gaps: list[CoverageGap]) -> set[tuple[str, str]]:
     return {(gap.kind.value, gap.subject_id) for gap in gaps}
+
+
+def _plain(value):
+    """A payload value as plain JSON data: a dataclass as an object of its
+    fields, an enum as its value, a tuple as a list."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    return value
+
+
+def fingerprint_oracle(landscape: Landscape) -> str:
+    """The documented fingerprint: the sha256 of the compact, key-sorted
+    JSON list of ``{"id", "kind", "payload"}`` per VR in id order, with
+    the payload walked field by field (float fields must hold floats)."""
+    content = [
+        {"id": vr.id, "kind": type(vr.payload).__name__, "payload": _plain(vr.payload)}
+        for vr in sorted(landscape.vrs, key=lambda vr: vr.id)
+    ]
+    text = json.dumps(content, sort_keys=True, separators=(",", ":"))
+    return f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
 
 
 # --- grid generators ---------------------------------------------------------

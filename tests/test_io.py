@@ -204,6 +204,43 @@ def test_verdict_measured_is_an_object_of_numbers():
         from_node(Verdict, {**node, "measured": {"miou": True}}, "$")
 
 
+class _DictSubclass(dict):
+    pass
+
+
+#: ``(node, the SchemaError message or None)`` for a ``LifecycleStage``
+#: object at ``$.stages[0]``.
+_OBJECT_NODES = {
+    "exact-keys": ({"id": "s", "name": "S", "order": 0}, None),
+    "unknown-key": (
+        {"id": "s", "name": "S", "order": 0, "extra": 1},
+        "$.stages[0]: expected keys from ['id', 'name', 'order'], got \"unknown keys ['extra']\"",
+    ),
+    "missing-key": ({"id": "s", "name": "S"}, "$.stages[0]: expected required keys ['order'], got 'absent'"),
+    "unknown-before-missing": (
+        {"id": "s", "name": "S", "extra": 1},
+        "$.stages[0]: expected keys from ['id', 'name', 'order'], got \"unknown keys ['extra']\"",
+    ),
+    "list": (["s", "S", 0], "$.stages[0]: expected object, got 'list'"),
+    "null": (None, "$.stages[0]: expected object, got 'NoneType'"),
+    "dict-subclass": (_DictSubclass(id="s", name="S", order=0), None),
+    "dict-subclass-missing-key": (
+        _DictSubclass(id="s", name="S"),
+        "$.stages[0]: expected required keys ['order'], got 'absent'",
+    ),
+}
+
+
+@pytest.mark.parametrize("node, message", _OBJECT_NODES.values(), ids=_OBJECT_NODES)
+def test_object_keys_are_checked_as_one_set(node, message):
+    if message is None:
+        assert from_node(LifecycleStage, node, "$.stages[0]") == LifecycleStage("s", "S", 0)
+    else:
+        with pytest.raises(SchemaError) as excinfo:
+            from_node(LifecycleStage, node, "$.stages[0]")
+        assert str(excinfo.value) == message
+
+
 @pytest.mark.parametrize(
     "payload",
     [

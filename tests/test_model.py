@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_landscape, single_vr_landscape
+from helpers import fingerprint_oracle, random_landscape, single_vr_landscape
 from laisc import fixtures
+from laisc.evaluation import evaluate
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
-from laisc.io import serialize_landscape
+from laisc.io import EvidenceBundle, parse_landscape, serialize_landscape
 from laisc.model import (
     Comparator,
     Condition,
@@ -231,9 +232,15 @@ def test_vr_without_measures_yields_one_row_with_empty_cell():
     assert out[0].mm_id == "" and out[0].mm_name == ""
 
 
-def test_rows_deterministic():
+def test_rows_deterministic_and_a_new_list_on_each_call():
     landscape = fixtures.track_detector_landscape()
-    assert rows(landscape) == rows(landscape)
+    first = rows(landscape)
+    expected = list(first)
+    assert first == rows(fixtures.track_detector_landscape())
+    first.reverse()
+    first.pop()
+    again = rows(landscape)
+    assert again == expected and again is not first
 
 
 def test_rows_are_sorted_canonically():
@@ -254,6 +261,28 @@ def test_rows_are_sorted_canonically():
 def test_fingerprint_deterministic():
     landscape = fixtures.track_detector_landscape()
     assert fingerprint(landscape) == fingerprint(fixtures.track_detector_landscape())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_fingerprint_matches_the_oracle_before_and_after_an_evaluate(rng):
+    landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
+    expected = fingerprint_oracle(landscape)
+    assert fingerprint(landscape) == expected
+    assert evaluate(landscape, EvidenceBundle(())).landscape_fingerprint == expected
+    assert fingerprint(landscape) == expected
+    # A landscape first used by an evaluate.
+    fresh = replace(landscape)
+    assert evaluate(fresh, EvidenceBundle(())).landscape_fingerprint == expected
+    assert fingerprint(fresh) == expected
+
+
+def test_landscape_equality_and_hash_ignore_the_cached_views():
+    data = fixtures.fixture_path().read_bytes()
+    cold, warm = parse_landscape(data), parse_landscape(data)
+    fingerprint(warm), rows(warm)
+    assert vars(warm).keys() > vars(cold).keys()
+    assert cold == warm and hash(cold) == hash(warm)
 
 
 def _rebuild(landscape, **overrides):
@@ -323,6 +352,7 @@ def test_fingerprint_equal_exactly_when_vr_content_is_equal(rng, data):
     links, or nothing); the fingerprints agree exactly when every VR's id
     and payload still do."""
     landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
+    before = fingerprint(landscape)  # a replaced copy must not inherit it
     payloads = [vr.payload for vr in landscape.vrs]
     edited = []
     for vr in landscape.vrs:
@@ -336,7 +366,8 @@ def test_fingerprint_equal_exactly_when_vr_content_is_equal(rng, data):
         edited.append(vr)
     other = replace(landscape, vrs=tuple(edited))
     same_content = [(vr.id, vr.payload) for vr in landscape.vrs] == [(vr.id, vr.payload) for vr in other.vrs]
-    assert (fingerprint(other) == fingerprint(landscape)) is same_content
+    assert (fingerprint(other) == before) is same_content
+    assert fingerprint(other) == fingerprint_oracle(other)
 
 
 def test_tree_shape_on_generated_landscapes():
