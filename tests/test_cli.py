@@ -11,7 +11,7 @@ import pytest
 
 import laisc
 from laisc import fixtures, io, metrics
-from laisc.cli import main
+from laisc.cli import build_parser, main
 from laisc.io import write_grid, LabeledGrid
 
 PINNED_NOW = "2026-02-01T12:00:00Z"
@@ -724,8 +724,6 @@ def test_importing_the_cli_leaves_the_metric_kernels_unloaded():
 
 
 def test_min_samples_defaults_to_the_metrics_constant():
-    from laisc.cli import build_parser
-
     # Every metric command adds --min-samples through one helper.
     args = build_parser().parse_args(_metric_argv("gap", "l.laisc.json", "o.evidence.json"))
     assert args.min_samples == metrics.DEFAULT_MIN_SAMPLES
