@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -168,6 +170,51 @@ def test_fixture_report_bytes_are_pinned(fmt, capsys):
     argv = ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path), "--format", fmt]
     assert main(argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _FIXTURE_REPORT_SHA256[fmt]
+
+
+def _zurich_landscape(landscape_path) -> None:
+    node = json.loads(landscape_path.read_bytes())
+    node["name"] += "-Zürich"
+    landscape_path.write_bytes(json.dumps(node, ensure_ascii=False).encode("utf-8"))
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+@pytest.mark.parametrize("command", ["table", "json", "validate"])
+def test_stdout_is_utf8_whatever_the_locale(command, encoding, fixture_paths, capsys):
+    landscape_path, evidence_path = fixture_paths
+    _zurich_landscape(landscape_path)
+    if command == "validate":
+        argv = ["validate", "--landscape", str(landscape_path)]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+    else:
+        argv = ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path), "--format", command]
+        result = laisc.evaluate(
+            io.parse_landscape(landscape_path.read_bytes()),
+            io.parse_evidence(evidence_path.read_bytes()),
+            now=io.parse_timestamp(PINNED_NOW),
+        )
+        expected = laisc.serialize_report(result, command)
+    assert "Zürich".encode("utf-8") in expected
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(laisc.__file__).parents[1]),
+        "PYTHONIOENCODING": encoding,
+        "LAISC_NOW": PINNED_NOW,
+    }
+    done = subprocess.run([sys.executable, "-m", "laisc.cli", *argv], env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    assert done.stdout == expected
+
+
+def test_validate_writes_to_a_text_stream_without_a_buffer(fixture_paths):
+    # A caller may redirect stdout to an io.StringIO, which has no byte buffer.
+    landscape_path, _ = fixture_paths
+    _zurich_landscape(landscape_path)
+    captured = StringIO()
+    with redirect_stdout(captured):
+        assert main(["validate", "--landscape", str(landscape_path)]) == 0
+    assert captured.getvalue().startswith("landscape 'train-track-detector-Zürich' is valid")
 
 
 # --- metric subcommands --------------------------------------------------------------

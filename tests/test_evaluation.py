@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import coverage_oracle, gaps_as_pairs, random_bundle, random_landscape, record, single_vr_landscape
-from laisc.errors import UnknownFilterKey
+from laisc.errors import InvalidTimestamp, UnknownFilterKey
 from laisc.evaluation import (
     Filter,
     GapKind,
@@ -415,6 +415,12 @@ def test_report_independent_of_record_order(fixture_landscape, demo_bundle):
     assert a.vr_verdicts == b.vr_verdicts
     assert a.goal_rollups == b.goal_rollups
     assert a.concern_rollups == b.concern_rollups
+
+
+def test_naive_now_rejected(fixture_landscape, demo_bundle):
+    # A naive clock would be read in host-local time when the report is written.
+    with pytest.raises(InvalidTimestamp, match="'2026-02-01T12:00:00': missing UTC offset"):
+        evaluate(fixture_landscape, demo_bundle, now=datetime(2026, 2, 1, 12))
 
 
 def test_orphaned_evidence_reported(fixture_landscape, demo_bundle):

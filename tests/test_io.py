@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from dataclasses import fields, replace
+from datetime import datetime
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,8 @@ from laisc.errors import (
 from laisc.evaluation import Status, Verdict
 from laisc.io import (
     ActivationTable,
+    DocumentRecord,
+    EvidenceRecord,
     LabeledGrid,
     ProbabilityTable,
     parse_evidence,
@@ -404,6 +407,13 @@ def test_naive_timestamp_in_evidence_rejected():
     node["records"][0]["timestamp"] = "2026-01-01T00:00:00"
     with pytest.raises(InvalidTimestamp):
         parse_evidence(json.dumps(node))
+
+
+def test_naive_timestamp_in_code_rejected():
+    # The reader's rule holds for a record built in code: a naive datetime
+    # would compare with no parsed timestamp and serialize in host-local time.
+    with pytest.raises(InvalidTimestamp, match="'2026-03-01T09:00:00': missing UTC offset"):
+        EvidenceRecord("r1", "v1", "sha256:x", datetime(2026, 3, 1, 9), DocumentRecord("safety-case"))
 
 
 def test_offset_timestamps_normalize_to_utc():
