@@ -11,7 +11,8 @@ Exit codes:
 
 Set ``LAISC_NOW`` (ISO-8601, UTC) to pin the clock; evidence written by
 ``metric`` subcommands and report timestamps then become reproducible
-byte for byte.  Evidence files are append-only: ``metric`` subcommands
+byte for byte.  Standard output carries UTF-8 whatever the locale says.
+Evidence files are append-only: ``metric`` subcommands
 add records, they never rewrite existing ones, and each append replaces
 the file atomically under a lock on its directory.
 """
@@ -53,6 +54,23 @@ def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
+def _write_stdout(data: bytes) -> None:
+    """Write the UTF-8 bytes ``data`` to stdout as they are, whatever
+    encoding the locale gave ``sys.stdout``; a text stream without a byte
+    buffer (an ``io.StringIO``) takes the decoded text."""
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(data.decode("utf-8"))
+    else:
+        sys.stdout.flush()  # text written before goes out first
+        buffer.write(data)
+
+
+def _say(line: str) -> None:
+    """Write one line of text to stdout as UTF-8."""
+    _write_stdout(f"{line}\n".encode("utf-8"))
+
+
 def _load_landscape(path: str) -> Landscape:
     return io.parse_landscape(Path(path).read_bytes())
 
@@ -62,20 +80,20 @@ def _load_landscape(path: str) -> Landscape:
 
 def _print_gaps(gaps) -> None:
     for gap in gaps:
-        print(f"  {gap.kind.value}: {gap.subject_id}")
+        _say(f"  {gap.kind.value}: {gap.subject_id}")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
     landscape = _load_landscape(args.landscape)
     row_count = len(rows(landscape))
     gaps = evaluation.coverage(landscape)
-    print(
+    _say(
         f"landscape '{landscape.name}' is valid: "
         f"{len(landscape.concerns)} concerns, {len(landscape.goals)} goals, "
         f"{len(landscape.vrs)} VRs, {row_count} rows"
     )
-    print(f"fingerprint: {fingerprint(landscape)}")
-    print(f"coverage gaps: {len(gaps)}")
+    _say(f"fingerprint: {fingerprint(landscape)}")
+    _say(f"coverage gaps: {len(gaps)}")
     _print_gaps(gaps)
     return 0 if not gaps else 2
 
@@ -83,7 +101,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_coverage(args: argparse.Namespace) -> int:
     landscape = _load_landscape(args.landscape)
     gaps = evaluation.coverage(landscape)
-    print(f"coverage gaps: {len(gaps)}")
+    _say(f"coverage gaps: {len(gaps)}")
     _print_gaps(gaps)
     return 0 if not gaps else 2
 
@@ -107,7 +125,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         concern=args.concern, stage=args.stage, component=args.component, status=args.status
     )
     result = evaluation.evaluate(landscape, bundle, flt=flt, now=_now())
-    sys.stdout.write(report.serialize_report(result, args.format).decode("utf-8"))
+    _write_stdout(report.serialize_report(result, args.format))
     return _EXIT_BY_STATUS[result.worst_status()]
 
 
@@ -217,8 +235,8 @@ def _metric_record(
     config_note: str,
 ) -> int:
     (record_id,) = _append(args, target, [MetricResult(metric_id, dataset_ids, value, config_note)])
-    print(f"{metric_id} = {value!r}")
-    print(f"appended {record_id} to {args.out}")
+    _say(f"{metric_id} = {value!r}")
+    _say(f"appended {record_id} to {args.out}")
     return 0
 
 
@@ -291,10 +309,10 @@ def cmd_metric_clm(args: argparse.Namespace) -> int:
             FlagResolutionLog(args.dataset, flagged_ids=result.flagged_ids, entries=()),
         ],
     )
-    print(f"clm_flags = {flagged_fraction!r} ({len(result.flagged_ids)} flagged)")
+    _say(f"clm_flags = {flagged_fraction!r} ({len(result.flagged_ids)} flagged)")
     for instance_id in result.flagged_ids:
-        print(f"  flagged: {instance_id}")
-    print(f"appended {metric_id}, {flag_id} to {args.out}")
+        _say(f"  flagged: {instance_id}")
+    _say(f"appended {metric_id}, {flag_id} to {args.out}")
     return 0
 
 
@@ -341,7 +359,7 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     (out_dir / "image.grid").write_bytes(io.write_grid(new_image))
     (out_dir / "mask.grid").write_bytes(io.write_grid(new_mask))
     _write_manifest(out_dir, "perturb", spec, {"image": args.image, "mask": args.mask})
-    print(f"wrote image.grid, mask.grid, manifest.json to {args.out}")
+    _say(f"wrote image.grid, mask.grid, manifest.json to {args.out}")
     return 0
 
 
@@ -355,7 +373,7 @@ def cmd_augment_labels(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "mask.grid").write_bytes(io.write_grid(new_mask))
     _write_manifest(out_dir, "augment-labels", spec, {"mask": args.mask})
-    print(f"wrote mask.grid, manifest.json to {args.out}")
+    _say(f"wrote mask.grid, manifest.json to {args.out}")
     return 0
 
 

@@ -19,6 +19,12 @@ functions that read and write it:
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
 ``serialize(x)`` byte for byte; ``load_json`` rejects a repeated key.
+``dump_canonical`` writes its node with one recursive writer that appends
+to a list: strings go through ``json``'s C ``encode_basestring``, numbers
+through ``int.__repr__`` and ``float.__repr__``.  Its output equals
+``json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
+encoded as UTF-8, byte for byte, without the pure-Python encoder that
+``indent`` selects in ``json``.
 
 One number rule holds for files read and for dataclasses built in code:
 an ``int`` field holds an ``int``, a ``float`` field an ``int`` or
@@ -31,6 +37,7 @@ checks the inclusive ``min`` and ``max`` bounds a field declares in its
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -49,6 +56,15 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).isoformat()
 
 
+def check_aware(value: datetime, text: str | None = None) -> datetime:
+    """``value``, if it has a UTC offset; a naive datetime is an
+    ``InvalidTimestamp`` (``text`` names it, default its ISO form), for it
+    would be read in the host's local time."""
+    if value.utcoffset() is None:
+        raise InvalidTimestamp(value.isoformat() if text is None else text, "missing UTC offset")
+    return value
+
+
 def parse_timestamp(value: str) -> datetime:
     """Parse an ISO-8601 timestamp; must be timezone-aware, normalized to UTC."""
     if not isinstance(value, str):
@@ -57,9 +73,7 @@ def parse_timestamp(value: str) -> datetime:
         parsed = datetime.fromisoformat(value.replace("Z", "+00:00"))
     except ValueError as exc:
         raise InvalidTimestamp(value, str(exc)) from None
-    if parsed.tzinfo is None:
-        raise InvalidTimestamp(value, "missing UTC offset")
-    return parsed.astimezone(timezone.utc)
+    return check_aware(parsed, value).astimezone(timezone.utc)
 
 
 # --- documents ---------------------------------------------------------------
@@ -101,8 +115,79 @@ def load_json(data: bytes | str) -> object:
 
 
 def dump_canonical(node: object) -> bytes:
-    """Sorted keys, two-space indent, UTF-8 and one trailing newline."""
-    return (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """Sorted keys, two-space indent, UTF-8 and one trailing newline: the
+    bytes of ``json.dumps(node, sort_keys=True, indent=2,
+    ensure_ascii=False) + "\n"`` encoded as UTF-8."""
+    out: list[str] = []
+    _write(node, out.append, "\n")
+    out.append("\n")
+    return "".join(out).encode("utf-8")
+
+
+_encode_str = json.encoder.encode_basestring
+_int_text = int.__repr__
+
+
+def _float_text(value: float) -> str:
+    """A float as ``json`` spells it, NaN and the infinities included."""
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _write(node: object, append, newline: str) -> None:
+    """``append`` the JSON text of ``node``; ``newline`` is a line break
+    plus the indent of the line ``node`` starts on.  Object keys are
+    strings.  The type tests are those of ``json``'s encoder, in its order,
+    so a ``str``, ``int`` or ``float`` subclass (a str-valued ``Enum``) is
+    written as its base value.  A ``str`` item or value, the most common,
+    is written without a call."""
+    if isinstance(node, str):
+        append(_encode_str(node))
+    elif node is None:
+        append("null")
+    elif node is True:
+        append("true")
+    elif node is False:
+        append("false")
+    elif isinstance(node, int):
+        append(_int_text(node))
+    elif isinstance(node, float):
+        append(_float_text(node))
+    elif isinstance(node, (list, tuple)):
+        if not node:
+            append("[]")
+            return
+        inner = newline + "  "
+        lead = "[" + inner
+        for item in node:
+            if type(item) is str:
+                append(lead + _encode_str(item))
+            else:
+                append(lead)
+                _write(item, append, inner)
+            lead = "," + inner
+        append(newline + "]")
+    elif isinstance(node, dict):
+        if not node:
+            append("{}")
+            return
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, value in sorted(node.items()):
+            if type(value) is str:
+                append(f"{lead}{_encode_str(key)}: {_encode_str(value)}")
+            else:
+                append(f"{lead}{_encode_str(key)}: ")
+                _write(value, append, inner)
+            lead = "," + inner
+        append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
 # --- schema helpers: read node[key] as one type, or name its path ----------------

@@ -30,6 +30,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
 
+from laisc.codec import check_aware
 from laisc.errors import UnknownFilterKey
 from laisc.io import (
     ApprovalRecord,
@@ -621,6 +622,32 @@ def apply_filter(
 # --- full evaluation -------------------------------------------------------------------
 
 
+def _judge_bundle(
+    landscape: Landscape, bundle: EvidenceBundle, current: str
+) -> tuple[dict[str, Verdict], tuple[str, ...]]:
+    """Every VR's verdict and the sorted ids of the orphaned records.
+
+    Both depend only on the bundle and on each VR's id, kind and payload,
+    which is what the fingerprint ``current`` hashes.  So the bundle keeps
+    the last result with its fingerprint, and a landscape with the same
+    fingerprint reuses it; callers copy the dict before handing it out.
+    """
+    memo = vars(bundle).get("_judged")
+    if memo is not None and memo[0] == current:
+        return memo[1]
+    addressed: dict[str, list[EvidenceRecord]] = {vr.id: [] for vr in landscape.vrs}
+    orphans: list[EvidenceRecord] = []
+    for record in bundle.records:
+        # A record addressed to no VR of this landscape is an orphan.
+        addressed.get(record.vr_id, orphans).append(record)
+    judged = (
+        {vr.id: _evaluate_records(vr, addressed[vr.id], current) for vr in landscape.vrs},
+        tuple(sorted(r.id for r in orphans)),
+    )
+    object.__setattr__(bundle, "_judged", (current, judged))
+    return judged
+
+
 def evaluate(
     landscape: Landscape,
     bundle: EvidenceBundle,
@@ -631,16 +658,17 @@ def evaluate(
     """Evaluate every VR, roll up, and assemble the deterministic report.
 
     The result is independent of record order in the bundle; two
-    evaluations of the same inputs with the same ``now`` are equal.
+    evaluations of the same inputs with the same ``now`` are equal.  A
+    naive ``now`` is an ``InvalidTimestamp``.  Evaluating one bundle again
+    under another filter, or against a landscape that differs only outside
+    its fingerprint, reuses the bundle's verdicts; roll-ups, statuses,
+    coverage and rows are derived from ``landscape`` on every call.
     """
     flt = flt or Filter()
+    generated_at = datetime.now(timezone.utc) if now is None else check_aware(now)
     current = fingerprint(landscape)
-    addressed: dict[str, list[EvidenceRecord]] = {vr.id: [] for vr in landscape.vrs}
-    orphans: list[EvidenceRecord] = []
-    for record in bundle.records:
-        # A record addressed to no VR of this landscape is an orphan.
-        addressed.get(record.vr_id, orphans).append(record)
-    vr_verdicts = {vr.id: _evaluate_records(vr, addressed[vr.id], current) for vr in landscape.vrs}
+    judged, orphan_ids = _judge_bundle(landscape, bundle, current)
+    vr_verdicts = dict(judged)
     goal_rollups, concern_rollups = rollup(landscape, vr_verdicts)
 
     effective: dict[str, Status] = {}
@@ -656,7 +684,7 @@ def evaluate(
     return EvaluationReport(
         landscape=landscape,
         landscape_fingerprint=current,
-        generated_at=now or datetime.now(timezone.utc),
+        generated_at=generated_at,
         filter=resolved,
         rows=tuple(visible_rows),
         vr_verdicts=vr_verdicts,
@@ -664,5 +692,5 @@ def evaluate(
         goal_rollups=goal_rollups,
         concern_rollups=concern_rollups,
         coverage_gaps=tuple(coverage(landscape)),
-        orphaned_evidence_ids=tuple(sorted(r.id for r in orphans)),
+        orphaned_evidence_ids=orphan_ids,
     )

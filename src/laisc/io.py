@@ -38,6 +38,7 @@ from operator import itemgetter
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
+    check_aware,
     decode_utf8,
     dump_canonical,
     format_timestamp,  # noqa: F401
@@ -146,13 +147,26 @@ class EvidenceRecord:
     timestamp: datetime
     payload: EvidencePayload
 
+    def __post_init__(self) -> None:
+        # The rule parse_timestamp applies to a file: a naive timestamp
+        # would compare with no parsed one and be written in local time.
+        check_aware(self.timestamp)
+
     @property
     def kind(self) -> str:
         return type(self.payload).__name__
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EvidenceBundle:
+    """The records of one evidence file.
+
+    :func:`~laisc.evaluation.evaluate` keeps the verdicts it last judged
+    from a bundle, keyed by the landscape's fingerprint, on the bundle (no
+    ``slots``, so there is room for them).  They are not a field, so
+    ``==``, ``hash`` and ``dataclasses.replace`` ignore them.
+    """
+
     records: tuple[EvidenceRecord, ...]
     source: str = ""
 

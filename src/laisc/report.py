@@ -34,11 +34,10 @@ def render_table(report: EvaluationReport) -> bytes:
         for i in range(len(_TABLE_COLUMNS))
     ]
 
-    def fmt(cells) -> str:
-        return " | ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
-
-    lines = [fmt(_TABLE_COLUMNS), "-+-".join("-" * width for width in widths)]
-    lines.extend(fmt(line) for line in body)
+    # One format call per line, each cell left-aligned in its column.
+    fmt = " | ".join(f"{{:<{width}}}" for width in widths).format
+    lines = [fmt(*_TABLE_COLUMNS).rstrip(), "-+-".join("-" * width for width in widths)]
+    lines.extend(fmt(*line).rstrip() for line in body)
     counts = report.status_counts()
     summary = (
         f"{counts[Status.SATISFIED]} satisfied / {counts[Status.VIOLATED]} violated / "

@@ -15,6 +15,7 @@ from laisc.evaluation import (
     Filter,
     GapKind,
     Status,
+    Verdict,
     apply_filter,
     coverage,
     evaluate,
@@ -29,6 +30,10 @@ from laisc.io import (
     FlagResolutionLog,
     MetricResult,
     ReviewLog,
+    parse_evidence,
+    parse_landscape,
+    serialize_evidence,
+    serialize_landscape,
 )
 from laisc.model import (
     Comparator,
@@ -509,6 +514,19 @@ def test_stale_records_never_outrank_fresh_ones():
             assert after is before, (base, extra, after)
 
 
+def _addressed_bundle(rng: random.Random, landscape) -> EvidenceBundle:
+    """A random bundle addressed to the landscape's VRs and to two ghost
+    VRs, mostly fresh and partly stale."""
+    fp = fingerprint(landscape)
+    targets = [vr.id for vr in landscape.vrs] + ["ghost-1", "ghost-2"]
+    return EvidenceBundle(
+        tuple(
+            replace(r, vr_id=rng.choice(targets), landscape_fingerprint=rng.choice((fp, fp, "sha256:old")))
+            for r in random_bundle(rng).records
+        )
+    )
+
+
 def test_evaluate_agrees_with_evaluate_vr_on_random_landscapes():
     """One pass over a whole bundle gives each VR the verdict ``evaluate_vr``
     gives it alone, orphans exactly the records addressed to no VR, and
@@ -517,14 +535,7 @@ def test_evaluate_agrees_with_evaluate_vr_on_random_landscapes():
     for _ in range(80):
         landscape = random_landscape(rng)
         fp = fingerprint(landscape)
-        targets = [vr.id for vr in landscape.vrs] + ["ghost-1", "ghost-2"]
-        generated = random_bundle(rng)
-        bundle = EvidenceBundle(
-            tuple(
-                replace(r, vr_id=rng.choice(targets), landscape_fingerprint=rng.choice((fp, fp, "sha256:old")))
-                for r in generated.records
-            )
-        )
+        bundle = _addressed_bundle(rng, landscape)
         report = evaluate(landscape, bundle)
         for vr in landscape.vrs:
             assert report.vr_verdicts[vr.id] == evaluate_vr(vr, bundle, fp)
@@ -541,3 +552,86 @@ def test_evaluate_agrees_with_evaluate_vr_on_random_landscapes():
 def test_every_vr_gets_exactly_one_verdict(fixture_landscape, demo_bundle):
     report = evaluate(fixture_landscape, demo_bundle)
     assert set(report.vr_verdicts) == {vr.id for vr in fixture_landscape.vrs}
+
+
+# --- a bundle judged once per landscape fingerprint ---------------------------------------
+
+NOW = datetime(2026, 2, 1, tzinfo=timezone.utc)
+
+
+def _unjudged(bundle: EvidenceBundle) -> EvidenceBundle:
+    """A freshly parsed copy of ``bundle``, never evaluated."""
+    return parse_evidence(serialize_evidence(bundle))
+
+
+def _fresh_report(landscape, bundle, flt=None):
+    """``evaluate`` on freshly parsed copies of both inputs."""
+    return evaluate(parse_landscape(serialize_landscape(landscape)), _unjudged(bundle), flt=flt, now=NOW)
+
+
+def test_reevaluating_one_bundle_equals_a_fresh_evaluation_under_every_filter(fixture_landscape, demo_bundle):
+    rng = random.Random(71)
+    cases = [(fixture_landscape, demo_bundle)]
+    for _ in range(12):
+        landscape = random_landscape(rng, delete_links=rng.random() < 0.3)
+        cases.append((landscape, _addressed_bundle(rng, landscape)))
+    for landscape, bundle in cases:
+        filters = (
+            [Filter()]
+            + [Filter(concern=concern.id) for concern in landscape.concerns]
+            + [Filter(stage=stage.id) for stage in landscape.stages]
+            + [Filter(component=component.id) for component in landscape.components]
+            + [Filter(status=status.value) for status in Status]
+        )
+        for flt in filters:
+            assert evaluate(landscape, bundle, flt=flt, now=NOW) == _fresh_report(landscape, bundle, flt), flt
+
+
+def test_verdicts_follow_the_landscape_fingerprint(fixture_landscape, demo_bundle):
+    vr = next(vr for vr in fixture_landscape.vrs if isinstance(vr.payload, MetricThreshold))
+    edited_vr = replace(vr, payload=replace(vr.payload, threshold=vr.payload.threshold / 2))
+    edited = replace(fixture_landscape, vrs=[edited_vr if v is vr else v for v in fixture_landscape.vrs])
+    assert fingerprint(edited) != fingerprint(fixture_landscape)
+    bundle = _unjudged(demo_bundle)
+    reports = [evaluate(landscape, bundle, now=NOW) for landscape in (fixture_landscape, edited, fixture_landscape)]
+    for landscape, report in zip((fixture_landscape, edited, fixture_landscape), reports):
+        assert report == _fresh_report(landscape, bundle)
+    # Under the edited fingerprint every record is stale.
+    assert {verdict.status for verdict in reports[1].vr_verdicts.values()} == {Status.ERROR}
+    assert reports[0].vr_verdicts != reports[1].vr_verdicts
+
+
+def test_a_landscape_differing_only_in_relevance_gets_its_own_statuses(fixture_landscape, demo_bundle):
+    concern = fixture_landscape.concerns[0]
+    dropped = replace(concern, relevant=False, relevance_rationale="out of scope")
+    irrelevant = replace(fixture_landscape, concerns=[dropped if c is concern else c for c in fixture_landscape.concerns])
+    assert fingerprint(irrelevant) == fingerprint(fixture_landscape)
+    bundle = _unjudged(demo_bundle)
+    relevant_report = evaluate(fixture_landscape, bundle, now=NOW)
+    report = evaluate(irrelevant, bundle, now=NOW)
+    assert report == _fresh_report(irrelevant, bundle)
+    assert report.vr_verdicts == relevant_report.vr_verdicts
+    assert report.concern_rollups[concern.id].status is Status.NOT_APPLICABLE
+    vr_ids = [vr_id for goal_id in concern.goal_ids for vr_id in irrelevant.goal(goal_id).vr_ids]
+    assert vr_ids and {report.effective_statuses[vr_id] for vr_id in vr_ids} == {Status.NOT_APPLICABLE}
+    assert relevant_report.concern_rollups[concern.id].status is Status.SATISFIED
+
+
+def test_each_report_has_its_own_verdicts(fixture_landscape, demo_bundle):
+    bundle = _unjudged(demo_bundle)
+    first = evaluate(fixture_landscape, bundle, now=NOW)
+    vr_id = fixture_landscape.vrs[0].id
+    first.vr_verdicts[vr_id] = Verdict(Status.VIOLATED, "edited by a caller")
+    del first.vr_verdicts[fixture_landscape.vrs[1].id]
+    assert evaluate(fixture_landscape, bundle, now=NOW) == _fresh_report(fixture_landscape, bundle)
+
+
+def test_bundle_equality_hash_and_replace_ignore_its_verdicts(fixture_landscape, demo_bundle):
+    judged = _unjudged(demo_bundle)
+    full = evaluate(fixture_landscape, judged, now=NOW)
+    unjudged = _unjudged(demo_bundle)
+    assert judged == unjudged and hash(judged) == hash(unjudged)
+    shorter = replace(judged, records=judged.records[1:])
+    report = evaluate(fixture_landscape, shorter, now=NOW)
+    assert report == _fresh_report(fixture_landscape, shorter)
+    assert report.vr_verdicts != full.vr_verdicts

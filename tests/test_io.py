@@ -8,6 +8,7 @@ import re
 import sys
 from dataclasses import fields, replace
 from datetime import datetime
+from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from helpers import (
     table_rule_error,
 )
 from laisc import fixtures
-from laisc.codec import from_node, number_fault, to_node
+from laisc.codec import dump_canonical, from_node, number_fault, to_node
 from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
@@ -164,6 +165,50 @@ def test_non_finite_constant_rejected():
     node_text = FIXTURE_TEXT.decode("utf-8").replace("0.75", "NaN", 1)
     with pytest.raises(InputSyntaxError):
         parse_landscape(node_text)
+
+
+class _Tint(str, Enum):
+    RED = "réd"
+    QUOTE = 'a "b" \\ c'
+
+
+class _Level(IntEnum):
+    HIGH = 3
+
+
+class _Half(float):
+    def __repr__(self) -> str:  # json ignores a subclass's repr
+        return "half"
+
+
+_TRICKY_TEXT = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "", " "])
+_JSON_TEXT = st.one_of(st.text(), st.lists(_TRICKY_TEXT | st.text(max_size=3)).map("".join))
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, _Half(0.5), _Level.HIGH]),
+    st.sampled_from(list(_Tint)),
+    _JSON_TEXT,
+)
+_JSON_NODES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_TEXT, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_NODES)
+def test_dump_canonical_writes_the_bytes_of_json_dumps(node):
+    expected = (json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    assert dump_canonical(node) == expected
 
 
 @settings(max_examples=100, deadline=None)
