@@ -22,7 +22,7 @@ collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
 ``dump_canonical`` writes its node with one recursive writer that appends
 to a list: strings go through ``json``'s C ``encode_basestring``, numbers
 through ``int.__repr__`` and ``float.__repr__``.  Its output equals
-``json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\n"``
+``json.dumps(node, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``
 encoded as UTF-8, byte for byte, without the pure-Python encoder that
 ``indent`` selects in ``json``.
 
@@ -117,7 +117,7 @@ def load_json(data: bytes | str) -> object:
 def dump_canonical(node: object) -> bytes:
     """Sorted keys, two-space indent, UTF-8 and one trailing newline: the
     bytes of ``json.dumps(node, sort_keys=True, indent=2,
-    ensure_ascii=False) + "\n"`` encoded as UTF-8."""
+    ensure_ascii=False) + "\\n"`` encoded as UTF-8."""
     out: list[str] = []
     _write(node, out.append, "\n")
     out.append("\n")
@@ -125,7 +125,6 @@ def dump_canonical(node: object) -> bytes:
 
 
 _encode_str = json.encoder.encode_basestring
-_int_text = int.__repr__
 
 
 def _float_text(value: float) -> str:
@@ -155,7 +154,7 @@ def _write(node: object, append, newline: str) -> None:
     elif node is False:
         append("false")
     elif isinstance(node, int):
-        append(_int_text(node))
+        append(int.__repr__(node))
     elif isinstance(node, float):
         append(_float_text(node))
     elif isinstance(node, (list, tuple)):
