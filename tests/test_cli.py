@@ -64,6 +64,35 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "evaluate-json"])
+def test_lone_surrogate_in_landscape_exits_three(command, fixture_paths, capsys):
+    landscape_path, evidence_path = fixture_paths
+    data = landscape_path.read_bytes()
+    landscape_path.write_bytes(data.replace(b'"train-track', b'"train-\\ud800-track', 1))
+    argv = {
+        "validate": ["validate", "--landscape", str(landscape_path)],
+        "evaluate-json": [
+            "evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path), "--format", "json"
+        ],
+    }[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "lone surrogate '\\ud800'" in captured.err
+
+
+def test_empty_record_id_exits_three(fixture_paths, capsys):
+    landscape_path, evidence_path = fixture_paths
+    node = json.loads(evidence_path.read_bytes())
+    node["records"][0]["id"] = ""
+    evidence_path.write_text(json.dumps(node))
+    argv = ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path), "--format", "json"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "$.records[0].id: expected non-empty string" in captured.err
+
+
 @pytest.mark.parametrize("command", ["validate", "evaluate"])
 def test_missing_file_is_input_error(command, fixture_paths, tmp_path, capsys):
     landscape_path, _ = fixture_paths

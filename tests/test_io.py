@@ -161,6 +161,38 @@ def test_duplicate_key_rejected(parse, text, member, first):
         parse(text.replace(member, first + member, 1))
 
 
+_NAME = '"name": "train-track-detector"'
+
+
+@pytest.mark.parametrize(
+    "name",
+    [r"train-\ud800-track-detector", r"train-\uDC00", r"train-\udbffA", r"\ud83d\\ude00"],
+    ids=["high", "low", "high-then-bmp", "high-then-escaped-backslash"],
+)
+def test_lone_surrogate_escape_is_a_syntax_error(name):
+    # Every writer encodes UTF-8, which has no lone surrogate: the reader must refuse it.
+    text = FIXTURE_TEXT.decode("utf-8").replace(_NAME, f'"name": "{name}"', 1)
+    with pytest.raises(InputSyntaxError, match="lone surrogate"):
+        parse_landscape(text.encode("utf-8"))
+
+
+def test_raw_surrogate_in_text_input_is_a_syntax_error():
+    text = FIXTURE_TEXT.decode("utf-8").replace(_NAME, '"name": "train-\ud800"', 1)
+    with pytest.raises(InputSyntaxError, match="lone surrogate"):
+        parse_landscape(text)
+
+
+@pytest.mark.parametrize(
+    "name, read",
+    [(r"train-\ud83d\ude00", "train-😀"), ("train-😀", "train-😀"), (r"train-\\ud800", "train-\\ud800")],
+    ids=["escaped-pair", "raw-pair", "escaped-backslash"],
+)
+def test_surrogate_pairs_and_escaped_backslashes_still_parse(name, read):
+    text = FIXTURE_TEXT.decode("utf-8").replace(_NAME, f'"name": "{name}"', 1)
+    for data in (text, text.encode("utf-8")):
+        assert parse_landscape(data).name == read
+
+
 def test_non_finite_constant_rejected():
     node_text = FIXTURE_TEXT.decode("utf-8").replace("0.75", "NaN", 1)
     with pytest.raises(InputSyntaxError):
@@ -432,6 +464,14 @@ def test_duplicate_record_ids_rejected():
     node = json.loads(EVIDENCE_TEXT)
     node["records"][1]["id"] = node["records"][0]["id"]
     with pytest.raises(SchemaError, match="unique"):
+        parse_evidence(json.dumps(node))
+
+
+def test_empty_record_id_rejected_at_its_path():
+    # A verdict citing evidence id "" traces to no record.
+    node = json.loads(EVIDENCE_TEXT)
+    node["records"][3]["id"] = ""
+    with pytest.raises(SchemaError, match=r"^\$\.records\[3\]\.id: expected non-empty string, got ''$"):
         parse_evidence(json.dumps(node))
 
 
