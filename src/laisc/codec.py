@@ -16,6 +16,15 @@ functions that read and write it:
 * a field typed as a union of dataclasses (a VR's or an evidence record's
   ``payload``) is an object with a sibling ``kind`` key naming its class.
 
+``from_node`` reads a list of objects one field at a time: each field of
+the ``_shape`` table also has a column reader, which checks that field of
+every object in the list with one C-level pass per rule.  A payload column
+is read per ``kind``, and nested lists as one flattened column; every
+object is then built with one ``map(cls, *columns)``.  A column reader
+words no error: if any step raises, the list is read again object by
+object, so a rejected document keeps the exception, path and message of
+the per-object readers.
+
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
 ``serialize(x)`` byte for byte; ``load_json`` rejects a repeated key.
@@ -38,11 +47,13 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
-from operator import attrgetter
+from itertools import chain, compress, islice, repeat
+from operator import attrgetter, eq, itemgetter
 from sys import float_info
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -98,20 +109,47 @@ def decode_utf8(data: bytes | str) -> str:
         raise InputSyntaxError(f"not UTF-8 text: {exc.reason}", offset=exc.start) from None
 
 
+#: A surrogate code point, and the JSON escape of one.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+
+
 def load_json(data: bytes | str) -> object:
-    """Parse JSON text; ``NaN``, ``Infinity`` and a key repeated in one
-    object are syntax errors."""
+    """Parse JSON text; ``NaN``, ``Infinity``, a key repeated in one object
+    and a lone surrogate (a ``\\ud800`` escape, say, which no UTF-8 writer
+    can encode) are syntax errors."""
     text = decode_utf8(data)
 
     def _reject_constant(token: str) -> float:
         raise ValueError(f"non-finite constant {token}")
 
     try:
-        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        node = json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputSyntaxError(exc.msg, offset=exc.pos) from None
     except ValueError as exc:
         raise InputSyntaxError(str(exc)) from None
+    # The parsed strings, in which ``json`` has joined each valid escaped
+    # pair, are searched only if the text may hold a surrogate.
+    if _may_hold_surrogate(data, text):
+        lone = _SURROGATE.search(json.dumps(node, ensure_ascii=False))
+        if lone:
+            raise InputSyntaxError(f"lone surrogate {lone.group()!r}")
+    return node
+
+
+def _may_hold_surrogate(data: bytes | str, text: str) -> bool:
+    """Whether ``text`` has a surrogate escape, or, read from a ``str``, a
+    surrogate character (text decoded from UTF-8 holds none).  Text without
+    a backslash passes one C-level ``memchr``."""
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        return True
+    if type(data) is str and not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            return True
+    return False
 
 
 def dump_canonical(node: object) -> bytes:
@@ -279,7 +317,8 @@ def _strs(node: dict, key: str, path: str) -> tuple[str, ...]:
 
 def _items(cls: type, node: dict, key: str, path: str) -> tuple:
     """Read the list at ``key`` as ``cls`` objects."""
-    return tuple(from_node(cls, raw, f"{path}.{key}[{index}]") for index, raw in enumerate(_list(node, key, path)))
+    raws = _list(node, key, path)
+    return tuple(_read_all(cls, raws, (f"{path}.{key}[{index}]" for index in range(len(raws)))))
 
 
 def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
@@ -287,7 +326,7 @@ def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
     value = node[key]
     if not isinstance(value, dict):
         raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple((item_id, from_node(cls, raw, f"{path}.{key}.{item_id}")) for item_id, raw in value.items())
+    return tuple(zip(value, _read_all(cls, list(value.values()), (f"{path}.{key}.{item_id}" for item_id in value))))
 
 
 def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
@@ -306,6 +345,105 @@ def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
     return from_node(classes[kind], node[key], f"{path}.{key}")
 
 
+# --- columns: one field of every object in a list at a time -----------------------
+#
+# ``column(nodes, key)`` returns the values of ``node[key]`` for every node
+# of a list, checked and converted with one C-level pass per rule, or raises
+# without wording why: ``_read_all`` then re-reads that list object by
+# object, and the per-object reader of the same ``_shape`` row words the
+# error.  A column takes no value that its per-object reader refuses; it may
+# refuse one that reader takes (a ``str`` subclass, say), which costs only
+# the speed of the column pass.
+
+
+class _Irregular(Exception):
+    """A column that the column pass does not read."""
+
+
+_STR = frozenset({str})
+_LIST = frozenset({list})
+
+
+def _typed(types: frozenset[type], nodes: list, key: str) -> list:
+    """The values at ``key``, if each is of one of the exact ``types``."""
+    values = list(map(itemgetter(key), nodes))
+    if set(map(type, values)) <= types:
+        return values
+    raise _Irregular
+
+
+def _nums(nodes: list, key: str) -> list[float]:
+    values = _typed(frozenset({int, float}), nodes, key)
+    if all(map(float_info.max.__ge__, map(abs, values))):  # False for NaN, too
+        return list(map(float, values))
+    raise _Irregular
+
+
+def _timestamps(nodes: list, key: str) -> list[datetime]:
+    """The rule of ``parse_timestamp``, one ``map`` per step."""
+    texts = _typed(_STR, nodes, key)
+    parsed = list(map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00"))))
+    if None in map(datetime.utcoffset, parsed):
+        raise _Irregular
+    return list(map(datetime.astimezone, parsed, repeat(timezone.utc)))
+
+
+def _members(members: dict[str, Enum], nodes: list, key: str) -> list[Enum]:
+    return list(map(members.__getitem__, _typed(_STR, nodes, key)))
+
+
+def _strs_column(nodes: list, key: str) -> list[tuple[str, ...]]:
+    lists = _typed(_LIST, nodes, key)
+    if set(map(type, chain.from_iterable(lists))) <= _STR:
+        return list(map(tuple, lists))
+    raise _Irregular
+
+
+def _items_column(cls: type, nodes: list, key: str) -> list[tuple]:
+    """Each node's list at ``key``, read as one flattened column of ``cls``
+    objects and cut back to the lists' lengths."""
+    lists = _typed(_LIST, nodes, key)
+    objects = iter(_objects(cls, list(chain.from_iterable(lists))))
+    return list(map(tuple, map(islice, repeat(objects), map(len, lists))))
+
+
+def _kind_named_column(classes: dict[str, type], nodes: list, key: str) -> list:
+    """The values at ``key``, read per class that the sibling ``kind`` names
+    and put back in their order."""
+    kinds = list(map(itemgetter("kind"), nodes))
+    values = list(map(itemgetter(key), nodes))
+    read = {
+        kind: iter(_objects(classes[kind], list(compress(values, map(eq, kinds, repeat(kind))))))
+        for kind in set(kinds)
+    }
+    return list(map(next, map(read.__getitem__, kinds)))
+
+
+def _each(read, nodes: list, key: str) -> list:
+    """A column of a shape that lists do not hold, read node by node."""
+    return [read(node, key, "$") for node in nodes]
+
+
+def _objects(cls: type, nodes: list) -> list:
+    """The ``cls`` objects of the JSON objects ``nodes``, read one field at
+    a time: every node is a ``dict`` with exactly ``cls``'s keys, and the
+    objects are built with one ``map``."""
+    keys, _, _, _, columns = _plan(cls)
+    if not all(map(eq, map(dict.keys, nodes), repeat(keys))):
+        raise _Irregular
+    return list(map(cls, *[column(nodes, name) for name, column in columns]))
+
+
+def _read_all(cls: type, raws: list, paths) -> list:
+    """The ``cls`` objects of the JSON values ``raws``: one column pass or,
+    if any step of it raises, ``from_node`` on each value at its path from
+    the iterable ``paths``, which words the error."""
+    try:
+        return _objects(cls, raws)
+    except Exception:
+        return [from_node(cls, raw, path) for raw, path in zip(raws, paths)]
+
+
 # --- the shape table ---------------------------------------------------------------
 
 
@@ -316,60 +454,67 @@ def _union_classes(annotation) -> tuple[type, ...]:
 
 
 def _shape(annotation):
-    """``(read, write)`` for a field declared as ``annotation``.
+    """``(read, write, column)`` for a field declared as ``annotation``.
 
     ``read(node, key, path)`` returns the checked value of ``node[key]``;
     ``write(value)`` returns the JSON value, and a ``write`` of ``None``
-    keeps the value as it is.
+    keeps the value as it is; ``column(nodes, key)`` is ``read`` for the
+    same field of every object in a list.
     """
     if annotation is str:
-        return _str, None
+        return _str, None, partial(_typed, _STR)
     if annotation is float:
-        return _num, float
+        return _num, float, _nums
     if annotation is int:
-        return _int, None
+        return _int, None, partial(_typed, frozenset({int}))
     if annotation is bool:
-        return _bool, None
+        return _bool, None, partial(_typed, frozenset({bool}))
     if annotation is datetime:
-        return _timestamp, format_timestamp
+        return _timestamp, format_timestamp, _timestamps
     if annotation == str | None:
-        return _opt_str, None
+        return _opt_str, None, partial(_typed, frozenset({str, type(None)}))
     if isinstance(annotation, type) and issubclass(annotation, Enum):
-        return partial(_enum, annotation), attrgetter("value")
+        members = {member.value: member for member in annotation}
+        return partial(_enum, annotation), attrgetter("value"), partial(_members, members)
     classes = _union_classes(annotation)
     if classes:
-        return partial(_kind_named, {cls.__name__: cls for cls in classes}), to_node
+        by_name = {cls.__name__: cls for cls in classes}
+        return partial(_kind_named, by_name), to_node, partial(_kind_named_column, by_name)
     item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
     if item is str:
-        return _strs, list
+        return _strs, list, _strs_column
     if item == tuple[str, float]:  # (name, number) pairs, written as an object
-        return _numbers, dict
+        return _numbers, dict, partial(_each, _numbers)
     if get_origin(item) is tuple:  # (id, element) pairs
-        return partial(_keyed, get_args(item)[1]), lambda pairs: {key: to_node(element) for key, element in pairs}
-    return partial(_items, item), lambda values: [to_node(value) for value in values]
+        read = partial(_keyed, get_args(item)[1])
+        return read, lambda pairs: {key: to_node(element) for key, element in pairs}, partial(_each, read)
+    return partial(_items, item), lambda values: [to_node(value) for value in values], partial(_items_column, item)
 
 
 @cache
-def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
+def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(field name, read)`` pair per field, a
-    ``(key, field name, write)`` triple per key and a ``(field name, read,
+    ``(key, field name, write)`` triple per key, a ``(field name, read,
     min, max)`` row per number field (``None`` for an absent bound; a
-    ``max`` comes with a ``min``).  A field typed as a union of dataclasses
-    adds the ``kind`` key: written from the field value's class, and
-    checked by the field's own reader."""
+    ``max`` comes with a ``min``) and a ``(field name, column)`` pair per
+    field.  A field typed as a union of dataclasses adds the ``kind`` key:
+    written from the field value's class, and checked by the field's own
+    readers."""
     hints = get_type_hints(cls)
-    reads, writes, numbers = [], [], []
+    reads, writes, numbers, columns = [], [], [], []
     for f in fields(cls):
-        # from_node passes the values positionally, in field order.
+        # from_node and _objects pass the values positionally, in field order.
         assert f.init and not f.kw_only, f"{cls.__name__}.{f.name} is not a positional __init__ field"
-        read, write = _shape(hints[f.name])
+        read, write, column = _shape(hints[f.name])
         if _union_classes(hints[f.name]):
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
         if read is _int or read is _num:
             numbers.append((f.name, read, f.metadata.get("min"), f.metadata.get("max")))
         reads.append((f.name, read))
         writes.append((f.name, f.name, write))
-    return frozenset(key for key, _, _ in writes), tuple(reads), tuple(writes), tuple(numbers)
+        columns.append((f.name, column))
+    keys = frozenset(key for key, _, _ in writes)
+    return keys, tuple(reads), tuple(writes), tuple(numbers), tuple(columns)
 
 
 def to_node(obj) -> dict:
@@ -398,7 +543,7 @@ def number_fault(obj) -> str | None:
 
 def from_node(cls: type, node: object, path: str):
     """Read the domain dataclass ``cls`` from its JSON object at ``path``."""
-    keys, reads, _, _ = _plan(cls)
+    keys, reads, _, _, _ = _plan(cls)
     _obj(node, path, keys)
     values = []
     # A loop, not a comprehension: one call fewer per object.

@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter, le
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
@@ -338,9 +338,31 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
     accepted here; the evaluation engine reports them as orphaned.
     """
     bundle = from_node(EvidenceBundle, load_json(data), "$")
+    records = bundle.records
+    # One C-level pass per rule; only _check_records words a fault.
+    ids = list(map(attrgetter("id"), records))
+    payloads = list(map(attrgetter("payload"), records))
+    logs = list(compress(payloads, map(isinstance, payloads, repeat(ReviewLog))))
+    reviewed = list(map(attrgetter("reviewed_items"), logs))
+    if (
+        "" in ids
+        or len(set(ids)) != len(ids)
+        or "" in map(attrgetter("vr_id"), records)
+        or min(reviewed, default=0) < 0
+        or not all(map(le, reviewed, map(attrgetter("total_items"), logs)))
+    ):
+        _check_records(records)
+    return bundle
+
+
+def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
+    """Raise a ``SchemaError`` at the first record that breaks a rule of
+    :func:`parse_evidence`."""
     seen: set[str] = set()
-    for index, record in enumerate(bundle.records):
+    for index, record in enumerate(records):
         path = f"$.records[{index}]"
+        if not record.id:
+            raise SchemaError(f"{path}.id", "non-empty string", record.id)
         if record.id in seen:
             raise SchemaError(f"{path}.id", "unique record id", record.id)
         seen.add(record.id)
@@ -354,7 +376,6 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
                     raise SchemaError(f"{path}.payload.{name}", "non-negative count", count)
             if reviewed > total:
                 raise SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
-    return bundle
 
 
 def serialize_evidence(bundle: EvidenceBundle) -> bytes:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import random
@@ -9,6 +10,7 @@ import sys
 from dataclasses import fields, replace
 from datetime import datetime
 from enum import Enum, IntEnum
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ from helpers import (
     single_vr_landscape,
     table_rule_error,
 )
-from laisc import fixtures
+from laisc import codec, fixtures
 from laisc.codec import dump_canonical, from_node, number_fault, to_node
 from laisc.errors import (
     DimensionMismatch,
@@ -353,6 +355,92 @@ def test_schema_mutations_raise_schema_error_at_their_path(parse):
         )
         count += 1
     assert count > 1000
+
+
+# --- the column pass: a list read one field at a time ---------------------------------
+
+
+def _refuse_columns(cls, nodes):
+    raise ValueError("column pass switched off")
+
+
+def _outcome(parse, data):
+    """What ``parse(data)`` gives: the canonical bytes of its value, or the
+    type and message of what it raises."""
+    try:
+        value = parse(data)
+    except Exception as exc:  # noqa: BLE001 - every exception must match
+        return type(exc), str(exc)
+    return (serialize_landscape if parse is parse_landscape else serialize_evidence)(value), value
+
+
+def _both_reads(parse, data):
+    """``_outcome`` with the column pass, then with every list read object
+    by object."""
+    column = _outcome(parse, data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_objects", _refuse_columns)
+        return column, _outcome(parse, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.randoms(use_true_random=False), st.data())
+def test_column_read_equals_the_per_object_read(rng, data):
+    """On a drawn landscape and bundle, and on one drawn schema mutation of
+    each, the column pass gives what ``from_node`` object by object gives:
+    equal values and bytes, or the same exception type and message."""
+    for parse, document in (
+        (parse_landscape, serialize_landscape(random_landscape(rng, delete_links=rng.random() < 0.3))),
+        (parse_evidence, serialize_evidence(random_bundle(rng))),
+    ):
+        column, per_object = _both_reads(parse, document)
+        assert column == per_object
+        assert not isinstance(column[0], type)
+        mutated = list(schema_mutations(json.loads(document)))
+        text, _, _ = data.draw(st.sampled_from(mutated))
+        column, per_object = _both_reads(parse, text)
+        assert column == per_object
+
+
+@pytest.mark.parametrize("parse", [parse_landscape, parse_evidence], ids=["landscape", "evidence"])
+def test_schema_mutations_read_alike_by_column_and_by_object(parse):
+    text = FIXTURE_TEXT if parse is parse_landscape else EVIDENCE_TEXT
+    for mutated, field, _ in schema_mutations(json.loads(text)):
+        column, per_object = _both_reads(parse, mutated)
+        assert column == per_object, field
+        assert column[0] is SchemaError, field
+
+
+def _audit_gen():
+    """``bench/audit_gen.py``, the seeded generator of large landscapes."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "audit_gen.py"
+    spec = importlib.util.spec_from_file_location("audit_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _generated_pair() -> tuple[bytes, bytes]:
+    audit_gen = _audit_gen()
+    land, facts = audit_gen.landscape(3, 60)
+    bundle, _ = audit_gen.evidence(3, facts, fingerprint(parse_landscape(land)))
+    return land, bundle
+
+
+@pytest.mark.parametrize("pair", ["fixture", "audit_gen"])
+def test_valid_documents_never_fall_back_to_the_per_object_read(pair, monkeypatch):
+    """A silent fallback would give the same objects, only slower: below the
+    document's own object, a valid file reads no object with ``from_node``."""
+    land, bundle = (FIXTURE_TEXT, EVIDENCE_TEXT) if pair == "fixture" else _generated_pair()
+    calls = []
+    read = codec.from_node
+    monkeypatch.setattr(codec, "from_node", lambda cls, node, path: calls.append(path) or read(cls, node, path))
+    landscape, records = parse_landscape(land), parse_evidence(bundle).records
+    assert landscape.vrs and records
+    assert calls == []
+    with pytest.raises(SchemaError):  # the count sees a fallback
+        parse_landscape(land.replace(b'"order": 0', b'"order": "0"', 1))
+    assert calls
 
 
 _FLOAT_MAX_INT = int(sys.float_info.max)
