@@ -10,6 +10,7 @@ import sys
 from dataclasses import fields, replace
 from datetime import datetime
 from enum import Enum, IntEnum
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -339,22 +340,43 @@ def test_integral_number_fields_fingerprint_and_serialize_alike(payload):
     assert serialize_landscape(as_int) == serialize_landscape(as_float)
 
 
-@pytest.mark.parametrize("parse", [parse_landscape, parse_evidence], ids=["landscape", "evidence"])
-def test_schema_mutations_raise_schema_error_at_their_path(parse):
-    """Every wrong-type, missing-key and unknown-key mutation of the shipped
-    fixture is a SchemaError naming the mutated field or its object."""
+@cache
+def _mutation_errors(parse) -> tuple[tuple[str, str, SchemaError], ...]:
+    """``(field, parent, error)`` for every schema mutation of the shipped
+    fixture that ``parse`` reads."""
     text = FIXTURE_TEXT if parse is parse_landscape else EVIDENCE_TEXT
-    count = 0
+    errors = []
     for mutated, field, parent in schema_mutations(json.loads(text)):
         with pytest.raises(SchemaError) as excinfo:
             parse(mutated)
-        message = str(excinfo.value)
+        errors.append((field, parent, excinfo.value))
+    return tuple(errors)
+
+
+#: The sha256 of ``"{type}: {message}"`` for every schema mutation of the
+#: landscape fixture, then of the evidence fixture, joined by newlines.
+_MUTATION_MESSAGES_SHA256 = "e38e257b6b25e49cba4d80c4b9525514760fd6f9a610044fc0d2fd0dc5296b53"
+
+
+@pytest.mark.parametrize("parse", [parse_landscape, parse_evidence], ids=["landscape", "evidence"])
+def test_schema_mutations_raise_schema_error_at_their_path(parse):
+    """Every wrong-type, missing-key and unknown-key mutation of the shipped
+    fixture is a SchemaError naming the mutated field or its object, and the
+    type and wording of every such error of both fixtures is pinned."""
+    for field, parent, error in _mutation_errors(parse):
+        message = str(error)
         assert re.match(rf"{re.escape(field)}(\[\d+\])?: ", message) or message.startswith(f"{parent}: "), (
             field,
             message,
         )
-        count += 1
-    assert count > 1000
+    assert len(_mutation_errors(parse)) > 1000
+    lines = [
+        f"{type(error).__name__}: {error}"
+        for read in (parse_landscape, parse_evidence)
+        for _, _, error in _mutation_errors(read)
+    ]
+    assert len(lines) == 3754
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _MUTATION_MESSAGES_SHA256
 
 
 # --- the column pass: a list read one field at a time ---------------------------------
