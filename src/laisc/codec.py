@@ -16,14 +16,16 @@ functions that read and write it:
 * a field typed as a union of dataclasses (a VR's or an evidence record's
   ``payload``) is an object with a sibling ``kind`` key naming its class.
 
-``from_node`` reads a list of objects one field at a time: each field of
-the ``_shape`` table also has a column reader, which checks that field of
-every object in the list with one C-level pass per rule.  A payload column
-is read per ``kind``, and nested lists as one flattened column; every
-object is then built with one ``map(cls, *columns)``.  A column reader
-words no error: if any step raises, the list is read again object by
-object, so a rejected document keeps the exception, path and message of
-the per-object readers.
+``from_node`` reads a list of objects one field at a time: each row of
+the ``_shape`` table has a column reader, which checks that field of every
+object in the list with one C-level pass per rule.  A payload column is
+read per ``kind``, and nested lists as one flattened column; every object
+is then built with one ``map(cls, *columns)``.  A column reader words no
+error: if any step raises, the list is read again object by object, and
+the one-object readers name the JSON path and what was expected.  The
+one-object reader of a scalar field is its column over that one object,
+so each scalar rule is written once, and a one-object read, too, takes
+exact JSON types only.
 
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
@@ -38,9 +40,9 @@ encoded as UTF-8, byte for byte, without the pure-Python encoder that
 One number rule holds for files read and for dataclasses built in code:
 an ``int`` field holds an ``int``, a ``float`` field an ``int`` or
 ``float`` in the float range, and a ``bool`` is neither.  ``from_node``
-names the JSON path of a number that breaks it; ``number_fault`` also
-checks the inclusive ``min`` and ``max`` bounds a field declares in its
-``field(metadata=...)``.
+names the JSON path of a number that breaks it; ``number_fault``, which
+also takes an ``int`` or ``float`` subclass, checks the inclusive ``min``
+and ``max`` bounds a field declares in its ``field(metadata=...)`` too.
 """
 
 from __future__ import annotations
@@ -227,133 +229,15 @@ def _write(node: object, append, newline: str) -> None:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
-# --- schema helpers: read node[key] as one type, or name its path ----------------
-
-
-def _obj(node: object, path: str, keys: frozenset[str]) -> None:
-    """Check that ``node`` is an object with exactly the keys ``keys``.
-
-    A plain ``dict`` with those keys passes one C-level comparison; the
-    key differences are built only to word an error."""
-    if type(node) is dict and node.keys() == keys:
-        return
-    if not isinstance(node, dict):
-        raise SchemaError(path, "object", type(node).__name__)
-    unknown = set(node) - keys
-    if unknown:
-        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
-    missing = keys - set(node)
-    if missing:
-        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
-
-
-def _str(node: dict, key: str, path: str) -> str:
-    value = node[key]
-    if not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}", "string", value)
-    return value
-
-
-def _bool(node: dict, key: str, path: str) -> bool:
-    value = node[key]
-    if not isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "boolean", value)
-    return value
-
-
-def _int(node: dict, key: str, path: str) -> int:
-    value = node[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "integer", value)
-    return value
-
-
-def _finite(value: object) -> bool:
-    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
-    an int past the float range fail ``abs(value) <= max``."""
-    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
-
-
-def _num(node: dict, key: str, path: str) -> float:
-    value = node[key]
-    if not _finite(value):
-        raise SchemaError(f"{path}.{key}", "finite number", value)
-    return float(value)
-
-
-def _opt_str(node: dict, key: str, path: str) -> str | None:
-    value = node[key]
-    if value is not None and not isinstance(value, str):
-        raise SchemaError(f"{path}.{key}", "string or null", value)
-    return value
-
-
-def _timestamp(node: dict, key: str, path: str) -> datetime:
-    return parse_timestamp(_str(node, key, path))
-
-
-def _enum(enum_type: type[Enum], node: dict, key: str, path: str) -> Enum:
-    value = _str(node, key, path)
-    try:
-        return enum_type(value)
-    except ValueError:
-        allowed = ", ".join(member.value for member in enum_type)
-        raise SchemaError(f"{path}.{key}", f"one of {{{allowed}}}", value) from None
-
-
-def _list(node: dict, key: str, path: str) -> list:
-    value = node[key]
-    if not isinstance(value, list):
-        raise SchemaError(f"{path}.{key}", "list", value)
-    return value
-
-
-def _strs(node: dict, key: str, path: str) -> tuple[str, ...]:
-    value = node[key]
-    if not isinstance(value, list) or any(not isinstance(v, str) for v in value):
-        raise SchemaError(f"{path}.{key}", "list of strings", value)
-    return tuple(value)
-
-
-def _items(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the list at ``key`` as ``cls`` objects."""
-    raws = _list(node, key, path)
-    return tuple(_read_all(cls, raws, (f"{path}.{key}[{index}]" for index in range(len(raws)))))
-
-
-def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the object at ``key`` as ``(id, cls)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple(zip(value, _read_all(cls, list(value.values()), (f"{path}.{key}.{item_id}" for item_id in value))))
-
-
-def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
-    """Read the object at ``key`` as ``(name, number)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple((name, _num(value, name, f"{path}.{key}")) for name in value)
-
-
-def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
-    """Read the field ``key`` as the class that the sibling ``kind`` names."""
-    kind = _str(node, "kind", path)
-    if kind not in classes:
-        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
-    return from_node(classes[kind], node[key], f"{path}.{key}")
-
-
 # --- columns: one field of every object in a list at a time -----------------------
 #
 # ``column(nodes, key)`` returns the values of ``node[key]`` for every node
 # of a list, checked and converted with one C-level pass per rule, or raises
-# without wording why: ``_read_all`` then re-reads that list object by
-# object, and the per-object reader of the same ``_shape`` row words the
-# error.  A column takes no value that its per-object reader refuses; it may
-# refuse one that reader takes (a ``str`` subclass, say), which costs only
-# the speed of the column pass.
+# without wording why.  ``_read_all`` re-reads a list that a column refuses
+# object by object, and the reader of one object's scalar field is that
+# field's column over the one object (``_checked``), so each scalar rule is
+# stated once, here.  Columns take exact JSON types only: a ``str`` or
+# ``int`` subclass (an ``IntEnum``, say) is refused.
 
 
 class _Irregular(Exception):
@@ -410,7 +294,7 @@ def _items_column(cls: type, nodes: list, key: str) -> list[tuple]:
 def _kind_named_column(classes: dict[str, type], nodes: list, key: str) -> list:
     """The values at ``key``, read per class that the sibling ``kind`` names
     and put back in their order."""
-    kinds = list(map(itemgetter("kind"), nodes))
+    kinds = _typed(_STR, nodes, "kind")
     values = list(map(itemgetter(key), nodes))
     read = {
         kind: iter(_objects(classes[kind], list(compress(values, map(eq, kinds, repeat(kind))))))
@@ -444,6 +328,92 @@ def _read_all(cls: type, raws: list, paths) -> list:
         return [from_node(cls, raw, path) for raw, path in zip(raws, paths)]
 
 
+# --- one object: read node[key] as one type, or name its path ---------------------
+
+
+def _obj(node: object, path: str, keys: frozenset[str]) -> None:
+    """Check that ``node`` is an object with exactly the keys ``keys``."""
+    if not isinstance(node, dict):
+        raise SchemaError(path, "object", type(node).__name__)
+    unknown = set(node) - keys
+    if unknown:
+        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
+    missing = keys - set(node)
+    if missing:
+        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
+
+
+def _checked(column, expected: str):
+    """The reader of one object's field: ``column`` over that one object,
+    or a ``SchemaError`` at ``{path}.{key}`` expecting ``expected``."""
+
+    def read(node: dict, key: str, path: str):
+        try:
+            return column((node,), key)[0]
+        except Exception:
+            raise SchemaError(f"{path}.{key}", expected, node[key]) from None
+
+    return read
+
+
+#: ``(read, write, column)`` for each scalar annotation; see ``_shape``.
+_SCALARS = {
+    annotation: (_checked(column, expected), write, column)
+    for annotation, column, expected, write in (
+        (str, partial(_typed, _STR), "string", None),
+        (int, partial(_typed, frozenset({int})), "integer", None),
+        (bool, partial(_typed, frozenset({bool})), "boolean", None),
+        (float, _nums, "finite number", float),
+        (str | None, partial(_typed, frozenset({str, type(None)})), "string or null", None),
+        (tuple[str, ...], _strs_column, "list of strings", list),
+    )
+}
+_str, _num = _SCALARS[str][0], _SCALARS[float][0]
+_list = _checked(partial(_typed, _LIST), "list")
+
+
+def _timestamp(node: dict, key: str, path: str) -> datetime:
+    """A non-string is worded as a "string", a bad time by ``parse_timestamp``."""
+    return parse_timestamp(_str(node, key, path))
+
+
+def _enum(read, node: dict, key: str, path: str) -> Enum:
+    """``read``, which words an unknown member, once a non-string is
+    worded as a "string"."""
+    _str(node, key, path)
+    return read(node, key, path)
+
+
+def _items(cls: type, node: dict, key: str, path: str) -> tuple:
+    """Read the list at ``key`` as ``cls`` objects."""
+    raws = _list(node, key, path)
+    return tuple(_read_all(cls, raws, (f"{path}.{key}[{index}]" for index in range(len(raws)))))
+
+
+def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
+    """Read the object at ``key`` as ``(id, cls)`` pairs."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
+    return tuple(zip(value, _read_all(cls, list(value.values()), (f"{path}.{key}.{item_id}" for item_id in value))))
+
+
+def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
+    """Read the object at ``key`` as ``(name, number)`` pairs."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
+    return tuple((name, _num(value, name, f"{path}.{key}")) for name in value)
+
+
+def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
+    """Read the field ``key`` as the class that the sibling ``kind`` names."""
+    kind = _str(node, "kind", path)
+    if kind not in classes:
+        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
+    return from_node(classes[kind], node[key], f"{path}.{key}")
+
+
 # --- the shape table ---------------------------------------------------------------
 
 
@@ -456,33 +426,26 @@ def _union_classes(annotation) -> tuple[type, ...]:
 def _shape(annotation):
     """``(read, write, column)`` for a field declared as ``annotation``.
 
-    ``read(node, key, path)`` returns the checked value of ``node[key]``;
-    ``write(value)`` returns the JSON value, and a ``write`` of ``None``
-    keeps the value as it is; ``column(nodes, key)`` is ``read`` for the
-    same field of every object in a list.
+    ``column(nodes, key)`` returns the checked values of ``node[key]`` for
+    every object of a list.  ``read(node, key, path)`` returns that of one
+    object, or raises a ``SchemaError`` at its path (a bad time is an
+    ``InvalidTimestamp``); a scalar's ``read`` is its column over that
+    object.  ``write(value)`` returns the JSON value, and a ``write`` of
+    ``None`` keeps the value as it is.
     """
-    if annotation is str:
-        return _str, None, partial(_typed, _STR)
-    if annotation is float:
-        return _num, float, _nums
-    if annotation is int:
-        return _int, None, partial(_typed, frozenset({int}))
-    if annotation is bool:
-        return _bool, None, partial(_typed, frozenset({bool}))
+    if annotation in _SCALARS:
+        return _SCALARS[annotation]
     if annotation is datetime:
         return _timestamp, format_timestamp, _timestamps
-    if annotation == str | None:
-        return _opt_str, None, partial(_typed, frozenset({str, type(None)}))
     if isinstance(annotation, type) and issubclass(annotation, Enum):
         members = {member.value: member for member in annotation}
-        return partial(_enum, annotation), attrgetter("value"), partial(_members, members)
+        column = partial(_members, members)
+        return partial(_enum, _checked(column, f"one of {{{', '.join(members)}}}")), attrgetter("value"), column
     classes = _union_classes(annotation)
     if classes:
         by_name = {cls.__name__: cls for cls in classes}
         return partial(_kind_named, by_name), to_node, partial(_kind_named_column, by_name)
     item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
-    if item is str:
-        return _strs, list, _strs_column
     if item == tuple[str, float]:  # (name, number) pairs, written as an object
         return _numbers, dict, partial(_each, _numbers)
     if get_origin(item) is tuple:  # (id, element) pairs
@@ -494,9 +457,9 @@ def _shape(annotation):
 @cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(field name, read)`` pair per field, a
-    ``(key, field name, write)`` triple per key, a ``(field name, read,
-    min, max)`` row per number field (``None`` for an absent bound; a
-    ``max`` comes with a ``min``) and a ``(field name, column)`` pair per
+    ``(key, field name, write)`` triple per key, a ``(field name, int or
+    float, min, max)`` row per number field (``None`` for an absent bound;
+    a ``max`` comes with a ``min``) and a ``(field name, column)`` pair per
     field.  A field typed as a union of dataclasses adds the ``kind`` key:
     written from the field value's class, and checked by the field's own
     readers."""
@@ -505,11 +468,12 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     for f in fields(cls):
         # from_node and _objects pass the values positionally, in field order.
         assert f.init and not f.kw_only, f"{cls.__name__}.{f.name} is not a positional __init__ field"
-        read, write, column = _shape(hints[f.name])
-        if _union_classes(hints[f.name]):
+        annotation = hints[f.name]
+        read, write, column = _shape(annotation)
+        if _union_classes(annotation):
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
-        if read is _int or read is _num:
-            numbers.append((f.name, read, f.metadata.get("min"), f.metadata.get("max")))
+        if annotation is int or annotation is float:
+            numbers.append((f.name, annotation, f.metadata.get("min"), f.metadata.get("max")))
         reads.append((f.name, read))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column))
@@ -526,14 +490,22 @@ def to_node(obj) -> dict:
     return node
 
 
+def _finite(value: object) -> bool:
+    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
+    an int past the float range fail ``abs(value) <= max``."""
+    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
+
+
 def number_fault(obj) -> str | None:
     """How the first number field of the dataclass ``obj`` breaks the
-    number rule or its declared bounds, or ``None``."""
-    for name, read, low, high in _plan(type(obj))[3]:
+    number rule or its declared bounds, or ``None``.  The rule is that of
+    ``_nums`` for a file, except that it takes an ``int`` or ``float``
+    subclass built in code."""
+    for name, annotation, low, high in _plan(type(obj))[3]:
         value = getattr(obj, name)
-        if read is _int and (type(value) is bool or not isinstance(value, int)):
+        if annotation is int and (type(value) is bool or not isinstance(value, int)):
             return f"{name} must be an integer, got {value!r}"
-        if read is _num and not _finite(value):
+        if annotation is float and not _finite(value):
             return f"{name} must be a finite number, got {value!r}"
         if (low is not None and value < low) or (high is not None and value > high):
             bounds = f">= {low}" if high is None else f"in [{low}, {high}]"

@@ -33,8 +33,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from itertools import chain, compress, repeat
-from operator import attrgetter, itemgetter, le
+from itertools import chain
+from operator import itemgetter
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
@@ -338,20 +338,7 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
     accepted here; the evaluation engine reports them as orphaned.
     """
     bundle = from_node(EvidenceBundle, load_json(data), "$")
-    records = bundle.records
-    # One C-level pass per rule; only _check_records words a fault.
-    ids = list(map(attrgetter("id"), records))
-    payloads = list(map(attrgetter("payload"), records))
-    logs = list(compress(payloads, map(isinstance, payloads, repeat(ReviewLog))))
-    reviewed = list(map(attrgetter("reviewed_items"), logs))
-    if (
-        "" in ids
-        or len(set(ids)) != len(ids)
-        or "" in map(attrgetter("vr_id"), records)
-        or min(reviewed, default=0) < 0
-        or not all(map(le, reviewed, map(attrgetter("total_items"), logs)))
-    ):
-        _check_records(records)
+    _check_records(bundle.records)
     return bundle
 
 
