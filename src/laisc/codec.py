@@ -350,7 +350,7 @@ def _checked(column, expected: str):
     def read(node: dict, key: str, path: str):
         try:
             return column((node,), key)[0]
-        except Exception:
+        except (_Irregular, KeyError):  # KeyError: an unknown enum member
             raise SchemaError(f"{path}.{key}", expected, node[key]) from None
 
     return read
