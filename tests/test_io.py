@@ -102,70 +102,46 @@ def test_landscape_round_trip_identity():
 def test_unknown_comparator_rejected():
     node = json.loads(FIXTURE_TEXT)
     vr = next(v for v in node["vrs"] if v["id"] == "VR3.3")
-    vr["payload"]["comparator"] = "EQ"
-    with pytest.raises(SchemaError, match="GE"):
+    vr["payload"]["comparator"] = "GT"
+    with pytest.raises(SchemaError) as excinfo:
         parse_landscape(json.dumps(node))
+    assert str(excinfo.value) == "$.vrs[9].payload.comparator: expected one of {GE, LE}, got 'GT'"
 
 
 @pytest.mark.parametrize(
-    "parse,text,collection",
-    [(parse_landscape, FIXTURE_TEXT, "vrs"), (parse_evidence, EVIDENCE_TEXT, "records")],
+    "parse,text,collection,kinds",
+    [
+        (
+            parse_landscape,
+            FIXTURE_TEXT,
+            "vrs",
+            "MetricThreshold, MetricGap, PerCondition, ReviewFraction, FlagResolution, QualitativeApproval",
+        ),
+        (
+            parse_evidence,
+            EVIDENCE_TEXT,
+            "records",
+            "MetricResult, ApprovalRecord, ReviewLog, FlagResolutionLog, DocumentRecord",
+        ),
+    ],
     ids=["vr", "evidence"],
 )
-def test_unknown_kind_rejected_at_its_key(parse, text, collection):
+def test_unknown_kind_rejected_at_its_key(parse, text, collection, kinds):
     node = json.loads(text)
     node[collection][2]["kind"] = "Hunch"
     with pytest.raises(SchemaError) as excinfo:
         parse(json.dumps(node))
     assert excinfo.value.path == f"$.{collection}[2].kind"
     assert excinfo.value.got == "Hunch"
-    assert node[collection][0]["kind"] in excinfo.value.expected
-
-
-def _set(text: bytes, collection: str, index: int, key: str, value, member: str | None = None) -> str:
-    """``text`` with ``key`` of ``collection[index]`` (or of its ``member``
-    object) set to ``value``."""
-    node = json.loads(text)
-    target = node[collection][index]
-    (target if member is None else target[member])[key] = value
-    return json.dumps(node)
-
-
-#: Unknown strings, which no schema mutation writes: ``(parse, text, the
-#: SchemaError message)``.
-_UNKNOWN_STRINGS = {
-    "comparator": (
-        parse_landscape,
-        _set(FIXTURE_TEXT, "vrs", 9, "comparator", "GT", member="payload"),
-        "$.vrs[9].payload.comparator: expected one of {GE, LE}, got 'GT'",
-    ),
-    "vr-kind": (
-        parse_landscape,
-        _set(FIXTURE_TEXT, "vrs", 0, "kind", "Hunch"),
-        "$.vrs[0].kind: expected one of {MetricThreshold, MetricGap, PerCondition, ReviewFraction, "
-        "FlagResolution, QualitativeApproval}, got 'Hunch'",
-    ),
-    "record-kind": (
-        parse_evidence,
-        _set(EVIDENCE_TEXT, "records", 2, "kind", "Hunch"),
-        "$.records[2].kind: expected one of {MetricResult, ApprovalRecord, ReviewLog, FlagResolutionLog, "
-        "DocumentRecord}, got 'Hunch'",
-    ),
-}
-
-
-@pytest.mark.parametrize("parse, text, message", _UNKNOWN_STRINGS.values(), ids=_UNKNOWN_STRINGS)
-def test_unknown_strings_are_worded_exactly(parse, text, message):
-    with pytest.raises(SchemaError) as excinfo:
-        parse(text)
-    assert type(excinfo.value) is SchemaError
-    assert str(excinfo.value) == message
+    assert str(excinfo.value) == f"$.{collection}[2].kind: expected one of {{{kinds}}}, got 'Hunch'"
 
 
 def test_non_iso_timestamp_is_an_invalid_timestamp_naming_it():
     # The reason is fromisoformat's, whose text differs between Python versions.
+    node = json.loads(EVIDENCE_TEXT)
+    node["records"][0]["timestamp"] = "yesterday"
     with pytest.raises(InvalidTimestamp) as excinfo:
-        parse_evidence(_set(EVIDENCE_TEXT, "records", 0, "timestamp", "yesterday"))
+        parse_evidence(json.dumps(node))
     assert type(excinfo.value) is InvalidTimestamp
     assert excinfo.value.value == "yesterday"
 
