@@ -229,6 +229,57 @@ def _write(node: object, append, newline: str) -> None:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
+# --- schema helpers: read node[key] as one type, or name its path ----------------
+
+
+def _obj(node: object, path: str, keys: frozenset[str]) -> None:
+    """Check that ``node`` is an object with exactly the keys ``keys``."""
+    if not isinstance(node, dict):
+        raise SchemaError(path, "object", type(node).__name__)
+    unknown = set(node) - keys
+    if unknown:
+        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
+    missing = keys - set(node)
+    if missing:
+        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
+
+
+def _finite(value: object) -> bool:
+    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
+    an int past the float range fail ``abs(value) <= max``."""
+    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
+
+
+def _items(cls: type, node: dict, key: str, path: str) -> tuple:
+    """Read the list at ``key`` as ``cls`` objects."""
+    raws = _list(node, key, path)
+    return tuple(_read_all(cls, raws, (f"{path}.{key}[{index}]" for index in range(len(raws)))))
+
+
+def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
+    """Read the object at ``key`` as ``(id, cls)`` pairs."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
+    return tuple(zip(value, _read_all(cls, list(value.values()), (f"{path}.{key}.{item_id}" for item_id in value))))
+
+
+def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
+    """Read the object at ``key`` as ``(name, number)`` pairs."""
+    value = node[key]
+    if not isinstance(value, dict):
+        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
+    return tuple((name, _num(value, name, f"{path}.{key}")) for name in value)
+
+
+def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
+    """Read the field ``key`` as the class that the sibling ``kind`` names."""
+    kind = _str(node, "kind", path)
+    if kind not in classes:
+        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
+    return from_node(classes[kind], node[key], f"{path}.{key}")
+
+
 # --- columns: one field of every object in a list at a time -----------------------
 #
 # ``column(nodes, key)`` returns the values of ``node[key]`` for every node
@@ -328,19 +379,7 @@ def _read_all(cls: type, raws: list, paths) -> list:
         return [from_node(cls, raw, path) for raw, path in zip(raws, paths)]
 
 
-# --- one object: read node[key] as one type, or name its path ---------------------
-
-
-def _obj(node: object, path: str, keys: frozenset[str]) -> None:
-    """Check that ``node`` is an object with exactly the keys ``keys``."""
-    if not isinstance(node, dict):
-        raise SchemaError(path, "object", type(node).__name__)
-    unknown = set(node) - keys
-    if unknown:
-        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
-    missing = keys - set(node)
-    if missing:
-        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
+# --- one object's scalar field: its column over that one object -----------------
 
 
 def _checked(column, expected: str):
@@ -382,36 +421,6 @@ def _enum(read, node: dict, key: str, path: str) -> Enum:
     worded as a "string"."""
     _str(node, key, path)
     return read(node, key, path)
-
-
-def _items(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the list at ``key`` as ``cls`` objects."""
-    raws = _list(node, key, path)
-    return tuple(_read_all(cls, raws, (f"{path}.{key}[{index}]" for index in range(len(raws)))))
-
-
-def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the object at ``key`` as ``(id, cls)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple(zip(value, _read_all(cls, list(value.values()), (f"{path}.{key}.{item_id}" for item_id in value))))
-
-
-def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
-    """Read the object at ``key`` as ``(name, number)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple((name, _num(value, name, f"{path}.{key}")) for name in value)
-
-
-def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
-    """Read the field ``key`` as the class that the sibling ``kind`` names."""
-    kind = _str(node, "kind", path)
-    if kind not in classes:
-        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
-    return from_node(classes[kind], node[key], f"{path}.{key}")
 
 
 # --- the shape table ---------------------------------------------------------------
@@ -488,12 +497,6 @@ def to_node(obj) -> dict:
     for key, name, write in _plan(type(obj))[2]:
         node[key] = getattr(obj, name) if write is None else write(getattr(obj, name))
     return node
-
-
-def _finite(value: object) -> bool:
-    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
-    an int past the float range fail ``abs(value) <= max``."""
-    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
 
 
 def number_fault(obj) -> str | None:
