@@ -9,9 +9,9 @@ Exit codes:
   ``validate`` and ``coverage``: valid but with coverage gaps
 * 3 -- usage or input error
 
-Set ``LAISC_NOW`` (ISO-8601, UTC) to pin the clock; evidence written by
-``metric`` subcommands and report timestamps then become reproducible
-byte for byte.  Standard output carries UTF-8 whatever the locale says.
+Set ``LAISC_NOW`` (a timestamp such as ``2026-02-01T12:00:00Z``) to pin
+the clock; evidence written by ``metric`` subcommands and report
+timestamps then become reproducible byte for byte.  Standard output carries UTF-8 whatever the locale says.
 Evidence files are append-only: ``metric`` subcommands
 add records, they never rewrite existing ones, and each append replaces
 the file atomically under a lock on its directory.
@@ -35,7 +35,7 @@ from laisc import evaluation, io, report
 from laisc.codec import dump_canonical, to_node
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
-from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, bound_datasets, fingerprint, rows
+from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, fingerprint, rows
 
 
 class _UsageError(Exception):
@@ -162,30 +162,26 @@ def _target(args: argparse.Namespace) -> tuple[Landscape, VerifiableRequirement]
         raise _UsageError(f"--vr {args.vr!r} is not a VR of {args.landscape}") from None
 
 
+def _describe(payload: MetricResult | FlagResolutionLog) -> str:
+    """A record payload's kind, metric and datasets, as a refusal names them."""
+    if isinstance(payload, FlagResolutionLog):
+        return f"FlagResolutionLog on {payload.dataset_id!r}"
+    return f"MetricResult of {payload.metric_id} on {' and '.join(map(repr, payload.dataset_ids))}"
+
+
 def _append(args: argparse.Namespace, target: tuple[Landscape, VerifiableRequirement], payloads) -> list[str]:
     """Append one ``--vr`` record per payload to the bundle at ``--out``
     (a missing file is an empty bundle) and return the new record ids.
 
-    Nothing is written unless the ``target`` VR can read the records: it
-    measures their metric, binds every dataset flag, and is a gap over
-    exactly the two datasets of a gap record.  An exclusive ``flock`` on
+    Nothing is written unless the ``target`` VR reads one of the records,
+    as ``evaluation.reads`` decides.  An exclusive ``flock`` on
     the bundle's directory, held from the read to the replace, keeps
     concurrent appends from losing records.
     """
     landscape, vr = target
-    for payload in payloads:
-        if isinstance(payload, MetricResult) and getattr(vr.payload, "metric_id", None) != payload.metric_id:
-            raise _UsageError(f"--vr {args.vr!r} is a {vr.kind} that reads no {payload.metric_id} record")
-    for flag in ("dataset", "dataset_a", "dataset_b"):
-        dataset_id = getattr(args, flag, None)
-        if dataset_id is not None and dataset_id not in bound_datasets(vr.payload):
-            flag = flag.replace("_", "-")
-            raise _UsageError(f"--{flag} {dataset_id!r} is not a dataset that --vr {args.vr!r} binds")
-    pair = {getattr(vr.payload, "dataset_id_a", None), getattr(vr.payload, "dataset_id_b", None)}
-    for payload in payloads:
-        if isinstance(payload, MetricResult) and len(payload.dataset_ids) == 2 and set(payload.dataset_ids) != pair:
-            over = " and ".join(map(repr, payload.dataset_ids))
-            raise _UsageError(f"--vr {args.vr!r} is a {vr.kind} that reads no gap record over {over}")
+    if not any(evaluation.reads(vr.payload, payload) for payload in payloads):
+        refused = "; ".join(map(_describe, payloads))
+        raise _UsageError(f"--vr {args.vr!r} is a {vr.kind} that reads none of: {refused}")
     current = fingerprint(landscape)
     path = Path(args.out)
     directory = os.open(path.parent, os.O_RDONLY)
@@ -295,15 +291,19 @@ def cmd_metric_nap(args: argparse.Namespace) -> int:
 def cmd_metric_clm(args: argparse.Namespace) -> int:
     from laisc import metrics
 
+    landscape, vr = _target(args)
+    threshold = getattr(vr.payload, "flag_threshold", None)
+    if threshold is None:
+        raise _UsageError(f"--vr {args.vr!r} is a {vr.kind}, which sets no flag_threshold")
     table = io.read_prob_table(Path(args.probs).read_bytes())
     result, warned = _capture_small_samples(
-        lambda: metrics.clm_flags(table, args.threshold, min_samples=args.min_samples)
+        lambda: metrics.clm_flags(table, threshold, min_samples=args.min_samples)
     )
     flagged_fraction = len(result.flagged_ids) / len(table.rows) if table.rows else 0.0
-    note = f"threshold={args.threshold:g}; flagged={len(result.flagged_ids)}/{len(table.rows)}{warned}"
+    note = f"threshold={threshold:g}; flagged={len(result.flagged_ids)}/{len(table.rows)}{warned}"
     metric_id, flag_id = _append(
         args,
-        _target(args),
+        (landscape, vr),
         [
             MetricResult("clm_flags", (args.dataset,), flagged_fraction, note),
             FlagResolutionLog(args.dataset, flagged_ids=result.flagged_ids, entries=()),
@@ -452,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_clm = metric_sub.add_parser("clm", help="score labels and flag likely errors")
     p_clm.add_argument("--probs", required=True, help="probability table (*.probs.csv)")
-    p_clm.add_argument("--threshold", type=float, required=True)
     p_clm.add_argument("--dataset", required=True)
     _add_metric_common(p_clm)
     p_clm.set_defaults(func=cmd_metric_clm)

@@ -69,24 +69,32 @@ def format_timestamp(value: datetime) -> str:
     return value.astimezone(timezone.utc).isoformat()
 
 
-def check_aware(value: datetime, text: str | None = None) -> datetime:
+def check_aware(value: datetime) -> datetime:
     """``value``, if it has a UTC offset; a naive datetime is an
-    ``InvalidTimestamp`` (``text`` names it, default its ISO form), for it
-    would be read in the host's local time."""
+    ``InvalidTimestamp``, for it would be read in the host's local time."""
     if value.utcoffset() is None:
-        raise InvalidTimestamp(value.isoformat() if text is None else text, "missing UTC offset")
+        raise InvalidTimestamp(value.isoformat(), "missing UTC offset")
     return value
 
 
+#: The one timestamp grammar, a profile of RFC 3339 that every supported
+#: Python's ``fromisoformat`` reads alike (3.11 widened what it takes).
+_GRAMMAR = "YYYY-MM-DDTHH:MM:SS[.fff|.ffffff](Z|+HH:MM|-HH:MM)"
+_RFC3339 = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d{3}|\.\d{6})?(Z|[+-]\d\d:\d\d)", re.ASCII)
+
+
 def parse_timestamp(value: str) -> datetime:
-    """Parse an ISO-8601 timestamp; must be timezone-aware, normalized to UTC."""
+    """Parse a timestamp of the ``_RFC3339`` profile, normalized to UTC.
+    A time that UTC cannot hold (``0001-01-01T00:00:00+01:00``) is an
+    ``InvalidTimestamp`` too."""
     if not isinstance(value, str):
         raise InvalidTimestamp(repr(value), "not a string")
+    if not _RFC3339.fullmatch(value):
+        raise InvalidTimestamp(value, f"not {_GRAMMAR}")
     try:
-        parsed = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    except ValueError as exc:
+        return datetime.fromisoformat(value.replace("Z", "+00:00")).astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise InvalidTimestamp(value, str(exc)) from None
-    return check_aware(parsed, value).astimezone(timezone.utc)
 
 
 # --- documents ---------------------------------------------------------------
@@ -317,9 +325,9 @@ def _nums(nodes: list, key: str) -> list[float]:
 def _timestamps(nodes: list, key: str) -> list[datetime]:
     """The rule of ``parse_timestamp``, one ``map`` per step."""
     texts = _typed(_STR, nodes, key)
-    parsed = list(map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00"))))
-    if None in map(datetime.utcoffset, parsed):
+    if not all(map(_RFC3339.fullmatch, texts)):
         raise _Irregular
+    parsed = map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00")))
     return list(map(datetime.astimezone, parsed, repeat(timezone.utc)))
 
 

@@ -10,10 +10,11 @@ Each VR gets exactly one :class:`Verdict`:
   such as an empty review population
 
 A record is fresh when its landscape fingerprint matches the current
-one, stale otherwise.  Every evaluator but QualitativeApproval (which
-counts all fresh approvals and documents) names its evidence slots, and
-:func:`_fill` alone decides them: the most recent fresh record matching a
-slot wins it (ties broken by record id), so re-measuring after a
+one, stale otherwise.  :func:`_slots` states once which records each
+kind reads; the evaluators and :func:`reads` ask its tests.  For every
+kind but QualitativeApproval (which counts all fresh approvals and
+documents) :func:`_fill` alone decides the slots: the most recent fresh
+record matching a slot wins it (ties broken by record id), so re-measuring after a
 mitigation supersedes the old result.  A stale record never outranks a
 fresh one in its slot; it makes the verdict ``Error`` only when its slot
 has no fresh record.  Verdicts roll up with the precedence
@@ -52,6 +53,7 @@ from laisc.model import (
     QualitativeApproval,
     ReviewFraction,
     VerifiableRequirement,
+    VrPayload,
     fingerprint,
     rows,
 )
@@ -164,15 +166,58 @@ class EvaluationReport:
 
 _recency = attrgetter("timestamp", "id")
 
+#: An evidence slot's label and the test a record's payload must pass to fill it.
+Slots = dict[str, Callable[[object], bool]]
+
+
+def _result(metric_id: str, gap: bool, *dataset_ids: str) -> Callable[[object], bool]:
+    """Test for a ``metric_id`` result over exactly ``dataset_ids``: a
+    precomputed gap (the two in either order) if ``gap``, else one
+    measurement.  A gap's ``config_note`` starts with the token ``gap``;
+    further notes (e.g. sample-size warnings) may follow after a semicolon."""
+    accepted = {dataset_ids, dataset_ids[::-1]}
+    return lambda result: (
+        isinstance(result, MetricResult)
+        and result.metric_id == metric_id
+        and (result.config_note.partition(";")[0] == "gap") == gap
+        and result.dataset_ids in accepted
+    )
+
+
+def _slots(p: VrPayload) -> Slots:
+    """The evidence slots of the VR payload ``p``: the one statement of
+    which records a VR of each kind reads."""
+    if isinstance(p, MetricThreshold):
+        return {"value": _result(p.metric_id, False, p.dataset_id)}
+    if isinstance(p, MetricGap):
+        return {
+            "gap": _result(p.metric_id, True, p.dataset_id_a, p.dataset_id_b),
+            "a": _result(p.metric_id, False, p.dataset_id_a),
+            "b": _result(p.metric_id, False, p.dataset_id_b),
+        }
+    if isinstance(p, PerCondition):
+        return {c.condition_id: _result(p.metric_id, False, c.dataset_id) for c in p.conditions}
+    if isinstance(p, ReviewFraction):
+        return {"log": lambda e: isinstance(e, ReviewLog) and e.dataset_id == p.dataset_id}
+    if isinstance(p, FlagResolution):
+        return {"log": lambda e: isinstance(e, FlagResolutionLog) and e.dataset_id == p.dataset_id}
+    return {
+        "approvals": lambda e: isinstance(e, ApprovalRecord),
+        "documents": lambda e: isinstance(e, DocumentRecord),
+    }
+
+
+def reads(payload: VrPayload, evidence) -> bool:
+    """True when a VR with ``payload`` reads a record whose payload is
+    ``evidence``: some slot of the VR's kind accepts it."""
+    return any(test(evidence) for test in _slots(payload).values())
+
 
 def _fill(
-    slots: dict[str, Callable[[EvidenceRecord], bool]],
-    fresh: list[EvidenceRecord],
-    stale: list[EvidenceRecord],
+    slots: Slots, fresh: list[EvidenceRecord], stale: list[EvidenceRecord]
 ) -> tuple[dict[str, EvidenceRecord], list[EvidenceRecord]]:
     """Decide every evidence slot of one VR; return ``(won, stale_matching)``.
 
-    ``slots`` maps a label to the test a record must pass to fill it.
     ``won`` maps each filled label to its most recent fresh match (ties
     go to the greatest record id).  ``stale_matching`` holds the stale
     records matching a slot that no fresh record fills: a filled slot
@@ -180,13 +225,13 @@ def _fill(
     """
     won: dict[str, EvidenceRecord] = {}
     for label, test in slots.items():
-        matches = [r for r in fresh if test(r)]
+        matches = [r for r in fresh if test(r.payload)]
         if matches:
             won[label] = max(matches, key=_recency)
     open_tests = [test for label, test in slots.items() if label not in won]
     if not open_tests:
         return won, []
-    return won, [r for r in stale if any(test(r) for test in open_tests)]
+    return won, [r for r in stale if any(test(r.payload) for test in open_tests)]
 
 
 def _ids(records: Iterable[EvidenceRecord]) -> tuple[str, ...]:
@@ -226,36 +271,11 @@ def _judge(ok: bool, explanation: str, evidence_ids, measured=()) -> Verdict:
     return Verdict(Status.SATISFIED if ok else Status.VIOLATED, explanation, evidence_ids, measured)
 
 
-# --- per-kind evaluation ----------------------------------------------------------
+# --- per-kind evaluation: (payload, its _slots, fresh, stale) -> Verdict ----------
 
 
-def _is_gap_note(note: str) -> bool:
-    """True when a result carries a precomputed two-dataset gap.
-
-    The marker is the leading ``gap`` token of ``config_note``; further
-    notes (e.g. sample-size warnings) may follow after a semicolon.
-    """
-    return note == "gap" or note.startswith("gap;")
-
-
-def _single(metric_id: str, dataset_id: str) -> Callable[[EvidenceRecord], bool]:
-    """Test for a single-dataset ``metric_id`` measurement on exactly ``dataset_id``."""
-    dataset_ids = (dataset_id,)
-
-    def test(record: EvidenceRecord) -> bool:
-        result = record.payload
-        return (
-            isinstance(result, MetricResult)
-            and result.metric_id == metric_id
-            and not _is_gap_note(result.config_note)
-            and result.dataset_ids == dataset_ids
-        )
-
-    return test
-
-
-def _eval_metric_threshold(p: MetricThreshold, fresh, stale) -> Verdict:
-    won, stale_matching = _fill({"value": _single(p.metric_id, p.dataset_id)}, fresh, stale)
+def _eval_metric_threshold(p: MetricThreshold, slots: Slots, fresh, stale) -> Verdict:
+    won, stale_matching = _fill(slots, fresh, stale)
     if not won:
         return _unfillable(
             [f"no {p.metric_id} measurement on {p.dataset_id}"], stale_matching, fresh + stale, False
@@ -273,20 +293,10 @@ def _eval_metric_threshold(p: MetricThreshold, fresh, stale) -> Verdict:
     )
 
 
-def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
-    pair = {(p.dataset_id_a, p.dataset_id_b), (p.dataset_id_b, p.dataset_id_a)}
-
-    def gap_record(record: EvidenceRecord) -> bool:
-        return (
-            isinstance(record.payload, MetricResult)
-            and record.payload.metric_id == p.metric_id
-            and _is_gap_note(record.payload.config_note)
-            and record.payload.dataset_ids in pair
-        )
-
+def _eval_metric_gap(p: MetricGap, slots: Slots, fresh, stale) -> Verdict:
     # A precomputed two-dataset distance is the direct measurement and
     # takes precedence over recombining single-dataset values.
-    won, stale_gap = _fill({"gap": gap_record}, fresh, stale)
+    won, stale_gap = _fill({"gap": slots.pop("gap")}, fresh, stale)
     if won:
         winner = won["gap"]
         gap = abs(winner.payload.value)
@@ -299,13 +309,10 @@ def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
             (("gap", gap), ("epsilon", p.epsilon)),
         )
 
-    # One slot per side, keyed by its dataset id (the two ids differ).
-    sides = (p.dataset_id_a, p.dataset_id_b)
-    won, stale_sides = _fill(
-        {dataset_id: _single(p.metric_id, dataset_id) for dataset_id in sides}, fresh, stale
-    )
+    # One slot per side, "a" and "b".
+    won, stale_sides = _fill(slots, fresh, stale)
     if len(won) == 2:
-        value_a, value_b = won[p.dataset_id_a].payload.value, won[p.dataset_id_b].payload.value
+        value_a, value_b = won["a"].payload.value, won["b"].payload.value
         gap = abs(value_a - value_b)
         ok = gap <= p.epsilon
         return _judge(
@@ -318,16 +325,14 @@ def _eval_metric_gap(p: MetricGap, fresh, stale) -> Verdict:
 
     missing = [
         f"no {p.metric_id} measurement on {dataset_id}"
-        for dataset_id in sides
-        if dataset_id not in won
+        for label, dataset_id in (("a", p.dataset_id_a), ("b", p.dataset_id_b))
+        if label not in won
     ]
     return _unfillable(missing, stale_gap + stale_sides, fresh + stale, bool(won))
 
 
-def _eval_per_condition(p: PerCondition, fresh, stale) -> Verdict:
-    won, stale_matching = _fill(
-        {c.condition_id: _single(p.metric_id, c.dataset_id) for c in p.conditions}, fresh, stale
-    )
+def _eval_per_condition(p: PerCondition, slots: Slots, fresh, stale) -> Verdict:
+    won, stale_matching = _fill(slots, fresh, stale)
     failing: list[str] = []
     missing: list[str] = []
     measured: list[tuple[str, float]] = []
@@ -369,11 +374,8 @@ def _eval_per_condition(p: PerCondition, fresh, stale) -> Verdict:
     )
 
 
-def _eval_review_fraction(p: ReviewFraction, fresh, stale) -> Verdict:
-    def matches(record: EvidenceRecord) -> bool:
-        return isinstance(record.payload, ReviewLog) and record.payload.dataset_id == p.dataset_id
-
-    won, stale_matching = _fill({"log": matches}, fresh, stale)
+def _eval_review_fraction(p: ReviewFraction, slots: Slots, fresh, stale) -> Verdict:
+    won, stale_matching = _fill(slots, fresh, stale)
     if not won:
         return _unfillable([f"no review log for {p.dataset_id}"], stale_matching, fresh + stale, False)
     winner = won["log"]
@@ -395,11 +397,8 @@ def _eval_review_fraction(p: ReviewFraction, fresh, stale) -> Verdict:
     )
 
 
-def _eval_flag_resolution(p: FlagResolution, fresh, stale) -> Verdict:
-    def matches(record: EvidenceRecord) -> bool:
-        return isinstance(record.payload, FlagResolutionLog) and record.payload.dataset_id == p.dataset_id
-
-    won, stale_matching = _fill({"log": matches}, fresh, stale)
+def _eval_flag_resolution(p: FlagResolution, slots: Slots, fresh, stale) -> Verdict:
+    won, stale_matching = _fill(slots, fresh, stale)
     if not won:
         if stale_matching:
             return _unfillable([], stale_matching, fresh + stale, False)
@@ -420,14 +419,13 @@ def _eval_flag_resolution(p: FlagResolution, fresh, stale) -> Verdict:
     )
 
 
-def _eval_qualitative_approval(p: QualitativeApproval, fresh, stale) -> Verdict:
-    # Every fresh approval and document counts, so there is no slot to fill.
-    approvals = [r for r in fresh if isinstance(r.payload, ApprovalRecord)]
-    documents = [r for r in fresh if isinstance(r.payload, DocumentRecord)]
+def _eval_qualitative_approval(p: QualitativeApproval, slots: Slots, fresh, stale) -> Verdict:
+    # Every fresh approval and document counts: its two slots filter, not fill.
+    approvals, documents = ([r for r in fresh if slots[label](r.payload)] for label in ("approvals", "documents"))
     if not approvals and not documents:
         return _unfillable(
             [f"no approval records (need {p.required_approvals})"],
-            [r for r in stale if isinstance(r.payload, (ApprovalRecord, DocumentRecord))],
+            [r for r in stale if any(test(r.payload) for test in slots.values())],
             fresh + stale,
             False,
         )
@@ -485,7 +483,7 @@ def _evaluate_records(
         return Verdict(Status.PENDING, "no evidence recorded for this VR")
     fresh = [r for r in records if r.landscape_fingerprint == landscape_fingerprint]
     stale = [r for r in records if r.landscape_fingerprint != landscape_fingerprint]
-    return _EVALUATORS[type(vr.payload)](vr.payload, fresh, stale)
+    return _EVALUATORS[type(vr.payload)](vr.payload, _slots(vr.payload), fresh, stale)
 
 
 # --- roll-ups ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ computations.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import random
@@ -19,6 +20,7 @@ from dataclasses import fields, is_dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from pathlib import Path
 
 from laisc.errors import DimensionMismatch, LaiscError, NotNormalized, ValueOutOfRange
 from laisc.evaluation import CoverageGap, GapKind
@@ -34,6 +36,7 @@ from laisc.io import (
     MetricResult,
     ProbabilityTable,
     ReviewLog,
+    parse_landscape,
 )
 from laisc.model import (
     Comparator,
@@ -54,9 +57,22 @@ from laisc.model import (
     SystemComponent,
     VerifiableRequirement,
     build_landscape,
+    fingerprint,
 )
 
 UTC = timezone.utc
+
+
+def generated_pair(seed: int, n_vrs: int) -> tuple[bytes, bytes]:
+    """The landscape and evidence bytes that ``bench/audit_gen.py``, the
+    seeded generator of large landscapes, writes for ``seed``; fresh
+    records carry the landscape's fingerprint."""
+    spec = importlib.util.spec_from_file_location("audit_gen", Path(__file__).resolve().parents[1] / "bench" / "audit_gen.py")
+    audit_gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(audit_gen)
+    land, facts = audit_gen.landscape(seed, n_vrs)
+    bundle, _ = audit_gen.evidence(seed, facts, fingerprint(parse_landscape(land)))
+    return land, bundle
 
 
 # --- independent oracles -----------------------------------------------------

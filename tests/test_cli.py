@@ -14,6 +14,7 @@ import pytest
 import laisc
 from laisc import fixtures, io, metrics
 from laisc.cli import build_parser, main
+from laisc.evaluation import Status, evaluate
 from laisc.io import write_grid, LabeledGrid
 
 PINNED_NOW = "2026-02-01T12:00:00Z"
@@ -160,6 +161,23 @@ def test_evaluate_unknown_filter_exits_three(fixture_paths, capsys):
     )
     assert code == 3
     assert "matches no id or name" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("stamp", ["0001-01-01T00:00:00+01:00", "9999-12-31T23:59:59-01:00", "2026-W02-1T08:00:00+00:00"])
+@pytest.mark.parametrize("where", ["evidence", "LAISC_NOW"])
+def test_timestamp_outside_the_grammar_or_utc_exits_three(where, stamp, fixture_paths, monkeypatch, capsys):
+    """A time UTC cannot hold, or a spelling outside the one grammar, is
+    bad input (exit 3) and not a traceback (exit 1, the "violated" code)."""
+    landscape_path, evidence_path = fixture_paths
+    if where == "evidence":
+        text = evidence_path.read_text()
+        evidence_path.write_text(text.replace('"2026-01-05T08:00:00+00:00"', f'"{stamp}"', 1))
+    else:
+        monkeypatch.setenv("LAISC_NOW", stamp)
+    assert main(["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: invalid timestamp {stamp!r}: ")
 
 
 def test_evaluate_outputs_byte_identical_across_runs(fixture_paths, capsys):
@@ -391,8 +409,6 @@ def test_metric_clm_writes_flag_log(fixture_paths, tmp_path, capsys):
             "clm",
             "--probs",
             str(probs_path),
-            "--threshold",
-            "0.5",
             "--dataset",
             "d-train",
             "--landscape",
@@ -420,7 +436,7 @@ def _metric_argv(command, landscape_path, out_path, **overrides):
         "gap": {
             "a": "0.86", "b": "0.88", "metric": "miou", "dataset_a": "d-real", "dataset_b": "d-synth", "vr": "VR2.1"
         },
-        "clm": {"threshold": "0.5", "dataset": "d-train", "vr": "VR1.3"},
+        "clm": {"dataset": "d-train", "vr": "VR1.3"},
     }[command]
     flags.update(landscape=str(landscape_path), out=str(out_path), **overrides)
     argv = ["metric", command]
@@ -478,6 +494,93 @@ def test_metric_nap_for_a_vr_without_that_pair_exits_three(fixture_paths, tmp_pa
     assert main(argv) == 3
     assert "VR2.2" in capsys.readouterr().err
     assert evidence_path.read_bytes() == before
+
+
+#: Four instances; ``i1`` scores 0.3 on its label, below VR1.3's
+#: ``flag_threshold`` of 0.5 and above a threshold of 0.0.
+_FOUR_ROWS = "instance_id,label,p_0,p_1\ni1,0,0.3,0.7\ni2,0,0.9,0.1\ni3,1,0.2,0.8\ni4,1,0.4,0.6\n"
+
+
+def test_metric_clm_flags_at_the_threshold_of_its_vr(fixture_paths, tmp_path, capsys):
+    """No flag of ``metric clm`` decides whether VR1.3 holds: it flags under
+    the VR's own ``flag_threshold``, and ``--threshold`` is gone."""
+    landscape_path, evidence_path = fixture_paths
+    probs_path = tmp_path / "four.probs.csv"
+    probs_path.write_text(_FOUR_ROWS)
+    argv = _metric_argv("clm", landscape_path, evidence_path, probs=str(probs_path))
+    before = evidence_path.read_bytes()
+    assert main([*argv, "--threshold", "0.0"]) == 3
+    assert "unrecognized arguments: --threshold 0.0" in capsys.readouterr().err
+    assert evidence_path.read_bytes() == before
+
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "flagged: i1" in out and "threshold" not in out
+    records = io.parse_evidence(evidence_path.read_bytes()).records
+    assert records[-2].payload.config_note.startswith("threshold=0.5; flagged=1/4; warning: ")
+    assert records[-1].payload.flagged_ids == ("i1",)
+    landscape = io.parse_landscape(landscape_path.read_bytes())
+    verdict = evaluate(landscape, io.parse_evidence(evidence_path.read_bytes())).vr_verdicts["VR1.3"]
+    assert (verdict.status, verdict.explanation) == (Status.VIOLATED, "flagged instances without resolution: i1")
+
+
+#: ``metric`` appends that ``evaluation.reads`` decides: ``(edit of the
+#: fixture landscape or None, argv after "metric", exit code, stderr)``.
+_READS = {
+    # A FlagResolution reads flag logs only, whatever metric it names.
+    "miou-on-flag-resolution-over-miou": (
+        ('"metric_id": "clm_flags"', '"metric_id": "miou"'),
+        "miou --pred {grid} --truth {grid} --dataset d-train --vr VR1.3",
+        3,
+        "error: --vr 'VR1.3' is a FlagResolution that reads none of: MetricResult of miou on 'd-train'\n",
+    ),
+    "clm-on-flag-resolution-over-miou": (
+        ('"metric_id": "clm_flags"', '"metric_id": "miou"'),
+        "clm --probs {probs} --dataset d-train --vr VR1.3",
+        0,
+        "",
+    ),
+    "clm-on-threshold-over-clm-flags": (
+        ('"metric_id": "miou",', '"metric_id": "clm_flags",'),
+        "clm --probs {probs} --dataset d-counterfactual --vr VR3.3",
+        3,
+        "error: --vr 'VR3.3' is a MetricThreshold, which sets no flag_threshold\n",
+    ),
+    "clm-on-an-unbound-dataset": (
+        None,
+        "clm --probs {probs} --dataset d-nowhere --vr VR1.3",
+        3,
+        "error: --vr 'VR1.3' is a FlagResolution that reads none of: "
+        "MetricResult of clm_flags on 'd-nowhere'; FlagResolutionLog on 'd-nowhere'\n",
+    ),
+    "gap-over-another-pair": (
+        None,
+        "gap --a 0.1 --b 0.2 --dataset-a d-real --dataset-b d-counterfactual --vr VR2.1",
+        3,
+        "error: --vr 'VR2.1' is a MetricGap that reads none of: "
+        "MetricResult of miou on 'd-real' and 'd-counterfactual'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, command, code, err", _READS.values(), ids=_READS)
+def test_metric_appends_only_what_its_vr_reads(edit, command, code, err, fixture_paths, tmp_path, capsys):
+    landscape_path, evidence_path = fixture_paths
+    if edit is not None:
+        text = landscape_path.read_text()
+        assert text.count(edit[0]) == 1
+        landscape_path.write_text(text.replace(*edit))
+    paths = {"grid": _grid_file(tmp_path, "mask.grid", [[1, 0], [0, 1]]), "probs": tmp_path / "four.probs.csv"}
+    paths["probs"].write_text(_FOUR_ROWS)
+    before = evidence_path.read_bytes()
+    argv = ["metric", *command.format(**paths).split(), "--landscape", str(landscape_path), "--out", str(evidence_path)]
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+    if code:
+        assert evidence_path.read_bytes() == before
+    else:
+        kinds = [r.kind for r in io.parse_evidence(evidence_path.read_bytes()).records[-2:]]
+        assert kinds == ["MetricResult", "FlagResolutionLog"]
 
 
 #: ``(edit of the fixture text, what stderr must name)``: a landscape that
@@ -541,7 +644,7 @@ _UNDECODABLE_INPUTS = {
         None,
     ),
     "probabilities": (
-        "metric clm --probs {bad} --threshold 0.5 --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
+        "metric clm --probs {bad} --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
         "bad",
         lambda _: _not_utf8(_PROBS, b"i2"),
         None,
@@ -554,7 +657,7 @@ _UNDECODABLE_INPUTS = {
         "data row 2: field larger than field limit",
     ),
     "probabilities-oversized-field": (
-        "metric clm --probs {bad} --threshold 0.5 --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
+        "metric clm --probs {bad} --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
         "bad",
         lambda _: _PROBS.replace(b"i2", _OVERSIZED),
         "data row 1: field larger than field limit",

@@ -2,15 +2,25 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, timezone
+from enum import Enum
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coverage_oracle, gaps_as_pairs, random_bundle, random_landscape, record, single_vr_landscape
-from laisc.errors import InvalidTimestamp, UnknownFilterKey
+from helpers import (
+    coverage_oracle,
+    gaps_as_pairs,
+    generated_pair,
+    random_bundle,
+    random_landscape,
+    record,
+    single_vr_landscape,
+)
+from laisc.errors import InvalidTimestamp, LaiscError, UnknownFilterKey
 from laisc.evaluation import (
     Filter,
     GapKind,
@@ -20,6 +30,7 @@ from laisc.evaluation import (
     coverage,
     evaluate,
     evaluate_vr,
+    reads,
     rollup,
 )
 from laisc.io import (
@@ -36,6 +47,7 @@ from laisc.io import (
     serialize_landscape,
 )
 from laisc.model import (
+    KNOWN_METRIC_IDS,
     Comparator,
     Condition,
     MetricGap,
@@ -46,6 +58,8 @@ from laisc.model import (
     Resolution,
     ReviewFraction,
     VerifiableRequirement,
+    VrPayload,
+    _check_payload,
     build_landscape,
     fingerprint,
 )
@@ -635,3 +649,93 @@ def test_bundle_equality_hash_and_replace_ignore_its_verdicts(fixture_landscape,
     report = evaluate(fixture_landscape, shorter, now=NOW)
     assert report == _fresh_report(fixture_landscape, shorter)
     assert report.vr_verdicts != full.vr_verdicts
+
+
+# --- every payload field is read ------------------------------------------------------------
+
+#: VR payload fields that no verdict rule and no slot test reads.  The
+#: test below fails for a field on this list that a rule starts to read,
+#: so the list cannot go stale.
+_UNREAD_FIELDS = {
+    # Only ``metric clm`` reads it, to flag at it: a flag-resolution log
+    # does not record the threshold it was made under (ROADMAP item 11).
+    "FlagResolution.flag_threshold",
+    # Nor does the log record the metric that flagged.
+    "FlagResolution.metric_id",
+    # A label: it names its condition in the explanation and in ``measured``.
+    "PerCondition.conditions.condition_id",
+}
+
+
+def _field_paths(cls, prefix: str):
+    """Every field path of the payload class ``cls``, nested conditions included."""
+    for f in fields(cls):
+        if f.name == "conditions":
+            yield from _field_paths(Condition, f"{prefix}.conditions")
+        else:
+            yield f"{prefix}.{f.name}"
+
+
+def _others(name: str, value, dataset_ids: frozenset[str]) -> list:
+    """Other values that a landscape may give the payload field ``name``."""
+    if isinstance(value, Enum):
+        return [member for member in type(value) if member is not value]
+    if name == "metric_id":
+        return sorted(KNOWN_METRIC_IDS - {value})
+    if name.startswith("dataset_id"):
+        return sorted(dataset_ids - {value})
+    if isinstance(value, float):
+        return [bound for bound in (0.0, 1.0) if bound != value]
+    if isinstance(value, int):
+        return [value + 1]
+    if isinstance(value, tuple):  # required documents
+        return [value + ("another-document",)] + ([value[1:]] if value else [])
+    return [f"{value}-renamed"]  # a condition id
+
+
+def _mutants(payload, dataset_ids: frozenset[str], prefix: str):
+    """``(field path, payload with that one field changed)`` for each other value."""
+    for f in fields(payload):
+        value = getattr(payload, f.name)
+        if f.name == "conditions":
+            for index, condition in enumerate(value):
+                for path, mutant in _mutants(condition, dataset_ids, f"{prefix}.conditions"):
+                    yield path, replace(payload, conditions=value[:index] + (mutant,) + value[index + 1 :])
+        else:
+            for other in _others(f.name, value, dataset_ids):
+                yield f"{prefix}.{f.name}", replace(payload, **{f.name: other})
+
+
+def test_every_vr_payload_field_decides_a_verdict_or_a_read():
+    """Changing a field to another valid value changes the VR's verdict
+    status (its records held fresh under their own fingerprint) or whether
+    the VR reads one of the bundle's records, on some VR of a generated
+    landscape; else the field is on ``_UNREAD_FIELDS``."""
+    land, evidence = generated_pair(3, 60)
+    landscape, bundle = parse_landscape(land), parse_evidence(evidence)
+    current, dataset_ids = fingerprint(landscape), landscape.dataset_ids()
+    live: set[str] = set()
+    for vr in landscape.vrs:
+        status = evaluate_vr(vr, bundle, current).status
+        read = [reads(vr.payload, r.payload) for r in bundle.records]
+        for path, mutant in _mutants(vr.payload, dataset_ids, vr.kind):
+            changed = replace(vr, payload=mutant)
+            if path in live or _check_payload_fault(changed, dataset_ids):
+                continue
+            if (
+                evaluate_vr(changed, bundle, current).status != status
+                or [reads(mutant, r.payload) for r in bundle.records] != read
+            ):
+                live.add(path)
+    every = {path for cls in get_args(VrPayload) for path in _field_paths(cls, cls.__name__)}
+    assert _UNREAD_FIELDS <= every
+    assert live == every - _UNREAD_FIELDS
+
+
+def _check_payload_fault(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> bool:
+    """Whether a landscape refuses ``vr``'s payload."""
+    try:
+        _check_payload(vr, dataset_ids)
+    except LaiscError:
+        return True
+    return False

@@ -1,23 +1,22 @@
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import math
 import random
 import re
 import sys
 from dataclasses import fields, replace
-from datetime import datetime
+from datetime import datetime, timedelta
 from enum import Enum, IntEnum
 from functools import cache
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    generated_pair,
     random_activation_table,
     random_bundle,
     random_landscape,
@@ -137,13 +136,16 @@ def test_unknown_kind_rejected_at_its_key(parse, text, collection, kinds):
 
 
 def test_non_iso_timestamp_is_an_invalid_timestamp_naming_it():
-    # The reason is fromisoformat's, whose text differs between Python versions.
+    # The reason is the grammar's, the same on every Python version.
     node = json.loads(EVIDENCE_TEXT)
     node["records"][0]["timestamp"] = "yesterday"
     with pytest.raises(InvalidTimestamp) as excinfo:
         parse_evidence(json.dumps(node))
     assert type(excinfo.value) is InvalidTimestamp
     assert excinfo.value.value == "yesterday"
+    assert str(excinfo.value) == (
+        "invalid timestamp 'yesterday': not YYYY-MM-DDTHH:MM:SS[.fff|.ffffff](Z|+HH:MM|-HH:MM)"
+    )
 
 
 def test_serialized_landscape_ignores_construction_order():
@@ -457,27 +459,11 @@ def test_schema_mutations_read_alike_by_column_and_by_object(parse):
         assert column[0] is SchemaError, field
 
 
-def _audit_gen():
-    """``bench/audit_gen.py``, the seeded generator of large landscapes."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "audit_gen.py"
-    spec = importlib.util.spec_from_file_location("audit_gen", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def _generated_pair() -> tuple[bytes, bytes]:
-    audit_gen = _audit_gen()
-    land, facts = audit_gen.landscape(3, 60)
-    bundle, _ = audit_gen.evidence(3, facts, fingerprint(parse_landscape(land)))
-    return land, bundle
-
-
 @pytest.mark.parametrize("pair", ["fixture", "audit_gen"])
 def test_valid_documents_never_fall_back_to_the_per_object_read(pair, monkeypatch):
     """A silent fallback would give the same objects, only slower: below the
     document's own object, a valid file reads no object with ``from_node``."""
-    land, bundle = (FIXTURE_TEXT, EVIDENCE_TEXT) if pair == "fixture" else _generated_pair()
+    land, bundle = (FIXTURE_TEXT, EVIDENCE_TEXT) if pair == "fixture" else generated_pair(3, 60)
     calls = []
     read = codec.from_node
     monkeypatch.setattr(codec, "from_node", lambda cls, node, path: calls.append(path) or read(cls, node, path))
@@ -637,6 +623,54 @@ def test_naive_timestamp_in_code_rejected():
 
 def test_offset_timestamps_normalize_to_utc():
     assert parse_timestamp("2026-01-01T02:30:00+02:30") == parse_timestamp("2026-01-01T00:00:00Z")
+
+
+#: Timestamp spellings and whether they are read: one grammar,
+#: ``YYYY-MM-DDTHH:MM:SS[.fff|.ffffff](Z|±HH:MM)``, on every supported
+#: Python, though ``datetime.fromisoformat`` takes more from 3.11 on.
+_SPELLINGS = {
+    "2026-01-05T08:00:00Z": True,
+    "2026-01-05T08:00:00+00:00": True,
+    "2026-01-05T08:00:00-00:00": True,
+    "2026-01-05T13:30:00+05:30": True,
+    "2026-01-05T08:00:00.123Z": True,
+    "2026-01-05T08:00:00.123456-01:00": True,
+    "0001-01-01T00:00:00Z": True,
+    "9999-12-31T23:59:59Z": True,
+    "2026-W02-1T08:00:00+00:00": False,  # ISO week date: read by 3.11+
+    "20260105T080000+0000": False,  # basic format: 3.11+
+    "2026-01-05T08:00:00+0000": False,  # offset without a colon: 3.11+
+    "2026-01-05T08:00:00.5+00:00": False,  # one fraction digit: 3.11+
+    "2026-01-05T08:00:00.12345+00:00": False,  # five fraction digits: 3.11+
+    "2026-01-05 08:00:00+00:00": False,  # space separator: every version
+    "2026-01-05T08:00+00:00": False,  # no seconds: every version
+    "2026-01-05T08:00:00+00:00:00": False,  # offset seconds: every version
+    "2026-01-05t08:00:00z": False,
+    "2026-01-05T08:00:00": False,  # no offset
+    "2026-01-05": False,
+    "2026-01-05T08:00:00Z\n": False,
+    "٢٠٢٦-01-05T08:00:00Z": False,  # Arabic-Indic digits
+    "2026-13-05T08:00:00Z": False,
+    "2026-01-05T24:00:00Z": False,
+    "2026-01-05T08:00:00+24:00": False,
+    "0001-01-01T00:00:00+01:00": False,  # before datetime.min in UTC
+    "9999-12-31T23:59:59-01:00": False,  # after datetime.max in UTC
+}
+
+
+@pytest.mark.parametrize("stamp, read", _SPELLINGS.items(), ids=list(map(repr, _SPELLINGS)))
+def test_one_timestamp_grammar(stamp, read):
+    """The one-value reader, and the column that reads a bundle's stamps."""
+    node = json.loads(EVIDENCE_TEXT)
+    node["records"][0]["timestamp"] = stamp
+    if read:
+        assert parse_evidence(json.dumps(node)).records[0].timestamp == parse_timestamp(stamp)
+        assert parse_timestamp(stamp).utcoffset() == timedelta(0)
+    else:
+        with pytest.raises(InvalidTimestamp, match=re.escape(repr(stamp))):
+            parse_timestamp(stamp)
+        with pytest.raises(InvalidTimestamp, match=re.escape(repr(stamp))):
+            parse_evidence(json.dumps(node))
 
 
 # --- grids --------------------------------------------------------------------------
