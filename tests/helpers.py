@@ -67,7 +67,8 @@ def generated_pair(seed: int, n_vrs: int) -> tuple[bytes, bytes]:
     """The landscape and evidence bytes that ``bench/audit_gen.py``, the
     seeded generator of large landscapes, writes for ``seed``; fresh
     records carry the landscape's fingerprint."""
-    spec = importlib.util.spec_from_file_location("audit_gen", Path(__file__).resolve().parents[1] / "bench" / "audit_gen.py")
+    path = Path(__file__).resolve().parents[1] / "bench" / "audit_gen.py"
+    spec = importlib.util.spec_from_file_location("audit_gen", path)
     audit_gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(audit_gen)
     land, facts = audit_gen.landscape(seed, n_vrs)
