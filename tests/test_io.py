@@ -28,8 +28,10 @@ from helpers import (
 from laisc import codec, fixtures
 from laisc.codec import dump_canonical, from_node, number_fault, to_node
 from laisc.errors import (
+    DanglingReference,
     DimensionMismatch,
     InputSyntaxError,
+    InvalidPayload,
     InvalidTimestamp,
     LaiscError,
     NotNormalized,
@@ -593,6 +595,68 @@ def test_empty_record_id_rejected_at_its_path():
     node["records"][3]["id"] = ""
     with pytest.raises(SchemaError, match=r"^\$\.records\[3\]\.id: expected non-empty string, got ''$"):
         parse_evidence(json.dumps(node))
+
+
+def _drop(items, item):
+    items.remove(item)
+
+
+#: One edit of a shipped fixture per structural rule, and the error it gives.
+_STRUCTURAL_FAULTS = {
+    "empty id": (
+        lambda land, _: land["components"][0].update(id=""),
+        InvalidPayload,
+        "invalid payload for components: empty id",
+    ),
+    "goal not listed by its concern": (
+        lambda land, _: _drop(land["concerns"][0]["goal_ids"], "G1.1"),
+        InvalidPayload,
+        "invalid payload for G1.1: not listed by its concern sc1-inaccurate-labels",
+    ),
+    "goal lists an unknown VR": (
+        lambda land, _: land["goals"][0]["vr_ids"].append("VR9"),
+        DanglingReference,
+        "goal G1.1 references unknown id 'VR9'",
+    ),
+    "VR names an unknown goal": (
+        lambda land, _: (land["vrs"][0].update(goal_id="G9"), _drop(land["goals"][0]["vr_ids"], "VR1.1.1")),
+        DanglingReference,
+        "VR VR1.1.1 references unknown id 'G9'",
+    ),
+    "VR not listed by its goal": (
+        lambda land, _: _drop(land["goals"][0]["vr_ids"], "VR1.1.1"),
+        InvalidPayload,
+        "invalid payload for VR1.1.1: not listed by its goal G1.1",
+    ),
+    "VR names an unknown measure": (
+        lambda land, _: land["vrs"][0]["mm_ids"].append("mm-none"),
+        DanglingReference,
+        "VR VR1.1.1 references unknown id 'mm-none'",
+    ),
+    "measure names an unknown stage": (
+        lambda land, _: land["mitigation_measures"][0].update(stage_id="stage-none"),
+        DanglingReference,
+        "mitigation measure mm-annotator-knowledge-test references unknown id 'stage-none'",
+    ),
+    "empty vr_id": (
+        lambda _, bundle: bundle["records"][2].update(vr_id=""),
+        SchemaError,
+        "$.records[2].vr_id: expected non-empty string, got ''",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, error, message", _STRUCTURAL_FAULTS.values(), ids=list(_STRUCTURAL_FAULTS))
+def test_structural_errors_are_pinned(edit, error, message):
+    """Each structural rule of a landscape or bundle raises its own type
+    with its full message."""
+    land, bundle = json.loads(FIXTURE_TEXT), json.loads(EVIDENCE_TEXT)
+    edit(land, bundle)
+    with pytest.raises(error) as caught:
+        parse_landscape(json.dumps(land))
+        parse_evidence(json.dumps(bundle))
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 def test_unknown_vr_id_allowed_at_parse_time():
