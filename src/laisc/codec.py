@@ -2,8 +2,8 @@
 
 ``to_node`` writes a dataclass as a JSON object with one key per field,
 and ``from_node`` reads one back, checking each value against its field's
-annotation.  One table, ``_shape``, maps an annotation to the pair of
-functions that read and write it:
+annotation.  One table, ``_shape``, maps an annotation to the column that
+reads it, the function that writes it and the words of a refusal:
 
 * ``str``, ``int``, ``bool`` and ``str | None`` are written as they are;
   ``float`` goes through ``float()``, so a threshold of ``1`` and one of
@@ -16,16 +16,15 @@ functions that read and write it:
 * a field typed as a union of dataclasses (a VR's or an evidence record's
   ``payload``) is an object with a sibling ``kind`` key naming its class.
 
-``from_node`` reads a list of objects one field at a time: each row of
-the ``_shape`` table has a column reader, which checks that field of every
-object in the list with one C-level pass per rule.  A payload column is
-read per ``kind``, and nested lists as one flattened column; every object
-is then built with one ``map(cls, *columns)``.  A column reader words no
-error: if any step raises, the list is read again object by object, and
-the one-object readers name the JSON path and what was expected.  The
-one-object reader of a scalar field is its column over that one object,
-so each scalar rule is written once, and a one-object read, too, takes
-exact JSON types only.
+A field has one reader, its column, which checks that field of every
+object in a list with one C-level pass per rule.  A payload column is
+read per ``kind``, and nested lists and objects as one flattened column;
+every object is then built with one ``map(cls, *columns)``.  ``from_node``
+runs the same columns over one object.  If any step of a list's column
+pass raises, the list is read again object by object with ``from_node``,
+which names the JSON path of the first fault in document order and what
+was expected there.  So each field's rule is written once, and a
+one-object read, too, takes exact JSON types only.
 
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
@@ -50,12 +49,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_right
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
-from itertools import chain, compress, islice, repeat
-from operator import attrgetter, eq, itemgetter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import attrgetter, eq, is_, itemgetter
 from sys import float_info
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
@@ -70,10 +70,18 @@ def format_timestamp(value: datetime) -> str:
 
 
 def check_aware(value: datetime) -> datetime:
-    """``value``, if it has a UTC offset; a naive datetime is an
-    ``InvalidTimestamp``, for it would be read in the host's local time."""
-    if value.utcoffset() is None:
+    """``value``, if it has a UTC offset and UTC can hold it.  A naive
+    datetime is an ``InvalidTimestamp``, for it would be read in the host's
+    local time, and so is one that ``format_timestamp`` cannot write
+    (``0001-01-01T00:00:00+01:00``), as ``parse_timestamp`` refuses it."""
+    offset = value.utcoffset()
+    if offset is None:
         raise InvalidTimestamp(value.isoformat(), "missing UTC offset")
+    try:
+        if offset:
+            value.astimezone(timezone.utc)
+    except OverflowError as exc:
+        raise InvalidTimestamp(value.isoformat(), str(exc)) from None
     return value
 
 
@@ -237,77 +245,30 @@ def _write(node: object, append, newline: str) -> None:
         raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
 
 
-# --- schema helpers: read node[key] as one type, or name its path ----------------
-
-
-def _obj(node: object, path: str, keys: frozenset[str]) -> None:
-    """Check that ``node`` is an object with exactly the keys ``keys``."""
-    if not isinstance(node, dict):
-        raise SchemaError(path, "object", type(node).__name__)
-    unknown = set(node) - keys
-    if unknown:
-        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
-    missing = keys - set(node)
-    if missing:
-        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
-
-
-def _finite(value: object) -> bool:
-    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
-    an int past the float range fail ``abs(value) <= max``."""
-    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
-
-
-def _items(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the list at ``key`` as ``cls`` objects."""
-    raws = _list(node, key, path)
-    return tuple(_read_all(cls, raws, (f"{path}.{key}[{index}]" for index in range(len(raws)))))
-
-
-def _keyed(cls: type, node: dict, key: str, path: str) -> tuple:
-    """Read the object at ``key`` as ``(id, cls)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple(zip(value, _read_all(cls, list(value.values()), (f"{path}.{key}.{item_id}" for item_id in value))))
-
-
-def _numbers(node: dict, key: str, path: str) -> tuple[tuple[str, float], ...]:
-    """Read the object at ``key`` as ``(name, number)`` pairs."""
-    value = node[key]
-    if not isinstance(value, dict):
-        raise SchemaError(f"{path}.{key}", "object", type(value).__name__)
-    return tuple((name, _num(value, name, f"{path}.{key}")) for name in value)
-
-
-def _kind_named(classes: dict[str, type], node: dict, key: str, path: str):
-    """Read the field ``key`` as the class that the sibling ``kind`` names."""
-    kind = _str(node, "kind", path)
-    if kind not in classes:
-        raise SchemaError(f"{path}.kind", f"one of {{{', '.join(classes)}}}", kind)
-    return from_node(classes[kind], node[key], f"{path}.{key}")
-
-
 # --- columns: one field of every object in a list at a time -----------------------
 #
-# ``column(nodes, key)`` returns the values of ``node[key]`` for every node
-# of a list, checked and converted with one C-level pass per rule, or raises
-# without wording why.  ``_read_all`` re-reads a list that a column refuses
-# object by object, and the reader of one object's scalar field is that
-# field's column over the one object (``_checked``), so each scalar rule is
-# stated once, here.  Columns take exact JSON types only: a ``str`` or
-# ``int`` subclass (an ``IntEnum``, say) is refused.
+# ``column(nodes, key, where)`` returns the values of ``node[key]`` for every
+# node of a list, checked and converted with one C-level pass per rule;
+# ``where(i)``, the JSON path of ``nodes[i]``, is built only to word a fault.
+# A column is the only statement of its field's rule: ``from_node`` runs the
+# columns over one object, and words a column's ``_Irregular`` with its
+# shape's ``expected`` text.  A nested column reads its objects with
+# ``_objects`` at their own paths, and ``_objects`` reads a list that a
+# column refuses again with ``from_node``, object by object in document
+# order, so the first fault of a file is the one named.  Columns take exact
+# JSON types only: a ``str`` or ``int`` subclass (an ``IntEnum``) is refused.
 
 
 class _Irregular(Exception):
-    """A column that the column pass does not read."""
+    """A value that a column refuses without wording why."""
 
 
 _STR = frozenset({str})
 _LIST = frozenset({list})
+_DICT = frozenset({dict})
 
 
-def _typed(types: frozenset[type], nodes: list, key: str) -> list:
+def _typed(types: frozenset[type], nodes: list, key: str, where=None) -> list:
     """The values at ``key``, if each is of one of the exact ``types``."""
     values = list(map(itemgetter(key), nodes))
     if set(map(type, values)) <= types:
@@ -315,123 +276,140 @@ def _typed(types: frozenset[type], nodes: list, key: str) -> list:
     raise _Irregular
 
 
-def _nums(nodes: list, key: str) -> list[float]:
+def _nums(nodes: list, key: str, where=None) -> list[float]:
     values = _typed(frozenset({int, float}), nodes, key)
     if all(map(float_info.max.__ge__, map(abs, values))):  # False for NaN, too
         return list(map(float, values))
     raise _Irregular
 
 
-def _timestamps(nodes: list, key: str) -> list[datetime]:
-    """The rule of ``parse_timestamp``, one ``map`` per step."""
-    texts = _typed(_STR, nodes, key)
-    if not all(map(_RFC3339.fullmatch, texts)):
-        raise _Irregular
-    parsed = map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00")))
-    return list(map(datetime.astimezone, parsed, repeat(timezone.utc)))
-
-
-def _members(members: dict[str, Enum], nodes: list, key: str) -> list[Enum]:
-    return list(map(members.__getitem__, _typed(_STR, nodes, key)))
-
-
-def _strs_column(nodes: list, key: str) -> list[tuple[str, ...]]:
+def _strs_column(nodes: list, key: str, where=None) -> list[tuple[str, ...]]:
     lists = _typed(_LIST, nodes, key)
     if set(map(type, chain.from_iterable(lists))) <= _STR:
         return list(map(tuple, lists))
     raise _Irregular
 
 
-def _items_column(cls: type, nodes: list, key: str) -> list[tuple]:
+def _timestamps(nodes: list, key: str, where=None) -> list[datetime]:
+    """The rule of ``parse_timestamp``, one ``map`` per step; a column it
+    breaks is read again by ``parse_timestamp``, which words the bad time."""
+    texts = _typed(_STR, nodes, key)
+    if all(map(_RFC3339.fullmatch, texts)):
+        try:
+            parsed = map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00")))
+            return list(map(datetime.astimezone, parsed, repeat(timezone.utc)))
+        except (ValueError, OverflowError):
+            pass
+    return list(map(parse_timestamp, texts))
+
+
+def _first(values: list, fails) -> tuple[int, object]:
+    """The index and value of the first of ``values`` that ``fails``."""
+    return next((index, value) for index, value in enumerate(values) if fails(value))
+
+
+def _members(members: dict, nodes: list, key: str, where) -> list:
+    """The ``members`` that the strings at ``key`` name; a non-string is
+    worded as a "string", an unknown name as "one of" the names."""
+    names = list(map(itemgetter(key), nodes))
+    if set(map(type, names)) <= _STR and all(map(members.__contains__, names)):
+        return list(map(members.__getitem__, names))
+    index, name = _first(names, lambda name: type(name) is not str or name not in members)
+    expected = "string" if type(name) is not str else f"one of {{{', '.join(members)}}}"
+    raise SchemaError(f"{where(index)}.{key}", expected, name)
+
+
+def _maps(nodes: list, key: str, where) -> list[dict]:
+    """The objects at ``key``; a non-object is worded by its type name."""
+    maps = list(map(itemgetter(key), nodes))
+    if set(map(type, maps)) <= _DICT:
+        return maps
+    index, value = _first(maps, lambda value: type(value) is not dict)
+    raise SchemaError(f"{where(index)}.{key}", "object", type(value).__name__)
+
+
+def _flat_where(where, key: str, groups: list, label):
+    """The ``where`` of the members of ``groups``, the list or object at
+    ``key`` of each node, flattened in order: member ``k`` of ``groups[i]``
+    is at ``f"{where(i)}.{key}{label(groups[i], k)}"``."""
+    starts = [0, *accumulate(map(len, groups))]
+
+    def at(index: int) -> str:
+        owner = bisect_right(starts, index) - 1
+        return f"{where(owner)}.{key}{label(groups[owner], index - starts[owner])}"
+
+    return at
+
+
+def _items_column(cls: type, nodes: list, key: str, where) -> list[tuple]:
     """Each node's list at ``key``, read as one flattened column of ``cls``
     objects and cut back to the lists' lengths."""
     lists = _typed(_LIST, nodes, key)
-    objects = iter(_objects(cls, list(chain.from_iterable(lists))))
+    at = _flat_where(where, key, lists, lambda _, k: f"[{k}]")
+    objects = iter(_objects(cls, list(chain.from_iterable(lists)), at))
     return list(map(tuple, map(islice, repeat(objects), map(len, lists))))
 
 
-def _kind_named_column(classes: dict[str, type], nodes: list, key: str) -> list:
+def _keyed_column(cls: type, nodes: list, key: str, where) -> list[tuple]:
+    """Each node's object at ``key`` as ``(id, cls)`` pairs, the ``cls``
+    objects read as one flattened column."""
+    maps = _maps(nodes, key, where)
+    at = _flat_where(where, key, maps, lambda value, k: f".{list(value)[k]}")
+    objects = iter(_objects(cls, list(chain.from_iterable(map(dict.values, maps))), at))
+    return list(map(tuple, map(zip, maps, map(islice, repeat(objects), map(len, maps)))))
+
+
+def _measured_column(nodes: list, key: str, where) -> list[tuple]:
+    """Each node's object at ``key`` as ``(name, number)`` pairs: every
+    name of it read as a ``float`` field."""
+    column, _, expected = _SCALARS[float]
+    return [
+        tuple((name, _field(column, expected, value, name, lambda _, i=i: f"{where(i)}.{key}")) for name in value)
+        for i, value in enumerate(_maps(nodes, key, where))
+    ]
+
+
+def _kind_named_column(classes: dict[str, type], nodes: list, key: str, where) -> list:
     """The values at ``key``, read per class that the sibling ``kind`` names
     and put back in their order."""
-    kinds = _typed(_STR, nodes, "kind")
+    kinds = _members(classes, nodes, "kind", where)
     values = list(map(itemgetter(key), nodes))
-    read = {
-        kind: iter(_objects(classes[kind], list(compress(values, map(eq, kinds, repeat(kind))))))
-        for kind in set(kinds)
-    }
+    read = {}
+    for cls in set(kinds):
+        picked = list(compress(count(), map(is_, kinds, repeat(cls))))
+        payloads = list(map(values.__getitem__, picked))
+        read[cls] = iter(_objects(cls, payloads, lambda i, picked=picked: f"{where(picked[i])}.{key}"))
     return list(map(next, map(read.__getitem__, kinds)))
 
 
-def _each(read, nodes: list, key: str) -> list:
-    """A column of a shape that lists do not hold, read node by node."""
-    return [read(node, key, "$") for node in nodes]
-
-
-def _objects(cls: type, nodes: list) -> list:
-    """The ``cls`` objects of the JSON objects ``nodes``, read one field at
-    a time: every node is a ``dict`` with exactly ``cls``'s keys, and the
-    objects are built with one ``map``."""
-    keys, _, _, _, columns = _plan(cls)
-    if not all(map(eq, map(dict.keys, nodes), repeat(keys))):
-        raise _Irregular
-    return list(map(cls, *[column(nodes, name) for name, column in columns]))
-
-
-def _read_all(cls: type, raws: list, paths) -> list:
-    """The ``cls`` objects of the JSON values ``raws``: one column pass or,
-    if any step of it raises, ``from_node`` on each value at its path from
-    the iterable ``paths``, which words the error."""
+def _objects(cls: type, nodes: list, where) -> list:
+    """The ``cls`` objects of the JSON values ``nodes``, ``nodes[i]`` at
+    ``where(i)``.  If every node is a ``dict`` with exactly ``cls``'s keys,
+    they are read one column at a time and built with one ``map``; if any
+    step of that raises, ``from_node`` reads each node in turn and words the
+    first fault."""
+    keys, _, _, columns = _plan(cls)
     try:
-        return _objects(cls, raws)
+        if all(map(eq, map(dict.keys, nodes), repeat(keys))):
+            return list(map(cls, *[column(nodes, name, where) for name, column, _ in columns]))
     except Exception:
-        return [from_node(cls, raw, path) for raw, path in zip(raws, paths)]
-
-
-# --- one object's scalar field: its column over that one object -----------------
-
-
-def _checked(column, expected: str):
-    """The reader of one object's field: ``column`` over that one object,
-    or a ``SchemaError`` at ``{path}.{key}`` expecting ``expected``."""
-
-    def read(node: dict, key: str, path: str):
-        try:
-            return column((node,), key)[0]
-        except (_Irregular, KeyError):  # KeyError: an unknown enum member
-            raise SchemaError(f"{path}.{key}", expected, node[key]) from None
-
-    return read
-
-
-#: ``(read, write, column)`` for each scalar annotation; see ``_shape``.
-_SCALARS = {
-    annotation: (_checked(column, expected), write, column)
-    for annotation, column, expected, write in (
-        (str, partial(_typed, _STR), "string", None),
-        (int, partial(_typed, frozenset({int})), "integer", None),
-        (bool, partial(_typed, frozenset({bool})), "boolean", None),
-        (float, _nums, "finite number", float),
-        (str | None, partial(_typed, frozenset({str, type(None)})), "string or null", None),
-        (tuple[str, ...], _strs_column, "list of strings", list),
-    )
-}
-_str, _num = _SCALARS[str][0], _SCALARS[float][0]
-_list = _checked(partial(_typed, _LIST), "list")
-
-
-def _timestamp(node: dict, key: str, path: str) -> datetime:
-    """A non-string is worded as a "string", a bad time by ``parse_timestamp``."""
-    return parse_timestamp(_str(node, key, path))
-
-
-def _enum(read, node: dict, key: str, path: str) -> Enum:
-    """``read``, which words an unknown member, once a non-string is
-    worded as a "string"."""
-    _str(node, key, path)
-    return read(node, key, path)
+        pass
+    return [from_node(cls, node, where(index)) for index, node in enumerate(nodes)]
 
 
 # --- the shape table ---------------------------------------------------------------
+
+
+#: ``(column, write, expected)`` for each scalar annotation; see ``_shape``.
+_SCALARS = {
+    str: (partial(_typed, _STR), None, "string"),
+    int: (partial(_typed, frozenset({int})), None, "integer"),
+    bool: (partial(_typed, frozenset({bool})), None, "boolean"),
+    float: (_nums, float, "finite number"),
+    str | None: (partial(_typed, frozenset({str, type(None)})), None, "string or null"),
+    tuple[str, ...]: (_strs_column, list, "list of strings"),
+    datetime: (_timestamps, format_timestamp, "string"),
+}
 
 
 def _union_classes(annotation) -> tuple[type, ...]:
@@ -441,70 +419,69 @@ def _union_classes(annotation) -> tuple[type, ...]:
 
 
 def _shape(annotation):
-    """``(read, write, column)`` for a field declared as ``annotation``.
+    """``(column, write, expected)`` for a field declared as ``annotation``.
 
-    ``column(nodes, key)`` returns the checked values of ``node[key]`` for
-    every object of a list.  ``read(node, key, path)`` returns that of one
-    object, or raises a ``SchemaError`` at its path (a bad time is an
-    ``InvalidTimestamp``); a scalar's ``read`` is its column over that
-    object.  ``write(value)`` returns the JSON value, and a ``write`` of
-    ``None`` keeps the value as it is.
+    ``column(nodes, key, where)`` returns the checked values of
+    ``node[key]`` for every object of a list, ``nodes[i]`` being at the
+    path ``where(i)``.  ``expected`` words its ``_Irregular``; a column
+    without one words its own faults (a bad time, an unknown member, a
+    ``kind`` or a value that is not an object).  ``write(value)`` returns
+    the JSON value, and a ``write`` of ``None`` keeps the value as it is.
     """
     if annotation in _SCALARS:
         return _SCALARS[annotation]
-    if annotation is datetime:
-        return _timestamp, format_timestamp, _timestamps
     if isinstance(annotation, type) and issubclass(annotation, Enum):
-        members = {member.value: member for member in annotation}
-        column = partial(_members, members)
-        return partial(_enum, _checked(column, f"one of {{{', '.join(members)}}}")), attrgetter("value"), column
+        return partial(_members, {member.value: member for member in annotation}), attrgetter("value"), None
     classes = _union_classes(annotation)
     if classes:
-        by_name = {cls.__name__: cls for cls in classes}
-        return partial(_kind_named, by_name), to_node, partial(_kind_named_column, by_name)
+        return partial(_kind_named_column, {cls.__name__: cls for cls in classes}), to_node, None
     item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
     if item == tuple[str, float]:  # (name, number) pairs, written as an object
-        return _numbers, dict, partial(_each, _numbers)
+        return _measured_column, dict, None
     if get_origin(item) is tuple:  # (id, element) pairs
-        read = partial(_keyed, get_args(item)[1])
-        return read, lambda pairs: {key: to_node(element) for key, element in pairs}, partial(_each, read)
-    return partial(_items, item), lambda values: [to_node(value) for value in values], partial(_items_column, item)
+        column = partial(_keyed_column, get_args(item)[1])
+        return column, lambda pairs: {key: to_node(element) for key, element in pairs}, None
+    return partial(_items_column, item), lambda values: [to_node(value) for value in values], "list"
 
 
 @cache
-def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
-    """The JSON keys of ``cls``, a ``(field name, read)`` pair per field, a
-    ``(key, field name, write)`` triple per key, a ``(field name, int or
-    float, min, max)`` row per number field (``None`` for an absent bound;
-    a ``max`` comes with a ``min``) and a ``(field name, column)`` pair per
-    field.  A field typed as a union of dataclasses adds the ``kind`` key:
-    written from the field value's class, and checked by the field's own
-    readers."""
+def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
+    """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
+    key, a ``(field name, int or float, min, max)`` row per number field
+    (``None`` for an absent bound; a ``max`` comes with a ``min``) and a
+    ``(field name, column, expected)`` row per field.  A field typed as a
+    union of dataclasses adds the ``kind`` key: written from the field
+    value's class, and checked by the field's column."""
     hints = get_type_hints(cls)
-    reads, writes, numbers, columns = [], [], [], []
+    writes, numbers, columns = [], [], []
     for f in fields(cls):
         # from_node and _objects pass the values positionally, in field order.
         assert f.init and not f.kw_only, f"{cls.__name__}.{f.name} is not a positional __init__ field"
         annotation = hints[f.name]
-        read, write, column = _shape(annotation)
+        column, write, expected = _shape(annotation)
         if _union_classes(annotation):
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
         if annotation is int or annotation is float:
             numbers.append((f.name, annotation, f.metadata.get("min"), f.metadata.get("max")))
-        reads.append((f.name, read))
         writes.append((f.name, f.name, write))
-        columns.append((f.name, column))
+        columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
-    return keys, tuple(reads), tuple(writes), tuple(numbers), tuple(columns)
+    return keys, tuple(writes), tuple(numbers), tuple(columns)
 
 
 def to_node(obj) -> dict:
     """The JSON object of a domain dataclass: one key per field."""
     node = {}
     # A loop, not a comprehension: one call fewer per object.
-    for key, name, write in _plan(type(obj))[2]:
+    for key, name, write in _plan(type(obj))[1]:
         node[key] = getattr(obj, name) if write is None else write(getattr(obj, name))
     return node
+
+
+def _finite(value: object) -> bool:
+    """An ``int`` or ``float`` in the float range, not a ``bool``: NaN and
+    an int past the float range fail ``abs(value) <= max``."""
+    return type(value) is not bool and isinstance(value, (int, float)) and abs(value) <= float_info.max
 
 
 def number_fault(obj) -> str | None:
@@ -512,7 +489,7 @@ def number_fault(obj) -> str | None:
     number rule or its declared bounds, or ``None``.  The rule is that of
     ``_nums`` for a file, except that it takes an ``int`` or ``float``
     subclass built in code."""
-    for name, annotation, low, high in _plan(type(obj))[3]:
+    for name, annotation, low, high in _plan(type(obj))[2]:
         value = getattr(obj, name)
         if annotation is int and (type(value) is bool or not isinstance(value, int)):
             return f"{name} must be an integer, got {value!r}"
@@ -524,12 +501,33 @@ def number_fault(obj) -> str | None:
     return None
 
 
+# --- one object: its columns over that one object --------------------------------
+
+
+def _field(column, expected: str | None, node: dict, key: str, where):
+    """``column`` over the one object ``node``, at ``where(0)``; its
+    ``_Irregular`` is a ``SchemaError`` at ``{where(0)}.{key}``."""
+    try:
+        return column((node,), key, where)[0]
+    except _Irregular:
+        raise SchemaError(f"{where(0)}.{key}", expected, node[key]) from None
+
+
 def from_node(cls: type, node: object, path: str):
-    """Read the domain dataclass ``cls`` from its JSON object at ``path``."""
-    keys, reads, _, _, _ = _plan(cls)
-    _obj(node, path, keys)
+    """Read the domain dataclass ``cls`` from its JSON object at ``path``:
+    ``cls``'s columns over this one object."""
+    keys, _, _, columns = _plan(cls)
+    if not isinstance(node, dict):
+        raise SchemaError(path, "object", type(node).__name__)
+    unknown = node.keys() - keys
+    if unknown:
+        raise SchemaError(path, f"keys from {sorted(keys)}", f"unknown keys {sorted(unknown)}")
+    missing = keys - node.keys()
+    if missing:
+        raise SchemaError(path, f"required keys {sorted(missing)}", "absent")
+    where = (path,).__getitem__
     values = []
     # A loop, not a comprehension: one call fewer per object.
-    for name, read in reads:
-        values.append(read(node, name, path))
+    for name, column, expected in columns:
+        values.append(_field(column, expected, node, name, where))
     return cls(*values)

@@ -136,7 +136,6 @@ class EvaluationReport:
     """
 
     landscape: Landscape
-    landscape_fingerprint: str
     generated_at: datetime
     filter: Filter
     rows: tuple[LandscapeRow, ...]
@@ -681,7 +680,6 @@ def evaluate(
 
     return EvaluationReport(
         landscape=landscape,
-        landscape_fingerprint=current,
         generated_at=generated_at,
         filter=resolved,
         rows=tuple(visible_rows),

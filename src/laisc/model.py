@@ -166,7 +166,7 @@ class FlagResolution:
 
     metric_id: str
     dataset_id: str
-    flag_threshold: float
+    flag_threshold: float = field(metadata={"min": 0, "max": 1})
 
 
 @dataclass(frozen=True, slots=True)

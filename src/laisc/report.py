@@ -3,7 +3,8 @@
 Renderers never recompute anything; every status they emit is read from
 the evaluation report (``vr_verdicts``, ``effective_statuses`` and the
 roll-ups), never derived from the landscape, and equal reports render to
-equal bytes.
+equal bytes.  The fingerprint is the one ``evaluate`` computed, which the
+landscape caches.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from laisc.codec import dump_canonical, format_timestamp, to_node
 from laisc.errors import UnsupportedFormat
 from laisc.evaluation import EvaluationReport, Status
+from laisc.model import fingerprint
 
 _TABLE_COLUMNS = ("AI-SC", "Stage in AI Life Cycle", "Decomposition", "VR", "M&M", "Status")
 
@@ -112,7 +114,7 @@ def render_json(report: EvaluationReport) -> bytes:
     counts = report.status_counts()
     node = {
         "landscape": report.landscape.name,
-        "fingerprint": report.landscape_fingerprint,
+        "fingerprint": fingerprint(report.landscape),
         "generated_at": format_timestamp(report.generated_at),
         "filter": report.filter.describe(),
         "verdicts": {

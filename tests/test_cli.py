@@ -58,6 +58,17 @@ def test_validate_reports_gaps(fixture_paths, capsys, tmp_path):
     assert "VRWithoutMM: VR2.2" in out
 
 
+def test_validate_refuses_a_flag_threshold_past_one(fixture_paths, capsys, tmp_path):
+    # No score is below a threshold past 1 alone, so every instance would be flagged.
+    landscape_path, _ = fixture_paths
+    text = landscape_path.read_bytes()
+    assert text.count(b'"flag_threshold": 0.5,') == 1
+    bad = tmp_path / "flag-threshold.laisc.json"
+    bad.write_bytes(text.replace(b'"flag_threshold": 0.5,', b'"flag_threshold": 1.5,'))
+    assert main(["validate", "--landscape", str(bad)]) == 3
+    assert capsys.readouterr().err == "error: invalid payload for VR1.3: flag_threshold must be in [0, 1], got 1.5\n"
+
+
 def test_validate_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.laisc.json"
     bad.write_text('{"name": ')

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import fields, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import get_args
 
@@ -440,6 +440,13 @@ def test_naive_now_rejected(fixture_landscape, demo_bundle):
     # A naive clock would be read in host-local time when the report is written.
     with pytest.raises(InvalidTimestamp, match="'2026-02-01T12:00:00': missing UTC offset"):
         evaluate(fixture_landscape, demo_bundle, now=datetime(2026, 2, 1, 12))
+
+
+def test_now_that_utc_cannot_hold_rejected(fixture_landscape, demo_bundle):
+    # The report writes its time in UTC, which has no room for this one.
+    now = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+    with pytest.raises(InvalidTimestamp, match=r"^invalid timestamp '0001-01-01T00:00:00\+01:00': date value out of range$"):
+        evaluate(fixture_landscape, demo_bundle, now=now)
 
 
 def test_orphaned_evidence_reported(fixture_landscape, demo_bundle):

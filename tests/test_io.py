@@ -7,7 +7,7 @@ import random
 import re
 import sys
 from dataclasses import fields, replace
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 from enum import Enum, IntEnum
 from functools import cache
 
@@ -410,8 +410,8 @@ def test_schema_mutations_raise_schema_error_at_their_path(parse):
 # --- the column pass: a list read one field at a time ---------------------------------
 
 
-def _refuse_columns(cls, nodes):
-    raise ValueError("column pass switched off")
+def _refuse_columns(cls, nodes, where):
+    return [codec.from_node(cls, node, where(index)) for index, node in enumerate(nodes)]
 
 
 def _outcome(parse, data):
@@ -459,6 +459,28 @@ def test_schema_mutations_read_alike_by_column_and_by_object(parse):
         column, per_object = _both_reads(parse, mutated)
         assert column == per_object, field
         assert column[0] is SchemaError, field
+
+
+def test_the_first_fault_in_document_order_is_refused():
+    """The column pass meets record 1's ``vr_id`` before record 0's
+    ``timestamp``; the refusal names record 0's, the first in the file."""
+    node = json.loads(EVIDENCE_TEXT)
+    node["records"][0]["timestamp"] = "yesterday"
+    node["records"][1]["vr_id"] = 5
+    with pytest.raises(InvalidTimestamp, match="^invalid timestamp 'yesterday': "):
+        parse_evidence(json.dumps(node))
+    node["records"][0]["timestamp"] = 5
+    with pytest.raises(SchemaError, match=r"^\$\.records\[0\]\.timestamp: expected string, got 5$"):
+        parse_evidence(json.dumps(node))
+    # Two payload kinds, which the column pass reads apart, and a nested list.
+    node = json.loads(EVIDENCE_TEXT)
+    node["records"][9]["payload"]["entries"][0]["resolution"] = 5
+    node["records"][10]["payload"]["value"] = "x"
+    with pytest.raises(SchemaError, match=r"^\$\.records\[9\]\.payload\.entries\[0\]\.resolution: expected string, got 5$"):
+        parse_evidence(json.dumps(node))
+    node["records"][6]["payload"]["value"] = "x"
+    with pytest.raises(SchemaError, match=r"^\$\.records\[6\]\.payload\.value: expected finite number, got 'x'$"):
+        parse_evidence(json.dumps(node))
 
 
 @pytest.mark.parametrize("pair", ["fixture", "audit_gen"])
@@ -683,6 +705,13 @@ def test_naive_timestamp_in_code_rejected():
     # would compare with no parsed timestamp and serialize in host-local time.
     with pytest.raises(InvalidTimestamp, match="'2026-03-01T09:00:00': missing UTC offset"):
         EvidenceRecord("r1", "v1", "sha256:x", datetime(2026, 3, 1, 9), DocumentRecord("safety-case"))
+
+
+def test_timestamp_that_utc_cannot_hold_in_code_rejected():
+    # serialize_evidence writes the timestamp in UTC, which has no room for it.
+    stamp = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))
+    with pytest.raises(InvalidTimestamp, match=r"^invalid timestamp '0001-01-01T00:00:00\+01:00': date value out of range$"):
+        EvidenceRecord("r1", "v1", "sha256:x", stamp, DocumentRecord("safety-case"))
 
 
 def test_offset_timestamps_normalize_to_utc():

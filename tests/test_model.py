@@ -34,6 +34,7 @@ from laisc.model import (
     fingerprint,
     rows,
 )
+from laisc.report import render_json
 
 DATASETS = {name: DatasetDescriptor(f"data/{name}", "grid-dir", "") for name in ("ds-a", "ds-b")}
 
@@ -163,6 +164,8 @@ _NUMBER_FAULTS = [
     (MetricGap("miou", "ds-a", "ds-b", -0.01), "epsilon must be >= 0, got -0.01"),
     (ReviewFraction("ds-a", 1.5), "min_fraction must be in [0, 1], got 1.5"),
     (ReviewFraction("ds-a", -0.5), "min_fraction must be in [0, 1], got -0.5"),
+    (FlagResolution("clm_flags", "ds-a", 1.5), "flag_threshold must be in [0, 1], got 1.5"),
+    (FlagResolution("clm_flags", "ds-a", -0.1), "flag_threshold must be in [0, 1], got -0.1"),
     (QualitativeApproval(0), "required_approvals must be >= 1, got 0"),
 ]
 
@@ -269,11 +272,11 @@ def test_fingerprint_matches_the_oracle_before_and_after_an_evaluate(rng):
     landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
     expected = fingerprint_oracle(landscape)
     assert fingerprint(landscape) == expected
-    assert evaluate(landscape, EvidenceBundle(())).landscape_fingerprint == expected
+    assert json.loads(render_json(evaluate(landscape, EvidenceBundle(()))))["fingerprint"] == expected
     assert fingerprint(landscape) == expected
     # A landscape first used by an evaluate.
     fresh = replace(landscape)
-    assert evaluate(fresh, EvidenceBundle(())).landscape_fingerprint == expected
+    assert json.loads(render_json(evaluate(fresh, EvidenceBundle(()))))["fingerprint"] == expected
     assert fingerprint(fresh) == expected
 
 
