@@ -38,11 +38,14 @@ from operator import itemgetter
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
+    NUMBER_TYPES,
+    are_numbers,
     check_aware,
     decode_utf8,
     dump_canonical,
     format_timestamp,  # noqa: F401
     from_node,
+    is_number,
     load_json,
     parse_timestamp,  # noqa: F401
     to_node,
@@ -202,7 +205,7 @@ class LabeledGrid:
             if len(row) != width:
                 raise DimensionMismatch(f"row {r}: expected {width} values, got {len(row)}")
             for value in row:
-                if not isinstance(value, int) or isinstance(value, bool):
+                if type(value) is not int:
                     raise ValueOutOfRange(f"row {r}: non-integer cell {value!r}")
                 if not 0 <= value <= 255:
                     raise ValueOutOfRange(f"row {r}: cell value {value} outside [0, 255]")
@@ -269,7 +272,7 @@ class ProbabilityTable:
             if not 0 <= label < self.num_classes:
                 raise ValueOutOfRange(f"row {index} ({instance_id}): label {label} outside [0, {self.num_classes})")
             for p in probs:
-                if not (isinstance(p, float) or isinstance(p, int)) or not 0.0 <= p <= 1.0:
+                if type(p) not in NUMBER_TYPES or not 0.0 <= p <= 1.0:
                     raise ValueOutOfRange(f"row {index} ({instance_id}): probability {p!r} outside [0, 1]")
             total = math.fsum(probs)
             if abs(total - 1.0) > 1e-6:
@@ -282,7 +285,7 @@ class ActivationTable:
 
     The whole table is checked first, one C-level pass per rule; only a
     table that fails one of them goes through the row-by-row check, which
-    words the first error (or accepts, say, a ``float`` subclass).
+    words the first error.
     """
 
     num_neurons: int
@@ -293,20 +296,9 @@ class ActivationTable:
             object.__setattr__(self, "rows", tuple((s, tuple(a)) for s, a in self.rows))
         if self.num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {self.num_neurons}")
-        if not self._passes_whole_table_checks():
-            self._check_rows()
-
-    def _passes_whole_table_checks(self) -> bool:
         acts = list(map(itemgetter(1), self.rows))
-        values = list(chain.from_iterable(acts))
-        try:
-            return (
-                set(map(len, acts)) <= {self.num_neurons}
-                and set(map(type, values)) <= {float, int}
-                and all(map(math.isfinite, values))
-            )
-        except OverflowError:  # an int past the float range: the row check words it
-            return False
+        if not (set(map(len, acts)) <= {self.num_neurons} and are_numbers(list(chain.from_iterable(acts)))):
+            self._check_rows()
 
     def _check_rows(self) -> None:
         for index, (sample_id, acts) in enumerate(self.rows):
@@ -315,7 +307,7 @@ class ActivationTable:
                     f"row {index} ({sample_id}): expected {self.num_neurons} activations, got {len(acts)}"
                 )
             for a in acts:
-                if not isinstance(a, (int, float)) or isinstance(a, bool) or not math.isfinite(a):
+                if not is_number(a):
                     raise ValueOutOfRange(f"row {index} ({sample_id}): non-finite activation {a!r}")
 
 

@@ -43,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import islice
 
-from laisc.codec import number_fault
+from laisc.codec import is_number, number_fault
 from laisc.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -130,8 +130,8 @@ def miou(
 def performance_gap(pi_a: float, pi_b: float) -> float:
     """Absolute difference of two performance-indicator values."""
     for value in (pi_a, pi_b):
-        if not math.isfinite(value):
-            raise NonFinite(f"performance indicator {value!r} is not finite")
+        if not is_number(value):
+            raise NonFinite(f"performance indicator {value!r} is not a finite number")
     return abs(pi_a - pi_b)
 
 
@@ -288,7 +288,7 @@ def clm_flags(
     ``p_j >= t_j`` (ties broken toward the lowest class index), and is
     left uncounted when no class qualifies.
     """
-    if not 0.0 <= threshold <= 1.0:
+    if not (is_number(threshold) and 0.0 <= threshold <= 1.0):
         raise InvalidThreshold(f"flag threshold must be in [0, 1], got {threshold!r}")
     scores = clm_scores(table, min_samples=min_samples)
     flagged = tuple(instance_id for (instance_id, score) in scores if score < threshold)

@@ -16,6 +16,7 @@ import importlib.util
 import json
 import math
 import random
+import sys
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -234,11 +235,13 @@ def nap_oracle(a: ActivationTable, b: ActivationTable) -> float:
     return total / a.num_neurons
 
 
-def table_rule_error(table_type: type, size: int, rows) -> LaiscError | OverflowError | None:
+def table_rule_error(table_type: type, size: int, rows) -> LaiscError | None:
     """The first error the per-row rules of ``table_type`` find, or None.
 
     Rows are checked in order; within a row, its width, then (for a
-    ``ProbabilityTable``) its label, then each value, then its sum.
+    ``ProbabilityTable``) its label, then each value, then its sum.  A
+    value is a number of the exact type ``int`` or ``float``, never a
+    ``bool`` or a subclass; an activation is also in the float range.
     """
     try:
         if table_type is ProbabilityTable:
@@ -253,7 +256,7 @@ def table_rule_error(table_type: type, size: int, rows) -> LaiscError | Overflow
                 if label < 0 or label >= size:
                     raise ValueOutOfRange(f"{where}: label {label} outside [0, {size})")
                 for p in probs:
-                    if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
+                    if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
                         raise ValueOutOfRange(f"{where}: probability {p!r} outside [0, 1]")
                 total = math.fsum(probs)
                 if abs(total - 1.0) > 1e-6:
@@ -266,9 +269,9 @@ def table_rule_error(table_type: type, size: int, rows) -> LaiscError | Overflow
                 if len(acts) != size:
                     raise DimensionMismatch(f"{where}: expected {size} activations, got {len(acts)}")
                 for value in acts:
-                    if type(value) is bool or not isinstance(value, (int, float)) or not math.isfinite(value):
+                    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                         raise ValueOutOfRange(f"{where}: non-finite activation {value!r}")
-    except (LaiscError, OverflowError) as exc:  # math.isfinite raises OverflowError
+    except LaiscError as exc:
         return exc
     return None
 

@@ -376,6 +376,23 @@ def test_metric_gap_records_the_metric_of_its_vr(fixture_paths, tmp_path, capsys
     assert out_path.read_bytes() == before
 
 
+def test_metric_gap_past_the_float_range_appends_nothing(fixture_paths, capsys):
+    """The gap of 1e308 and -1e308 is infinite; its record would make the
+    bundle unreadable, so it is refused before the bundle is touched."""
+    landscape_path, evidence_path = fixture_paths
+    before = evidence_path.read_bytes()
+    argv = _metric_argv("gap", landscape_path, evidence_path, a="1e308")
+    b = argv.index("--b")
+    argv[b : b + 2] = ["--b=-1e308"]  # argparse reads "--b -1e308" as a missing value
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "MetricResult of miou on 'd-real' and 'd-synth': value must be a finite number, got inf" in captured.err
+    assert evidence_path.read_bytes() == before
+    assert main(["validate", "--landscape", str(landscape_path)]) == 0
+    assert main(["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path)]) != 3
+
+
 def test_metric_nap_identical_files_zero(fixture_paths, tmp_path, capsys):
     landscape_path, _ = fixture_paths
     acts = "sample_id,a_0,a_1\ns1,0.5,1.0\ns2,-0.25,2.0\n"

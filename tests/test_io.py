@@ -32,14 +32,17 @@ from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
     InvalidPayload,
+    InvalidThreshold,
     InvalidTimestamp,
     LaiscError,
+    NonFinite,
     NotNormalized,
     SchemaError,
     UnsupportedFormat,
     ValueOutOfRange,
 )
 from laisc.evaluation import Status, Verdict
+from laisc.metrics import clm_flags, performance_gap
 from laisc.io import (
     ActivationTable,
     DocumentRecord,
@@ -64,6 +67,7 @@ from laisc.model import (
     LifecycleStage,
     MetricGap,
     MetricThreshold,
+    QualitativeApproval,
     ReviewFraction,
     build_landscape,
     fingerprint,
@@ -508,6 +512,7 @@ _NUMBERS = (
     | st.builds(lambda sign, offset: sign * (_FLOAT_MAX_INT + offset), st.sampled_from((1, -1)), st.integers(-(2**971), 2**971))
     | st.sampled_from((10**400, -(10**400)))
     | st.floats()
+    | st.sampled_from((_Level.HIGH, _Half(0.5)))
 )
 
 
@@ -527,6 +532,49 @@ def test_number_read_from_a_file_follows_the_rule_for_code(value):
             assert str(exc).startswith(f"$.{name}: "), exc
             read = False
         assert read == (number_fault(replace(from_node(cls, node, "$"), **{name: value})) is None), (cls, value)
+
+
+_HUGE = 10**400
+
+#: Numbers built in code that the one number rule refuses: a ``bool``, an
+#: ``int`` or ``float`` subclass and an int past the float range, each with
+#: the error it raises and the start of its message.
+_CODE_BUILT_NUMBERS = {
+    "IntEnum count": (
+        lambda: single_vr_landscape(QualitativeApproval(_Level.HIGH)),
+        InvalidPayload,
+        "invalid payload for v1: required_approvals must be an integer, got",
+    ),
+    "float-subclass threshold": (
+        lambda: single_vr_landscape(MetricThreshold("miou", "ds-a", Comparator.GE, _Half(0.5))),
+        InvalidPayload,
+        "invalid payload for v1: threshold must be a finite number, got",
+    ),
+    "IntEnum cell": (lambda: LabeledGrid(1, 1, ((_Level.HIGH,),)), ValueOutOfRange, "row 0: non-integer cell"),
+    "bool probability": (
+        lambda: ProbabilityTable(2, (("x", 0, (True, False)),)),
+        ValueOutOfRange,
+        "row 0 (x): probability True outside [0, 1]",
+    ),
+    "huge activation": (lambda: ActivationTable(1, (("s", (_HUGE,)),)), ValueOutOfRange, "row 0 (s): non-finite activation"),
+    "bool gap input": (lambda: performance_gap(True, 0.5), NonFinite, "performance indicator True is not"),
+    "huge gap input": (lambda: performance_gap(0.5, _HUGE), NonFinite, "performance indicator 1000"),
+    "bool flag threshold": (
+        lambda: clm_flags(ProbabilityTable(2, (("x", 0, (0.5, 0.5)),)), True, min_samples=1),
+        InvalidThreshold,
+        "flag threshold must be in [0, 1], got True",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", _CODE_BUILT_NUMBERS.values(), ids=list(_CODE_BUILT_NUMBERS))
+def test_number_built_in_code_follows_the_rule_for_a_file(build, error, message):
+    """A value that no JSON or CSV file can hold is refused with a
+    ``LaiscError`` where code builds it, never taken or met with an
+    ``OverflowError``."""
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value).startswith(message)
 
 
 @settings(max_examples=150, deadline=None)
@@ -995,7 +1043,7 @@ def test_activation_width_mismatch():
 
 
 class _Half(float):
-    """A float subclass: the per-row rules accept it like a float."""
+    """A float subclass: the per-row rules refuse it like a ``bool``."""
 
 
 #: Each defect replaces one value, or changes the row's width, label or sum.
@@ -1053,7 +1101,7 @@ def test_table_checks_raise_the_first_per_row_error(drawn):
     expected = table_rule_error(table_type, size, rows)
     try:
         table = table_type(size, rows)
-    except (LaiscError, OverflowError) as exc:
+    except LaiscError as exc:
         assert expected is not None, f"rejected a table the rules accept: {exc!r}"
         assert (type(exc), str(exc)) == (type(expected), str(expected))
     else:
