@@ -32,7 +32,7 @@ from pathlib import Path
 # laisc.metrics is imported by the commands that compute a metric or
 # write a perturbed copy: no other command needs the kernels.
 from laisc import evaluation, io, report
-from laisc.codec import dump_canonical, number_fault, to_node
+from laisc.codec import dump_canonical, to_node
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
 from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, fingerprint, rows
@@ -173,16 +173,13 @@ def _append(args: argparse.Namespace, target: tuple[Landscape, VerifiableRequire
     """Append one ``--vr`` record per payload to the bundle at ``--out``
     (a missing file is an empty bundle) and return the new record ids.
 
-    Nothing is written if a payload holds a number that the bundle's
-    reader refuses (``number_fault``), or unless the ``target`` VR reads
-    one of the records, as ``evaluation.reads`` decides.  An exclusive
-    ``flock`` on the bundle's directory, held from the read to the
-    replace, keeps concurrent appends from losing records.
+    Nothing is written unless the ``target`` VR reads one of the records,
+    as ``evaluation.reads`` decides, and the new ``EvidenceBundle`` takes
+    them: it refuses an infinite gap, say, as the reader would.  An
+    exclusive ``flock`` on the bundle's directory, held from the read to
+    the replace, keeps concurrent appends from losing records.
     """
     landscape, vr = target
-    for fault, payload in zip(map(number_fault, payloads), payloads):
-        if fault:
-            raise _UsageError(f"refusing to append {_describe(payload)}: {fault}")
     if not any(evaluation.reads(vr.payload, payload) for payload in payloads):
         refused = "; ".join(map(_describe, payloads))
         raise _UsageError(f"--vr {args.vr!r} is a {vr.kind} that reads none of: {refused}")
@@ -191,9 +188,7 @@ def _append(args: argparse.Namespace, target: tuple[Landscape, VerifiableRequire
     directory = os.open(path.parent, os.O_RDONLY)
     try:
         fcntl.flock(directory, fcntl.LOCK_EX)
-        bundle = EvidenceBundle(records=(), source="")
-        if path.exists():
-            bundle = io.parse_evidence(path.read_bytes())
+        bundle = io.parse_evidence(path.read_bytes()) if path.exists() else EvidenceBundle(())
         stamp = _now()
         records = list(bundle.records)
         taken = {record.id for record in records}

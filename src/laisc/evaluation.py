@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
 
-from laisc.codec import check_aware
+from laisc.codec import check_aware, is_number
 from laisc.errors import UnknownFilterKey
 from laisc.io import (
     ApprovalRecord,
@@ -314,12 +314,13 @@ def _eval_metric_gap(p: MetricGap, slots: Slots, fresh, stale) -> Verdict:
         value_a, value_b = won["a"].payload.value, won["b"].payload.value
         gap = abs(value_a - value_b)
         ok = gap <= p.epsilon
+        shown_gap = (("gap", gap),) if is_number(gap) else ()  # JSON has no inf, the gap of 1e308 and -1e308
         return _judge(
             ok,
             f"|{p.metric_id}({p.dataset_id_a}) - {p.metric_id}({p.dataset_id_b})| "
             f"= |{value_a:g} - {value_b:g}| = {gap:g} {'<=' if ok else '>'} epsilon {p.epsilon:g}",
             _ids(won.values()),
-            (("epsilon", p.epsilon), ("gap", gap), ("value_a", value_a), ("value_b", value_b)),
+            (("epsilon", p.epsilon), *shown_gap, ("value_a", value_a), ("value_b", value_b)),
         )
 
     missing = [

@@ -16,9 +16,9 @@ Formats (all UTF-8, LF line endings):
 ``laisc.codec`` reads and writes the two JSON documents from the field
 annotations of their dataclasses, and refuses a number that breaks its
 number rule (a non-finite metric value, say) at the number's JSON path.
-The four document functions here add only the checks that are policy:
-:func:`~laisc.model.check_landscape` for a landscape, and unique record
-ids, non-empty ``vr_id`` and consistent review counts for a bundle.
+``EvidenceBundle`` checks a bundle's own rules (ids, ``vr_id``, review
+counts, ``number_fault`` of each payload) wherever it is built, and
+:func:`~laisc.model.check_landscape` each landscape read or written.
 
 The two CSV tables share one reader, which checks the header and the
 width of every row, and one writer.  A value is read with ``float()``
@@ -47,12 +47,14 @@ from laisc.codec import (
     from_node,
     is_number,
     load_json,
+    number_fault,
     parse_timestamp,  # noqa: F401
     to_node,
 )
 from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
+    InvalidPayload,
     NotNormalized,
     SchemaError,
     ValueOutOfRange,
@@ -162,7 +164,7 @@ class EvidenceRecord:
 
 @dataclass(frozen=True)
 class EvidenceBundle:
-    """The records of one evidence file.
+    """The records of one evidence file, held to ``_check_records`` however built.
 
     :func:`~laisc.evaluation.evaluate` keeps the verdicts it last judged
     from a bundle, keyed by the landscape's fingerprint, on the bundle (no
@@ -175,6 +177,33 @@ class EvidenceBundle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
+        _check_records(self.records)
+
+
+def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
+    """Raise at the first record that breaks a bundle's rule, at its JSON
+    path: an ``InvalidPayload`` in ``number_fault``'s words, else a ``SchemaError``."""
+    seen: set[str] = set()
+    for index, record in enumerate(records):
+        path = f"$.records[{index}]"
+        if not record.id:
+            raise SchemaError(f"{path}.id", "non-empty string", record.id)
+        if record.id in seen:
+            raise SchemaError(f"{path}.id", "unique record id", record.id)
+        seen.add(record.id)
+        if not record.vr_id:
+            raise SchemaError(f"{path}.vr_id", "non-empty string", record.vr_id)
+        payload = record.payload
+        fault = number_fault(payload)
+        if fault:
+            raise InvalidPayload(path, fault)
+        if isinstance(payload, ReviewLog):
+            total, reviewed = payload.total_items, payload.reviewed_items
+            for name, count in (("total_items", total), ("reviewed_items", reviewed)):
+                if count < 0:
+                    raise SchemaError(f"{path}.payload.{name}", "non-negative count", count)
+            if reviewed > total:
+                raise SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
 
 
 # --- numeric carriers --------------------------------------------------------
@@ -320,7 +349,7 @@ def parse_landscape(data: bytes | str) -> Landscape:
 
 
 def serialize_landscape(landscape: Landscape) -> bytes:
-    return dump_canonical(to_node(landscape))
+    return dump_canonical(to_node(check_landscape(landscape)))
 
 
 def parse_evidence(data: bytes | str) -> EvidenceBundle:
@@ -329,32 +358,7 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
     Records addressed to VR ids unknown to any particular landscape are
     accepted here; the evaluation engine reports them as orphaned.
     """
-    bundle = from_node(EvidenceBundle, load_json(data), "$")
-    _check_records(bundle.records)
-    return bundle
-
-
-def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
-    """Raise a ``SchemaError`` at the first record that breaks a rule of
-    :func:`parse_evidence`."""
-    seen: set[str] = set()
-    for index, record in enumerate(records):
-        path = f"$.records[{index}]"
-        if not record.id:
-            raise SchemaError(f"{path}.id", "non-empty string", record.id)
-        if record.id in seen:
-            raise SchemaError(f"{path}.id", "unique record id", record.id)
-        seen.add(record.id)
-        if not record.vr_id:
-            raise SchemaError(f"{path}.vr_id", "non-empty string", record.vr_id)
-        payload = record.payload
-        if isinstance(payload, ReviewLog):
-            total, reviewed = payload.total_items, payload.reviewed_items
-            for name, count in (("total_items", total), ("reviewed_items", reviewed)):
-                if count < 0:
-                    raise SchemaError(f"{path}.payload.{name}", "non-negative count", count)
-            if reviewed > total:
-                raise SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
+    return from_node(EvidenceBundle, load_json(data), "$")
 
 
 def serialize_evidence(bundle: EvidenceBundle) -> bytes:

@@ -378,7 +378,8 @@ def test_metric_gap_records_the_metric_of_its_vr(fixture_paths, tmp_path, capsys
 
 def test_metric_gap_past_the_float_range_appends_nothing(fixture_paths, capsys):
     """The gap of 1e308 and -1e308 is infinite; its record would make the
-    bundle unreadable, so it is refused before the bundle is touched."""
+    bundle unreadable, so the bundle that would hold it refuses it, naming
+    the new record's path, before the file is touched."""
     landscape_path, evidence_path = fixture_paths
     before = evidence_path.read_bytes()
     argv = _metric_argv("gap", landscape_path, evidence_path, a="1e308")
@@ -387,7 +388,7 @@ def test_metric_gap_past_the_float_range_appends_nothing(fixture_paths, capsys):
     assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "MetricResult of miou on 'd-real' and 'd-synth': value must be a finite number, got inf" in captured.err
+    assert captured.err == "error: invalid payload for $.records[24]: value must be a finite number, got inf\n"
     assert evidence_path.read_bytes() == before
     assert main(["validate", "--landscape", str(landscape_path)]) == 0
     assert main(["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path)]) != 3

@@ -20,6 +20,7 @@ from helpers import (
     record,
     single_vr_landscape,
 )
+from laisc.codec import load_json
 from laisc.errors import InvalidTimestamp, LaiscError, UnknownFilterKey
 from laisc.evaluation import (
     Filter,
@@ -182,6 +183,25 @@ def test_gap_record_preferred_over_pair():
     )
     assert verdict.status is Status.SATISFIED
     assert verdict.evidence_ids == ("r2",)
+
+
+def test_gap_past_the_float_range_is_violated_and_its_report_reads_back():
+    """Two finite values 1e308 and -1e308 differ by inf: the verdict says so
+    in words, and its ``measured`` holds only what JSON can, so the JSON
+    report reads back."""
+    landscape = single_vr_landscape(MetricGap("miou", "ds-a", "ds-b", 0.05))
+    fp = fingerprint(landscape)
+    bundle = EvidenceBundle(
+        (
+            record("r0", "v1", MetricResult("miou", ("ds-a",), 1e308), fp),
+            record("r1", "v1", MetricResult("miou", ("ds-b",), -1e308), fp),
+        )
+    )
+    report = evaluate(landscape, bundle, now=NOW)
+    assert report.vr_verdicts["v1"].status is Status.VIOLATED
+    assert "= inf > epsilon 0.05" in report.vr_verdicts["v1"].explanation
+    node = load_json(render_json(report))
+    assert node["verdicts"]["v1"]["measured"] == {"epsilon": 0.05, "value_a": 1e308, "value_b": -1e308}
 
 
 # --- roll-ups -----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from helpers import (
     random_bundle,
     random_landscape,
     random_prob_table,
+    record,
     schema_mutations,
     single_vr_landscape,
     table_rule_error,
@@ -46,9 +47,12 @@ from laisc.metrics import clm_flags, performance_gap
 from laisc.io import (
     ActivationTable,
     DocumentRecord,
+    EvidenceBundle,
     EvidenceRecord,
     LabeledGrid,
+    MetricResult,
     ProbabilityTable,
+    ReviewLog,
     parse_evidence,
     parse_landscape,
     parse_timestamp,
@@ -665,6 +669,64 @@ def test_empty_record_id_rejected_at_its_path():
     node["records"][3]["id"] = ""
     with pytest.raises(SchemaError, match=r"^\$\.records\[3\]\.id: expected non-empty string, got ''$"):
         parse_evidence(json.dumps(node))
+
+
+#: A record that keeps every rule of a bundle, and records built in code
+#: that break one, each with the error and message of the bundle's refusal
+#: when it follows the first.
+_FIRST = record("r0", "v1", MetricResult("miou", ("ds-a",), 0.5), "sha256:x")
+_CODE_BUILT_RECORDS = {
+    "infinite metric value": (
+        record("r1", "v1", MetricResult("miou", ("ds-a",), math.inf), "sha256:x"),
+        InvalidPayload,
+        "invalid payload for $.records[1]: value must be a finite number, got inf",
+    ),
+    "repeated id": (
+        record("r0", "v2", DocumentRecord("safety-case"), "sha256:x"),
+        SchemaError,
+        "$.records[1].id: expected unique record id, got 'r0'",
+    ),
+    "empty vr_id": (
+        record("r1", "", DocumentRecord("safety-case"), "sha256:x"),
+        SchemaError,
+        "$.records[1].vr_id: expected non-empty string, got ''",
+    ),
+    "negative count": (
+        record("r1", "v1", ReviewLog("ds-a", -1, 0), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.total_items: expected non-negative count, got -1",
+    ),
+    "reviewed past total": (
+        record("r1", "v1", ReviewLog("ds-a", 3, 4), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.reviewed_items: expected at most total_items=3, got 4",
+    ),
+    "bool count": (
+        record("r1", "v1", ReviewLog("ds-a", True, 0), "sha256:x"),
+        InvalidPayload,
+        "invalid payload for $.records[1]: total_items must be an integer, got True",
+    ),
+}
+
+
+@pytest.mark.parametrize("bad, error, message", _CODE_BUILT_RECORDS.values(), ids=list(_CODE_BUILT_RECORDS))
+def test_bundle_built_in_code_keeps_the_rules_of_a_file(bad, error, message):
+    """A bundle is checked wherever it is made, by its constructor and by
+    ``replace``, so ``serialize_evidence`` never writes one that
+    ``parse_evidence`` refuses."""
+    good = EvidenceBundle((_FIRST,))
+    for build in (lambda: EvidenceBundle((_FIRST, bad)), lambda: replace(good, records=(_FIRST, bad))):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_serialize_landscape_refuses_what_parse_landscape_would():
+    landscape = parse_landscape(FIXTURE_TEXT)
+    dangling = replace(landscape, vrs=(replace(landscape.vrs[0], stage_id="nowhere"), *landscape.vrs[1:]))
+    with pytest.raises(DanglingReference) as caught:
+        serialize_landscape(dangling)
+    assert str(caught.value) == f"VR {landscape.vrs[0].id} references unknown id 'nowhere'"
 
 
 def _drop(items, item):
