@@ -17,8 +17,8 @@ Formats (all UTF-8, LF line endings):
 annotations of their dataclasses, and refuses a number that breaks its
 number rule (a non-finite metric value, say) at the number's JSON path.
 ``EvidenceBundle`` checks a bundle's own rules (ids, ``vr_id``, review
-counts, ``number_fault`` of each payload) wherever it is built, and
-:func:`~laisc.model.check_landscape` each landscape read or written.
+counts, ``number_fault`` of each payload) wherever it is built, as
+``Landscape`` checks its structure.
 
 The two CSV tables share one reader, which checks the header and the
 width of every row, and one writer.  A value is read with ``float()``
@@ -59,7 +59,7 @@ from laisc.errors import (
     SchemaError,
     ValueOutOfRange,
 )
-from laisc.model import Landscape, Resolution, check_landscape
+from laisc.model import Landscape, Resolution
 
 # --- evidence domain types ---------------------------------------------------
 
@@ -345,11 +345,11 @@ class ActivationTable:
 
 def parse_landscape(data: bytes | str) -> Landscape:
     """Parse a ``*.laisc.json`` document into a validated landscape."""
-    return check_landscape(from_node(Landscape, load_json(data), "$"))
+    return from_node(Landscape, load_json(data), "$")
 
 
 def serialize_landscape(landscape: Landscape) -> bytes:
-    return dump_canonical(to_node(check_landscape(landscape)))
+    return dump_canonical(to_node(landscape))
 
 
 def parse_evidence(data: bytes | str) -> EvidenceBundle:

@@ -5,9 +5,9 @@ decomposition goals that make each concern arguable, the verifiable
 requirements (VRs) that make each goal checkable against evidence, and the
 metrics / mitigation measures that produce that evidence at a given life
 cycle stage.  Everything here is immutable after construction; a
-:class:`Landscape` stores its collections in canonical order, and
-:func:`check_landscape` is the single place that enforces the structural
-invariants (:func:`build_landscape` calls it).
+:class:`Landscape` stores its collections in canonical order and checks
+its structure wherever it is made (a file, library code,
+``dataclasses.replace``), so no landscape with a broken link exists.
 
 VRs come in six closed kinds, one per evaluation pattern:
 
@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 
 from laisc.codec import number_fault, to_node
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
@@ -233,13 +234,13 @@ _COLLECTIONS = ("stages", "components", "concerns", "goals", "vrs", "mitigation_
 @dataclass(frozen=True)
 class Landscape:
     name: str
-    version: str
-    stages: tuple[LifecycleStage, ...]
-    components: tuple[SystemComponent, ...]
-    concerns: tuple[SafetyConcern, ...]
-    goals: tuple[Goal, ...]
-    vrs: tuple[VerifiableRequirement, ...]
-    mitigation_measures: tuple[MitigationMeasure, ...]
+    version: str = "1"
+    stages: tuple[LifecycleStage, ...] = ()
+    components: tuple[SystemComponent, ...] = ()
+    concerns: tuple[SafetyConcern, ...] = ()
+    goals: tuple[Goal, ...] = ()
+    vrs: tuple[VerifiableRequirement, ...] = ()
+    mitigation_measures: tuple[MitigationMeasure, ...] = ()
     datasets: tuple[tuple[str, DatasetDescriptor], ...] = ()
 
     def __post_init__(self) -> None:
@@ -252,12 +253,14 @@ class Landscape:
         object.__setattr__(self, "goals", tuple(sorted(self.goals, key=lambda g: g.id)))
         object.__setattr__(self, "vrs", tuple(sorted(self.vrs, key=lambda v: v.id)))
         object.__setattr__(self, "mitigation_measures", tuple(sorted(self.mitigation_measures, key=lambda m: m.id)))
-        object.__setattr__(self, "datasets", tuple(sorted(dict(self.datasets).items())))
+        pairs = self.datasets.items() if isinstance(self.datasets, dict) else self.datasets
+        object.__setattr__(self, "datasets", tuple(sorted(pairs, key=itemgetter(0))))
+        _check_landscape(self)
 
     @cached_property
     def _by_id(self) -> dict[str, dict]:
         """One id -> element map per collection, built on first read;
-        :func:`check_landscape` checks that ids are unique before that."""
+        :func:`_check_landscape` checks that ids are unique before that."""
         return {
             collection: {item.id: item for item in getattr(self, collection)} for collection in _COLLECTIONS
         }
@@ -348,6 +351,13 @@ def _check_unique(items, collection: str) -> None:
         seen.add(item.id)
 
 
+def _check_listed_once(ids, where: str) -> None:
+    """Refuse an id that the sorted list ``ids`` names twice."""
+    for first, second in zip(ids, ids[1:]):
+        if first == second:
+            raise DuplicateId(first, where)
+
+
 def bound_datasets(payload) -> tuple[str, ...]:
     """The dataset ids a VR payload binds, in field order: the value of
     every ``dataset_id*`` field, also of the nested :class:`Condition` rows."""
@@ -390,27 +400,9 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
                 raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
 
 
-def build_landscape(
-    *,
-    name: str,
-    version: str = "1",
-    stages: tuple[LifecycleStage, ...] | list[LifecycleStage] = (),
-    components: tuple[SystemComponent, ...] | list[SystemComponent] = (),
-    concerns: tuple[SafetyConcern, ...] | list[SafetyConcern] = (),
-    goals: tuple[Goal, ...] | list[Goal] = (),
-    vrs: tuple[VerifiableRequirement, ...] | list[VerifiableRequirement] = (),
-    mitigation_measures: tuple[MitigationMeasure, ...] | list[MitigationMeasure] = (),
-    datasets: dict[str, DatasetDescriptor] | tuple[tuple[str, DatasetDescriptor], ...] | None = None,
-) -> Landscape:
-    """Assemble a landscape from already-typed elements and check it with
-    :func:`check_landscape`."""
-    return check_landscape(
-        Landscape(name, version, stages, components, concerns, goals, vrs, mitigation_measures, datasets or ())
-    )
-
-
-def check_landscape(landscape: Landscape) -> Landscape:
-    """Return ``landscape`` after checking its structure.
+def _check_landscape(landscape: Landscape) -> None:
+    """Check the structure of ``landscape``; ``Landscape.__post_init__``
+    is the one caller.
 
     Raises :class:`DuplicateId`, :class:`DanglingReference`, or
     :class:`InvalidPayload` on the first structural violation found.
@@ -420,6 +412,7 @@ def check_landscape(landscape: Landscape) -> Landscape:
     """
     for collection in _COLLECTIONS:
         _check_unique(getattr(landscape, collection), collection)
+    _check_listed_once([dataset_id for dataset_id, _ in landscape.datasets], "datasets")
 
     orders = [stage.order for stage in landscape.stages]
     if orders != list(range(len(orders))):
@@ -433,6 +426,8 @@ def check_landscape(landscape: Landscape) -> Landscape:
     for concern in landscape.concerns:
         if not concern.relevant and not concern.relevance_rationale.strip():
             raise InvalidPayload(concern.id, "a concern marked not relevant needs a rationale")
+        _check_listed_once(concern.component_ids, f"concern {concern.id} component_ids")
+        _check_listed_once(concern.goal_ids, f"concern {concern.id} goal_ids")
         for component_id in concern.component_ids:
             if component_id not in component_ids:
                 raise DanglingReference(component_id, f"concern {concern.id}")
@@ -452,6 +447,7 @@ def check_landscape(landscape: Landscape) -> Landscape:
             raise DanglingReference(goal.concern_id, f"goal {goal.id}")
         if goal.id not in concern_index[goal.concern_id].goal_ids:
             raise InvalidPayload(goal.id, f"not listed by its concern {goal.concern_id}")
+        _check_listed_once(goal.vr_ids, f"goal {goal.id} vr_ids")
         for vr_id in goal.vr_ids:
             if vr_id not in vr_index:
                 raise DanglingReference(vr_id, f"goal {goal.id}")
@@ -467,6 +463,7 @@ def check_landscape(landscape: Landscape) -> Landscape:
             raise InvalidPayload(vr.id, f"not listed by its goal {vr.goal_id}")
         if vr.stage_id not in stage_ids:
             raise DanglingReference(vr.stage_id, f"VR {vr.id}")
+        _check_listed_once(vr.mm_ids, f"VR {vr.id} mm_ids")
         for mm_id in vr.mm_ids:
             if mm_id not in mm_ids:
                 raise DanglingReference(mm_id, f"VR {vr.id}")
@@ -475,8 +472,6 @@ def check_landscape(landscape: Landscape) -> Landscape:
     for mm in landscape.mitigation_measures:
         if mm.stage_id is not None and mm.stage_id not in stage_ids:
             raise DanglingReference(mm.stage_id, f"mitigation measure {mm.id}")
-
-    return landscape
 
 
 # --- derived views -----------------------------------------------------------

@@ -91,7 +91,7 @@ def render_argument_tree(report: EvaluationReport) -> bytes:
         rollup = report.goal_rollups[goal.id]
         lines.append(
             f'  "{_dot_escape(goal.id)}" [label="{_dot_escape(goal.statement)}'
-            f'\\n({goal.id}) [{rollup.status.value}]", fillcolor={_STATUS_COLORS[rollup.status]}];'
+            f'\\n({_dot_escape(goal.id)}) [{rollup.status.value}]", fillcolor={_STATUS_COLORS[rollup.status]}];'
         )
         for vr_id in goal.vr_ids:
             edges.append(f'  "{_dot_escape(goal.id)}" -> "{_dot_escape(vr_id)}";')

@@ -57,7 +57,6 @@ from laisc.model import (
     SafetyConcern,
     SystemComponent,
     VerifiableRequirement,
-    build_landscape,
     fingerprint,
 )
 
@@ -399,7 +398,7 @@ def single_vr_landscape(payload, *, datasets: dict[str, DatasetDescriptor] | Non
             name: DatasetDescriptor(f"data/{name}", "grid-dir", "test data")
             for name in ("ds-a", "ds-b", "ds-c")
         }
-    return build_landscape(
+    return Landscape(
         name="unit",
         stages=[LifecycleStage("st1", "Stage one", 0)],
         components=[SystemComponent("cp1", "Component")],
@@ -532,7 +531,7 @@ def random_landscape(rng: random.Random, *, delete_links: bool = False) -> Lands
             )
         )
 
-    return build_landscape(
+    return Landscape(
         name=f"generated-{rng.randint(0, 10**6)}",
         version="1",
         stages=stages,

@@ -51,6 +51,7 @@ from laisc.model import (
     KNOWN_METRIC_IDS,
     Comparator,
     Condition,
+    Landscape,
     MetricGap,
     MetricThreshold,
     MitigationMeasure,
@@ -61,7 +62,6 @@ from laisc.model import (
     VerifiableRequirement,
     VrPayload,
     _check_payload,
-    build_landscape,
     fingerprint,
 )
 from laisc.report import render_json
@@ -214,7 +214,7 @@ def _three_goal_landscape(relevant=True):
     vr = lambda i, g: VerifiableRequirement(  # noqa: E731
         id=f"v{i}", goal_id=g, payload=ReviewFraction("ds-a", 0.5), stage_id="st1", mm_ids=("m1",)
     )
-    return build_landscape(
+    return Landscape(
         name="rollup",
         stages=[LifecycleStage("st1", "S", 0)],
         concerns=[
@@ -330,7 +330,7 @@ def test_missing_measure_link_reported(fixture_landscape):
         )
         for vr in fixture_landscape.vrs
     )
-    modified = build_landscape(
+    modified = Landscape(
         name=fixture_landscape.name,
         version=fixture_landscape.version,
         stages=fixture_landscape.stages,
@@ -347,7 +347,7 @@ def test_missing_measure_link_reported(fixture_landscape):
 def test_relevant_concern_without_goals_reported():
     from laisc.model import SafetyConcern
 
-    landscape = build_landscape(
+    landscape = Landscape(
         name="gaps", concerns=[SafetyConcern(id="c1", name="Concern", goal_ids=())]
     )
     assert gaps_as_pairs(coverage(landscape)) == {(GapKind.CONCERN_WITHOUT_GOAL.value, "c1")}
@@ -356,7 +356,7 @@ def test_relevant_concern_without_goals_reported():
 def test_irrelevant_concern_produces_no_gaps():
     from laisc.model import SafetyConcern
 
-    landscape = build_landscape(
+    landscape = Landscape(
         name="gaps",
         concerns=[
             SafetyConcern(
@@ -369,7 +369,7 @@ def test_irrelevant_concern_produces_no_gaps():
 
 def test_measure_without_stage_reported():
     landscape = single_vr_landscape(ReviewFraction("ds-a", 0.5))
-    modified = build_landscape(
+    modified = Landscape(
         name=landscape.name,
         stages=landscape.stages,
         components=landscape.components,

@@ -50,3 +50,11 @@ def test_unused_import_check_sees_each_form():
         "    return json.dumps(x)\n"
     )
     assert unused_imports(text) == ["le (line 8)", "os (line 2)", "regex (line 3)"]
+
+
+def test_every_name_in_all_resolves():
+    """The unused-import check exempts ``__all__``, so a stale entry there
+    would pass it."""
+    import laisc
+
+    assert [name for name in laisc.__all__ if not hasattr(laisc, name)] == []

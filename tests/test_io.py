@@ -31,6 +31,7 @@ from laisc.codec import dump_canonical, from_node, number_fault, to_node
 from laisc.errors import (
     DanglingReference,
     DimensionMismatch,
+    DuplicateId,
     InputSyntaxError,
     InvalidPayload,
     InvalidThreshold,
@@ -73,7 +74,6 @@ from laisc.model import (
     MetricThreshold,
     QualitativeApproval,
     ReviewFraction,
-    build_landscape,
     fingerprint,
 )
 from laisc.report import serialize_report
@@ -167,7 +167,7 @@ def test_serialized_landscape_ignores_construction_order():
             if isinstance(value, tuple):
                 parts[name] = rng.sample(value, len(value))
         parts["datasets"] = dict(parts["datasets"])
-        assert serialize_landscape(build_landscape(**parts)) == serialize_landscape(landscape)
+        assert serialize_landscape(Landscape(**parts)) == serialize_landscape(landscape)
 
 
 def test_truncated_file_reports_offset():
@@ -721,12 +721,18 @@ def test_bundle_built_in_code_keeps_the_rules_of_a_file(bad, error, message):
         assert str(caught.value) == message
 
 
-def test_serialize_landscape_refuses_what_parse_landscape_would():
+def test_replace_refuses_what_parse_landscape_would():
+    """A landscape checks its structure wherever it is made, by ``replace``
+    or its constructor, so neither ``serialize_landscape`` nor ``evaluate``
+    (whose stage lookup would raise a bare ``KeyError``) meets one that
+    ``parse_landscape`` refuses."""
     landscape = parse_landscape(FIXTURE_TEXT)
-    dangling = replace(landscape, vrs=(replace(landscape.vrs[0], stage_id="nowhere"), *landscape.vrs[1:]))
-    with pytest.raises(DanglingReference) as caught:
-        serialize_landscape(dangling)
-    assert str(caught.value) == f"VR {landscape.vrs[0].id} references unknown id 'nowhere'"
+    vrs = (replace(landscape.vrs[0], stage_id="nowhere"), *landscape.vrs[1:])
+    parts = {f.name: getattr(landscape, f.name) for f in fields(Landscape)}
+    for make in (lambda: replace(landscape, vrs=vrs), lambda: Landscape(**{**parts, "vrs": vrs})):
+        with pytest.raises(DanglingReference) as caught:
+            make()
+        assert str(caught.value) == "VR VR1.1.1 references unknown id 'nowhere'"
 
 
 def _drop(items, item):
@@ -769,6 +775,26 @@ _STRUCTURAL_FAULTS = {
         lambda land, _: land["mitigation_measures"][0].update(stage_id="stage-none"),
         DanglingReference,
         "mitigation measure mm-annotator-knowledge-test references unknown id 'stage-none'",
+    ),
+    "concern lists a component twice": (
+        lambda land, _: land["concerns"][0]["component_ids"].append("comp-track-detector"),
+        DuplicateId,
+        "duplicate id 'comp-track-detector' in concern sc1-inaccurate-labels component_ids",
+    ),
+    "concern lists a goal twice": (
+        lambda land, _: land["concerns"][0]["goal_ids"].append("G1.1"),
+        DuplicateId,
+        "duplicate id 'G1.1' in concern sc1-inaccurate-labels goal_ids",
+    ),
+    "goal lists a VR twice": (
+        lambda land, _: land["goals"][0]["vr_ids"].append("VR1.1.1"),
+        DuplicateId,
+        "duplicate id 'VR1.1.1' in goal G1.1 vr_ids",
+    ),
+    "VR lists a measure twice": (
+        lambda land, _: land["vrs"][0]["mm_ids"].append("mm-labeling-guidelines"),
+        DuplicateId,
+        "duplicate id 'mm-labeling-guidelines' in VR VR1.1.1 mm_ids",
     ),
     "empty vr_id": (
         lambda _, bundle: bundle["records"][2].update(vr_id=""),

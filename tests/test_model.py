@@ -30,7 +30,6 @@ from laisc.model import (
     ReviewFraction,
     SafetyConcern,
     VerifiableRequirement,
-    build_landscape,
     fingerprint,
     rows,
 )
@@ -48,13 +47,13 @@ def test_fixture_landscape_shape():
 
 
 def test_empty_definition_is_valid():
-    landscape = build_landscape(name="empty")
+    landscape = Landscape(name="empty")
     assert rows(landscape) == []
 
 
 def test_landscape_built_directly_is_canonical():
-    """Canonical order is decided by the Landscape itself, so a parser or a
-    caller that builds one directly gets the same object as build_landscape."""
+    """Canonical order is decided by the Landscape itself, so a parser and
+    a caller that builds one in any order get the same object."""
     rng = random.Random(2031)
     for _ in range(25):
         landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
@@ -62,12 +61,12 @@ def test_landscape_built_directly_is_canonical():
         for name, value in parts.items():
             if isinstance(value, tuple):
                 parts[name] = tuple(rng.sample(value, len(value)))
-        assert Landscape(**parts) == build_landscape(**parts) == landscape
+        assert Landscape(**parts) == landscape
 
 
 def test_dangling_goal_concern_reference():
     with pytest.raises(DanglingReference):
-        build_landscape(
+        Landscape(
             name="broken",
             stages=[LifecycleStage("st1", "S", 0)],
             concerns=[],
@@ -78,7 +77,7 @@ def test_dangling_goal_concern_reference():
 def test_duplicate_vr_id():
     base = single_vr_landscape(ReviewFraction("ds-a", 0.5))
     with pytest.raises(DuplicateId):
-        build_landscape(
+        Landscape(
             name="dup",
             stages=base.stages,
             components=base.components,
@@ -90,9 +89,16 @@ def test_duplicate_vr_id():
         )
 
 
+def test_datasets_given_as_pairs_with_a_repeated_id_rejected():
+    base = single_vr_landscape(ReviewFraction("ds-a", 0.5))
+    pairs = (*base.datasets, ("ds-a", DatasetDescriptor("elsewhere/ds-a", "grid-dir")))
+    with pytest.raises(DuplicateId, match=r"^duplicate id 'ds-a' in datasets$"):
+        replace(base, datasets=pairs)
+
+
 def test_goal_listed_under_wrong_concern_rejected():
     with pytest.raises(InvalidPayload):
-        build_landscape(
+        Landscape(
             name="broken",
             stages=[LifecycleStage("st1", "S", 0)],
             concerns=[
@@ -108,7 +114,7 @@ def test_vr_shared_by_two_goals_rejected():
         id="v1", goal_id="g1", payload=ReviewFraction("ds-a", 0.5), stage_id="st1"
     )
     with pytest.raises(InvalidPayload):
-        build_landscape(
+        Landscape(
             name="broken",
             stages=[LifecycleStage("st1", "S", 0)],
             concerns=[SafetyConcern(id="c1", name="One", goal_ids=("g1", "g2"))],
@@ -120,7 +126,7 @@ def test_vr_shared_by_two_goals_rejected():
 
 def test_stage_orders_must_be_contiguous():
     with pytest.raises(InvalidPayload):
-        build_landscape(
+        Landscape(
             name="broken",
             stages=[LifecycleStage("st1", "S", 0), LifecycleStage("st2", "T", 2)],
         )
@@ -128,7 +134,7 @@ def test_stage_orders_must_be_contiguous():
 
 def test_irrelevant_concern_requires_rationale():
     with pytest.raises(InvalidPayload):
-        build_landscape(
+        Landscape(
             name="broken",
             concerns=[SafetyConcern(id="c1", name="One", relevant=False, relevance_rationale="  ")],
         )
@@ -209,7 +215,7 @@ def test_fixture_first_row_cells():
 
 
 def _landscape_with_mm_ids(mm_ids: tuple[str, ...]):
-    return build_landscape(
+    return Landscape(
         name="rows",
         stages=[LifecycleStage("st1", "S", 0)],
         concerns=[SafetyConcern(id="c1", name="One", goal_ids=("g1",))],
@@ -301,7 +307,7 @@ def _rebuild(landscape, **overrides):
         datasets=dict(landscape.datasets),
     )
     parts.update(overrides)
-    return build_landscape(**parts)
+    return Landscape(**parts)
 
 
 def test_fingerprint_changes_on_payload_edit():
@@ -353,21 +359,28 @@ def test_fingerprint_ignores_dataset_path_edits():
 def test_fingerprint_equal_exactly_when_vr_content_is_equal(rng, data):
     """Edit a random landscape's VRs (new id, another VR's payload, other
     links, or nothing); the fingerprints agree exactly when every VR's id
-    and payload still do."""
+    and payload still do.  Each goal then lists the VRs that name it, so
+    the edited landscape is valid."""
     landscape = random_landscape(rng, delete_links=rng.random() < 0.4)
     before = fingerprint(landscape)  # a replaced copy must not inherit it
     payloads = [vr.payload for vr in landscape.vrs]
+    goal_ids = [goal.id for goal in landscape.goals]
+    stage_ids = [stage.id for stage in landscape.stages]
     edited = []
     for vr in landscape.vrs:
         edit = data.draw(st.sampled_from(("none", "links", "id", "payload")))
         if edit == "links":
-            vr = replace(vr, goal_id="elsewhere", stage_id="elsewhere", mm_ids=())
+            goal_id, stage_id = data.draw(st.sampled_from(goal_ids)), data.draw(st.sampled_from(stage_ids))
+            vr = replace(vr, goal_id=goal_id, stage_id=stage_id, mm_ids=())
         elif edit == "id":
             vr = replace(vr, id=vr.id + "-renamed")
         elif edit == "payload":
             vr = replace(vr, payload=data.draw(st.sampled_from(payloads)))
         edited.append(vr)
-    other = replace(landscape, vrs=tuple(edited))
+    goals = tuple(
+        replace(goal, vr_ids=tuple(vr.id for vr in edited if vr.goal_id == goal.id)) for goal in landscape.goals
+    )
+    other = replace(landscape, goals=goals, vrs=tuple(edited))
     same_content = [(vr.id, vr.payload) for vr in landscape.vrs] == [(vr.id, vr.payload) for vr in other.vrs]
     assert (fingerprint(other) == before) is same_content
     assert fingerprint(other) == fingerprint_oracle(other)

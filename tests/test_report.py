@@ -11,7 +11,7 @@ import pytest
 from helpers import random_bundle, random_landscape, single_vr_landscape
 from laisc.evaluation import Filter, Status, evaluate
 from laisc.io import EvidenceBundle
-from laisc.model import ReviewFraction, fingerprint
+from laisc.model import Landscape, ReviewFraction, fingerprint
 from laisc.report import render_argument_tree, render_json, render_table, serialize_report
 
 NOW = datetime(2026, 2, 1, 12, 0, 0, tzinfo=timezone.utc)
@@ -39,9 +39,7 @@ def test_table_filtered_row_counts(fixture_landscape, demo_bundle):
 
 
 def test_empty_landscape_table():
-    from laisc.model import build_landscape
-
-    landscape = build_landscape(name="empty")
+    landscape = Landscape(name="empty")
     text = render_table(_report(landscape, EvidenceBundle(()))).decode()
     assert "0 satisfied / 0 violated / 0 pending / 0 error" in text
 
@@ -72,6 +70,19 @@ def test_dot_not_applicable_label():
     landscape = single_vr_landscape(ReviewFraction("ds-a", 0.5), relevant=False)
     text = render_argument_tree(_report(landscape, EvidenceBundle(()))).decode()
     assert "[NotApplicable]" in text
+
+
+def test_dot_escapes_a_goal_id_in_its_label():
+    goal_id = 'G"1\\1'
+    base = single_vr_landscape(ReviewFraction("ds-a", 0.5))
+    landscape = replace(
+        base,
+        concerns=(replace(base.concerns[0], goal_ids=(goal_id,)),),
+        goals=(replace(base.goals[0], id=goal_id),),
+        vrs=(replace(base.vrs[0], goal_id=goal_id),),
+    )
+    lines = render_argument_tree(_report(landscape, EvidenceBundle(()))).decode().splitlines()
+    assert r'  "G\"1\\1" [label="Goal statement\n(G\"1\\1) [Pending]", fillcolor=lightyellow];' in lines
 
 
 def test_table_footer_counts_not_applicable_rows():
