@@ -43,7 +43,8 @@ or ``float`` (``NUMBER_TYPES``), never a ``bool`` or a subclass, and a
 ``10**400`` are not.  ``is_number`` states it for one value and
 ``are_numbers`` for a list.  ``from_node`` names the JSON path of a
 number that breaks it; ``number_fault`` checks the inclusive ``min`` and
-``max`` bounds a field declares in its ``field(metadata=...)`` too.
+``max`` bounds and the exclusive ``above`` bound that a field declares in
+its ``field(metadata=...)`` too.
 """
 
 from __future__ import annotations
@@ -465,11 +466,12 @@ def _shape(annotation):
 @cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
-    key, a ``(field name, int or float, min, max)`` row per number field
-    (``None`` for an absent bound; a ``max`` comes with a ``min``) and a
-    ``(field name, column, expected)`` row per field.  A field typed as a
-    union of dataclasses adds the ``kind`` key: written from the field
-    value's class, and checked by the field's column."""
+    key, a ``(field name, int or float, min, max, above)`` row per number
+    field (``None`` for an absent bound; a ``max`` comes with a ``min``;
+    ``above`` is exclusive) and a ``(field name, column, expected)`` row
+    per field.  A field typed as a union of dataclasses adds the ``kind``
+    key: written from the field value's class, and checked by the field's
+    column."""
     hints = get_type_hints(cls)
     writes, numbers, columns = [], [], []
     for f in fields(cls):
@@ -480,7 +482,8 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
         if _union_classes(annotation):
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
         if annotation is int or annotation is float:
-            numbers.append((f.name, annotation, f.metadata.get("min"), f.metadata.get("max")))
+            bounds = (f.metadata.get("min"), f.metadata.get("max"), f.metadata.get("above"))
+            numbers.append((f.name, annotation, *bounds))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
@@ -500,7 +503,7 @@ def number_fault(obj) -> str | None:
     """How the first number field of the dataclass ``obj`` breaks the
     number rule or its declared bounds, or ``None``: an ``int`` field holds
     an ``int``, and a ``float`` field a number that ``is_number``."""
-    for name, annotation, low, high in _plan(type(obj))[2]:
+    for name, annotation, low, high, above in _plan(type(obj))[2]:
         value = getattr(obj, name)
         if annotation is int and type(value) is not int:
             return f"{name} must be an integer, got {value!r}"
@@ -509,6 +512,8 @@ def number_fault(obj) -> str | None:
         if (low is not None and value < low) or (high is not None and value > high):
             bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
             return f"{name} must be {bounds}, got {value!r}"
+        if above is not None and value <= above:
+            return f"{name} must be > {above}, got {value!r}"
     return None
 
 

@@ -11,16 +11,18 @@ Each VR gets exactly one :class:`Verdict`:
 
 A record is fresh when its landscape fingerprint matches the current
 one, stale otherwise.  :func:`_slots` states once which records each
-kind reads; the evaluators and :func:`reads` ask its tests.  For every
-kind but QualitativeApproval (which counts all fresh approvals and
-documents) :func:`_fill` alone decides the slots: the most recent fresh
-record matching a slot wins it (ties broken by record id), so re-measuring after a
-mitigation supersedes the old result.  A stale record never outranks a
-fresh one in its slot; it makes the verdict ``Error`` only when its slot
-has no fresh record.  Verdicts roll up with the precedence
-Violated > Error > Pending > Satisfied: a proven failure is never masked
-by missing data.  Concerns marked not relevant report
-``NotApplicable`` and stay out of the failure counts.
+kind reads, and :func:`reads` asks its tests.  :func:`_fill` decides
+every kind's slots, once per VR, in :func:`_evaluate_records`: the most
+recent fresh record matching a slot wins it (ties broken by record id),
+so re-measuring after a mitigation supersedes the old result, and
+QualitativeApproval counts every fresh match of its two slots.  A stale
+record never outranks a fresh one in its slot; it makes the verdict
+``Error`` only when its slot has no fresh record.  A VR with no slot
+filled is judged there too, so the evaluators run only on filled slots.
+Verdicts roll up with the precedence Violated > Error > Pending >
+Satisfied: a proven failure is never masked by missing data.  Concerns
+marked not relevant report ``NotApplicable`` and stay out of the failure
+counts.
 """
 
 from __future__ import annotations
@@ -69,6 +71,12 @@ class Status(str, Enum):
 
 #: Roll-up precedence: the leftmost status present wins.
 _PRECEDENCE = (Status.VIOLATED, Status.ERROR, Status.PENDING, Status.SATISFIED)
+
+
+def _worst(statuses) -> Status:
+    """The leftmost status of ``_PRECEDENCE`` in ``statuses``; Satisfied
+    when none is (every status NotApplicable, or none at all)."""
+    return next((s for s in _PRECEDENCE if s in statuses), Status.SATISFIED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,8 +164,7 @@ class EvaluationReport:
         return counts
 
     def worst_status(self) -> Status:
-        statuses = {self.effective_statuses[vr_id] for vr_id in self.visible_vr_ids()}
-        return next((s for s in _PRECEDENCE if s in statuses), Status.SATISFIED)
+        return _worst({self.effective_statuses[vr_id] for vr_id in self.visible_vr_ids()})
 
 
 # --- evidence slots ----------------------------------------------------------------
@@ -214,23 +221,21 @@ def reads(payload: VrPayload, evidence) -> bool:
 
 def _fill(
     slots: Slots, fresh: list[EvidenceRecord], stale: list[EvidenceRecord]
-) -> tuple[dict[str, EvidenceRecord], list[EvidenceRecord]]:
-    """Decide every evidence slot of one VR; return ``(won, stale_matching)``.
+) -> tuple[dict[str, list[EvidenceRecord]], list[EvidenceRecord]]:
+    """Decide every evidence slot of one VR; return ``(matched, stale_matching)``.
 
-    ``won`` maps each filled label to its most recent fresh match (ties
-    go to the greatest record id).  ``stale_matching`` holds the stale
-    records matching a slot that no fresh record fills: a filled slot
-    supersedes its stale matches.
+    ``matched`` maps each filled label to its fresh matches in recency
+    order, so the last one wins (ties go to the greatest record id).
+    ``stale_matching`` holds the stale records matching a slot that no
+    fresh record fills: a filled slot supersedes its stale matches.
     """
-    won: dict[str, EvidenceRecord] = {}
+    matched: dict[str, list[EvidenceRecord]] = {}
     for label, test in slots.items():
         matches = [r for r in fresh if test(r.payload)]
         if matches:
-            won[label] = max(matches, key=_recency)
-    open_tests = [test for label, test in slots.items() if label not in won]
-    if not open_tests:
-        return won, []
-    return won, [r for r in stale if any(test(r.payload) for test in open_tests)]
+            matched[label] = sorted(matches, key=_recency)
+    open_tests = [test for label, test in slots.items() if label not in matched]
+    return matched, [r for r in stale if any(test(r.payload) for test in open_tests)]
 
 
 def _ids(records: Iterable[EvidenceRecord]) -> tuple[str, ...]:
@@ -238,31 +243,14 @@ def _ids(records: Iterable[EvidenceRecord]) -> tuple[str, ...]:
     return tuple(sorted({r.id for r in records}))
 
 
-def _unfillable(
-    missing: list[str],
-    stale_matching: list[EvidenceRecord],
-    records: list[EvidenceRecord],
-    any_slot_filled: bool,
-) -> Verdict:
-    """Shared resolution when one or more evidence slots cannot be filled.
-
-    ``records`` is every record addressed to the VR, never empty."""
-    if stale_matching:
-        ids = _ids(stale_matching)
-        return Verdict(
-            Status.ERROR,
-            f"stale evidence: record(s) predate the current VR definitions ({', '.join(ids)})",
-            evidence_ids=ids,
-        )
-    if not any_slot_filled:
-        ids = _ids(records)
-        return Verdict(
-            Status.ERROR,
-            "unusable evidence: records exist for this VR but none matches its "
-            f"kind and dataset binding ({', '.join(ids)})",
-            evidence_ids=ids,
-        )
-    return Verdict(Status.PENDING, "missing evidence: " + "; ".join(missing))
+def _stale(stale_matching: list[EvidenceRecord]) -> Verdict:
+    """The verdict when stale records match a slot that no fresh one fills."""
+    ids = _ids(stale_matching)
+    return Verdict(
+        Status.ERROR,
+        f"stale evidence: record(s) predate the current VR definitions ({', '.join(ids)})",
+        evidence_ids=ids,
+    )
 
 
 def _judge(ok: bool, explanation: str, evidence_ids, measured=()) -> Verdict:
@@ -270,16 +258,11 @@ def _judge(ok: bool, explanation: str, evidence_ids, measured=()) -> Verdict:
     return Verdict(Status.SATISFIED if ok else Status.VIOLATED, explanation, evidence_ids, measured)
 
 
-# --- per-kind evaluation: (payload, its _slots, fresh, stale) -> Verdict ----------
+# --- per-kind evaluation, once some slot is filled: _fill's output -> Verdict ------
 
 
-def _eval_metric_threshold(p: MetricThreshold, slots: Slots, fresh, stale) -> Verdict:
-    won, stale_matching = _fill(slots, fresh, stale)
-    if not won:
-        return _unfillable(
-            [f"no {p.metric_id} measurement on {p.dataset_id}"], stale_matching, fresh + stale, False
-        )
-    winner = won["value"]
+def _eval_metric_threshold(p: MetricThreshold, matched, stale_matching) -> Verdict:
+    winner = matched["value"][-1]
     value = winner.payload.value
     ok = value >= p.threshold if p.comparator.value == "GE" else value <= p.threshold
     relation = ">=" if p.comparator.value == "GE" else "<="
@@ -292,12 +275,11 @@ def _eval_metric_threshold(p: MetricThreshold, slots: Slots, fresh, stale) -> Ve
     )
 
 
-def _eval_metric_gap(p: MetricGap, slots: Slots, fresh, stale) -> Verdict:
+def _eval_metric_gap(p: MetricGap, matched, stale_matching) -> Verdict:
     # A precomputed two-dataset distance is the direct measurement and
     # takes precedence over recombining single-dataset values.
-    won, stale_gap = _fill({"gap": slots.pop("gap")}, fresh, stale)
-    if won:
-        winner = won["gap"]
+    if "gap" in matched:
+        winner = matched["gap"][-1]
         gap = abs(winner.payload.value)
         ok = gap <= p.epsilon
         return _judge(
@@ -309,9 +291,9 @@ def _eval_metric_gap(p: MetricGap, slots: Slots, fresh, stale) -> Verdict:
         )
 
     # One slot per side, "a" and "b".
-    won, stale_sides = _fill(slots, fresh, stale)
-    if len(won) == 2:
-        value_a, value_b = won["a"].payload.value, won["b"].payload.value
+    if "a" in matched and "b" in matched:
+        won_a, won_b = matched["a"][-1], matched["b"][-1]
+        value_a, value_b = won_a.payload.value, won_b.payload.value
         gap = abs(value_a - value_b)
         ok = gap <= p.epsilon
         shown_gap = (("gap", gap),) if is_number(gap) else ()  # JSON has no inf, the gap of 1e308 and -1e308
@@ -319,32 +301,33 @@ def _eval_metric_gap(p: MetricGap, slots: Slots, fresh, stale) -> Verdict:
             ok,
             f"|{p.metric_id}({p.dataset_id_a}) - {p.metric_id}({p.dataset_id_b})| "
             f"= |{value_a:g} - {value_b:g}| = {gap:g} {'<=' if ok else '>'} epsilon {p.epsilon:g}",
-            _ids(won.values()),
+            _ids((won_a, won_b)),
             (("epsilon", p.epsilon), *shown_gap, ("value_a", value_a), ("value_b", value_b)),
         )
 
+    if stale_matching:
+        return _stale(stale_matching)
     missing = [
         f"no {p.metric_id} measurement on {dataset_id}"
         for label, dataset_id in (("a", p.dataset_id_a), ("b", p.dataset_id_b))
-        if label not in won
+        if label not in matched
     ]
-    return _unfillable(missing, stale_gap + stale_sides, fresh + stale, bool(won))
+    return Verdict(Status.PENDING, "missing evidence: " + "; ".join(missing))
 
 
-def _eval_per_condition(p: PerCondition, slots: Slots, fresh, stale) -> Verdict:
-    won, stale_matching = _fill(slots, fresh, stale)
+def _eval_per_condition(p: PerCondition, matched, stale_matching) -> Verdict:
     failing: list[str] = []
     missing: list[str] = []
     measured: list[tuple[str, float]] = []
     for condition in p.conditions:
-        winner = won.get(condition.condition_id)
-        if winner is None:
+        if condition.condition_id not in matched:
             missing.append(condition.condition_id)
             continue
-        measured.append((condition.condition_id, winner.payload.value))
-        if winner.payload.value < condition.threshold:
+        value = matched[condition.condition_id][-1].payload.value
+        measured.append((condition.condition_id, value))
+        if value < condition.threshold:
             failing.append(condition.condition_id)
-    used = _ids(won.values())
+    used = _ids(matches[-1] for matches in matched.values())
 
     if failing:
         # A measured failure outranks incomplete coverage.
@@ -356,10 +339,8 @@ def _eval_per_condition(p: PerCondition, slots: Slots, fresh, stale) -> Verdict:
             measured=measured,
         )
     if missing:
-        if stale_matching or not won:
-            return _unfillable(
-                [f"conditions not measured: {', '.join(missing)}"], stale_matching, fresh + stale, bool(won)
-            )
+        if stale_matching:
+            return _stale(stale_matching)
         return Verdict(
             Status.PENDING,
             f"conditions not yet measured: {', '.join(missing)}",
@@ -374,11 +355,8 @@ def _eval_per_condition(p: PerCondition, slots: Slots, fresh, stale) -> Verdict:
     )
 
 
-def _eval_review_fraction(p: ReviewFraction, slots: Slots, fresh, stale) -> Verdict:
-    won, stale_matching = _fill(slots, fresh, stale)
-    if not won:
-        return _unfillable([f"no review log for {p.dataset_id}"], stale_matching, fresh + stale, False)
-    winner = won["log"]
+def _eval_review_fraction(p: ReviewFraction, matched, stale_matching) -> Verdict:
+    winner = matched["log"][-1]
     log: ReviewLog = winner.payload
     if log.total_items == 0:
         return Verdict(
@@ -397,15 +375,8 @@ def _eval_review_fraction(p: ReviewFraction, slots: Slots, fresh, stale) -> Verd
     )
 
 
-def _eval_flag_resolution(p: FlagResolution, slots: Slots, fresh, stale) -> Verdict:
-    won, stale_matching = _fill(slots, fresh, stale)
-    if not won:
-        if stale_matching:
-            return _unfillable([], stale_matching, fresh + stale, False)
-        # Companion records (e.g. the flagging metric's own result) are
-        # expected alongside this VR, so their presence is not an error.
-        return Verdict(Status.PENDING, f"no flag-resolution log for {p.dataset_id}")
-    winner = won["log"]
+def _eval_flag_resolution(p: FlagResolution, matched, stale_matching) -> Verdict:
+    winner = matched["log"][-1]
     log: FlagResolutionLog = winner.payload
     resolved = {entry.instance_id for entry in log.entries}
     unresolved = sorted(set(log.flagged_ids) - resolved)
@@ -419,17 +390,9 @@ def _eval_flag_resolution(p: FlagResolution, slots: Slots, fresh, stale) -> Verd
     )
 
 
-def _eval_qualitative_approval(p: QualitativeApproval, slots: Slots, fresh, stale) -> Verdict:
-    # Every fresh approval and document counts: its two slots filter, not fill.
-    approvals, documents = ([r for r in fresh if slots[label](r.payload)] for label in ("approvals", "documents"))
-    if not approvals and not documents:
-        return _unfillable(
-            [f"no approval records (need {p.required_approvals})"],
-            [r for r in stale if any(test(r.payload) for test in slots.values())],
-            fresh + stale,
-            False,
-        )
-
+def _eval_qualitative_approval(p: QualitativeApproval, matched, stale_matching) -> Verdict:
+    # Every fresh approval and document counts, not only each slot's winner.
+    approvals, documents = matched.get("approvals", []), matched.get("documents", [])
     rejections = [r for r in approvals if r.payload.verdict is ApprovalVerdict.REJECTED]
     if rejections:
         rejectors = sorted({r.payload.approver_id for r in rejections})
@@ -478,12 +441,29 @@ def evaluate_vr(
 def _evaluate_records(
     vr: VerifiableRequirement, records: list[EvidenceRecord], landscape_fingerprint: str
 ) -> Verdict:
-    """:func:`evaluate_vr` on the records already addressed to ``vr``."""
+    """:func:`evaluate_vr` on the records already addressed to ``vr``: the
+    one place that fills a VR's slots and judges a VR with none filled."""
     if not records:
         return Verdict(Status.PENDING, "no evidence recorded for this VR")
     fresh = [r for r in records if r.landscape_fingerprint == landscape_fingerprint]
     stale = [r for r in records if r.landscape_fingerprint != landscape_fingerprint]
-    return _EVALUATORS[type(vr.payload)](vr.payload, _slots(vr.payload), fresh, stale)
+    p = vr.payload
+    matched, stale_matching = _fill(_slots(p), fresh, stale)
+    if matched:
+        return _EVALUATORS[type(p)](p, matched, stale_matching)
+    if stale_matching:
+        return _stale(stale_matching)
+    if isinstance(p, FlagResolution):
+        # Companion records (e.g. the flagging metric's own result) are
+        # expected alongside this VR, so their presence is not an error.
+        return Verdict(Status.PENDING, f"no flag-resolution log for {p.dataset_id}")
+    ids = _ids(records)
+    return Verdict(
+        Status.ERROR,
+        "unusable evidence: records exist for this VR but none matches its "
+        f"kind and dataset binding ({', '.join(ids)})",
+        evidence_ids=ids,
+    )
 
 
 # --- roll-ups ----------------------------------------------------------------------
@@ -494,10 +474,7 @@ def _aggregate(statuses: list[Status], empty_note: str) -> Rollup:
         return Rollup(Status.PENDING, empty_note)
     counts = {status: statuses.count(status) for status in _PRECEDENCE}
     note = ", ".join(f"{counts[s]} {s.value.lower()}" for s in _PRECEDENCE if counts[s])
-    for status in _PRECEDENCE:
-        if counts[status]:
-            return Rollup(status, note)
-    return Rollup(Status.SATISFIED, note)  # pragma: no cover
+    return Rollup(_worst(statuses), note)
 
 
 def rollup(

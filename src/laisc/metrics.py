@@ -348,7 +348,7 @@ class BrightnessShift:
 
 @dataclass(frozen=True, slots=True)
 class ContrastScale:
-    factor: float
+    factor: float = field(metadata={"above": 0})
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,8 +432,6 @@ def perturb(
         return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask
 
     if isinstance(spec, ContrastScale):
-        if spec.factor <= 0:
-            raise InvalidParameter(f"contrast factor must be > 0, got {spec.factor!r}")
         mean = sum(image.cells) / len(image.cells)
         table = bytes(_to_byte(mean + spec.factor * (p - mean)) for p in range(256))
         return LabeledGrid.from_bytes(image.height, image.width, image.cells.translate(table)), mask

@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from laisc.codec import number_fault, to_node
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
@@ -341,14 +341,14 @@ class LandscapeRow:
 # --- construction -----------------------------------------------------------
 
 
-def _check_unique(items, collection: str) -> None:
+def _check_unique(ids, collection: str) -> None:
     seen: set[str] = set()
-    for item in items:
-        if not item.id:
+    for id_ in ids:
+        if not id_:
             raise InvalidPayload(collection, "empty id")
-        if item.id in seen:
-            raise DuplicateId(item.id, collection)
-        seen.add(item.id)
+        if id_ in seen:
+            raise DuplicateId(id_, collection)
+        seen.add(id_)
 
 
 def _check_listed_once(ids, where: str) -> None:
@@ -398,6 +398,11 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> No
             fault = number_fault(cond)
             if fault:
                 raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
+    if isinstance(p, QualitativeApproval):
+        documents = p.required_documents
+        for first, second in zip(documents, documents[1:]):
+            if first == second:
+                raise InvalidPayload(vr.id, f"duplicate document kind {first!r}")
 
 
 def _check_landscape(landscape: Landscape) -> None:
@@ -411,8 +416,8 @@ def _check_landscape(landscape: Landscape) -> None:
     through the coverage check instead.
     """
     for collection in _COLLECTIONS:
-        _check_unique(getattr(landscape, collection), collection)
-    _check_listed_once([dataset_id for dataset_id, _ in landscape.datasets], "datasets")
+        _check_unique(map(attrgetter("id"), getattr(landscape, collection)), collection)
+    _check_unique(map(itemgetter(0), landscape.datasets), "datasets")
 
     orders = [stage.order for stage in landscape.stages]
     if orders != list(range(len(orders))):

@@ -197,6 +197,8 @@ VR_CASES = [
      PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),
      [(MetricResult("miou", ("ds-a",), 0.85), False, 1),
       (MetricResult("miou", ("ds-a",), 0.84), True, 0)], Status.PENDING, "noise"),
+    ("conditions-kind-mismatch", PerCondition("miou", (Condition("fog", "ds-a", 0.8),)),
+     [(ReviewLog("ds-a", 100, 95), False, 0)], Status.ERROR, "unusable"),
     # ReviewFraction (includes the worked VR1.2.1 example)
     ("review-satisfied", ReviewFraction("ds-a", 0.9),
      [(ReviewLog("ds-a", 100, 95), False, 0)], Status.SATISFIED, "95/100"),
@@ -209,6 +211,8 @@ VR_CASES = [
     ("review-pending", ReviewFraction("ds-a", 0.9), [], Status.PENDING, "no evidence"),
     ("review-stale", ReviewFraction("ds-a", 0.9),
      [(ReviewLog("ds-a", 100, 95), True, 0)], Status.ERROR, "stale"),
+    ("review-kind-mismatch", ReviewFraction("ds-a", 0.9),
+     [(MetricResult("miou", ("ds-a",), 0.9), False, 0)], Status.ERROR, "unusable"),
     # FlagResolution (includes the worked VR1.3 example)
     ("flags-satisfied", FlagResolution("clm_flags", "ds-a", 0.5),
      [(FlagResolutionLog("ds-a", ("img7", "img9"),
@@ -228,6 +232,8 @@ VR_CASES = [
      [(FlagResolutionLog("ds-a", ("img7",), ()), False, 0),
       (FlagResolutionLog("ds-a", ("img7",), (("img7", Resolution.REVISED),)), False, 1)],
      Status.SATISFIED, "1 flagged"),
+    ("flags-other-kind-pending", FlagResolution("clm_flags", "ds-a", 0.5),
+     [(ReviewLog("ds-a", 100, 95), False, 0)], Status.PENDING, "no flag-resolution log"),
     # QualitativeApproval (includes the worked VR1.1.1 example)
     ("approval-satisfied", QualitativeApproval(2, ("doc-kind",)),
      [(ApprovalRecord("rev-a", "safety", OK, "d1"), False, 0),

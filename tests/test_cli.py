@@ -325,6 +325,26 @@ def test_metric_miou_writes_expected_record(fixture_paths, tmp_path, capsys):
     assert io.format_timestamp(rec.timestamp) == "2026-02-01T12:00:00+00:00"
 
 
+@pytest.mark.parametrize(
+    "edit, err",
+    [
+        (lambda pred, truth: (truth / "b.grid").unlink(), "2 prediction grids vs 1 ground-truth grids"),
+        (lambda pred, truth: [path.unlink() for path in pred.iterdir()], "no *.grid files in"),
+    ],
+    ids=["unequal-counts", "empty-pred-dir"],
+)
+def test_metric_miou_without_paired_grids_exits_three(edit, err, fixture_paths, tmp_path, capsys):
+    landscape_path, _ = fixture_paths
+    pred_dir, truth_dir = _two_pair_dirs(tmp_path)
+    edit(pred_dir, truth_dir)
+    out_path = tmp_path / "run.evidence.json"
+    argv = ["metric", "miou", "--pred", str(pred_dir), "--truth", str(truth_dir), "--dataset", "d-counterfactual",
+            "--landscape", str(landscape_path), "--vr", "VR3.3", "--out", str(out_path)]
+    assert main(argv) == 3
+    assert err in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_metric_gap_and_evidence_append(fixture_paths, tmp_path, capsys):
     landscape_path, _ = fixture_paths
     out_path = tmp_path / "run.evidence.json"
@@ -355,6 +375,19 @@ def test_metric_gap_and_evidence_append(fixture_paths, tmp_path, capsys):
     assert bundle.records[0].payload == bundle.records[1].payload
     assert bundle.records[0].payload.config_note == "gap"
     assert bundle.records[0].payload.value == pytest.approx(0.02, abs=1e-12)
+
+
+def test_metric_append_skips_a_taken_record_id(fixture_paths, tmp_path, capsys):
+    landscape_path, _ = fixture_paths
+    out_path = tmp_path / "run.evidence.json"
+    argv = _metric_argv("gap", landscape_path, out_path)
+    assert main(argv) == 0
+    node = json.loads(out_path.read_bytes())
+    node["records"][0]["id"] = "rec-0001"
+    out_path.write_text(json.dumps(node))
+    assert main(argv) == 0
+    assert "appended rec-0002" in capsys.readouterr().out
+    assert [r.id for r in io.parse_evidence(out_path.read_bytes()).records] == ["rec-0001", "rec-0002"]
 
 
 def test_metric_gap_records_the_metric_of_its_vr(fixture_paths, tmp_path, capsys):

@@ -796,6 +796,21 @@ _STRUCTURAL_FAULTS = {
         DuplicateId,
         "duplicate id 'mm-labeling-guidelines' in VR VR1.1.1 mm_ids",
     ),
+    "dataset with the empty id": (
+        lambda land, _: land["datasets"].update({"": {"format": "grid-dir", "path": "data/x", "role": ""}}),
+        InvalidPayload,
+        "invalid payload for datasets: empty id",
+    ),
+    "VR lists a document kind twice": (
+        lambda land, _: land["vrs"][0]["payload"]["required_documents"].append("labeling-guidelines"),
+        InvalidPayload,
+        "invalid payload for VR1.1.1: duplicate document kind 'labeling-guidelines'",
+    ),
+    "concern lists an unknown goal": (
+        lambda land, _: land["concerns"][0]["goal_ids"].append("G9"),
+        DanglingReference,
+        "concern sc1-inaccurate-labels references unknown id 'G9'",
+    ),
     "empty vr_id": (
         lambda _, bundle: bundle["records"][2].update(vr_id=""),
         SchemaError,
@@ -815,6 +830,12 @@ def test_structural_errors_are_pinned(edit, error, message):
         parse_evidence(json.dumps(bundle))
     assert type(caught.value) is error
     assert str(caught.value) == message
+
+
+def test_timestamp_that_is_not_a_string_rejected():
+    with pytest.raises(InvalidTimestamp) as caught:
+        parse_timestamp(5)
+    assert str(caught.value) == "invalid timestamp '5': not a string"
 
 
 def test_unknown_vr_id_allowed_at_parse_time():
@@ -1023,6 +1044,20 @@ def test_grid_constructor_rejects_bad_cells(height, width, rows, error, message)
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "height, width, cells, message",
+    [
+        (0, 2, b"", "grid must be at least 1x1, got 0x2"),
+        (2, 2, b"\x00\x01\x00", "expected 4 cells, got 3"),
+    ],
+    ids=["empty", "cell-count"],
+)
+def test_grid_from_bytes_rejects_a_bad_shape(height, width, cells, message):
+    with pytest.raises(DimensionMismatch) as caught:
+        LabeledGrid.from_bytes(height, width, cells)
+    assert str(caught.value) == message
+
+
 # --- probability tables ----------------------------------------------------------------
 
 
@@ -1047,6 +1082,40 @@ def test_prob_table_rejects_a_label_that_is_not_an_int(label):
         ProbabilityTable(2, (("x0", 0, (0.5, 0.5)), ("x1", label, (0.25, 0.75))))
     assert type(caught.value) is ValueOutOfRange
     assert str(caught.value) == f"row 1 (x1): label {label!r} is not an integer"
+
+
+def test_tables_built_from_lists_store_tuples():
+    assert ProbabilityTable(2, [["x1", 1, [0.3, 0.7]]]).rows == (("x1", 1, (0.3, 0.7)),)
+    assert ActivationTable(2, [["s1", [0.5, -1.25]]]).rows == (("s1", (0.5, -1.25)),)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProbabilityTable(1, ()), "need at least 2 classes, got 1"),
+        (lambda: ActivationTable(0, ()), "need at least 1 neuron, got 0"),
+    ],
+    ids=["classes", "neurons"],
+)
+def test_tables_below_their_minimum_size_rejected(build, message):
+    with pytest.raises(ValueOutOfRange) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "read, header",
+    [
+        (read_prob_table, "instance_id,label,p_0..p_{N-1} with N >= 2"),
+        (read_activations, "sample_id,a_0..a_{N-1} with N >= 1"),
+    ],
+    ids=["probs", "activations"],
+)
+@pytest.mark.parametrize("data", ["", b""], ids=["text", "bytes"])
+def test_empty_table_names_the_header_it_expected(read, header, data):
+    with pytest.raises(InputSyntaxError) as caught:
+        read(data)
+    assert str(caught.value) == f"empty table, expected the header {header}"
 
 
 def test_prob_row_not_normalized():

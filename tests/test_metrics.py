@@ -532,7 +532,7 @@ _PERTURBATION_FAULTS = [
     (OcclusionPatch(x=0, y=0, w=1, h=-2), "OcclusionPatch.h must be >= 1, got -2"),
     (Rotate90(k=0), "Rotate90.k must be in [1, 3], got 0"),
     (Rotate90(k=4), "Rotate90.k must be in [1, 3], got 4"),
-    (ContrastScale(factor=0.0), "contrast factor must be > 0, got 0.0"),
+    (ContrastScale(factor=0.0), "ContrastScale.factor must be > 0, got 0.0"),
 ]
 
 
@@ -543,6 +543,12 @@ def test_perturb_rejects_non_integer_int_fields(spec, message):
     with pytest.raises(InvalidParameter) as caught:
         perturb(grid([1, 2, 3], [4, 5, 6]), grid([1, 0, 0], [0, 1, 1]), spec)
     assert str(caught.value) == message
+
+
+def test_perturb_refuses_a_label_augmentation_spec():
+    with pytest.raises(InvalidParameter) as caught:
+        perturb(grid([1]), grid([1]), MaskDilate(radius=1))
+    assert str(caught.value) == "unknown perturbation MaskDilate"
 
 
 def test_perturb_dimension_mismatch():
