@@ -248,6 +248,7 @@ def _grid_paths(path: str) -> list[Path]:
 def cmd_metric_miou(args: argparse.Namespace) -> int:
     from laisc import metrics
 
+    target = _target(args)
     pred_paths = _grid_paths(args.pred)
     truth_paths = _grid_paths(args.truth)
     if len(pred_paths) != len(truth_paths):
@@ -259,14 +260,14 @@ def cmd_metric_miou(args: argparse.Namespace) -> int:
     value, warned = _capture_small_samples(
         lambda: metrics.miou(preds, truths, min_samples=args.min_samples)
     )
-    return _metric_record(args, _target(args), "miou", (args.dataset,), value, f"pairs={len(preds)}{warned}")
+    return _metric_record(args, target, "miou", (args.dataset,), value, f"pairs={len(preds)}{warned}")
 
 
 def cmd_metric_gap(args: argparse.Namespace) -> int:
     from laisc import metrics
 
-    value = metrics.performance_gap(args.a, args.b)
     landscape, vr = _target(args)
+    value = metrics.performance_gap(args.a, args.b)
     # The record binds to the indicator the two values came from, so it can
     # satisfy a gap requirement declared over that metric; by default that
     # is the metric of the --vr.  A VR that measures no metric reads no
@@ -278,13 +279,14 @@ def cmd_metric_gap(args: argparse.Namespace) -> int:
 def cmd_metric_nap(args: argparse.Namespace) -> int:
     from laisc import metrics
 
+    target = _target(args)
     table_a = io.read_activations(Path(args.a).read_bytes())
     table_b = io.read_activations(Path(args.b).read_bytes())
     value, warned = _capture_small_samples(
         lambda: metrics.nap_distance(table_a, table_b, min_samples=args.min_samples)
     )
     dataset_ids = (args.dataset_a, args.dataset_b)
-    return _metric_record(args, _target(args), "nap_distance", dataset_ids, value, f"gap{warned}")
+    return _metric_record(args, target, "nap_distance", dataset_ids, value, f"gap{warned}")
 
 
 def cmd_metric_clm(args: argparse.Namespace) -> int:
@@ -340,10 +342,18 @@ def _spec_from_args(cls: type, args: argparse.Namespace):
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
-def _write_manifest(out_dir: Path, operation: str, spec, inputs: dict[str, str]) -> None:
+def _write_outputs(args: argparse.Namespace, operation: str, spec, grids: dict, inputs: dict[str, str]) -> int:
+    """Write ``grids`` (file name -> grid) and a ``manifest.json`` of the
+    ``operation``, its ``spec`` and its ``inputs`` into the directory ``--out``."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, grid in grids.items():
+        (out_dir / name).write_bytes(io.write_grid(grid))
     spec_node = {"kind": type(spec).__name__, **to_node(spec)}
     manifest = {"operation": operation, "spec": spec_node, "inputs": inputs}
     (out_dir / "manifest.json").write_bytes(dump_canonical(manifest))
+    _say(f"wrote {', '.join(grids)}, manifest.json to {args.out}")
+    return 0
 
 
 def cmd_perturb(args: argparse.Namespace) -> int:
@@ -353,13 +363,8 @@ def cmd_perturb(args: argparse.Namespace) -> int:
     mask = io.read_grid(Path(args.mask).read_bytes())
     spec = _spec_from_args(getattr(metrics, _PERTURBATIONS[args.kind]), args)
     new_image, new_mask = metrics.perturb(image, mask, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "image.grid").write_bytes(io.write_grid(new_image))
-    (out_dir / "mask.grid").write_bytes(io.write_grid(new_mask))
-    _write_manifest(out_dir, "perturb", spec, {"image": args.image, "mask": args.mask})
-    _say(f"wrote image.grid, mask.grid, manifest.json to {args.out}")
-    return 0
+    grids = {"image.grid": new_image, "mask.grid": new_mask}
+    return _write_outputs(args, "perturb", spec, grids, {"image": args.image, "mask": args.mask})
 
 
 def cmd_augment_labels(args: argparse.Namespace) -> int:
@@ -368,12 +373,7 @@ def cmd_augment_labels(args: argparse.Namespace) -> int:
     mask = io.read_grid(Path(args.mask).read_bytes())
     spec = _spec_from_args(getattr(metrics, _AUGMENTATIONS[args.kind]), args)
     new_mask = metrics.augment_labels(mask, spec)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "mask.grid").write_bytes(io.write_grid(new_mask))
-    _write_manifest(out_dir, "augment-labels", spec, {"mask": args.mask})
-    _say(f"wrote mask.grid, manifest.json to {args.out}")
-    return 0
+    return _write_outputs(args, "augment-labels", spec, {"mask.grid": new_mask}, {"mask": args.mask})
 
 
 # --- parser ---------------------------------------------------------------------

@@ -310,16 +310,7 @@ def _strs_column(nodes: list, key: str, where=None) -> list[tuple[str, ...]]:
 
 
 def _timestamps(nodes: list, key: str, where=None) -> list[datetime]:
-    """The rule of ``parse_timestamp``, one ``map`` per step; a column it
-    breaks is read again by ``parse_timestamp``, which words the bad time."""
-    texts = _typed(_STR, nodes, key)
-    if all(map(_RFC3339.fullmatch, texts)):
-        try:
-            parsed = map(datetime.fromisoformat, map(str.replace, texts, repeat("Z"), repeat("+00:00")))
-            return list(map(datetime.astimezone, parsed, repeat(timezone.utc)))
-        except (ValueError, OverflowError):
-            pass
-    return list(map(parse_timestamp, texts))
+    return list(map(parse_timestamp, _typed(_STR, nodes, key)))
 
 
 def _first(values: list, fails) -> tuple[int, object]:

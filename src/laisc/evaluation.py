@@ -10,15 +10,17 @@ Each VR gets exactly one :class:`Verdict`:
   such as an empty review population
 
 A record is fresh when its landscape fingerprint matches the current
-one, stale otherwise.  :func:`_slots` states once which records each
-kind reads, and :func:`reads` asks its tests.  :func:`_fill` decides
-every kind's slots, once per VR, in :func:`_evaluate_records`: the most
-recent fresh record matching a slot wins it (ties broken by record id),
-so re-measuring after a mitigation supersedes the old result, and
-QualitativeApproval counts every fresh match of its two slots.  A stale
-record never outranks a fresh one in its slot; it makes the verdict
-``Error`` only when its slot has no fresh record.  A VR with no slot
-filled is judged there too, so the evaluators run only on filled slots.
+one, stale otherwise.  :func:`laisc.model.slots` states once which
+records each kind reads, as one key per slot; :func:`_key` gives the one
+key a record's payload can fill, and :func:`reads` asks whether it is a
+key of the VR.  :func:`_fill` decides every kind's slots, once per VR,
+in :func:`_evaluate_records`: the most recent fresh record of a slot's
+key wins it (ties broken by record id), so re-measuring after a
+mitigation supersedes the old result, and QualitativeApproval counts
+every fresh record of its two slots.  A stale record never outranks a
+fresh one in its slot; it makes the verdict ``Error`` only when its slot
+has no fresh record.  A VR with no slot filled is judged there too, so
+the evaluators run only on filled slots.
 Verdicts roll up with the precedence Violated > Error > Pending >
 Satisfied: a proven failure is never masked by missing data.  Concerns
 marked not relevant report ``NotApplicable`` and stay out of the failure
@@ -27,7 +29,7 @@ counts.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -36,9 +38,7 @@ from operator import attrgetter
 from laisc.codec import check_aware, is_number
 from laisc.errors import UnknownFilterKey
 from laisc.io import (
-    ApprovalRecord,
     ApprovalVerdict,
-    DocumentRecord,
     EvidenceBundle,
     EvidenceRecord,
     FlagResolutionLog,
@@ -54,10 +54,12 @@ from laisc.model import (
     PerCondition,
     QualitativeApproval,
     ReviewFraction,
+    SlotKey,
     VerifiableRequirement,
     VrPayload,
     fingerprint,
     rows,
+    slots,
 )
 
 
@@ -172,70 +174,45 @@ class EvaluationReport:
 
 _recency = attrgetter("timestamp", "id")
 
-#: An evidence slot's label and the test a record's payload must pass to fill it.
-Slots = dict[str, Callable[[object], bool]]
 
-
-def _result(metric_id: str, gap: bool, *dataset_ids: str) -> Callable[[object], bool]:
-    """Test for a ``metric_id`` result over exactly ``dataset_ids``: a
-    precomputed gap (the two in either order) if ``gap``, else one
-    measurement.  A gap's ``config_note`` starts with the token ``gap``;
-    further notes (e.g. sample-size warnings) may follow after a semicolon."""
-    accepted = {dataset_ids, dataset_ids[::-1]}
-    return lambda result: (
-        isinstance(result, MetricResult)
-        and result.metric_id == metric_id
-        and (result.config_note.partition(";")[0] == "gap") == gap
-        and result.dataset_ids in accepted
-    )
-
-
-def _slots(p: VrPayload) -> Slots:
-    """The evidence slots of the VR payload ``p``: the one statement of
-    which records a VR of each kind reads."""
-    if isinstance(p, MetricThreshold):
-        return {"value": _result(p.metric_id, False, p.dataset_id)}
-    if isinstance(p, MetricGap):
-        return {
-            "gap": _result(p.metric_id, True, p.dataset_id_a, p.dataset_id_b),
-            "a": _result(p.metric_id, False, p.dataset_id_a),
-            "b": _result(p.metric_id, False, p.dataset_id_b),
-        }
-    if isinstance(p, PerCondition):
-        return {c.condition_id: _result(p.metric_id, False, c.dataset_id) for c in p.conditions}
-    if isinstance(p, ReviewFraction):
-        return {"log": lambda e: isinstance(e, ReviewLog) and e.dataset_id == p.dataset_id}
-    if isinstance(p, FlagResolution):
-        return {"log": lambda e: isinstance(e, FlagResolutionLog) and e.dataset_id == p.dataset_id}
-    return {
-        "approvals": lambda e: isinstance(e, ApprovalRecord),
-        "documents": lambda e: isinstance(e, DocumentRecord),
-    }
+def _key(evidence) -> SlotKey:
+    """The one slot key that the record payload ``evidence`` can fill.  A
+    result is a precomputed gap when the first ``;``-separated token of its
+    ``config_note`` is ``gap``; further notes (e.g. sample-size warnings)
+    may follow."""
+    kind = type(evidence).__name__
+    if isinstance(evidence, MetricResult):
+        if evidence.config_note.partition(";")[0] == "gap":
+            return kind, tuple(sorted(evidence.dataset_ids)), evidence.metric_id, True
+        return kind, evidence.dataset_ids, evidence.metric_id, False
+    if isinstance(evidence, (ReviewLog, FlagResolutionLog)):
+        return kind, (evidence.dataset_id,)
+    return kind, ()
 
 
 def reads(payload: VrPayload, evidence) -> bool:
     """True when a VR with ``payload`` reads a record whose payload is
-    ``evidence``: some slot of the VR's kind accepts it."""
-    return any(test(evidence) for test in _slots(payload).values())
+    ``evidence``: its key is the key of some slot of the VR."""
+    return _key(evidence) in slots(payload).values()
 
 
 def _fill(
-    slots: Slots, fresh: list[EvidenceRecord], stale: list[EvidenceRecord]
+    keys: dict[str, SlotKey], fresh: list[EvidenceRecord], stale: list[EvidenceRecord]
 ) -> tuple[dict[str, list[EvidenceRecord]], list[EvidenceRecord]]:
-    """Decide every evidence slot of one VR; return ``(matched, stale_matching)``.
+    """Decide the evidence slots ``keys`` (label -> key) of one VR; return
+    ``(matched, stale_matching)``.
 
-    ``matched`` maps each filled label to its fresh matches in recency
-    order, so the last one wins (ties go to the greatest record id).
-    ``stale_matching`` holds the stale records matching a slot that no
-    fresh record fills: a filled slot supersedes its stale matches.
+    ``matched`` maps each filled label to the fresh records of its key in
+    recency order, so the last one wins (ties go to the greatest record
+    id).  ``stale_matching`` holds the stale records whose key is that of
+    a slot no fresh record fills: a filled slot supersedes its stale ones.
     """
-    matched: dict[str, list[EvidenceRecord]] = {}
-    for label, test in slots.items():
-        matches = [r for r in fresh if test(r.payload)]
-        if matches:
-            matched[label] = sorted(matches, key=_recency)
-    open_tests = [test for label, test in slots.items() if label not in matched]
-    return matched, [r for r in stale if any(test(r.payload) for test in open_tests)]
+    by_key: dict[SlotKey, list[EvidenceRecord]] = {}
+    for record in sorted(fresh, key=_recency):
+        by_key.setdefault(_key(record.payload), []).append(record)
+    matched = {label: by_key[key] for label, key in keys.items() if key in by_key}
+    open_keys = {key for label, key in keys.items() if label not in matched}
+    return matched, [r for r in stale if _key(r.payload) in open_keys]
 
 
 def _ids(records: Iterable[EvidenceRecord]) -> tuple[str, ...]:
@@ -448,7 +425,7 @@ def _evaluate_records(
     fresh = [r for r in records if r.landscape_fingerprint == landscape_fingerprint]
     stale = [r for r in records if r.landscape_fingerprint != landscape_fingerprint]
     p = vr.payload
-    matched, stale_matching = _fill(_slots(p), fresh, stale)
+    matched, stale_matching = _fill(slots(p), fresh, stale)
     if matched:
         return _EVALUATORS[type(p)](p, matched, stale_matching)
     if stale_matching:
@@ -511,7 +488,7 @@ def coverage(landscape: Landscape) -> list[CoverageGap]:
     never referenced from a relevant chain are inert and not reported.
     """
     gaps: list[CoverageGap] = []
-    stageless_measures: list[str] = []
+    stageless_measures: set[str] = set()
     for concern in landscape.concerns:
         if not concern.relevant:
             continue
@@ -530,8 +507,7 @@ def coverage(landscape: Landscape) -> list[CoverageGap]:
                     continue
                 for mm_id in vr.mm_ids:
                     if landscape.mitigation_measure(mm_id).stage_id is None:
-                        if mm_id not in stageless_measures:
-                            stageless_measures.append(mm_id)
+                        stageless_measures.add(mm_id)
     gaps.extend(CoverageGap(GapKind.MM_WITHOUT_STAGE, mm_id) for mm_id in sorted(stageless_measures))
     return gaps
 

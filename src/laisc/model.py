@@ -20,10 +20,15 @@ VRs come in six closed kinds, one per evaluation pattern:
 * ``QualitativeApproval`` -- counted independent expert approvals plus
   required documents
 
-A VR's kind is its payload's class name, the codec's ``kind`` key.  The
-payload's fields are checked by field: ``dataset_id*`` must be declared,
-``metric_id`` known, numbers and their bounds (``epsilon >= 0``, say)
-as :func:`laisc.codec.number_fault` reads them from the fields; only the
+A VR's kind is its payload's class name, the codec's ``kind`` key.
+:func:`slots` states once which records a VR of each kind reads: each
+evidence slot's key (:data:`SlotKey`) names an evidence kind, its datasets
+and, for a metric result, the metric and whether it is a precomputed
+gap.  Evaluation fills the slots, ``laisc metric`` refuses an append no
+slot takes, and the structure check takes a VR's dataset bindings from
+the keys.  The rest of a payload is checked by field: ``metric_id``
+known, numbers and their bounds (``epsilon >= 0``, say) as
+:func:`laisc.codec.number_fault` reads them from the fields; only the
 rules no field states are checked per kind.
 
 New measurable requirements are expressed by registering metric ids inside
@@ -34,7 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, itemgetter
@@ -187,6 +192,38 @@ VrPayload = (
     | FlagResolution
     | QualitativeApproval
 )
+
+
+#: What one evidence slot of a VR takes: ``(kind, dataset_ids)``, a record
+#: payload of the evidence kind ``kind`` (its class name, the codec's
+#: ``kind`` key) on exactly ``dataset_ids``.  A ``MetricResult`` key adds
+#: the metric and whether the result is a precomputed gap; a gap's two ids
+#: are sorted, for a gap is read in either order.
+SlotKey = tuple
+
+
+def slots(p: VrPayload) -> dict[str, SlotKey]:
+    """The evidence slots of the VR payload ``p``, label -> key: the one
+    statement of which records a VR of each kind reads.  MetricGap lists
+    its sides ``a`` and ``b`` before ``gap``, so the keys name the bound
+    datasets in field order."""
+    if isinstance(p, MetricThreshold):
+        return {"value": ("MetricResult", (p.dataset_id,), p.metric_id, False)}
+    if isinstance(p, MetricGap):
+        pair = tuple(sorted((p.dataset_id_a, p.dataset_id_b)))
+        return {
+            "a": ("MetricResult", (p.dataset_id_a,), p.metric_id, False),
+            "b": ("MetricResult", (p.dataset_id_b,), p.metric_id, False),
+            "gap": ("MetricResult", pair, p.metric_id, True),
+        }
+    if isinstance(p, PerCondition):
+        return {c.condition_id: ("MetricResult", (c.dataset_id,), p.metric_id, False) for c in p.conditions}
+    if isinstance(p, ReviewFraction):
+        return {"log": ("ReviewLog", (p.dataset_id,))}
+    if isinstance(p, FlagResolution):
+        return {"log": ("FlagResolutionLog", (p.dataset_id,))}
+    return {"approvals": ("ApprovalRecord", ()), "documents": ("DocumentRecord", ())}
+
 
 @dataclass(frozen=True, slots=True)
 class VerifiableRequirement:
@@ -358,27 +395,13 @@ def _check_listed_once(ids, where: str) -> None:
             raise DuplicateId(first, where)
 
 
-def bound_datasets(payload) -> tuple[str, ...]:
-    """The dataset ids a VR payload binds, in field order: the value of
-    every ``dataset_id*`` field, also of the nested :class:`Condition` rows."""
-    bound: list[str] = []
-    for f in fields(payload):
-        value = getattr(payload, f.name)
-        if f.name.startswith("dataset_id"):
-            bound.append(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                if is_dataclass(item):
-                    bound.extend(bound_datasets(item))
-    return tuple(bound)
-
-
 def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> None:
     p = vr.payload
 
-    for dataset_id in bound_datasets(p):
-        if dataset_id not in dataset_ids:
-            raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
+    for _, bound, *_ in slots(p).values():
+        for dataset_id in bound:
+            if dataset_id not in dataset_ids:
+                raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
     if hasattr(p, "metric_id") and p.metric_id not in KNOWN_METRIC_IDS:
         raise InvalidPayload(vr.id, f"unknown metric id {p.metric_id!r}")
     fault = number_fault(p)

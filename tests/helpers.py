@@ -330,6 +330,21 @@ def gaps_as_pairs(gaps: list[CoverageGap]) -> set[tuple[str, str]]:
     return {(gap.kind.value, gap.subject_id) for gap in gaps}
 
 
+def bound_datasets(payload) -> tuple[str, ...]:
+    """The dataset ids a VR payload binds, in field order: the value of
+    every ``dataset_id*`` field, also of the nested :class:`Condition` rows."""
+    bound: list[str] = []
+    for f in fields(payload):
+        value = getattr(payload, f.name)
+        if f.name.startswith("dataset_id"):
+            bound.append(value)
+        elif isinstance(value, tuple):
+            for item in value:
+                if is_dataclass(item):
+                    bound.extend(bound_datasets(item))
+    return tuple(bound)
+
+
 def _plain(value):
     """A payload value as plain JSON data: a dataclass as an object of its
     fields, an enum as its value, a tuple as a list."""

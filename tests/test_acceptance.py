@@ -139,6 +139,8 @@ VR_CASES = [
     ("threshold-ignores-gap-record", MetricThreshold("miou", "ds-a", Comparator.GE, 0.8),
      [(MetricResult("miou", ("ds-a",), 0.9), False, 0),
       (MetricResult("miou", ("ds-a", "ds-b"), 0.02, "gap"), False, 1)], Status.SATISFIED, "holds"),
+    ("threshold-gap-record-only", MetricThreshold("miou", "ds-a", Comparator.GE, 0.8),
+     [(MetricResult("miou", ("ds-a",), 0.9, "gap"), False, 0)], Status.ERROR, "unusable"),
     # MetricGap (includes the worked VR2.1 example)
     ("gap-satisfied", MetricGap("miou", "ds-a", "ds-b", 0.05),
      [(MetricResult("miou", ("ds-a",), 0.86), False, 0),
@@ -169,6 +171,11 @@ VR_CASES = [
       (MetricResult("miou", ("ds-a",), 0.86), False, 1)], Status.ERROR, "stale"),
     ("gap-record-binds-exactly-the-pair", MetricGap("miou", "ds-a", "ds-b", 0.05),
      [(MetricResult("miou", ("ds-a", "ds-b", "ds-c"), 0.01, "gap"), False, 0)], Status.ERROR, "unusable"),
+    ("gap-two-dataset-value-record", MetricGap("miou", "ds-a", "ds-b", 0.05),
+     [(MetricResult("miou", ("ds-a", "ds-b"), 0.02), False, 0)], Status.ERROR, "unusable"),
+    ("gap-note-without-the-gap-token", MetricGap("nap_distance", "ds-a", "ds-b", 0.1),
+     [(MetricResult("nap_distance", ("ds-a", "ds-b"), 0.04, "gapless; warning: 2 samples"), False, 0)],
+     Status.ERROR, "unusable"),
     # PerCondition (includes the worked VR3.2 example)
     ("conditions-satisfied",
      PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),

@@ -546,6 +546,27 @@ def test_metric_with_undeclared_id_exits_three_and_appends_nothing(
     assert out_path.exists() is existing
 
 
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("miou", ["--pred", "missing.grid", "--truth", "missing.grid", "--dataset", "d-counterfactual"]),
+        ("gap", ["--a", "nan", "--b", "0.5", "--dataset-a", "d-real", "--dataset-b", "d-synth"]),
+        ("nap", ["--a", "missing.acts.csv", "--b", "missing.acts.csv", "--dataset-a", "nap-real",
+                 "--dataset-b", "nap-synth"]),
+        ("clm", ["--probs", "missing.probs.csv", "--dataset", "d-train"]),
+    ],
+)
+def test_metric_names_an_unknown_vr_before_reading_its_inputs(command, inputs, fixture_paths, tmp_path, capsys):
+    """Every ``metric`` command checks ``--vr`` first, so an unknown VR is
+    the refusal even when an input is missing or not a number."""
+    landscape_path, evidence_path = fixture_paths
+    inputs = [str(tmp_path / value) if value.startswith("missing") else value for value in inputs]
+    argv = ["metric", command, *inputs, "--landscape", str(landscape_path), "--vr", "VR-nope",
+            "--out", str(evidence_path)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: --vr 'VR-nope' is not a VR of {landscape_path}\n"
+
+
 def test_metric_nap_for_a_vr_without_that_pair_exits_three(fixture_paths, tmp_path, capsys):
     landscape_path, evidence_path = fixture_paths
     before = evidence_path.read_bytes()
@@ -872,6 +893,22 @@ def test_perturb_hflip_flips_both_consistently(tmp_path):
     assert flipped_image.values == ((3, 2, 1),)
     assert flipped_mask.values == ((0, 0, 1),)
     assert sum(map(sum, flipped_mask.values)) == 1
+
+
+def test_perturb_and_augment_labels_say_what_they_wrote(tmp_path, capsys):
+    image = _grid_file(tmp_path, "image.grid", [[1, 2, 3]])
+    mask = _grid_file(tmp_path, "mask.grid", [[1, 0, 0]])
+    out_dir = tmp_path / "out"
+    assert main(["perturb", "--image", str(image), "--mask", str(mask), "--kind", "hflip", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote image.grid, mask.grid, manifest.json to {out_dir}\n"
+    assert main(["augment-labels", "--mask", str(mask), "--kind", "dilate", "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote mask.grid, manifest.json to {out_dir}\n"
+    manifest = json.loads((out_dir / "manifest.json").read_bytes())
+    assert manifest == {
+        "inputs": {"mask": str(mask)},
+        "operation": "augment-labels",
+        "spec": {"kind": "MaskDilate", "radius": 1},
+    }
 
 
 def test_augment_labels_flip_rate_one(tmp_path):

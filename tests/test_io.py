@@ -739,6 +739,11 @@ def _drop(items, item):
     items.remove(item)
 
 
+def _payload(land, vr_id: str) -> dict:
+    """The payload node of the VR ``vr_id`` in the landscape node ``land``."""
+    return next(vr["payload"] for vr in land["vrs"] if vr["id"] == vr_id)
+
+
 #: One edit of a shipped fixture per structural rule, and the error it gives.
 _STRUCTURAL_FAULTS = {
     "empty id": (
@@ -810,6 +815,21 @@ _STRUCTURAL_FAULTS = {
         lambda land, _: land["concerns"][0]["goal_ids"].append("G9"),
         DanglingReference,
         "concern sc1-inaccurate-labels references unknown id 'G9'",
+    ),
+    "gap side b on an unknown dataset": (
+        lambda land, _: _payload(land, "VR2.1").update(dataset_id_b="d-nowhere"),
+        DanglingReference,
+        "VR VR2.1 dataset binding references unknown id 'd-nowhere'",
+    ),
+    "condition on an unknown dataset": (
+        lambda land, _: _payload(land, "VR3.2")["conditions"][3].update(dataset_id="d-nowhere"),
+        DanglingReference,
+        "VR VR3.2 dataset binding references unknown id 'd-nowhere'",
+    ),
+    "both gap sides unknown, side a sorting last": (
+        lambda land, _: _payload(land, "VR2.1").update(dataset_id_a="d-nowhere", dataset_id_b="d-elsewhere"),
+        DanglingReference,
+        "VR VR2.1 dataset binding references unknown id 'd-nowhere'",
     ),
     "empty vr_id": (
         lambda _, bundle: bundle["records"][2].update(vr_id=""),

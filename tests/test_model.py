@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fingerprint_oracle, random_landscape, single_vr_landscape
+from helpers import bound_datasets, fingerprint_oracle, random_landscape, single_vr_landscape
 from laisc import fixtures
 from laisc.evaluation import evaluate
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
@@ -32,6 +32,7 @@ from laisc.model import (
     VerifiableRequirement,
     fingerprint,
     rows,
+    slots,
 )
 from laisc.report import render_json
 
@@ -203,6 +204,31 @@ def test_undeclared_dataset_rejected():
 
 
 # --- rows -------------------------------------------------------------------
+
+
+def _first_seen(dataset_ids) -> list[str]:
+    return list(dict.fromkeys(dataset_ids))
+
+
+def test_slot_keys_bind_the_datasets_of_the_payload_fields():
+    """The dataset ids of a VR's slot keys, in order of first mention, are
+    those its payload fields name, in field order: so the structure check,
+    which reads them from the keys, refuses the first undeclared one."""
+    rng = random.Random(2207)
+    landscapes = [fixtures.track_detector_landscape()] + [random_landscape(rng) for _ in range(200)]
+    for landscape in landscapes:
+        for vr in landscape.vrs:
+            keyed = [dataset_id for _, bound, *_ in slots(vr.payload).values() for dataset_id in bound]
+            assert _first_seen(keyed) == _first_seen(bound_datasets(vr.payload)), vr
+
+
+@pytest.mark.parametrize("datasets", [("d-nowhere", "ds-a"), ("ds-a", "d-nowhere")])
+def test_repeated_condition_id_is_refused_whatever_its_copies_bind(datasets):
+    """A repeated condition id names one slot, so a copy's dataset may go
+    unchecked; the repetition itself is still refused."""
+    conditions = tuple(Condition("fog", dataset_id, 0.8) for dataset_id in datasets)
+    with pytest.raises((DanglingReference, InvalidPayload)):
+        single_vr_landscape(PerCondition("miou", conditions), datasets=DATASETS)
 
 
 def test_fixture_first_row_cells():
