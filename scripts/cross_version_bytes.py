@@ -9,7 +9,12 @@ of each of these, as JSON:
 * the ``table``, ``json`` and ``dot`` reports, at the pinned ``NOW``, of
   the shipped fixture and of the pairs ``bench/audit_gen.py`` generates
   for seeds 1-3 (1000 VRs, as in the ``audit-large`` workload);
-* ``serialize(parse(.))`` of each of those landscapes and bundles.
+* ``serialize(parse(.))`` of each of those landscapes and bundles;
+* for the CSV tables that ``bench/grid_gen.py`` generates for seeds 1-3
+  (at the sizes of the ``evidence`` workload): ``write(read(.))`` of the
+  two activation tables and of the probability table, ``repr`` of the NAP
+  distance between the activation tables, and ``repr`` of the
+  ``clm_flags`` result at ``grid_gen.FLAG_THRESHOLD``.
 
 The script then prints the digests of the first interpreter and, for each
 other one, whether it wrote the same.  It exits 1 if any two interpreters
@@ -21,9 +26,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
+import random
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +39,10 @@ NOW = "2026-02-01T12:00:00Z"
 SEEDS = (1, 2, 3)
 N_VRS = 1000
 FORMATS = ("table", "json", "dot")
+#: The table sizes of the ``evidence`` workload: activation rows, neurons,
+#: shifted neurons; probability rows, classes, flagged rows.
+ACTIVATIONS = (2000, 64, 16)
+PROBABILITIES = (20000, 4, 1000)
 
 
 def _sha256(data: bytes) -> str:
@@ -38,12 +50,14 @@ def _sha256(data: bytes) -> str:
 
 
 def digests() -> dict[str, str]:
-    """The sha256 of every report and round-tripped document, by name."""
+    """The sha256 of every report, round-tripped document and table, and
+    table metric, by name."""
     sys.path.insert(0, str(ROOT / "bench"))
     import audit_gen
+    import grid_gen
 
     import laisc
-    from laisc import fixtures
+    from laisc import fixtures, metrics
 
     pairs = {
         "fixture": (
@@ -64,6 +78,21 @@ def digests() -> dict[str, str]:
             out[f"{name} report.{fmt}"] = _sha256(laisc.serialize_report(report, fmt))
         out[f"{name} landscape"] = _sha256(laisc.serialize_landscape(landscape))
         out[f"{name} evidence"] = _sha256(laisc.serialize_evidence(evidence))
+    # Python 3.12 made sum() of floats compensated, and grid_gen scales its
+    # probabilities by a sum: generate every table with the left-to-right
+    # sum of 3.10 and 3.11, so every interpreter reads the same bytes.
+    grid_gen.sum = lambda values: reduce(operator.add, values, 0)
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        acts_a, acts_b, _ = grid_gen.activation_tables(rng, *ACTIVATIONS)
+        probs, _ = grid_gen.probability_table(rng, *PROBABILITIES)
+        table_a, table_b = laisc.read_activations(acts_a), laisc.read_activations(acts_b)
+        table = laisc.read_prob_table(probs)
+        name = f"grid_gen-{seed}"
+        out[f"{name} activations"] = _sha256(laisc.io.write_activations(table_a) + laisc.io.write_activations(table_b))
+        out[f"{name} probabilities"] = _sha256(laisc.io.write_prob_table(table))
+        out[f"{name} nap_distance"] = _sha256(repr(metrics.nap_distance(table_a, table_b)).encode())
+        out[f"{name} clm_flags"] = _sha256(repr(metrics.clm_flags(table, grid_gen.FLAG_THRESHOLD)).encode())
     return out
 
 

@@ -300,8 +300,9 @@ def cmd_metric_clm(args: argparse.Namespace) -> int:
     result, warned = _capture_small_samples(
         lambda: metrics.clm_flags(table, threshold, min_samples=args.min_samples)
     )
-    flagged_fraction = len(result.flagged_ids) / len(table.rows) if table.rows else 0.0
-    note = f"threshold={threshold:g}; flagged={len(result.flagged_ids)}/{len(table.rows)}{warned}"
+    flagged, total = len(result.flagged_ids), len(table.ids)
+    flagged_fraction = flagged / total if total else 0.0
+    note = f"threshold={threshold:g}; flagged={flagged}/{total}{warned}"
     metric_id, flag_id = _append(
         args,
         (landscape, vr),
@@ -310,7 +311,7 @@ def cmd_metric_clm(args: argparse.Namespace) -> int:
             FlagResolutionLog(args.dataset, flagged_ids=result.flagged_ids, entries=()),
         ],
     )
-    _say(f"clm_flags = {flagged_fraction!r} ({len(result.flagged_ids)} flagged)")
+    _say(f"clm_flags = {flagged_fraction!r} ({flagged} flagged)")
     for instance_id in result.flagged_ids:
         _say(f"  flagged: {instance_id}")
     _say(f"appended {metric_id}, {flag_id} to {args.out}")

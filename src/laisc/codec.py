@@ -45,6 +45,12 @@ or ``float`` (``NUMBER_TYPES``), never a ``bool`` or a subclass, and a
 number that breaks it; ``number_fault`` checks the inclusive ``min`` and
 ``max`` bounds and the exclusive ``above`` bound that a field declares in
 its ``field(metadata=...)`` too.
+
+A text rule holds beside it: a field declared ``str``, ``str | None`` or
+``tuple[str, ...]`` holds exact ``str`` values, as its column takes them
+from a file.  ``text_fault`` checks it for objects built in code, nested
+ones included, and words a fault at its JSON path in the column's words,
+so neither self-check lets through a document the reader would refuse.
 """
 
 from __future__ import annotations
@@ -398,7 +404,7 @@ def _objects(cls: type, nodes: list, where) -> list:
     they are read one column at a time and built with one ``map``; if any
     step of that raises, ``from_node`` reads each node in turn and words the
     first fault."""
-    keys, _, _, columns = _plan(cls)
+    keys, _, _, columns, _ = _plan(cls)
     try:
         if all(map(eq, map(dict.keys, nodes), repeat(keys))):
             return list(map(cls, *[column(nodes, name, where) for name, column, _ in columns]))
@@ -454,17 +460,69 @@ def _shape(annotation):
     return partial(_items_column, item), lambda values: [to_node(value) for value in values], "list"
 
 
+def _str_tuples(values) -> bool:
+    """The ``tuple[str, ...]`` test; it lists ``values``, for it reads them twice."""
+    values = list(values)
+    return set(map(type, values)) <= {tuple} and set(map(type, chain.from_iterable(values))) <= _STR
+
+
+#: Whether every value that an iterable of one text field's values yields
+#: is what that field's column takes from a file: of the exact type, so a
+#: ``str`` subclass is not.
+_TEXT_TESTS = {
+    str: lambda values: set(map(type, values)) <= _STR,
+    str | None: lambda values: set(map(type, values)) <= {str, type(None)},
+    tuple[str, ...]: _str_tuples,
+}
+
+
+def _holding(annotation) -> str | None:
+    """How a field declared as ``annotation`` holds dataclasses: ``"one"``
+    (a union of dataclasses), ``"list"`` (a tuple of them), ``"keyed"``
+    (``(id, dataclass)`` pairs), or ``None``."""
+    if _union_classes(annotation):
+        return "one"
+    if get_origin(annotation) is not tuple or annotation in _SCALARS:
+        return None
+    item = get_args(annotation)[0]
+    if is_dataclass(item):
+        return "list"
+    if get_origin(item) is tuple and is_dataclass(get_args(item)[1]):
+        return "keyed"
+    return None
+
+
+def _held(holding: str, values) -> list:
+    """The dataclasses that ``values``, a column of a field that holds them
+    as ``holding`` says, hold, in order."""
+    if holding == "one":
+        return list(values)
+    items = chain.from_iterable(values)
+    return list(items if holding == "list" else map(itemgetter(1), items))
+
+
+def _held_suffixes(holding: str, value) -> list[str]:
+    """The JSON path below the field of each dataclass that ``value`` holds."""
+    if holding == "one":
+        return [""]
+    if holding == "list":
+        return [f"[{k}]" for k in range(len(value))]
+    return [f".{key}" for key, _ in value]
+
+
 @cache
-def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
+def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
     key, a ``(field name, int or float, min, max, above)`` row per number
     field (``None`` for an absent bound; a ``max`` comes with a ``min``;
-    ``above`` is exclusive) and a ``(field name, column, expected)`` row
-    per field.  A field typed as a union of dataclasses adds the ``kind``
-    key: written from the field value's class, and checked by the field's
-    column."""
+    ``above`` is exclusive), a ``(field name, column, expected)`` row per
+    field, and a ``(field name, test, expected, holding)`` row per text
+    field (``holding`` is ``None``) and per field that holds dataclasses
+    (``test`` is ``None``).  A field typed as a union of dataclasses adds the
+    ``kind`` key: written from the field value's class, and checked by the
+    field's column."""
     hints = get_type_hints(cls)
-    writes, numbers, columns = [], [], []
+    writes, numbers, columns, texts = [], [], [], []
     for f in fields(cls):
         # from_node and _objects pass the values positionally, in field order.
         assert f.init and not f.kw_only, f"{cls.__name__}.{f.name} is not a positional __init__ field"
@@ -475,10 +533,13 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple]:
         if annotation is int or annotation is float:
             bounds = (f.metadata.get("min"), f.metadata.get("max"), f.metadata.get("above"))
             numbers.append((f.name, annotation, *bounds))
+        holding = _holding(annotation)
+        if annotation in _TEXT_TESTS or holding:
+            texts.append((f.name, _TEXT_TESTS.get(annotation), expected, holding))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
-    return keys, tuple(writes), tuple(numbers), tuple(columns)
+    return keys, tuple(writes), tuple(numbers), tuple(columns), tuple(texts)
 
 
 def to_node(obj) -> dict:
@@ -508,6 +569,45 @@ def number_fault(obj) -> str | None:
     return None
 
 
+def _texts_hold(objects: list) -> bool:
+    """Whether every text field of the dataclasses ``objects``, and of the
+    dataclasses they hold, passes its test: one C-level pass per field of
+    each class."""
+    types = list(map(type, objects))
+    classes = set(types)
+    for cls in classes:
+        group = objects if len(classes) == 1 else list(compress(objects, map(is_, types, repeat(cls))))
+        for name, test, _, holding in _plan(cls)[4]:
+            values = map(attrgetter(name), group)
+            if not (test(values) if holding is None else _texts_hold(_held(holding, values))):
+                return False
+    return True
+
+
+def text_fault(objects: list, where) -> tuple[str, str, object] | None:
+    """The first field of the dataclasses ``objects``, or of a dataclass
+    they hold, that is declared ``str``, ``str | None`` or ``tuple[str,
+    ...]`` and holds what its column would refuse in a file, as ``(path,
+    expected, value)``: ``objects[i]`` is at the JSON path ``where(i)``,
+    and ``expected`` is the column's words.  ``None`` if there is none.
+    The objects are checked one C-level pass per field first; only a list
+    that fails is walked object by object, to name the first fault."""
+    if _texts_hold(objects):
+        return None
+    for index, obj in enumerate(objects):
+        for name, test, expected, holding in _plan(type(obj))[4]:
+            value, path = getattr(obj, name), f"{where(index)}.{name}"
+            if holding is None:
+                if not test((value,)):
+                    return path, expected, value
+                continue
+            suffixes = _held_suffixes(holding, value)
+            fault = text_fault(_held(holding, (value,)), lambda k: path + suffixes[k])
+            if fault:
+                return fault
+    return None
+
+
 # --- one object: its columns over that one object --------------------------------
 
 
@@ -523,7 +623,7 @@ def _field(column, expected: str | None, node: dict, key: str, where):
 def from_node(cls: type, node: object, path: str):
     """Read the domain dataclass ``cls`` from its JSON object at ``path``:
     ``cls``'s columns over this one object."""
-    keys, _, _, columns = _plan(cls)
+    keys, _, _, columns, _ = _plan(cls)
     if not isinstance(node, dict):
         raise SchemaError(path, "object", type(node).__name__)
     unknown = node.keys() - keys

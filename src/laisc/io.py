@@ -16,13 +16,16 @@ Formats (all UTF-8, LF line endings):
 ``laisc.codec`` reads and writes the two JSON documents from the field
 annotations of their dataclasses, and refuses a number that breaks its
 number rule (a non-finite metric value, say) at the number's JSON path.
-``EvidenceBundle`` checks a bundle's own rules (ids, ``vr_id``, review
-counts, ``number_fault`` of each payload) wherever it is built, as
-``Landscape`` checks its structure.
+``EvidenceBundle`` checks a bundle's own rules (``text_fault`` of its
+records, ids, ``vr_id``, review counts, ``number_fault`` of each
+payload) wherever it is built, as ``Landscape`` checks its structure.
 
 The two CSV tables share one reader, which checks the header and the
 width of every row, and one writer.  A value is read with ``float()``
-and checked once, by ``ProbabilityTable`` or ``ActivationTable``.
+and appended straight to one ``array("d")``; the table keeps those
+doubles as one row-major ``bytes`` buffer, as ``LabeledGrid`` keeps its
+cells, and checks the whole buffer once, by ``ProbabilityTable`` or
+``ActivationTable``.  Their ``.rows`` is a derived copy.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import csv
 import io as _stdio
 import math
+from array import array
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -49,6 +53,7 @@ from laisc.codec import (
     load_json,
     number_fault,
     parse_timestamp,  # noqa: F401
+    text_fault,
     to_node,
 )
 from laisc.errors import (
@@ -182,7 +187,11 @@ class EvidenceBundle:
 
 def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
     """Raise at the first record that breaks a bundle's rule, at its JSON
-    path: an ``InvalidPayload`` in ``number_fault``'s words, else a ``SchemaError``."""
+    path: a ``SchemaError`` at a field that ``text_fault`` finds first, then
+    an ``InvalidPayload`` in ``number_fault``'s words or a ``SchemaError``."""
+    fault = text_fault(records, "$.records[{}]".format)
+    if fault:
+        raise SchemaError(*fault)
     seen: set[str] = set()
     for index, record in enumerate(records):
         path = f"$.records[{index}]"
@@ -267,77 +276,186 @@ class LabeledGrid:
         return not self.cells.translate(None, b"\x00\x01")
 
 
-def _stored(rows, width: int) -> bool:
-    """Whether ``rows`` already is what a table stores: a tuple of
-    ``width``-tuples whose last item is a tuple.  One C-level pass per
-    property, so rows read from a file are not copied."""
-    return (
-        type(rows) is tuple
-        and set(map(type, rows)) <= {tuple}
-        and set(map(len, rows)) <= {width}
-        and set(map(type, map(itemgetter(width - 1), rows))) <= {tuple}
-    )
+def _rows_of(flat, width: int):
+    """The rows of the row-major numbers ``flat``, ``width`` to a tuple, one at a time."""
+    return zip(*[iter(flat)] * width)
 
 
-@dataclass(frozen=True, slots=True)
-class ProbabilityTable:
-    """Per-instance predicted class probabilities with the observed label."""
+def _pack(numbers: list) -> bytes | tuple:
+    """``numbers`` as a table stores them: the bytes of their doubles when
+    every one is a ``float``, else a tuple of them as given."""
+    if set(map(type, numbers)) <= {float}:
+        return array("d", numbers).tobytes()
+    return tuple(numbers)
+
+
+def _all_numbers(flat) -> bool:
+    """Whether every one of a table's numbers ``is_number``; a buffer holds floats only."""
+    return all(map(math.isfinite, flat)) if type(flat) is memoryview else are_numbers(flat)
+
+
+class _Table:
+    """What the two CSV tables share: the numbers, row-major, in ``numbers``.
+
+    ``numbers`` is the bytes of the doubles when every number is a
+    ``float``, as it is in a table read from CSV, and otherwise one flat
+    tuple of the numbers as given, so an ``int`` built in code keeps its
+    exact value.  ``==`` and ``hash`` compare the numbers by value: a table
+    of ``1`` equals one of ``1.0``, and one of ``-0.0`` one of ``0.0``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def flat(self):
+        """The numbers, row-major: a memoryview of the doubles, or the tuple."""
+        numbers = self.numbers
+        return memoryview(numbers).cast("d") if type(numbers) is bytes else numbers
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class ProbabilityTable(_Table):
+    """Per-instance predicted class probabilities with the observed label.
+
+    ``ProbabilityTable(num_classes, rows)`` takes ``(instance_id, label,
+    probabilities)`` rows and stores the ids, the labels and the
+    probabilities apart; ``.rows`` rebuilds the rows, a fresh copy on each
+    access.  The whole table is checked first, one C-level pass per rule;
+    only a table that fails one of them goes through the row-by-row check,
+    which words the first error.
+    """
 
     num_classes: int
-    rows: tuple[tuple[str, int, tuple[float, ...]], ...]
+    ids: tuple[str, ...]
+    labels: tuple[int, ...]
+    numbers: bytes | tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not _stored(self.rows, 3):
-            object.__setattr__(self, "rows", tuple((i, lbl, tuple(ps)) for i, lbl, ps in self.rows))
-        if self.num_classes < 2:
-            raise ValueOutOfRange(f"need at least 2 classes, got {self.num_classes}")
-        for index, (instance_id, label, probs) in enumerate(self.rows):
-            if len(probs) != self.num_classes:
-                raise DimensionMismatch(
-                    f"row {index} ({instance_id}): expected {self.num_classes} probabilities, got {len(probs)}"
-                )
-            if type(label) is not int:
-                raise ValueOutOfRange(f"row {index} ({instance_id}): label {label!r} is not an integer")
-            if not 0 <= label < self.num_classes:
-                raise ValueOutOfRange(f"row {index} ({instance_id}): label {label} outside [0, {self.num_classes})")
-            for p in probs:
-                if type(p) not in NUMBER_TYPES or not 0.0 <= p <= 1.0:
-                    raise ValueOutOfRange(f"row {index} ({instance_id}): probability {p!r} outside [0, 1]")
-            total = math.fsum(probs)
-            if abs(total - 1.0) > 1e-6:
-                raise NotNormalized(index, total)
+    def __init__(self, num_classes: int, rows) -> None:
+        rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
+        if num_classes < 2:
+            raise ValueOutOfRange(f"need at least 2 classes, got {num_classes}")
+        probs = tuple(map(itemgetter(2), rows))
+        if not set(map(len, probs)) <= {num_classes}:
+            _check_prob_rows(num_classes, rows)
+        ids, labels = tuple(map(itemgetter(0), rows)), tuple(map(itemgetter(1), rows))
+        self._set(num_classes, ids, labels, _pack(list(chain.from_iterable(probs))))
+
+    @classmethod
+    def _read(cls, num_classes: int, ids: list, labels: list, numbers: array) -> ProbabilityTable:
+        table = object.__new__(cls)
+        table._set(num_classes, tuple(ids), tuple(labels), numbers.tobytes())
+        return table
+
+    def _set(self, num_classes: int, ids: tuple, labels: tuple, numbers) -> None:
+        object.__setattr__(self, "num_classes", num_classes)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "numbers", numbers)
+        flat = self.flat
+        if labels and not (
+            set(map(type, labels)) <= {int}
+            and 0 <= min(labels)
+            and max(labels) < num_classes
+            and _all_numbers(flat)
+            and 0.0 <= min(flat)
+            and max(flat) <= 1.0
+            and max(map(abs, map((-1.0).__add__, map(math.fsum, _rows_of(flat, num_classes))))) <= 1e-6
+        ):
+            _check_prob_rows(num_classes, self.rows)
+
+    @property
+    def rows(self) -> tuple[tuple[str, int, tuple[float, ...]], ...]:
+        """``(instance_id, label, probabilities)`` per row, a fresh copy on each access."""
+        return tuple(zip(self.ids, self.labels, _rows_of(self.flat, self.num_classes)))
+
+    def _key(self) -> tuple:
+        return self.num_classes, self.ids, self.labels, tuple(self.flat)
 
 
-@dataclass(frozen=True, slots=True)
-class ActivationTable:
+def _check_prob_rows(num_classes: int, rows) -> None:
+    """Raise the first error of ``rows``, row by row."""
+    for index, (instance_id, label, probs) in enumerate(rows):
+        if len(probs) != num_classes:
+            raise DimensionMismatch(
+                f"row {index} ({instance_id}): expected {num_classes} probabilities, got {len(probs)}"
+            )
+        if type(label) is not int:
+            raise ValueOutOfRange(f"row {index} ({instance_id}): label {label!r} is not an integer")
+        if not 0 <= label < num_classes:
+            raise ValueOutOfRange(f"row {index} ({instance_id}): label {label} outside [0, {num_classes})")
+        for p in probs:
+            if type(p) not in NUMBER_TYPES or not 0.0 <= p <= 1.0:
+                raise ValueOutOfRange(f"row {index} ({instance_id}): probability {p!r} outside [0, 1]")
+        total = math.fsum(probs)
+        if abs(total - 1.0) > 1e-6:
+            raise NotNormalized(index, total)
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
+class ActivationTable(_Table):
     """Per-sample activation values for a fixed set of neurons.
 
-    The whole table is checked first, one C-level pass per rule; only a
-    table that fails one of them goes through the row-by-row check, which
-    words the first error.
+    ``ActivationTable(num_neurons, rows)`` takes ``(sample_id,
+    activations)`` rows and stores the ids and the activations apart;
+    ``.rows`` rebuilds the rows, a fresh copy on each access.  The whole
+    table is checked first, one C-level pass per rule; only a table that
+    fails one of them goes through the row-by-row check, which words the
+    first error.
     """
 
     num_neurons: int
-    rows: tuple[tuple[str, tuple[float, ...]], ...]
+    ids: tuple[str, ...]
+    numbers: bytes | tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not _stored(self.rows, 2):
-            object.__setattr__(self, "rows", tuple((s, tuple(a)) for s, a in self.rows))
-        if self.num_neurons < 1:
-            raise ValueOutOfRange(f"need at least 1 neuron, got {self.num_neurons}")
-        acts = list(map(itemgetter(1), self.rows))
-        if not (set(map(len, acts)) <= {self.num_neurons} and are_numbers(list(chain.from_iterable(acts)))):
-            self._check_rows()
+    def __init__(self, num_neurons: int, rows) -> None:
+        rows = tuple((s, tuple(a)) for s, a in rows)
+        if num_neurons < 1:
+            raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons}")
+        acts = tuple(map(itemgetter(1), rows))
+        if not set(map(len, acts)) <= {num_neurons}:
+            _check_activation_rows(num_neurons, rows)
+        self._set(num_neurons, tuple(map(itemgetter(0), rows)), _pack(list(chain.from_iterable(acts))))
 
-    def _check_rows(self) -> None:
-        for index, (sample_id, acts) in enumerate(self.rows):
-            if len(acts) != self.num_neurons:
-                raise DimensionMismatch(
-                    f"row {index} ({sample_id}): expected {self.num_neurons} activations, got {len(acts)}"
-                )
-            for a in acts:
-                if not is_number(a):
-                    raise ValueOutOfRange(f"row {index} ({sample_id}): non-finite activation {a!r}")
+    @classmethod
+    def _read(cls, num_neurons: int, ids: list, numbers: array) -> ActivationTable:
+        table = object.__new__(cls)
+        table._set(num_neurons, tuple(ids), numbers.tobytes())
+        return table
+
+    def _set(self, num_neurons: int, ids: tuple, numbers) -> None:
+        object.__setattr__(self, "num_neurons", num_neurons)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "numbers", numbers)
+        if not _all_numbers(self.flat):
+            _check_activation_rows(num_neurons, self.rows)
+
+    @property
+    def rows(self) -> tuple[tuple[str, tuple[float, ...]], ...]:
+        """``(sample_id, activations)`` per row, a fresh copy on each access."""
+        return tuple(zip(self.ids, _rows_of(self.flat, self.num_neurons)))
+
+    def _key(self) -> tuple:
+        return self.num_neurons, self.ids, tuple(self.flat)
+
+
+def _check_activation_rows(num_neurons: int, rows) -> None:
+    """Raise the first error of ``rows``, row by row."""
+    for index, (sample_id, acts) in enumerate(rows):
+        if len(acts) != num_neurons:
+            raise DimensionMismatch(
+                f"row {index} ({sample_id}): expected {num_neurons} activations, got {len(acts)}"
+            )
+        for a in acts:
+            if not is_number(a):
+                raise ValueOutOfRange(f"row {index} ({sample_id}): non-finite activation {a!r}")
 
 
 # --- landscape and evidence documents -------------------------------------------------
@@ -424,15 +542,17 @@ def _header(lead: tuple[str, ...], prefix: str, count: int) -> list[str]:
     return [*lead, *(f"{prefix}_{k}" for k in range(count))]
 
 
-def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: int, convert) -> tuple[int, tuple]:
+def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
     """Read a CSV table whose header is the ``lead`` columns, then
-    ``{prefix}_0..{prefix}_{N-1}`` with ``N >= minimum``.
+    ``{prefix}_0..{prefix}_{N-1}`` with ``N >= minimum``.  The first lead
+    column is a row's id, and a second one its integer label.
 
-    Returns ``N`` and ``convert(row)`` of each data row.  A row of the
-    wrong width is a :class:`DimensionMismatch`, and a token that
-    ``convert`` rejects with ``ValueError`` a :class:`ValueOutOfRange`.
-    Bytes that are not UTF-8, and a field past the ``csv`` module's field
-    size limit, are an :class:`InputSyntaxError`.
+    Returns ``N``, the ids, the labels (none without a label column) and
+    the numbers of every row, row-major, in one ``array("d")``.  A row of
+    the wrong width is a :class:`DimensionMismatch`, and a label that
+    ``int()`` or a number that ``float()`` rejects a
+    :class:`ValueOutOfRange`.  Bytes that are not UTF-8, and a field past
+    the ``csv`` module's field size limit, are an :class:`InputSyntaxError`.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
@@ -440,7 +560,7 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
     # bytes per character for as long as the table is being read.
     reader = csv.reader(_stdio.TextIOWrapper(_stdio.BytesIO(data), encoding="utf-8", newline="\n"))
     expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
-    rows = None  # until the header is read
+    ids = None  # until the header is read
     try:
         header = next(reader, None)
         if header is None:
@@ -448,21 +568,25 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
         count = len(header) - len(lead)
         if count < minimum or header != _header(lead, prefix, count):
             raise SchemaError("header", expected, ",".join(header))
-        rows = []
+        ids, labels, numbers = [], [], array("d")
+        width, labelled = len(header), len(lead) > 1
         for row in reader:
-            if len(row) != len(header):
-                raise DimensionMismatch(f"data row {len(rows)}: expected {len(header)} fields, got {len(row)}")
+            if len(row) != width:
+                raise DimensionMismatch(f"data row {len(ids)}: expected {width} fields, got {len(row)}")
             try:
-                rows.append(convert(row))
+                if labelled:
+                    labels.append(int(row[1]))
+                numbers.extend(map(float, row[len(lead) :]))
             except ValueError as exc:
-                raise ValueOutOfRange(f"data row {len(rows)}: {exc}") from None
+                raise ValueOutOfRange(f"data row {len(ids)}: {exc}") from None
+            ids.append(row[0])
     except csv.Error as exc:
-        where = "header" if rows is None else f"data row {len(rows)}"
+        where = "header" if ids is None else f"data row {len(ids)}"
         raise InputSyntaxError(f"{where}: {exc}") from None
     except UnicodeDecodeError:
         decode_utf8(data)  # raises with the offset in the whole of ``data``
         raise
-    return count, tuple(rows)
+    return count, ids, labels, numbers
 
 
 def _write_table(lead: tuple[str, ...], prefix: str, count: int, rows) -> bytes:
@@ -479,22 +603,20 @@ _ACTIVATION_COLUMNS = (("sample_id",), "a")
 
 
 def read_prob_table(data: bytes | str) -> ProbabilityTable:
-    num_classes, rows = _read_table(
-        data, *_PROB_COLUMNS, 2, lambda row: (row[0], int(row[1]), tuple(map(float, row[2:])))
-    )
-    return ProbabilityTable(num_classes, rows)
+    return ProbabilityTable._read(*_read_table(data, *_PROB_COLUMNS, 2))
 
 
 def write_prob_table(table: ProbabilityTable) -> bytes:
-    rows = ([instance_id, label, *map(repr, probs)] for instance_id, label, probs in table.rows)
-    return _write_table(*_PROB_COLUMNS, table.num_classes, rows)
+    rows = _rows_of(table.flat, table.num_classes)
+    lines = ([i, label, *map(repr, probs)] for i, label, probs in zip(table.ids, table.labels, rows))
+    return _write_table(*_PROB_COLUMNS, table.num_classes, lines)
 
 
 def read_activations(data: bytes | str) -> ActivationTable:
-    num_neurons, rows = _read_table(data, *_ACTIVATION_COLUMNS, 1, lambda row: (row[0], tuple(map(float, row[1:]))))
-    return ActivationTable(num_neurons, rows)
+    num_neurons, ids, _, numbers = _read_table(data, *_ACTIVATION_COLUMNS, 1)
+    return ActivationTable._read(num_neurons, ids, numbers)
 
 
 def write_activations(table: ActivationTable) -> bytes:
-    rows = ([sample_id, *map(repr, acts)] for sample_id, acts in table.rows)
-    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, rows)
+    lines = ([i, *map(repr, acts)] for i, acts in zip(table.ids, _rows_of(table.flat, table.num_neurons)))
+    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, lines)

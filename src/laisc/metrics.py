@@ -28,6 +28,12 @@ grows, so each column is sorted once and each bin's start is found by
 bisection rather than by binning every value; see :func:`nap_distance`
 for the overflow and mixed int/float cases.
 
+The table kernels work on a table's ``flat`` numbers, row-major doubles
+(or, for a table built in code with an ``int`` among them, a flat
+tuple), never on the derived ``.rows``: NAP takes neuron ``j``'s column
+as the strided slice ``flat[j::n]``, and the CLM scores and flags walk
+``zip(ids, labels, zip(*[iter(flat)] * k))``, one row tuple at a time.
+
 The grid kernels work on ``LabeledGrid.cells``, the row-major bytes,
 never on the derived ``.values``: IoU counts the set bits of the cells
 read as one integer, dilation, erosion and translation shift that integer
@@ -215,14 +221,14 @@ def nap_distance(
     """
     if a.num_neurons != b.num_neurons:
         raise NeuronCountMismatch(f"{a.num_neurons} neurons vs {b.num_neurons}")
-    if not a.rows or not b.rows:
+    if not a.ids or not b.ids:
         raise EmptyTable("both activation tables need at least one row")
-    _warn_small_sample("NAP distance", min(len(a.rows), len(b.rows)), min_samples)
+    _warn_small_sample("NAP distance", min(len(a.ids), len(b.ids)), min_samples)
 
-    total = 0.0
-    columns_b = zip(*(acts for _, acts in b.rows))
-    for column_a, column_b in zip(zip(*(acts for _, acts in a.rows)), columns_b):
-        column_a, column_b = sorted(column_a), sorted(column_b)
+    total, n, flat_a, flat_b = 0.0, a.num_neurons, a.flat, b.flat
+    for neuron in range(n):
+        # The neuron's column is every n-th number of the row-major table.
+        column_a, column_b = sorted(flat_a[neuron::n]), sorted(flat_b[neuron::n])
         lo = min(column_a[0], column_b[0])
         hi = max(_first_max(column_a), _first_max(column_b))
         if hi - lo == 0:
@@ -243,6 +249,11 @@ def nap_distance(
 # --- confident-learning label scores ---------------------------------------------
 
 
+def _table_rows(table: ProbabilityTable):
+    """``(instance_id, label, probabilities)`` per row, one at a time."""
+    return zip(table.ids, table.labels, zip(*[iter(table.flat)] * table.num_classes))
+
+
 def clm_scores(
     table: ProbabilityTable,
     *,
@@ -250,8 +261,8 @@ def clm_scores(
 ) -> list[tuple[str, float]]:
     """Per-instance label-accuracy score: the predicted probability of the
     observed label (self-confidence)."""
-    _warn_small_sample("label-accuracy scores", len(table.rows), min_samples)
-    return [(instance_id, probs[label]) for instance_id, label, probs in table.rows]
+    _warn_small_sample("label-accuracy scores", len(table.ids), min_samples)
+    return [(instance_id, probs[label]) for instance_id, label, probs in _table_rows(table)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,8 +307,8 @@ def clm_flags(
     k = table.num_classes
     sums = [0.0] * k
     counts = [0] * k
-    for _, label, probs in table.rows:
-        sums[label] += probs[label]
+    for (_, score), label in zip(scores, table.labels):
+        sums[label] += score
         counts[label] += 1
     thresholds = tuple(
         sums[j] / counts[j] if counts[j] else math.inf for j in range(k)
@@ -305,7 +316,7 @@ def clm_flags(
 
     joint = [[0] * k for _ in range(k)]
     off_diagonal = []
-    for instance_id, label, probs in table.rows:
+    for instance_id, label, probs in _table_rows(table):
         best: int | None = None
         for j in range(k):
             if probs[j] >= thresholds[j] and (best is None or probs[j] > probs[best]):

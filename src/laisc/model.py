@@ -44,8 +44,8 @@ from enum import Enum
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
-from laisc.codec import number_fault, to_node
-from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
+from laisc.codec import number_fault, text_fault, to_node
+from laisc.errors import DanglingReference, DuplicateId, InvalidPayload, SchemaError
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
 #: module provides the matching implementations.
@@ -433,11 +433,16 @@ def _check_landscape(landscape: Landscape) -> None:
     is the one caller.
 
     Raises :class:`DuplicateId`, :class:`DanglingReference`, or
-    :class:`InvalidPayload` on the first structural violation found.
-    Missing decomposition links (a concern without goals, a VR without
-    measures, a measure without a stage) are allowed here; they surface
-    through the coverage check instead.
+    :class:`InvalidPayload` on the first structural violation found, after
+    a :class:`SchemaError` at the JSON path of a field that
+    :func:`~laisc.codec.text_fault` finds.  Missing decomposition links (a
+    concern without goals, a VR without measures, a measure without a
+    stage) are allowed here; they surface through the coverage check
+    instead.
     """
+    fault = text_fault([landscape], ("$",).__getitem__)
+    if fault:
+        raise SchemaError(*fault)
     for collection in _COLLECTIONS:
         _check_unique(map(attrgetter("id"), getattr(landscape, collection)), collection)
     _check_unique(map(itemgetter(0), landscape.datasets), "datasets")

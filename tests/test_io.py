@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum, IntEnum
@@ -50,6 +51,7 @@ from laisc.io import (
     DocumentRecord,
     EvidenceBundle,
     EvidenceRecord,
+    FlagResolutionLog,
     LabeledGrid,
     MetricResult,
     ProbabilityTable,
@@ -68,11 +70,13 @@ from laisc.io import (
 )
 from laisc.model import (
     Comparator,
+    DatasetDescriptor,
     Landscape,
     LifecycleStage,
     MetricGap,
     MetricThreshold,
     QualitativeApproval,
+    Resolution,
     ReviewFraction,
     fingerprint,
 )
@@ -706,6 +710,36 @@ _CODE_BUILT_RECORDS = {
         InvalidPayload,
         "invalid payload for $.records[1]: total_items must be an integer, got True",
     ),
+    "int among gap dataset ids": (
+        record("r1", "v1", MetricResult("miou", ("ds-a", 1), 0.5, "gap"), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.dataset_ids: expected list of strings, got ('ds-a', 1)",
+    ),
+    "int metric id": (
+        record("r1", "v1", MetricResult(3, ("ds-a",), 0.5), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.metric_id: expected string, got 3",
+    ),
+    "int review dataset": (
+        record("r1", "v1", ReviewLog(5, 10, 3), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.dataset_id: expected string, got 5",
+    ),
+    "int document kind": (
+        record("r1", "v1", DocumentRecord(7), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.document_kind: expected string, got 7",
+    ),
+    "int record id": (
+        record(5, "v1", DocumentRecord("safety-case"), "sha256:x"),
+        SchemaError,
+        "$.records[1].id: expected string, got 5",
+    ),
+    "int flagged instance": (
+        record("r1", "v1", FlagResolutionLog("ds-a", ("i1",), ((1, Resolution.EXCLUDED),)), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.entries[0].instance_id: expected string, got 1",
+    ),
 }
 
 
@@ -733,6 +767,74 @@ def test_replace_refuses_what_parse_landscape_would():
         with pytest.raises(DanglingReference) as caught:
             make()
         assert str(caught.value) == "VR VR1.1.1 references unknown id 'nowhere'"
+
+
+class _Text(str):
+    """A ``str`` subclass: a file holds none, so no text field takes one."""
+
+
+#: A field of the fixture landscape set, by ``replace``, to a value that
+#: is not text, and the refusal that ``parse_landscape`` gives its bytes.
+_NON_TEXT_FIELDS = {
+    "concern name": (
+        lambda land: replace(land, concerns=(replace(land.concerns[0], name=5), *land.concerns[1:])),
+        lambda node: node["concerns"][0].update(name=5),
+        "$.concerns[0].name: expected string, got 5",
+    ),
+    "measure stage": (
+        lambda land: replace(
+            land, mitigation_measures=(replace(land.mitigation_measures[0], stage_id=3), *land.mitigation_measures[1:])
+        ),
+        lambda node: node["mitigation_measures"][0].update(stage_id=3),
+        "$.mitigation_measures[0].stage_id: expected string or null, got 3",
+    ),
+    "landscape version": (
+        lambda land: replace(land, version=_Text("1")),
+        None,
+        "$.version: expected string, got '1'",
+    ),
+    "payload metric": (
+        lambda land: replace(land, vrs=_replace_payload(land.vrs, 9, metric_id=("miou",))),
+        lambda node: node["vrs"][9]["payload"].update(metric_id=["miou"]),
+        "$.vrs[9].payload.metric_id: expected string, got ('miou',)",
+    ),
+    "condition id": (
+        lambda land: replace(
+            land,
+            vrs=_replace_payload(
+                land.vrs, 8, conditions=(replace(land.vrs[8].payload.conditions[0], condition_id=None),)
+            ),
+        ),
+        lambda node: node["vrs"][8]["payload"]["conditions"][0].update(condition_id=None),
+        "$.vrs[8].payload.conditions[0].condition_id: expected string, got None",
+    ),
+    "dataset path": (
+        lambda land: replace(land, datasets=((land.datasets[0][0], DatasetDescriptor(1.5, "grid-dir")),)),
+        lambda node: node["datasets"]["d-adverse-lighting"].update(path=1.5),
+        "$.datasets.d-adverse-lighting.path: expected string, got 1.5",
+    ),
+}
+
+
+def _replace_payload(vrs, index: int, **changes):
+    vr = vrs[index]
+    return (*vrs[:index], replace(vr, payload=replace(vr.payload, **changes)), *vrs[index + 1 :])
+
+
+@pytest.mark.parametrize("make, edit, message", _NON_TEXT_FIELDS.values(), ids=list(_NON_TEXT_FIELDS))
+def test_landscape_refuses_a_non_text_value_where_its_reader_would(make, edit, message):
+    """A text field holds a ``str`` wherever the landscape is made, so
+    ``serialize_landscape`` never writes one that ``parse_landscape``
+    refuses; the refusal has the reader's words."""
+    with pytest.raises(SchemaError) as caught:
+        make(parse_landscape(FIXTURE_TEXT))
+    assert str(caught.value) == message
+    if edit is not None:
+        node = json.loads(FIXTURE_TEXT)
+        edit(node)
+        with pytest.raises(SchemaError) as caught:
+            parse_landscape(json.dumps(node))
+        assert str(caught.value) == message.replace("('miou',)", "['miou']")
 
 
 def _drop(items, item):
@@ -1214,6 +1316,83 @@ def test_tables_read_alike_from_text_bytes_and_crlf_bytes():
 def test_activation_width_mismatch():
     with pytest.raises(DimensionMismatch):
         read_activations("sample_id,a_0,a_1\ns1,0.5\n")
+
+
+# --- table storage --------------------------------------------------------------------------
+
+
+def _table_text(header: str, rows: int, make_row) -> bytes:
+    rng = random.Random(rows)
+    return "\n".join([header, *(make_row(rng, i) for i in range(rows))]).encode("utf-8") + b"\n"
+
+
+def _probability_row(rng: random.Random, index: int) -> str:
+    raw = [rng.uniform(0.05, 1.0) for _ in range(4)]
+    total = math.fsum(raw)
+    return f"i-{index:05d},{rng.randrange(4)}," + ",".join(repr(value / total) for value in raw)
+
+
+@pytest.mark.parametrize(
+    "read, data, limit_mib",
+    [
+        (
+            read_activations,
+            _table_text(
+                "sample_id," + ",".join(f"a_{k}" for k in range(64)),
+                2000,
+                lambda rng, i: f"s-{i:05d}," + ",".join(repr(rng.gauss(0.0, 1.0)) for _ in range(64)),
+            ),
+            1.5,
+        ),
+        (read_prob_table, _table_text("instance_id,label,p_0,p_1,p_2,p_3", 20000, _probability_row), 2.5),
+    ],
+    ids=["2000x64 activations", "20000x4 probabilities"],
+)
+def test_table_read_from_csv_keeps_its_numbers_as_doubles(read, data, limit_mib):
+    """A table keeps 8 bytes per number, not a ``float`` object in a row tuple."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = read(data)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table.ids
+    assert retained < limit_mib * 2**20, f"{retained / 2**20:.2f} MiB retained"
+
+
+def test_tables_compare_and_hash_their_numbers_by_value():
+    zero = read_activations("sample_id,a_0\ns,0.0\n")
+    negative_zero = read_activations("sample_id,a_0\ns,-0.0\n")
+    one = ActivationTable(1, (("s", (1,)),))
+    one_float = ActivationTable(1, (("s", (1.0,)),))
+    certain = ProbabilityTable(2, (("x", 0, (1, 0)),))
+    certain_float = read_prob_table("instance_id,label,p_0,p_1\nx,0,1.0,-0.0\n")
+    for a, b in ((zero, negative_zero), (one, one_float), (certain, certain_float)):
+        assert a == b
+        assert hash(a) == hash(b)
+    assert zero != one
+    assert ActivationTable(1, (("t", (0.0,)),)) != zero
+
+
+def test_table_built_in_code_keeps_an_exact_int():
+    big = 2**53 + 1  # no float holds it
+    table = ActivationTable(2, (("s", (big, 0.5)),))
+    assert table.rows == (("s", (big, 0.5)),)
+    assert type(table.rows[0][1][0]) is int
+    assert write_activations(table) == b"sample_id,a_0,a_1\ns,9007199254740993,0.5\n"
+
+
+def test_table_rows_are_a_fresh_copy_on_each_access():
+    for table in (
+        read_activations("sample_id,a_0,a_1\ns1,0.5,-1.25\n"),
+        read_prob_table("instance_id,label,p_0,p_1\nx1,1,0.3,0.7\n"),
+        ActivationTable(1, (("s", (1,)),)),
+    ):
+        first, second = table.rows, table.rows
+        assert first == second
+        assert first is not second
+        assert first[0] is not second[0]
 
 
 # --- table checks against the per-row rules -------------------------------------------------
