@@ -44,13 +44,16 @@ or ``float`` (``NUMBER_TYPES``), never a ``bool`` or a subclass, and a
 ``are_numbers`` for a list.  ``from_node`` names the JSON path of a
 number that breaks it; ``number_fault`` checks the inclusive ``min`` and
 ``max`` bounds and the exclusive ``above`` bound that a field declares in
-its ``field(metadata=...)`` too.
+its ``field(metadata=...)`` too, and that a ``bool`` field holds an exact
+``bool``, which its column takes.
 
 A text rule holds beside it: a field declared ``str``, ``str | None`` or
-``tuple[str, ...]`` holds exact ``str`` values, as its column takes them
-from a file.  ``text_fault`` checks it for objects built in code, nested
-ones included, and words a fault at its JSON path in the column's words,
-so neither self-check lets through a document the reader would refuse.
+``tuple[str, ...]`` holds exact ``str`` values, and an ``Enum`` field a
+member of its ``Enum``, as its column takes them from a file.
+``text_fault`` checks it for objects built in code, nested ones
+included, and words a fault at its JSON path in the column's words, so
+neither self-check lets through a document the reader would refuse or
+the writer could not write.
 """
 
 from __future__ import annotations
@@ -324,6 +327,11 @@ def _first(values: list, fails) -> tuple[int, object]:
     return next((index, value) for index, value in enumerate(values) if fails(value))
 
 
+def _one_of(names) -> str:
+    """What an ``Enum`` field takes: "one of" its members' ``names``."""
+    return f"one of {{{', '.join(names)}}}"
+
+
 def _members(members: dict, nodes: list, key: str, where) -> list:
     """The ``members`` that the strings at ``key`` name; a non-string is
     worded as a "string", an unknown name as "one of" the names."""
@@ -331,8 +339,7 @@ def _members(members: dict, nodes: list, key: str, where) -> list:
     if set(map(type, names)) <= _STR and all(map(members.__contains__, names)):
         return list(map(members.__getitem__, names))
     index, name = _first(names, lambda name: type(name) is not str or name not in members)
-    expected = "string" if type(name) is not str else f"one of {{{', '.join(members)}}}"
-    raise SchemaError(f"{where(index)}.{key}", expected, name)
+    raise SchemaError(f"{where(index)}.{key}", "string" if type(name) is not str else _one_of(members), name)
 
 
 def _maps(nodes: list, key: str, where) -> list[dict]:
@@ -434,6 +441,10 @@ def _union_classes(annotation) -> tuple[type, ...]:
     return members if members and all(is_dataclass(member) for member in members) else ()
 
 
+def _is_enum(annotation) -> bool:
+    return isinstance(annotation, type) and issubclass(annotation, Enum)
+
+
 def _shape(annotation):
     """``(column, write, expected)`` for a field declared as ``annotation``.
 
@@ -446,7 +457,7 @@ def _shape(annotation):
     """
     if annotation in _SCALARS:
         return _SCALARS[annotation]
-    if isinstance(annotation, type) and issubclass(annotation, Enum):
+    if _is_enum(annotation):
         return partial(_members, {member.value: member for member in annotation}), attrgetter("value"), None
     classes = _union_classes(annotation)
     if classes:
@@ -466,12 +477,16 @@ def _str_tuples(values) -> bool:
     return set(map(type, values)) <= {tuple} and set(map(type, chain.from_iterable(values))) <= _STR
 
 
+def _of_types(types: frozenset[type], values) -> bool:
+    return set(map(type, values)) <= types
+
+
 #: Whether every value that an iterable of one text field's values yields
 #: is what that field's column takes from a file: of the exact type, so a
 #: ``str`` subclass is not.
 _TEXT_TESTS = {
-    str: lambda values: set(map(type, values)) <= _STR,
-    str | None: lambda values: set(map(type, values)) <= {str, type(None)},
+    str: partial(_of_types, _STR),
+    str | None: partial(_of_types, frozenset({str, type(None)})),
     tuple[str, ...]: _str_tuples,
 }
 
@@ -513,14 +528,14 @@ def _held_suffixes(holding: str, value) -> list[str]:
 @cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
-    key, a ``(field name, int or float, min, max, above)`` row per number
-    field (``None`` for an absent bound; a ``max`` comes with a ``min``;
-    ``above`` is exclusive), a ``(field name, column, expected)`` row per
-    field, and a ``(field name, test, expected, holding)`` row per text
-    field (``holding`` is ``None``) and per field that holds dataclasses
-    (``test`` is ``None``).  A field typed as a union of dataclasses adds the
-    ``kind`` key: written from the field value's class, and checked by the
-    field's column."""
+    key, a ``(field name, int, float or bool, min, max, above)`` row per
+    number or ``bool`` field (``None`` for an absent bound; a ``max`` comes
+    with a ``min``; ``above`` is exclusive), a ``(field name, column,
+    expected)`` row per field, and a ``(field name, test, expected,
+    holding)`` row per text or ``Enum`` field (``holding`` is ``None``) and
+    per field that holds dataclasses (``test`` is ``None``).  A field typed
+    as a union of dataclasses adds the ``kind`` key: written from the field
+    value's class, and checked by the field's column."""
     hints = get_type_hints(cls)
     writes, numbers, columns, texts = [], [], [], []
     for f in fields(cls):
@@ -530,12 +545,15 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
         column, write, expected = _shape(annotation)
         if _union_classes(annotation):
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
-        if annotation is int or annotation is float:
+        if annotation in (int, float, bool):
             bounds = (f.metadata.get("min"), f.metadata.get("max"), f.metadata.get("above"))
             numbers.append((f.name, annotation, *bounds))
         holding = _holding(annotation)
         if annotation in _TEXT_TESTS or holding:
             texts.append((f.name, _TEXT_TESTS.get(annotation), expected, holding))
+        elif _is_enum(annotation):
+            members = _one_of(member.value for member in annotation)
+            texts.append((f.name, partial(_of_types, frozenset({annotation})), members, None))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
@@ -552,13 +570,16 @@ def to_node(obj) -> dict:
 
 
 def number_fault(obj) -> str | None:
-    """How the first number field of the dataclass ``obj`` breaks the
-    number rule or its declared bounds, or ``None``: an ``int`` field holds
-    an ``int``, and a ``float`` field a number that ``is_number``."""
+    """How the first number or ``bool`` field of the dataclass ``obj``
+    breaks the number rule or its declared bounds, or ``None``: an ``int``
+    field holds an ``int``, a ``float`` field a number that ``is_number``,
+    and a ``bool`` field a ``bool``."""
     for name, annotation, low, high, above in _plan(type(obj))[2]:
         value = getattr(obj, name)
         if annotation is int and type(value) is not int:
             return f"{name} must be an integer, got {value!r}"
+        if annotation is bool and type(value) is not bool:
+            return f"{name} must be a boolean, got {value!r}"
         if annotation is float and not is_number(value):
             return f"{name} must be a finite number, got {value!r}"
         if (low is not None and value < low) or (high is not None and value > high):
@@ -586,10 +607,11 @@ def _texts_hold(objects: list) -> bool:
 
 def text_fault(objects: list, where) -> tuple[str, str, object] | None:
     """The first field of the dataclasses ``objects``, or of a dataclass
-    they hold, that is declared ``str``, ``str | None`` or ``tuple[str,
-    ...]`` and holds what its column would refuse in a file, as ``(path,
-    expected, value)``: ``objects[i]`` is at the JSON path ``where(i)``,
-    and ``expected`` is the column's words.  ``None`` if there is none.
+    they hold, that is declared ``str``, ``str | None``, ``tuple[str,
+    ...]`` or an ``Enum`` and holds what its column would refuse in a file,
+    as ``(path, expected, value)``: ``objects[i]`` is at the JSON path
+    ``where(i)``, and ``expected`` is the column's words.  ``None`` if
+    there is none.
     The objects are checked one C-level pass per field first; only a list
     that fails is walked object by object, to name the first fault."""
     if _texts_hold(objects):

@@ -21,11 +21,15 @@ records, ids, ``vr_id``, review counts, ``number_fault`` of each
 payload) wherever it is built, as ``Landscape`` checks its structure.
 
 The two CSV tables share one reader, which checks the header and the
-width of every row, and one writer.  A value is read with ``float()``
-and appended straight to one ``array("d")``; the table keeps those
-doubles as one row-major ``bytes`` buffer, as ``LabeledGrid`` keeps its
-cells, and checks the whole buffer once, by ``ProbabilityTable`` or
-``ActivationTable``.  Their ``.rows`` is a derived copy.
+width of every row, and one writer.  The reader splits a table into
+lines and fields by C-level passes over chunks of about 16 KiB, and
+reads each chunk's values with ``float()`` into an ``array("d")`` of its
+own; a table holding a quote, a carriage return or NUL, and one that a
+pass refuses, is read by the ``csv`` row loop, which words every
+refusal.  The table keeps the doubles as one row-major ``bytes``
+buffer, as ``LabeledGrid`` keeps its cells, and checks the whole buffer
+once, by ``ProbabilityTable`` or ``ActivationTable``.  Their ``.rows``
+is a derived copy.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter, methodcaller
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
@@ -60,6 +64,7 @@ from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
     InvalidPayload,
+    LaiscError,
     NotNormalized,
     SchemaError,
     ValueOutOfRange,
@@ -188,10 +193,21 @@ class EvidenceBundle:
 def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
     """Raise at the first record that breaks a bundle's rule, at its JSON
     path: a ``SchemaError`` at a field that ``text_fault`` finds first, then
-    an ``InvalidPayload`` in ``number_fault``'s words or a ``SchemaError``."""
+    an ``InvalidPayload`` in ``number_fault``'s words or a ``SchemaError``.
+    The ids, the ``vr_id``s and the payloads are checked as columns first;
+    only a bundle that fails is walked record by record, to word the first
+    fault."""
     fault = text_fault(records, "$.records[{}]".format)
     if fault:
         raise SchemaError(*fault)
+    ids = list(map(attrgetter("id"), records))
+    if (
+        all(ids)
+        and len(set(ids)) == len(ids)
+        and all(map(attrgetter("vr_id"), records))
+        and not any(map(_payload_fault, map(attrgetter("payload"), records)))
+    ):
+        return
     seen: set[str] = set()
     for index, record in enumerate(records):
         path = f"$.records[{index}]"
@@ -202,17 +218,25 @@ def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
         seen.add(record.id)
         if not record.vr_id:
             raise SchemaError(f"{path}.vr_id", "non-empty string", record.vr_id)
-        payload = record.payload
-        fault = number_fault(payload)
-        if fault:
-            raise InvalidPayload(path, fault)
-        if isinstance(payload, ReviewLog):
-            total, reviewed = payload.total_items, payload.reviewed_items
-            for name, count in (("total_items", total), ("reviewed_items", reviewed)):
-                if count < 0:
-                    raise SchemaError(f"{path}.payload.{name}", "non-negative count", count)
-            if reviewed > total:
-                raise SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
+        error = _payload_fault(record.payload, path)
+        if error:
+            raise error
+
+
+def _payload_fault(payload: EvidencePayload, path: str = "") -> LaiscError | None:
+    """The error of the first rule that a record's ``payload`` breaks, at
+    the record's JSON path ``path``, or ``None``."""
+    fault = number_fault(payload)
+    if fault:
+        return InvalidPayload(path, fault)
+    if isinstance(payload, ReviewLog):
+        total, reviewed = payload.total_items, payload.reviewed_items
+        for name, count in (("total_items", total), ("reviewed_items", reviewed)):
+            if count < 0:
+                return SchemaError(f"{path}.payload.{name}", "non-negative count", count)
+        if reviewed > total:
+            return SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
+    return None
 
 
 # --- numeric carriers --------------------------------------------------------
@@ -349,9 +373,9 @@ class ProbabilityTable(_Table):
         self._set(num_classes, ids, labels, _pack(list(chain.from_iterable(probs))))
 
     @classmethod
-    def _read(cls, num_classes: int, ids: list, labels: list, numbers: array) -> ProbabilityTable:
+    def _read(cls, num_classes: int, ids: list, labels: list, numbers: bytes) -> ProbabilityTable:
         table = object.__new__(cls)
-        table._set(num_classes, tuple(ids), tuple(labels), numbers.tobytes())
+        table._set(num_classes, tuple(ids), tuple(labels), numbers)
         return table
 
     def _set(self, num_classes: int, ids: tuple, labels: tuple, numbers) -> None:
@@ -425,9 +449,9 @@ class ActivationTable(_Table):
         self._set(num_neurons, tuple(map(itemgetter(0), rows)), _pack(list(chain.from_iterable(acts))))
 
     @classmethod
-    def _read(cls, num_neurons: int, ids: list, numbers: array) -> ActivationTable:
+    def _read(cls, num_neurons: int, ids: list, numbers: bytes) -> ActivationTable:
         table = object.__new__(cls)
-        table._set(num_neurons, tuple(ids), numbers.tobytes())
+        table._set(num_neurons, tuple(ids), numbers)
         return table
 
     def _set(self, num_neurons: int, ids: tuple, numbers) -> None:
@@ -542,20 +566,76 @@ def _header(lead: tuple[str, ...], prefix: str, count: int) -> list[str]:
     return [*lead, *(f"{prefix}_{k}" for k in range(count))]
 
 
+#: The bytes that the split passes do not read as ``csv`` does: a quote, a
+#: carriage return, and NUL, which ``csv`` refuses before Python 3.11.
+_CSV_ONLY = (b'"', b"\r", b"\0")
+
+#: About how many bytes of a table the split passes decode and split at
+#: once; a chunk's text, lines and fields live only while it is read.
+_CHUNK = 1 << 14
+
+
 def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
     """Read a CSV table whose header is the ``lead`` columns, then
     ``{prefix}_0..{prefix}_{N-1}`` with ``N >= minimum``.  The first lead
     column is a row's id, and a second one its integer label.
 
     Returns ``N``, the ids, the labels (none without a label column) and
-    the numbers of every row, row-major, in one ``array("d")``.  A row of
-    the wrong width is a :class:`DimensionMismatch`, and a label that
-    ``int()`` or a number that ``float()`` rejects a
+    the numbers of every row, row-major, as the bytes of their doubles.  A
+    row of the wrong width is a :class:`DimensionMismatch`, and a label
+    that ``int()`` or a number that ``float()`` rejects a
     :class:`ValueOutOfRange`.  Bytes that are not UTF-8, and a field past
     the ``csv`` module's field size limit, are an :class:`InputSyntaxError`.
+
+    A table without a quote, a carriage return or NUL is read by
+    ``_split_table``; one with any of them, and one that a split pass
+    refuses, by ``_csv_table`` from the start, which words the first fault.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if not any(map(data.__contains__, _CSV_ONLY)):
+        try:
+            table = _split_table(data, lead, prefix, minimum)
+        except ValueError:  # not UTF-8, or a label or number that int() or float() refuses
+            table = None
+        if table:
+            return table
+    return _csv_table(data, lead, prefix, minimum)
+
+
+def _split_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple | None:
+    """What ``_csv_table`` returns for ``data``, which holds none of
+    ``_CSV_ONLY``, read by C-level passes over chunks of about ``_CHUNK``
+    bytes, each cut after a ``\\n``; ``None`` for a bad header, a row of
+    the wrong width (a blank one too) or a line longer than the ``csv``
+    module's field size limit, for ``csv`` to word."""
+    limit = csv.field_size_limit()
+    start = data.find(b"\n") + 1 or len(data)
+    line = data[:start].decode("utf-8").removesuffix("\n")
+    header = line.split(",")
+    count = len(header) - len(lead)
+    if len(line) > limit or count < minimum or header != _header(lead, prefix, count):
+        return None
+    width = len(header)
+    ids, labels, pieces = [], [], []
+    while start < len(data):
+        end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
+        lines = data[start:end].decode("utf-8").removesuffix("\n").split("\n")
+        start = end
+        if max(map(len, lines)) > limit or set(map(methodcaller("count", ","), lines)) != {width - 1}:
+            return None
+        fields = ",".join(lines).split(",")
+        ids += fields[::width]
+        if len(lead) > 1:
+            labels += map(int, fields[1::width])
+        for column in range(len(lead)):
+            del fields[:: width - column]
+        pieces.append(array("d", list(map(float, fields))))
+    return count, ids, labels, b"".join(pieces)
+
+
+def _csv_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
+    """``_read_table`` by the ``csv`` module's reader, row by row."""
     # Decode line by line: a StringIO of the whole text would hold four
     # bytes per character for as long as the table is being read.
     reader = csv.reader(_stdio.TextIOWrapper(_stdio.BytesIO(data), encoding="utf-8", newline="\n"))
@@ -586,15 +666,25 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
     except UnicodeDecodeError:
         decode_utf8(data)  # raises with the offset in the whole of ``data``
         raise
-    return count, ids, labels, numbers
+    return count, ids, labels, numbers.tobytes()
+
+
+def _csv_field(value) -> str:
+    """``str(value)`` as a CSV field: in quotes, each quote doubled, if it
+    holds a ``,``, a ``"``, a ``\\r`` or a ``\\n``, as ``csv.writer`` quotes
+    it from Python 3.13 on; before, it left a ``\\r`` bare, to be read back
+    as a line end."""
+    text = str(value)
+    if any(map(text.__contains__, ',"\r\n')):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _write_table(lead: tuple[str, ...], prefix: str, count: int, rows) -> bytes:
-    out = _stdio.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_header(lead, prefix, count))
-    writer.writerows(rows)
-    return out.getvalue().encode("utf-8")
+    """The header, then one line per row of ``rows``, each a list of its
+    fields' text, of which only the first, the id, may need quotes."""
+    lines = [",".join(_header(lead, prefix, count)), *map(",".join, rows)]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 #: The leading columns of each table and the prefix of its numbered ones.
@@ -608,7 +698,7 @@ def read_prob_table(data: bytes | str) -> ProbabilityTable:
 
 def write_prob_table(table: ProbabilityTable) -> bytes:
     rows = _rows_of(table.flat, table.num_classes)
-    lines = ([i, label, *map(repr, probs)] for i, label, probs in zip(table.ids, table.labels, rows))
+    lines = ([_csv_field(i), repr(label), *map(repr, probs)] for i, label, probs in zip(table.ids, table.labels, rows))
     return _write_table(*_PROB_COLUMNS, table.num_classes, lines)
 
 
@@ -618,5 +708,5 @@ def read_activations(data: bytes | str) -> ActivationTable:
 
 
 def write_activations(table: ActivationTable) -> bytes:
-    lines = ([i, *map(repr, acts)] for i, acts in zip(table.ids, _rows_of(table.flat, table.num_neurons)))
+    lines = ([_csv_field(i), *map(repr, acts)] for i, acts in zip(table.ids, _rows_of(table.flat, table.num_neurons)))
     return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, lines)

@@ -446,6 +446,11 @@ def _check_landscape(landscape: Landscape) -> None:
     for collection in _COLLECTIONS:
         _check_unique(map(attrgetter("id"), getattr(landscape, collection)), collection)
     _check_unique(map(itemgetter(0), landscape.datasets), "datasets")
+    # The number and bool fields outside the VR payloads: a stage's order, a concern's relevance.
+    for element in (*landscape.stages, *landscape.concerns):
+        fault = number_fault(element)
+        if fault:
+            raise InvalidPayload(element.id, fault)
 
     orders = [stage.order for stage in landscape.stages]
     if orders != list(range(len(orders))):

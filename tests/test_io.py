@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -13,7 +14,7 @@ from enum import Enum, IntEnum
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -28,6 +29,7 @@ from helpers import (
     table_rule_error,
 )
 from laisc import codec, fixtures
+from laisc import io as laisc_io
 from laisc.codec import dump_canonical, from_node, number_fault, to_node
 from laisc.errors import (
     DanglingReference,
@@ -48,6 +50,7 @@ from laisc.evaluation import Status, Verdict
 from laisc.metrics import clm_flags, performance_gap
 from laisc.io import (
     ActivationTable,
+    ApprovalRecord,
     DocumentRecord,
     EvidenceBundle,
     EvidenceRecord,
@@ -78,6 +81,7 @@ from laisc.model import (
     QualitativeApproval,
     Resolution,
     ReviewFraction,
+    SafetyConcern,
     fingerprint,
 )
 from laisc.report import serialize_report
@@ -528,10 +532,13 @@ _NUMBERS = (
 @given(_NUMBERS)
 def test_number_read_from_a_file_follows_the_rule_for_code(value):
     """``from_node`` accepts a number exactly when ``number_fault`` accepts
-    the same value in an object built in code, for a float and an int field."""
+    the same value in an object built in code, for a float, an int and a
+    bool field."""
+    concern = {"id": "c", "name": "C", "description": "", "relevant": True, "relevance_rationale": "x"}
     for cls, node, name in (
         (MetricThreshold, {"metric_id": "miou", "dataset_id": "ds-a", "comparator": "GE", "threshold": 0}, "threshold"),
         (LifecycleStage, {"id": "s", "name": "S", "order": 0}, "order"),
+        (SafetyConcern, {**concern, "component_ids": [], "goal_ids": []}, "relevant"),
     ):
         try:
             from_node(cls, {**node, name: value}, "$")
@@ -567,12 +574,28 @@ _CODE_BUILT_NUMBERS = {
     "huge activation": (lambda: ActivationTable(1, (("s", (_HUGE,)),)), ValueOutOfRange, "row 0 (s): non-finite activation"),
     "bool gap input": (lambda: performance_gap(True, 0.5), NonFinite, "performance indicator True is not"),
     "huge gap input": (lambda: performance_gap(0.5, _HUGE), NonFinite, "performance indicator 1000"),
+    "float stage order": (
+        lambda: _replace_first(parse_landscape(FIXTURE_TEXT), "stages", order=0.0),
+        InvalidPayload,
+        "invalid payload for stage-data-prep: order must be an integer, got 0.0",
+    ),
+    "int relevance": (
+        lambda: _replace_first(parse_landscape(FIXTURE_TEXT), "concerns", relevant=1),
+        InvalidPayload,
+        "invalid payload for sc1-inaccurate-labels: relevant must be a boolean, got 1",
+    ),
     "bool flag threshold": (
         lambda: clm_flags(ProbabilityTable(2, (("x", 0, (0.5, 0.5)),)), True, min_samples=1),
         InvalidThreshold,
         "flag threshold must be in [0, 1], got True",
     ),
 }
+
+
+def _replace_first(landscape: Landscape, collection: str, **changes) -> Landscape:
+    """``landscape`` with the first element of ``collection`` changed."""
+    first, *rest = getattr(landscape, collection)
+    return replace(landscape, **{collection: (replace(first, **changes), *rest)})
 
 
 @pytest.mark.parametrize("build, error, message", _CODE_BUILT_NUMBERS.values(), ids=list(_CODE_BUILT_NUMBERS))
@@ -740,6 +763,16 @@ _CODE_BUILT_RECORDS = {
         SchemaError,
         "$.records[1].payload.entries[0].instance_id: expected string, got 1",
     ),
+    "plain approval verdict": (
+        record("r1", "v1", ApprovalRecord("rev-1", "Prüfer", "Approved"), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.verdict: expected one of {Approved, Rejected}, got 'Approved'",
+    ),
+    "plain flag resolution": (
+        record("r1", "v1", FlagResolutionLog("ds-a", ("i1",), (("i1", "Excluded"),)), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.entries[0].resolution: expected one of {Excluded, Revised}, got 'Excluded'",
+    ),
 }
 
 
@@ -753,6 +786,17 @@ def test_bundle_built_in_code_keeps_the_rules_of_a_file(bad, error, message):
         with pytest.raises(error) as caught:
             build()
         assert str(caught.value) == message
+
+
+def test_bundle_names_its_first_fault_in_record_order():
+    """A bundle with several faults names the one in the earliest record,
+    whichever rule it breaks."""
+    infinite = record("r1", "v1", MetricResult("miou", ("ds-a",), math.inf), "sha256:x")
+    unnamed = record("", "v1", DocumentRecord("safety-case"), "sha256:x")
+    with pytest.raises(InvalidPayload, match=r"^invalid payload for \$\.records\[1\]: value "):
+        EvidenceBundle((_FIRST, infinite, unnamed))
+    with pytest.raises(SchemaError, match=r"^\$\.records\[1\]\.id: expected non-empty string, got ''$"):
+        EvidenceBundle((_FIRST, unnamed, infinite))
 
 
 def test_replace_refuses_what_parse_landscape_would():
@@ -774,7 +818,8 @@ class _Text(str):
 
 
 #: A field of the fixture landscape set, by ``replace``, to a value that
-#: is not text, and the refusal that ``parse_landscape`` gives its bytes.
+#: is not text, or not a member of its ``Enum``, and the refusal that
+#: ``parse_landscape`` gives its bytes (``None`` where a file cannot hold it).
 _NON_TEXT_FIELDS = {
     "concern name": (
         lambda land: replace(land, concerns=(replace(land.concerns[0], name=5), *land.concerns[1:])),
@@ -813,6 +858,11 @@ _NON_TEXT_FIELDS = {
         lambda node: node["datasets"]["d-adverse-lighting"].update(path=1.5),
         "$.datasets.d-adverse-lighting.path: expected string, got 1.5",
     ),
+    "plain comparator": (
+        lambda land: replace(land, vrs=_replace_payload(land.vrs, 9, comparator="GE")),
+        None,
+        "$.vrs[9].payload.comparator: expected one of {GE, LE}, got 'GE'",
+    ),
 }
 
 
@@ -823,9 +873,9 @@ def _replace_payload(vrs, index: int, **changes):
 
 @pytest.mark.parametrize("make, edit, message", _NON_TEXT_FIELDS.values(), ids=list(_NON_TEXT_FIELDS))
 def test_landscape_refuses_a_non_text_value_where_its_reader_would(make, edit, message):
-    """A text field holds a ``str`` wherever the landscape is made, so
-    ``serialize_landscape`` never writes one that ``parse_landscape``
-    refuses; the refusal has the reader's words."""
+    """A text field holds a ``str``, and an ``Enum`` field a member,
+    wherever the landscape is made, so ``serialize_landscape`` never meets
+    one that ``parse_landscape`` refuses; the refusal has the reader's words."""
     with pytest.raises(SchemaError) as caught:
         make(parse_landscape(FIXTURE_TEXT))
     assert str(caught.value) == message
@@ -1316,6 +1366,118 @@ def test_tables_read_alike_from_text_bytes_and_crlf_bytes():
 def test_activation_width_mismatch():
     with pytest.raises(DimensionMismatch):
         read_activations("sample_id,a_0,a_1\ns1,0.5\n")
+
+
+@pytest.mark.parametrize("text", ["a,b", 'say "hi"', "a\rb", "a\nb", "\r\n", '"', "x\r", ""])
+def test_tables_round_trip_ids_that_need_quotes(text):
+    activations = ActivationTable(2, ((text, (0.5, -1.0)), ("s", (1.0, 2.0))))
+    assert read_activations(write_activations(activations)) == activations
+    probabilities = ProbabilityTable(2, (("x", 0, (1.0, 0.0)), (text, 1, (0.25, 0.75))))
+    assert read_prob_table(write_prob_table(probabilities)) == probabilities
+
+
+def test_an_id_holding_a_carriage_return_is_written_in_quotes():
+    """As ``csv.writer`` writes it from Python 3.13 on, on every Python."""
+    table = ActivationTable(1, (("a\rb", (0.5,)),))
+    assert write_activations(table) == b'sample_id,a_0\n"a\rb",0.5\n'
+
+
+# --- the split passes against the csv row loop ------------------------------------------------
+
+#: What a drawn table is spelled with: number characters, the two
+#: separators, a space, a non-ASCII letter, and the characters that only
+#: the ``csv`` loop reads (a quote, a carriage return and NUL).
+_TABLE_CHARACTERS = '0123456789,.-e \u00e9"\r\n\0'
+_PLAIN_CHARACTERS = "0123456789.-e \u00e9"
+
+
+@st.composite
+def _drawn_table(draw) -> tuple[bytes, tuple, int | None]:
+    """Bytes of a table, its ``(lead, prefix, minimum)`` and a field size
+    limit to read it under (``None`` keeps the limit).  The header and most
+    rows are well formed; a drawn row may be blank, ragged, a line of any of
+    ``_TABLE_CHARACTERS``, or hold a field that ``int()`` or ``float()``
+    refuses or that is longer than the lowered limit.  A table may repeat
+    one row over two chunks before the drawn rows."""
+    lead, prefix, minimum = columns = draw(
+        st.sampled_from(((*laisc_io._PROB_COLUMNS, 2), (*laisc_io._ACTIVATION_COLUMNS, 1)))
+    )
+    count = draw(st.integers(minimum, 3))
+    rare = st.integers(0, 7).map((0).__eq__)  # true one time in eight
+    wild = st.text(_TABLE_CHARACTERS, max_size=12)
+    text = st.text(_PLAIN_CHARACTERS, max_size=4)
+
+    def row() -> str:
+        sample_id = draw(st.text(_PLAIN_CHARACTERS, min_size=41, max_size=50) if draw(rare) else text)
+        labels = [draw(text if draw(rare) else st.integers(0, 3).map(str)) for _ in lead[1:]]
+        numbers = [draw(text if draw(rare) else st.floats(-1e3, 1e3).map(repr)) for _ in range(count)]
+        return ",".join([sample_id, *labels, *numbers])
+
+    header = ",".join(laisc_io._header(lead, prefix, count))
+    lines = [draw(st.sampled_from((header, header + "\r")) | wild) if draw(rare) else header]
+    filler = ",".join(["s", *["0"] * (len(lead) - 1), "1.0", *["0.0"] * (count - 1)])
+    lines += [filler] * draw(st.sampled_from((0, 2 * laisc_io._CHUNK // len(filler))))
+    for _ in range(draw(st.integers(0, 5))):
+        defect = draw(st.sampled_from(("none",) * 5 + ("blank", "wider", "narrower", "wild")))
+        if defect == "blank":
+            lines.append("")
+        elif defect == "wild":
+            lines.append(draw(wild))
+        else:
+            line = row()
+            lines.append({"wider": line + ",0.5", "narrower": line.rpartition(",")[0]}.get(defect, line))
+    data = ("\n".join(lines) + draw(st.sampled_from(("\n", "")))).encode("utf-8")
+    if draw(rare):  # a byte that is not UTF-8, in the last line
+        data = data[:-1] + b"\xff"
+    return data, columns, draw(st.sampled_from((None, None, 12, 40)))
+
+
+def _read_outcome(read, data: bytes, columns: tuple):
+    """What ``read`` returns for ``data``, or the type and message of the
+    error it raises."""
+    try:
+        return read(data, *columns)
+    except LaiscError as exc:
+        return type(exc), str(exc)
+
+
+def _long_table(last: str) -> bytes:
+    """An activation table whose rows span three chunks, then the line ``last``."""
+    return b"sample_id,a_0\n" + b"s,0.5\n" * (3 * laisc_io._CHUNK // 6) + last.encode("utf-8") + b"\n"
+
+
+_ACTIVATIONS = (*laisc_io._ACTIVATION_COLUMNS, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_table())
+@example((_long_table("s,0.5"), _ACTIVATIONS, None))
+@example((_long_table(""), _ACTIVATIONS, None))
+@example((_long_table("s,0.5,1"), _ACTIVATIONS, None))
+@example((_long_table("s,1e"), _ACTIVATIONS, None))
+@example((_long_table("s" * 41 + ",0.5"), _ACTIVATIONS, 40))
+@example((_long_table("s" * 30 + "," + "1" * 11), _ACTIVATIONS, 40))
+@example((_long_table("s,0.5")[:-3] + b"\xff\n", _ACTIVATIONS, None))
+@example((_long_table("a\rb,0.5"), _ACTIVATIONS, None))
+@example((_long_table("s,0.5").replace(b"\n", b"\r\n"), _ACTIVATIONS, None))
+@example((b"instance_id,label,p_0,p_1\n", (*laisc_io._PROB_COLUMNS, 2), 8))
+def test_split_passes_read_a_table_as_the_csv_loop_does(drawn):
+    """``_read_table`` returns what the ``csv`` row loop returns, or raises
+    the same error; and its split passes read every table the loop reads
+    that holds no csv-only byte and no line past the field size limit."""
+    data, columns, limit = drawn
+    saved = csv.field_size_limit()
+    try:
+        if limit is not None:
+            csv.field_size_limit(limit)
+        expected = _read_outcome(laisc_io._csv_table, data, columns)
+        assert _read_outcome(laisc_io._read_table, data, columns) == expected
+        read = not isinstance(expected[0], type)
+        plain = not any(map(data.__contains__, laisc_io._CSV_ONLY))
+        if read and plain and max(map(len, data.decode().split("\n"))) <= csv.field_size_limit():
+            assert laisc_io._split_table(data, *columns) is not None
+    finally:
+        csv.field_size_limit(saved)
 
 
 # --- table storage --------------------------------------------------------------------------
