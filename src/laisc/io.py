@@ -313,6 +313,15 @@ def _pack(numbers: list) -> bytes | tuple:
     return tuple(numbers)
 
 
+def _check_ids(rows: tuple) -> None:
+    """Refuse a row whose id is not a ``str``, in the words of the text
+    rule: ``csv`` would write ``str(id)`` and read back another value."""
+    ids = list(map(itemgetter(0), rows))
+    if not set(map(type, ids)) <= {str}:
+        index = next(index for index, row_id in enumerate(ids) if type(row_id) is not str)
+        raise SchemaError(f"rows[{index}][0]", "string", ids[index])
+
+
 def _all_numbers(flat) -> bool:
     """Whether every one of a table's numbers ``is_number``; a buffer holds floats only."""
     return all(map(math.isfinite, flat)) if type(flat) is memoryview else are_numbers(flat)
@@ -366,6 +375,7 @@ class ProbabilityTable(_Table):
         rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
         if num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {num_classes}")
+        _check_ids(rows)
         probs = tuple(map(itemgetter(2), rows))
         if not set(map(len, probs)) <= {num_classes}:
             _check_prob_rows(num_classes, rows)
@@ -443,6 +453,7 @@ class ActivationTable(_Table):
         rows = tuple((s, tuple(a)) for s, a in rows)
         if num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons}")
+        _check_ids(rows)
         acts = tuple(map(itemgetter(1), rows))
         if not set(map(len, acts)) <= {num_neurons}:
             _check_activation_rows(num_neurons, rows)
@@ -680,9 +691,14 @@ def _csv_field(value) -> str:
     return text
 
 
-def _write_table(lead: tuple[str, ...], prefix: str, count: int, rows) -> bytes:
+def _write_table(lead: tuple[str, ...], prefix: str, count: int, ids: tuple[str, ...], rows) -> bytes:
     """The header, then one line per row of ``rows``, each a list of its
-    fields' text, of which only the first, the id, may need quotes."""
+    fields' text, of which only the first, the id, may need quotes.  An id
+    of ``ids`` holding NUL is refused: Python 3.10's ``csv`` reader refuses
+    a line with one, so no Python writes it."""
+    if "\0" in "".join(ids):
+        index = next(index for index, row_id in enumerate(ids) if "\0" in row_id)
+        raise SchemaError(f"ids[{index}]", "string without NUL", ids[index])
     lines = [",".join(_header(lead, prefix, count)), *map(",".join, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -699,7 +715,7 @@ def read_prob_table(data: bytes | str) -> ProbabilityTable:
 def write_prob_table(table: ProbabilityTable) -> bytes:
     rows = _rows_of(table.flat, table.num_classes)
     lines = ([_csv_field(i), repr(label), *map(repr, probs)] for i, label, probs in zip(table.ids, table.labels, rows))
-    return _write_table(*_PROB_COLUMNS, table.num_classes, lines)
+    return _write_table(*_PROB_COLUMNS, table.num_classes, table.ids, lines)
 
 
 def read_activations(data: bytes | str) -> ActivationTable:
@@ -709,4 +725,4 @@ def read_activations(data: bytes | str) -> ActivationTable:
 
 def write_activations(table: ActivationTable) -> bytes:
     lines = ([_csv_field(i), *map(repr, acts)] for i, acts in zip(table.ids, _rows_of(table.flat, table.num_neurons)))
-    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, lines)
+    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, table.ids, lines)

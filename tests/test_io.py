@@ -1376,6 +1376,33 @@ def test_tables_round_trip_ids_that_need_quotes(text):
     assert read_prob_table(write_prob_table(probabilities)) == probabilities
 
 
+_TABLE_BUILDS = {
+    "activations": lambda row_id: ActivationTable(1, (("s", (0.5,)), (row_id, (0.25,)))),
+    "probabilities": lambda row_id: ProbabilityTable(2, (("x", 0, (1.0, 0.0)), (row_id, 1, (0.25, 0.75)))),
+}
+
+
+@pytest.mark.parametrize("build", _TABLE_BUILDS.values(), ids=_TABLE_BUILDS)
+@pytest.mark.parametrize("row_id", [None, 1, 2.5, b"s", ("s",), _Tint.RED], ids=repr)
+def test_table_built_in_code_refuses_an_id_that_is_not_a_string(build, row_id):
+    """The text rule: an id was written as ``str(id)`` and read back as a
+    different value (``None`` as ``'None'``)."""
+    with pytest.raises(SchemaError) as caught:
+        build(row_id)
+    assert str(caught.value) == f"rows[1][0]: expected string, got {row_id!r}"
+
+
+@pytest.mark.parametrize("write", [write_activations, write_prob_table], ids=["activations", "probabilities"])
+@pytest.mark.parametrize("row_id", ["x\0y", "\0", 'a,"\0'])
+def test_tables_refuse_to_write_an_id_holding_nul(write, row_id):
+    """Python 3.10's ``csv`` reader refuses a line holding NUL, so no
+    Python writes one, and every Python refuses alike."""
+    table = _TABLE_BUILDS["activations" if write is write_activations else "probabilities"](row_id)
+    with pytest.raises(SchemaError) as caught:
+        write(table)
+    assert str(caught.value) == f"ids[1]: expected string without NUL, got {row_id!r}"
+
+
 def test_an_id_holding_a_carriage_return_is_written_in_quotes():
     """As ``csv.writer`` writes it from Python 3.13 on, on every Python."""
     table = ActivationTable(1, (("a\rb", (0.5,)),))
