@@ -1,5 +1,12 @@
 """The JSON codec: a domain dataclass's field annotations are its schema.
 
+Every domain class is a ``record``: a frozen dataclass whose ``==``,
+``hash``, ``repr``, immutability and pickling are the functions below,
+written once over the class's field names; ``dataclass`` itself only
+records the fields, so ``fields``, ``replace`` and ``is_dataclass`` work
+as on any dataclass, and only each class's short ``__init__`` is
+generated.
+
 ``to_node`` writes a dataclass as a JSON object with one key per field,
 and ``from_node`` reads one back, checking each value against its field's
 annotation.  One table, ``_shape``, maps an annotation to the column that
@@ -62,7 +69,7 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
@@ -73,6 +80,111 @@ from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 from laisc.errors import InputSyntaxError, InvalidTimestamp, SchemaError
+
+# --- records ----------------------------------------------------------------------
+#
+# A record class keeps its field names in ``_record_names`` and a function
+# that returns the tuple of an object's field values in ``_record_values``;
+# the methods below read those two, so they are the same for every class.
+
+
+def _record_eq(self, other) -> bool:
+    if other.__class__ is self.__class__:
+        return self._record_values(self) == other._record_values(other)
+    return NotImplemented
+
+
+def _record_hash(self) -> int:
+    return hash(self._record_values(self))
+
+
+def _record_repr(self) -> str:
+    values = ", ".join(map("{}={!r}".format, self._record_names, self._record_values(self)))
+    return f"{self.__class__.__qualname__}({values})"
+
+
+def _frozen_setattr(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record_getstate(self) -> list:
+    return list(self._record_values(self))
+
+
+def _record_setstate(self, state: list) -> None:
+    for name, value in zip(self._record_names, state):
+        object.__setattr__(self, name, value)
+
+
+_RECORD_METHODS = {
+    "__eq__": _record_eq,
+    "__hash__": _record_hash,
+    "__repr__": _record_repr,
+    "__setattr__": _frozen_setattr,
+    "__delattr__": _frozen_delattr,
+}
+#: What a class with ``__slots__`` needs besides: it has no ``__dict__``
+#: for ``pickle`` and ``copy`` to fill.
+_SLOTS_METHODS = {"__getstate__": _record_getstate, "__setstate__": _record_setstate}
+
+
+def _values_getter(names: tuple[str, ...]):
+    """A function of an object that returns the tuple of its ``names`` attributes."""
+    if len(names) == 1:
+        get = attrgetter(*names)
+        return lambda obj: (get(obj),)
+    return attrgetter(*names) if names else lambda obj: ()
+
+
+def _record_init(cls: type, names: tuple[str, ...], defaults: dict[str, object]):
+    """``cls.__init__``: each field in order, set with ``object.__setattr__``,
+    then ``__post_init__`` if ``cls`` has one."""
+    params = ", ".join(f"{name}=_default_{name}" if name in defaults else name for name in names)
+    body = [f" _set(self, {name!r}, {name})" for name in names]
+    if hasattr(cls, "__post_init__"):
+        body.append(" self.__post_init__()")
+    namespace = {"_set": object.__setattr__, **{f"_default_{name}": value for name, value in defaults.items()}}
+    exec("\n".join([f"def __init__(self, {params}):", *body, " pass"]), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def record(cls: type | None = None, /, *, slots: bool = True):
+    """Make ``cls`` a frozen dataclass with ``__slots__`` (none if ``slots``
+    is false), as ``@dataclass(frozen=True, slots=slots)`` would.
+
+    ``dataclass`` is called for its fields only (no ``__init__``, ``==`` or
+    ``repr``); ``==``, ``hash``, ``repr``, the frozen ``__setattr__`` and
+    ``__delattr__``, and with slots ``__getstate__`` and ``__setstate__``,
+    are this module's functions, and ``__init__`` is generated.  A method
+    that ``cls`` or a base already defines is kept.  Every field takes its
+    value by position or keyword, in order, with its ``default``."""
+    if cls is None:
+        return partial(record, slots=slots)
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    names, defaults = [], {}
+    for f in fields(cls):
+        assert f.default_factory is MISSING, f"{cls.__name__}.{f.name} has a default_factory"
+        names.append(f.name)
+        if f.default is not MISSING:
+            defaults[f.name] = f.default
+    names = tuple(names)
+    cls._record_names = names
+    cls._record_values = staticmethod(_values_getter(names))
+    owned = {name for base in cls.__mro__[:-1] for name in vars(base)}
+    methods = {**_RECORD_METHODS, **(_SLOTS_METHODS if slots else {})}
+    for name, method in methods.items():
+        if name not in owned:
+            setattr(cls, name, method)
+    if "__init__" not in owned:
+        cls.__init__ = _record_init(cls, names, defaults)
+    return cls
+
 
 # --- timestamps --------------------------------------------------------------
 

@@ -30,12 +30,11 @@ counts.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
 
-from laisc.codec import check_aware, is_number
+from laisc.codec import check_aware, is_number, record
 from laisc.errors import UnknownFilterKey
 from laisc.io import (
     ApprovalVerdict,
@@ -81,8 +80,10 @@ def _worst(statuses) -> Status:
     return next((s for s in _PRECEDENCE if s in statuses), Status.SATISFIED)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Verdict:
+    """A VR's status, why, the records it rests on and the values measured."""
+
     status: Status
     explanation: str
     evidence_ids: tuple[str, ...] = ()
@@ -93,8 +94,10 @@ class Verdict:
         object.__setattr__(self, "measured", tuple(self.measured))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Rollup:
+    """The status of a goal or concern rolled up from its VRs, with a note saying why."""
+
     status: Status
     note: str
 
@@ -106,13 +109,15 @@ class GapKind(str, Enum):
     MM_WITHOUT_STAGE = "MMWithoutStage"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class CoverageGap:
+    """A missing decomposition link: ``subject_id`` lacks what ``kind`` names."""
+
     kind: GapKind
     subject_id: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Filter:
     """Conjunctive row filter; every field is optional and the empty
     filter is the identity.  Keys match element ids first, then unique
@@ -137,7 +142,7 @@ class Filter:
         return ", ".join(parts) if parts else "(none)"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EvaluationReport:
     """Everything a renderer emits, decided once by :func:`evaluate`.
 

@@ -38,7 +38,6 @@ import csv
 import io as _stdio
 import math
 from array import array
-from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from itertools import chain
@@ -57,6 +56,7 @@ from laisc.codec import (
     load_json,
     number_fault,
     parse_timestamp,  # noqa: F401
+    record,
     text_fault,
     to_node,
 )
@@ -74,7 +74,7 @@ from laisc.model import Landscape, Resolution
 # --- evidence domain types ---------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MetricResult:
     """A computed metric value bound to the dataset(s) it was measured on.
 
@@ -97,22 +97,26 @@ class ApprovalVerdict(str, Enum):
     REJECTED = "Rejected"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ApprovalRecord:
+    """One expert's verdict on the work a qualitative VR asks about."""
+
     approver_id: str
     approver_role: str
     verdict: ApprovalVerdict
     document_ref: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReviewLog:
+    """How many of a dataset's ``total_items`` were reviewed by hand."""
+
     dataset_id: str
     total_items: int
     reviewed_items: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FlagEntry:
     """The human resolution of one flagged instance."""
 
@@ -120,7 +124,7 @@ class FlagEntry:
     resolution: Resolution
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FlagResolutionLog:
     """Pairs the ids flagged by a metric run with their human resolutions.
 
@@ -138,8 +142,10 @@ class FlagResolutionLog:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DocumentRecord:
+    """A document of ``document_kind`` exists, at ``document_ref``."""
+
     document_kind: str
     document_ref: str = ""
 
@@ -147,7 +153,7 @@ class DocumentRecord:
 EvidencePayload = MetricResult | ApprovalRecord | ReviewLog | FlagResolutionLog | DocumentRecord
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class EvidenceRecord:
     """One timestamped piece of evidence addressed to a VR.
 
@@ -172,7 +178,7 @@ class EvidenceRecord:
         return type(self.payload).__name__
 
 
-@dataclass(frozen=True)
+@record(slots=False)
 class EvidenceBundle:
     """The records of one evidence file, held to ``_check_records`` however built.
 
@@ -242,7 +248,7 @@ def _payload_fault(payload: EvidencePayload, path: str = "") -> LaiscError | Non
 # --- numeric carriers --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@record
 class LabeledGrid:
     """A small integer raster: a camera image (0..255) or a binary mask.
 
@@ -354,7 +360,7 @@ class _Table:
         return hash(self._key())
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@record
 class ProbabilityTable(_Table):
     """Per-instance predicted class probabilities with the observed label.
 
@@ -433,7 +439,7 @@ def _check_prob_rows(num_classes: int, rows) -> None:
             raise NotNormalized(index, total)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
+@record
 class ActivationTable(_Table):
     """Per-sample activation values for a fixed set of neurons.
 

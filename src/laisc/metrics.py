@@ -46,10 +46,10 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import field
 from itertools import islice
 
-from laisc.codec import is_number, number_fault
+from laisc.codec import is_number, number_fault, record
 from laisc.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -265,7 +265,7 @@ def clm_scores(
     return [(instance_id, probs[label]) for instance_id, label, probs in _table_rows(table)]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ClmFlagResult:
     """Flagged instances plus the confident-joint count matrix.
 
@@ -352,37 +352,47 @@ def _uniforms(seed: int):
 # --- image perturbations ------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class BrightnessShift:
+    """Add ``delta`` to every pixel of the image."""
+
     delta: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ContrastScale:
+    """Scale each pixel's distance from the image mean by ``factor``."""
+
     factor: float = field(metadata={"above": 0})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GaussianNoise:
+    """Add normal noise of deviation ``sigma``, drawn from ``seed``, to each pixel."""
+
     sigma: float = field(metadata={"min": 0})
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class OcclusionPatch:
+    """Set the ``w`` by ``h`` patch whose top left is ``(x, y)`` to 0."""
+
     x: int
     y: int
     w: int = field(metadata={"min": 1})
     h: int = field(metadata={"min": 1})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class HorizontalFlip:
-    pass
+    """Mirror the image and the mask left to right."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Rotate90:
+    """Rotate the image and the mask ``k`` quarter turns counterclockwise."""
+
     k: int = field(metadata={"min": 1, "max": 3})
 
 
@@ -484,24 +494,32 @@ def perturb(
 # --- label augmentations --------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RandomPixelFlip:
+    """Flip each mask cell with probability ``rate``, drawn from ``seed``."""
+
     rate: float = field(metadata={"min": 0, "max": 1})
     seed: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MaskDilate:
+    """Dilate the mask by a square of side ``2 * radius + 1``."""
+
     radius: int = field(metadata={"min": 0})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MaskErode:
+    """Erode the mask by a square of side ``2 * radius + 1``."""
+
     radius: int = field(metadata={"min": 0})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MaskTranslate:
+    """Move the mask ``dx`` columns right and ``dy`` rows down; cells moved in are 0."""
+
     dx: int
     dy: int
 

@@ -39,12 +39,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter, itemgetter
 
-from laisc.codec import number_fault, text_fault, to_node
+from laisc.codec import number_fault, record, text_fault, to_node
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload, SchemaError
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
@@ -67,7 +67,7 @@ class Resolution(str, Enum):
 # --- element types ---------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LifecycleStage:
     """One phase of the AI life cycle; ``order`` is a 0-based rank."""
 
@@ -76,14 +76,16 @@ class LifecycleStage:
     order: int
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SystemComponent:
+    """A part of the AI-based system that a concern can affect."""
+
     id: str
     name: str
     description: str = ""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SafetyConcern:
     """An AI-specific issue that may negatively impact system safety.
 
@@ -106,7 +108,7 @@ class SafetyConcern:
         object.__setattr__(self, "goal_ids", tuple(sorted(self.goal_ids)))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Goal:
     """A concern decomposed far enough for requirements to attach."""
 
@@ -122,15 +124,17 @@ class Goal:
 # --- VR payloads, one dataclass per kind ------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MetricThreshold:
+    """The metric on ``dataset_id`` must be ``GE`` or ``LE`` ``threshold``."""
+
     metric_id: str
     dataset_id: str
     comparator: Comparator
     threshold: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MetricGap:
     """|value(dataset_a) - value(dataset_b)| must not exceed ``epsilon``."""
 
@@ -140,14 +144,16 @@ class MetricGap:
     epsilon: float = field(metadata={"min": 0})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Condition:
+    """One operating condition of a :class:`PerCondition`: its dataset and threshold."""
+
     condition_id: str
     dataset_id: str
     threshold: float
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PerCondition:
     """The metric must reach each condition's threshold on its dataset."""
 
@@ -160,13 +166,15 @@ class PerCondition:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ReviewFraction:
+    """At least ``min_fraction`` of ``dataset_id``'s items must be reviewed by hand."""
+
     dataset_id: str
     min_fraction: float = field(metadata={"min": 0, "max": 1})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FlagResolution:
     """Instances scored below ``flag_threshold`` need an explicit resolution."""
 
@@ -175,8 +183,11 @@ class FlagResolution:
     flag_threshold: float = field(metadata={"min": 0, "max": 1})
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QualitativeApproval:
+    """``required_approvals`` independent expert approvals, plus one document
+    of each ``required_documents`` kind."""
+
     required_approvals: int = field(metadata={"min": 1})
     required_documents: tuple[str, ...] = ()
 
@@ -225,7 +236,7 @@ def slots(p: VrPayload) -> dict[str, SlotKey]:
     return {"approvals": ("ApprovalRecord", ()), "documents": ("DocumentRecord", ())}
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class VerifiableRequirement:
     """A requirement stated so that evidence yields a pass/fail verdict."""
 
@@ -243,7 +254,7 @@ class VerifiableRequirement:
         return type(self.payload).__name__
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class MitigationMeasure:
     """A method that quantifies or mitigates a concern, producing evidence.
 
@@ -257,8 +268,10 @@ class MitigationMeasure:
     stage_id: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DatasetDescriptor:
+    """Where a dataset bound by VRs lives, its format and its role."""
+
     path: str
     format: str
     role: str = ""
@@ -268,8 +281,11 @@ class DatasetDescriptor:
 _COLLECTIONS = ("stages", "components", "concerns", "goals", "vrs", "mitigation_measures")
 
 
-@dataclass(frozen=True)
+@record(slots=False)
 class Landscape:
+    """The concerns, goals, VRs and measures of one use case, with the
+    life cycle stages, components and datasets they refer to."""
+
     name: str
     version: str = "1"
     stages: tuple[LifecycleStage, ...] = ()
@@ -356,7 +372,7 @@ class Landscape:
         return frozenset(dataset_id for dataset_id, _ in self.datasets)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class LandscapeRow:
     """One (VR, mitigation measure) pair flattened for tabular display.
 

@@ -8,15 +8,18 @@ signature are pinned here for all of them, whatever builds their methods.
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import pickle
+import sys
 from dataclasses import MISSING, FrozenInstanceError, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
-from laisc import evaluation, io, metrics, model
+from laisc import codec, evaluation, io, metrics, model
 from laisc.evaluation import CoverageGap, EvaluationReport, Filter, GapKind, Rollup, Status, Verdict
 from laisc.io import (
     ActivationTable,
@@ -409,3 +412,59 @@ def test_signature_pins():
     assert _signature(GaussianNoise) == "(sigma, seed)"
     assert _signature(MitigationMeasure) == "(id, name, description='', stage_id=None)"
     assert _signature(HorizontalFlip) == "()"
+
+
+def _class_nodes():
+    for module in MODULES:
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name in RECORDS:
+                yield node
+
+
+def test_every_record_class_has_its_own_docstring():
+    nodes = list(_class_nodes())
+    assert sorted(node.name for node in nodes) == sorted(RECORDS)
+    assert [node.name for node in nodes if not ast.get_docstring(node)] == []
+    for name, cls in RECORDS.items():
+        assert cls.__doc__ and not cls.__doc__.startswith(f"{name}("), name
+
+
+_SHARED = {
+    "__eq__": codec._record_eq,
+    "__hash__": codec._record_hash,
+    "__repr__": codec._record_repr,
+    "__setattr__": codec._frozen_setattr,
+    "__delattr__": codec._frozen_delattr,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_methods_are_the_shared_ones_or_the_class_own(name):
+    """No record carries a generated ``==``, ``hash``, ``repr`` or frozen
+    ``__setattr__``: each is ``codec``'s, or written in the class's (or a
+    base's) own source, as ``_Table``'s ``==`` and ``hash`` are."""
+    cls = RECORDS[name]
+    source = Path(sys.modules[cls.__module__].__file__).resolve()
+    for method, shared in _SHARED.items():
+        found = getattr(cls, method)
+        assert found is shared or Path(found.__code__.co_filename).resolve() == source, (name, method)
+    if hasattr(cls, "__slots__"):
+        assert cls.__getstate__ is codec._record_getstate and cls.__setstate__ is codec._record_setstate
+    assert cls.__init__.__code__.co_filename in ("<string>", str(source)), name
+
+
+def test_tables_keep_their_own_eq_hash_and_init():
+    assert ProbabilityTable.__eq__ is io._Table.__eq__ and ActivationTable.__hash__ is io._Table.__hash__
+    assert ProbabilityTable.__repr__ is codec._record_repr
+    for cls in (LabeledGrid, ProbabilityTable, ActivationTable):
+        assert cls.__init__.__code__.co_filename == io.__file__
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_assigning_an_attribute_that_is_no_field_is_refused(name):
+    obj = sample(name)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'not_a_field'"):
+        obj.not_a_field = 1
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'not_a_field'"):
+        del obj.not_a_field
