@@ -702,14 +702,35 @@ def number_fault(obj) -> str | None:
     return None
 
 
+def _by_class(objects: list):
+    """``(cls, the objects of class cls)`` for each class among ``objects``."""
+    types = list(map(type, objects))
+    classes = set(types)
+    for cls in classes:
+        yield cls, objects if len(classes) == 1 else list(compress(objects, map(is_, types, repeat(cls))))
+
+
+def numbers_hold(objects: list) -> bool:
+    """Whether ``number_fault`` finds no fault in any of the dataclasses
+    ``objects``: one C-level pass per number or ``bool`` field of each
+    class, and one per bound."""
+    for cls, group in _by_class(objects):
+        for name, annotation, low, high, above in _plan(cls)[2]:
+            values = list(map(attrgetter(name), group))
+            if not (are_numbers(values) if annotation is float else set(map(type, values)) <= {annotation}):
+                return False
+            if (low is not None and min(values) < low) or (high is not None and max(values) > high):
+                return False
+            if above is not None and min(values) <= above:
+                return False
+    return True
+
+
 def _texts_hold(objects: list) -> bool:
     """Whether every text field of the dataclasses ``objects``, and of the
     dataclasses they hold, passes its test: one C-level pass per field of
     each class."""
-    types = list(map(type, objects))
-    classes = set(types)
-    for cls in classes:
-        group = objects if len(classes) == 1 else list(compress(objects, map(is_, types, repeat(cls))))
+    for cls, group in _by_class(objects):
         for name, test, _, holding in _plan(cls)[4]:
             values = map(attrgetter(name), group)
             if not (test(values) if holding is None else _texts_hold(_held(holding, values))):

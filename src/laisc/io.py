@@ -40,8 +40,8 @@ import math
 from array import array
 from datetime import datetime
 from enum import Enum
-from itertools import chain
-from operator import attrgetter, itemgetter, methodcaller
+from itertools import chain, compress, repeat
+from operator import attrgetter, is_, itemgetter, le, methodcaller
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
@@ -55,6 +55,7 @@ from laisc.codec import (
     is_number,
     load_json,
     number_fault,
+    numbers_hold,
     parse_timestamp,  # noqa: F401
     record,
     text_fault,
@@ -200,18 +201,21 @@ def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
     """Raise at the first record that breaks a bundle's rule, at its JSON
     path: a ``SchemaError`` at a field that ``text_fault`` finds first, then
     an ``InvalidPayload`` in ``number_fault``'s words or a ``SchemaError``.
-    The ids, the ``vr_id``s and the payloads are checked as columns first;
+    The ids, the ``vr_id``s, the payloads' numbers (``numbers_hold``) and
+    review counts are checked as columns first, one C-level pass per rule;
     only a bundle that fails is walked record by record, to word the first
     fault."""
     fault = text_fault(records, "$.records[{}]".format)
     if fault:
         raise SchemaError(*fault)
     ids = list(map(attrgetter("id"), records))
+    payloads = list(map(attrgetter("payload"), records))
     if (
         all(ids)
         and len(set(ids)) == len(ids)
         and all(map(attrgetter("vr_id"), records))
-        and not any(map(_payload_fault, map(attrgetter("payload"), records)))
+        and numbers_hold(payloads)
+        and _counts_hold(payloads)
     ):
         return
     seen: set[str] = set()
@@ -229,7 +233,16 @@ def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
             raise error
 
 
-def _payload_fault(payload: EvidencePayload, path: str = "") -> LaiscError | None:
+def _counts_hold(payloads: list) -> bool:
+    """Whether every ``ReviewLog`` of ``payloads``, whose counts are
+    integers, reviewed from 0 to ``total_items`` items: one C-level pass
+    per rule."""
+    logs = list(compress(payloads, map(is_, map(type, payloads), repeat(ReviewLog))))
+    reviewed = list(map(attrgetter("reviewed_items"), logs))
+    return not logs or (min(reviewed) >= 0 and all(map(le, reviewed, map(attrgetter("total_items"), logs))))
+
+
+def _payload_fault(payload: EvidencePayload, path: str) -> LaiscError | None:
     """The error of the first rule that a record's ``payload`` breaks, at
     the record's JSON path ``path``, or ``None``."""
     fault = number_fault(payload)

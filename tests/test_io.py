@@ -47,7 +47,7 @@ from laisc.errors import (
     ValueOutOfRange,
 )
 from laisc.evaluation import Status, Verdict
-from laisc.metrics import clm_flags, performance_gap
+from laisc.metrics import ContrastScale, GaussianNoise, Rotate90, clm_flags, performance_gap
 from laisc.io import (
     ActivationTable,
     ApprovalRecord,
@@ -547,6 +547,28 @@ def test_number_read_from_a_file_follows_the_rule_for_code(value):
             assert str(exc).startswith(f"$.{name}: "), exc
             read = False
         assert read == (number_fault(replace(from_node(cls, node, "$"), **{name: value})) is None), (cls, value)
+
+
+#: Objects of classes with number fields and bounds, each built around one number.
+_NUMBER_HOLDERS = (
+    lambda value: ReviewFraction("d", value),
+    lambda value: QualitativeApproval(value),
+    lambda value: ContrastScale(value),
+    lambda value: GaussianNoise(0.5, value),
+    lambda value: Rotate90(value),
+    lambda value: MetricResult("miou", ("d",), value),
+    lambda value: ReviewLog("d", value, 0),
+    lambda value: SafetyConcern("c", "C", relevant=value),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_NUMBER_HOLDERS), _NUMBERS), max_size=6))
+def test_number_columns_follow_number_fault(drawn):
+    """``numbers_hold`` passes a list of objects exactly when
+    ``number_fault`` finds no fault in any of them."""
+    objects = [build(value) for build, value in drawn]
+    assert codec.numbers_hold(objects) == all(number_fault(obj) is None for obj in objects)
 
 
 _HUGE = 10**400
