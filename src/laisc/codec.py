@@ -156,7 +156,7 @@ def _record_init(cls: type, names: tuple[str, ...], defaults: dict[str, object])
 
 def record(cls: type | None = None, /, *, slots: bool = True):
     """Make ``cls`` a frozen dataclass with ``__slots__`` (none if ``slots``
-    is false), as ``@dataclass(frozen=True, slots=slots)`` would.
+    is false), as ``dataclass(frozen=True, slots=slots)`` would.
 
     ``dataclass`` is called for its fields only (no ``__init__``, ``==`` or
     ``repr``); ``==``, ``hash``, ``repr``, the frozen ``__setattr__`` and
@@ -167,13 +167,9 @@ def record(cls: type | None = None, /, *, slots: bool = True):
     if cls is None:
         return partial(record, slots=slots)
     cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
-    names, defaults = [], {}
-    for f in fields(cls):
-        assert f.default_factory is MISSING, f"{cls.__name__}.{f.name} has a default_factory"
-        names.append(f.name)
-        if f.default is not MISSING:
-            defaults[f.name] = f.default
-    names = tuple(names)
+    assert all(f.default_factory is MISSING for f in fields(cls)), f"{cls.__name__} has a default_factory"
+    names = tuple(f.name for f in fields(cls))
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
     cls._record_names = names
     cls._record_values = staticmethod(_values_getter(names))
     owned = {name for base in cls.__mro__[:-1] for name in vars(base)}

@@ -234,8 +234,8 @@ def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
 
 
 def _counts_hold(payloads: list) -> bool:
-    """Whether every ``ReviewLog`` of ``payloads``, whose counts are
-    integers, reviewed from 0 to ``total_items`` items: one C-level pass
+    """Whether every ``ReviewLog`` among ``payloads``, whose counts are
+    integers, has ``0 <= reviewed_items <= total_items``: one C-level pass
     per rule."""
     logs = list(compress(payloads, map(is_, map(type, payloads), repeat(ReviewLog))))
     reviewed = list(map(attrgetter("reviewed_items"), logs))
@@ -332,13 +332,15 @@ def _pack(numbers: list) -> bytes | tuple:
     return tuple(numbers)
 
 
-def _check_ids(rows: tuple) -> None:
-    """Refuse a row whose id is not a ``str``, in the words of the text
-    rule: ``csv`` would write ``str(id)`` and read back another value."""
-    ids = list(map(itemgetter(0), rows))
+def _checked_ids(rows: tuple) -> tuple[str, ...]:
+    """The ids of ``rows``, their first items; one that is not a ``str`` is
+    refused in the words of the text rule, for ``csv`` would write
+    ``str(id)`` and read back another value."""
+    ids = tuple(map(itemgetter(0), rows))
     if not set(map(type, ids)) <= {str}:
         index = next(index for index, row_id in enumerate(ids) if type(row_id) is not str)
         raise SchemaError(f"rows[{index}][0]", "string", ids[index])
+    return ids
 
 
 def _all_numbers(flat) -> bool:
@@ -394,12 +396,11 @@ class ProbabilityTable(_Table):
         rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
         if num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {num_classes}")
-        _check_ids(rows)
+        ids = _checked_ids(rows)
         probs = tuple(map(itemgetter(2), rows))
         if not set(map(len, probs)) <= {num_classes}:
             _check_prob_rows(num_classes, rows)
-        ids, labels = tuple(map(itemgetter(0), rows)), tuple(map(itemgetter(1), rows))
-        self._set(num_classes, ids, labels, _pack(list(chain.from_iterable(probs))))
+        self._set(num_classes, ids, tuple(map(itemgetter(1), rows)), _pack(list(chain.from_iterable(probs))))
 
     @classmethod
     def _read(cls, num_classes: int, ids: list, labels: list, numbers: bytes) -> ProbabilityTable:
@@ -472,11 +473,11 @@ class ActivationTable(_Table):
         rows = tuple((s, tuple(a)) for s, a in rows)
         if num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons}")
-        _check_ids(rows)
+        ids = _checked_ids(rows)
         acts = tuple(map(itemgetter(1), rows))
         if not set(map(len, acts)) <= {num_neurons}:
             _check_activation_rows(num_neurons, rows)
-        self._set(num_neurons, tuple(map(itemgetter(0), rows)), _pack(list(chain.from_iterable(acts))))
+        self._set(num_neurons, ids, _pack(list(chain.from_iterable(acts))))
 
     @classmethod
     def _read(cls, num_neurons: int, ids: list, numbers: bytes) -> ActivationTable:

@@ -20,34 +20,16 @@ from pathlib import Path
 import pytest
 
 from laisc import codec, evaluation, io, metrics, model
-from laisc.evaluation import CoverageGap, EvaluationReport, Filter, GapKind, Rollup, Status, Verdict
+from laisc.evaluation import CoverageGap, Filter, GapKind, Rollup, Status, Verdict
 from laisc.io import (
     ActivationTable,
-    ApprovalRecord,
     ApprovalVerdict,
-    DocumentRecord,
-    EvidenceBundle,
     EvidenceRecord,
-    FlagEntry,
-    FlagResolutionLog,
     LabeledGrid,
     MetricResult,
     ProbabilityTable,
-    ReviewLog,
 )
-from laisc.metrics import (
-    BrightnessShift,
-    ClmFlagResult,
-    ContrastScale,
-    GaussianNoise,
-    HorizontalFlip,
-    MaskDilate,
-    MaskErode,
-    MaskTranslate,
-    OcclusionPatch,
-    RandomPixelFlip,
-    Rotate90,
-)
+from laisc.metrics import GaussianNoise, HorizontalFlip, MaskDilate, MaskErode
 from laisc.model import (
     Comparator,
     Condition,
@@ -55,13 +37,9 @@ from laisc.model import (
     FlagResolution,
     Goal,
     Landscape,
-    LandscapeRow,
     LifecycleStage,
-    MetricGap,
     MetricThreshold,
     MitigationMeasure,
-    PerCondition,
-    QualitativeApproval,
     Resolution,
     ReviewFraction,
     SafetyConcern,
@@ -83,7 +61,6 @@ RECORDS = {
 _STAGE = LifecycleStage("s1", "Data", 0)
 _THRESHOLD = MetricThreshold("miou", "d1", Comparator.GE, 0.75)
 _CONDITION = Condition("night", "d1", 0.5)
-_ENTRY = FlagEntry("x1", Resolution.EXCLUDED)
 _RESULT = MetricResult("miou", ("d1",), 0.8, "")
 _WHEN = datetime(2026, 1, 2, 3, 4, 5, tzinfo=timezone.utc)
 _RECORD = EvidenceRecord("e1", "VR1", "sha256:00", _WHEN, _RESULT)
@@ -95,7 +72,7 @@ _LANDSCAPE_ARGS = (
     (SafetyConcern("sc1", "Labels", component_ids=("c1",), goal_ids=("G1",)),),
     (Goal("G1", "sc1", "Labels are right", ("VR1",)),),
     (VerifiableRequirement("VR1", "G1", _THRESHOLD, "s1", ("MM1",)),),
-    (model.MitigationMeasure("MM1", "Review", stage_id="s1"),),
+    (MitigationMeasure("MM1", "Review", stage_id="s1"),),
     (("d1", DatasetDescriptor("data/d1", "grid-dir")),),
 )
 _LANDSCAPE = Landscape(*_LANDSCAPE_ARGS)
@@ -299,7 +276,7 @@ def test_two_payload_kinds_with_the_same_field_values_are_unequal():
     assert [f.name for f in fields(MaskDilate)] == [f.name for f in fields(MaskErode)]
     assert MaskDilate(2) != MaskErode(2)
     assert not MaskDilate(2) == MaskErode(2)
-    assert ReviewFraction("d1", 0.5) != model.FlagResolution("clm_flags", "d1", 0.5)
+    assert ReviewFraction("d1", 0.5) != FlagResolution("clm_flags", "d1", 0.5)
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
