@@ -27,11 +27,12 @@ A field has one reader, its column, which checks that field of every
 object in a list with one C-level pass per rule.  A payload column is
 read per ``kind``, and nested lists and objects as one flattened column;
 every object is then built with one ``map(cls, *columns)``.  ``from_node``
-runs the same columns over one object.  If any step of a list's column
-pass raises, the list is read again object by object with ``from_node``,
-which names the JSON path of the first fault in document order and what
-was expected there.  So each field's rule is written once, and a
-one-object read, too, takes exact JSON types only.
+runs the same columns over one object.  If a column or a constructor
+refuses a value of a list, the list is read again object by object with
+``from_node``, which names the JSON path of the first fault in document
+order and what was expected there; any other exception is raised as it
+is.  So each field's rule is written once, and a one-object read, too,
+takes exact JSON types only.
 
 ``dump_canonical`` sorts the keys and a ``Landscape`` keeps its
 collections sorted by id, so ``serialize(parse(serialize(x)))`` equals
@@ -49,16 +50,31 @@ or ``float`` (``NUMBER_TYPES``), never a ``bool`` or a subclass, and a
 ``float`` one is in the float range, so NaN, the infinities and
 ``10**400`` are not.  ``is_number`` states it for one value and
 ``are_numbers`` for a list.  ``from_node`` names the JSON path of a
-number that breaks it; ``number_fault`` checks the inclusive ``min`` and
-``max`` bounds and the exclusive ``above`` bound that a field declares in
-its ``field(metadata=...)`` too, and that a ``bool`` field holds an exact
-``bool``, which its column takes.
+number that breaks it.
 
-A text rule holds beside it: a field declared ``str``, ``str | None`` or
-``tuple[str, ...]`` holds exact ``str`` values, and an ``Enum`` field a
-member of its ``Enum``, as its column takes them from a file.
-``text_fault`` checks it for objects built in code, nested ones
-included, and words a fault at its JSON path in the column's words, so
+The self-checks of objects built in code state each rule once, as one
+row: a column test over a list of values, with C-level passes, and the
+words of its fault.  A valid list runs the column tests only; a list
+that fails is searched by the same tests run on one value at a time
+(``check_rows``), and the fault named is the one at the lowest index, of
+the first rule there.  The rows are:
+
+* the number rule of a number or ``bool`` field (``number_fault``,
+  ``numbers_hold``, ``number_rows``): its exact type, then the inclusive
+  ``min`` and ``max`` and the exclusive ``above`` bound that it declares
+  in its ``field(metadata=...)``;
+* the text rule (``check_text``): a field declared ``str``, ``str |
+  None`` or ``tuple[str, ...]`` holds exact ``str`` values, as its column
+  takes them from a file, and no lone surrogate, which no UTF-8 writer
+  can write and ``load_json`` refuses (``_SURROGATE``); an ``Enum`` field
+  holds a member of its ``Enum``;
+* the shape rule (``check_text``): a payload holds one of its union's
+  classes, worded as the reader's refusal of its ``kind``, and a tuple of
+  dataclasses only its item class;
+* the rules that ``laisc.io`` states of a bundle's records and of the CSV
+  tables, with ``rule_rows`` and ``check_rows``.
+
+``check_text`` words a fault at its JSON path in the reader's words, so
 neither self-check lets through a document the reader would refuse or
 the writer could not write.
 """
@@ -73,13 +89,13 @@ from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_data
 from datetime import datetime, timezone
 from enum import Enum
 from functools import cache, partial
-from itertools import accumulate, chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from operator import attrgetter, eq, is_, itemgetter
-from sys import float_info
+from sys import float_info, maxsize
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from laisc.errors import InputSyntaxError, InvalidTimestamp, SchemaError
+from laisc.errors import InputSyntaxError, InvalidTimestamp, LaiscError, SchemaError
 
 # --- records ----------------------------------------------------------------------
 #
@@ -193,7 +209,10 @@ def check_aware(value: datetime) -> datetime:
     """``value``, if it has a UTC offset and UTC can hold it.  A naive
     datetime is an ``InvalidTimestamp``, for it would be read in the host's
     local time, and so is one that ``format_timestamp`` cannot write
-    (``0001-01-01T00:00:00+01:00``), as ``parse_timestamp`` refuses it."""
+    (``0001-01-01T00:00:00+01:00``), as ``parse_timestamp`` refuses it.
+    A value that is no ``datetime`` is one too."""
+    if not isinstance(value, datetime):
+        raise InvalidTimestamp(str(value), "not a datetime")
     offset = value.utcoffset()
     if offset is None:
         raise InvalidTimestamp(value.isoformat(), "missing UTC offset")
@@ -516,14 +535,15 @@ def _kind_named_column(classes: dict[str, type], nodes: list, key: str, where) -
 def _objects(cls: type, nodes: list, where) -> list:
     """The ``cls`` objects of the JSON values ``nodes``, ``nodes[i]`` at
     ``where(i)``.  If every node is a ``dict`` with exactly ``cls``'s keys,
-    they are read one column at a time and built with one ``map``; if any
-    step of that raises, ``from_node`` reads each node in turn and words the
-    first fault."""
+    they are read one column at a time and built with one ``map``; if a
+    column or a constructor refuses a value, ``from_node`` reads each node
+    in turn and words the first fault.  Any other exception is raised as
+    it is."""
     keys, _, _, columns, _ = _plan(cls)
     try:
-        if all(map(eq, map(dict.keys, nodes), repeat(keys))):
+        if set(map(type, nodes)) <= _DICT and all(map(eq, map(dict.keys, nodes), repeat(keys))):
             return list(map(cls, *[column(nodes, name, where) for name, column, _ in columns]))
-    except Exception:
+    except (_Irregular, LaiscError):
         pass
     return [from_node(cls, node, where(index)) for index, node in enumerate(nodes)]
 
@@ -579,71 +599,122 @@ def _shape(annotation):
     return partial(_items_column, item), lambda values: [to_node(value) for value in values], "list"
 
 
-def _str_tuples(values) -> bool:
-    """The ``tuple[str, ...]`` test; it lists ``values``, for it reads them twice."""
-    values = list(values)
-    return set(map(type, values)) <= {tuple} and set(map(type, chain.from_iterable(values))) <= _STR
+# --- rules: one row per self-check rule --------------------------------------------
+#
+# A rule is ``(test, words)``: ``test(values)`` tells, with C-level passes,
+# whether every one of a list of values keeps the rule, and the same test of
+# a one-value list whether that value does, so a list that fails is searched
+# by the rule's own test.  The rules of one field run in order, each only
+# where those before it hold: a bound never meets a value of another type.
 
 
 def _of_types(types: frozenset[type], values) -> bool:
     return set(map(type, values)) <= types
 
 
-#: Whether every value that an iterable of one text field's values yields
-#: is what that field's column takes from a file: of the exact type, so a
-#: ``str`` subclass is not.
-_TEXT_TESTS = {
-    str: partial(_of_types, _STR),
-    str | None: partial(_of_types, frozenset({str, type(None)})),
-    tuple[str, ...]: _str_tuples,
+def _within(low, high, values: list) -> bool:
+    return (low is None or min(values) >= low) and (high is None or max(values) <= high)
+
+
+def _above(bound, values: list) -> bool:
+    return min(values) > bound
+
+
+#: The type test of a number or ``bool`` field, and what its words call the type.
+_NUMBER_TYPES = {
+    int: (partial(_of_types, frozenset({int})), "an integer"),
+    float: (are_numbers, "a finite number"),
+    bool: (partial(_of_types, frozenset({bool})), "a boolean"),
 }
 
 
-def _holding(annotation) -> str | None:
-    """How a field declared as ``annotation`` holds dataclasses: ``"one"``
-    (a union of dataclasses), ``"list"`` (a tuple of them), ``"keyed"``
-    (``(id, dataclass)`` pairs), or ``None``."""
-    if _union_classes(annotation):
-        return "one"
+def _number_rules(name: str, annotation: type, metadata) -> tuple:
+    """The rules of the number or ``bool`` field ``name``: its type, then
+    the inclusive ``min`` and ``max`` and the exclusive ``above`` bound of
+    its ``metadata``; ``words`` is formatted with the value at fault."""
+    test, kind = _NUMBER_TYPES[annotation]
+    rules = [(test, f"{name} must be {kind}, got {{!r}}")]
+    low, high, above = metadata.get("min"), metadata.get("max"), metadata.get("above")
+    if low is not None or high is not None:
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        rules.append((partial(_within, low, high), f"{name} must be {bounds}, got {{!r}}"))
+    if above is not None:
+        rules.append((partial(_above, above), f"{name} must be > {above}, got {{!r}}"))
+    return tuple(rules)
+
+
+def _str_tuples(values: list) -> bool:
+    return set(map(type, values)) <= {tuple} and set(map(type, chain.from_iterable(values))) <= _STR
+
+
+def _no_surrogate(join, values: list) -> bool:
+    """Whether the text that ``join`` makes of ``values`` holds no surrogate
+    code point, which no UTF-8 writer can encode (``load_json`` refuses
+    one); ASCII text passes one C-level test."""
+    text = join(values)
+    return text.isascii() or not _SURROGATE.search(text)
+
+
+#: The rules of a text field, by its annotation: the exact types that its
+#: column takes from a file, so a ``str`` subclass is none, in the column's
+#: words, then no lone surrogate in the text its values join into.
+TEXT_RULES = {
+    annotation: ((test, _SCALARS[annotation][2]), (partial(_no_surrogate, join), "string without a lone surrogate"))
+    for annotation, test, join in (
+        (str, partial(_of_types, _STR), "".join),
+        (str | None, partial(_of_types, frozenset({str, type(None)})), lambda values: "".join(filter(None, values))),
+        (tuple[str, ...], _str_tuples, lambda values: "".join(chain.from_iterable(values))),
+    )
+}
+
+
+def _holding(annotation) -> tuple | None:
+    """How a field declared as ``annotation`` holds dataclasses, as ``(how,
+    classes, expected)``, or ``None``: ``how`` is ``"one"`` (a union of
+    dataclasses), ``"list"`` (a tuple of them) or ``"keyed"`` (``(id,
+    dataclass)`` pairs), ``classes`` what it may hold, and ``expected`` the
+    reader's words for another class."""
+    classes = _union_classes(annotation)
+    if classes:
+        return "one", frozenset(classes), _one_of(cls.__name__ for cls in classes)
     if get_origin(annotation) is not tuple or annotation in _SCALARS:
         return None
     item = get_args(annotation)[0]
-    if is_dataclass(item):
-        return "list"
-    if get_origin(item) is tuple and is_dataclass(get_args(item)[1]):
-        return "keyed"
-    return None
+    how, item = ("keyed", get_args(item)[1]) if get_origin(item) is tuple else ("list", item)
+    return (how, frozenset({item}), item.__name__) if is_dataclass(item) else None
 
 
-def _held(holding: str, values) -> list:
+def _held(how: str, values) -> list:
     """The dataclasses that ``values``, a column of a field that holds them
-    as ``holding`` says, hold, in order."""
-    if holding == "one":
+    as ``how`` says, hold, in order."""
+    if how == "one":
         return list(values)
     items = chain.from_iterable(values)
-    return list(items if holding == "list" else map(itemgetter(1), items))
+    return list(items if how == "list" else map(itemgetter(1), items))
 
 
-def _held_suffixes(holding: str, value) -> list[str]:
-    """The JSON path below the field of each dataclass that ``value`` holds."""
-    if holding == "one":
-        return [""]
-    if holding == "list":
-        return [f"[{k}]" for k in range(len(value))]
-    return [f".{key}" for key, _ in value]
+def _held_items(holding, value) -> list[tuple]:
+    """``(suffix, dataclass)`` for each dataclass that ``value``, of a field
+    that holds them as ``holding`` says (none if it holds none), holds:
+    ``suffix`` is its JSON path below the field."""
+    how = holding and holding[0]
+    if how == "one":
+        return [("", value)]
+    if how == "list":
+        return [(f"[{k}]", item) for k, item in enumerate(value)]
+    return [(f".{key}", item) for key, item in value] if how else []
 
 
 @cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
-    key, a ``(field name, int, float or bool, min, max, above)`` row per
-    number or ``bool`` field (``None`` for an absent bound; a ``max`` comes
-    with a ``min``; ``above`` is exclusive), a ``(field name, column,
-    expected)`` row per field, and a ``(field name, test, expected,
-    holding)`` row per text or ``Enum`` field (``holding`` is ``None``) and
-    per field that holds dataclasses (``test`` is ``None``).  A field typed
-    as a union of dataclasses adds the ``kind`` key: written from the field
-    value's class, and checked by the field's column."""
+    key, a ``(field name, rules)`` row per number or ``bool`` field, a
+    ``(field name, column, expected)`` row per field, and a ``(field name,
+    rules, holding)`` row per text or ``Enum`` field (``holding`` is
+    ``None``) and per field that holds dataclasses (``rules`` is empty,
+    ``holding`` is ``_holding``'s).  A field typed as a union of
+    dataclasses adds the ``kind`` key: written from the field value's
+    class, and checked by the field's column."""
     hints = get_type_hints(cls)
     writes, numbers, columns, texts = [], [], [], []
     for f in fields(cls):
@@ -651,17 +722,18 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
         assert f.init and not f.kw_only, f"{cls.__name__}.{f.name} is not a positional __init__ field"
         annotation = hints[f.name]
         column, write, expected = _shape(annotation)
-        if _union_classes(annotation):
-            writes.append(("kind", f.name, attrgetter("__class__.__name__")))
-        if annotation in (int, float, bool):
-            bounds = (f.metadata.get("min"), f.metadata.get("max"), f.metadata.get("above"))
-            numbers.append((f.name, annotation, *bounds))
         holding = _holding(annotation)
-        if annotation in _TEXT_TESTS or holding:
-            texts.append((f.name, _TEXT_TESTS.get(annotation), expected, holding))
+        if holding and holding[0] == "one":
+            writes.append(("kind", f.name, attrgetter("__class__.__name__")))
+        if annotation in _NUMBER_TYPES:
+            numbers.append((f.name, _number_rules(f.name, annotation, f.metadata)))
+        if annotation in TEXT_RULES:
+            texts.append((f.name, TEXT_RULES[annotation], None))
         elif _is_enum(annotation):
             members = _one_of(member.value for member in annotation)
-            texts.append((f.name, partial(_of_types, frozenset({annotation})), members, None))
+            texts.append((f.name, ((partial(_of_types, frozenset({annotation})), members),), None))
+        elif holding:
+            texts.append((f.name, (), holding))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
@@ -677,86 +749,133 @@ def to_node(obj) -> dict:
     return node
 
 
-def number_fault(obj) -> str | None:
-    """How the first number or ``bool`` field of the dataclass ``obj``
-    breaks the number rule or its declared bounds, or ``None``: an ``int``
-    field holds an ``int``, a ``float`` field a number that ``is_number``,
-    and a ``bool`` field a ``bool``."""
-    for name, annotation, low, high, above in _plan(type(obj))[2]:
-        value = getattr(obj, name)
-        if annotation is int and type(value) is not int:
-            return f"{name} must be an integer, got {value!r}"
-        if annotation is bool and type(value) is not bool:
-            return f"{name} must be a boolean, got {value!r}"
-        if annotation is float and not is_number(value):
-            return f"{name} must be a finite number, got {value!r}"
-        if (low is not None and value < low) or (high is not None and value > high):
-            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
-            return f"{name} must be {bounds}, got {value!r}"
-        if above is not None and value <= above:
-            return f"{name} must be > {above}, got {value!r}"
-    return None
+def rule_rows(values: list, rules, fault, positions=None) -> list[tuple]:
+    """The ``check_rows`` rows of ``rules`` over the column ``values``, in
+    order: ``values[k]`` is of the item at index ``positions()[k]`` (at
+    ``k`` without ``positions``; an item may have several values), and
+    ``fault(words, index, value)`` is the error of the item at ``index``
+    whose first ``value`` to break the rule of ``words`` is ``value``.  A
+    row's search runs its test on one value at a time."""
+
+    def find(test, words, stop: int) -> tuple | None:
+        pairs = takewhile(lambda pair: pair[0] < stop, zip(positions() if positions else count(), values))
+        return next(((at, fault(words, at, value)) for at, value in pairs if not test((value,))), None)
+
+    return [(partial(test, values), partial(find, test, words)) for test, words in rules]
 
 
-def _by_class(objects: list):
-    """``(cls, the objects of class cls)`` for each class among ``objects``."""
+def unique_row(values: list, fault) -> tuple:
+    """The ``check_rows`` row of the rule that no two of ``values`` are
+    equal; its search finds the first value that repeats an earlier one,
+    and ``fault(index, value)`` is its error."""
+
+    def find(stop: int) -> tuple | None:
+        firsts = dict(zip(reversed(values), reversed(range(len(values)))))
+        return next(((at, fault(at, value)) for at, value in enumerate(values[:stop]) if firsts[value] != at), None)
+
+    return (lambda: len(set(values)) == len(values)), find
+
+
+def check_rows(rows) -> None:
+    """Raise the error of the first fault that ``rows`` find in a list of
+    items, each row one rule as ``(holds, find)``: ``holds()`` is the
+    rule's column test over every item, and ``find(stop)`` the ``(index,
+    error)`` of the first item before ``stop`` that breaks it, or ``None``.
+    A valid list runs the column tests only.  The error raised has the
+    lowest index, and of the faults there the first row's.  A column test
+    runs only while every row before it holds, and a search only below the
+    lowest fault found so far, so no rule meets an item that breaks a rule
+    before it."""
+    found = None
+    for holds, find in rows:
+        if found is None and holds():
+            continue
+        found = find(maxsize if found is None else found[0]) or found
+    if found:
+        raise found[1]
+
+
+def by_class(objects: list):
+    """``(cls, group, positions)`` for each class among ``objects``, in
+    the order they first appear: ``group`` the objects of class ``cls``, in
+    order, and ``positions()`` their indexes, built only when called."""
     types = list(map(type, objects))
-    classes = set(types)
+    classes = dict.fromkeys(types)
     for cls in classes:
-        yield cls, objects if len(classes) == 1 else list(compress(objects, map(is_, types, repeat(cls))))
+        group = objects if len(classes) == 1 else list(compress(objects, map(is_, types, repeat(cls))))
+        yield cls, group, lambda cls=cls: list(compress(count(), map(is_, types, repeat(cls))))
+
+
+def number_rows(cls: type, group: list, positions, fault) -> list[tuple]:
+    """The ``check_rows`` rows of the number rule over ``group``, a
+    ``by_class`` group of ``cls`` objects: each rule of each number or
+    ``bool`` field, in field order.  ``fault(words, index)`` is the error of
+    the object at ``index``, ``words`` the rule's words with the value."""
+    rows = []
+    for name, rules in _plan(cls)[2]:
+        values = list(map(attrgetter(name), group))
+        rows += rule_rows(values, rules, lambda words, index, value: fault(words.format(value), index), positions)
+    return rows
 
 
 def numbers_hold(objects: list) -> bool:
     """Whether ``number_fault`` finds no fault in any of the dataclasses
-    ``objects``: one C-level pass per number or ``bool`` field of each
-    class, and one per bound."""
-    for cls, group in _by_class(objects):
-        for name, annotation, low, high, above in _plan(cls)[2]:
+    ``objects``: the column test of each of their ``number_rows``."""
+    groups = by_class(objects)
+    return all(holds() for cls, group, positions in groups for holds, _ in number_rows(cls, group, positions, None))
+
+
+def number_fault(obj) -> str | None:
+    """The words of the first rule that a number or ``bool`` field of the
+    dataclass ``obj`` breaks, or ``None``: an ``int`` field holds an
+    ``int``, a ``float`` field a number that ``is_number``, a ``bool``
+    field a ``bool``, each within its declared bounds.  It runs the
+    ``number_rows`` of ``obj`` alone, in order, up to the first that fails."""
+    rows = number_rows(type(obj), [obj], None, lambda words, index: words)
+    return next((find(1)[1] for holds, find in rows if not holds()), None)
+
+
+def _texts_hold(objects: list, classes=None) -> bool:
+    """Whether the dataclasses ``objects`` are of ``classes`` (of any class
+    without them), and every text, ``Enum`` and dataclass-holding field of
+    them, and of the dataclasses they hold, keeps its rules: one C-level
+    pass per rule of each field of each class."""
+    for cls, group, _ in by_class(objects):
+        if classes is not None and cls not in classes:
+            return False
+        for name, rules, holding in _plan(cls)[4]:
             values = list(map(attrgetter(name), group))
-            if not (are_numbers(values) if annotation is float else set(map(type, values)) <= {annotation}):
+            if not all(test(values) for test, _ in rules):
                 return False
-            if (low is not None and min(values) < low) or (high is not None and max(values) > high):
-                return False
-            if above is not None and min(values) <= above:
+            if holding and not _texts_hold(_held(holding[0], values), holding[1]):
                 return False
     return True
 
 
-def _texts_hold(objects: list) -> bool:
-    """Whether every text field of the dataclasses ``objects``, and of the
-    dataclasses they hold, passes its test: one C-level pass per field of
-    each class."""
-    for cls, group in _by_class(objects):
-        for name, test, _, holding in _plan(cls)[4]:
-            values = map(attrgetter(name), group)
-            if not (test(values) if holding is None else _texts_hold(_held(holding, values))):
-                return False
-    return True
-
-
-def text_fault(objects: list, where) -> tuple[str, str, object] | None:
-    """The first field of the dataclasses ``objects``, or of a dataclass
-    they hold, that is declared ``str``, ``str | None``, ``tuple[str,
-    ...]`` or an ``Enum`` and holds what its column would refuse in a file,
-    as ``(path, expected, value)``: ``objects[i]`` is at the JSON path
-    ``where(i)``, and ``expected`` is the column's words.  ``None`` if
-    there is none.
-    The objects are checked one C-level pass per field first; only a list
+def check_text(objects: list, where) -> None:
+    """Raise a ``SchemaError`` at the first field of the dataclasses
+    ``objects``, or of a dataclass they hold, that holds what its column
+    would refuse in a file or its writer could not write: ``objects[i]`` is
+    at the JSON path ``where(i)``, and the error has the reader's words.  A
+    text field holds exact ``str`` values without a lone surrogate, an
+    ``Enum`` field a member, a payload one of its classes (a fault at the
+    owner's ``kind``, named by its class name) and a tuple of dataclasses
+    only its item class.
+    The objects are checked one C-level pass per rule first; only a list
     that fails is walked object by object, to name the first fault."""
     if _texts_hold(objects):
-        return None
+        return
     for index, obj in enumerate(objects):
-        for name, test, expected, holding in _plan(type(obj))[4]:
+        for name, rules, holding in _plan(type(obj))[4]:
             value, path = getattr(obj, name), f"{where(index)}.{name}"
-            if holding is None:
+            for test, expected in rules:
                 if not test((value,)):
-                    return path, expected, value
-                continue
-            suffixes = _held_suffixes(holding, value)
-            fault = text_fault(_held(holding, (value,)), lambda k: path + suffixes[k])
-            if fault:
-                return fault
-    return None
+                    raise SchemaError(path, expected, value)
+            for suffix, item in _held_items(holding, value):
+                if type(item) not in holding[1]:
+                    at = f"{where(index)}.kind" if holding[0] == "one" else path + suffix
+                    raise SchemaError(at, holding[2], type(item).__name__)
+                check_text([item], lambda _, at=path + suffix: at)
 
 
 # --- one object: its columns over that one object --------------------------------

@@ -16,9 +16,10 @@ Formats (all UTF-8, LF line endings):
 ``laisc.codec`` reads and writes the two JSON documents from the field
 annotations of their dataclasses, and refuses a number that breaks its
 number rule (a non-finite metric value, say) at the number's JSON path.
-``EvidenceBundle`` checks a bundle's own rules (``text_fault`` of its
-records, ids, ``vr_id``, review counts, ``number_fault`` of each
-payload) wherever it is built, as ``Landscape`` checks its structure.
+``EvidenceBundle`` checks a bundle's own rules (``check_text`` of the
+bundle, then one ``codec.check_rows`` row per rule of its records: ids,
+``vr_id``, the number rule of each payload, review counts) wherever it
+is built, as ``Landscape`` checks its structure.
 
 The two CSV tables share one reader, which checks the header and the
 width of every row, and one writer.  The reader splits a table into
@@ -28,8 +29,9 @@ own; a table holding a quote, a carriage return or NUL, and one that a
 pass refuses, is read by the ``csv`` row loop, which words every
 refusal.  The table keeps the doubles as one row-major ``bytes``
 buffer, as ``LabeledGrid`` keeps its cells, and checks the whole buffer
-once, by ``ProbabilityTable`` or ``ActivationTable``.  Their ``.rows``
-is a derived copy.
+once, by the rule rows of ``ProbabilityTable`` or ``ActivationTable``;
+only a table that fails is searched row by row, by the same rows.  Their
+``.rows`` is a derived copy.
 """
 
 from __future__ import annotations
@@ -40,32 +42,34 @@ import math
 from array import array
 from datetime import datetime
 from enum import Enum
-from itertools import chain, compress, repeat
-from operator import attrgetter, is_, itemgetter, le, methodcaller
+from functools import partial
+from itertools import chain, count, islice
+from operator import attrgetter, le, methodcaller
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
-    NUMBER_TYPES,
+    TEXT_RULES,
     are_numbers,
+    by_class,
     check_aware,
+    check_rows,
+    check_text,
     decode_utf8,
     dump_canonical,
     format_timestamp,  # noqa: F401
     from_node,
-    is_number,
     load_json,
-    number_fault,
-    numbers_hold,
+    number_rows,
     parse_timestamp,  # noqa: F401
     record,
-    text_fault,
+    rule_rows,
     to_node,
+    unique_row,
 )
 from laisc.errors import (
     DimensionMismatch,
     InputSyntaxError,
     InvalidPayload,
-    LaiscError,
     NotNormalized,
     SchemaError,
     ValueOutOfRange,
@@ -194,68 +198,58 @@ class EvidenceBundle:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "records", tuple(self.records))
-        _check_records(self.records)
+        _check_records(self)
 
 
-def _check_records(records: tuple[EvidenceRecord, ...]) -> None:
-    """Raise at the first record that breaks a bundle's rule, at its JSON
-    path: a ``SchemaError`` at a field that ``text_fault`` finds first, then
-    an ``InvalidPayload`` in ``number_fault``'s words or a ``SchemaError``.
-    The ids, the ``vr_id``s, the payloads' numbers (``numbers_hold``) and
-    review counts are checked as columns first, one C-level pass per rule;
-    only a bundle that fails is walked record by record, to word the first
-    fault."""
-    fault = text_fault(records, "$.records[{}]".format)
-    if fault:
-        raise SchemaError(*fault)
+#: The JSON path of a bundle's record ``index``.
+_RECORD_PATH = "$.records[{}]".format
+
+#: The rule of a record's ``id`` and ``vr_id``, in the words of the reader.
+_NON_EMPTY = ((all, "non-empty string"),)
+
+_TOTAL, _REVIEWED = attrgetter("total_items"), attrgetter("reviewed_items")
+
+#: The rules of a ``ReviewLog``'s counts, which the number rule has found
+#: integers: ``(test, (field, expected))``, ``expected`` formatted with the log.
+_COUNT_RULES = (
+    (lambda logs: min(map(_TOTAL, logs)) >= 0, ("total_items", "non-negative count")),
+    (lambda logs: min(map(_REVIEWED, logs)) >= 0, ("reviewed_items", "non-negative count")),
+    (
+        lambda logs: all(map(le, map(_REVIEWED, logs), map(_TOTAL, logs))),
+        ("reviewed_items", "at most total_items={0.total_items}"),
+    ),
+)
+
+
+def _check_records(bundle: EvidenceBundle) -> None:
+    """Raise at the first fault of ``bundle``, at its JSON path.  First a
+    ``SchemaError`` at a field that ``check_text`` finds; then, by
+    ``check_rows``, the first record that breaks a rule, in this order of
+    rules: a non-empty ``id``, a unique ``id``, a non-empty ``vr_id``, the
+    number rule of the payload (an ``InvalidPayload``) and the counts of a
+    ``ReviewLog``.  A valid bundle runs one C-level pass per rule."""
+    check_text([bundle], ("$",).__getitem__)
+    records = bundle.records
     ids = list(map(attrgetter("id"), records))
-    payloads = list(map(attrgetter("payload"), records))
-    if (
-        all(ids)
-        and len(set(ids)) == len(ids)
-        and all(map(attrgetter("vr_id"), records))
-        and numbers_hold(payloads)
-        and _counts_hold(payloads)
-    ):
-        return
-    seen: set[str] = set()
-    for index, record in enumerate(records):
-        path = f"$.records[{index}]"
-        if not record.id:
-            raise SchemaError(f"{path}.id", "non-empty string", record.id)
-        if record.id in seen:
-            raise SchemaError(f"{path}.id", "unique record id", record.id)
-        seen.add(record.id)
-        if not record.vr_id:
-            raise SchemaError(f"{path}.vr_id", "non-empty string", record.vr_id)
-        error = _payload_fault(record.payload, path)
-        if error:
-            raise error
+    rows = [
+        *rule_rows(ids, _NON_EMPTY, partial(_field_fault, "id")),
+        unique_row(ids, partial(_field_fault, "id", "unique record id")),
+        *rule_rows(list(map(attrgetter("vr_id"), records)), _NON_EMPTY, partial(_field_fault, "vr_id")),
+    ]
+    for cls, group, positions in by_class(list(map(attrgetter("payload"), records))):
+        rows += number_rows(cls, group, positions, lambda words, index: InvalidPayload(_RECORD_PATH(index), words))
+        if cls is ReviewLog:
+            rows += rule_rows(group, _COUNT_RULES, _count_fault, positions)
+    check_rows(rows)
 
 
-def _counts_hold(payloads: list) -> bool:
-    """Whether every ``ReviewLog`` among ``payloads``, whose counts are
-    integers, has ``0 <= reviewed_items <= total_items``: one C-level pass
-    per rule."""
-    logs = list(compress(payloads, map(is_, map(type, payloads), repeat(ReviewLog))))
-    reviewed = list(map(attrgetter("reviewed_items"), logs))
-    return not logs or (min(reviewed) >= 0 and all(map(le, reviewed, map(attrgetter("total_items"), logs))))
+def _field_fault(name: str, expected: str, index: int, value) -> SchemaError:
+    return SchemaError(f"{_RECORD_PATH(index)}.{name}", expected, value)
 
 
-def _payload_fault(payload: EvidencePayload, path: str) -> LaiscError | None:
-    """The error of the first rule that a record's ``payload`` breaks, at
-    the record's JSON path ``path``, or ``None``."""
-    fault = number_fault(payload)
-    if fault:
-        return InvalidPayload(path, fault)
-    if isinstance(payload, ReviewLog):
-        total, reviewed = payload.total_items, payload.reviewed_items
-        for name, count in (("total_items", total), ("reviewed_items", reviewed)):
-            if count < 0:
-                return SchemaError(f"{path}.payload.{name}", "non-negative count", count)
-        if reviewed > total:
-            return SchemaError(f"{path}.payload.reviewed_items", f"at most total_items={total}", reviewed)
-    return None
+def _count_fault(words: tuple[str, str], index: int, log: ReviewLog) -> SchemaError:
+    name, expected = words
+    return SchemaError(f"{_RECORD_PATH(index)}.payload.{name}", expected.format(log), getattr(log, name))
 
 
 # --- numeric carriers --------------------------------------------------------
@@ -332,20 +326,81 @@ def _pack(numbers: list) -> bytes | tuple:
     return tuple(numbers)
 
 
-def _checked_ids(rows: tuple) -> tuple[str, ...]:
-    """The ids of ``rows``, their first items; one that is not a ``str`` is
-    refused in the words of the text rule, for ``csv`` would write
-    ``str(id)`` and read back another value."""
-    ids = tuple(map(itemgetter(0), rows))
-    if not set(map(type, ids)) <= {str}:
-        index = next(index for index, row_id in enumerate(ids) if type(row_id) is not str)
-        raise SchemaError(f"rows[{index}][0]", "string", ids[index])
+def _checked_ids(ids: tuple) -> tuple[str, ...]:
+    """``ids``, the ids of a table's rows, held to the rules of a ``str``
+    field: one that is not a ``str`` would be written as ``str(id)`` and
+    read back as another value, and no UTF-8 writer can write a lone
+    surrogate."""
+    check_rows(rule_rows(ids, TEXT_RULES[str], lambda words, at, value: SchemaError(f"rows[{at}][0]", words, value)))
     return ids
 
 
-def _all_numbers(flat) -> bool:
-    """Whether every one of a table's numbers ``is_number``; a buffer holds floats only."""
-    return all(map(math.isfinite, flat)) if type(flat) is memoryview else are_numbers(flat)
+# The tests of a table's rules: ``test(width, values)`` tells whether the
+# values of one column of rows ``width`` numbers wide keep the rule, the
+# whole column or one value alike.
+
+
+def _widths(width: int, lengths) -> bool:
+    return set(lengths) <= {width}
+
+
+def _finite(width: int, numbers) -> bool:
+    """Whether every one of ``numbers`` ``is_number``; a buffer holds floats only."""
+    return all(map(math.isfinite, numbers)) if type(numbers) is memoryview else are_numbers(numbers)
+
+
+def _probabilities(width: int, numbers) -> bool:
+    return _finite(width, numbers) and 0.0 <= min(numbers) and max(numbers) <= 1.0
+
+
+#: The rules of a table's rows, in order, each ``(column, test, error,
+#: words)``: ``column`` is the ``lengths`` of the rows given in code, the
+#: ``labels`` or the ``numbers``, row-major, and ``words`` names the value
+#: at fault, ``{0}``, in a table ``{1}`` numbers wide.
+_PROB_RULES = (
+    ("lengths", _widths, DimensionMismatch, "expected {1} probabilities, got {0}"),
+    ("labels", lambda width, labels: set(map(type, labels)) <= {int}, ValueOutOfRange, "label {0!r} is not an integer"),
+    ("labels", lambda width, labels: set(labels) <= set(range(width)), ValueOutOfRange, "label {0} outside [0, {1})"),
+    ("numbers", _probabilities, ValueOutOfRange, "probability {0!r} outside [0, 1]"),
+)
+_ACTIVATION_RULES = (
+    ("lengths", _widths, DimensionMismatch, "expected {1} activations, got {0}"),
+    ("numbers", _finite, ValueOutOfRange, "non-finite activation {0!r}"),
+)
+
+
+def _normalized(width: int, numbers) -> bool:
+    """Whether each row of the row-major ``numbers`` sums to 1."""
+    return max(map(abs, map((-1.0).__add__, map(math.fsum, _rows_of(numbers, width))))) <= 1e-6
+
+
+def _normalized_row(width: int, flat) -> tuple:
+    """The ``check_rows`` row of the rule that each row of ``flat`` sums to
+    1, which tests whole rows: its search runs its test on one row at a time."""
+
+    def find(stop: int) -> tuple | None:
+        rows = enumerate(islice(_rows_of(flat, width), stop))
+        faults = ((index, NotNormalized(index, math.fsum(row))) for index, row in rows if not _normalized(width, row))
+        return next(faults, None)
+
+    return partial(_normalized, width, flat), find
+
+
+def _check_table(table, rules, width: int, lengths, *more) -> None:
+    """Raise the first fault of ``table`` under ``rules``, then under
+    ``more`` ``check_rows`` rows; ``lengths`` are those of the rows given
+    in code, none for a table read.  Number ``k`` is of row ``k // width``."""
+    ids, columns = table.ids, {"lengths": lengths, "labels": getattr(table, "labels", ()), "numbers": table.flat}
+
+    def fault(words, index: int, value):
+        return words[0](f"row {index} ({ids[index]}): {words[1].format(value, width)}")
+
+    positions = {"numbers": lambda: map(width.__rfloordiv__, count())}
+    rows = chain.from_iterable(
+        rule_rows(columns[column], ((partial(test, width), (error, words)),), fault, positions.get(column))
+        for column, test, error, words in rules
+    )
+    check_rows([*rows, *more])
 
 
 class _Table:
@@ -356,6 +411,8 @@ class _Table:
     tuple of the numbers as given, so an ``int`` built in code keeps its
     exact value.  ``==`` and ``hash`` compare the numbers by value: a table
     of ``1`` equals one of ``1.0``, and one of ``-0.0`` one of ``0.0``.
+    A table's fields are its width, its ids, its labels if it has any and
+    its numbers, and its rows ``(id, *labels, numbers)``.
     """
 
     __slots__ = ()
@@ -365,6 +422,37 @@ class _Table:
         """The numbers, row-major: a memoryview of the doubles, or the tuple."""
         numbers = self.numbers
         return memoryview(numbers).cast("d") if type(numbers) is bytes else numbers
+
+    @classmethod
+    def _read(cls, *values) -> _Table:
+        """The table of the field ``values`` of a table read, checked as a whole."""
+        table = object.__new__(cls)
+        table._set(*values)
+        return table
+
+    def _build(self, width: int, rows: tuple) -> None:
+        """Set the fields from ``rows`` given in code, and check them."""
+        ids, *labels, numbers = list(zip(*rows)) or [()] * (len(self._record_names) - 1)
+        flat = _pack(list(chain.from_iterable(numbers)))
+        self._set(width, _checked_ids(ids), *labels, flat, lengths=list(map(len, numbers)))
+
+    def _set(self, width: int, *values, lengths=()) -> None:
+        """Set the fields to ``width`` and ``values`` and check them by the
+        class's ``_check``; ``lengths`` are those of the rows given in code,
+        none for a table read."""
+        for name, value in zip(self._record_names, (width, *values)):
+            object.__setattr__(self, name, value)
+        if self.ids:
+            self._check(width, lengths)
+
+    @property
+    def rows(self) -> tuple:
+        """The rows ``(id, *labels, numbers)``, a fresh copy on each access."""
+        width, *columns, _ = self._record_values(self)
+        return tuple(zip(*columns, _rows_of(self.flat, width)))
+
+    def _key(self) -> tuple:
+        return (*self._record_values(self)[:-1], tuple(self.flat))
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -382,9 +470,9 @@ class ProbabilityTable(_Table):
     ``ProbabilityTable(num_classes, rows)`` takes ``(instance_id, label,
     probabilities)`` rows and stores the ids, the labels and the
     probabilities apart; ``.rows`` rebuilds the rows, a fresh copy on each
-    access.  The whole table is checked first, one C-level pass per rule;
-    only a table that fails one of them goes through the row-by-row check,
-    which words the first error.
+    access.  The whole table is checked by ``_PROB_RULES``, one C-level
+    pass per rule; only a table that fails is searched row by row by the
+    same rules, to word the first error.
     """
 
     num_classes: int
@@ -396,61 +484,10 @@ class ProbabilityTable(_Table):
         rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
         if num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {num_classes}")
-        ids = _checked_ids(rows)
-        probs = tuple(map(itemgetter(2), rows))
-        if not set(map(len, probs)) <= {num_classes}:
-            _check_prob_rows(num_classes, rows)
-        self._set(num_classes, ids, tuple(map(itemgetter(1), rows)), _pack(list(chain.from_iterable(probs))))
+        self._build(num_classes, rows)
 
-    @classmethod
-    def _read(cls, num_classes: int, ids: list, labels: list, numbers: bytes) -> ProbabilityTable:
-        table = object.__new__(cls)
-        table._set(num_classes, tuple(ids), tuple(labels), numbers)
-        return table
-
-    def _set(self, num_classes: int, ids: tuple, labels: tuple, numbers) -> None:
-        object.__setattr__(self, "num_classes", num_classes)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "numbers", numbers)
-        flat = self.flat
-        if labels and not (
-            set(map(type, labels)) <= {int}
-            and 0 <= min(labels)
-            and max(labels) < num_classes
-            and _all_numbers(flat)
-            and 0.0 <= min(flat)
-            and max(flat) <= 1.0
-            and max(map(abs, map((-1.0).__add__, map(math.fsum, _rows_of(flat, num_classes))))) <= 1e-6
-        ):
-            _check_prob_rows(num_classes, self.rows)
-
-    @property
-    def rows(self) -> tuple[tuple[str, int, tuple[float, ...]], ...]:
-        """``(instance_id, label, probabilities)`` per row, a fresh copy on each access."""
-        return tuple(zip(self.ids, self.labels, _rows_of(self.flat, self.num_classes)))
-
-    def _key(self) -> tuple:
-        return self.num_classes, self.ids, self.labels, tuple(self.flat)
-
-
-def _check_prob_rows(num_classes: int, rows) -> None:
-    """Raise the first error of ``rows``, row by row."""
-    for index, (instance_id, label, probs) in enumerate(rows):
-        if len(probs) != num_classes:
-            raise DimensionMismatch(
-                f"row {index} ({instance_id}): expected {num_classes} probabilities, got {len(probs)}"
-            )
-        if type(label) is not int:
-            raise ValueOutOfRange(f"row {index} ({instance_id}): label {label!r} is not an integer")
-        if not 0 <= label < num_classes:
-            raise ValueOutOfRange(f"row {index} ({instance_id}): label {label} outside [0, {num_classes})")
-        for p in probs:
-            if type(p) not in NUMBER_TYPES or not 0.0 <= p <= 1.0:
-                raise ValueOutOfRange(f"row {index} ({instance_id}): probability {p!r} outside [0, 1]")
-        total = math.fsum(probs)
-        if abs(total - 1.0) > 1e-6:
-            raise NotNormalized(index, total)
+    def _check(self, width: int, lengths) -> None:
+        _check_table(self, _PROB_RULES, width, lengths, _normalized_row(width, self.flat))
 
 
 @record
@@ -460,9 +497,9 @@ class ActivationTable(_Table):
     ``ActivationTable(num_neurons, rows)`` takes ``(sample_id,
     activations)`` rows and stores the ids and the activations apart;
     ``.rows`` rebuilds the rows, a fresh copy on each access.  The whole
-    table is checked first, one C-level pass per rule; only a table that
-    fails one of them goes through the row-by-row check, which words the
-    first error.
+    table is checked by ``_ACTIVATION_RULES``, one C-level pass per rule;
+    only a table that fails is searched row by row by the same rules, to
+    word the first error.
     """
 
     num_neurons: int
@@ -473,44 +510,10 @@ class ActivationTable(_Table):
         rows = tuple((s, tuple(a)) for s, a in rows)
         if num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons}")
-        ids = _checked_ids(rows)
-        acts = tuple(map(itemgetter(1), rows))
-        if not set(map(len, acts)) <= {num_neurons}:
-            _check_activation_rows(num_neurons, rows)
-        self._set(num_neurons, ids, _pack(list(chain.from_iterable(acts))))
+        self._build(num_neurons, rows)
 
-    @classmethod
-    def _read(cls, num_neurons: int, ids: list, numbers: bytes) -> ActivationTable:
-        table = object.__new__(cls)
-        table._set(num_neurons, tuple(ids), numbers)
-        return table
-
-    def _set(self, num_neurons: int, ids: tuple, numbers) -> None:
-        object.__setattr__(self, "num_neurons", num_neurons)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "numbers", numbers)
-        if not _all_numbers(self.flat):
-            _check_activation_rows(num_neurons, self.rows)
-
-    @property
-    def rows(self) -> tuple[tuple[str, tuple[float, ...]], ...]:
-        """``(sample_id, activations)`` per row, a fresh copy on each access."""
-        return tuple(zip(self.ids, _rows_of(self.flat, self.num_neurons)))
-
-    def _key(self) -> tuple:
-        return self.num_neurons, self.ids, tuple(self.flat)
-
-
-def _check_activation_rows(num_neurons: int, rows) -> None:
-    """Raise the first error of ``rows``, row by row."""
-    for index, (sample_id, acts) in enumerate(rows):
-        if len(acts) != num_neurons:
-            raise DimensionMismatch(
-                f"row {index} ({sample_id}): expected {num_neurons} activations, got {len(acts)}"
-            )
-        for a in acts:
-            if not is_number(a):
-                raise ValueOutOfRange(f"row {index} ({sample_id}): non-finite activation {a!r}")
+    def _check(self, width: int, lengths) -> None:
+        _check_table(self, _ACTIVATION_RULES, width, lengths)
 
 
 # --- landscape and evidence documents -------------------------------------------------
@@ -662,7 +665,7 @@ def _split_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) 
         for column in range(len(lead)):
             del fields[:: width - column]
         pieces.append(array("d", list(map(float, fields))))
-    return count, ids, labels, b"".join(pieces)
+    return count, tuple(ids), tuple(labels), b"".join(pieces)
 
 
 def _csv_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
@@ -697,7 +700,7 @@ def _csv_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) ->
     except UnicodeDecodeError:
         decode_utf8(data)  # raises with the offset in the whole of ``data``
         raise
-    return count, ids, labels, numbers.tobytes()
+    return count, tuple(ids), tuple(labels), numbers.tobytes()
 
 
 def _csv_field(value) -> str:
@@ -716,9 +719,8 @@ def _write_table(lead: tuple[str, ...], prefix: str, count: int, ids: tuple[str,
     fields' text, of which only the first, the id, may need quotes.  An id
     of ``ids`` holding NUL is refused: Python 3.10's ``csv`` reader refuses
     a line with one, so no Python writes it."""
-    if "\0" in "".join(ids):
-        index = next(index for index, row_id in enumerate(ids) if "\0" in row_id)
-        raise SchemaError(f"ids[{index}]", "string without NUL", ids[index])
+    no_nul = (lambda ids: "\0" not in "".join(ids), "string without NUL")
+    check_rows(rule_rows(ids, (no_nul,), lambda words, index, value: SchemaError(f"ids[{index}]", words, value)))
     lines = [",".join(_header(lead, prefix, count)), *map(",".join, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -204,6 +204,11 @@ VR_CASES = [
      PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),
      [(MetricResult("miou", ("ds-a",), 0.85), False, 1),
       (MetricResult("miou", ("ds-a",), 0.84), True, 0)], Status.PENDING, "noise"),
+    ("conditions-fresh-and-stale",
+     PerCondition("miou", (Condition("fog", "ds-a", 0.8), Condition("noise", "ds-b", 0.8))),
+     [(MetricResult("miou", ("ds-a",), 0.85), False, 0),
+      (MetricResult("miou", ("ds-b",), 0.9), True, 1)],
+     Status.ERROR, "stale evidence: record(s) predate the current VR definitions (r1)"),
     ("conditions-kind-mismatch", PerCondition("miou", (Condition("fog", "ds-a", 0.8),)),
      [(ReviewLog("ds-a", 100, 95), False, 0)], Status.ERROR, "unusable"),
     # ReviewFraction (includes the worked VR1.2.1 example)

@@ -462,6 +462,12 @@ def test_naive_now_rejected(fixture_landscape, demo_bundle):
         evaluate(fixture_landscape, demo_bundle, now=datetime(2026, 2, 1, 12))
 
 
+def test_now_that_is_not_a_datetime_rejected(fixture_landscape, demo_bundle):
+    with pytest.raises(InvalidTimestamp) as caught:
+        evaluate(fixture_landscape, demo_bundle, now="2026")
+    assert str(caught.value) == "invalid timestamp '2026': not a datetime"
+
+
 def test_now_that_utc_cannot_hold_rejected(fixture_landscape, demo_bundle):
     # The report writes its time in UTC, which has no room for this one.
     now = datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1)))

@@ -499,6 +499,24 @@ def test_the_first_fault_in_document_order_is_refused():
         parse_evidence(json.dumps(node))
 
 
+def test_a_column_that_breaks_raises_without_a_second_read(monkeypatch):
+    """Only a refusal sends a list to the per-object read: a column that
+    raises anything else (here once, so a second read would succeed)
+    raises it as it is."""
+    calls = []
+
+    def parse_once(value):
+        calls.append(value)
+        if len(calls) == 1:
+            raise RuntimeError("broken column")
+        return parse_timestamp(value)
+
+    monkeypatch.setattr(codec, "parse_timestamp", parse_once)
+    with pytest.raises(RuntimeError, match="^broken column$"):
+        parse_evidence(EVIDENCE_TEXT)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("pair", ["fixture", "audit_gen"])
 def test_valid_documents_never_fall_back_to_the_per_object_read(pair, monkeypatch):
     """A silent fallback would give the same objects, only slower: below the
@@ -569,6 +587,17 @@ def test_number_columns_follow_number_fault(drawn):
     ``number_fault`` finds no fault in any of them."""
     objects = [build(value) for build, value in drawn]
     assert codec.numbers_hold(objects) == all(number_fault(obj) is None for obj in objects)
+
+
+def test_number_fault_names_the_first_field_then_its_first_rule():
+    """A field's type comes before its bounds, so a bound never meets a
+    value of another type, and the first field at fault is named."""
+    assert number_fault(GaussianNoise(-1.0, 1.5)) == "sigma must be >= 0, got -1.0"
+    assert number_fault(GaussianNoise(0.5, 1.5)) == "seed must be an integer, got 1.5"
+    assert number_fault(ReviewFraction("d", "0.5")) == "min_fraction must be a finite number, got '0.5'"
+    assert number_fault(ReviewFraction("d", 1.5)) == "min_fraction must be in [0, 1], got 1.5"
+    assert number_fault(ContrastScale(0)) == "factor must be > 0, got 0"
+    assert not codec.numbers_hold([ReviewFraction("d", 0.5), ReviewFraction("d", "0.5")])
 
 
 _HUGE = 10**400
@@ -720,6 +749,9 @@ def test_empty_record_id_rejected_at_its_path():
         parse_evidence(json.dumps(node))
 
 
+#: What a record's ``kind`` takes, in the words of the reader.
+_EVIDENCE_KINDS = "one of {MetricResult, ApprovalRecord, ReviewLog, FlagResolutionLog, DocumentRecord}"
+
 #: A record that keeps every rule of a bundle, and records built in code
 #: that break one, each with the error and message of the bundle's refusal
 #: when it follows the first.
@@ -795,6 +827,27 @@ _CODE_BUILT_RECORDS = {
         SchemaError,
         "$.records[1].payload.entries[0].resolution: expected one of {Excluded, Revised}, got 'Excluded'",
     ),
+    "payload of a VR": (
+        record("r1", "v1", MetricThreshold("miou", "ds-a", Comparator.GE, 0.5), "sha256:x"),
+        SchemaError,
+        f"$.records[1].kind: expected {_EVIDENCE_KINDS}, got 'MetricThreshold'",
+    ),
+    "int payload": (record("r1", "v1", 5, "sha256:x"), SchemaError, f"$.records[1].kind: expected {_EVIDENCE_KINDS}, got 'int'"),
+    "payload in place of a record": (
+        DocumentRecord("safety-case"),
+        SchemaError,
+        "$.records[1]: expected EvidenceRecord, got 'DocumentRecord'",
+    ),
+    "lone surrogate in a record id": (
+        record("r\ud800", "v1", DocumentRecord("safety-case"), "sha256:x"),
+        SchemaError,
+        "$.records[1].id: expected string without a lone surrogate, got 'r\\ud800'",
+    ),
+    "lone surrogate in a dataset id": (
+        record("r1", "v1", MetricResult("miou", ("ds-a", "d\udfff"), 0.5), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.dataset_ids: expected string without a lone surrogate, got ('ds-a', 'd\\udfff')",
+    ),
 }
 
 
@@ -808,6 +861,122 @@ def test_bundle_built_in_code_keeps_the_rules_of_a_file(bad, error, message):
         with pytest.raises(error) as caught:
             build()
         assert str(caught.value) == message
+
+
+def _doc(record_id: str, vr_id: str = "v1") -> EvidenceRecord:
+    return record(record_id, vr_id, DocumentRecord("safety-case"), "sha256:x")
+
+
+def _log(record_id: str, total, reviewed, vr_id: str = "v1") -> EvidenceRecord:
+    return record(record_id, vr_id, ReviewLog("ds-a", total, reviewed), "sha256:x")
+
+
+_INFINITE = MetricResult("miou", ("ds-a",), math.inf)
+
+#: Records after ``_FIRST`` with two faults, and the refusal.  The text
+#: rule runs over the whole bundle first; then the fault of the earlier
+#: record is named, and in one record the fault of the rule that comes
+#: first (id, uniqueness, ``vr_id``, numbers, then the counts).
+_TWO_FAULTS = {
+    "count before a later empty id": (
+        (_log("r1", 3, 4), _doc("")),
+        SchemaError,
+        "$.records[1].payload.reviewed_items: expected at most total_items=3, got 4",
+    ),
+    "count before a later infinite value": (
+        (_log("r1", -1, 0), record("r2", "v1", _INFINITE, "sha256:x")),
+        SchemaError,
+        "$.records[1].payload.total_items: expected non-negative count, got -1",
+    ),
+    "repeat before a later infinite value": (
+        (_doc("r0"), record("r2", "v1", _INFINITE, "sha256:x")),
+        SchemaError,
+        "$.records[1].id: expected unique record id, got 'r0'",
+    ),
+    "bool count before a later repeat": (
+        (_log("r1", True, 0), _doc("r0")),
+        InvalidPayload,
+        "invalid payload for $.records[1]: total_items must be an integer, got True",
+    ),
+    "a later text fault before an empty vr_id": (
+        (_doc("r1", ""), _doc(7)),
+        SchemaError,
+        "$.records[2].id: expected string, got 7",
+    ),
+    "text before the id": (
+        (_doc("", 5),),
+        SchemaError,
+        "$.records[1].vr_id: expected string, got 5",
+    ),
+    "empty id before empty vr_id": (
+        (_doc("", ""),),
+        SchemaError,
+        "$.records[1].id: expected non-empty string, got ''",
+    ),
+    "repeat before a bool count": (
+        (_log("r0", True, 0),),
+        SchemaError,
+        "$.records[1].id: expected unique record id, got 'r0'",
+    ),
+    "empty vr_id before an infinite value": (
+        (record("r1", "", _INFINITE, "sha256:x"),),
+        SchemaError,
+        "$.records[1].vr_id: expected non-empty string, got ''",
+    ),
+    "first number field first": (
+        (_log("r1", 1.5, True),),
+        InvalidPayload,
+        "invalid payload for $.records[1]: total_items must be an integer, got 1.5",
+    ),
+    "number rule before the counts": (
+        (_log("r1", True, 5),),
+        InvalidPayload,
+        "invalid payload for $.records[1]: total_items must be an integer, got True",
+    ),
+    "first count rule first": (
+        (_log("r1", -5, -1),),
+        SchemaError,
+        "$.records[1].payload.total_items: expected non-negative count, got -5",
+    ),
+    "negative reviewed count": (
+        (_log("r1", 5, -1),),
+        SchemaError,
+        "$.records[1].payload.reviewed_items: expected non-negative count, got -1",
+    ),
+    "surrogate before a later payload of a VR": (
+        (_doc("r\ud800"), record("r2", "v1", MetricThreshold("miou", "ds-a", Comparator.GE, 0.5), "sha256:x")),
+        SchemaError,
+        "$.records[1].id: expected string without a lone surrogate, got 'r\\ud800'",
+    ),
+    "payload of a VR before a later surrogate": (
+        (record("r1", "v1", MetricThreshold("miou", "ds-a", Comparator.GE, 0.5), "sha256:x"), _doc("r\ud800")),
+        SchemaError,
+        f"$.records[1].kind: expected {_EVIDENCE_KINDS}, got 'MetricThreshold'",
+    ),
+    "payload in place of a record before a later text fault": (
+        (DocumentRecord("safety-case"), _doc(7)),
+        SchemaError,
+        "$.records[1]: expected EvidenceRecord, got 'DocumentRecord'",
+    ),
+    "id before the payload's kind": (
+        (record(5, "v1", 5, "sha256:x"),),
+        SchemaError,
+        "$.records[1].id: expected string, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("records, error, message", _TWO_FAULTS.values(), ids=list(_TWO_FAULTS))
+def test_bundle_with_two_faults_names_the_first(records, error, message):
+    with pytest.raises(error) as caught:
+        EvidenceBundle((_FIRST, *records))
+    assert str(caught.value) == message
+
+
+def test_bundle_source_keeps_the_text_rule():
+    with pytest.raises(SchemaError) as caught:
+        EvidenceBundle((), source=5)
+    assert str(caught.value) == "$.source: expected string, got 5"
 
 
 def test_bundle_names_its_first_fault_in_record_order():
@@ -833,6 +1002,10 @@ def test_replace_refuses_what_parse_landscape_would():
         with pytest.raises(DanglingReference) as caught:
             make()
         assert str(caught.value) == "VR VR1.1.1 references unknown id 'nowhere'"
+
+
+#: What a VR's ``kind`` takes, in the words of the reader.
+_VR_KINDS = "one of {MetricThreshold, MetricGap, PerCondition, ReviewFraction, FlagResolution, QualitativeApproval}"
 
 
 class _Text(str):
@@ -885,7 +1058,31 @@ _NON_TEXT_FIELDS = {
         None,
         "$.vrs[9].payload.comparator: expected one of {GE, LE}, got 'GE'",
     ),
+    "payload of a record": (
+        lambda land: replace(land, vrs=_with_payload(land.vrs, 9, DocumentRecord("safety-case"))),
+        lambda node: node["vrs"][9].update(kind="DocumentRecord"),
+        f"$.vrs[9].kind: expected {_VR_KINDS}, got 'DocumentRecord'",
+    ),
+    "int payload": (
+        lambda land: replace(land, vrs=_with_payload(land.vrs, 9, 5)),
+        None,
+        f"$.vrs[9].kind: expected {_VR_KINDS}, got 'int'",
+    ),
+    "stage among the components": (
+        lambda land: replace(land, components=(*land.components, land.stages[0])),
+        None,
+        "$.components[1]: expected SystemComponent, got 'LifecycleStage'",
+    ),
+    "lone surrogate in the name": (
+        lambda land: replace(land, name="a\ud800"),
+        None,
+        "$.name: expected string without a lone surrogate, got 'a\\ud800'",
+    ),
 }
+
+
+def _with_payload(vrs, index: int, payload):
+    return (*vrs[:index], replace(vrs[index], payload=payload), *vrs[index + 1 :])
 
 
 def _replace_payload(vrs, index: int, **changes):
@@ -895,8 +1092,9 @@ def _replace_payload(vrs, index: int, **changes):
 
 @pytest.mark.parametrize("make, edit, message", _NON_TEXT_FIELDS.values(), ids=list(_NON_TEXT_FIELDS))
 def test_landscape_refuses_a_non_text_value_where_its_reader_would(make, edit, message):
-    """A text field holds a ``str``, and an ``Enum`` field a member,
-    wherever the landscape is made, so ``serialize_landscape`` never meets
+    """A text field holds a ``str`` without a lone surrogate, an ``Enum``
+    field a member, a payload one of its classes and a tuple of records
+    only records of its class, wherever the landscape is made, so ``serialize_landscape`` never meets
     one that ``parse_landscape`` refuses; the refusal has the reader's words."""
     with pytest.raises(SchemaError) as caught:
         make(parse_landscape(FIXTURE_TEXT))
@@ -1049,6 +1247,12 @@ def test_naive_timestamp_in_evidence_rejected():
     node["records"][0]["timestamp"] = "2026-01-01T00:00:00"
     with pytest.raises(InvalidTimestamp):
         parse_evidence(json.dumps(node))
+
+
+def test_timestamp_that_is_not_a_datetime_rejected_in_code():
+    with pytest.raises(InvalidTimestamp) as caught:
+        EvidenceRecord("r1", "v1", "sha256:x", "2026", DocumentRecord("safety-case"))
+    assert str(caught.value) == "invalid timestamp '2026': not a datetime"
 
 
 def test_naive_timestamp_in_code_rejected():
@@ -1412,6 +1616,80 @@ def test_table_built_in_code_refuses_an_id_that_is_not_a_string(build, row_id):
     with pytest.raises(SchemaError) as caught:
         build(row_id)
     assert str(caught.value) == f"rows[1][0]: expected string, got {row_id!r}"
+
+
+@pytest.mark.parametrize("build", _TABLE_BUILDS.values(), ids=_TABLE_BUILDS)
+def test_table_built_in_code_refuses_an_id_with_a_lone_surrogate(build):
+    """No UTF-8 writer can write a lone surrogate, and the reader of a
+    file never meets one."""
+    with pytest.raises(SchemaError) as caught:
+        build("s\ud800")
+    assert str(caught.value) == "rows[1][0]: expected string without a lone surrogate, got 's\\ud800'"
+
+
+#: Tables with two faults, and the refusal: the fault of the earlier row,
+#: and in one row the fault of the rule that comes first (width, label
+#: type, label range, each value in order, the sum).
+_TABLE_TWO_FAULTS = {
+    "sum before a later label": (
+        lambda: ProbabilityTable(2, (("a", 0, (0.5, 0.5)), ("b", 0, (0.5, 0.6)), ("c", 5, (0.5, 0.5)))),
+        NotNormalized,
+        "probability row 1 sums to 1.1, not 1",
+    ),
+    "label before a later width": (
+        lambda: ProbabilityTable(2, (("a", 0, (0.5, 0.5)), ("b", 1.0, (0.5, 0.5)), ("c", 0, (1.0,)))),
+        ValueOutOfRange,
+        "row 1 (b): label 1.0 is not an integer",
+    ),
+    "width before the label": (
+        lambda: ProbabilityTable(2, (("a", "x", (1.0,)),)),
+        DimensionMismatch,
+        "row 0 (a): expected 2 probabilities, got 1",
+    ),
+    "label range before the sum": (
+        lambda: ProbabilityTable(2, (("a", 7, (0.5, 0.6)),)),
+        ValueOutOfRange,
+        "row 0 (a): label 7 outside [0, 2)",
+    ),
+    "first probability of a row": (
+        lambda: ProbabilityTable(2, (("a", 0, (1.5, -0.5)),)),
+        ValueOutOfRange,
+        "row 0 (a): probability 1.5 outside [0, 1]",
+    ),
+    "probability before the sum": (
+        lambda: ProbabilityTable(2, (("a", 0, (0.5, True)),)),
+        ValueOutOfRange,
+        "row 0 (a): probability True outside [0, 1]",
+    ),
+    "read: sum before a later label": (
+        lambda: read_prob_table("instance_id,label,p_0,p_1\nx,0,0.5,0.6\ny,5,0.5,0.5\n"),
+        NotNormalized,
+        "probability row 0 sums to 1.1, not 1",
+    ),
+    "activation before a later width": (
+        lambda: ActivationTable(2, (("a", (math.inf, 0.5)), ("b", (0.5,)))),
+        ValueOutOfRange,
+        "row 0 (a): non-finite activation inf",
+    ),
+    "width before a later activation": (
+        lambda: ActivationTable(2, (("a", (0.5, 0.5)), ("b", (0.5,)), ("c", (math.nan, 0.5)))),
+        DimensionMismatch,
+        "row 1 (b): expected 2 activations, got 1",
+    ),
+    "read: first activation of a row": (
+        lambda: read_activations("sample_id,a_0,a_1\ns1,0.5,0.5\ns2,nan,inf\n"),
+        ValueOutOfRange,
+        "row 1 (s2): non-finite activation nan",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", _TABLE_TWO_FAULTS.values(), ids=list(_TABLE_TWO_FAULTS))
+def test_table_with_two_faults_names_the_first(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert type(caught.value) is error
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("write", [write_activations, write_prob_table], ids=["activations", "probabilities"])
