@@ -60,14 +60,16 @@ that fails is searched by the same tests run on one value at a time
 the first rule there.  The rows are:
 
 * the number rule of a number or ``bool`` field (``number_fault``,
-  ``numbers_hold``, ``number_rows``): its exact type, then the inclusive
+  ``number_rows``): its exact type, then the inclusive
   ``min`` and ``max`` and the exclusive ``above`` bound that it declares
   in its ``field(metadata=...)``;
 * the text rule (``check_text``): a field declared ``str``, ``str |
   None`` or ``tuple[str, ...]`` holds exact ``str`` values, as its column
   takes them from a file, and no lone surrogate, which no UTF-8 writer
   can write and ``load_json`` refuses (``_SURROGATE``); an ``Enum`` field
-  holds a member of its ``Enum``;
+  holds a member of its ``Enum``; ``check_ids`` holds the ids of a
+  table's rows and the keys of ``Landscape.datasets`` to the rules of a
+  ``str`` field;
 * the shape rule (``check_text``): a payload holds one of its union's
   classes, worded as the reader's refusal of its ``kind``, and a tuple of
   dataclasses only its item class;
@@ -658,7 +660,7 @@ def _no_surrogate(join, values: list) -> bool:
 #: The rules of a text field, by its annotation: the exact types that its
 #: column takes from a file, so a ``str`` subclass is none, in the column's
 #: words, then no lone surrogate in the text its values join into.
-TEXT_RULES = {
+_TEXT_RULES = {
     annotation: ((test, _SCALARS[annotation][2]), (partial(_no_surrogate, join), "string without a lone surrogate"))
     for annotation, test, join in (
         (str, partial(_of_types, _STR), "".join),
@@ -727,8 +729,8 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
         if annotation in _NUMBER_TYPES:
             numbers.append((f.name, _number_rules(f.name, annotation, f.metadata)))
-        if annotation in TEXT_RULES:
-            texts.append((f.name, TEXT_RULES[annotation], None))
+        if annotation in _TEXT_RULES:
+            texts.append((f.name, _TEXT_RULES[annotation], None))
         elif _is_enum(annotation):
             members = _one_of(member.value for member in annotation)
             texts.append((f.name, ((partial(_of_types, frozenset({annotation})), members),), None))
@@ -818,21 +820,18 @@ def number_rows(cls: type, group: list, positions, fault) -> list[tuple]:
     return rows
 
 
-def numbers_hold(objects: list) -> bool:
-    """Whether ``number_fault`` finds no fault in any of the dataclasses
-    ``objects``: the column test of each of their ``number_rows``."""
-    groups = by_class(objects)
-    return all(holds() for cls, group, positions in groups for holds, _ in number_rows(cls, group, positions, None))
-
-
 def number_fault(obj) -> str | None:
     """The words of the first rule that a number or ``bool`` field of the
     dataclass ``obj`` breaks, or ``None``: an ``int`` field holds an
     ``int``, a ``float`` field a number that ``is_number``, a ``bool``
-    field a ``bool``, each within its declared bounds.  It runs the
-    ``number_rows`` of ``obj`` alone, in order, up to the first that fails."""
-    rows = number_rows(type(obj), [obj], None, lambda words, index: words)
-    return next((find(1)[1] for holds, find in rows if not holds()), None)
+    field a ``bool``, each within its declared bounds.  It runs the rules
+    of ``obj``'s fields, as ``number_rows`` does, on ``obj``'s values alone."""
+    for name, rules in _plan(type(obj))[2]:
+        value = getattr(obj, name)
+        for test, words in rules:
+            if not test((value,)):
+                return words.format(value)
+    return None
 
 
 def _texts_hold(objects: list, classes=None) -> bool:
@@ -876,6 +875,13 @@ def check_text(objects: list, where) -> None:
                     at = f"{where(index)}.kind" if holding[0] == "one" else path + suffix
                     raise SchemaError(at, holding[2], type(item).__name__)
                 check_text([item], lambda _, at=path + suffix: at)
+
+
+def check_ids(ids: list, path) -> None:
+    """Hold ``ids``, the ids of a table's rows or a keyed field's keys, to
+    the rules of a ``str`` field, as ``check_text`` does: a ``SchemaError``
+    at ``path(index, id)`` for the first id at fault."""
+    check_rows(rule_rows(ids, _TEXT_RULES[str], lambda words, at, value: SchemaError(path(at, value), words, value)))
 
 
 # --- one object: its columns over that one object --------------------------------

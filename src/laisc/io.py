@@ -48,10 +48,10 @@ from operator import attrgetter, le, methodcaller
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
-    TEXT_RULES,
     are_numbers,
     by_class,
     check_aware,
+    check_ids,
     check_rows,
     check_text,
     decode_utf8,
@@ -326,15 +326,6 @@ def _pack(numbers: list) -> bytes | tuple:
     return tuple(numbers)
 
 
-def _checked_ids(ids: tuple) -> tuple[str, ...]:
-    """``ids``, the ids of a table's rows, held to the rules of a ``str``
-    field: one that is not a ``str`` would be written as ``str(id)`` and
-    read back as another value, and no UTF-8 writer can write a lone
-    surrogate."""
-    check_rows(rule_rows(ids, TEXT_RULES[str], lambda words, at, value: SchemaError(f"rows[{at}][0]", words, value)))
-    return ids
-
-
 # The tests of a table's rules: ``test(width, values)`` tells whether the
 # values of one column of rows ``width`` numbers wide keep the rule, the
 # whole column or one value alike.
@@ -380,8 +371,7 @@ def _normalized_row(width: int, flat) -> tuple:
 
     def find(stop: int) -> tuple | None:
         rows = enumerate(islice(_rows_of(flat, width), stop))
-        faults = ((index, NotNormalized(index, math.fsum(row))) for index, row in rows if not _normalized(width, row))
-        return next(faults, None)
+        return next(((at, NotNormalized(at, math.fsum(row))) for at, row in rows if not _normalized(width, row)), None)
 
     return partial(_normalized, width, flat), find
 
@@ -424,17 +414,21 @@ class _Table:
         return memoryview(numbers).cast("d") if type(numbers) is bytes else numbers
 
     @classmethod
-    def _read(cls, *values) -> _Table:
-        """The table of the field ``values`` of a table read, checked as a whole."""
+    def _read(cls, width: int, *columns) -> _Table:
+        """The table of the fields of a table read, checked as a whole:
+        ``columns`` are the lists of its ids and of its labels, if any,
+        stored as tuples once the reader's buffers are gone, then the bytes
+        of its numbers."""
         table = object.__new__(cls)
-        table._set(*values)
+        table._set(width, *map(tuple, columns[:-1]), columns[-1])
         return table
 
     def _build(self, width: int, rows: tuple) -> None:
         """Set the fields from ``rows`` given in code, and check them."""
         ids, *labels, numbers = list(zip(*rows)) or [()] * (len(self._record_names) - 1)
-        flat = _pack(list(chain.from_iterable(numbers)))
-        self._set(width, _checked_ids(ids), *labels, flat, lengths=list(map(len, numbers)))
+        # An id that is no str would be written as str(id) and read back as another value.
+        check_ids(ids, lambda at, _: f"rows[{at}][0]")
+        self._set(width, ids, *labels, _pack(list(chain.from_iterable(numbers))), lengths=list(map(len, numbers)))
 
     def _set(self, width: int, *values, lengths=()) -> None:
         """Set the fields to ``width`` and ``values`` and check them by the
@@ -665,7 +659,7 @@ def _split_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) 
         for column in range(len(lead)):
             del fields[:: width - column]
         pieces.append(array("d", list(map(float, fields))))
-    return count, tuple(ids), tuple(labels), b"".join(pieces)
+    return count, ids, labels, b"".join(pieces)
 
 
 def _csv_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
@@ -700,7 +694,7 @@ def _csv_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) ->
     except UnicodeDecodeError:
         decode_utf8(data)  # raises with the offset in the whole of ``data``
         raise
-    return count, tuple(ids), tuple(labels), numbers.tobytes()
+    return count, ids, labels, numbers.tobytes()
 
 
 def _csv_field(value) -> str:
@@ -719,8 +713,9 @@ def _write_table(lead: tuple[str, ...], prefix: str, count: int, ids: tuple[str,
     fields' text, of which only the first, the id, may need quotes.  An id
     of ``ids`` holding NUL is refused: Python 3.10's ``csv`` reader refuses
     a line with one, so no Python writes it."""
-    no_nul = (lambda ids: "\0" not in "".join(ids), "string without NUL")
-    check_rows(rule_rows(ids, (no_nul,), lambda words, index, value: SchemaError(f"ids[{index}]", words, value)))
+    if "\0" in "".join(ids):
+        index = next(index for index, row_id in enumerate(ids) if "\0" in row_id)
+        raise SchemaError(f"ids[{index}]", "string without NUL", ids[index])
     lines = [",".join(_header(lead, prefix, count)), *map(",".join, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 

@@ -42,10 +42,9 @@ import json
 from dataclasses import field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
 from operator import attrgetter, itemgetter
 
-from laisc.codec import check_rows, check_text, number_fault, numbers_hold, record, rule_rows, to_node, unique_row
+from laisc.codec import check_ids, check_text, number_fault, record, to_node
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
@@ -396,10 +395,13 @@ class LandscapeRow:
 
 
 def _check_unique(ids, collection: str) -> None:
-    """Refuse the first of ``ids`` that is empty or repeats an earlier one."""
-    ids = list(ids)
-    empty = rule_rows(ids, ((all, "empty id"),), lambda words, index, value: InvalidPayload(collection, words))
-    check_rows([*empty, unique_row(ids, lambda index, value: DuplicateId(value, collection))])
+    seen: set[str] = set()
+    for id_ in ids:
+        if not id_:
+            raise InvalidPayload(collection, "empty id")
+        if id_ in seen:
+            raise DuplicateId(id_, collection)
+        seen.add(id_)
 
 
 def _check_listed_once(ids, where: str) -> None:
@@ -409,8 +411,7 @@ def _check_listed_once(ids, where: str) -> None:
             raise DuplicateId(first, where)
 
 
-def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str], numbers_checked: bool = False) -> None:
-    """Check the payload of ``vr``, its numbers too unless ``numbers_checked``."""
+def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> None:
     p = vr.payload
 
     for _, bound, *_ in slots(p).values():
@@ -419,7 +420,7 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str], numbe
                 raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
     if hasattr(p, "metric_id") and p.metric_id not in KNOWN_METRIC_IDS:
         raise InvalidPayload(vr.id, f"unknown metric id {p.metric_id!r}")
-    fault = None if numbers_checked else number_fault(p)
+    fault = number_fault(p)
     if fault:
         raise InvalidPayload(vr.id, fault)
 
@@ -433,7 +434,7 @@ def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str], numbe
             if cond.condition_id in seen:
                 raise InvalidPayload(vr.id, f"duplicate condition {cond.condition_id!r}")
             seen.add(cond.condition_id)
-            fault = None if numbers_checked else number_fault(cond)
+            fault = number_fault(cond)
             if fault:
                 raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
     if isinstance(p, QualitativeApproval):
@@ -450,22 +451,19 @@ def _check_landscape(landscape: Landscape) -> None:
     Raises :class:`DuplicateId`, :class:`DanglingReference`, or
     :class:`InvalidPayload` on the first structural violation found, after
     a :class:`SchemaError` at the JSON path of a field that
-    :func:`~laisc.codec.check_text` finds.  Missing decomposition links (a
+    :func:`~laisc.codec.check_text` finds or of a dataset id that
+    :func:`~laisc.codec.check_ids` refuses.  Missing decomposition links (a
     concern without goals, a VR without measures, a measure without a
     stage) are allowed here; they surface through the coverage check
     instead.
     """
     check_text([landscape], ("$",).__getitem__)
+    check_ids([key for key, _ in landscape.datasets], lambda _, key: f"$.datasets.{key}")
     for collection in _COLLECTIONS:
         _check_unique(map(attrgetter("id"), getattr(landscape, collection)), collection)
     _check_unique(map(itemgetter(0), landscape.datasets), "datasets")
-    # The number rule by one column pass per rule; only a landscape that
-    # breaks it has each element's numbers checked, in the order of the rules.
-    payloads = list(map(attrgetter("payload"), landscape.vrs))
-    conditions = chain.from_iterable(p.conditions for p in payloads if type(p) is PerCondition)
-    numbers_checked = numbers_hold([*landscape.stages, *landscape.concerns, *payloads, *conditions])
     # The number and bool fields outside the VR payloads: a stage's order, a concern's relevance.
-    for element in () if numbers_checked else (*landscape.stages, *landscape.concerns):
+    for element in (*landscape.stages, *landscape.concerns):
         fault = number_fault(element)
         if fault:
             raise InvalidPayload(element.id, fault)
@@ -523,7 +521,7 @@ def _check_landscape(landscape: Landscape) -> None:
         for mm_id in vr.mm_ids:
             if mm_id not in mm_ids:
                 raise DanglingReference(mm_id, f"VR {vr.id}")
-        _check_payload(vr, dataset_ids, numbers_checked)
+        _check_payload(vr, dataset_ids)
 
     for mm in landscape.mitigation_measures:
         if mm.stage_id is not None and mm.stage_id not in stage_ids:

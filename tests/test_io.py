@@ -580,13 +580,19 @@ _NUMBER_HOLDERS = (
 )
 
 
+def _numbers_hold(objects: list) -> bool:
+    """Whether the column tests of the ``number_rows`` of ``objects``, class by class, all hold."""
+    groups = codec.by_class(objects)
+    return all(holds() for cls, group, at in groups for holds, _ in codec.number_rows(cls, group, at, None))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(_NUMBER_HOLDERS), _NUMBERS), max_size=6))
 def test_number_columns_follow_number_fault(drawn):
-    """``numbers_hold`` passes a list of objects exactly when
-    ``number_fault`` finds no fault in any of them."""
+    """The column tests of the number rows pass a list of objects exactly
+    when ``number_fault`` finds no fault in any of them."""
     objects = [build(value) for build, value in drawn]
-    assert codec.numbers_hold(objects) == all(number_fault(obj) is None for obj in objects)
+    assert _numbers_hold(objects) == all(number_fault(obj) is None for obj in objects)
 
 
 def test_number_fault_names_the_first_field_then_its_first_rule():
@@ -597,7 +603,7 @@ def test_number_fault_names_the_first_field_then_its_first_rule():
     assert number_fault(ReviewFraction("d", "0.5")) == "min_fraction must be a finite number, got '0.5'"
     assert number_fault(ReviewFraction("d", 1.5)) == "min_fraction must be in [0, 1], got 1.5"
     assert number_fault(ContrastScale(0)) == "factor must be > 0, got 0"
-    assert not codec.numbers_hold([ReviewFraction("d", 0.5), ReviewFraction("d", "0.5")])
+    assert not _numbers_hold([ReviewFraction("d", 0.5), ReviewFraction("d", "0.5")])
 
 
 _HUGE = 10**400
@@ -1078,6 +1084,22 @@ _NON_TEXT_FIELDS = {
         None,
         "$.name: expected string without a lone surrogate, got 'a\\ud800'",
     ),
+    "int dataset id": (
+        lambda land: replace(land, datasets=((1, land.datasets[0][1]),)),
+        None,
+        "$.datasets.1: expected string, got 1",
+    ),
+    "lone surrogate in a dataset id": (
+        lambda land: replace(land, datasets=(("a\ud800", land.datasets[0][1]),)),
+        None,
+        "$.datasets.a\ud800: expected string without a lone surrogate, got 'a\\ud800'",
+    ),
+    # A landscape keeps its datasets sorted by id: of two ids at fault, the first is named.
+    "two dataset ids at fault": (
+        lambda land: replace(land, datasets=tuple((key, land.datasets[0][1]) for key in ("d", "c\udc00", "b\ud800"))),
+        None,
+        "$.datasets.b\ud800: expected string without a lone surrogate, got 'b\\ud800'",
+    ),
 }
 
 
@@ -1092,9 +1114,10 @@ def _replace_payload(vrs, index: int, **changes):
 
 @pytest.mark.parametrize("make, edit, message", _NON_TEXT_FIELDS.values(), ids=list(_NON_TEXT_FIELDS))
 def test_landscape_refuses_a_non_text_value_where_its_reader_would(make, edit, message):
-    """A text field holds a ``str`` without a lone surrogate, an ``Enum``
-    field a member, a payload one of its classes and a tuple of records
-    only records of its class, wherever the landscape is made, so ``serialize_landscape`` never meets
+    """A text field, and a dataset id, holds a ``str`` without a lone
+    surrogate, an ``Enum`` field a member, a payload one of its classes and
+    a tuple of records only records of its class, wherever the landscape
+    is made, so ``serialize_landscape`` never meets
     one that ``parse_landscape`` refuses; the refusal has the reader's words."""
     with pytest.raises(SchemaError) as caught:
         make(parse_landscape(FIXTURE_TEXT))
