@@ -3,10 +3,10 @@
 The oracles here deliberately re-derive expected values through different
 code paths than the library (set arithmetic for mask overlap, literal
 re-enumeration for the confident joint, a fresh structural walk for
-coverage, a field-by-field walk of each VR payload for the fingerprint,
-one cell at a time over ``LabeledGrid.values`` for morphology,
-geometry and pixel arithmetic) so tests compare two independent
-computations.
+coverage, an element-by-element walk of a landscape's structure rules,
+a field-by-field walk of each VR payload for the fingerprint, one cell
+at a time over ``LabeledGrid.values`` for morphology, geometry and
+pixel arithmetic) so tests compare two independent computations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,16 @@ from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from pathlib import Path
 
-from laisc.errors import DimensionMismatch, LaiscError, NotNormalized, ValueOutOfRange
+from laisc import codec
+from laisc.errors import (
+    DanglingReference,
+    DimensionMismatch,
+    DuplicateId,
+    InvalidPayload,
+    LaiscError,
+    NotNormalized,
+    ValueOutOfRange,
+)
 from laisc.evaluation import CoverageGap, GapKind
 from laisc.io import (
     ActivationTable,
@@ -40,6 +49,7 @@ from laisc.io import (
     parse_landscape,
 )
 from laisc.model import (
+    KNOWN_METRIC_IDS,
     Comparator,
     Condition,
     DatasetDescriptor,
@@ -58,6 +68,7 @@ from laisc.model import (
     SystemComponent,
     VerifiableRequirement,
     fingerprint,
+    slots,
 )
 
 UTC = timezone.utc
@@ -370,6 +381,139 @@ def fingerprint_oracle(landscape: Landscape) -> str:
 
 
 # --- grid generators ---------------------------------------------------------
+
+
+# --- landscape structure ----------------------------------------------------------
+
+
+def _number_fault(obj) -> str | None:
+    """The words of the first number rule that ``obj`` breaks: each rule of
+    ``codec._plan``'s number rows of each field, run on ``obj``'s value."""
+    for name, rules in codec._plan(type(obj))[2]:
+        value = getattr(obj, name)
+        for test, words in rules:
+            if not test((value,)):
+                return words.format(value)
+    return None
+
+
+def _listed_once(ids, where: str) -> None:
+    for first, second in zip(ids, ids[1:]):
+        if first == second:
+            raise DuplicateId(first, where)
+
+
+def _unique(ids, collection: str) -> None:
+    seen: set[str] = set()
+    for id_ in ids:
+        if not id_:
+            raise InvalidPayload(collection, "empty id")
+        if id_ in seen:
+            raise DuplicateId(id_, collection)
+        seen.add(id_)
+
+
+def _payload_fault(vr: VerifiableRequirement, dataset_ids: set[str]) -> None:
+    p = vr.payload
+    for _, bound, *_ in slots(p).values():
+        for dataset_id in bound:
+            if dataset_id not in dataset_ids:
+                raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
+    if hasattr(p, "metric_id") and p.metric_id not in KNOWN_METRIC_IDS:
+        raise InvalidPayload(vr.id, f"unknown metric id {p.metric_id!r}")
+    fault = _number_fault(p)
+    if fault:
+        raise InvalidPayload(vr.id, fault)
+    if isinstance(p, MetricGap) and p.dataset_id_a == p.dataset_id_b:
+        raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
+    if isinstance(p, PerCondition):
+        if not p.conditions:
+            raise InvalidPayload(vr.id, "PerCondition needs at least one condition")
+        seen: set[str] = set()
+        for cond in p.conditions:
+            if cond.condition_id in seen:
+                raise InvalidPayload(vr.id, f"duplicate condition {cond.condition_id!r}")
+            seen.add(cond.condition_id)
+            fault = _number_fault(cond)
+            if fault:
+                raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
+    if isinstance(p, QualitativeApproval):
+        documents = p.required_documents
+        for first, second in zip(documents, documents[1:]):
+            if first == second:
+                raise InvalidPayload(vr.id, f"duplicate document kind {first!r}")
+
+
+def landscape_fault_oracle(parts: dict) -> None:
+    """Raise what building ``Landscape(**parts)`` raises, by a walk of
+    every element in turn, one rule after another: no ``laisc.model``
+    check runs.  The collections are put in the landscape's canonical
+    order first, and the numbers are held to ``codec._plan``'s rows one
+    value at a time."""
+    land = object.__new__(Landscape)
+    order = {"stages": lambda s: (s.order, s.id), "datasets": lambda pair: pair[0]}
+    for name, value in parts.items():
+        if isinstance(value, (list, tuple, dict)):
+            items = value.items() if isinstance(value, dict) else value
+            value = tuple(sorted(items, key=order.get(name, lambda element: element.id)))
+        object.__setattr__(land, name, value)
+    codec.check_text([land], ("$",).__getitem__)
+    codec.check_ids([key for key, _ in land.datasets], lambda _, key: f"$.datasets.{key}")
+    collections = ("stages", "components", "concerns", "goals", "vrs", "mitigation_measures")
+    for collection in collections:
+        _unique([element.id for element in getattr(land, collection)], collection)
+    _unique([key for key, _ in land.datasets], "datasets")
+    for element in (*land.stages, *land.concerns):
+        fault = _number_fault(element)
+        if fault:
+            raise InvalidPayload(element.id, fault)
+    orders = [stage.order for stage in land.stages]
+    if orders != list(range(len(orders))):
+        raise InvalidPayload("stages", f"order values must be 0..{len(orders) - 1} without gaps, got {orders}")
+    stage_ids, component_ids, mm_ids = ({e.id for e in getattr(land, c)} for c in ("stages", "components", "mitigation_measures"))
+    concern_index, goal_index, vr_index = ({e.id: e for e in getattr(land, c)} for c in ("concerns", "goals", "vrs"))
+    dataset_ids = {key for key, _ in land.datasets}
+    for concern in land.concerns:
+        if not concern.relevant and not concern.relevance_rationale.strip():
+            raise InvalidPayload(concern.id, "a concern marked not relevant needs a rationale")
+        _listed_once(concern.component_ids, f"concern {concern.id} component_ids")
+        _listed_once(concern.goal_ids, f"concern {concern.id} goal_ids")
+        for component_id in concern.component_ids:
+            if component_id not in component_ids:
+                raise DanglingReference(component_id, f"concern {concern.id}")
+        for goal_id in concern.goal_ids:
+            if goal_id not in goal_index:
+                raise DanglingReference(goal_id, f"concern {concern.id}")
+            if goal_index[goal_id].concern_id != concern.id:
+                raise InvalidPayload(
+                    goal_id, f"listed under concern {concern.id} but declares concern {goal_index[goal_id].concern_id}"
+                )
+    for goal in land.goals:
+        if goal.concern_id not in concern_index:
+            raise DanglingReference(goal.concern_id, f"goal {goal.id}")
+        if goal.id not in concern_index[goal.concern_id].goal_ids:
+            raise InvalidPayload(goal.id, f"not listed by its concern {goal.concern_id}")
+        _listed_once(goal.vr_ids, f"goal {goal.id} vr_ids")
+        for vr_id in goal.vr_ids:
+            if vr_id not in vr_index:
+                raise DanglingReference(vr_id, f"goal {goal.id}")
+            if vr_index[vr_id].goal_id != goal.id:
+                raise InvalidPayload(vr_id, f"listed under goal {goal.id} but declares goal {vr_index[vr_id].goal_id}")
+    for vr in land.vrs:
+        if vr.goal_id not in goal_index:
+            raise DanglingReference(vr.goal_id, f"VR {vr.id}")
+        if vr.id not in goal_index[vr.goal_id].vr_ids:
+            raise InvalidPayload(vr.id, f"not listed by its goal {vr.goal_id}")
+        if vr.stage_id not in stage_ids:
+            raise DanglingReference(vr.stage_id, f"VR {vr.id}")
+        _listed_once(vr.mm_ids, f"VR {vr.id} mm_ids")
+        for mm_id in vr.mm_ids:
+            if mm_id not in mm_ids:
+                raise DanglingReference(mm_id, f"VR {vr.id}")
+        _payload_fault(vr, dataset_ids)
+    for mm in land.mitigation_measures:
+        if mm.stage_id is not None and mm.stage_id not in stage_ids:
+            raise DanglingReference(mm.stage_id, f"mitigation measure {mm.id}")
 
 
 def random_mask(rng: random.Random, max_side: int = 8) -> LabeledGrid:

@@ -9,10 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bound_datasets, fingerprint_oracle, random_landscape, single_vr_landscape
+from helpers import (
+    bound_datasets,
+    fingerprint_oracle,
+    landscape_fault_oracle,
+    random_landscape,
+    single_vr_landscape,
+)
 from laisc import fixtures
 from laisc.evaluation import evaluate
-from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
+from laisc.errors import DanglingReference, DuplicateId, InvalidPayload, LaiscError, SchemaError
 from laisc.io import EvidenceBundle, parse_landscape, serialize_landscape
 from laisc.model import (
     Comparator,
@@ -201,6 +207,370 @@ def test_vr_kind_is_the_serialized_kind_key(rng):
 def test_undeclared_dataset_rejected():
     with pytest.raises(DanglingReference):
         single_vr_landscape(ReviewFraction("ds-unknown", 0.5))
+
+
+# --- structure: the first fault ---------------------------------------------
+
+
+def _at(items, index: int, **changes) -> tuple:
+    """``items`` with the item at ``index`` changed by ``replace``."""
+    return (*items[:index], replace(items[index], **changes), *items[index + 1 :])
+
+
+def _payload_at(vrs, index: int, **changes) -> tuple:
+    return _at(vrs, index, payload=replace(vrs[index].payload, **changes))
+
+
+def _conditions(*edits) -> tuple:
+    """The fixture's VR3.2 conditions: the first three, each with its ``edits`` entry's changes."""
+    first = fixtures.track_detector_landscape().vrs[8].payload.conditions
+    return tuple(replace(condition, **changes) for condition, changes in zip(first, edits))
+
+
+_SAME = {}
+
+#: Edits of the fixture landscape with two faults, and the refusal.  The
+#: phases run in order (text and dataset ids, ids, numbers, stage orders,
+#: concerns, goals, VRs, measures); in one phase the element that comes
+#: first is named, and in one element the rule that comes first.  A
+#: listed goal or VR that is unknown or names another parent, and a
+#: condition that repeats or breaks its numbers, are one rule each: the
+#: first reference at fault is named.
+_LANDSCAPE_TWO_FAULTS = {
+    "dataset id text before an empty component id": (
+        lambda land: replace(land, datasets=((1, land.datasets[0][1]),), components=_at(land.components, 0, id="")),
+        SchemaError,
+        "$.datasets.1: expected string, got 1",
+    ),
+    "ids before numbers": (
+        lambda land: replace(land, stages=_at(land.stages, 0, order=0.0), mitigation_measures=_at(land.mitigation_measures, 0, id="")),
+        InvalidPayload,
+        "invalid payload for mitigation_measures: empty id",
+    ),
+    "vrs before measures": (
+        lambda land: replace(land, vrs=_at(land.vrs, 9, id=""), mitigation_measures=(*land.mitigation_measures, land.mitigation_measures[0])),
+        InvalidPayload,
+        "invalid payload for vrs: empty id",
+    ),
+    "empty id before a repeated one": (
+        lambda land: replace(land, components=(*land.components, *land.components, replace(land.components[0], id=""))),
+        InvalidPayload,
+        "invalid payload for components: empty id",
+    ),
+    "stage order type before a concern's relevance": (
+        lambda land: replace(land, stages=_at(land.stages, 1, order=1.0), concerns=_at(land.concerns, 0, relevant=1)),
+        InvalidPayload,
+        "invalid payload for stage-modeling: order must be an integer, got 1.0",
+    ),
+    "numbers before the stage orders": (
+        lambda land: replace(land, stages=_at(land.stages, 1, order=5), concerns=_at(land.concerns, 2, relevant=None)),
+        InvalidPayload,
+        "invalid payload for sc3-robustness: relevant must be a boolean, got None",
+    ),
+    "a later concern before a goal": (
+        lambda land: replace(
+            land,
+            concerns=_at(land.concerns, 2, relevant=False, relevance_rationale=" "),
+            goals=_at(land.goals, 0, vr_ids=(*land.goals[0].vr_ids, "VR9")),
+        ),
+        InvalidPayload,
+        "invalid payload for sc3-robustness: a concern marked not relevant needs a rationale",
+    ),
+    "a later goal before a VR": (
+        lambda land: replace(land, goals=_at(land.goals, 7, vr_ids=("VR3.3", "VR9")), vrs=_at(land.vrs, 0, stage_id="nowhere")),
+        DanglingReference,
+        "goal G3.3 references unknown id 'VR9'",
+    ),
+    "a later VR's payload before a measure": (
+        lambda land: replace(
+            land,
+            vrs=_payload_at(land.vrs, 9, threshold=math.inf),
+            mitigation_measures=_at(land.mitigation_measures, 0, stage_id="nowhere"),
+        ),
+        InvalidPayload,
+        "invalid payload for VR3.3: threshold must be a finite number, got inf",
+    ),
+    "an earlier VR's payload before a later VR's stage": (
+        lambda land: replace(land, vrs=_at(_payload_at(land.vrs, 2, min_fraction=1.5), 5, stage_id="nowhere")),
+        InvalidPayload,
+        "invalid payload for VR1.2.1: min_fraction must be in [0, 1], got 1.5",
+    ),
+    "an earlier VR's stage before a later VR's payload": (
+        lambda land: replace(land, vrs=_payload_at(_at(land.vrs, 2, stage_id="nowhere"), 5, epsilon=-1)),
+        DanglingReference,
+        "VR VR1.2.1 references unknown id 'nowhere'",
+    ),
+    "an earlier VR's late rule before a later VR's early one": (
+        lambda land: replace(
+            land,
+            vrs=_payload_at(
+                _payload_at(land.vrs, 0, required_documents=("a", "a")), 9, metric_id="nope"
+            ),
+        ),
+        InvalidPayload,
+        "invalid payload for VR1.1.1: duplicate document kind 'a'",
+    ),
+    "an earlier binding before a later number": (
+        lambda land: replace(land, vrs=_payload_at(_payload_at(land.vrs, 3, dataset_id_b="d-nowhere"), 9, threshold=-math.inf)),
+        DanglingReference,
+        "VR VR1.2.2 dataset binding references unknown id 'd-nowhere'",
+    ),
+    "concern: rationale before a repeated component": (
+        lambda land: replace(
+            land,
+            concerns=_at(
+                land.concerns, 0, relevant=False, relevance_rationale="", component_ids=("comp-track-detector",) * 2
+            ),
+        ),
+        InvalidPayload,
+        "invalid payload for sc1-inaccurate-labels: a concern marked not relevant needs a rationale",
+    ),
+    "concern: a repeated goal before an unknown component": (
+        lambda land: replace(land, concerns=_at(land.concerns, 0, component_ids=("comp-x",), goal_ids=(*land.concerns[0].goal_ids, "G1.1"))),
+        DuplicateId,
+        "duplicate id 'G1.1' in concern sc1-inaccurate-labels goal_ids",
+    ),
+    "concern: an unknown component before an unknown goal": (
+        lambda land: replace(land, concerns=_at(land.concerns, 0, component_ids=("comp-x",), goal_ids=(*land.concerns[0].goal_ids, "G0"))),
+        DanglingReference,
+        "concern sc1-inaccurate-labels references unknown id 'comp-x'",
+    ),
+    "concern: a goal of another concern before a later unknown one": (
+        lambda land: replace(land, concerns=_at(land.concerns, 0, goal_ids=(*land.concerns[0].goal_ids, "G2.1", "G9"))),
+        InvalidPayload,
+        "invalid payload for G2.1: listed under concern sc1-inaccurate-labels but declares concern sc2-synthetic-data",
+    ),
+    "concern: an unknown goal before a later one of another concern": (
+        lambda land: replace(land, concerns=_at(land.concerns, 0, goal_ids=(*land.concerns[0].goal_ids, "G1.0", "G2.1"))),
+        DanglingReference,
+        "concern sc1-inaccurate-labels references unknown id 'G1.0'",
+    ),
+    "goal: unknown concern before a repeated VR": (
+        lambda land: replace(land, goals=_at(land.goals, 0, concern_id="sc9", vr_ids=("VR1.1.1",) * 2), concerns=_at(land.concerns, 0, goal_ids=("G1.2", "G1.3"))),
+        DanglingReference,
+        "goal G1.1 references unknown id 'sc9'",
+    ),
+    "goal: not listed by its concern before a repeated VR": (
+        lambda land: replace(land, goals=_at(land.goals, 0, vr_ids=("VR1.1.1",) * 2), concerns=_at(land.concerns, 0, goal_ids=("G1.2", "G1.3"))),
+        InvalidPayload,
+        "invalid payload for G1.1: not listed by its concern sc1-inaccurate-labels",
+    ),
+    "goal: a repeated VR before an unknown one": (
+        lambda land: replace(land, goals=_at(land.goals, 0, vr_ids=("VR0", "VR1.1.1", "VR1.1.1"))),
+        DuplicateId,
+        "duplicate id 'VR1.1.1' in goal G1.1 vr_ids",
+    ),
+    "goal: an unknown VR before a later one of another goal": (
+        lambda land: replace(land, goals=_at(land.goals, 0, vr_ids=(*land.goals[0].vr_ids, "VR1.0", "VR2.1"))),
+        DanglingReference,
+        "goal G1.1 references unknown id 'VR1.0'",
+    ),
+    "goal: a VR of another goal before a later unknown one": (
+        lambda land: replace(land, goals=_at(land.goals, 0, vr_ids=(*land.goals[0].vr_ids, "VR1.2.1", "VR9"))),
+        InvalidPayload,
+        "invalid payload for VR1.2.1: listed under goal G1.1 but declares goal G1.2",
+    ),
+    "VR: unknown goal before unknown stage": (
+        lambda land: replace(land, goals=_at(land.goals, 0, vr_ids=("VR1.1.2",)), vrs=_at(land.vrs, 0, goal_id="G9", stage_id="nowhere")),
+        DanglingReference,
+        "VR VR1.1.1 references unknown id 'G9'",
+    ),
+    "VR: not listed by its goal before unknown stage": (
+        lambda land: replace(land, goals=_at(land.goals, 0, vr_ids=("VR1.1.2",)), vrs=_at(land.vrs, 0, goal_id="G1.2", stage_id="nowhere")),
+        InvalidPayload,
+        "invalid payload for VR1.1.1: not listed by its goal G1.2",
+    ),
+    "VR: unknown stage before a repeated measure": (
+        lambda land: replace(land, vrs=_at(land.vrs, 0, stage_id="nowhere", mm_ids=("mm-labeling-guidelines",) * 2)),
+        DanglingReference,
+        "VR VR1.1.1 references unknown id 'nowhere'",
+    ),
+    "VR: a repeated measure before an unknown one": (
+        lambda land: replace(land, vrs=_at(land.vrs, 0, mm_ids=("mm-x", "mm-x"))),
+        DuplicateId,
+        "duplicate id 'mm-x' in VR VR1.1.1 mm_ids",
+    ),
+    "VR: an unknown measure before the payload": (
+        lambda land: replace(land, vrs=_at(_payload_at(land.vrs, 0, required_approvals=0), 0, mm_ids=("mm-none",))),
+        DanglingReference,
+        "VR VR1.1.1 references unknown id 'mm-none'",
+    ),
+    "payload: binding before metric": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 9, dataset_id="d-x", metric_id="nope")),
+        DanglingReference,
+        "VR VR3.3 dataset binding references unknown id 'd-x'",
+    ),
+    "payload: metric before numbers": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 9, metric_id="nope", threshold=math.inf)),
+        InvalidPayload,
+        "invalid payload for VR3.3: unknown metric id 'nope'",
+    ),
+    "gap: numbers before the same dataset twice": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 5, epsilon=-1, dataset_id_b="d-real")),
+        InvalidPayload,
+        "invalid payload for VR2.1: epsilon must be >= 0, got -1",
+    ),
+    "conditions: metric before none": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 8, metric_id="nope", conditions=())),
+        InvalidPayload,
+        "invalid payload for VR3.2: unknown metric id 'nope'",
+    ),
+    "conditions: a repeat before a later condition's number": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 8, conditions=_conditions(_SAME, _SAME, {"threshold": math.inf}) + _conditions(_SAME))),
+        InvalidPayload,
+        "invalid payload for VR3.2: duplicate condition 'adverse-lighting'",
+    ),
+    "conditions: a number before a later repeat": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 8, conditions=_conditions({"threshold": True}, _SAME) + _conditions(_SAME, _SAME))),
+        InvalidPayload,
+        "invalid payload for VR3.2: condition 'adverse-lighting': threshold must be a finite number, got True",
+    ),
+    "conditions: a repeat before its own number": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 8, conditions=_conditions(_SAME) + _conditions({"threshold": "x"}))),
+        InvalidPayload,
+        "invalid payload for VR3.2: duplicate condition 'adverse-lighting'",
+    ),
+    "approval: number before a repeated document": (
+        lambda land: replace(land, vrs=_payload_at(land.vrs, 0, required_approvals=0, required_documents=("a", "a"))),
+        InvalidPayload,
+        "invalid payload for VR1.1.1: required_approvals must be >= 1, got 0",
+    ),
+    "two measures on unknown stages": (
+        lambda land: replace(
+            land, mitigation_measures=_at(_at(land.mitigation_measures, 3, stage_id="s9"), 0, stage_id="s8")
+        ),
+        DanglingReference,
+        "mitigation measure mm-annotator-knowledge-test references unknown id 's8'",
+    ),
+}
+
+
+@pytest.mark.parametrize("edit, error, message", _LANDSCAPE_TWO_FAULTS.values(), ids=list(_LANDSCAPE_TWO_FAULTS))
+def test_landscape_with_two_faults_names_the_first(edit, error, message):
+    with pytest.raises(error) as caught:
+        edit(fixtures.track_detector_landscape())
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+
+
+_COLLECTIONS = ("stages", "components", "concerns", "goals", "vrs", "mitigation_measures")
+
+
+def _edit(rng: random.Random, items: list, change) -> None:
+    """Set one of ``items``, drawn by ``rng``, to ``change`` of it."""
+    if items:
+        index = rng.randrange(len(items))
+        items[index] = change(items[index])
+
+
+def _broken_payload(rng: random.Random, p):
+    """``p`` with one of the faults that a landscape refuses in a payload."""
+    fault = rng.choice(("dataset", "metric", "number", "kind"))
+    dataset_fields = [name for name in ("dataset_id", "dataset_id_a", "dataset_id_b") if hasattr(p, name)]
+    number = {
+        MetricThreshold: "threshold",
+        MetricGap: "epsilon",
+        ReviewFraction: "min_fraction",
+        FlagResolution: "flag_threshold",
+        QualitativeApproval: "required_approvals",
+    }.get(type(p))
+    if fault == "dataset" and dataset_fields:
+        return replace(p, **{rng.choice(dataset_fields): "d-nowhere"})
+    if fault == "metric" and hasattr(p, "metric_id"):
+        return replace(p, metric_id="nope")
+    if fault == "number" and number:
+        return replace(p, **{number: rng.choice((math.inf, -1, 2, 0, True, "0.5", None))})
+    if isinstance(p, MetricGap):
+        return replace(p, dataset_id_b=p.dataset_id_a)
+    if isinstance(p, QualitativeApproval):
+        return replace(p, required_documents=(*p.required_documents, "doc-kind"))
+    if isinstance(p, PerCondition) and p.conditions:
+        first = p.conditions[0]
+        return replace(
+            p,
+            conditions=rng.choice(
+                (
+                    (),
+                    (*p.conditions, replace(first, dataset_id=rng.choice((first.dataset_id, "d-nowhere")))),
+                    (*p.conditions[1:], replace(first, threshold=rng.choice((math.nan, "0.5", False)))),
+                    (*p.conditions, replace(first, condition_id="cond0", threshold=math.inf)),
+                )
+            ),
+        )
+    return p
+
+
+def _twice(ids: tuple) -> tuple:
+    """``ids`` with its first id listed again, or one new id listed twice."""
+    return (*ids, ids[0]) if ids else ("x", "x")
+
+
+def _inject(rng: random.Random, parts: dict) -> None:
+    """Give ``parts``, the fields of a landscape as lists, one fault of a
+    kind that the structure check refuses, drawn by ``rng``."""
+    # The kinds of the later phases are drawn more often, as a fault of an earlier one hides them.
+    kind = rng.choice(
+        ("empty id", "repeated id", "dataset id", "number", "rationale", "listed twice", "text")
+        + ("unknown", "other parent", "unlisted") * 2
+        + ("payload",) * 5
+    )
+    items = parts[rng.choice(_COLLECTIONS)]
+    concerns, goals, vrs = parts["concerns"], parts["goals"], parts["vrs"]
+    if kind == "empty id":
+        _edit(rng, items, lambda item: replace(item, id=""))
+    elif kind == "repeated id" and items:
+        items.append(rng.choice(items))
+    elif kind == "dataset id":
+        parts["datasets"].append(rng.choice((("", parts["datasets"][0][1]), parts["datasets"][0])))
+    elif kind == "number":
+        _edit(rng, parts["stages"], lambda stage: replace(stage, order=rng.choice((stage.order + 5, -1, float(stage.order), True))))
+        _edit(rng, concerns, lambda concern: replace(concern, relevant=rng.choice((1, 0, None))))
+    elif kind == "rationale":
+        _edit(rng, concerns, lambda concern: replace(concern, relevant=False, relevance_rationale=" "))
+    elif kind == "listed twice":
+        owners, name = rng.choice(((concerns, "component_ids"), (concerns, "goal_ids"), (goals, "vr_ids"), (vrs, "mm_ids")))
+        _edit(rng, owners, lambda owner: replace(owner, **{name: _twice(getattr(owner, name))}))
+    elif kind == "unknown":
+        owners, name = rng.choice(
+            ((concerns, "component_ids"), (concerns, "goal_ids"), (goals, "vr_ids"), (vrs, "mm_ids"), (goals, "concern_id"),
+             (vrs, "goal_id"), (vrs, "stage_id"), (parts["mitigation_measures"], "stage_id"))
+        )
+        _edit(rng, owners, lambda owner: replace(owner, **{name: (*getattr(owner, name), "nowhere") if name.endswith("s") else "nowhere"}))
+    elif kind == "other parent":
+        owners, name, children = rng.choice(((concerns, "goal_ids", goals), (goals, "vr_ids", vrs)))
+        if children:
+            child = rng.choice(children).id
+            _edit(rng, owners, lambda owner: replace(owner, **{name: (*getattr(owner, name), child)}))
+    elif kind == "unlisted":
+        owners, name = rng.choice(((concerns, "goal_ids"), (goals, "vr_ids")))
+        _edit(rng, owners, lambda owner: replace(owner, **{name: getattr(owner, name)[1:]}))
+    elif kind == "payload":
+        _edit(rng, vrs, lambda vr: replace(vr, payload=_broken_payload(rng, vr.payload)))
+    else:
+        _edit(rng, rng.choice((concerns, vrs)), lambda item: replace(item, name=5) if hasattr(item, "name") else replace(item, stage_id=5))
+
+
+def _outcome(build) -> tuple[type, str] | None:
+    try:
+        build()
+    except LaiscError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_landscape_check_names_the_fault_an_element_walk_names(rng):
+    """A landscape with one to three faults of the kinds its structure
+    check refuses raises what a walk of every element in turn, one rule
+    after another, raises."""
+    landscape = random_landscape(rng, delete_links=rng.random() < 0.3)
+    parts = {f.name: getattr(landscape, f.name) for f in fields(Landscape)}
+    parts.update({name: list(value) for name, value in parts.items() if isinstance(value, tuple)})
+    for _ in range(rng.randint(1, 3)):
+        _inject(rng, parts)
+    expected = _outcome(lambda: landscape_fault_oracle(parts))
+    assert _outcome(lambda: Landscape(**parts)) == expected
 
 
 # --- rows -------------------------------------------------------------------
