@@ -56,13 +56,14 @@ The self-checks of objects built in code state each rule once, as one
 row: a column test over a list of values, with C-level passes, and the
 words of its fault.  A valid list runs the column tests only; a list
 that fails is searched by the same tests run on one value at a time
-(``check_rows``), and the fault named is the one at the lowest index, of
-the first rule there.  The rows are:
+(``check_rows``, or ``first_fault`` to return the fault), and the fault
+named is the one at the lowest index, of the first rule there.  The rows
+are:
 
-* the number rule of a number or ``bool`` field (``number_fault``,
-  ``number_rows``): its exact type, then the inclusive
-  ``min`` and ``max`` and the exclusive ``above`` bound that it declares
-  in its ``field(metadata=...)``;
+* the number rule of a number or ``bool`` field (``number_rows``, the
+  one driver of it, over a list of objects or over one): its exact type,
+  then the inclusive ``min`` and ``max`` and the exclusive ``above``
+  bound that it declares in its ``field(metadata=...)``;
 * the text rule (``check_text``): a field declared ``str``, ``str |
   None`` or ``tuple[str, ...]`` holds exact ``str`` values, as its column
   takes them from a file, and no lone surrogate, which no UTF-8 writer
@@ -71,10 +72,14 @@ the first rule there.  The rows are:
   table's rows and the keys of ``Landscape.datasets`` to the rules of a
   ``str`` field;
 * the shape rule (``check_text``): a payload holds one of its union's
-  classes, worded as the reader's refusal of its ``kind``, and a tuple of
-  dataclasses only its item class;
-* the rules that ``laisc.io`` states of a bundle's records and of the CSV
-  tables, with ``rule_rows`` and ``check_rows``.
+  classes, worded as the reader's refusal of its ``kind``, a tuple of
+  dataclasses is a tuple of its item class only, and ``(id, dataclass)``
+  pairs a tuple of pairs.  A ``__post_init__`` stores a collection field
+  with ``as_tuple``, which keeps a value that it cannot sort or convert
+  as given, so the shape rule names it rather than the sort raising;
+* the rules that ``laisc.model`` states of a landscape's structure and
+  ``laisc.io`` of a bundle's records and of the CSV tables, with
+  ``rule_rows``, ``unique_row`` and ``check_rows``.
 
 ``check_text`` words a fault at its JSON path in the reader's words, so
 neither self-check lets through a document the reader would refuse or
@@ -87,6 +92,7 @@ import json
 import math
 import re
 from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -198,6 +204,18 @@ def record(cls: type | None = None, /, *, slots: bool = True):
     if "__init__" not in owned:
         cls.__init__ = _record_init(cls, names, defaults)
     return cls
+
+
+def as_tuple(values, key=None, *, sort: bool = True):
+    """``values`` as a tuple, sorted by ``key`` if ``sort``: how a record
+    stores a collection field in its ``__post_init__``.  Values that do not
+    sort (ids of mixed types) keep their order, and a value that is not
+    iterable (``None``) is kept as it is, so the self-check refuses it at
+    its JSON path rather than the sort raising a bare ``TypeError``."""
+    try:
+        return tuple(sorted(values, key=key) if sort else values)
+    except (TypeError, AttributeError):
+        return tuple(values) if isinstance(values, Iterable) else values
 
 
 # --- timestamps --------------------------------------------------------------
@@ -405,6 +423,7 @@ class _Irregular(Exception):
 
 
 _STR = frozenset({str})
+_TUPLE = frozenset({tuple})
 _LIST = frozenset({list})
 _DICT = frozenset({dict})
 
@@ -646,7 +665,7 @@ def _number_rules(name: str, annotation: type, metadata) -> tuple:
 
 
 def _str_tuples(values: list) -> bool:
-    return set(map(type, values)) <= {tuple} and set(map(type, chain.from_iterable(values))) <= _STR
+    return set(map(type, values)) <= _TUPLE and set(map(type, chain.from_iterable(values))) <= _STR
 
 
 def _no_surrogate(join, values: list) -> bool:
@@ -707,16 +726,30 @@ def _held_items(holding, value) -> list[tuple]:
     return [(f".{key}", item) for key, item in value] if how else []
 
 
+def _pair_tuples(values: list) -> bool:
+    """Whether each of ``values`` is a tuple of 2-tuples."""
+    if not set(map(type, values)) <= _TUPLE:
+        return False
+    pairs = list(chain.from_iterable(values))
+    return set(map(type, pairs)) <= _TUPLE and set(map(len, pairs)) <= {2}
+
+
+#: The rule of the container of a field that holds dataclasses as a tuple
+#: (a JSON list) or as ``(id, dataclass)`` pairs (a JSON object), in the
+#: words of its column.
+_CONTAINER_RULES = {"list": ((partial(_of_types, _TUPLE), "list"),), "keyed": ((_pair_tuples, "object"),)}
+
+
 @cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
     """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
     key, a ``(field name, rules)`` row per number or ``bool`` field, a
     ``(field name, column, expected)`` row per field, and a ``(field name,
     rules, holding)`` row per text or ``Enum`` field (``holding`` is
-    ``None``) and per field that holds dataclasses (``rules`` is empty,
-    ``holding`` is ``_holding``'s).  A field typed as a union of
-    dataclasses adds the ``kind`` key: written from the field value's
-    class, and checked by the field's column."""
+    ``None``) and per field that holds dataclasses (``rules`` is the rule
+    of its container, if it has one, and ``holding`` is ``_holding``'s).
+    A field typed as a union of dataclasses adds the ``kind`` key: written
+    from the field value's class, and checked by the field's column."""
     hints = get_type_hints(cls)
     writes, numbers, columns, texts = [], [], [], []
     for f in fields(cls):
@@ -735,7 +768,7 @@ def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
             members = _one_of(member.value for member in annotation)
             texts.append((f.name, ((partial(_of_types, frozenset({annotation})), members),), None))
         elif holding:
-            texts.append((f.name, (), holding))
+            texts.append((f.name, _CONTAINER_RULES.get(holding[0], ()), holding))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
@@ -778,21 +811,27 @@ def unique_row(values: list, fault) -> tuple:
     return (lambda: len(set(values)) == len(values)), find
 
 
-def check_rows(rows) -> None:
-    """Raise the error of the first fault that ``rows`` find in a list of
-    items, each row one rule as ``(holds, find)``: ``holds()`` is the
-    rule's column test over every item, and ``find(stop)`` the ``(index,
-    error)`` of the first item before ``stop`` that breaks it, or ``None``.
-    A valid list runs the column tests only.  The error raised has the
-    lowest index, and of the faults there the first row's.  A column test
-    runs only while every row before it holds, and a search only below the
-    lowest fault found so far, so no rule meets an item that breaks a rule
-    before it."""
+def first_fault(rows) -> tuple | None:
+    """The ``(index, error)`` of the first fault that ``rows`` find in a
+    list of items, or ``None``: each row is one rule as ``(holds, find)``,
+    ``holds()`` the rule's column test over every item, and ``find(stop)``
+    the ``(index, error)`` of the first item before ``stop`` that breaks
+    it, or ``None``.  A valid list runs the column tests only.  The fault
+    has the lowest index, and of the faults there the first row's.  A
+    column test runs only while every row before it holds, and a search
+    only below the lowest fault found so far, so no rule meets an item
+    that breaks a rule before it."""
     found = None
     for holds, find in rows:
         if found is None and holds():
             continue
         found = find(maxsize if found is None else found[0]) or found
+    return found
+
+
+def check_rows(rows) -> None:
+    """Raise the error of ``first_fault(rows)``, if there is one."""
+    found = first_fault(rows)
     if found:
         raise found[1]
 
@@ -820,20 +859,6 @@ def number_rows(cls: type, group: list, positions, fault) -> list[tuple]:
     return rows
 
 
-def number_fault(obj) -> str | None:
-    """The words of the first rule that a number or ``bool`` field of the
-    dataclass ``obj`` breaks, or ``None``: an ``int`` field holds an
-    ``int``, a ``float`` field a number that ``is_number``, a ``bool``
-    field a ``bool``, each within its declared bounds.  It runs the rules
-    of ``obj``'s fields, as ``number_rows`` does, on ``obj``'s values alone."""
-    for name, rules in _plan(type(obj))[2]:
-        value = getattr(obj, name)
-        for test, words in rules:
-            if not test((value,)):
-                return words.format(value)
-    return None
-
-
 def _texts_hold(objects: list, classes=None) -> bool:
     """Whether the dataclasses ``objects`` are of ``classes`` (of any class
     without them), and every text, ``Enum`` and dataclass-holding field of
@@ -858,8 +883,9 @@ def check_text(objects: list, where) -> None:
     at the JSON path ``where(i)``, and the error has the reader's words.  A
     text field holds exact ``str`` values without a lone surrogate, an
     ``Enum`` field a member, a payload one of its classes (a fault at the
-    owner's ``kind``, named by its class name) and a tuple of dataclasses
-    only its item class.
+    owner's ``kind``, named by its class name), a tuple of dataclasses a
+    tuple (a JSON list) of its item class only, and ``(id, dataclass)``
+    pairs a tuple of pairs (a JSON object).
     The objects are checked one C-level pass per rule first; only a list
     that fails is walked object by object, to name the first fault."""
     if _texts_hold(objects):

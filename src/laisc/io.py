@@ -49,6 +49,7 @@ from operator import attrgetter, le, methodcaller
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
     are_numbers,
+    as_tuple,
     by_class,
     check_aware,
     check_ids,
@@ -94,7 +95,7 @@ class MetricResult:
     config_note: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dataset_ids", tuple(self.dataset_ids))
+        object.__setattr__(self, "dataset_ids", as_tuple(self.dataset_ids, sort=False))
 
 
 class ApprovalVerdict(str, Enum):
@@ -141,10 +142,18 @@ class FlagResolutionLog:
     entries: tuple[FlagEntry, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flagged_ids", tuple(self.flagged_ids))
-        object.__setattr__(
-            self, "entries", tuple(e if isinstance(e, FlagEntry) else FlagEntry(*e) for e in self.entries)
-        )
+        object.__setattr__(self, "flagged_ids", as_tuple(self.flagged_ids, sort=False))
+        entries = as_tuple(self.entries, sort=False)
+        object.__setattr__(self, "entries", tuple(map(_flag_entry, entries)) if type(entries) is tuple else entries)
+
+
+def _flag_entry(value):
+    """``value`` as a ``FlagEntry``, if it is one or an ``(instance_id,
+    resolution)`` pair; any other value as it is, for the self-check to refuse."""
+    try:
+        return value if isinstance(value, FlagEntry) else FlagEntry(*value)
+    except TypeError:
+        return value
 
 
 @record
@@ -197,7 +206,7 @@ class EvidenceBundle:
     source: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "records", tuple(self.records))
+        object.__setattr__(self, "records", as_tuple(self.records, sort=False))
         _check_records(self)
 
 

@@ -49,7 +49,7 @@ from bisect import bisect_left
 from dataclasses import field
 from itertools import islice
 
-from laisc.codec import is_number, number_fault, record
+from laisc.codec import check_rows, is_number, number_rows, record
 from laisc.errors import (
     DimensionMismatch,
     EmptyDataset,
@@ -400,12 +400,12 @@ PerturbationSpec = BrightnessShift | ContrastScale | GaussianNoise | OcclusionPa
 
 
 def _check_spec(spec, kinds, what: str) -> None:
-    """Reject a spec that is none of ``kinds`` or that ``number_fault`` refuses."""
+    """Reject a spec that is none of ``kinds`` or that breaks a number rule
+    of its fields (``number_rows`` over the one spec)."""
+    name = type(spec).__name__
     if not isinstance(spec, kinds):
-        raise InvalidParameter(f"unknown {what} {type(spec).__name__}")
-    fault = number_fault(spec)
-    if fault:
-        raise InvalidParameter(f"{type(spec).__name__}.{fault}")
+        raise InvalidParameter(f"unknown {what} {name}")
+    check_rows(number_rows(type(spec), [spec], None, lambda words, _: InvalidParameter(f"{name}.{words}")))
 
 
 def _to_byte(value: float) -> int:

@@ -28,8 +28,10 @@ gap.  Evaluation fills the slots, ``laisc metric`` refuses an append no
 slot takes, and the structure check takes a VR's dataset bindings from
 the keys.  The rest of a payload is checked by field: ``metric_id``
 known, numbers and their bounds (``epsilon >= 0``, say) as
-:func:`laisc.codec.number_fault` reads them from the fields; only the
-rules no field states are checked per kind.
+:func:`laisc.codec.number_rows` reads them from the fields; only the
+rules no field states are checked per kind (``_KIND_RULES``).  Every
+structure rule is one ``codec.check_rows`` row over one collection, as
+the rules of an evidence bundle are.
 
 New measurable requirements are expressed by registering metric ids inside
 the metric-bearing kinds, not by adding kinds.
@@ -42,14 +44,20 @@ import json
 from dataclasses import field
 from enum import Enum
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from itertools import chain, compress, count, repeat
+from operator import attrgetter, eq, itemgetter, ne, not_
 
-from laisc.codec import check_ids, check_text, number_fault, record, to_node
-from laisc.errors import DanglingReference, DuplicateId, InvalidPayload
+from laisc.codec import (
+    as_tuple, by_class, check_ids, check_rows, check_text, first_fault,
+    number_rows, record, rule_rows, to_node, unique_row,
+)
+from laisc.errors import DanglingReference, DuplicateId, InvalidPayload, LaiscError
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
 #: module provides the matching implementations.
 KNOWN_METRIC_IDS = frozenset({"miou", "gap", "nap_distance", "clm_flags"})
+
+_ID, _CONDITION_ID = attrgetter("id"), attrgetter("condition_id")
 
 
 class Comparator(str, Enum):
@@ -104,8 +112,8 @@ class SafetyConcern:
     def __post_init__(self) -> None:
         # Reference lists are sets semantically; stored sorted so equal
         # landscapes compare equal regardless of construction order.
-        object.__setattr__(self, "component_ids", tuple(sorted(self.component_ids)))
-        object.__setattr__(self, "goal_ids", tuple(sorted(self.goal_ids)))
+        object.__setattr__(self, "component_ids", as_tuple(self.component_ids))
+        object.__setattr__(self, "goal_ids", as_tuple(self.goal_ids))
 
 
 @record
@@ -118,7 +126,7 @@ class Goal:
     vr_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vr_ids", tuple(sorted(self.vr_ids)))
+        object.__setattr__(self, "vr_ids", as_tuple(self.vr_ids))
 
 
 # --- VR payloads, one dataclass per kind ------------------------------------
@@ -161,9 +169,7 @@ class PerCondition:
     conditions: tuple[Condition, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "conditions", tuple(sorted(self.conditions, key=lambda c: c.condition_id))
-        )
+        object.__setattr__(self, "conditions", as_tuple(self.conditions, _CONDITION_ID))
 
 
 @record
@@ -192,7 +198,7 @@ class QualitativeApproval:
     required_documents: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "required_documents", tuple(sorted(self.required_documents)))
+        object.__setattr__(self, "required_documents", as_tuple(self.required_documents))
 
 
 VrPayload = (
@@ -247,7 +253,7 @@ class VerifiableRequirement:
     mm_ids: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mm_ids", tuple(sorted(self.mm_ids)))
+        object.__setattr__(self, "mm_ids", as_tuple(self.mm_ids))
 
     @property
     def kind(self) -> str:
@@ -300,14 +306,11 @@ class Landscape:
         # Collections are stored in canonical order (stages by rank, the rest
         # by id) so construction order never leaks into equality or output.
         # ``datasets`` may also be given as a dict.
-        object.__setattr__(self, "stages", tuple(sorted(self.stages, key=lambda s: (s.order, s.id))))
-        object.__setattr__(self, "components", tuple(sorted(self.components, key=lambda c: c.id)))
-        object.__setattr__(self, "concerns", tuple(sorted(self.concerns, key=lambda c: c.id)))
-        object.__setattr__(self, "goals", tuple(sorted(self.goals, key=lambda g: g.id)))
-        object.__setattr__(self, "vrs", tuple(sorted(self.vrs, key=lambda v: v.id)))
-        object.__setattr__(self, "mitigation_measures", tuple(sorted(self.mitigation_measures, key=lambda m: m.id)))
+        object.__setattr__(self, "stages", as_tuple(self.stages, attrgetter("order", "id")))
+        for collection in _COLLECTIONS[1:]:
+            object.__setattr__(self, collection, as_tuple(getattr(self, collection), _ID))
         pairs = self.datasets.items() if isinstance(self.datasets, dict) else self.datasets
-        object.__setattr__(self, "datasets", tuple(sorted(pairs, key=itemgetter(0))))
+        object.__setattr__(self, "datasets", as_tuple(pairs, itemgetter(0)))
         _check_landscape(self)
 
     @cached_property
@@ -392,56 +395,144 @@ class LandscapeRow:
 
 
 # --- construction -----------------------------------------------------------
+#
+# Each structure rule is one ``codec.check_rows`` row over one collection:
+# a column test over every element, and the words of its fault, found on a
+# collection that fails by the same test run on one value at a time.  The
+# ids of a reference list are flattened, each mapped to its owner's index.
 
 
-def _check_unique(ids, collection: str) -> None:
-    seen: set[str] = set()
-    for id_ in ids:
-        if not id_:
-            raise InvalidPayload(collection, "empty id")
-        if id_ in seen:
-            raise DuplicateId(id_, collection)
-        seen.add(id_)
+def _id_rows(ids: list, collection: str) -> list:
+    """The rows of the ids of ``collection``: each non-empty, then unique."""
+    return [
+        *rule_rows(ids, ((all, "empty id"),), lambda words, at, _: InvalidPayload(collection, words)),
+        unique_row(ids, lambda at, id_: DuplicateId(id_, collection)),
+    ]
 
 
-def _check_listed_once(ids, where: str) -> None:
-    """Refuse an id that the sorted list ``ids`` names twice."""
-    for first, second in zip(ids, ids[1:]):
-        if first == second:
-            raise DuplicateId(first, where)
+def _refs(owners: tuple, name: str) -> tuple[list, object]:
+    """The ids of the ``name`` list of each of ``owners``, in order, and a
+    function that gives the index of each one's owner."""
+    lists = list(map(attrgetter(name), owners))
+    return list(chain.from_iterable(lists)), lambda: chain.from_iterable(map(repeat, count(), map(len, lists)))
 
 
-def _check_payload(vr: VerifiableRequirement, dataset_ids: frozenset[str]) -> None:
-    p = vr.payload
+def _known_rows(owners, refs: list, positions, known: frozenset, referrer: str) -> list:
+    """The row of the rule that each of ``refs``, of the owner at
+    ``positions()`` (at its own index if ``None``), is ``known``: a
+    ``DanglingReference`` from ``referrer``, formatted with the owner's id."""
+    fault = lambda words, at, ref: DanglingReference(ref, words.format(owners[at].id))
+    return rule_rows(refs, ((known.issuperset, referrer),), fault, positions)
 
-    for _, bound, *_ in slots(p).values():
-        for dataset_id in bound:
-            if dataset_id not in dataset_ids:
-                raise DanglingReference(dataset_id, f"VR {vr.id} dataset binding")
-    if hasattr(p, "metric_id") and p.metric_id not in KNOWN_METRIC_IDS:
-        raise InvalidPayload(vr.id, f"unknown metric id {p.metric_id!r}")
-    fault = number_fault(p)
-    if fault:
-        raise InvalidPayload(vr.id, fault)
 
-    if isinstance(p, MetricGap) and p.dataset_id_a == p.dataset_id_b:
-        raise InvalidPayload(vr.id, f"the gap needs two different datasets, got {p.dataset_id_a!r} twice")
-    if isinstance(p, PerCondition):
-        if not p.conditions:
-            raise InvalidPayload(vr.id, "PerCondition needs at least one condition")
-        seen: set[str] = set()
-        for cond in p.conditions:
-            if cond.condition_id in seen:
-                raise InvalidPayload(vr.id, f"duplicate condition {cond.condition_id!r}")
-            seen.add(cond.condition_id)
-            fault = number_fault(cond)
-            if fault:
-                raise InvalidPayload(vr.id, f"condition {cond.condition_id!r}: {fault}")
-    if isinstance(p, QualitativeApproval):
-        documents = p.required_documents
-        for first, second in zip(documents, documents[1:]):
-            if first == second:
-                raise InvalidPayload(vr.id, f"duplicate document kind {first!r}")
+def _distinct(lists) -> bool:
+    """Whether no one of the tuples ``lists`` holds a value twice."""
+    lists = list(lists)
+    return all(map(eq, map(len, map(set, lists)), map(len, lists)))
+
+
+def _repeat(ids: tuple) -> str:
+    """The first id that the sorted ``ids`` holds twice."""
+    return next(first for first, second in zip(ids, ids[1:]) if first == second)
+
+
+def _once_rows(owners, name: str, kind: str) -> list:
+    """The row of the rule that the ``name`` list of each of ``owners``, of
+    ``kind``, names each id once."""
+    fault = lambda words, at, ids: DuplicateId(_repeat(ids), words.format(owners[at].id))
+    return rule_rows(list(map(attrgetter(name), owners)), ((_distinct, f"{kind} {{}} {name}"),), fault)
+
+
+def _tree_rows(parents: dict, name: str, kind: str, children: dict, child_kind: str) -> tuple[list, list]:
+    """The rows of the rule that the ``name`` lists of ``parents`` (by id),
+    of ``kind``, and the links of ``children`` to them agree, as ``(parent
+    id, child id)`` pairs: the row of the parents' lists, each child known
+    and naming that parent, and the row of the children, each parent known
+    and listing that child.  An unknown id is a ``DanglingReference``, a
+    link that the other side does not make an ``InvalidPayload``."""
+    parent = attrgetter(f"{kind}_id")
+    refs, positions = _refs(tuple(parents.values()), name)
+    listed = list(zip(map(list(parents).__getitem__, positions()), refs))
+    named = list(zip(map(parent, children.values()), children))
+
+    def unnamed(_, at: int, pair: tuple) -> LaiscError:
+        parent_id, child_id = pair
+        if child_id not in children:
+            return DanglingReference(child_id, f"{kind} {parent_id}")
+        declared = parent(children[child_id])
+        return InvalidPayload(child_id, f"listed under {kind} {parent_id} but declares {kind} {declared}")
+
+    def unlisted(_, at: int, pair: tuple) -> LaiscError:
+        parent_id, child_id = pair
+        if parent_id not in parents:
+            return DanglingReference(parent_id, f"{child_kind} {child_id}")
+        return InvalidPayload(child_id, f"not listed by its {kind} {parent_id}")
+
+    return (
+        rule_rows(listed, ((frozenset(named).issuperset, None),), unnamed, positions),
+        rule_rows(named, ((frozenset(listed).issuperset, None),), unlisted),
+    )
+
+
+def _rationales(concerns: list) -> bool:
+    """Whether each concern marked not relevant has a rationale."""
+    skipped = compress(concerns, map(not_, map(attrgetter("relevant"), concerns)))
+    return all(map(str.strip, map(attrgetter("relevance_rationale"), skipped)))
+
+
+def _condition_rows(payloads: list) -> list:
+    """The rows of the conditions of the PerCondition ``payloads``: each
+    id once in its payload, then the number rule of each; the error of a
+    fault is its words."""
+    lists = list(map(_CONDITIONS, payloads))
+    conditions = list(chain.from_iterable(lists))
+    owned = list(zip(chain.from_iterable(map(repeat, count(), map(len, lists))), map(_CONDITION_ID, conditions)))
+    named = lambda at: f"condition {conditions[at].condition_id!r}"
+    return [
+        unique_row(owned, lambda at, _: f"duplicate {named(at)}"),
+        *number_rows(Condition, conditions, None, lambda words, at: f"{named(at)}: {words}"),
+    ]
+
+
+def _two_datasets(gaps: list) -> bool:
+    return all(map(ne, map(attrgetter("dataset_id_a"), gaps), map(attrgetter("dataset_id_b"), gaps)))
+
+
+_METRIC, _CONDITIONS, _DOCUMENTS = map(attrgetter, ("metric_id", "conditions", "required_documents"))
+
+#: The rules of a VR payload, by class, that compare its fields with each
+#: other: a test over a list of payloads, and the words of one at fault.
+#: Of one PerCondition's conditions, the first at fault is named, and of
+#: one that repeats an id and breaks the number rule, the repeat.
+_KIND_RULES = {
+    MetricGap: ((_two_datasets, lambda gap: f"the gap needs two different datasets, got {gap.dataset_id_a!r} twice"),),
+    PerCondition: (
+        (lambda ps: all(map(len, map(_CONDITIONS, ps))), lambda _: "PerCondition needs at least one condition"),
+        (lambda ps: not first_fault(_condition_rows(ps)), lambda p: first_fault(_condition_rows([p]))[1]),
+    ),
+    QualitativeApproval: (
+        (lambda ps: _distinct(map(_DOCUMENTS, ps)), lambda p: f"duplicate document kind {_repeat(_DOCUMENTS(p))!r}"),
+    ),
+}
+#: The rule of a payload's ``metric_id``, which every kind that has one keeps.
+_METRIC_RULE = (
+    lambda ps: KNOWN_METRIC_IDS.issuperset(map(_METRIC, ps)), lambda p: f"unknown metric id {p.metric_id!r}"
+)
+
+
+def _payload_rows(cls: type, payloads: list, positions, vrs: tuple, dataset_ids: frozenset) -> list:
+    """The rows of ``payloads``, the VR payloads of class ``cls``, of the
+    VRs at ``positions()`` of ``vrs``, in order: each dataset that their
+    slots bind known, the metric known, the number rule, then the rules of
+    their kind."""
+    bound = [tuple(chain.from_iterable(map(itemgetter(1), slots(p).values()))) for p in payloads]
+    owners = lambda: chain.from_iterable(map(repeat, positions(), map(len, bound)))
+    rows = _known_rows(vrs, list(chain.from_iterable(bound)), owners, dataset_ids, "VR {} dataset binding")
+    fault = lambda words, at, payload: InvalidPayload(vrs[at].id, words(payload))
+    if hasattr(cls, "metric_id"):
+        rows += rule_rows(payloads, (_METRIC_RULE,), fault, positions)
+    rows += number_rows(cls, payloads, positions, lambda words, at: InvalidPayload(vrs[at].id, words))
+    return rows + rule_rows(payloads, _KIND_RULES.get(cls, ()), fault, positions)
 
 
 def _check_landscape(landscape: Landscape) -> None:
@@ -452,80 +543,56 @@ def _check_landscape(landscape: Landscape) -> None:
     :class:`InvalidPayload` on the first structural violation found, after
     a :class:`SchemaError` at the JSON path of a field that
     :func:`~laisc.codec.check_text` finds or of a dataset id that
-    :func:`~laisc.codec.check_ids` refuses.  Missing decomposition links (a
-    concern without goals, a VR without measures, a measure without a
-    stage) are allowed here; they surface through the coverage check
-    instead.
+    :func:`~laisc.codec.check_ids` refuses.  The phases run in order: ids,
+    the numbers of stages and concerns, stage orders, then concerns, goals,
+    VRs and measures, each one ``check_rows`` call over its collection, so
+    the first element at fault is named, and of its faults the first
+    rule's.  Missing decomposition links (a concern without goals, a VR
+    without measures, a measure without a stage) are allowed here; they
+    surface through the coverage check instead.
     """
     check_text([landscape], ("$",).__getitem__)
     check_ids([key for key, _ in landscape.datasets], lambda _, key: f"$.datasets.{key}")
     for collection in _COLLECTIONS:
-        _check_unique(map(attrgetter("id"), getattr(landscape, collection)), collection)
-    _check_unique(map(itemgetter(0), landscape.datasets), "datasets")
+        check_rows(_id_rows(list(map(_ID, getattr(landscape, collection))), collection))
+    check_rows(_id_rows(list(map(itemgetter(0), landscape.datasets)), "datasets"))
     # The number and bool fields outside the VR payloads: a stage's order, a concern's relevance.
-    for element in (*landscape.stages, *landscape.concerns):
-        fault = number_fault(element)
-        if fault:
-            raise InvalidPayload(element.id, fault)
+    for cls, items in ((LifecycleStage, landscape.stages), (SafetyConcern, landscape.concerns)):
+        check_rows(number_rows(cls, items, None, lambda words, at, items=items: InvalidPayload(items[at].id, words)))
 
     orders = [stage.order for stage in landscape.stages]
     if orders != list(range(len(orders))):
         raise InvalidPayload("stages", f"order values must be 0..{len(orders) - 1} without gaps, got {orders}")
 
     by_id = landscape._by_id
-    stage_ids, component_ids, mm_ids = by_id["stages"], by_id["components"], by_id["mitigation_measures"]
-    concern_index, goal_index, vr_index = by_id["concerns"], by_id["goals"], by_id["vrs"]
-    dataset_ids = landscape.dataset_ids()
-
-    for concern in landscape.concerns:
-        if not concern.relevant and not concern.relevance_rationale.strip():
-            raise InvalidPayload(concern.id, "a concern marked not relevant needs a rationale")
-        _check_listed_once(concern.component_ids, f"concern {concern.id} component_ids")
-        _check_listed_once(concern.goal_ids, f"concern {concern.id} goal_ids")
-        for component_id in concern.component_ids:
-            if component_id not in component_ids:
-                raise DanglingReference(component_id, f"concern {concern.id}")
-        for goal_id in concern.goal_ids:
-            if goal_id not in goal_index:
-                raise DanglingReference(goal_id, f"concern {concern.id}")
-            if goal_index[goal_id].concern_id != concern.id:
-                raise InvalidPayload(
-                    goal_id,
-                    f"listed under concern {concern.id} but declares concern {goal_index[goal_id].concern_id}",
-                )
-
+    known = {collection: frozenset(index) for collection, index in by_id.items()}
+    concerns, goals, vrs, measures = landscape.concerns, landscape.goals, landscape.vrs, landscape.mitigation_measures
     # Goals and VRs form a strict tree: each child has exactly one parent and
     # the parent's child list must agree with it.
-    for goal in landscape.goals:
-        if goal.concern_id not in concern_index:
-            raise DanglingReference(goal.concern_id, f"goal {goal.id}")
-        if goal.id not in concern_index[goal.concern_id].goal_ids:
-            raise InvalidPayload(goal.id, f"not listed by its concern {goal.concern_id}")
-        _check_listed_once(goal.vr_ids, f"goal {goal.id} vr_ids")
-        for vr_id in goal.vr_ids:
-            if vr_id not in vr_index:
-                raise DanglingReference(vr_id, f"goal {goal.id}")
-            if vr_index[vr_id].goal_id != goal.id:
-                raise InvalidPayload(
-                    vr_id, f"listed under goal {goal.id} but declares goal {vr_index[vr_id].goal_id}"
-                )
-
-    for vr in landscape.vrs:
-        if vr.goal_id not in goal_index:
-            raise DanglingReference(vr.goal_id, f"VR {vr.id}")
-        if vr.id not in goal_index[vr.goal_id].vr_ids:
-            raise InvalidPayload(vr.id, f"not listed by its goal {vr.goal_id}")
-        if vr.stage_id not in stage_ids:
-            raise DanglingReference(vr.stage_id, f"VR {vr.id}")
-        _check_listed_once(vr.mm_ids, f"VR {vr.id} mm_ids")
-        for mm_id in vr.mm_ids:
-            if mm_id not in mm_ids:
-                raise DanglingReference(mm_id, f"VR {vr.id}")
-        _check_payload(vr, dataset_ids)
-
-    for mm in landscape.mitigation_measures:
-        if mm.stage_id is not None and mm.stage_id not in stage_ids:
-            raise DanglingReference(mm.stage_id, f"mitigation measure {mm.id}")
+    goals_listed, goals_named = _tree_rows(by_id["concerns"], "goal_ids", "concern", by_id["goals"], "goal")
+    vrs_listed, vrs_named = _tree_rows(by_id["goals"], "vr_ids", "goal", by_id["vrs"], "VR")
+    rationale = ((_rationales, "a concern marked not relevant needs a rationale"),)
+    check_rows(
+        [
+            *rule_rows(concerns, rationale, lambda words, _, concern: InvalidPayload(concern.id, words)),
+            *_once_rows(concerns, "component_ids", "concern"),
+            *_once_rows(concerns, "goal_ids", "concern"),
+            *_known_rows(concerns, *_refs(concerns, "component_ids"), known["components"], "concern {}"),
+            *goals_listed,
+        ]
+    )
+    check_rows([*goals_named, *_once_rows(goals, "vr_ids", "goal"), *vrs_listed])
+    rows = [
+        *vrs_named,
+        *_known_rows(vrs, list(map(attrgetter("stage_id"), vrs)), None, known["stages"], "VR {}"),
+        *_once_rows(vrs, "mm_ids", "VR"),
+        *_known_rows(vrs, *_refs(vrs, "mm_ids"), known["mitigation_measures"], "VR {}"),
+    ]
+    for cls, group, positions in by_class(list(map(attrgetter("payload"), vrs))):
+        rows += _payload_rows(cls, group, positions, vrs, landscape.dataset_ids())
+    check_rows(rows)
+    stage_ids = list(map(attrgetter("stage_id"), measures))
+    check_rows(_known_rows(measures, stage_ids, None, known["stages"] | {None}, "mitigation measure {}"))
 
 
 # --- derived views -----------------------------------------------------------

@@ -470,7 +470,9 @@ def landscape_fault_oracle(parts: dict) -> None:
     orders = [stage.order for stage in land.stages]
     if orders != list(range(len(orders))):
         raise InvalidPayload("stages", f"order values must be 0..{len(orders) - 1} without gaps, got {orders}")
-    stage_ids, component_ids, mm_ids = ({e.id for e in getattr(land, c)} for c in ("stages", "components", "mitigation_measures"))
+    stage_ids = {stage.id for stage in land.stages}
+    component_ids = {component.id for component in land.components}
+    mm_ids = {mm.id for mm in land.mitigation_measures}
     concern_index, goal_index, vr_index = ({e.id: e for e in getattr(land, c)} for c in ("concerns", "goals", "vrs"))
     dataset_ids = {key for key, _ in land.datasets}
     for concern in land.concerns:

@@ -8,10 +8,10 @@ import random
 import re
 import sys
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timedelta, timezone
 from enum import Enum, IntEnum
-from functools import cache
+from functools import cache, partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +30,7 @@ from helpers import (
 )
 from laisc import codec, fixtures
 from laisc import io as laisc_io
-from laisc.codec import dump_canonical, from_node, number_fault, to_node
+from laisc.codec import dump_canonical, from_node, to_node
 from laisc.errors import (
     DanglingReference,
     DimensionMismatch,
@@ -82,6 +82,7 @@ from laisc.model import (
     Resolution,
     ReviewFraction,
     SafetyConcern,
+    SystemComponent,
     fingerprint,
 )
 from laisc.report import serialize_report
@@ -535,6 +536,13 @@ def test_valid_documents_never_fall_back_to_the_per_object_read(pair, monkeypatc
 
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
+
+def _number_fault(obj) -> str | None:
+    """The words of the first number rule that ``obj`` breaks, or ``None``:
+    the number rows of ``obj``'s class run over ``obj`` alone."""
+    found = codec.first_fault(codec.number_rows(type(obj), [obj], None, lambda words, _: words))
+    return found and found[1]
+
 #: JSON numbers and the values around the edges of the number rule.
 _NUMBERS = (
     st.booleans()
@@ -549,7 +557,7 @@ _NUMBERS = (
 @settings(max_examples=300, deadline=None)
 @given(_NUMBERS)
 def test_number_read_from_a_file_follows_the_rule_for_code(value):
-    """``from_node`` accepts a number exactly when ``number_fault`` accepts
+    """``from_node`` accepts a number exactly when the number rows accept
     the same value in an object built in code, for a float, an int and a
     bool field."""
     concern = {"id": "c", "name": "C", "description": "", "relevant": True, "relevance_rationale": "x"}
@@ -564,7 +572,7 @@ def test_number_read_from_a_file_follows_the_rule_for_code(value):
         except SchemaError as exc:
             assert str(exc).startswith(f"$.{name}: "), exc
             read = False
-        assert read == (number_fault(replace(from_node(cls, node, "$"), **{name: value})) is None), (cls, value)
+        assert read == (_number_fault(replace(from_node(cls, node, "$"), **{name: value})) is None), (cls, value)
 
 
 #: Objects of classes with number fields and bounds, each built around one number.
@@ -590,19 +598,19 @@ def _numbers_hold(objects: list) -> bool:
 @given(st.lists(st.tuples(st.sampled_from(_NUMBER_HOLDERS), _NUMBERS), max_size=6))
 def test_number_columns_follow_number_fault(drawn):
     """The column tests of the number rows pass a list of objects exactly
-    when ``number_fault`` finds no fault in any of them."""
+    when the same rows find no fault in any one of them alone."""
     objects = [build(value) for build, value in drawn]
-    assert _numbers_hold(objects) == all(number_fault(obj) is None for obj in objects)
+    assert _numbers_hold(objects) == all(_number_fault(obj) is None for obj in objects)
 
 
 def test_number_fault_names_the_first_field_then_its_first_rule():
     """A field's type comes before its bounds, so a bound never meets a
     value of another type, and the first field at fault is named."""
-    assert number_fault(GaussianNoise(-1.0, 1.5)) == "sigma must be >= 0, got -1.0"
-    assert number_fault(GaussianNoise(0.5, 1.5)) == "seed must be an integer, got 1.5"
-    assert number_fault(ReviewFraction("d", "0.5")) == "min_fraction must be a finite number, got '0.5'"
-    assert number_fault(ReviewFraction("d", 1.5)) == "min_fraction must be in [0, 1], got 1.5"
-    assert number_fault(ContrastScale(0)) == "factor must be > 0, got 0"
+    assert _number_fault(GaussianNoise(-1.0, 1.5)) == "sigma must be >= 0, got -1.0"
+    assert _number_fault(GaussianNoise(0.5, 1.5)) == "seed must be an integer, got 1.5"
+    assert _number_fault(ReviewFraction("d", "0.5")) == "min_fraction must be a finite number, got '0.5'"
+    assert _number_fault(ReviewFraction("d", 1.5)) == "min_fraction must be in [0, 1], got 1.5"
+    assert _number_fault(ContrastScale(0)) == "factor must be > 0, got 0"
     assert not _numbers_hold([ReviewFraction("d", 0.5), ReviewFraction("d", "0.5")])
 
 
@@ -854,6 +862,16 @@ _CODE_BUILT_RECORDS = {
         SchemaError,
         "$.records[1].payload.dataset_ids: expected string without a lone surrogate, got ('ds-a', 'd\\udfff')",
     ),
+    "no dataset ids": (
+        record("r1", "v1", MetricResult("miou", None, 0.5), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.dataset_ids: expected list of strings, got None",
+    ),
+    "int flag entry": (
+        record("r1", "v1", FlagResolutionLog("ds-a", ("i1",), (5,)), "sha256:x"),
+        SchemaError,
+        "$.records[1].payload.entries[0]: expected FlagEntry, got 'int'",
+    ),
 }
 
 
@@ -979,6 +997,12 @@ def test_bundle_with_two_faults_names_the_first(records, error, message):
     assert str(caught.value) == message
 
 
+def test_bundle_without_a_record_list_is_refused_at_its_path():
+    with pytest.raises(SchemaError) as caught:
+        EvidenceBundle(None)
+    assert str(caught.value) == "$.records: expected list, got None"
+
+
 def test_bundle_source_keeps_the_text_rule():
     with pytest.raises(SchemaError) as caught:
         EvidenceBundle((), source=5)
@@ -1100,11 +1124,54 @@ _NON_TEXT_FIELDS = {
         None,
         "$.datasets.b\ud800: expected string without a lone surrogate, got 'b\\ud800'",
     ),
+    # A value of the wrong shape that no sort or conversion takes is kept as
+    # given, so the text rule names it, and the ids of mixed types keep
+    # their order.
+    "no measure list": (
+        lambda land: replace(land, vrs=_with(land.vrs, 0, mm_ids=None)),
+        lambda node: node["vrs"][0].update(mm_ids=None),
+        "$.vrs[0].mm_ids: expected list of strings, got None",
+    ),
+    "int among a goal's VR ids": (
+        lambda land: replace(land, goals=_with(land.goals, 0, vr_ids=(1, "a"))),
+        None,
+        "$.goals[0].vr_ids: expected list of strings, got (1, 'a')",
+    ),
+    "no goal list": (
+        lambda land: replace(land, concerns=_with(land.concerns, 0, goal_ids=None)),
+        lambda node: node["concerns"][0].update(goal_ids=None),
+        "$.concerns[0].goal_ids: expected list of strings, got None",
+    ),
+    "int component id among strings": (
+        lambda land: replace(land, components=(*land.components, SystemComponent(5, "Camera"))),
+        lambda node: node["components"].append({"id": 5, "name": "Camera", "description": ""}),
+        "$.components[1].id: expected string, got 5",
+    ),
+    "no VR list": (
+        lambda land: replace(land, vrs=None),
+        lambda node: node.update(vrs=None),
+        "$.vrs: expected list, got None",
+    ),
+    "no datasets": (lambda land: replace(land, datasets=None), None, "$.datasets: expected object, got None"),
+    "no conditions": (
+        lambda land: replace(land, vrs=_replace_payload(land.vrs, 8, conditions=None)),
+        lambda node: node["vrs"][8]["payload"].update(conditions=None),
+        "$.vrs[8].payload.conditions: expected list, got None",
+    ),
+    "int among required documents": (
+        lambda land: replace(land, vrs=_with_payload(land.vrs, 0, QualitativeApproval(1, (1, "a")))),
+        None,
+        "$.vrs[0].payload.required_documents: expected list of strings, got (1, 'a')",
+    ),
 }
 
 
+def _with(items, index: int, **changes):
+    return (*items[:index], replace(items[index], **changes), *items[index + 1 :])
+
+
 def _with_payload(vrs, index: int, payload):
-    return (*vrs[:index], replace(vrs[index], payload=payload), *vrs[index + 1 :])
+    return _with(vrs, index, payload=payload)
 
 
 def _replace_payload(vrs, index: int, **changes):
@@ -1128,6 +1195,65 @@ def test_landscape_refuses_a_non_text_value_where_its_reader_would(make, edit, m
         with pytest.raises(SchemaError) as caught:
             parse_landscape(json.dumps(node))
         assert str(caught.value) == message.replace("('miou',)", "['miou']")
+
+
+def _field_setters(obj, path: str, rebuild):
+    """``(JSON path, set)`` for each field of the record ``obj`` at
+    ``path``, and of each record that it holds: ``set(value)`` builds the
+    document again with that one field set to ``value``, by ``replace``
+    from the field's owner up to ``rebuild``, which takes the new owner."""
+    for f in fields(obj):
+        value, at = getattr(obj, f.name), f"{path}.{f.name}"
+
+        def set_field(new, name=f.name):
+            return rebuild(replace(obj, **{name: new}))
+
+        yield at, set_field
+        if is_dataclass(value):
+            yield from _field_setters(value, at, set_field)
+        elif isinstance(value, tuple):
+            for k, item in enumerate(value):
+                def set_item(new, k=k, value=value, set_field=set_field, key=None):
+                    return set_field((*value[:k], new if key is None else (key, new), *value[k + 1 :]))
+
+                if is_dataclass(item):
+                    yield from _field_setters(item, f"{at}[{k}]", set_item)
+                elif isinstance(item, tuple) and is_dataclass(item[-1]):  # (id, element) pairs
+                    yield from _field_setters(item[1], f"{at}.{item[0]}", partial(set_item, key=item[0]))
+
+
+_DOCUMENTS = (
+    (parse_landscape(FIXTURE_TEXT), serialize_landscape, parse_landscape, DocumentRecord("safety-case")),
+    (parse_evidence(EVIDENCE_TEXT), serialize_evidence, parse_evidence, MetricThreshold("miou", "d", Comparator.GE, 0.5)),
+)
+#: Every field reachable from the two documents: ``(path, set, serialize,
+#: parse, a payload of the other document)``.
+_FIELD_SETTERS = [
+    (path, set_field, serialize, parse, other)
+    for root, serialize, parse, other in _DOCUMENTS
+    for path, set_field in _field_setters(root, "$", lambda new: new)
+]
+_INDEX = re.compile(r"\[\d+\]")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(_FIELD_SETTERS), st.integers(0, 6))
+def test_a_wrong_shape_in_any_field_is_refused_at_its_path_or_round_trips(setter, drawn):
+    """A field of either document set to a value of a wrong shape either
+    gives a ``LaiscError``, a ``SchemaError`` at the field's JSON path (or,
+    for a rule that compares it with a sibling or a payload's ``kind``, at
+    its owner's; a collection sorted by id may move the element), or gives
+    a document that is written and read back equal."""
+    path, set_field, serialize, parse, other = setter
+    wrong = (None, [7], 7, True, _Text("x"), "a\ud800", other)[drawn]
+    try:
+        built = set_field(wrong)
+    except LaiscError as exc:
+        if isinstance(exc, SchemaError):
+            owner = _INDEX.sub("[]", path.rsplit(".", 1)[0])
+            assert _INDEX.sub("[]", str(exc)).startswith(f"{owner}."), (path, exc)
+        return
+    assert parse(serialize(built)) == built
 
 
 def _drop(items, item):
