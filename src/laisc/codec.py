@@ -210,8 +210,11 @@ def as_tuple(values, key=None, *, sort: bool = True):
     """``values`` as a tuple, sorted by ``key`` if ``sort``: how a record
     stores a collection field in its ``__post_init__``.  Values that do not
     sort (ids of mixed types) keep their order, and a value that is not
-    iterable (``None``) is kept as it is, so the self-check refuses it at
-    its JSON path rather than the sort raising a bare ``TypeError``."""
+    iterable (``None``) or is a string, which would split into characters,
+    is kept as it is, so the self-check refuses it at its JSON path rather
+    than the sort raising a bare ``TypeError``."""
+    if isinstance(values, str):
+        return values
     try:
         return tuple(sorted(values, key=key) if sort else values)
     except (TypeError, AttributeError):

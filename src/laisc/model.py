@@ -495,6 +495,7 @@ def _condition_rows(payloads: list) -> list:
 
 
 def _two_datasets(gaps: list) -> bool:
+    """Whether each MetricGap of ``gaps`` binds two different datasets."""
     return all(map(ne, map(attrgetter("dataset_id_a"), gaps), map(attrgetter("dataset_id_b"), gaps)))
 
 
@@ -588,8 +589,9 @@ def _check_landscape(landscape: Landscape) -> None:
         *_once_rows(vrs, "mm_ids", "VR"),
         *_known_rows(vrs, *_refs(vrs, "mm_ids"), known["mitigation_measures"], "VR {}"),
     ]
+    dataset_ids = landscape.dataset_ids()
     for cls, group, positions in by_class(list(map(attrgetter("payload"), vrs))):
-        rows += _payload_rows(cls, group, positions, vrs, landscape.dataset_ids())
+        rows += _payload_rows(cls, group, positions, vrs, dataset_ids)
     check_rows(rows)
     stage_ids = list(map(attrgetter("stage_id"), measures))
     check_rows(_known_rows(measures, stage_ids, None, known["stages"] | {None}, "mitigation measure {}"))

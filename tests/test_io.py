@@ -1132,6 +1132,11 @@ _NON_TEXT_FIELDS = {
         lambda node: node["vrs"][0].update(mm_ids=None),
         "$.vrs[0].mm_ids: expected list of strings, got None",
     ),
+    "string for a measure list": (
+        lambda land: replace(land, vrs=_with(land.vrs, 0, mm_ids="mm-labeling-guidelines")),
+        lambda node: node["vrs"][0].update(mm_ids="mm-labeling-guidelines"),
+        "$.vrs[0].mm_ids: expected list of strings, got 'mm-labeling-guidelines'",
+    ),
     "int among a goal's VR ids": (
         lambda land: replace(land, goals=_with(land.goals, 0, vr_ids=(1, "a"))),
         None,

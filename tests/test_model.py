@@ -221,13 +221,14 @@ def _payload_at(vrs, index: int, **changes) -> tuple:
     return _at(vrs, index, payload=replace(vrs[index].payload, **changes))
 
 
-def _conditions(*edits) -> tuple:
-    """The fixture's VR3.2 conditions: the first three, each with its ``edits`` entry's changes."""
+def _conditions(*edits: dict) -> tuple:
+    """The first ``len(edits)`` of the fixture's VR3.2 conditions, each
+    changed by its ``edits`` entry (``_SAME`` for none)."""
     first = fixtures.track_detector_landscape().vrs[8].payload.conditions
     return tuple(replace(condition, **changes) for condition, changes in zip(first, edits))
 
 
-_SAME = {}
+_SAME: dict = {}
 
 #: Edits of the fixture landscape with two faults, and the refusal.  The
 #: phases run in order (text and dataset ids, ids, numbers, stage orders,
