@@ -731,10 +731,7 @@ def _held_items(holding, value) -> list[tuple]:
 
 def _pair_tuples(values: list) -> bool:
     """Whether each of ``values`` is a tuple of 2-tuples."""
-    if not set(map(type, values)) <= _TUPLE:
-        return False
-    pairs = list(chain.from_iterable(values))
-    return set(map(type, pairs)) <= _TUPLE and set(map(len, pairs)) <= {2}
+    return _of_types(_TUPLE, values) and all(type(pair) is tuple and len(pair) == 2 for pair in chain(*values))
 
 
 #: The rule of the container of a field that holds dataclasses as a tuple

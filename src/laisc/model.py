@@ -306,9 +306,9 @@ class Landscape:
         # Collections are stored in canonical order (stages by rank, the rest
         # by id) so construction order never leaks into equality or output.
         # ``datasets`` may also be given as a dict.
-        object.__setattr__(self, "stages", as_tuple(self.stages, attrgetter("order", "id")))
-        for collection in _COLLECTIONS[1:]:
-            object.__setattr__(self, collection, as_tuple(getattr(self, collection), _ID))
+        for collection in _COLLECTIONS:
+            key = attrgetter("order", "id") if collection == "stages" else _ID
+            object.__setattr__(self, collection, as_tuple(getattr(self, collection), key))
         pairs = self.datasets.items() if isinstance(self.datasets, dict) else self.datasets
         object.__setattr__(self, "datasets", as_tuple(pairs, itemgetter(0)))
         _check_landscape(self)
