@@ -380,9 +380,6 @@ def fingerprint_oracle(landscape: Landscape) -> str:
     return f"sha256:{hashlib.sha256(text.encode('utf-8')).hexdigest()}"
 
 
-# --- grid generators ---------------------------------------------------------
-
-
 # --- landscape structure ----------------------------------------------------------
 
 
@@ -516,6 +513,9 @@ def landscape_fault_oracle(parts: dict) -> None:
     for mm in land.mitigation_measures:
         if mm.stage_id is not None and mm.stage_id not in stage_ids:
             raise DanglingReference(mm.stage_id, f"mitigation measure {mm.id}")
+
+
+# --- grid generators ---------------------------------------------------------
 
 
 def random_mask(rng: random.Random, max_side: int = 8) -> LabeledGrid:
