@@ -60,8 +60,8 @@ that fails is searched by the same tests run on one value at a time
 named is the one at the lowest index, of the first rule there.  The rows
 are:
 
-* the number rule of a number or ``bool`` field (``number_rows``, the
-  one driver of it, over a list of objects or over one): its exact type,
+* the number rule of a number or ``bool`` field (``number_rows``, which
+  alone runs it, over a list of objects or over one): its exact type,
   then the inclusive ``min`` and ``max`` and the exclusive ``above``
   bound that it declares in its ``field(metadata=...)``;
 * the text rule (``check_text``): a field declared ``str``, ``str |
