@@ -9,8 +9,12 @@ generated.
 
 ``to_node`` writes a dataclass as a JSON object with one key per field,
 and ``from_node`` reads one back, checking each value against its field's
-annotation.  One table, ``_shape``, maps an annotation to the column that
-reads it, the function that writes it and the words of a refusal:
+annotation.  One table, ``_shape``, has a row for each annotation that a
+field may have: the column that reads it, the function that writes it,
+the words of a refusal, the self-check's text rules, the number rule's
+type test and its words, and how the field holds dataclasses.
+``_plan`` reads each field's row once; an annotation with no row fails
+there, naming the field.  The annotations with a row:
 
 * ``str``, ``int``, ``bool`` and ``str | None`` are written as they are;
   ``float`` goes through ``float()``, so a threshold of ``1`` and one of
@@ -24,9 +28,11 @@ reads it, the function that writes it and the words of a refusal:
   ``payload``) is an object with a sibling ``kind`` key naming its class.
 
 A field has one reader, its column, which checks that field of every
-object in a list with one C-level pass per rule.  A payload column is
-read per ``kind``, and nested lists and objects as one flattened column;
-every object is then built with one ``map(cls, *columns)``.  ``from_node``
+object in a list with one C-level pass per rule; a scalar column runs its
+row's type test, the test that the self-check's rule of the field runs.
+A payload column is read per ``kind``, and nested lists and objects as
+one flattened column; every object is then built with one ``map(cls,
+*columns)``.  ``from_node``
 runs the same columns over one object.  If a column or a constructor
 refuses a value of a list, the list is read again object by object with
 ``from_node``, which names the JSON path of the first fault in document
@@ -62,15 +68,16 @@ are:
 
 * the number rule of a number or ``bool`` field (``number_rows``, which
   alone runs it, over a list of objects or over one): its exact type,
-  then the inclusive ``min`` and ``max`` and the exclusive ``above``
-  bound that it declares in its ``field(metadata=...)``;
-* the text rule (``check_text``): a field declared ``str``, ``str |
-  None`` or ``tuple[str, ...]`` holds exact ``str`` values, as its column
-  takes them from a file, and no lone surrogate, which no UTF-8 writer
-  can write and ``load_json`` refuses (``_SURROGATE``); an ``Enum`` field
-  holds a member of its ``Enum``; ``check_ids`` holds the ids of a
-  table's rows and the keys of ``Landscape.datasets`` to the rules of a
-  ``str`` field;
+  by the type test of its ``_shape`` row, then the inclusive ``min`` and
+  ``max`` and the exclusive ``above`` bound that it declares in its
+  ``field(metadata=...)``; a bound over no values holds;
+* the text rule (``check_text``, from the ``_shape`` rows): a field
+  declared ``str``, ``str | None`` or ``tuple[str, ...]`` holds exact
+  ``str`` values, as its column takes them from a file, and no lone
+  surrogate, which no UTF-8 writer can write and ``load_json`` refuses
+  (``_SURROGATE``); an ``Enum`` field holds a member of its ``Enum``;
+  ``check_ids`` holds the ids of a table's rows and the keys of
+  ``Landscape.datasets`` to the rules of a ``str`` field;
 * the shape rule (``check_text``): a payload holds one of its union's
   classes, worded as the reader's refusal of its ``kind``, a tuple of
   dataclasses is a tuple of its item class only, and ``(id, dataclass)``
@@ -447,30 +454,23 @@ def are_numbers(values: list) -> bool:
     return types <= NUMBER_TYPES and all(map(float_info.max.__ge__, map(abs, values)))
 
 
-def _typed(types: frozenset[type], nodes: list, key: str, where=None) -> list:
-    """The values at ``key``, if each is of one of the exact ``types``."""
+def _of_types(types: frozenset[type], values) -> bool:
+    return set(map(type, values)) <= types
+
+
+def _strings(containers: frozenset[type], values) -> bool:
+    """Whether each of ``values`` is of one of the exact ``containers`` and
+    holds exact ``str`` values only."""
+    return _of_types(containers, values) and _of_types(_STR, chain.from_iterable(values))
+
+
+def _column(test, convert, nodes: list, key: str, where=None) -> list:
+    """The values at ``key``, converted by ``convert`` (kept as they are if
+    it is ``None``), if ``test`` holds of them: a scalar field's column."""
     values = list(map(itemgetter(key), nodes))
-    if set(map(type, values)) <= types:
-        return values
+    if test(values):
+        return values if convert is None else list(map(convert, values))
     raise _Irregular
-
-
-def _nums(nodes: list, key: str, where=None) -> list[float]:
-    values = list(map(itemgetter(key), nodes))
-    if are_numbers(values):
-        return list(map(float, values))
-    raise _Irregular
-
-
-def _strs_column(nodes: list, key: str, where=None) -> list[tuple[str, ...]]:
-    lists = _typed(_LIST, nodes, key)
-    if set(map(type, chain.from_iterable(lists))) <= _STR:
-        return list(map(tuple, lists))
-    raise _Irregular
-
-
-def _timestamps(nodes: list, key: str, where=None) -> list[datetime]:
-    return list(map(parse_timestamp, _typed(_STR, nodes, key)))
 
 
 def _first(values: list, fails) -> tuple[int, object]:
@@ -518,7 +518,7 @@ def _flat_where(where, key: str, groups: list, label):
 def _items_column(cls: type, nodes: list, key: str, where) -> list[tuple]:
     """Each node's list at ``key``, read as one flattened column of ``cls``
     objects and cut back to the lists' lengths."""
-    lists = _typed(_LIST, nodes, key)
+    lists = _column(partial(_of_types, _LIST), None, nodes, key)
     at = _flat_where(where, key, lists, lambda _, k: f"[{k}]")
     objects = iter(_objects(cls, list(chain.from_iterable(lists)), at))
     return list(map(tuple, map(islice, repeat(objects), map(len, lists))))
@@ -536,7 +536,7 @@ def _keyed_column(cls: type, nodes: list, key: str, where) -> list[tuple]:
 def _measured_column(nodes: list, key: str, where) -> list[tuple]:
     """Each node's object at ``key`` as ``(name, number)`` pairs: every
     name of it read as a ``float`` field."""
-    column, _, expected = _SCALARS[float]
+    column, _, expected, *_ = _SCALARS[float]
     return [
         tuple((name, _field(column, expected, value, name, lambda _, i=i: f"{where(i)}.{key}")) for name in value)
         for i, value in enumerate(_maps(nodes, key, where))
@@ -572,33 +572,60 @@ def _objects(cls: type, nodes: list, where) -> list:
     return [from_node(cls, node, where(index)) for index, node in enumerate(nodes)]
 
 
-# --- the shape table ---------------------------------------------------------------
+# --- the shape table: one row per field annotation ------------------------------------
 
 
-#: ``(column, write, expected)`` for each scalar annotation; see ``_shape``.
+def _no_surrogate(texts, values: list) -> bool:
+    """Whether the strings ``texts(values)``, joined, hold no surrogate code
+    point, which no UTF-8 writer can encode (``load_json`` refuses one);
+    ASCII text passes one C-level test."""
+    text = "".join(texts(values))
+    return text.isascii() or not _SURROGATE.search(text)
+
+
+def _pair_tuples(values: list) -> bool:
+    """Whether each of ``values`` is a tuple of 2-tuples."""
+    return _of_types(_TUPLE, values) and all(type(pair) is tuple and len(pair) == 2 for pair in chain(*values))
+
+
+_STR_TEST, _OPTIONAL_STR_TEST = partial(_of_types, _STR), partial(_of_types, frozenset({str, type(None)}))
+_STR_LISTS, _STR_TUPLES = partial(_strings, _LIST), partial(_strings, _TUPLE)
+_PRESENT = partial(filter, None)  # the strings of a ``str | None`` column
+
+#: The row of each scalar annotation (see ``_shape``), from ``(test,
+#: convert, write, expected, text, kind)``.  The column keeps the values
+#: that ``test`` passes, converted by ``convert``.  A text field's ``text``
+#: is its self-check's type test, of the types built in code, and the
+#: function that gives the strings of its values; a number or ``bool``
+#: field's number rule runs ``test`` itself, and its words call the type
+#: ``kind``.  A timestamp column looks ``parse_timestamp`` up each time it
+#: runs, as the module's other calls of it do.
 _SCALARS = {
-    str: (partial(_typed, _STR), None, "string"),
-    int: (partial(_typed, frozenset({int})), None, "integer"),
-    bool: (partial(_typed, frozenset({bool})), None, "boolean"),
-    float: (_nums, float, "finite number"),
-    str | None: (partial(_typed, frozenset({str, type(None)})), None, "string or null"),
-    tuple[str, ...]: (_strs_column, list, "list of strings"),
-    datetime: (_timestamps, format_timestamp, "string"),
+    annotation: (
+        partial(_column, test, convert),
+        write,
+        expected,
+        ((text[0], expected), (partial(_no_surrogate, text[1]), "string without a lone surrogate")) if text else (),
+        (test, kind) if kind else None,
+        None,
+    )
+    for annotation, test, convert, write, expected, text, kind in (
+        (str, _STR_TEST, None, None, "string", (_STR_TEST, iter), None),
+        (int, partial(_of_types, frozenset({int})), None, None, "integer", None, "an integer"),
+        (bool, partial(_of_types, frozenset({bool})), None, None, "boolean", None, "a boolean"),
+        (float, are_numbers, float, float, "finite number", None, "a finite number"),
+        (str | None, _OPTIONAL_STR_TEST, None, None, "string or null", (_OPTIONAL_STR_TEST, _PRESENT), None),
+        (tuple[str, ...], _STR_LISTS, tuple, list, "list of strings", (_STR_TUPLES, chain.from_iterable), None),
+        (datetime, _STR_TEST, lambda text: parse_timestamp(text), format_timestamp, "string", None, None),
+    )
 }
 
 
-def _union_classes(annotation) -> tuple[type, ...]:
-    """The members of an annotation that is a union of dataclasses, else ``()``."""
-    members = get_args(annotation) if isinstance(annotation, UnionType) else ()
-    return members if members and all(is_dataclass(member) for member in members) else ()
-
-
-def _is_enum(annotation) -> bool:
-    return isinstance(annotation, type) and issubclass(annotation, Enum)
-
-
-def _shape(annotation):
-    """``(column, write, expected)`` for a field declared as ``annotation``.
+def _shape(annotation) -> tuple | None:
+    """The row of a field declared as ``annotation``, or ``None`` if the
+    table has none; a row is ``(column, write, expected, rules, number,
+    holding)``, and the reader, the writer and the self-checks read the
+    field's rule from it alone.
 
     ``column(nodes, key, where)`` returns the checked values of
     ``node[key]`` for every object of a list, ``nodes[i]`` being at the
@@ -606,21 +633,42 @@ def _shape(annotation):
     without one words its own faults (a bad time, an unknown member, a
     ``kind`` or a value that is not an object).  ``write(value)`` returns
     the JSON value, and a ``write`` of ``None`` keeps the value as it is.
+    ``rules`` are the ``(test, words)`` rules of ``check_text``: a text
+    field's exact types and no lone surrogate, an ``Enum`` field's
+    members, the container of a field that holds dataclasses.  ``number``
+    is ``(test, kind)`` for a number or ``bool`` field, the type test of
+    its number rule and what the rule's words call the type, else
+    ``None``.  ``holding`` is ``(how, classes, expected)`` for a field
+    that holds dataclasses, else ``None``: ``how`` is ``"one"`` (a union of
+    dataclasses), ``"list"`` (a tuple of them) or ``"keyed"`` (``(id,
+    dataclass)`` pairs), ``classes`` what it may hold, and ``expected`` the
+    reader's words for another class.
     """
     if annotation in _SCALARS:
         return _SCALARS[annotation]
-    if _is_enum(annotation):
-        return partial(_members, {member.value: member for member in annotation}), attrgetter("value"), None
-    classes = _union_classes(annotation)
-    if classes:
-        return partial(_kind_named_column, {cls.__name__: cls for cls in classes}), to_node, None
-    item = get_args(annotation)[0]  # the remaining annotations are tuple[item, ...]
+    if isinstance(annotation, type) and issubclass(annotation, Enum):
+        members = {member.value: member for member in annotation}
+        rules = ((partial(_of_types, frozenset({annotation})), _one_of(members)),)
+        return partial(_members, members), attrgetter("value"), None, rules, None, None
+    classes = get_args(annotation) if isinstance(annotation, UnionType) else ()
+    if classes and all(map(is_dataclass, classes)):  # a union of dataclasses
+        holding = "one", frozenset(classes), _one_of(cls.__name__ for cls in classes)
+        return partial(_kind_named_column, {cls.__name__: cls for cls in classes}), to_node, None, (), None, holding
+    args = get_args(annotation) if get_origin(annotation) is tuple else ()
+    item = args[0] if args[1:] == (Ellipsis,) else None  # the item of tuple[item, ...]
     if item == tuple[str, float]:  # (name, number) pairs, written as an object
-        return _measured_column, dict, None
-    if get_origin(item) is tuple:  # (id, element) pairs
-        column = partial(_keyed_column, get_args(item)[1])
-        return column, lambda pairs: {key: to_node(element) for key, element in pairs}, None
-    return partial(_items_column, item), lambda values: [to_node(value) for value in values], "list"
+        return _measured_column, dict, None, (), None, None
+    pair = get_args(item) if get_origin(item) is tuple else ()
+    if len(pair) == 2 and is_dataclass(pair[1]):  # (id, element) pairs, written as an object
+        cls = pair[1]
+        write = lambda pairs: {key: to_node(element) for key, element in pairs}  # noqa: E731
+        holding = "keyed", frozenset({cls}), cls.__name__
+        return partial(_keyed_column, cls), write, None, ((_pair_tuples, "object"),), None, holding
+    if is_dataclass(item):
+        write = lambda values: [to_node(value) for value in values]  # noqa: E731
+        rules = ((partial(_of_types, _TUPLE), "list"),)
+        return partial(_items_column, item), write, "list", rules, None, ("list", frozenset({item}), item.__name__)
+    return None
 
 
 # --- rules: one row per self-check rule --------------------------------------------
@@ -630,33 +678,23 @@ def _shape(annotation):
 # a one-value list whether that value does, so a list that fails is searched
 # by the rule's own test.  The rules of one field run in order, each only
 # where those before it hold: a bound never meets a value of another type.
-
-
-def _of_types(types: frozenset[type], values) -> bool:
-    return set(map(type, values)) <= types
+# A bound over no values holds.
 
 
 def _within(low, high, values: list) -> bool:
-    return (low is None or min(values) >= low) and (high is None or max(values) <= high)
+    return (low is None or min(values, default=low) >= low) and (high is None or max(values, default=high) <= high)
 
 
 def _above(bound, values: list) -> bool:
-    return min(values) > bound
+    return min(values, default=math.inf) > bound
 
 
-#: The type test of a number or ``bool`` field, and what its words call the type.
-_NUMBER_TYPES = {
-    int: (partial(_of_types, frozenset({int})), "an integer"),
-    float: (are_numbers, "a finite number"),
-    bool: (partial(_of_types, frozenset({bool})), "a boolean"),
-}
-
-
-def _number_rules(name: str, annotation: type, metadata) -> tuple:
-    """The rules of the number or ``bool`` field ``name``: its type, then
-    the inclusive ``min`` and ``max`` and the exclusive ``above`` bound of
-    its ``metadata``; ``words`` is formatted with the value at fault."""
-    test, kind = _NUMBER_TYPES[annotation]
+def _number_rules(name: str, number: tuple, metadata) -> tuple:
+    """The rules of the number or ``bool`` field ``name``, ``number`` its
+    row's ``(test, kind)``: its type, then the inclusive ``min`` and ``max``
+    and the exclusive ``above`` bound of its ``metadata``; ``words`` is
+    formatted with the value at fault."""
+    test, kind = number
     rules = [(test, f"{name} must be {kind}, got {{!r}}")]
     low, high, above = metadata.get("min"), metadata.get("max"), metadata.get("above")
     if low is not None or high is not None:
@@ -665,47 +703,6 @@ def _number_rules(name: str, annotation: type, metadata) -> tuple:
     if above is not None:
         rules.append((partial(_above, above), f"{name} must be > {above}, got {{!r}}"))
     return tuple(rules)
-
-
-def _str_tuples(values: list) -> bool:
-    return set(map(type, values)) <= _TUPLE and set(map(type, chain.from_iterable(values))) <= _STR
-
-
-def _no_surrogate(join, values: list) -> bool:
-    """Whether the text that ``join`` makes of ``values`` holds no surrogate
-    code point, which no UTF-8 writer can encode (``load_json`` refuses
-    one); ASCII text passes one C-level test."""
-    text = join(values)
-    return text.isascii() or not _SURROGATE.search(text)
-
-
-#: The rules of a text field, by its annotation: the exact types that its
-#: column takes from a file, so a ``str`` subclass is none, in the column's
-#: words, then no lone surrogate in the text its values join into.
-_TEXT_RULES = {
-    annotation: ((test, _SCALARS[annotation][2]), (partial(_no_surrogate, join), "string without a lone surrogate"))
-    for annotation, test, join in (
-        (str, partial(_of_types, _STR), "".join),
-        (str | None, partial(_of_types, frozenset({str, type(None)})), lambda values: "".join(filter(None, values))),
-        (tuple[str, ...], _str_tuples, lambda values: "".join(chain.from_iterable(values))),
-    )
-}
-
-
-def _holding(annotation) -> tuple | None:
-    """How a field declared as ``annotation`` holds dataclasses, as ``(how,
-    classes, expected)``, or ``None``: ``how`` is ``"one"`` (a union of
-    dataclasses), ``"list"`` (a tuple of them) or ``"keyed"`` (``(id,
-    dataclass)`` pairs), ``classes`` what it may hold, and ``expected`` the
-    reader's words for another class."""
-    classes = _union_classes(annotation)
-    if classes:
-        return "one", frozenset(classes), _one_of(cls.__name__ for cls in classes)
-    if get_origin(annotation) is not tuple or annotation in _SCALARS:
-        return None
-    item = get_args(annotation)[0]
-    how, item = ("keyed", get_args(item)[1]) if get_origin(item) is tuple else ("list", item)
-    return (how, frozenset({item}), item.__name__) if is_dataclass(item) else None
 
 
 def _held(how: str, values) -> list:
@@ -729,46 +726,32 @@ def _held_items(holding, value) -> list[tuple]:
     return [(f".{key}", item) for key, item in value] if how else []
 
 
-def _pair_tuples(values: list) -> bool:
-    """Whether each of ``values`` is a tuple of 2-tuples."""
-    return _of_types(_TUPLE, values) and all(type(pair) is tuple and len(pair) == 2 for pair in chain(*values))
-
-
-#: The rule of the container of a field that holds dataclasses as a tuple
-#: (a JSON list) or as ``(id, dataclass)`` pairs (a JSON object), in the
-#: words of its column.
-_CONTAINER_RULES = {"list": ((partial(_of_types, _TUPLE), "list"),), "keyed": ((_pair_tuples, "object"),)}
-
-
 @cache
 def _plan(cls: type) -> tuple[frozenset[str], tuple, tuple, tuple, tuple]:
-    """The JSON keys of ``cls``, a ``(key, field name, write)`` triple per
-    key, a ``(field name, rules)`` row per number or ``bool`` field, a
+    """What the reader, the writer and the self-checks do with ``cls``,
+    from each field's ``_shape`` row, read once: the JSON keys of ``cls``,
+    a ``(key, field name, write)`` triple per key, a ``(field name,
+    rules)`` row per number or ``bool`` field (its number rule), a
     ``(field name, column, expected)`` row per field, and a ``(field name,
-    rules, holding)`` row per text or ``Enum`` field (``holding`` is
-    ``None``) and per field that holds dataclasses (``rules`` is the rule
-    of its container, if it has one, and ``holding`` is ``_holding``'s).
-    A field typed as a union of dataclasses adds the ``kind`` key: written
-    from the field value's class, and checked by the field's column."""
+    rules, holding)`` row per field with text rules or that holds
+    dataclasses.  A field that holds one of a union of dataclasses adds
+    the ``kind`` key: written from the field value's class, and checked by
+    the field's column.  A field whose annotation has no row fails an
+    assertion that names it."""
     hints = get_type_hints(cls)
     writes, numbers, columns, texts = [], [], [], []
     for f in fields(cls):
         # from_node and _objects pass the values positionally, in field order.
         assert f.init and not f.kw_only, f"{cls.__name__}.{f.name} is not a positional __init__ field"
-        annotation = hints[f.name]
-        column, write, expected = _shape(annotation)
-        holding = _holding(annotation)
+        shape = _shape(hints[f.name])
+        assert shape, f"{cls.__name__}.{f.name}: codec has no row for the annotation {hints[f.name]}"
+        column, write, expected, rules, number, holding = shape
         if holding and holding[0] == "one":
             writes.append(("kind", f.name, attrgetter("__class__.__name__")))
-        if annotation in _NUMBER_TYPES:
-            numbers.append((f.name, _number_rules(f.name, annotation, f.metadata)))
-        if annotation in _TEXT_RULES:
-            texts.append((f.name, _TEXT_RULES[annotation], None))
-        elif _is_enum(annotation):
-            members = _one_of(member.value for member in annotation)
-            texts.append((f.name, ((partial(_of_types, frozenset({annotation})), members),), None))
-        elif holding:
-            texts.append((f.name, _CONTAINER_RULES.get(holding[0], ()), holding))
+        if number:
+            numbers.append((f.name, _number_rules(f.name, number, f.metadata)))
+        if rules or holding:
+            texts.append((f.name, rules, holding))
         writes.append((f.name, f.name, write))
         columns.append((f.name, column, expected))
     keys = frozenset(key for key, _, _ in writes)
@@ -907,7 +890,7 @@ def check_ids(ids: list, path) -> None:
     """Hold ``ids``, the ids of a table's rows or a keyed field's keys, to
     the rules of a ``str`` field, as ``check_text`` does: a ``SchemaError``
     at ``path(index, id)`` for the first id at fault."""
-    check_rows(rule_rows(ids, _TEXT_RULES[str], lambda words, at, value: SchemaError(path(at, value), words, value)))
+    check_rows(rule_rows(ids, _SCALARS[str][3], lambda words, at, value: SchemaError(path(at, value), words, value)))
 
 
 # --- one object: its columns over that one object --------------------------------

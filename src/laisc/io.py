@@ -219,10 +219,11 @@ _NON_EMPTY = ((all, "non-empty string"),)
 _TOTAL, _REVIEWED = attrgetter("total_items"), attrgetter("reviewed_items")
 
 #: The rules of a ``ReviewLog``'s counts, which the number rule has found
-#: integers: ``(test, (field, expected))``, ``expected`` formatted with the log.
+#: integers: ``(test, (field, expected))``, ``expected`` formatted with the
+#: log.  Each holds over no logs.
 _COUNT_RULES = (
-    (lambda logs: min(map(_TOTAL, logs)) >= 0, ("total_items", "non-negative count")),
-    (lambda logs: min(map(_REVIEWED, logs)) >= 0, ("reviewed_items", "non-negative count")),
+    (lambda logs: min(map(_TOTAL, logs), default=0) >= 0, ("total_items", "non-negative count")),
+    (lambda logs: min(map(_REVIEWED, logs), default=0) >= 0, ("reviewed_items", "non-negative count")),
     (
         lambda logs: all(map(le, map(_REVIEWED, logs), map(_TOTAL, logs))),
         ("reviewed_items", "at most total_items={0.total_items}"),

@@ -297,10 +297,13 @@ def clm_flags(
     ``j``; an instance with observed label ``y`` is counted in cell
     ``(y, j*)`` where ``j*`` maximizes ``p_j`` among classes with
     ``p_j >= t_j`` (ties broken toward the lowest class index), and is
-    left uncounted when no class qualifies.
+    left uncounted when no class qualifies.  A table with no rows is an
+    ``EmptyTable``: it would flag nothing, as if every instance were clean.
     """
     if not (is_number(threshold) and 0.0 <= threshold <= 1.0):
         raise InvalidThreshold(f"flag threshold must be in [0, 1], got {threshold!r}")
+    if not table.ids:
+        raise EmptyTable("the probability table needs at least one row")
     scores = clm_scores(table, min_samples=min_samples)
     flagged = tuple(instance_id for (instance_id, score) in scores if score < threshold)
 

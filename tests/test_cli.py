@@ -584,6 +584,20 @@ def test_metric_nap_for_a_vr_without_that_pair_exits_three(fixture_paths, tmp_pa
 _FOUR_ROWS = "instance_id,label,p_0,p_1\ni1,0,0.3,0.7\ni2,0,0.9,0.1\ni3,1,0.2,0.8\ni4,1,0.4,0.6\n"
 
 
+def test_metric_clm_on_a_table_with_no_rows_exits_three(fixture_paths, tmp_path, capsys):
+    """A header-only table is refused and the bundle left as it was: its
+    flag log of no flags would make VR1.3 read Satisfied on no instances."""
+    landscape_path, evidence_path = fixture_paths
+    probs_path = tmp_path / "header.probs.csv"
+    probs_path.write_text("instance_id,label,p_0,p_1\n")
+    before = evidence_path.read_bytes()
+    assert main(_metric_argv("clm", landscape_path, evidence_path, probs=str(probs_path))) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the probability table needs at least one row\n"
+    assert evidence_path.read_bytes() == before
+
+
 def test_metric_clm_flags_at_the_threshold_of_its_vr(fixture_paths, tmp_path, capsys):
     """No flag of ``metric clm`` decides whether VR1.3 holds: it flags under
     the VR's own ``flag_threshold``, and ``--threshold`` is gone."""

@@ -614,6 +614,49 @@ def test_number_fault_names_the_first_field_then_its_first_rule():
     assert not _numbers_hold([ReviewFraction("d", 0.5), ReviewFraction("d", "0.5")])
 
 
+@pytest.mark.parametrize("cls", [ReviewFraction, MetricGap, ContrastScale])
+def test_a_bound_rule_over_no_values_holds(cls):
+    """A class with a bounded number field finds no fault in no objects:
+    each bound's column test holds of an empty column."""
+    rows = codec.number_rows(cls, [], None, None)
+    assert len(rows) >= 2
+    assert codec.first_fault(rows) is None
+    codec.check_rows(rows)
+
+
+def test_the_review_log_count_rules_hold_over_no_logs():
+    assert all(test([]) for test, _ in laisc_io._COUNT_RULES)
+    codec.check_rows(codec.rule_rows([], laisc_io._COUNT_RULES, None))
+
+
+@codec.record
+class _MaybeCount:
+    n: int | None
+
+
+@codec.record
+class _Words:
+    words: list[str]
+
+
+@pytest.mark.parametrize(
+    ("cls", "node", "message"),
+    [
+        (_MaybeCount, {"n": 1}, "_MaybeCount.n: codec has no row for the annotation int | None"),
+        (_Words, {"words": ["a"]}, "_Words.words: codec has no row for the annotation list[str]"),
+    ],
+    ids=["int-or-none", "list-of-str"],
+)
+def test_a_field_annotation_with_no_codec_row_fails_at_plan(cls, node, message):
+    """An annotation that the shape table has no row for is refused when
+    the class is first read or written, naming the field and the
+    annotation, rather than read as a tuple of dataclasses."""
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        from_node(cls, node, "$")
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        to_node(cls(*node.values()))
+
+
 _HUGE = 10**400
 
 #: Numbers built in code that the one number rule refuses: a ``bool``, an

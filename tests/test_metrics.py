@@ -348,6 +348,13 @@ def test_clm_flags_invalid_threshold():
         clm_flags(CL_SIX, 1.5, min_samples=1)
 
 
+def test_clm_flags_refuses_a_table_with_no_rows():
+    """A table with no rows would flag nothing, as if every instance were
+    clean: it is refused, as ``nap_distance`` refuses one."""
+    with pytest.raises(EmptyTable, match="^the probability table needs at least one row$"):
+        clm_flags(ProbabilityTable(2, ()), 0.5, min_samples=1)
+
+
 def test_clm_six_instance_confident_joint():
     result = clm_flags(CL_SIX, 0.5, min_samples=1)
     assert result.confident_joint == ((2, 0), (0, 1))
