@@ -14,7 +14,13 @@ of each of these, as JSON:
   (at the sizes of the ``evidence`` workload): ``write(read(.))`` of the
   two activation tables and of the probability table, ``repr`` of the NAP
   distance between the activation tables, and ``repr`` of the
-  ``clm_flags`` result at ``grid_gen.FLAG_THRESHOLD``.
+  ``clm_flags`` result at ``grid_gen.FLAG_THRESHOLD``;
+* for the grids that ``bench/grid_gen.py`` generates for seeds 1-3 (at
+  the sizes of the ``evidence`` workload: six condition mask pairs, then a
+  mask of separated rectangles and an 8-bit image): ``write(read(.))`` of
+  the masks and of the image, and ``write`` of the image and mask that
+  each perturbation gives and of the mask that each label augmentation
+  gives, at the ``grid_gen`` parameters.
 
 The script then prints the digests of the first interpreter and, for each
 other one, whether it wrote the same.  It exits 1 if any two interpreters
@@ -43,6 +49,10 @@ FORMATS = ("table", "json", "dot")
 #: shifted neurons; probability rows, classes, flagged rows.
 ACTIVATIONS = (2000, 64, 16)
 PROBABILITIES = (20000, 4, 1000)
+#: The grid sizes of the ``evidence`` workload: each condition mask pair's
+#: side and shape, and the side of the perturbed image and mask.
+CONDITION_PAIRS = ((256, "rails"), (256, "block"), (128, "rails"), (128, "block"), (128, "rails"), (128, "block"))
+PAIR_SIDE = 128
 
 
 def _sha256(data: bytes) -> str:
@@ -50,8 +60,8 @@ def _sha256(data: bytes) -> str:
 
 
 def digests() -> dict[str, str]:
-    """The sha256 of every report, round-tripped document and table, and
-    table metric, by name."""
+    """The sha256 of every report, round-tripped document, table and grid,
+    table metric and grid kernel output, by name."""
     sys.path.insert(0, str(ROOT / "bench"))
     import audit_gen
     import grid_gen
@@ -93,7 +103,45 @@ def digests() -> dict[str, str]:
         out[f"{name} probabilities"] = _sha256(laisc.io.write_prob_table(table))
         out[f"{name} nap_distance"] = _sha256(repr(metrics.nap_distance(table_a, table_b)).encode())
         out[f"{name} clm_flags"] = _sha256(repr(metrics.clm_flags(table, grid_gen.FLAG_THRESHOLD)).encode())
+    for seed in SEEDS:
+        out.update(_grid_digests(seed, grid_gen, laisc.io, metrics))
     return out
+
+
+def _grid_digests(seed: int, grid_gen, io, metrics) -> dict[str, str]:
+    """The sha256 of the grids that ``grid_gen`` generates for ``seed``,
+    written back after reading, and of the grids that the perturbations and
+    label augmentations make of its image and mask, by name."""
+    rng = random.Random(seed)
+    masks = [rows for side, style in CONDITION_PAIRS for rows in grid_gen.overlap_pair(rng, side, style)[:2]]
+    masks.append(grid_gen.rects_mask(PAIR_SIDE, grid_gen.separated_rects(rng, PAIR_SIDE, 3)))
+    image = io.read_grid(grid_gen.grid_bytes(grid_gen.random_image(rng, PAIR_SIDE)))
+    masks = [io.read_grid(grid_gen.grid_bytes(rows)) for rows in masks]
+    perturbations = (
+        metrics.GaussianNoise(sigma=grid_gen.NOISE_SIGMA, seed=rng.randrange(2**63)),
+        metrics.OcclusionPatch(x=rng.randint(0, 60), y=rng.randint(0, 60), w=rng.randint(8, 60), h=rng.randint(8, 60)),
+        metrics.Rotate90(k=grid_gen.ROTATE_K),
+        metrics.HorizontalFlip(),
+        metrics.ContrastScale(factor=grid_gen.CONTRAST_FACTOR),
+        metrics.BrightnessShift(delta=grid_gen.BRIGHTNESS_DELTA),
+    )
+    augmentations = (
+        metrics.RandomPixelFlip(rate=grid_gen.FLIP_RATE, seed=rng.randrange(2**63)),
+        metrics.MaskDilate(radius=grid_gen.DILATE_RADIUS),
+        metrics.MaskErode(radius=grid_gen.DILATE_RADIUS),
+        metrics.MaskTranslate(dx=rng.randint(1, 4), dy=rng.randint(1, 4)),
+    )
+    mask = masks[-1]
+    perturbed = [grid for spec in perturbations for grid in metrics.perturb(image, mask, spec)]
+    augmented = [metrics.augment_labels(mask, spec) for spec in augmentations]
+    write = lambda grids: _sha256(b"".join(map(io.write_grid, grids)))
+    name = f"grid_gen-{seed}"
+    return {
+        f"{name} masks": write(masks),
+        f"{name} image": write([image]),
+        f"{name} perturbations": write(perturbed),
+        f"{name} augmentations": write(augmented),
+    }
 
 
 def _run(python: str) -> tuple[str, dict[str, str]] | str:

@@ -255,6 +255,13 @@ def cmd_metric_miou(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"{len(pred_paths)} prediction grids vs {len(truth_paths)} ground-truth grids"
         )
+    if Path(args.pred).is_dir() and Path(args.truth).is_dir():
+        # Two directories pair their grids by file name.
+        pred_names, truth_names = {p.name for p in pred_paths}, {p.name for p in truth_paths}
+        if pred_names != truth_names:
+            name = min(pred_names ^ truth_names)
+            held, lacking = (args.pred, args.truth) if name in pred_names else (args.truth, args.pred)
+            raise _UsageError(f"{name} is in {held} but not in {lacking}")
     preds = [io.read_grid(p.read_bytes()) for p in pred_paths]
     truths = [io.read_grid(p.read_bytes()) for p in truth_paths]
     value, warned = _capture_small_samples(

@@ -552,15 +552,32 @@ def serialize_evidence(bundle: EvidenceBundle) -> bytes:
 _CELL_TEXT = tuple(map(str, range(256)))
 _CELL_VALUE = dict(zip(_CELL_TEXT, range(256)))
 
+#: The single-digit cells, their digits, and the translations between the two.
+_DIGIT_CELLS, _DIGITS = bytes(range(10)), b"0123456789"
+_DIGIT_VALUE = bytes.maketrans(_DIGITS, _DIGIT_CELLS)
+_DIGIT_TEXT = bytes.maketrans(_DIGIT_CELLS, _DIGITS)
+
+#: The longest header line, its line end included, that ``_digit_grid``
+#: reads; a longer one, such as one padded past ``int()``'s digit limit
+#: with leading zeros, goes to the row reader.
+_HEADER_MAX = 64
+
 
 def read_grid(data: bytes | str) -> LabeledGrid:
     """Read a ``*.grid`` file.
 
-    Canonical cells (``0``..``255``, as ``write_grid`` spells them) go
-    through one table lookup each.  Any other spelling that ``int()``
-    accepts (``007``, ``+1``, ``1_0``) is read as ``int()`` reads it and
-    then checked cell by cell, and so is a grid with a ragged row.
+    A canonical grid of single-digit cells given as ``bytes``, as
+    ``write_grid`` writes every mask, is read by whole-buffer byte passes
+    (``_digit_grid``).  Anything else goes through the row reader:
+    canonical cells (``0``..``255``) through one table lookup each, and
+    any other spelling that ``int()`` accepts (``007``, ``+1``, ``1_0``)
+    as ``int()`` reads it, then checked cell by cell, as is a grid with a
+    ragged row.  Both readers give the same grid for the same bytes.
     """
+    if isinstance(data, bytes):
+        grid = _digit_grid(data)
+        if grid:
+            return grid
     lines = [line for line in decode_utf8(data).splitlines() if line.strip()]
     if not lines:
         raise InputSyntaxError("empty grid file")
@@ -592,9 +609,47 @@ def read_grid(data: bytes | str) -> LabeledGrid:
     return LabeledGrid(height, width, values)
 
 
+def _digit_grid(data: bytes) -> LabeledGrid | None:
+    """``data`` read as a grid whose text is exactly the header ``H W``
+    (ASCII digits, each at least 1) and ``H`` lines of ``W`` single digits
+    joined by one space, each line ended by ``\\n``; ``None`` for any other
+    text.  The body's even offsets hold the digits and its odd offsets the
+    separators, so a strided slice of each and a few C-level passes over
+    them check and read every cell."""
+    end = data.find(b"\n", 0, _HEADER_MAX)
+    header = data[: max(end, 0)].split(b" ")
+    if len(header) != 2 or not all(map(bytes.isdigit, header)):
+        return None
+    height, width = map(int, header)
+    start = end + 1
+    if not height or not width or len(data) - start != 2 * height * width:
+        return None
+    separators, digits = data[start + 1 :: 2], data[start::2]
+    if (
+        separators.count(b" ") != height * (width - 1)
+        or separators[width - 1 :: width].count(b"\n") != height
+        or digits.translate(None, _DIGITS)
+    ):
+        return None
+    return LabeledGrid.from_bytes(height, width, digits.translate(_DIGIT_VALUE))
+
+
 def write_grid(grid: LabeledGrid) -> bytes:
-    cells, width, spell = grid.cells, grid.width, _CELL_TEXT
-    lines = [f"{grid.height} {width}"]
+    """The canonical ``*.grid`` text of ``grid``: the header ``H W``, then
+    one line per row, its cells in decimal joined by one space.  A grid of
+    single-digit cells (every mask) is written by whole-buffer byte passes:
+    the digits go to the even offsets of the body and the separators to
+    the odd ones; any other grid row by row."""
+    cells, height, width, spell = grid.cells, grid.height, grid.width, _CELL_TEXT
+    if not cells.translate(None, _DIGIT_CELLS):
+        header = f"{height} {width}\n".encode()
+        start = len(header)
+        text = bytearray(start + 2 * len(cells))
+        text[:start] = header
+        text[start::2] = cells.translate(_DIGIT_TEXT)
+        text[start + 1 :: 2] = (b" " * (width - 1) + b"\n") * height
+        return bytes(text)
+    lines = [f"{height} {width}"]
     for start in range(0, len(cells), width):
         lines.append(" ".join([spell[value] for value in cells[start : start + width]]))
     return ("\n".join(lines) + "\n").encode("utf-8")

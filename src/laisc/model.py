@@ -521,14 +521,19 @@ _METRIC_RULE = (
 )
 
 
+def _bound_ids(payloads) -> list:
+    """The dataset ids that the slots of the VR ``payloads`` bind, in order."""
+    return list(chain.from_iterable(map(itemgetter(1), chain.from_iterable(map(dict.values, map(slots, payloads))))))
+
+
 def _payload_rows(cls: type, payloads: list, positions, vrs: tuple, dataset_ids: frozenset) -> list:
     """The rows of ``payloads``, the VR payloads of class ``cls``, of the
     VRs at ``positions()`` of ``vrs``, in order: each dataset that their
     slots bind known, the metric known, the number rule, then the rules of
     their kind."""
-    bound = [tuple(chain.from_iterable(map(itemgetter(1), slots(p).values()))) for p in payloads]
-    owners = lambda: chain.from_iterable(map(repeat, positions(), map(len, bound)))
-    rows = _known_rows(vrs, list(chain.from_iterable(bound)), owners, dataset_ids, "VR {} dataset binding")
+    # Each payload's count of bound ids is needed only to name a fault's owner.
+    owners = lambda: chain.from_iterable(map(repeat, positions(), (len(_bound_ids((p,))) for p in payloads)))
+    rows = _known_rows(vrs, _bound_ids(payloads), owners, dataset_ids, "VR {} dataset binding")
     fault = lambda words, at, payload: InvalidPayload(vrs[at].id, words(payload))
     if hasattr(cls, "metric_id"):
         rows += rule_rows(payloads, (_METRIC_RULE,), fault, positions)

@@ -330,8 +330,10 @@ def test_metric_miou_writes_expected_record(fixture_paths, tmp_path, capsys):
     [
         (lambda pred, truth: (truth / "b.grid").unlink(), "2 prediction grids vs 1 ground-truth grids"),
         (lambda pred, truth: [path.unlink() for path in pred.iterdir()], "no *.grid files in"),
+        # pred holds a.grid and c.grid, truth a.grid and b.grid: b.grid comes first
+        (lambda pred, truth: (pred / "b.grid").rename(pred / "c.grid"), "b.grid is in {truth} but not in {pred}"),
     ],
-    ids=["unequal-counts", "empty-pred-dir"],
+    ids=["unequal-counts", "empty-pred-dir", "unpaired-names"],
 )
 def test_metric_miou_without_paired_grids_exits_three(edit, err, fixture_paths, tmp_path, capsys):
     landscape_path, _ = fixture_paths
@@ -341,7 +343,7 @@ def test_metric_miou_without_paired_grids_exits_three(edit, err, fixture_paths, 
     argv = ["metric", "miou", "--pred", str(pred_dir), "--truth", str(truth_dir), "--dataset", "d-counterfactual",
             "--landscape", str(landscape_path), "--vr", "VR3.3", "--out", str(out_path)]
     assert main(argv) == 3
-    assert err in capsys.readouterr().err
+    assert err.format(pred=pred_dir, truth=truth_dir) in capsys.readouterr().err
     assert not out_path.exists()
 
 

@@ -1566,6 +1566,8 @@ GRID_ERRORS = {
     "2 2\n1 300\n0 1 1\n": "row 0: cell value 300 outside [0, 255]",
     # A form feed breaks the line, as in ``str.splitlines``.
     "1 2\n1\x0c0\n": "expected 1 data rows, got 2",
+    # So does a carriage return, here in a header before a canonical body.
+    "3 \r3\n0 0 0\n0 0 0\n0 0 0\n": "grid header must be 'H W', got '3 '",
 }
 
 
@@ -1589,13 +1591,15 @@ GRID_ERRORS = {
         ("2 2\n1 0 1\n0 300\n", DimensionMismatch),
         ("2 2\n1 300\n0 1 1\n", ValueOutOfRange),
         ("1 2\n1\x0c0\n", DimensionMismatch),
+        ("3 \r3\n0 0 0\n0 0 0\n0 0 0\n", InputSyntaxError),
     ],
 )
 def test_grid_rejects_malformed_input(text, error):
-    with pytest.raises(error) as caught:
-        read_grid(text)
-    assert type(caught.value) is error
-    assert str(caught.value) == GRID_ERRORS[text]
+    for data in (text, text.encode("utf-8")):
+        with pytest.raises(error) as caught:
+            read_grid(data)
+        assert type(caught.value) is error
+        assert str(caught.value) == GRID_ERRORS[text]
 
 
 @pytest.mark.parametrize(
@@ -1615,6 +1619,64 @@ def test_grid_reads_lenient_spellings_and_whitespace(text, rows):
     assert (grid.height, grid.width) == (len(rows), len(rows[0]))
     assert grid.values == rows
     assert read_grid(text.encode("utf-8")) == grid
+
+
+def _grid_text(grid: LabeledGrid) -> str:
+    """The canonical text of ``grid``, spelled out cell by cell."""
+    rows = [" ".join(map(str, row)) for row in grid.values]
+    return "\n".join([f"{grid.height} {grid.width}", *rows]) + "\n"
+
+
+def _grid_read(data: bytes | str):
+    """``read_grid(data)``, or the type and message of what it raises."""
+    try:
+        return read_grid(data)
+    except LaiscError as exc:
+        return type(exc), str(exc)
+
+
+#: What a one-byte edit of a grid's text inserts or puts in a byte's place.
+_GRID_EDITS = (" ", "\t", "\r", "\x0c", "\x1c", "0", "10", "+")
+
+
+@st.composite
+def _grids(draw) -> LabeledGrid:
+    """A grid of 1 to 12 rows and columns, its cells all in 0..9 or in 0..255."""
+    height, width, top = draw(st.integers(1, 12)), draw(st.integers(1, 12)), draw(st.sampled_from((9, 255)))
+    cells = draw(st.lists(st.integers(0, top), min_size=height * width, max_size=height * width))
+    return LabeledGrid.from_bytes(height, width, bytes(cells))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=_grids(),
+    edits=st.lists(
+        st.tuples(st.sampled_from(("insert", "replace", "delete")), st.integers(0), st.sampled_from(_GRID_EDITS)),
+        max_size=4,
+    ),
+)
+# "3 \r3\n...": ``str.splitlines`` breaks the header at the carriage return.
+@example(grid=LabeledGrid.from_bytes(3, 3, bytes(9)), edits=[("insert", 2, "\r")])
+def test_grid_text_and_bytes_read_alike(grid, edits):
+    """``write_grid`` writes the canonical text and reads it back, and that
+    text and each one-byte edit of it, the header included, read alike as
+    ``bytes`` and as ``str``: the same grid or the same error."""
+    text = _grid_text(grid)
+    assert write_grid(grid) == text.encode("ascii")
+    assert read_grid(write_grid(grid)) == grid
+    texts = [text]
+    for kind, at, edit in edits:
+        at %= len(text) + (kind == "insert")
+        texts.append(text[:at] + ("" if kind == "delete" else edit) + text[at + (kind != "insert") :])
+    for edited in texts:
+        assert _grid_read(edited.encode("utf-8")) == _grid_read(edited)
+
+
+def test_grid_header_padded_past_the_int_digit_limit_reads_alike():
+    """``int()`` refuses more than 4300 digits, leading zeros included; such
+    a header is the row reader's to word, from ``bytes`` as from ``str``."""
+    text = "0" * 5000 + "1 1\n5\n"
+    assert _grid_read(text.encode("ascii")) == _grid_read(text)
 
 
 @pytest.mark.parametrize(
