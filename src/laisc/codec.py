@@ -50,6 +50,21 @@ through ``int.__repr__`` and ``float.__repr__``.  Its output equals
 encoded as UTF-8, byte for byte, without the pure-Python encoder that
 ``indent`` selects in ``json``.
 
+The calls that read, judge or write a whole document run with the cyclic
+garbage collector paused (``gc_paused``): ``io.parse_landscape``,
+``io.parse_evidence``, ``io.serialize_landscape``,
+``io.serialize_evidence``, ``evaluation.evaluate`` and the three
+renderers of ``laisc.report``.  Their JSON nodes, records and reports
+hold no reference cycles, so a collection inside one frees nothing; it
+only moves their short-lived containers into older generations and walks
+the retained heap again.  The collector is switched on again on return
+only if it was on at entry, so a caller that has switched it off keeps
+it off.  ``gc.isenabled`` is one flag of the process: a thread that calls
+``gc.disable()`` while another thread is inside one of these calls can
+find the collector on again when that call returns.  Grid and CSV I/O
+and the metric kernels leave the collector alone; they build few tracked
+containers.
+
 One number rule holds for files read, dataclasses built in code, the
 CSV tables and the metric inputs: a number is of the exact type ``int``
 or ``float`` (``NUMBER_TYPES``), never a ``bool`` or a subclass, and a
@@ -95,11 +110,13 @@ the writer could not write.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import re
 from bisect import bisect_right
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -275,6 +292,20 @@ def parse_timestamp(value: str) -> datetime:
 
 
 # --- documents ---------------------------------------------------------------
+
+
+@contextmanager
+def gc_paused():
+    """Keep the cyclic garbage collector off for the duration, and switch
+    it on again after only if it was on at entry; as a decorator, around
+    each call."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:

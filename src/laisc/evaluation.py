@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
 
-from laisc.codec import check_aware, is_number, record
+from laisc.codec import check_aware, gc_paused, is_number, record
 from laisc.errors import UnknownFilterKey
 from laisc.io import (
     ApprovalVerdict,
@@ -604,6 +604,7 @@ def _judge_bundle(
     return judged
 
 
+@gc_paused()
 def evaluate(
     landscape: Landscape,
     bundle: EvidenceBundle,

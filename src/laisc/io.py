@@ -59,6 +59,7 @@ from laisc.codec import (
     dump_canonical,
     format_timestamp,  # noqa: F401
     from_node,
+    gc_paused,
     load_json,
     number_rows,
     parse_timestamp,  # noqa: F401
@@ -523,15 +524,18 @@ class ActivationTable(_Table):
 # --- landscape and evidence documents -------------------------------------------------
 
 
+@gc_paused()
 def parse_landscape(data: bytes | str) -> Landscape:
     """Parse a ``*.laisc.json`` document into a validated landscape."""
     return from_node(Landscape, load_json(data), "$")
 
 
+@gc_paused()
 def serialize_landscape(landscape: Landscape) -> bytes:
     return dump_canonical(to_node(landscape))
 
 
+@gc_paused()
 def parse_evidence(data: bytes | str) -> EvidenceBundle:
     """Parse a ``*.evidence.json`` bundle.
 
@@ -541,6 +545,7 @@ def parse_evidence(data: bytes | str) -> EvidenceBundle:
     return from_node(EvidenceBundle, load_json(data), "$")
 
 
+@gc_paused()
 def serialize_evidence(bundle: EvidenceBundle) -> bytes:
     return dump_canonical(to_node(bundle))
 

@@ -9,7 +9,7 @@ landscape caches.
 
 from __future__ import annotations
 
-from laisc.codec import dump_canonical, format_timestamp, to_node
+from laisc.codec import dump_canonical, format_timestamp, gc_paused, to_node
 from laisc.errors import UnsupportedFormat
 from laisc.evaluation import EvaluationReport, Status
 from laisc.model import fingerprint
@@ -17,6 +17,7 @@ from laisc.model import fingerprint
 _TABLE_COLUMNS = ("AI-SC", "Stage in AI Life Cycle", "Decomposition", "VR", "M&M", "Status")
 
 
+@gc_paused()
 def render_table(report: EvaluationReport) -> bytes:
     """Fixed-width text table, one line per visible landscape row, plus a
     roll-up footer."""
@@ -69,6 +70,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
+@gc_paused()
 def render_argument_tree(report: EvaluationReport) -> bytes:
     """DOT digraph of the concern -> goal -> VR decomposition with each
     node labeled by its status."""
@@ -106,6 +108,7 @@ def render_argument_tree(report: EvaluationReport) -> bytes:
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
+@gc_paused()
 def render_json(report: EvaluationReport) -> bytes:
     """Canonical machine-readable dump of the (possibly filtered) report."""
     visible = report.visible_vr_ids()
