@@ -44,7 +44,7 @@ from datetime import datetime
 from enum import Enum
 from functools import partial
 from itertools import chain, count, islice
-from operator import attrgetter, le, methodcaller
+from operator import attrgetter, eq, le, methodcaller
 
 # format_timestamp and parse_timestamp are part of this module's interface.
 from laisc.codec import (
@@ -329,14 +329,6 @@ def _rows_of(flat, width: int):
     return zip(*[iter(flat)] * width)
 
 
-def _pack(numbers: list) -> bytes | tuple:
-    """``numbers`` as a table stores them: the bytes of their doubles when
-    every one is a ``float``, else a tuple of them as given."""
-    if set(map(type, numbers)) <= {float}:
-        return array("d", numbers).tobytes()
-    return tuple(numbers)
-
-
 # The tests of a table's rules: ``test(width, values)`` tells whether the
 # values of one column of rows ``width`` numbers wide keep the rule, the
 # whole column or one value alike.
@@ -349,6 +341,11 @@ def _widths(width: int, lengths) -> bool:
 def _finite(width: int, numbers) -> bool:
     """Whether every one of ``numbers`` ``is_number``; a buffer holds floats only."""
     return all(map(math.isfinite, numbers)) if type(numbers) is memoryview else are_numbers(numbers)
+
+
+def _exact(width: int, numbers) -> bool:
+    """Whether a double holds each of ``numbers`` exactly; a buffer holds doubles only."""
+    return type(numbers) is memoryview or all(map(eq, map(float, numbers), numbers))
 
 
 def _probabilities(width: int, numbers) -> bool:
@@ -368,6 +365,7 @@ _PROB_RULES = (
 _ACTIVATION_RULES = (
     ("lengths", _widths, DimensionMismatch, "expected {1} activations, got {0}"),
     ("numbers", _finite, ValueOutOfRange, "non-finite activation {0!r}"),
+    ("numbers", _exact, ValueOutOfRange, "activation {0!r} has no exact double"),
 )
 
 
@@ -387,11 +385,12 @@ def _normalized_row(width: int, flat) -> tuple:
     return partial(_normalized, width, flat), find
 
 
-def _check_table(table, rules, width: int, lengths, *more) -> None:
-    """Raise the first fault of ``table`` under ``rules``, then under
-    ``more`` ``check_rows`` rows; ``lengths`` are those of the rows given
-    in code, none for a table read.  Number ``k`` is of row ``k // width``."""
-    ids, columns = table.ids, {"lengths": lengths, "labels": getattr(table, "labels", ()), "numbers": table.flat}
+def _check_table(table, rules, width: int, lengths, flat, *more) -> None:
+    """Raise the first fault of ``table``, whose numbers are ``flat``, under
+    ``rules``, then under ``more`` ``check_rows`` rows; ``lengths`` are
+    those of the rows given in code, none for a table read.  Number ``k``
+    is of row ``k // width``."""
+    ids, columns = table.ids, {"lengths": lengths, "labels": getattr(table, "labels", ()), "numbers": flat}
 
     def fault(words, index: int, value):
         return words[0](f"row {index} ({ids[index]}): {words[1].format(value, width)}")
@@ -405,24 +404,22 @@ def _check_table(table, rules, width: int, lengths, *more) -> None:
 
 
 class _Table:
-    """What the two CSV tables share: the numbers, row-major, in ``numbers``.
-
-    ``numbers`` is the bytes of the doubles when every number is a
-    ``float``, as it is in a table read from CSV, and otherwise one flat
-    tuple of the numbers as given, so an ``int`` built in code keeps its
-    exact value.  ``==`` and ``hash`` compare the numbers by value: a table
-    of ``1`` equals one of ``1.0``, and one of ``-0.0`` one of ``0.0``.
-    A table's fields are its width, its ids, its labels if it has any and
-    its numbers, and its rows ``(id, *labels, numbers)``.
+    """What the two CSV tables share: the numbers, row-major, in ``numbers``
+    as the bytes of their doubles, 8 bytes a number.  A table built in
+    code stores each number it is given as its double, and refuses one
+    that no double holds exactly, so it writes what its reader reads back.
+    ``==`` and ``hash`` compare the numbers by value: a table of ``1``
+    equals one of ``1.0``, and one of ``-0.0`` one of ``0.0``.  A table's
+    fields are its width, its ids, its labels if it has any and its
+    numbers, and its rows ``(id, *labels, numbers)``.
     """
 
     __slots__ = ()
 
     @property
-    def flat(self):
-        """The numbers, row-major: a memoryview of the doubles, or the tuple."""
-        numbers = self.numbers
-        return memoryview(numbers).cast("d") if type(numbers) is bytes else numbers
+    def flat(self) -> memoryview:
+        """The numbers, row-major: a memoryview of the doubles."""
+        return memoryview(self.numbers).cast("d")
 
     @classmethod
     def _read(cls, width: int, *columns) -> _Table:
@@ -431,7 +428,7 @@ class _Table:
         stored as tuples once the reader's buffers are gone, then the bytes
         of its numbers."""
         table = object.__new__(cls)
-        table._set(width, *map(tuple, columns[:-1]), columns[-1])
+        table._set(width, *map(tuple, columns[:-1]), memoryview(columns[-1]).cast("d"))
         return table
 
     def _build(self, width: int, rows: tuple) -> None:
@@ -439,16 +436,21 @@ class _Table:
         ids, *labels, numbers = list(zip(*rows)) or [()] * (len(self._record_names) - 1)
         # An id that is no str would be written as str(id) and read back as another value.
         check_ids(ids, lambda at, _: f"rows[{at}][0]")
-        self._set(width, ids, *labels, _pack(list(chain.from_iterable(numbers))), lengths=list(map(len, numbers)))
+        self._set(width, ids, *labels, list(chain.from_iterable(numbers)), lengths=list(map(len, numbers)))
 
     def _set(self, width: int, *values, lengths=()) -> None:
         """Set the fields to ``width`` and ``values`` and check them by the
-        class's ``_check``; ``lengths`` are those of the rows given in code,
-        none for a table read."""
+        class's ``_check``.  The numbers come last, row-major: a memoryview
+        of the doubles of a table read, or the list given in code, which the
+        rules see as given and the table stores as the bytes of its doubles.
+        ``lengths`` are those of the rows given in code, none for a table
+        read."""
+        *values, flat = values
         for name, value in zip(self._record_names, (width, *values)):
             object.__setattr__(self, name, value)
         if self.ids:
-            self._check(width, lengths)
+            self._check(width, lengths, flat)
+        object.__setattr__(self, "numbers", flat.obj if type(flat) is memoryview else array("d", flat).tobytes())
 
     @property
     def rows(self) -> tuple:
@@ -483,7 +485,7 @@ class ProbabilityTable(_Table):
     num_classes: int
     ids: tuple[str, ...]
     labels: tuple[int, ...]
-    numbers: bytes | tuple[float, ...]
+    numbers: bytes
 
     def __init__(self, num_classes: int, rows) -> None:
         rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
@@ -491,8 +493,8 @@ class ProbabilityTable(_Table):
             raise ValueOutOfRange(f"need at least 2 classes, got {num_classes}")
         self._build(num_classes, rows)
 
-    def _check(self, width: int, lengths) -> None:
-        _check_table(self, _PROB_RULES, width, lengths, _normalized_row(width, self.flat))
+    def _check(self, width: int, lengths, flat) -> None:
+        _check_table(self, _PROB_RULES, width, lengths, flat, _normalized_row(width, flat))
 
 
 @record
@@ -509,7 +511,7 @@ class ActivationTable(_Table):
 
     num_neurons: int
     ids: tuple[str, ...]
-    numbers: bytes | tuple[float, ...]
+    numbers: bytes
 
     def __init__(self, num_neurons: int, rows) -> None:
         rows = tuple((s, tuple(a)) for s, a in rows)
@@ -517,8 +519,8 @@ class ActivationTable(_Table):
             raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons}")
         self._build(num_neurons, rows)
 
-    def _check(self, width: int, lengths) -> None:
-        _check_table(self, _ACTIVATION_RULES, width, lengths)
+    def _check(self, width: int, lengths, flat) -> None:
+        _check_table(self, _ACTIVATION_RULES, width, lengths, flat)
 
 
 # --- landscape and evidence documents -------------------------------------------------

@@ -26,11 +26,10 @@ NAP distance bins each neuron's values with
 ``int(32 * (v - lo) / (hi - lo))``.  That index never decreases as ``v``
 grows, so each column is sorted once and each bin's start is found by
 bisection rather than by binning every value; see :func:`nap_distance`
-for the overflow and mixed int/float cases.
+for the overflow case.
 
-The table kernels work on a table's ``flat`` numbers, row-major doubles
-(or, for a table built in code with an ``int`` among them, a flat
-tuple), never on the derived ``.rows``: NAP takes neuron ``j``'s column
+The table kernels work on a table's ``flat`` numbers, row-major doubles,
+never on the derived ``.rows``: NAP takes neuron ``j``'s column
 as the strided slice ``flat[j::n]``, and the CLM scores and flags walk
 ``zip(ids, labels, zip(*[iter(flat)] * k))``, one row tuple at a time.
 
@@ -147,9 +146,6 @@ def performance_gap(pi_a: float, pi_b: float) -> float:
 #: Scales a range whose ``32 * (v - lo)`` overflows a float back into range.
 _SHRINK = 2.0**-6
 
-#: Within this magnitude every int is a float, so ints and floats bin alike.
-_EXACT_INT = 2**52
-
 
 def _bin_of(lo: float, hi: float, scaled: bool):
     """The bin index of a value in ``[lo, hi]``, before the top edge is
@@ -163,19 +159,6 @@ def _bin_of(lo: float, hi: float, scaled: bool):
     return lambda value: int(_HISTOGRAM_BINS * (value * _SHRINK - lo) / span)
 
 
-def _sorted_by_bin(columns, lo: float, hi: float):
-    """The columns sorted by bin index, and the bin function, for a neuron
-    that mixes ints and floats past ``2**52``: there int arithmetic is
-    exact and float arithmetic rounds, so sorting by value may leave a
-    larger bin before a smaller one."""
-    try:
-        bin_of = _bin_of(lo, hi, scaled=False)
-        return [sorted(column, key=bin_of) for column in columns], bin_of
-    except (OverflowError, ValueError):  # 32 * (v - lo) left the float range
-        bin_of = _bin_of(lo, hi, scaled=True)
-        return [sorted(column, key=bin_of) for column in columns], bin_of
-
-
 def _bin_counts(column: list, bin_of) -> list[int]:
     # ``column`` is sorted so that the bin index never decreases: each bin
     # starts at the first value whose index is that bin's or more, and the
@@ -185,12 +168,6 @@ def _bin_counts(column: list, bin_of) -> list[int]:
         starts.append(bisect_left(column, k, starts[-1], key=bin_of))
     starts.append(len(column))
     return [end - start for start, end in zip(starts, starts[1:])]
-
-
-def _first_max(column: list):
-    """``max`` of the values that ``column`` holds sorted: the first of the
-    largest ones in their original order, as a stable sort keeps it."""
-    return column[bisect_left(column, column[-1])]
 
 
 def nap_distance(
@@ -212,12 +189,9 @@ def nap_distance(
     A value ``v`` falls in bin ``min(31, int(32 * (v - lo) / (hi - lo)))``
     of the neuron's range ``[lo, hi]``; where that overflows the float
     range for any value of the neuron, ``v``, ``lo`` and ``hi`` are each
-    scaled by ``2**-6`` first.  A neuron whose ``hi - lo`` is 0 contributes
-    0: it is constant, or its ends are an int and a float closer than the
-    float spacing.  The bin index never decreases as ``v`` grows, so each
-    column is sorted once and each bin's start found by bisection.  The one
-    exception is a neuron that mixes ints and floats beyond ``2**52`` in
-    magnitude; its columns are sorted by bin index instead.
+    scaled by ``2**-6`` first.  A constant neuron contributes 0.  The bin
+    index never decreases as ``v`` grows, so each column is sorted once and
+    each bin's start found by bisection.
     """
     if a.num_neurons != b.num_neurons:
         raise NeuronCountMismatch(f"{a.num_neurons} neurons vs {b.num_neurons}")
@@ -230,14 +204,12 @@ def nap_distance(
         # The neuron's column is every n-th number of the row-major table.
         column_a, column_b = sorted(flat_a[neuron::n]), sorted(flat_b[neuron::n])
         lo = min(column_a[0], column_b[0])
-        hi = max(_first_max(column_a), _first_max(column_b))
+        # Of equal doubles only 0.0 and -0.0 differ, and the bins do not read hi's sign.
+        hi = max(column_a[-1], column_b[-1])
         if hi - lo == 0:
             continue  # one bin holds both columns: adds 0
-        if -_EXACT_INT <= lo and hi <= _EXACT_INT or len({*map(type, column_a + column_b)}) == 1:
-            # Here 32 * (v - lo) overflows for some value exactly when it does for hi.
-            bin_of = _bin_of(lo, hi, scaled=not _HISTOGRAM_BINS * (hi - lo) < math.inf)
-        else:
-            (column_a, column_b), bin_of = _sorted_by_bin((column_a, column_b), lo, hi)
+        # 32 * (v - lo) overflows for some value exactly when it does for hi.
+        bin_of = _bin_of(lo, hi, scaled=not _HISTOGRAM_BINS * (hi - lo) < math.inf)
         spread = 0.0
         for count_a, count_b in zip(_bin_counts(column_a, bin_of), _bin_counts(column_b, bin_of)):
             diff = math.sqrt(count_a / len(column_a)) - math.sqrt(count_b / len(column_b))

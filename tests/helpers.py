@@ -229,7 +229,7 @@ def nap_oracle(a: ActivationTable, b: ActivationTable) -> float:
         lo = min(min(columns[0]), min(columns[1]))
         hi = max(max(columns[0]), max(columns[1]))
         if hi - lo == 0:
-            continue  # constant, or an int and a float closer than the float spacing: distance 0
+            continue  # constant: distance 0
         try:
             bins = [[min(31, int(32 * (v - lo) / (hi - lo))) for v in column] for column in columns]
         except (OverflowError, ValueError):
@@ -251,7 +251,8 @@ def table_rule_error(table_type: type, size: int, rows) -> LaiscError | None:
     Rows are checked in order; within a row, its width, then (for a
     ``ProbabilityTable``) its label, then each value, then its sum.  A
     value is a number of the exact type ``int`` or ``float``, never a
-    ``bool`` or a subclass; an activation is also in the float range.
+    ``bool`` or a subclass; an activation is also in the float range, and
+    then, in a second pass over the row, one that a double holds exactly.
     """
     try:
         if table_type is ProbabilityTable:
@@ -281,6 +282,9 @@ def table_rule_error(table_type: type, size: int, rows) -> LaiscError | None:
                 for value in acts:
                     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                         raise ValueOutOfRange(f"{where}: non-finite activation {value!r}")
+                for value in acts:
+                    if float(value) != value:
+                        raise ValueOutOfRange(f"{where}: activation {value!r} has no exact double")
     except LaiscError as exc:
         return exc
     return None

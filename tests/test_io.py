@@ -2123,12 +2123,20 @@ def test_tables_compare_and_hash_their_numbers_by_value():
     assert ActivationTable(1, (("t", (0.0,)),)) != zero
 
 
-def test_table_built_in_code_keeps_an_exact_int():
-    big = 2**53 + 1  # no float holds it
-    table = ActivationTable(2, (("s", (big, 0.5)),))
-    assert table.rows == (("s", (big, 0.5)),)
-    assert type(table.rows[0][1][0]) is int
-    assert write_activations(table) == b"sample_id,a_0,a_1\ns,9007199254740993,0.5\n"
+@pytest.mark.parametrize("big", [2**53 + 1, -(2**53 + 1)])
+def test_table_built_in_code_refuses_an_int_no_double_holds(big):
+    # Stored as its double, it would be written and read back as another value.
+    with pytest.raises(ValueOutOfRange) as caught:
+        ActivationTable(2, (("s", (0.5, 1)), ("t", (0.25, big))))
+    assert str(caught.value) == f"row 1 (t): activation {big} has no exact double"
+
+
+def test_table_built_in_code_stores_each_number_as_its_double():
+    table = ActivationTable(2, (("s", (2**53, 1)),))
+    assert table.rows == (("s", (2.0**53, 1.0)),)
+    assert set(map(type, table.rows[0][1])) == {float}
+    assert write_activations(table) == b"sample_id,a_0,a_1\ns,9007199254740992.0,1.0\n"
+    assert write_activations(ActivationTable(1, (("s", (1,)),))) == b"sample_id,a_0\ns,1.0\n"
 
 
 def test_table_rows_are_a_fresh_copy_on_each_access():
@@ -2156,6 +2164,7 @@ _VALUE_DEFECTS = {
     "inf": lambda value: math.inf,
     "-inf": lambda value: -math.inf,
     "huge-int": lambda value: 10**400,
+    "inexact-int": lambda value: 2**53 + 1,
     "bool": lambda value: True,
     "float-subclass": lambda value: _Half(value if type(value) is float else 0.5),
     "int": lambda value: 1,
@@ -2211,6 +2220,43 @@ def test_table_checks_raise_the_first_per_row_error(drawn):
     else:
         assert expected is None, f"accepted a table the rules reject with {expected!r}"
         assert table.rows == rows
+
+
+#: Ids the writer takes: any text without NUL or a lone surrogate.
+_WRITABLE_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"), max_size=4)
+
+
+@st.composite
+def _built_table(draw):
+    """A table built in code, with numbers of either type, ints past 2**53 among them."""
+    rows = []
+    if draw(st.booleans()):
+        size = draw(st.integers(2, 4))
+        for _ in range(draw(st.integers(0, 5))):
+            label = draw(st.integers(0, size - 1))
+            if draw(st.booleans()):
+                probs = [int(j == label) for j in range(size)]
+            else:
+                weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+                probs = [w / math.fsum(weights) for w in weights]
+            rows.append((draw(_WRITABLE_IDS), label, tuple(probs)))
+        return ProbabilityTable, read_prob_table, write_prob_table, size, tuple(rows)
+    size = draw(st.integers(1, 4))
+    numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**54), 2**54)
+    for _ in range(draw(st.integers(0, 5))):
+        rows.append((draw(_WRITABLE_IDS), tuple(draw(st.lists(numbers, min_size=size, max_size=size)))))
+    return ActivationTable, read_activations, write_activations, size, tuple(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_built_table())
+def test_every_table_built_in_code_reads_back_as_written(drawn):
+    table_type, read, write, size, rows = drawn
+    try:
+        table = table_type(size, rows)
+    except LaiscError:
+        return  # refused: nothing is written
+    assert read(write(table)) == table
 
 
 # --- report serialization ---------------------------------------------------------------------

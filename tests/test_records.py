@@ -180,9 +180,9 @@ FIELDS = {
     "EvidenceBundle": "records: tuple[EvidenceRecord, ...]; source: str = ''",
     "LabeledGrid": "height: int; width: int; cells: bytes",
     "ProbabilityTable": (
-        "num_classes: int; ids: tuple[str, ...]; labels: tuple[int, ...]; numbers: bytes | tuple[float, ...]"
+        "num_classes: int; ids: tuple[str, ...]; labels: tuple[int, ...]; numbers: bytes"
     ),
-    "ActivationTable": "num_neurons: int; ids: tuple[str, ...]; numbers: bytes | tuple[float, ...]",
+    "ActivationTable": "num_neurons: int; ids: tuple[str, ...]; numbers: bytes",
     "Verdict": (
         "status: Status; explanation: str; evidence_ids: tuple[str, ...] = (); "
         "measured: tuple[tuple[str, float], ...] = ()"
