@@ -10,6 +10,8 @@ of each of these, as JSON:
   the shipped fixture and of the pairs ``bench/audit_gen.py`` generates
   for seeds 1-3 (1000 VRs, as in the ``audit-large`` workload);
 * ``serialize(parse(.))`` of each of those landscapes and bundles;
+* the three reports of the fixture and of seed 1's pair under each of
+  four filters, one per filter key (``FILTERS``);
 * for the CSV tables that ``bench/grid_gen.py`` generates for seeds 1-3
   (at the sizes of the ``evidence`` workload): ``write(read(.))`` of the
   two activation tables and of the probability table, ``repr`` of the NAP
@@ -53,6 +55,17 @@ PROBABILITIES = (20000, 4, 1000)
 #: side and shape, and the side of the perturbed image and mask.
 CONDITION_PAIRS = ((256, "rails"), (256, "block"), (128, "rails"), (128, "block"), (128, "rails"), (128, "block"))
 PAIR_SIDE = 128
+#: One filter per key, by pair, for the filtered reports: a name, a name,
+#: an id and a status in another case, as ``laisc evaluate`` takes them.
+FILTERS = {
+    "fixture": (
+        ("concern", "Inaccurate data labels"),
+        ("stage", "Modeling"),
+        ("component", "comp-track-detector"),
+        ("status", "satisfied"),
+    ),
+    "audit_gen-1": (("concern", "Concern 4"), ("stage", "Modeling"), ("component", "comp-3"), ("status", "error")),
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -88,6 +101,10 @@ def digests() -> dict[str, str]:
             out[f"{name} report.{fmt}"] = _sha256(laisc.serialize_report(report, fmt))
         out[f"{name} landscape"] = _sha256(laisc.serialize_landscape(landscape))
         out[f"{name} evidence"] = _sha256(laisc.serialize_evidence(evidence))
+        for key, value in FILTERS.get(name, ()):
+            filtered = laisc.evaluate(landscape, evidence, flt=laisc.Filter(**{key: value}), now=now)
+            for fmt in FORMATS:
+                out[f"{name} report.{fmt} {key}={value}"] = _sha256(laisc.serialize_report(filtered, fmt))
     # Python 3.12 made sum() of floats compensated, and grid_gen scales its
     # probabilities by a sum: generate every table with the left-to-right
     # sum of 3.10 and 3.11, so every interpreter reads the same bytes.

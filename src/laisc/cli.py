@@ -35,7 +35,7 @@ from laisc import evaluation, io, report
 from laisc.codec import dump_canonical, to_node
 from laisc.errors import LaiscError
 from laisc.io import EvidenceBundle, EvidenceRecord, FlagResolutionLog, MetricResult
-from laisc.model import KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, fingerprint, rows
+from laisc.model import _GAP_NOTE, KNOWN_METRIC_IDS, Landscape, VerifiableRequirement, fingerprint, rows
 
 
 class _UsageError(Exception):
@@ -121,10 +121,7 @@ _EXIT_BY_STATUS = {
 def cmd_evaluate(args: argparse.Namespace) -> int:
     landscape = _load_landscape(args.landscape)
     bundle = io.parse_evidence(Path(args.evidence).read_bytes())
-    flt = evaluation.Filter(
-        concern=args.concern, stage=args.stage, component=args.component, status=args.status
-    )
-    result = evaluation.evaluate(landscape, bundle, flt=flt, now=_now())
+    result = evaluation.evaluate(landscape, bundle, flt=_spec_from_args(evaluation.Filter, args), now=_now())
     _write_stdout(report.serialize_report(result, args.format))
     return _EXIT_BY_STATUS[result.worst_status()]
 
@@ -280,7 +277,7 @@ def cmd_metric_gap(args: argparse.Namespace) -> int:
     # is the metric of the --vr.  A VR that measures no metric reads no
     # gap record, and _append refuses it.
     metric_id = args.metric or getattr(vr.payload, "metric_id", "gap")
-    return _metric_record(args, (landscape, vr), metric_id, (args.dataset_a, args.dataset_b), value, "gap")
+    return _metric_record(args, (landscape, vr), metric_id, (args.dataset_a, args.dataset_b), value, _GAP_NOTE)
 
 
 def cmd_metric_nap(args: argparse.Namespace) -> int:
@@ -293,7 +290,7 @@ def cmd_metric_nap(args: argparse.Namespace) -> int:
         lambda: metrics.nap_distance(table_a, table_b, min_samples=args.min_samples)
     )
     dataset_ids = (args.dataset_a, args.dataset_b)
-    return _metric_record(args, target, "nap_distance", dataset_ids, value, f"gap{warned}")
+    return _metric_record(args, target, "nap_distance", dataset_ids, value, f"{_GAP_NOTE}{warned}")
 
 
 def cmd_metric_clm(args: argparse.Namespace) -> int:
@@ -347,6 +344,7 @@ _AUGMENTATIONS = {
 
 
 def _spec_from_args(cls: type, args: argparse.Namespace):
+    """The dataclass ``cls`` with each field read from the flag of its name."""
     return cls(**{f.name: getattr(args, f.name) for f in fields(cls)})
 
 
@@ -419,10 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_evaluate = sub.add_parser("evaluate", help="evaluate evidence and render the report")
     p_evaluate.add_argument("--landscape", required=True)
     p_evaluate.add_argument("--evidence", required=True)
-    p_evaluate.add_argument("--concern")
-    p_evaluate.add_argument("--stage")
-    p_evaluate.add_argument("--component")
-    p_evaluate.add_argument("--status")
+    for f in fields(evaluation.Filter):
+        p_evaluate.add_argument("--" + f.name)
     p_evaluate.add_argument("--format", choices=report.REPORT_FORMATS, default="table")
     p_evaluate.set_defaults(func=cmd_evaluate)
 

@@ -10,10 +10,11 @@ Each VR gets exactly one :class:`Verdict`:
   such as an empty review population
 
 A record is fresh when its landscape fingerprint matches the current
-one, stale otherwise.  :func:`laisc.model.slots` states once which
-records each kind reads, as one key per slot; :func:`_key` gives the one
-key a record's payload can fill, and :func:`reads` asks whether it is a
-key of the VR.  :func:`_fill` decides every kind's slots, once per VR,
+one, stale otherwise.  Both sides of a slot key are stated in
+:mod:`laisc.model`: :func:`~laisc.model.slots` gives the one key per slot
+of the records each kind reads, :func:`~laisc.model.slot_key` the one key
+a record's payload can fill, and :func:`reads` asks whether it is a key
+of the VR.  :func:`_fill` decides every kind's slots, once per VR,
 in :func:`_evaluate_records`: the most recent fresh record of a slot's
 key wins it (ties broken by record id), so re-measuring after a
 mitigation supersedes the old result, and QualitativeApproval counts
@@ -30,6 +31,7 @@ counts.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import fields
 from datetime import datetime, timezone
 from enum import Enum
 from operator import attrgetter
@@ -41,7 +43,6 @@ from laisc.io import (
     EvidenceBundle,
     EvidenceRecord,
     FlagResolutionLog,
-    MetricResult,
     ReviewLog,
 )
 from laisc.model import (
@@ -58,6 +59,7 @@ from laisc.model import (
     VrPayload,
     fingerprint,
     rows,
+    slot_key,
     slots,
 )
 
@@ -121,7 +123,9 @@ class CoverageGap:
 class Filter:
     """Conjunctive row filter; every field is optional and the empty
     filter is the identity.  Keys match element ids first, then unique
-    display names."""
+    display names.  The fields are the one list of filter keys: the
+    report's ``filter:`` text, :func:`resolve_filter` and the flags of
+    ``laisc evaluate`` derive from them."""
 
     concern: str | None = None
     stage: str | None = None
@@ -129,16 +133,7 @@ class Filter:
     status: str | None = None
 
     def describe(self) -> str:
-        parts = [
-            f"{key}={value}"
-            for key, value in (
-                ("concern", self.concern),
-                ("stage", self.stage),
-                ("component", self.component),
-                ("status", self.status),
-            )
-            if value is not None
-        ]
+        parts = [f"{f.name}={getattr(self, f.name)}" for f in fields(self) if getattr(self, f.name) is not None]
         return ", ".join(parts) if parts else "(none)"
 
 
@@ -180,25 +175,10 @@ class EvaluationReport:
 _recency = attrgetter("timestamp", "id")
 
 
-def _key(evidence) -> SlotKey:
-    """The one slot key that the record payload ``evidence`` can fill.  A
-    result is a precomputed gap when the first ``;``-separated token of its
-    ``config_note`` is ``gap``; further notes (e.g. sample-size warnings)
-    may follow."""
-    kind = type(evidence).__name__
-    if isinstance(evidence, MetricResult):
-        if evidence.config_note.partition(";")[0] == "gap":
-            return kind, tuple(sorted(evidence.dataset_ids)), evidence.metric_id, True
-        return kind, evidence.dataset_ids, evidence.metric_id, False
-    if isinstance(evidence, (ReviewLog, FlagResolutionLog)):
-        return kind, (evidence.dataset_id,)
-    return kind, ()
-
-
 def reads(payload: VrPayload, evidence) -> bool:
     """True when a VR with ``payload`` reads a record whose payload is
     ``evidence``: its key is the key of some slot of the VR."""
-    return _key(evidence) in slots(payload).values()
+    return slot_key(evidence) in slots(payload).values()
 
 
 def _fill(
@@ -214,10 +194,10 @@ def _fill(
     """
     by_key: dict[SlotKey, list[EvidenceRecord]] = {}
     for record in sorted(fresh, key=_recency):
-        by_key.setdefault(_key(record.payload), []).append(record)
+        by_key.setdefault(slot_key(record.payload), []).append(record)
     matched = {label: by_key[key] for label, key in keys.items() if key in by_key}
     open_keys = {key for label, key in keys.items() if label not in matched}
-    return matched, [r for r in stale if _key(r.payload) in open_keys]
+    return matched, [r for r in stale if slot_key(r.payload) in open_keys]
 
 
 def _ids(records: Iterable[EvidenceRecord]) -> tuple[str, ...]:
@@ -520,31 +500,33 @@ def coverage(landscape: Landscape) -> list[CoverageGap]:
 # --- filters -------------------------------------------------------------------------
 
 
-def _resolve_key(key: str, value: str, items) -> str:
-    by_id = {item.id for item in items}
-    if value in by_id:
-        return value
-    by_name = [item.id for item in items if getattr(item, "name", None) == value]
-    if len(by_name) == 1:
-        return by_name[0]
-    raise UnknownFilterKey(key, value)
+#: The landscape collection whose element each filter key but ``status``
+#: names, by id or else by unique name; a status names a :class:`Status`
+#: value in any case.
+_FILTER_COLLECTIONS = {"concern": "concerns", "stage": "stages", "component": "components"}
 
 
 def resolve_filter(landscape: Landscape, flt: Filter) -> Filter:
-    """Normalize filter values to element ids; raises on unknown keys."""
-    concern = stage = component = status = None
-    if flt.concern is not None:
-        concern = _resolve_key("concern", flt.concern, landscape.concerns)
-    if flt.stage is not None:
-        stage = _resolve_key("stage", flt.stage, landscape.stages)
-    if flt.component is not None:
-        component = _resolve_key("component", flt.component, landscape.components)
-    if flt.status is not None:
-        match = next((s for s in Status if s.value.lower() == flt.status.lower()), None)
-        if match is None:
-            raise UnknownFilterKey("status", flt.status)
-        status = match.value
-    return Filter(concern=concern, stage=stage, component=component, status=status)
+    """Normalize filter values to element ids, a status to its value;
+    raises :class:`UnknownFilterKey` on a value that matches none or is no
+    ``str``."""
+    resolved = {}
+    for key in (f.name for f in fields(Filter)):
+        value = getattr(flt, key)
+        if value is None:
+            continue
+        if not isinstance(value, str):
+            raise UnknownFilterKey(key, value)
+        if key == "status":
+            matches = [s.value for s in Status if s.value.lower() == value.lower()]
+        else:
+            items = getattr(landscape, _FILTER_COLLECTIONS[key])
+            ids = [item.id for item in items]
+            matches = [value] if value in ids else [item.id for item in items if item.name == value]
+        if len(matches) != 1:
+            raise UnknownFilterKey(key, value)
+        resolved[key] = matches[0]
+    return Filter(**resolved)
 
 
 def apply_filter(
@@ -557,7 +539,13 @@ def apply_filter(
     Filtering affects visibility only; it never changes a verdict.  The
     ``status`` key needs ``vr_statuses`` (from an evaluation) to resolve.
     """
-    resolved = resolve_filter(landscape, flt)
+    return _passing(landscape, resolve_filter(landscape, flt), vr_statuses)
+
+
+def _passing(
+    landscape: Landscape, resolved: Filter, vr_statuses: dict[str, Status] | None
+) -> list[LandscapeRow]:
+    """:func:`apply_filter` with the filter ``resolved`` already."""
     out = []
     for row in rows(landscape):
         if resolved.concern is not None and row.concern_id != resolved.concern:
@@ -636,7 +624,7 @@ def evaluate(
         )
 
     resolved = resolve_filter(landscape, flt)
-    visible_rows = apply_filter(landscape, resolved, effective)
+    visible_rows = _passing(landscape, resolved, effective)
 
     return EvaluationReport(
         landscape=landscape,

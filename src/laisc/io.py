@@ -85,9 +85,10 @@ from laisc.model import Landscape, Resolution
 class MetricResult:
     """A computed metric value bound to the dataset(s) it was measured on.
 
-    ``config_note`` is free text for reproducibility details; the value
-    ``"gap"`` marks a record that already carries a two-dataset difference
-    or distance rather than a single-dataset measurement.
+    ``config_note`` is free text for reproducibility details; a first
+    ``;``-separated token ``gap`` (``laisc.model._GAP_NOTE``) marks a
+    record that already carries a two-dataset difference or distance
+    rather than a single-dataset measurement.
     """
 
     metric_id: str

@@ -21,15 +21,16 @@ VRs come in six closed kinds, one per evaluation pattern:
   required documents
 
 A VR's kind is its payload's class name, the codec's ``kind`` key.
-:func:`slots` states once which records a VR of each kind reads: each
-evidence slot's key (:data:`SlotKey`) names an evidence kind, its datasets
-and, for a metric result, the metric and whether it is a precomputed
-gap.  Evaluation fills the slots, ``laisc metric`` refuses an append no
-slot takes, and the structure check takes a VR's dataset bindings from
-the keys.  The rest of a payload is checked by field: ``metric_id``
-known, numbers and their bounds (``epsilon >= 0``, say) as
-:func:`laisc.codec.number_rows` reads them from the fields; only the
-rules no field states are checked per kind (``_KIND_RULES``).  Every
+Each side of an evidence slot's key (:data:`SlotKey`) is stated here
+once: :func:`slots` gives the keys a VR of each kind reads, and
+:func:`slot_key` the one key a record's payload can fill.  A key names an
+evidence kind, its datasets and, for a metric result, the metric and
+whether it is a precomputed gap.  Evaluation fills the slots, ``laisc
+metric`` refuses an append no slot takes, and the structure check takes
+a VR's dataset bindings from the keys.  The rest of a payload is checked
+by field: ``metric_id`` known, numbers and their bounds (``epsilon >=
+0``, say) as :func:`laisc.codec.number_rows` reads them from the fields;
+only the rules no field states are checked per kind (``_KIND_RULES``).  Every
 structure rule is one ``codec.check_rows`` row over one collection, as
 the rules of an evidence bundle are.
 
@@ -215,8 +216,14 @@ VrPayload = (
 #: payload of the evidence kind ``kind`` (its class name, the codec's
 #: ``kind`` key) on exactly ``dataset_ids``.  A ``MetricResult`` key adds
 #: the metric and whether the result is a precomputed gap; a gap's two ids
-#: are sorted, for a gap is read in either order.
+#: are sorted, for a gap is read in either order.  Both sides of a key are
+#: stated here only: :func:`slots` gives a VR's, :func:`slot_key` a record's.
 SlotKey = tuple
+
+#: The first ``;``-separated token of the ``config_note`` of a
+#: ``MetricResult`` that carries a precomputed two-dataset gap: ``laisc
+#: metric gap`` and ``laisc metric nap`` write it, :func:`slot_key` reads it.
+_GAP_NOTE = "gap"
 
 
 def slots(p: VrPayload) -> dict[str, SlotKey]:
@@ -240,6 +247,23 @@ def slots(p: VrPayload) -> dict[str, SlotKey]:
     if isinstance(p, FlagResolution):
         return {"log": ("FlagResolutionLog", (p.dataset_id,))}
     return {"approvals": ("ApprovalRecord", ()), "documents": ("DocumentRecord", ())}
+
+
+def slot_key(evidence) -> SlotKey:
+    """The one slot key that the record payload ``evidence`` can fill: the
+    record side of :func:`slots`.  It reads the payload's class name, as a
+    key does, for the evidence classes live in :mod:`laisc.io`.  A result is
+    a precomputed gap when the first ``;``-separated token of its
+    ``config_note`` is :data:`_GAP_NOTE`; further notes (e.g. sample-size
+    warnings) may follow."""
+    kind = type(evidence).__name__
+    if kind == "MetricResult":
+        if evidence.config_note.partition(";")[0] == _GAP_NOTE:
+            return kind, tuple(sorted(evidence.dataset_ids)), evidence.metric_id, True
+        return kind, evidence.dataset_ids, evidence.metric_id, False
+    if kind in ("ReviewLog", "FlagResolutionLog"):
+        return kind, (evidence.dataset_id,)
+    return kind, ()
 
 
 @record

@@ -4,6 +4,7 @@ The oracles here deliberately re-derive expected values through different
 code paths than the library (set arithmetic for mask overlap, literal
 re-enumeration for the confident joint, a fresh structural walk for
 coverage, an element-by-element walk of a landscape's structure rules,
+each VR kind's verdict rule restated from the README,
 a field-by-field walk of each VR payload for the fingerprint, one cell
 at a time over ``LabeledGrid.values`` for morphology, geometry and
 pixel arithmetic) so tests compare two independent computations.
@@ -358,6 +359,121 @@ def bound_datasets(payload) -> tuple[str, ...]:
                 if is_dataclass(item):
                     bound.extend(bound_datasets(item))
     return tuple(bound)
+
+
+def _is_gap(result: MetricResult) -> bool:
+    """Whether ``result`` carries a precomputed gap: its note reads ``gap``
+    up to the first ``;``."""
+    return result.config_note.split(";")[0] == "gap"
+
+
+def _measures(evidence, metric_id: str, dataset_id: str) -> bool:
+    """Whether ``evidence`` is one ``metric_id`` measurement on ``dataset_id``."""
+    return (
+        isinstance(evidence, MetricResult)
+        and evidence.metric_id == metric_id
+        and list(evidence.dataset_ids) == [dataset_id]
+        and not _is_gap(evidence)
+    )
+
+
+def _needs(p) -> dict:
+    """What a VR with payload ``p`` takes, need -> test of a record
+    payload, as the README's "VR kinds" table words each kind."""
+    if isinstance(p, MetricThreshold):
+        return {"value": lambda e: _measures(e, p.metric_id, p.dataset_id)}
+    if isinstance(p, MetricGap):
+        pair = {p.dataset_id_a, p.dataset_id_b}
+        return {
+            "a": lambda e: _measures(e, p.metric_id, p.dataset_id_a),
+            "b": lambda e: _measures(e, p.metric_id, p.dataset_id_b),
+            "gap": lambda e: isinstance(e, MetricResult) and e.metric_id == p.metric_id and _is_gap(e)
+            and len(e.dataset_ids) == 2 and set(e.dataset_ids) == pair,
+        }
+    if isinstance(p, PerCondition):
+        return {c.condition_id: (lambda e, c=c: _measures(e, p.metric_id, c.dataset_id)) for c in p.conditions}
+    if isinstance(p, ReviewFraction):
+        return {"log": lambda e: isinstance(e, ReviewLog) and e.dataset_id == p.dataset_id}
+    if isinstance(p, FlagResolution):
+        return {"log": lambda e: isinstance(e, FlagResolutionLog) and e.dataset_id == p.dataset_id}
+    return {"approvals": lambda e: isinstance(e, ApprovalRecord), "documents": lambda e: isinstance(e, DocumentRecord)}
+
+
+def verdict_oracle(payload, records, current: str) -> tuple[str, tuple[str, ...]]:
+    """The status value and the sorted evidence ids of the verdict of a VR
+    with ``payload`` on ``records``, the records addressed to it, where
+    ``current`` is the landscape's fingerprint.  Restated from the README's
+    "VR kinds" table and its stale rule, one kind at a time, without
+    ``laisc.model.slots``, ``slot_key`` or any ``laisc.evaluation`` helper:
+
+    * a record is fresh when its fingerprint is ``current``; among the fresh
+      records that meet one need of the VR, the latest wins, a tie going to
+      the greatest id;
+    * a need that no fresh record meets but a stale one does makes the
+      verdict Error (naming those stale records) unless the needs met decide
+      it: a failed condition, a MetricGap's gap record or its two sides; a
+      QualitativeApproval with any fresh approval or document counts only
+      the fresh ones;
+    * with no need met and no stale record, records that meet no need make
+      the verdict Error (naming them all), except for a FlagResolution,
+      which stays Pending; no record at all is Pending.
+    """
+    fresh = [r for r in records if r.landscape_fingerprint == current]
+    needs = _needs(payload)
+    met = {need: [r for r in fresh if test(r.payload)] for need, test in needs.items()}
+    met = {need: found for need, found in met.items() if found}
+    latest = {need: max(found, key=lambda r: (r.timestamp, r.id)) for need, found in met.items()}
+    stale = {
+        r.id
+        for need, test in needs.items()
+        if need not in met
+        for r in records
+        if r.landscape_fingerprint != current and test(r.payload)
+    }
+    ids = lambda found: tuple(sorted({r.id for r in found}))
+    decided = lambda ok, found: ("Satisfied" if ok else "Violated", ids(found))
+    if isinstance(payload, MetricThreshold) and latest:
+        value = latest["value"].payload.value
+        ok = value >= payload.threshold if payload.comparator == Comparator.GE else value <= payload.threshold
+        return decided(ok, latest.values())
+    if isinstance(payload, MetricGap):
+        if "gap" in latest:
+            return decided(abs(latest["gap"].payload.value) <= payload.epsilon, [latest["gap"]])
+        if "a" in latest and "b" in latest:
+            difference = abs(latest["a"].payload.value - latest["b"].payload.value)
+            return decided(difference <= payload.epsilon, [latest["a"], latest["b"]])
+        if latest and not stale:
+            return "Pending", ()
+    if isinstance(payload, PerCondition) and latest:
+        measured = [c for c in payload.conditions if c.condition_id in latest]
+        if any(latest[c.condition_id].payload.value < c.threshold for c in measured):
+            return "Violated", ids(latest.values())
+        if len(latest) == len(payload.conditions):
+            return "Satisfied", ids(latest.values())
+        if not stale:
+            return "Pending", ids(latest.values())
+    if isinstance(payload, ReviewFraction) and latest:
+        log = latest["log"].payload
+        if log.total_items == 0:
+            return "Error", ids(latest.values())
+        return decided(log.reviewed_items / log.total_items >= payload.min_fraction, latest.values())
+    if isinstance(payload, FlagResolution) and latest:
+        log = latest["log"].payload
+        resolved = {entry.instance_id for entry in log.entries}
+        return decided(all(flagged in resolved for flagged in log.flagged_ids), latest.values())
+    if isinstance(payload, QualitativeApproval) and met:
+        approvals, documents = met.get("approvals", []), met.get("documents", [])
+        rejections = [r for r in approvals if r.payload.verdict == ApprovalVerdict.REJECTED]
+        if rejections:
+            return "Violated", ids(rejections)
+        enough = len({r.payload.approver_id for r in approvals}) >= payload.required_approvals
+        documented = set(payload.required_documents) <= {r.payload.document_kind for r in documents}
+        return "Satisfied" if enough and documented else "Pending", ids(approvals + documents)
+    if stale:
+        return "Error", tuple(sorted(stale))
+    if isinstance(payload, FlagResolution) or not records:
+        return "Pending", ()
+    return "Error", ids(records)
 
 
 def _plain(value):
@@ -748,6 +864,38 @@ def random_bundle(rng: random.Random) -> EvidenceBundle:
         ),
         source=rng.choice(("", "generated")),
     )
+
+
+def random_fitting_payload(rng: random.Random, payload):
+    """A record payload that a VR with ``payload`` reads, or one a step
+    away: another dataset or metric, a gap note where none belongs, a gap
+    over the VR's two datasets in either order, an empty review log, a
+    rejection, a document of another kind."""
+    metric = getattr(payload, "metric_id", "miou") if rng.random() < 0.9 else "nap_distance"
+    bound = list(bound_datasets(payload)) or ["ds0"]
+    dataset = rng.choice(bound) if rng.random() < 0.9 else f"ds{rng.randint(0, 3)}"
+    if isinstance(payload, ReviewFraction):
+        total = rng.choice((0, 10, 100))
+        return ReviewLog(dataset, total, rng.randint(0, total))
+    if isinstance(payload, FlagResolution):
+        if rng.random() < 0.3:
+            return MetricResult("clm_flags", (dataset,), rng.random(), "threshold=0.5")
+        flagged = tuple(f"img-{i}" for i in rng.sample(range(6), rng.randint(0, 3)))
+        entries = tuple((i, rng.choice(list(Resolution))) for i in flagged if rng.random() < 0.7)
+        return FlagResolutionLog(dataset, flagged, entries)
+    if isinstance(payload, QualitativeApproval):
+        if rng.random() < 0.5:
+            verdict = ApprovalVerdict.REJECTED if rng.random() < 0.15 else ApprovalVerdict.APPROVED
+            return ApprovalRecord(f"rev-{rng.randint(0, 3)}", "reviewer", verdict, "")
+        return DocumentRecord(rng.choice(("doc-kind", "doc-kind", "other-kind")), "")
+    if rng.random() < (0.4 if isinstance(payload, MetricGap) else 0.1):
+        # A precomputed gap over two datasets, most often the VR's own pair.
+        pair = bound[:2] if len(bound) >= 2 and rng.random() < 0.8 else rng.sample([f"ds{i}" for i in range(4)], 2)
+        rng.shuffle(pair)
+        return MetricResult(metric, tuple(pair), rng.uniform(-0.4, 0.4), rng.choice(("gap", "gap; warning: n=3")))
+    # A value of 1 meets every GE bound, so one failed condition decides a PerCondition less often.
+    value = rng.choice((rng.random(), 1.0))
+    return MetricResult(metric, (dataset,), value, rng.choice(("", "", "pairs=4", "run=2", "gap")))
 
 
 # --- schema mutations ------------------------------------------------------------

@@ -230,6 +230,36 @@ def test_fixture_report_bytes_are_pinned(fmt, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == _FIXTURE_REPORT_SHA256[fmt]
 
 
+#: sha256 of ``evaluate --format <fmt> <flag> <value>`` on the shipped
+#: fixture at PINNED_NOW: one filter per key.  The DOT tree draws the whole
+#: landscape whatever the filter, so its four digests are the unfiltered one.
+_FILTERED_REPORT_SHA256 = {
+    ("table", "--concern", "Inaccurate data labels"): (
+        "bd2e13431b04c22c1d7f6f011773dccacd7a89dd02a4c0ede3db52d2517479e5"
+    ),
+    ("table", "--stage", "Modeling"): "cc3837f588bfd3a8c9aa7d8dbaffe64242485c02c19574185aa022811672bd9e",
+    ("table", "--component", "comp-track-detector"): "9925db6e43eb69d480762ca8c4b4a6f029cdd1244e9a55bb739638ae9b25466a",
+    ("table", "--status", "satisfied"): "2451a1940ccefbbeff0aedbe0dd5b52faf08a3e7f4610dbaa75ebffa9b3e4cdb",
+    ("json", "--concern", "Inaccurate data labels"): "64a449a1a7de9bfa95d637f8d49312bb2f7bb4f621ba20246d43d51b7e0be8b9",
+    ("json", "--stage", "Modeling"): "0bc3707fe4170b60178e7945ed014d8189295489582689a6c119ba6d07028c7e",
+    ("json", "--component", "comp-track-detector"): "3c9727f9da4e1292369aa3648feff1546d493c710a71a9d1714a17e695510411",
+    ("json", "--status", "satisfied"): "492bb2ccd8e63a9ad6a1dff53c0f0ca5ab580de3d8c3648e87e9423753a0d821",
+    ("dot", "--concern", "Inaccurate data labels"): _FIXTURE_REPORT_SHA256["dot"],
+    ("dot", "--stage", "Modeling"): _FIXTURE_REPORT_SHA256["dot"],
+    ("dot", "--component", "comp-track-detector"): _FIXTURE_REPORT_SHA256["dot"],
+    ("dot", "--status", "satisfied"): _FIXTURE_REPORT_SHA256["dot"],
+}
+
+
+@pytest.mark.parametrize("fmt, flag, value", sorted(_FILTERED_REPORT_SHA256))
+def test_filtered_report_bytes_are_pinned(fmt, flag, value, capsys):
+    landscape_path, evidence_path = fixtures.fixture_path(), fixtures.fixture_path(fixtures.EVIDENCE_FILENAME)
+    argv = ["evaluate", "--landscape", str(landscape_path), "--evidence", str(evidence_path), "--format", fmt]
+    assert main([*argv, flag, value]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == _FILTERED_REPORT_SHA256[fmt, flag, value]
+
+
 def _zurich_landscape(landscape_path) -> None:
     node = json.loads(landscape_path.read_bytes())
     node["name"] += "-Zürich"

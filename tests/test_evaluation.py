@@ -16,9 +16,11 @@ from helpers import (
     gaps_as_pairs,
     generated_pair,
     random_bundle,
+    random_fitting_payload,
     random_landscape,
     record,
     single_vr_landscape,
+    verdict_oracle,
 )
 from laisc.codec import load_json
 from laisc.errors import InvalidTimestamp, LaiscError, UnknownFilterKey
@@ -423,6 +425,16 @@ def test_unknown_filter_key(fixture_landscape):
         apply_filter(fixture_landscape, Filter(status="maybe"))
 
 
+@pytest.mark.parametrize(
+    "key, value", [("status", 5), ("concern", ["x"]), ("stage", b"Modeling"), ("component", 1.5)]
+)
+def test_filter_value_that_is_no_str_is_an_unknown_filter_key(fixture_landscape, demo_bundle, key, value):
+    with pytest.raises(UnknownFilterKey) as caught:
+        evaluate(fixture_landscape, demo_bundle, flt=Filter(**{key: value}))
+    assert (caught.value.key, caught.value.value) == (key, value)
+    assert str(caught.value) == f"filter {key}={value!r} matches no id or name in the landscape"
+
+
 def test_status_filter(fixture_landscape, demo_bundle):
     report = evaluate(fixture_landscape, demo_bundle, flt=Filter(status="satisfied"))
     assert len(report.rows) == 10
@@ -681,6 +693,57 @@ def test_bundle_equality_hash_and_replace_ignore_its_verdicts(fixture_landscape,
     report = evaluate(fixture_landscape, shorter, now=NOW)
     assert report == _fresh_report(fixture_landscape, shorter)
     assert report.vr_verdicts != full.vr_verdicts
+
+
+# --- verdicts against an independent oracle ------------------------------------------------
+
+
+def _audit_draw(rng: random.Random) -> tuple[Landscape, EvidenceBundle]:
+    """A random landscape and a bundle for it, parsed from its bytes so that
+    no verdict is kept on it: ``random_bundle``'s records of every kind and
+    records that each VR reads or nearly reads, addressed mostly to their
+    own VR, else to any VR or to a ghost; fresh or stale, at four distinct
+    times so that times tie, in an order unlike that of their ids."""
+    landscape = random_landscape(rng)
+    current = fingerprint(landscape)
+    targets = [vr.id for vr in landscape.vrs] + ["ghost"]
+    addressed = [(rng.choice(targets), r.payload) for r in random_bundle(rng).records]
+    for vr in landscape.vrs:
+        for _ in range(rng.randint(0, 8)):
+            vr_id = vr.id if rng.random() < 0.9 else rng.choice(targets)
+            addressed.append((vr_id, random_fitting_payload(rng, vr.payload)))
+    fingerprints = (current, current, "sha256:old")
+    records = [
+        record(f"rec-{index:04d}", vr_id, payload, rng.choice(fingerprints), minute=rng.randint(0, 3))
+        for index, (vr_id, payload) in enumerate(addressed)
+    ]
+    rng.shuffle(records)
+    return landscape, _unjudged(EvidenceBundle(tuple(records)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_verdicts_agree_with_the_oracle(seed):
+    landscape, bundle = _audit_draw(random.Random(seed))
+    current = fingerprint(landscape)
+    report = evaluate(landscape, bundle, now=NOW)
+    for vr in landscape.vrs:
+        verdict = report.vr_verdicts[vr.id]
+        expected = verdict_oracle(vr.payload, [r for r in bundle.records if r.vr_id == vr.id], current)
+        assert (verdict.status.value, verdict.evidence_ids) == expected, (vr, verdict)
+    ghosts = sorted(r.id for r in bundle.records if r.vr_id == "ghost")
+    assert report.orphaned_evidence_ids == tuple(ghosts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_report_does_not_depend_on_record_order(seed):
+    rng = random.Random(seed)
+    landscape, bundle = _audit_draw(rng)
+    shuffled = list(bundle.records)
+    rng.shuffle(shuffled)
+    reordered = _unjudged(EvidenceBundle(tuple(shuffled)))
+    assert evaluate(landscape, bundle, now=NOW) == evaluate(landscape, reordered, now=NOW)
 
 
 # --- every payload field is read ------------------------------------------------------------
