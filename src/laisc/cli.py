@@ -261,9 +261,7 @@ def cmd_metric_miou(args: argparse.Namespace) -> int:
             raise _UsageError(f"{name} is in {held} but not in {lacking}")
     preds = [io.read_grid(p.read_bytes()) for p in pred_paths]
     truths = [io.read_grid(p.read_bytes()) for p in truth_paths]
-    value, warned = _capture_small_samples(
-        lambda: metrics.miou(preds, truths, min_samples=args.min_samples)
-    )
+    value, warned = _capture_small_samples(lambda: metrics.miou(preds, truths))
     return _metric_record(args, target, "miou", (args.dataset,), value, f"pairs={len(preds)}{warned}")
 
 
@@ -286,9 +284,7 @@ def cmd_metric_nap(args: argparse.Namespace) -> int:
     target = _target(args)
     table_a = io.read_activations(Path(args.a).read_bytes())
     table_b = io.read_activations(Path(args.b).read_bytes())
-    value, warned = _capture_small_samples(
-        lambda: metrics.nap_distance(table_a, table_b, min_samples=args.min_samples)
-    )
+    value, warned = _capture_small_samples(lambda: metrics.nap_distance(table_a, table_b))
     dataset_ids = (args.dataset_a, args.dataset_b)
     return _metric_record(args, target, "nap_distance", dataset_ids, value, f"{_GAP_NOTE}{warned}")
 
@@ -301,9 +297,7 @@ def cmd_metric_clm(args: argparse.Namespace) -> int:
     if threshold is None:
         raise _UsageError(f"--vr {args.vr!r} is a {vr.kind}, which sets no flag_threshold")
     table = io.read_prob_table(Path(args.probs).read_bytes())
-    result, warned = _capture_small_samples(
-        lambda: metrics.clm_flags(table, threshold, min_samples=args.min_samples)
-    )
+    result, warned = _capture_small_samples(lambda: metrics.clm_flags(table, threshold))
     flagged, total = len(result.flagged_ids), len(table.ids)
     flagged_fraction = flagged / total if total else 0.0
     note = f"threshold={threshold:g}; flagged={flagged}/{total}{warned}"
@@ -385,21 +379,10 @@ def cmd_augment_labels(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------------
 
 
-#: ``laisc.metrics.DEFAULT_MIN_SAMPLES``, which a test pins; reading it
-#: from there would import the kernels for every command.
-_DEFAULT_MIN_SAMPLES = 30
-
-
 def _add_metric_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--landscape", required=True, help="landscape definition (*.laisc.json)")
     parser.add_argument("--vr", required=True, help="VR id the evidence is addressed to")
     parser.add_argument("--out", required=True, help="evidence bundle to append to (*.evidence.json)")
-    parser.add_argument(
-        "--min-samples",
-        type=int,
-        default=_DEFAULT_MIN_SAMPLES,
-        help="sample count below which a significance warning is recorded",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,11 @@ Every domain class is a ``record``: a frozen dataclass whose ``==``,
 written once over the class's field names; ``dataclass`` itself only
 records the fields, so ``fields``, ``replace`` and ``is_dataclass`` work
 as on any dataclass, and only each class's short ``__init__`` is
-generated.
+generated.  Two records are equal when they are of one class and their
+field values are equal.  The grid and table constructors of
+``laisc.io``, the only ``__init__`` a record class writes itself, set
+their fields with ``set_fields``, the ``__setstate__`` of every slotted
+record.
 
 ``to_node`` writes a dataclass as a JSON object with one key per field,
 and ``from_node`` reads one back, checking each value against its field's
@@ -163,7 +167,11 @@ def _record_getstate(self) -> list:
     return list(self._record_values(self))
 
 
-def _record_setstate(self, state: list) -> None:
+def set_fields(self, state) -> None:
+    """Set the fields of ``self``, in order, to the values of ``state``,
+    the first ``len(state)`` fields if it is shorter: every slotted
+    record's ``__setstate__``, and how the grid and table constructors of
+    ``laisc.io`` set their fields."""
     for name, value in zip(self._record_names, state):
         object.__setattr__(self, name, value)
 
@@ -177,7 +185,7 @@ _RECORD_METHODS = {
 }
 #: What a class with ``__slots__`` needs besides: it has no ``__dict__``
 #: for ``pickle`` and ``copy`` to fill.
-_SLOTS_METHODS = {"__getstate__": _record_getstate, "__setstate__": _record_setstate}
+_SLOTS_METHODS = {"__getstate__": _record_getstate, "__setstate__": set_fields}
 
 
 def _values_getter(names: tuple[str, ...]):

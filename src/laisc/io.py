@@ -65,6 +65,7 @@ from laisc.codec import (
     parse_timestamp,  # noqa: F401
     record,
     rule_rows,
+    set_fields,
     to_node,
     unique_row,
 )
@@ -273,9 +274,12 @@ class LabeledGrid:
 
     The cells are stored as one row-major ``bytes`` of length
     ``height * width``, so every cell is in 0..255 by construction.
-    ``LabeledGrid(height, width, values)`` checks a tuple of rows cell by
-    cell; ``from_bytes`` wraps a buffer after checking its shape only.
-    ``==`` and ``hash`` compare the shape and the cells.
+    ``height`` and ``width`` are ``int``s, by the number rule's integer
+    test, of at least 1.  ``LabeledGrid(height, width, values)`` checks a
+    tuple of rows cell by cell; ``from_bytes`` wraps a buffer after
+    checking its shape only.  Both set the fields by ``set_fields``, and
+    ``==`` and ``hash``, as for every record, compare the shape and the
+    cells.
     """
 
     height: int
@@ -284,8 +288,8 @@ class LabeledGrid:
 
     def __init__(self, height: int, width: int, values: tuple[tuple[int, ...], ...]) -> None:
         values = tuple(tuple(row) for row in values)
-        if height < 1 or width < 1:
-            raise DimensionMismatch(f"grid must be at least 1x1, got {height}x{width}")
+        if type(height) is not int or type(width) is not int or height < 1 or width < 1:
+            raise DimensionMismatch(f"grid must be at least 1x1, got {height!r}x{width!r}")
         if len(values) != height:
             raise DimensionMismatch(f"expected {height} rows, got {len(values)}")
         for r, row in enumerate(values):
@@ -296,22 +300,17 @@ class LabeledGrid:
                     raise ValueOutOfRange(f"row {r}: non-integer cell {value!r}")
                 if not 0 <= value <= 255:
                     raise ValueOutOfRange(f"row {r}: cell value {value} outside [0, 255]")
-        self._set(height, width, b"".join(map(bytes, values)))
-
-    def _set(self, height: int, width: int, cells: bytes) -> None:
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "cells", cells)
+        set_fields(self, (height, width, b"".join(map(bytes, values))))
 
     @classmethod
     def from_bytes(cls, height: int, width: int, cells: bytes) -> LabeledGrid:
         """Wrap ``height * width`` row-major cells without checking each one."""
-        if height < 1 or width < 1:
-            raise DimensionMismatch(f"grid must be at least 1x1, got {height}x{width}")
+        if type(height) is not int or type(width) is not int or height < 1 or width < 1:
+            raise DimensionMismatch(f"grid must be at least 1x1, got {height!r}x{width!r}")
         if len(cells) != height * width:
             raise DimensionMismatch(f"expected {height * width} cells, got {len(cells)}")
         grid = object.__new__(cls)
-        grid._set(height, width, bytes(cells))
+        set_fields(grid, (height, width, bytes(cells)))
         return grid
 
     @property
@@ -409,10 +408,13 @@ class _Table:
     as the bytes of their doubles, 8 bytes a number.  A table built in
     code stores each number it is given as its double, and refuses one
     that no double holds exactly, so it writes what its reader reads back.
-    ``==`` and ``hash`` compare the numbers by value: a table of ``1``
-    equals one of ``1.0``, and one of ``-0.0`` one of ``0.0``.  A table's
-    fields are its width, its ids, its labels if it has any and its
-    numbers, and its rows ``(id, *labels, numbers)``.
+    A table's fields are its width, an ``int`` by the number rule's
+    integer test, its ids, its labels if it has any and its numbers, and
+    its rows ``(id, *labels, numbers)``.  ``==`` and ``hash``, as for
+    every record, compare the fields, the stored doubles among them: a
+    table of ``1`` equals one of ``1.0``, one of ``-0.0`` differs from one
+    of ``0.0``, and two tables are equal exactly when they write the same
+    bytes.
     """
 
     __slots__ = ()
@@ -445,10 +447,9 @@ class _Table:
         of the doubles of a table read, or the list given in code, which the
         rules see as given and the table stores as the bytes of its doubles.
         ``lengths`` are those of the rows given in code, none for a table
-        read."""
+        read.  The numbers are stored once they are checked."""
         *values, flat = values
-        for name, value in zip(self._record_names, (width, *values)):
-            object.__setattr__(self, name, value)
+        set_fields(self, (width, *values))
         if self.ids:
             self._check(width, lengths, flat)
         object.__setattr__(self, "numbers", flat.obj if type(flat) is memoryview else array("d", flat).tobytes())
@@ -458,17 +459,6 @@ class _Table:
         """The rows ``(id, *labels, numbers)``, a fresh copy on each access."""
         width, *columns, _ = self._record_values(self)
         return tuple(zip(*columns, _rows_of(self.flat, width)))
-
-    def _key(self) -> tuple:
-        return (*self._record_values(self)[:-1], tuple(self.flat))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 @record
@@ -490,8 +480,8 @@ class ProbabilityTable(_Table):
 
     def __init__(self, num_classes: int, rows) -> None:
         rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
-        if num_classes < 2:
-            raise ValueOutOfRange(f"need at least 2 classes, got {num_classes}")
+        if type(num_classes) is not int or num_classes < 2:
+            raise ValueOutOfRange(f"need at least 2 classes, got {num_classes!r}")
         self._build(num_classes, rows)
 
     def _check(self, width: int, lengths, flat) -> None:
@@ -516,8 +506,8 @@ class ActivationTable(_Table):
 
     def __init__(self, num_neurons: int, rows) -> None:
         rows = tuple((s, tuple(a)) for s, a in rows)
-        if num_neurons < 1:
-            raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons}")
+        if type(num_neurons) is not int or num_neurons < 1:
+            raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons!r}")
         self._build(num_neurons, rows)
 
     def _check(self, width: int, lengths, flat) -> None:

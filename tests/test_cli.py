@@ -13,7 +13,7 @@ import pytest
 
 import laisc
 from laisc import fixtures, io, metrics
-from laisc.cli import build_parser, main
+from laisc.cli import main
 from laisc.evaluation import Status, evaluate
 from laisc.io import write_grid, LabeledGrid
 
@@ -1045,9 +1045,3 @@ def test_importing_the_cli_leaves_the_metric_kernels_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(laisc.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
-
-
-def test_min_samples_defaults_to_the_metrics_constant():
-    # Every metric command adds --min-samples through one helper.
-    args = build_parser().parse_args(_metric_argv("gap", "l.laisc.json", "o.evidence.json"))
-    assert args.min_samples == metrics.DEFAULT_MIN_SAMPLES

@@ -1691,8 +1691,27 @@ def test_grid_header_padded_past_the_int_digit_limit_reads_alike():
         (0, 1, (), DimensionMismatch, "grid must be at least 1x1, got 0x1"),
         (2, 2, ((1, 300), (1,)), ValueOutOfRange, "row 0: cell value 300 outside [0, 255]"),
         (2, 2, ((1,), (True, 0)), DimensionMismatch, "row 0: expected 2 values, got 1"),
+        # a bool size would be written as "True", which read_grid refuses
+        (True, 1, ((0,),), DimensionMismatch, "grid must be at least 1x1, got Truex1"),
+        (1.0, 1, ((0,),), DimensionMismatch, "grid must be at least 1x1, got 1.0x1"),
+        ("1", 1, ((0,),), DimensionMismatch, "grid must be at least 1x1, got '1'x1"),
+        (1, True, ((0,),), DimensionMismatch, "grid must be at least 1x1, got 1xTrue"),
     ],
-    ids=["bool", "float", "above-255", "negative", "ragged", "row-count", "empty", "range-first", "length-first"],
+    ids=[
+        "bool",
+        "float",
+        "above-255",
+        "negative",
+        "ragged",
+        "row-count",
+        "empty",
+        "range-first",
+        "length-first",
+        "bool-height",
+        "float-height",
+        "str-height",
+        "bool-width",
+    ],
 )
 def test_grid_constructor_rejects_bad_cells(height, width, rows, error, message):
     with pytest.raises(error) as caught:
@@ -1706,8 +1725,10 @@ def test_grid_constructor_rejects_bad_cells(height, width, rows, error, message)
     [
         (0, 2, b"", "grid must be at least 1x1, got 0x2"),
         (2, 2, b"\x00\x01\x00", "expected 4 cells, got 3"),
+        (True, 1, b"\x00", "grid must be at least 1x1, got Truex1"),
+        (1, 1.0, b"\x00", "grid must be at least 1x1, got 1x1.0"),
     ],
-    ids=["empty", "cell-count"],
+    ids=["empty", "cell-count", "bool-height", "float-width"],
 )
 def test_grid_from_bytes_rejects_a_bad_shape(height, width, cells, message):
     with pytest.raises(DimensionMismatch) as caught:
@@ -1751,8 +1772,12 @@ def test_tables_built_from_lists_store_tuples():
     [
         (lambda: ProbabilityTable(1, ()), "need at least 2 classes, got 1"),
         (lambda: ActivationTable(0, ()), "need at least 1 neuron, got 0"),
+        (lambda: ProbabilityTable("2", ()), "need at least 2 classes, got '2'"),
+        (lambda: ProbabilityTable(2.0, (("x", 0, (1, 0)),)), "need at least 2 classes, got 2.0"),
+        (lambda: ActivationTable("2", ()), "need at least 1 neuron, got '2'"),
+        (lambda: ActivationTable(True, (("s", (0.5,)),)), "need at least 1 neuron, got True"),
     ],
-    ids=["classes", "neurons"],
+    ids=["classes", "neurons", "str-classes", "float-classes", "str-neurons", "bool-neurons"],
 )
 def test_tables_below_their_minimum_size_rejected(build, message):
     with pytest.raises(ValueOutOfRange) as caught:
@@ -2109,16 +2134,19 @@ def test_table_read_from_csv_keeps_its_numbers_as_doubles(read, data, limit_mib)
     assert retained < limit_mib * 2**20, f"{retained / 2**20:.2f} MiB retained"
 
 
-def test_tables_compare_and_hash_their_numbers_by_value():
+def test_tables_compare_and_hash_their_stored_doubles():
+    # A table of 1 stores the double 1.0, as one of 1.0 does; -0.0 is another double.
     zero = read_activations("sample_id,a_0\ns,0.0\n")
     negative_zero = read_activations("sample_id,a_0\ns,-0.0\n")
     one = ActivationTable(1, (("s", (1,)),))
     one_float = ActivationTable(1, (("s", (1.0,)),))
     certain = ProbabilityTable(2, (("x", 0, (1, 0)),))
-    certain_float = read_prob_table("instance_id,label,p_0,p_1\nx,0,1.0,-0.0\n")
-    for a, b in ((zero, negative_zero), (one, one_float), (certain, certain_float)):
+    certain_float = read_prob_table("instance_id,label,p_0,p_1\nx,0,1.0,0.0\n")
+    for a, b in ((one, one_float), (certain, certain_float)):
         assert a == b
         assert hash(a) == hash(b)
+    assert zero != negative_zero
+    assert certain != read_prob_table("instance_id,label,p_0,p_1\nx,0,1.0,-0.0\n")
     assert zero != one
     assert ActivationTable(1, (("t", (0.0,)),)) != zero
 
@@ -2257,6 +2285,49 @@ def test_every_table_built_in_code_reads_back_as_written(drawn):
     except LaiscError:
         return  # refused: nothing is written
     assert read(write(table)) == table
+
+
+#: The numbers the equality property draws: two spellings of the double
+#: 1.0, the two zeros, and 2**53, an int that a double holds.
+_EQUALITY_POOL = (0.0, -0.0, 1, 1.0, 2**53)
+
+
+@st.composite
+def _pooled_table(draw):
+    """A small table of numbers from ``_EQUALITY_POOL`` and its writer: built
+    in code, or read from CSV text that spells each number as ``str`` does."""
+    rows = []
+    if draw(st.booleans()):
+        table_type, read, write, size = ProbabilityTable, read_prob_table, write_prob_table, 2
+        for _ in range(draw(st.integers(0, 2))):
+            # a row of the pool's numbers that sums to 1: a one and a zero
+            one, zero = draw(st.sampled_from((1, 1.0))), draw(st.sampled_from((0.0, -0.0)))
+            numbers = (one, zero) if draw(st.booleans()) else (zero, one)
+            rows.append((draw(st.sampled_from("st")), draw(st.integers(0, 1)), numbers))
+    else:
+        table_type, read, write = ActivationTable, read_activations, write_activations
+        size = draw(st.integers(1, 2))
+        numbers = st.lists(st.sampled_from(_EQUALITY_POOL), min_size=size, max_size=size).map(tuple)
+        for _ in range(draw(st.integers(0, 2))):
+            rows.append((draw(st.sampled_from("st")), draw(numbers)))
+    if draw(st.booleans()):
+        return table_type(size, rows), write
+    columns = laisc_io._PROB_COLUMNS if table_type is ProbabilityTable else laisc_io._ACTIVATION_COLUMNS
+    lines = [",".join(laisc_io._header(*columns, size)), *(",".join(map(str, (*row[:-1], *row[-1]))) for row in rows)]
+    return read("\n".join(lines) + "\n"), write
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pooled_table(), _pooled_table())
+@example(
+    (read_activations("sample_id,a_0\ns,0.0\n"), write_activations),
+    (ActivationTable(1, (("s", (-0.0,)),)), write_activations),
+)
+def test_tables_are_equal_exactly_when_they_write_the_same_bytes(first, second):
+    (a, write_a), (b, write_b) = first, second
+    assert (a == b) == (write_a(a) == write_b(b))
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 # --- report serialization ---------------------------------------------------------------------

@@ -420,21 +420,23 @@ _SHARED = {
 def test_record_methods_are_the_shared_ones_or_the_class_own(name):
     """No record carries a generated ``==``, ``hash``, ``repr`` or frozen
     ``__setattr__``: each is ``codec``'s, or written in the class's (or a
-    base's) own source, as ``_Table``'s ``==`` and ``hash`` are."""
+    base's) own source."""
     cls = RECORDS[name]
     source = Path(sys.modules[cls.__module__].__file__).resolve()
     for method, shared in _SHARED.items():
         found = getattr(cls, method)
         assert found is shared or Path(found.__code__.co_filename).resolve() == source, (name, method)
     if hasattr(cls, "__slots__"):
-        assert cls.__getstate__ is codec._record_getstate and cls.__setstate__ is codec._record_setstate
+        assert cls.__getstate__ is codec._record_getstate and cls.__setstate__ is codec.set_fields
     assert cls.__init__.__code__.co_filename in ("<string>", str(source)), name
 
 
-def test_tables_keep_their_own_eq_hash_and_init():
-    assert ProbabilityTable.__eq__ is io._Table.__eq__ and ActivationTable.__hash__ is io._Table.__hash__
-    assert ProbabilityTable.__repr__ is codec._record_repr
+def test_grids_and_tables_keep_only_their_own_init():
+    # codec.set_fields sets their fields, and codec compares and hashes them as any record.
+    assert not {"_key", "__eq__", "__hash__"} & set(vars(io._Table)) and "_set" not in vars(LabeledGrid)
+    assert io.set_fields is codec.set_fields
     for cls in (LabeledGrid, ProbabilityTable, ActivationTable):
+        assert cls.__eq__ is codec._record_eq and cls.__hash__ is codec._record_hash
         assert cls.__init__.__code__.co_filename == io.__file__
 
 
