@@ -210,9 +210,9 @@ MUTANTS = (
     Mutant(
         "grid sizes need not be exact ints",
         _IO,
-        "values = tuple(tuple(row) for row in values)\n"
+        'values = _given_rows(values, tuple, "a row of cells")\n'
         "        if type(height) is not int or type(width) is not int or height < 1 or width < 1:",
-        "values = tuple(tuple(row) for row in values)\n        if height < 1 or width < 1:",
+        'values = _given_rows(values, tuple, "a row of cells")\n        if height < 1 or width < 1:',
     ),
     # kernels
     Mutant(

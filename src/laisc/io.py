@@ -268,6 +268,23 @@ def _count_fault(words: tuple[str, str], index: int, log: ReviewLog) -> SchemaEr
 # --- numeric carriers --------------------------------------------------------
 
 
+def _given_rows(rows, shape, expected: str) -> tuple:
+    """The rows given in code, each as ``shape`` makes it.  A ``rows`` that
+    is not iterable, or a row that ``shape`` cannot take, is a
+    ``DimensionMismatch`` that names the row, as a row of the wrong length is."""
+    try:
+        rows = tuple(rows)
+    except TypeError:
+        raise DimensionMismatch(f"expected an iterable of rows, got {rows!r}") from None
+    out = []
+    for at, row in enumerate(rows):
+        try:
+            out.append(shape(row))
+        except (TypeError, ValueError):
+            raise DimensionMismatch(f"row {at}: expected {expected}, got {row!r}") from None
+    return tuple(out)
+
+
 @record
 class LabeledGrid:
     """A small integer raster: a camera image (0..255) or a binary mask.
@@ -287,7 +304,7 @@ class LabeledGrid:
     cells: bytes
 
     def __init__(self, height: int, width: int, values: tuple[tuple[int, ...], ...]) -> None:
-        values = tuple(tuple(row) for row in values)
+        values = _given_rows(values, tuple, "a row of cells")
         if type(height) is not int or type(width) is not int or height < 1 or width < 1:
             raise DimensionMismatch(f"grid must be at least 1x1, got {height!r}x{width!r}")
         if len(values) != height:
@@ -304,13 +321,22 @@ class LabeledGrid:
 
     @classmethod
     def from_bytes(cls, height: int, width: int, cells: bytes) -> LabeledGrid:
-        """Wrap ``height * width`` row-major cells without checking each one."""
+        """Wrap ``height * width`` row-major cells: a bytes-like buffer, or an
+        iterable of ints in 0..255 as ``bytes()`` takes it.  Anything else is
+        a ``ValueOutOfRange``."""
         if type(height) is not int or type(width) is not int or height < 1 or width < 1:
             raise DimensionMismatch(f"grid must be at least 1x1, got {height!r}x{width!r}")
+        try:
+            if isinstance(cells, (str, int)):
+                # bytes() of a str needs an encoding, and of an int makes that many zeros.
+                raise TypeError
+            cells = bytes(cells)
+        except (TypeError, ValueError):
+            raise ValueOutOfRange(f"cells must be bytes or ints in [0, 255], got {cells!r}") from None
         if len(cells) != height * width:
             raise DimensionMismatch(f"expected {height * width} cells, got {len(cells)}")
         grid = object.__new__(cls)
-        set_fields(grid, (height, width, bytes(cells)))
+        set_fields(grid, (height, width, cells))
         return grid
 
     @property
@@ -461,6 +487,16 @@ class _Table:
         return tuple(zip(*columns, _rows_of(self.flat, width)))
 
 
+def _prob_row(row) -> tuple:
+    instance_id, label, probabilities = row
+    return instance_id, label, tuple(probabilities)
+
+
+def _activation_row(row) -> tuple:
+    sample_id, activations = row
+    return sample_id, tuple(activations)
+
+
 @record
 class ProbabilityTable(_Table):
     """Per-instance predicted class probabilities with the observed label.
@@ -479,7 +515,7 @@ class ProbabilityTable(_Table):
     numbers: bytes
 
     def __init__(self, num_classes: int, rows) -> None:
-        rows = tuple((i, lbl, tuple(ps)) for i, lbl, ps in rows)
+        rows = _given_rows(rows, _prob_row, "(instance_id, label, probabilities)")
         if type(num_classes) is not int or num_classes < 2:
             raise ValueOutOfRange(f"need at least 2 classes, got {num_classes!r}")
         self._build(num_classes, rows)
@@ -505,7 +541,7 @@ class ActivationTable(_Table):
     numbers: bytes
 
     def __init__(self, num_neurons: int, rows) -> None:
-        rows = tuple((s, tuple(a)) for s, a in rows)
+        rows = _given_rows(rows, _activation_row, "(sample_id, activations)")
         if type(num_neurons) is not int or num_neurons < 1:
             raise ValueOutOfRange(f"need at least 1 neuron, got {num_neurons!r}")
         self._build(num_neurons, rows)

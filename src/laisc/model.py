@@ -40,7 +40,6 @@ the metric-bearing kinds, not by adding kinds.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import field
 from enum import Enum
@@ -53,6 +52,17 @@ from laisc.codec import (
     number_rows, record, rule_rows, to_node, unique_row,
 )
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload, LaiscError
+
+# hashlib loads OpenSSL (libcrypto, about 4 MB resident) into every laisc
+# process; the interpreter's built-in sha256 gives the same digest without
+# it.  The last import serves a build compiled without the built-in hashes.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: Closed registry of metric ids a landscape may reference.  The metrics
 #: module provides the matching implementations.
@@ -349,7 +359,7 @@ class Landscape:
     def _fingerprint(self) -> str:
         """:func:`fingerprint`, computed once."""
         content = [{"id": vr.id, "kind": vr.kind, "payload": to_node(vr.payload)} for vr in self.vrs]
-        digest = hashlib.sha256(json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+        digest = sha256(json.dumps(content, sort_keys=True, separators=(",", ":")).encode("utf-8"))
         return f"sha256:{digest.hexdigest()}"
 
     @cached_property

@@ -653,6 +653,22 @@ def test_metric_clm_flags_at_the_threshold_of_its_vr(fixture_paths, tmp_path, ca
     assert (verdict.status, verdict.explanation) == (Status.VIOLATED, "flagged instances without resolution: i1")
 
 
+def test_metric_clm_flags_nothing_under_a_lower_threshold_of_its_vr(fixture_paths, tmp_path, capsys):
+    """With VR1.3's ``flag_threshold`` edited to 0.25, ``i1``'s score of 0.3
+    is no flag, where the fixture's 0.5 flags it."""
+    landscape_path, evidence_path = fixture_paths
+    text = landscape_path.read_bytes()
+    assert text.count(b'"flag_threshold": 0.5,') == 1
+    landscape_path.write_bytes(text.replace(b'"flag_threshold": 0.5,', b'"flag_threshold": 0.25,'))
+    probs_path = tmp_path / "four.probs.csv"
+    probs_path.write_text(_FOUR_ROWS)
+    assert main(_metric_argv("clm", landscape_path, evidence_path, probs=str(probs_path))) == 0
+    assert capsys.readouterr().out.startswith("clm_flags = 0.0 (0 flagged)\n")
+    records = io.parse_evidence(evidence_path.read_bytes()).records
+    assert records[-2].payload.config_note.startswith("threshold=0.25; flagged=0/4; ")
+    assert (records[-1].kind, records[-1].payload.flagged_ids) == ("FlagResolutionLog", ())
+
+
 #: ``metric`` appends that ``evaluation.reads`` decides: ``(edit of the
 #: fixture landscape or None, argv after "metric", exit code, stderr)``.
 _READS = {
@@ -1045,3 +1061,27 @@ def test_importing_the_cli_leaves_the_metric_kernels_unloaded():
     env = {**os.environ, "PYTHONPATH": str(Path(laisc.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+#: Runs ``evaluate --format json`` and ``validate`` on the landscape and
+#: bundle of ``argv`` in one process, then prints the exit codes and which
+#: of ``hashlib`` and ``_hashlib`` it loaded.
+_EVALUATE_AND_VALIDATE = """
+import contextlib, io, sys
+from laisc.cli import main
+landscape, evidence = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["evaluate", "--landscape", landscape, "--evidence", evidence, "--format", "json"]),
+        main(["validate", "--landscape", landscape]),
+    ]
+print(codes, sorted({"hashlib", "_hashlib"} & sys.modules.keys()))
+"""
+
+
+def test_an_evaluate_and_a_validate_leave_hashlib_unloaded(fixture_paths):
+    # hashlib loads OpenSSL; the fingerprint takes the interpreter's built-in sha256.
+    env = {**os.environ, "PYTHONPATH": str(Path(laisc.__file__).parents[1])}
+    argv = [sys.executable, "-c", _EVALUATE_AND_VALIDATE, *map(str, fixture_paths)]
+    result = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[0, 0] []\n"

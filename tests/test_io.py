@@ -1696,6 +1696,8 @@ def test_grid_header_padded_past_the_int_digit_limit_reads_alike():
         (1.0, 1, ((0,),), DimensionMismatch, "grid must be at least 1x1, got 1.0x1"),
         ("1", 1, ((0,),), DimensionMismatch, "grid must be at least 1x1, got '1'x1"),
         (1, True, ((0,),), DimensionMismatch, "grid must be at least 1x1, got 1xTrue"),
+        (1, 1, [5], DimensionMismatch, "row 0: expected a row of cells, got 5"),
+        (1, 1, None, DimensionMismatch, "expected an iterable of rows, got None"),
     ],
     ids=[
         "bool",
@@ -1711,6 +1713,8 @@ def test_grid_header_padded_past_the_int_digit_limit_reads_alike():
         "float-height",
         "str-height",
         "bool-width",
+        "int-row",
+        "no-rows",
     ],
 )
 def test_grid_constructor_rejects_bad_cells(height, width, rows, error, message):
@@ -1721,18 +1725,23 @@ def test_grid_constructor_rejects_bad_cells(height, width, rows, error, message)
 
 
 @pytest.mark.parametrize(
-    "height, width, cells, message",
+    "height, width, cells, error, message",
     [
-        (0, 2, b"", "grid must be at least 1x1, got 0x2"),
-        (2, 2, b"\x00\x01\x00", "expected 4 cells, got 3"),
-        (True, 1, b"\x00", "grid must be at least 1x1, got Truex1"),
-        (1, 1.0, b"\x00", "grid must be at least 1x1, got 1x1.0"),
+        (0, 2, b"", DimensionMismatch, "grid must be at least 1x1, got 0x2"),
+        (2, 2, b"\x00\x01\x00", DimensionMismatch, "expected 4 cells, got 3"),
+        (True, 1, b"\x00", DimensionMismatch, "grid must be at least 1x1, got Truex1"),
+        (1, 1.0, b"\x00", DimensionMismatch, "grid must be at least 1x1, got 1x1.0"),
+        (1, 1, "a", ValueOutOfRange, "cells must be bytes or ints in [0, 255], got 'a'"),
+        (1, 1, [300], ValueOutOfRange, "cells must be bytes or ints in [0, 255], got [300]"),
+        # bytes(1) would be one zero cell
+        (1, 1, 1, ValueOutOfRange, "cells must be bytes or ints in [0, 255], got 1"),
     ],
-    ids=["empty", "cell-count", "bool-height", "float-width"],
+    ids=["empty", "cell-count", "bool-height", "float-width", "str-cells", "cell-above-255", "int-cells"],
 )
-def test_grid_from_bytes_rejects_a_bad_shape(height, width, cells, message):
-    with pytest.raises(DimensionMismatch) as caught:
+def test_grid_from_bytes_rejects_a_bad_shape(height, width, cells, error, message):
+    with pytest.raises(error) as caught:
         LabeledGrid.from_bytes(height, width, cells)
+    assert type(caught.value) is error
     assert str(caught.value) == message
 
 
@@ -1782,6 +1791,26 @@ def test_tables_built_from_lists_store_tuples():
 def test_tables_below_their_minimum_size_rejected(build, message):
     with pytest.raises(ValueOutOfRange) as caught:
         build()
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ProbabilityTable(2, [("x", 0)]), "row 0: expected (instance_id, label, probabilities), got ('x', 0)"),
+        (lambda: ProbabilityTable(2, None), "expected an iterable of rows, got None"),
+        (lambda: ActivationTable(1, [("s", 0.5)]), "row 0: expected (sample_id, activations), got ('s', 0.5)"),
+        (
+            lambda: ActivationTable(1, [("s", (0.5,)), ("t", (0.5,), ())]),
+            "row 1: expected (sample_id, activations), got ('t', (0.5,), ())",
+        ),
+    ],
+    ids=["short-row", "no-rows", "number-for-activations", "long-second-row"],
+)
+def test_tables_reject_a_row_of_the_wrong_shape(build, message):
+    with pytest.raises(DimensionMismatch) as caught:
+        build()
+    assert type(caught.value) is DimensionMismatch
     assert str(caught.value) == message
 
 

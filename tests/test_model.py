@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,7 @@ from helpers import (
     random_landscape,
     single_vr_landscape,
 )
+import laisc
 from laisc import fixtures
 from laisc.evaluation import evaluate
 from laisc.errors import DanglingReference, DuplicateId, InvalidPayload, LaiscError, SchemaError
@@ -667,6 +672,23 @@ def test_rows_are_sorted_canonically():
 def test_fingerprint_deterministic():
     landscape = fixtures.track_detector_landscape()
     assert fingerprint(landscape) == fingerprint(fixtures.track_detector_landscape())
+
+
+def test_fingerprint_without_the_built_in_sha256_takes_hashlib_and_the_same_digest():
+    """A build compiled without the built-in hashes takes ``hashlib``'s
+    sha256: the fingerprint is the one computed here and the one the
+    shipped bundle's records carry."""
+    code = (
+        'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n'
+        "import hashlib\n"
+        "from laisc import fixtures, model\n"
+        "print(model.sha256 is hashlib.sha256, model.fingerprint(fixtures.track_detector_landscape()))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(laisc.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    expected = fingerprint(fixtures.track_detector_landscape())
+    assert {record.landscape_fingerprint for record in fixtures.demo_evidence().records} == {expected}
+    assert result.stdout == f"True {expected}\n"
 
 
 @settings(max_examples=100, deadline=None)
