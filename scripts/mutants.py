@@ -208,6 +208,24 @@ MUTANTS = (
         "header = data[: max(end, 0)].split()",
     ),
     Mutant(
+        "the table reader lets a quote through",
+        _IO,
+        "if any(map(text.__contains__, _REFUSED)) or",
+        "if any(map(text.__contains__, _REFUSED[1:])) or",
+    ),
+    Mutant(
+        "the table row search numbers a later chunk's rows from 0",
+        _IO,
+        "raise _row_fault(raw, chunk, len(ids), width, len(lead)) from None",
+        "raise _row_fault(raw, chunk, 0, width, len(lead)) from None",
+    ),
+    Mutant(
+        "a table built in code takes an id holding a ','",
+        _IO,
+        'return not any(map("".join(ids).__contains__, ",\\n" + _REFUSED))',
+        'return not any(map("".join(ids).__contains__, "\\n" + _REFUSED))',
+    ),
+    Mutant(
         "grid sizes need not be exact ints",
         _IO,
         'values = _given_rows(values, tuple, "a row of cells")\n'

@@ -925,11 +925,12 @@ def check_text(objects: list, where) -> None:
                 check_text([item], lambda _, at=path + suffix: at)
 
 
-def check_ids(ids: list, path) -> None:
+def check_ids(ids: list, path, more=()) -> None:
     """Hold ``ids``, the ids of a table's rows or a keyed field's keys, to
-    the rules of a ``str`` field, as ``check_text`` does: a ``SchemaError``
-    at ``path(index, id)`` for the first id at fault."""
-    check_rows(rule_rows(ids, _SCALARS[str][3], lambda words, at, value: SchemaError(path(at, value), words, value)))
+    the rules of a ``str`` field, as ``check_text`` does, then to the rules
+    ``more``, each ``(test, expected)``: a ``SchemaError`` at ``path(index,
+    id)`` for the first id at fault."""
+    check_rows(rule_rows(ids, (*_SCALARS[str][3], *more), lambda words, i, got: SchemaError(path(i, got), words, got)))
 
 
 # --- one object: its columns over that one object --------------------------------

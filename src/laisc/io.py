@@ -1,6 +1,6 @@
 """File formats: the single place where bytes become domain objects.
 
-Formats (all UTF-8, LF line endings):
+Formats (all UTF-8):
 
 * ``*.laisc.json``    -- landscape definition
 * ``*.evidence.json`` -- evidence bundle
@@ -22,22 +22,21 @@ bundle, then one ``codec.check_rows`` row per rule of its records: ids,
 is built, as ``Landscape`` checks its structure.
 
 The two CSV tables share one reader, which checks the header and the
-width of every row, and one writer.  The reader splits a table into
-lines and fields by C-level passes over chunks of about 16 KiB, and
-reads each chunk's values with ``float()`` into an ``array("d")`` of its
-own; a table holding a quote, a carriage return or NUL, and one that a
-pass refuses, is read by the ``csv`` row loop, which words every
-refusal.  The table keeps the doubles as one row-major ``bytes``
-buffer, as ``LabeledGrid`` keeps its cells, and checks the whole buffer
-once, by the rule rows of ``ProbabilityTable`` or ``ActivationTable``;
-only a table that fails is searched row by row, by the same rows.  Their
-``.rows`` is a derived copy.
+width of every row, and one writer.  A table has no quoting: a field
+holds no ``,``, quote, carriage return or NUL, and lines end in ``\\n``
+or ``\\r\\n``.  The reader splits a table into lines and fields by C-level
+passes over chunks of about 16 KiB, and reads each chunk's values with
+``float()`` into an ``array("d")`` of its own; only a chunk that a pass
+refuses is searched row by row, to word its first fault.  The table
+keeps the doubles as one row-major ``bytes`` buffer, as ``LabeledGrid``
+keeps its cells, and checks the whole buffer once, by the rule rows of
+``ProbabilityTable`` or ``ActivationTable``; only a table that fails is
+searched row by row, by the same rows.  Their ``.rows`` is a derived
+copy.
 """
 
 from __future__ import annotations
 
-import csv
-import io as _stdio
 import math
 from array import array
 from datetime import datetime
@@ -429,6 +428,19 @@ def _check_table(table, rules, width: int, lengths, flat, *more) -> None:
     check_rows([*rows, *more])
 
 
+#: What the reader refuses in a field, besides the separators ``,`` and
+#: ``\n`` that end one: a quote, a carriage return that ends no line, and
+#: NUL.  A table has no quoting, so an id holds none of the five.
+_REFUSED = '"\r\0'
+
+
+def _plain_ids(ids) -> bool:
+    return not any(map("".join(ids).__contains__, ",\n" + _REFUSED))
+
+
+_ID_RULES = ((_plain_ids, "string without ',', '\"', '\\r', '\\n' or '\\x00'"),)
+
+
 class _Table:
     """What the two CSV tables share: the numbers, row-major, in ``numbers``
     as the bytes of their doubles, 8 bytes a number.  A table built in
@@ -463,8 +475,9 @@ class _Table:
     def _build(self, width: int, rows: tuple) -> None:
         """Set the fields from ``rows`` given in code, and check them."""
         ids, *labels, numbers = list(zip(*rows)) or [()] * (len(self._record_names) - 1)
-        # An id that is no str would be written as str(id) and read back as another value.
-        check_ids(ids, lambda at, _: f"rows[{at}][0]")
+        # An id that is no str would be written as str(id) and read back as
+        # another value, and one that holds a separator as other fields.
+        check_ids(ids, lambda at, _: f"rows[{at}][0]", _ID_RULES)
         self._set(width, ids, *labels, list(chain.from_iterable(numbers)), lengths=list(map(len, numbers)))
 
     def _set(self, width: int, *values, lengths=()) -> None:
@@ -693,11 +706,7 @@ def _header(lead: tuple[str, ...], prefix: str, count: int) -> list[str]:
     return [*lead, *(f"{prefix}_{k}" for k in range(count))]
 
 
-#: The bytes that the split passes do not read as ``csv`` does: a quote, a
-#: carriage return, and NUL, which ``csv`` refuses before Python 3.11.
-_CSV_ONLY = (b'"', b"\r", b"\0")
-
-#: About how many bytes of a table the split passes decode and split at
+#: About how many bytes of a table the C-level passes decode and split at
 #: once; a chunk's text, lines and fields live only while it is read.
 _CHUNK = 1 << 14
 
@@ -708,113 +717,87 @@ def _read_table(data: bytes | str, lead: tuple[str, ...], prefix: str, minimum: 
     column is a row's id, and a second one its integer label.
 
     Returns ``N``, the ids, the labels (none without a label column) and
-    the numbers of every row, row-major, as the bytes of their doubles.  A
-    row of the wrong width is a :class:`DimensionMismatch`, and a label
-    that ``int()`` or a number that ``float()`` rejects a
-    :class:`ValueOutOfRange`.  Bytes that are not UTF-8, and a field past
-    the ``csv`` module's field size limit, are an :class:`InputSyntaxError`.
-
-    A table without a quote, a carriage return or NUL is read by
-    ``_split_table``; one with any of them, and one that a split pass
-    refuses, by ``_csv_table`` from the start, which words the first fault.
+    the numbers of every row, row-major, as the bytes of their doubles.
+    Lines end in ``\\n`` or ``\\r\\n``.  The rows are read by C-level passes
+    over chunks of about ``_CHUNK`` bytes, each cut after a ``\\n``; a chunk
+    that a pass refuses is searched row by row by ``_row_fault``, rows
+    numbered across chunks, and its first fault is raised.
     """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    if not any(map(data.__contains__, _CSV_ONLY)):
-        try:
-            table = _split_table(data, lead, prefix, minimum)
-        except ValueError:  # not UTF-8, or a label or number that int() or float() refuses
-            table = None
-        if table:
-            return table
-    return _csv_table(data, lead, prefix, minimum)
-
-
-def _split_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple | None:
-    """What ``_csv_table`` returns for ``data``, which holds none of
-    ``_CSV_ONLY``, read by C-level passes over chunks of about ``_CHUNK``
-    bytes, each cut after a ``\\n``; ``None`` for a bad header, a row of
-    the wrong width (a blank one too) or a line longer than the ``csv``
-    module's field size limit, for ``csv`` to word."""
-    limit = csv.field_size_limit()
+    raw = _encoded(data)
+    data = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
+    expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
+    if not data:
+        raise InputSyntaxError(f"empty table, expected the header {expected}")
     start = data.find(b"\n") + 1 or len(data)
-    line = data[:start].decode("utf-8").removesuffix("\n")
-    header = line.split(",")
+    # No line end comes before a byte of the header, so its offset is the same in ``raw``.
+    header = decode_utf8(data[:start]).removesuffix("\n").split(",")
     count = len(header) - len(lead)
-    if len(line) > limit or count < minimum or header != _header(lead, prefix, count):
-        return None
+    if count < minimum or header != _header(lead, prefix, count):
+        raise SchemaError("header", expected, ",".join(header))
     width = len(header)
     ids, labels, pieces = [], [], []
     while start < len(data):
         end = data.find(b"\n", start + _CHUNK) + 1 or len(data)
-        lines = data[start:end].decode("utf-8").removesuffix("\n").split("\n")
-        start = end
-        if max(map(len, lines)) > limit or set(map(methodcaller("count", ","), lines)) != {width - 1}:
-            return None
-        fields = ",".join(lines).split(",")
-        ids += fields[::width]
-        if len(lead) > 1:
-            labels += map(int, fields[1::width])
-        for column in range(len(lead)):
-            del fields[:: width - column]
-        pieces.append(array("d", list(map(float, fields))))
+        chunk, start = data[start:end], end
+        try:
+            text = chunk.decode("utf-8")
+            lines = text.removesuffix("\n").split("\n")
+            if any(map(text.__contains__, _REFUSED)) or set(map(methodcaller("count", ","), lines)) != {width - 1}:
+                raise ValueError
+            fields = ",".join(lines).split(",")
+            if len(lead) > 1:
+                labels += map(int, fields[1::width])
+            chunk_ids = fields[::width]
+            for column in range(len(lead)):
+                del fields[:: width - column]
+            pieces.append(array("d", list(map(float, fields))))
+        except ValueError:  # UnicodeDecodeError is one too
+            raise _row_fault(raw, chunk, len(ids), width, len(lead)) from None
+        ids += chunk_ids
     return count, ids, labels, b"".join(pieces)
 
 
-def _csv_table(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
-    """``_read_table`` by the ``csv`` module's reader, row by row."""
-    # Decode line by line: a StringIO of the whole text would hold four
-    # bytes per character for as long as the table is being read.
-    reader = csv.reader(_stdio.TextIOWrapper(_stdio.BytesIO(data), encoding="utf-8", newline="\n"))
-    expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
-    ids = None  # until the header is read
+def _encoded(data: bytes | str) -> bytes:
+    """``data`` as UTF-8; a ``str`` holding a lone surrogate, which no UTF-8
+    writer can encode, is a syntax error in the words of ``load_json``."""
+    if isinstance(data, bytes):
+        return data
     try:
-        header = next(reader, None)
-        if header is None:
-            raise InputSyntaxError(f"empty table, expected the header {expected}")
-        count = len(header) - len(lead)
-        if count < minimum or header != _header(lead, prefix, count):
-            raise SchemaError("header", expected, ",".join(header))
-        ids, labels, numbers = [], [], array("d")
-        width, labelled = len(header), len(lead) > 1
-        for row in reader:
-            if len(row) != width:
-                raise DimensionMismatch(f"data row {len(ids)}: expected {width} fields, got {len(row)}")
-            try:
-                if labelled:
-                    labels.append(int(row[1]))
-                numbers.extend(map(float, row[len(lead) :]))
-            except ValueError as exc:
-                raise ValueOutOfRange(f"data row {len(ids)}: {exc}") from None
-            ids.append(row[0])
-    except csv.Error as exc:
-        where = "header" if ids is None else f"data row {len(ids)}"
-        raise InputSyntaxError(f"{where}: {exc}") from None
-    except UnicodeDecodeError:
-        decode_utf8(data)  # raises with the offset in the whole of ``data``
-        raise
-    return count, ids, labels, numbers.tobytes()
+        return data.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InputSyntaxError(f"lone surrogate {exc.object[exc.start]!r}") from None
 
 
-def _csv_field(value) -> str:
-    """``str(value)`` as a CSV field: in quotes, each quote doubled, if it
-    holds a ``,``, a ``"``, a ``\\r`` or a ``\\n``, as ``csv.writer`` quotes
-    it from Python 3.13 on; before, it left a ``\\r`` bare, to be read back
-    as a line end."""
-    text = str(value)
-    if any(map(text.__contains__, ',"\r\n')):
-        return '"' + text.replace('"', '""') + '"'
-    return text
+def _row_fault(raw: bytes, chunk: bytes, row: int, width: int, leading: int) -> Exception | None:
+    """The first fault of the lines of ``chunk``, a chunk that a pass of
+    ``_read_table`` refused, so one that holds a fault; its lines are data
+    rows ``row`` on of the table ``raw`` with ``leading`` lead columns.
+    Each line is checked in this order: bytes that are not UTF-8, raised at
+    their offset in ``raw``; a character of ``_REFUSED``, an
+    :class:`InputSyntaxError`; a number of fields other than ``width`` (a
+    blank line has none), a :class:`DimensionMismatch`; a label that
+    ``int()`` or a number that ``float()`` refuses, a
+    :class:`ValueOutOfRange`."""
+    for row, line in enumerate(chunk.removesuffix(b"\n").split(b"\n"), row):
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError:
+            return decode_utf8(raw)  # raises: the first bad byte of ``raw`` is on this line
+        refused = next(filter(_REFUSED.__contains__, text), None)
+        if refused:
+            return InputSyntaxError(f"data row {row}: a table field may not hold {refused!r}")
+        fields = text.split(",") if text else []
+        if len(fields) != width:
+            return DimensionMismatch(f"data row {row}: expected {width} fields, got {len(fields)}")
+        try:
+            list(map(int, fields[1:leading]))
+            list(map(float, fields[leading:]))
+        except ValueError as exc:
+            return ValueOutOfRange(f"data row {row}: {exc}")
 
 
-def _write_table(lead: tuple[str, ...], prefix: str, count: int, ids: tuple[str, ...], rows) -> bytes:
-    """The header, then one line per row of ``rows``, each a list of its
-    fields' text, of which only the first, the id, may need quotes.  An id
-    of ``ids`` holding NUL is refused: Python 3.10's ``csv`` reader refuses
-    a line with one, so no Python writes it."""
-    if "\0" in "".join(ids):
-        index = next(index for index, row_id in enumerate(ids) if "\0" in row_id)
-        raise SchemaError(f"ids[{index}]", "string without NUL", ids[index])
+def _write_table(lead: tuple[str, ...], prefix: str, count: int, rows) -> bytes:
+    """The header, then one line per row of ``rows``, each a list of its fields' text."""
     lines = [",".join(_header(lead, prefix, count)), *map(",".join, rows)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -830,8 +813,8 @@ def read_prob_table(data: bytes | str) -> ProbabilityTable:
 
 def write_prob_table(table: ProbabilityTable) -> bytes:
     rows = _rows_of(table.flat, table.num_classes)
-    lines = ([_csv_field(i), repr(label), *map(repr, probs)] for i, label, probs in zip(table.ids, table.labels, rows))
-    return _write_table(*_PROB_COLUMNS, table.num_classes, table.ids, lines)
+    lines = ([i, repr(label), *map(repr, probs)] for i, label, probs in zip(table.ids, table.labels, rows))
+    return _write_table(*_PROB_COLUMNS, table.num_classes, lines)
 
 
 def read_activations(data: bytes | str) -> ActivationTable:
@@ -840,5 +823,5 @@ def read_activations(data: bytes | str) -> ActivationTable:
 
 
 def write_activations(table: ActivationTable) -> bytes:
-    lines = ([_csv_field(i), *map(repr, acts)] for i, acts in zip(table.ids, _rows_of(table.flat, table.num_neurons)))
-    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, table.ids, lines)
+    lines = ([i, *map(repr, acts)] for i, acts in zip(table.ids, _rows_of(table.flat, table.num_neurons)))
+    return _write_table(*_ACTIVATION_COLUMNS, table.num_neurons, lines)

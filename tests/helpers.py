@@ -18,6 +18,7 @@ import json
 import math
 import random
 import sys
+from array import array
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timedelta, timezone
 from decimal import ROUND_HALF_UP, Decimal
@@ -29,9 +30,11 @@ from laisc.errors import (
     DanglingReference,
     DimensionMismatch,
     DuplicateId,
+    InputSyntaxError,
     InvalidPayload,
     LaiscError,
     NotNormalized,
+    SchemaError,
     ValueOutOfRange,
 )
 from laisc.evaluation import CoverageGap, GapKind
@@ -289,6 +292,64 @@ def table_rule_error(table_type: type, size: int, rows) -> LaiscError | None:
     except LaiscError as exc:
         return exc
     return None
+
+
+def table_oracle(data: bytes, lead: tuple[str, ...], prefix: str, minimum: int) -> tuple:
+    """What laisc's CSV table reader returns for ``data``, restated from the
+    README's dialect as one loop over the lines of the whole table, or the
+    error it raises.
+
+    Each line ends in ``\\n``, ``\\r\\n`` or the end of the data, and is
+    decoded on its own, its line end with it.  The first line is the header:
+    ``lead``, then ``{prefix}_0..{prefix}_{N-1}`` with ``N >= minimum``.
+    Each later line is a data row, numbered from 0, and its first fault,
+    checked in this order, is raised: bytes that are not UTF-8 (at their
+    offset in ``data``), a quote, carriage return or NUL, a number of
+    ``,``-separated fields other than the header's (a blank line has
+    none), a label that ``int()`` or a number that ``float()`` refuses.
+    Returns ``N``, the ids, the labels and the numbers' doubles as bytes.
+    """
+    expected = f"{','.join(lead)},{prefix}_0..{prefix}_{{N-1}} with N >= {minimum}"
+    if not data:
+        raise InputSyntaxError(f"empty table, expected the header {expected}")
+    lines, start = [], 0
+    while start < len(data):
+        end = data.find(b"\n", start) + 1 or len(data)
+        lines.append((start, data[start:end]))
+        start = end
+    header_text = _line_text(*lines[0])
+    header = header_text.split(",")
+    count = len(header) - len(lead)
+    if count < minimum or header != [*lead, *(f"{prefix}_{k}" for k in range(count))]:
+        raise SchemaError("header", expected, header_text)
+    ids, labels, numbers = [], [], array("d")
+    for row, line in enumerate(lines[1:]):
+        text = _line_text(*line)
+        for character in text:
+            if character in '"\r\0':
+                raise InputSyntaxError(f"data row {row}: a table field may not hold {character!r}")
+        fields = text.split(",") if text else []
+        if len(fields) != len(header):
+            raise DimensionMismatch(f"data row {row}: expected {len(header)} fields, got {len(fields)}")
+        try:
+            row_labels = [int(field) for field in fields[1 : len(lead)]]
+            row_numbers = [float(field) for field in fields[len(lead) :]]
+        except ValueError as exc:
+            raise ValueOutOfRange(f"data row {row}: {exc}") from None
+        ids.append(fields[0])
+        labels += row_labels
+        numbers.extend(row_numbers)
+    return count, ids, labels, numbers.tobytes()
+
+
+def _line_text(start: int, line: bytes) -> str:
+    """The text of ``line``, which starts at offset ``start`` of a table,
+    without its line end."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputSyntaxError(f"not UTF-8 text: {exc.reason}", offset=start + exc.start) from None
+    return text[:-1].removesuffix("\r") if text.endswith("\n") else text
 
 
 def brute_force_confident_joint(table: ProbabilityTable) -> list[list[int]]:

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
 import laisc
-from laisc import fixtures, io, metrics
+from laisc import cli, fixtures, io, metrics
 from laisc.cli import main
 from laisc.evaluation import Status, evaluate
 from laisc.io import write_grid, LabeledGrid
@@ -23,6 +24,14 @@ PINNED_NOW = "2026-02-01T12:00:00Z"
 @pytest.fixture(autouse=True)
 def _pin_clock(monkeypatch):
     monkeypatch.setenv("LAISC_NOW", PINNED_NOW)
+
+
+def test_now_reads_the_clock_in_utc_without_laisc_now(monkeypatch):
+    monkeypatch.delenv("LAISC_NOW")
+    before = datetime.now(timezone.utc)
+    now = cli._now()
+    assert now.tzinfo is timezone.utc
+    assert before <= now <= datetime.now(timezone.utc)
 
 
 def _grid_file(tmp_path, name, values):
@@ -755,13 +764,21 @@ def test_unreadable_landscape_exits_three(command, edit, fragment, fixture_paths
 
 _ACTS = b"sample_id,a_0\ns1,0.5\ns2,1.0\n"
 _PROBS = b"instance_id,label,p_0,p_1\ni1,0,0.9,0.1\ni2,1,0.2,0.8\n"
-_OVERSIZED = b"x" * (131072 + 1)  # one past the csv module's default field limit
 
 
 def _not_utf8(data: bytes, after: bytes) -> bytes:
     """``data`` with one ``0xff`` byte inserted after the first ``after``."""
     return data.replace(after, after + b"\xff", 1)
 
+
+_NAP_ARGV = (
+    "metric nap --a {bad} --b {bad} --dataset-a d-real --dataset-b d-synth --vr VR2.2"
+    " --landscape {landscape} --out {evidence}"
+)
+_CLM_ARGV = "metric clm --probs {bad} --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}"
+
+#: The reader's words for a quote or NUL on the second data row.
+_REFUSAL = "data row 1: a table field may not hold {!r}".format
 
 #: ``(argv, file the command reads first, its new bytes from the old, what
 #: stderr must name)``; ``None`` names the offset of the ``0xff`` byte.
@@ -781,32 +798,12 @@ _UNDECODABLE_INPUTS = {
         lambda _: _not_utf8(b"2 2\n0 1\n1 0\n", b"1 "),
         None,
     ),
-    "activations": (
-        "metric nap --a {bad} --b {bad} --dataset-a d-real --dataset-b d-synth --vr VR2.2"
-        " --landscape {landscape} --out {evidence}",
-        "bad",
-        lambda _: _not_utf8(_ACTS, b"s2"),
-        None,
-    ),
-    "probabilities": (
-        "metric clm --probs {bad} --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
-        "bad",
-        lambda _: _not_utf8(_PROBS, b"i2"),
-        None,
-    ),
-    "activations-oversized-field": (
-        "metric nap --a {bad} --b {bad} --dataset-a d-real --dataset-b d-synth --vr VR2.2"
-        " --landscape {landscape} --out {evidence}",
-        "bad",
-        lambda _: _ACTS + _OVERSIZED + b",1.0\n",
-        "data row 2: field larger than field limit",
-    ),
-    "probabilities-oversized-field": (
-        "metric clm --probs {bad} --dataset d-train --vr VR1.3 --landscape {landscape} --out {evidence}",
-        "bad",
-        lambda _: _PROBS.replace(b"i2", _OVERSIZED),
-        "data row 1: field larger than field limit",
-    ),
+    "activations": (_NAP_ARGV, "bad", lambda _: _not_utf8(_ACTS, b"s2"), None),
+    "probabilities": (_CLM_ARGV, "bad", lambda _: _not_utf8(_PROBS, b"i2"), None),
+    "activations-quoted-id": (_NAP_ARGV, "bad", lambda _: _ACTS.replace(b"s2", b'"s2"'), _REFUSAL('"')),
+    "activations-nul-id": (_NAP_ARGV, "bad", lambda _: _ACTS.replace(b"s2", b"s\0"), _REFUSAL("\0")),
+    "probabilities-quoted-id": (_CLM_ARGV, "bad", lambda _: _PROBS.replace(b"i2", b'"i2"'), _REFUSAL('"')),
+    "probabilities-nul-id": (_CLM_ARGV, "bad", lambda _: _PROBS.replace(b"i2", b"i\0"), _REFUSAL("\0")),
 }
 
 
